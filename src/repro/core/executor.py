@@ -297,6 +297,10 @@ class SpotExecutor:
         yield from self._flush_billing(allocation, final=True)
         if allocation.claim is not None:
             allocation.claim.release()
+        # Schedules nothing: only host memory is returned (see
+        # Worker.release_buffers for why late writes are unaffected).
+        for worker in allocation.workers:
+            worker.release_buffers()
         self.allocations.pop(allocation.lease_id, None)
         # Announce freed resources so the manager reuses them (Sec. III-B).
         if self._manager_conn is not None and self._manager_conn.alive and self.alive:

@@ -20,10 +20,31 @@ from repro.rdma.cm import install_cm
 from repro.rdma.constants import Access, Opcode
 from repro.rdma.device import NIC
 from repro.rdma.errors import RdmaError
+from repro.rdma.memory import MemoryRegion, ProtectionDomain
 from repro.rdma.verbs import RecvWR, SendWR, sge
 
 RPC_BUFFER_BYTES = 64 * 1024
 RPC_RING_DEPTH = 8
+
+
+def _register_ring(nic: NIC, pd: ProtectionDomain, depth: int) -> list[MemoryRegion]:
+    """*depth* per-slot MRs over one block of ``depth`` buffers.
+
+    One block rather than one per slot: the slots are page-aligned and
+    the allocator bumps contiguously, so every slot keeps the address
+    and the lkey/rkey it had as a block of its own, while the ring costs
+    one allocation (large enough to be demand-zero mapped).
+    """
+    block = nic.alloc(RPC_BUFFER_BYTES * depth)
+    return [
+        pd.register(
+            block,
+            Access.LOCAL_WRITE,
+            addr=block.base + slot * RPC_BUFFER_BYTES,
+            length=RPC_BUFFER_BYTES,
+        )
+        for slot in range(depth)
+    ]
 
 
 class RpcConnection:
@@ -38,16 +59,10 @@ class RpcConnection:
         # after its processing delay, so reusing one buffer for two
         # back-to-back messages would corrupt the first (classic verbs
         # bug -- the buffer must stay stable until send completion).
-        self._send_mrs = [
-            pd.register(nic.alloc(RPC_BUFFER_BYTES), Access.LOCAL_WRITE)
-            for _ in range(ring_depth)
-        ]
+        self._send_mrs = _register_ring(nic, pd, ring_depth)
         self._send_index = 0
-        self._recv_mrs = []
-        for _ in range(ring_depth):
-            block = nic.alloc(RPC_BUFFER_BYTES)
-            mr = pd.register(block, Access.LOCAL_WRITE)
-            self._recv_mrs.append(mr)
+        self._recv_mrs = _register_ring(nic, pd, ring_depth)
+        for mr in self._recv_mrs:
             qp.post_recv(RecvWR(local=sge(mr)))
         self._recv_index = {mr.lkey: mr for mr in self._recv_mrs}
         self._wr_to_mr: dict[int, Any] = {}

@@ -136,6 +136,18 @@ class Worker:
         if self._process is not None and self._process.is_alive:
             self._process.interrupt("killed")
 
+    def release_buffers(self) -> None:
+        """Free the input, output and scratch blocks (executor teardown).
+
+        The MRs stay registered, so a client write that arrives after
+        teardown still passes the rkey and bounds checks and completes
+        just as it would during the lease; it lands in a size-only
+        block.  Deregistering would turn it into REM_ACCESS_ERR.
+        """
+        memory = self.nic.memory
+        for block in (self._input_block, self._output_block, self._scratch_mr.block):
+            memory.free(block)
+
     # -- the invocation loop ---------------------------------------------------
 
     def _loop(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats as sp_stats
 
 from repro.analysis import Table, format_bytes, format_ns, median, median_ci, percentile, summarize
-from repro.analysis.stats import _binomial_cdf
+from repro.analysis.stats import _binomial_cdf, median_ci_ranks
 
 
 def test_median_odd_even():
@@ -84,6 +84,27 @@ def test_median_ci_small_sample_falls_back_to_range():
     low, high = median_ci([1.0, 2.0], 0.99)
     assert (low, high) == (1.0, 2.0)
     assert median_ci([7.0], 0.99) == (7.0, 7.0)
+
+
+def _reference_ci_ranks(n, confidence):
+    """The original exact walk: two O(n) big-int CDF sums per candidate."""
+    if n == 1:
+        return 1, 1
+    for half_width in range(1, n // 2 + 1):
+        lo = n // 2 - half_width + 1
+        hi = n - lo + 1
+        if lo < 1:
+            break
+        if _binomial_cdf(hi - 2, n) - _binomial_cdf(lo - 2, n) >= confidence:
+            return lo, hi
+    return 1, n
+
+
+@pytest.mark.parametrize("confidence", [0.95, 0.99])
+def test_median_ci_ranks_match_reference_walk(confidence):
+    """The prefix-sum walk returns exactly the original loop's ranks."""
+    for n in range(1, 301):
+        assert median_ci_ranks(n, confidence) == _reference_ci_ranks(n, confidence), n
 
 
 def test_median_ci_validation():

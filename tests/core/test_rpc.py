@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core.rpc import rpc_connect, rpc_listen
+from repro.core.rpc import RPC_BUFFER_BYTES, RPC_RING_DEPTH, rpc_connect, rpc_listen
 from repro.rdma import Fabric
 from repro.rdma.errors import RdmaError
+from repro.rdma.memory import PAGE_SIZE
 from repro.sim import Environment
 
 
@@ -151,3 +152,30 @@ def test_two_clients_independent_connections():
     env.process(client_proc(client2, "b"))
     env.run()
     assert results == {"a": {"from": "a"}, "b": {"from": "b"}}
+
+
+def test_rings_keep_the_per_slot_block_layout():
+    """Each ring is one block, but its slot MRs keep the addresses
+    (base + i * 64 KiB) and the consecutive lkey/rkey pairs they had when
+    every slot was a page-aligned block of its own."""
+    env, server, client = setup()
+    rpc_listen(server, 9000, lambda message, conn: None)
+
+    def client_proc():
+        return (yield from rpc_connect(client, "server", 9000))
+
+    proc = env.process(client_proc())
+    env.run()
+    conn = proc.value
+    send, recv = conn._send_mrs, conn._recv_mrs
+    assert len(send) == len(recv) == RPC_RING_DEPTH
+    assert len({id(mr.block) for mr in send}) == len({id(mr.block) for mr in recv}) == 1
+    slots = send + recv
+    first = slots[0]
+    assert first.addr % PAGE_SIZE == 0
+    assert [mr.addr for mr in slots] == [
+        first.addr + i * RPC_BUFFER_BYTES for i in range(2 * RPC_RING_DEPTH)
+    ]
+    assert all(mr.length == RPC_BUFFER_BYTES for mr in slots)
+    keys = [key for mr in slots for key in (mr.lkey, mr.rkey)]
+    assert keys == list(range(first.lkey, first.lkey + 4 * RPC_RING_DEPTH))

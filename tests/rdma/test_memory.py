@@ -1,10 +1,13 @@
 """Tests for host memory, blocks, registration and keys."""
 
+import mmap
+import os
+
 import pytest
 
 from repro.rdma import Access, HostMemory, MemoryRegistrationError
 from repro.rdma.errors import OutOfMemory
-from repro.rdma.memory import PAGE_SIZE
+from repro.rdma.memory import DEMAND_ZERO_MIN_BYTES, PAGE_SIZE
 
 
 def test_alloc_is_page_aligned():
@@ -148,3 +151,117 @@ def test_mr_local_io(hosts):
     mr = hosts.mr_a
     mr.write(10, b"abc")
     assert mr.read(10, 3) == b"abc"
+
+
+# -- demand-zero backing and O(1) bookkeeping ----------------------------------
+
+EDGE_SIZES = (
+    64,
+    DEMAND_ZERO_MIN_BYTES - 1,
+    DEMAND_ZERO_MIN_BYTES,
+    DEMAND_ZERO_MIN_BYTES + 1,
+    3 * DEMAND_ZERO_MIN_BYTES + 17,
+)
+
+
+def _resident_bytes():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+def test_backing_follows_the_threshold():
+    mem = HostMemory()
+    assert type(mem.alloc(DEMAND_ZERO_MIN_BYTES - 1).data) is bytearray
+    assert type(mem.alloc(DEMAND_ZERO_MIN_BYTES).data) is mmap.mmap
+    assert mem.alloc(DEMAND_ZERO_MIN_BYTES, virtual=True).is_virtual
+
+
+def test_demand_zero_block_reads_zeros_before_first_write():
+    mem = HostMemory()
+    block = mem.alloc(4 * DEMAND_ZERO_MIN_BYTES + 5)
+    for offset in (0, 1, PAGE_SIZE - 1, block.size // 2, block.size - 8):
+        assert block.read(block.base + offset, 8) == bytes(8)
+    assert block.read(block.base + block.size - 1, 1) == b"\0"
+    assert bytes(block.view(block.base, 16)) == bytes(16)
+
+
+@pytest.mark.parametrize("size", EDGE_SIZES)
+def test_write_read_view_roundtrip_at_block_edges(size):
+    mem = HostMemory()
+    block = mem.alloc(size)
+    first, last = block.base, block.end - 1
+    block.write(first, b"\x11")
+    block.write(last, b"\x22")
+    assert block.read(first, 1) == b"\x11"
+    assert block.read(last, 1) == b"\x22"
+    assert bytes(block.view(first, 1)) == b"\x11"
+    assert bytes(block.view(last, 1)) == b"\x22"
+    # A view aliases live memory, on either backing.
+    view = block.view(first, 4)
+    block.write(first, b"abcd")
+    assert bytes(view) == b"abcd"
+    with pytest.raises(MemoryRegistrationError):
+        block.write(last, b"xy")
+    with pytest.raises(MemoryRegistrationError):
+        block.view(last, 2)
+
+
+@pytest.mark.parametrize("size", [256, DEMAND_ZERO_MIN_BYTES])
+def test_overlapping_self_copy(size):
+    """Copying a window of a block onto an overlapping window of itself
+    (loopback RDMA) behaves like memmove on both backings."""
+    mem = HostMemory()
+    block = mem.alloc(size)
+    block.write(block.base, b"0123456789")
+    block.write(block.base + 3, block.view(block.base, 8))
+    assert block.read(block.base, 11) == b"01201234567"
+    block.write(block.base, block.view(block.base + 2, 6))
+    assert block.read(block.base, 8) == b"20123434"
+
+
+def test_large_real_block_is_not_resident():
+    before = _resident_bytes()
+    block = HostMemory().alloc(256 * 1024 * 1024)
+    assert block.read(block.base + block.size // 2, 4) == bytes(4)
+    assert _resident_bytes() - before < 1024 * 1024
+
+
+def test_free_leaves_a_size_only_block():
+    mem = HostMemory()
+    block = mem.alloc(DEMAND_ZERO_MIN_BYTES)
+    block.write(block.base, b"payload")
+    mem.free(block)
+    assert block.is_virtual and block.shadow is None
+    # Late accesses stay in bounds and are harmless: writes are dropped,
+    # reads see zeros.
+    block.write(block.base, b"late")
+    assert block.read(block.base, 4) == bytes(4)
+    with pytest.raises(MemoryRegistrationError):
+        block.write(block.end, b"x")
+
+
+def test_free_rejects_a_foreign_block_with_a_live_base():
+    mem, other = HostMemory(), HostMemory()
+    mine, foreign = mem.alloc(128), other.alloc(128)
+    assert mine.base == foreign.base
+    with pytest.raises(MemoryRegistrationError):
+        mem.free(foreign)
+    assert mem.block_at(mine.base) is mine
+    assert mem.bytes_allocated == 128
+
+
+def test_block_at_matches_a_linear_scan_through_frees():
+    mem = HostMemory()
+    blocks = [mem.alloc(100 + 37 * i, align=64) for i in range(300)]
+    live = list(blocks)
+    probes = [b.base for b in blocks] + [b.end - 1 for b in blocks] + [b.end for b in blocks]
+    probes += [blocks[0].base - 1, blocks[-1].end + PAGE_SIZE]
+    for step in (3, 2, 1):
+        for block in live[::step]:
+            mem.free(block)
+        live = [b for b in live if mem.block_at(b.base) is b]
+        for addr in probes:
+            expected = next((b for b in live if b.base <= addr < b.end), None)
+            assert mem.block_at(addr) is expected
+        assert mem.bytes_allocated == sum(b.size for b in live)
+    assert not live and mem.bytes_allocated == 0
