@@ -28,8 +28,8 @@ from typing import Optional
 #: resource manager allocates ids from its own per-instance counter
 #: (``ResourceManager._lease_ids``), because a process-global stream
 #: leaks across runs -- back-to-back simulations would see different
-#: ids, a determinism/fingerprint hazard (the same class of bug
-#: ``Environment.reserve_eids`` solved for event ids).
+#: ids, a determinism/fingerprint hazard (event ids avoid it the same
+#: way: each ``Environment`` owns its ``_eid`` counter).
 _fallback_lease_ids = count(1)
 
 

@@ -235,17 +235,9 @@ def main(argv: list[str] | None = None) -> int:
         default="batch",
         help="for 'scale': arrival admission -- 'batch' (default) "
         "bucket-sorts whole numpy arrival chunks in one vectorized "
-        "pass, 'per-event' schedules each arrival individually "
-        "(the PR 4/5 baseline engine)",
-    )
-    parser.add_argument(
-        "--lease-lane",
-        choices=("on", "off"),
-        default="on",
-        help="for 'scale': keep periodic lease timers in the vectorized "
-        "struct-of-arrays lane ('on', default) or as individual wheel "
-        "events ('off', the PR 6 engine); effective only with "
-        "--admission batch on the wheel scheduler",
+        "pass (under --pool-policy queue on the wheel it runs the "
+        "exact FIFO recurrence instead), 'per-event' schedules each "
+        "arrival individually (the referee engine)",
     )
     parser.add_argument(
         "--profile",
@@ -450,8 +442,6 @@ def main(argv: list[str] | None = None) -> int:
         scale_overrides["granularity_bits"] = args.granularity_bits
     if args.admission != "batch":
         scale_overrides["admission"] = args.admission
-    if args.lease_lane != "on":
-        scale_overrides["lease_lane"] = args.lease_lane
     if args.profile is not None:
         scale_overrides["profile"] = args.profile
     if args.pool_policy is not None:

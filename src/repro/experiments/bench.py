@@ -151,7 +151,6 @@ def _scale_once(
     quick: bool = False,
     admission: str = "batch",
     granularity_bits: Any = "auto",
-    lease_lane: str = "on",
     overrides: Optional[dict[str, Any]] = None,
 ) -> dict[str, Any]:
     """One open-loop scale run (see :mod:`repro.experiments.scale`).
@@ -171,7 +170,6 @@ def _scale_once(
         scheduler=scheduler,
         admission=admission,
         granularity_bits=granularity_bits,
-        lease_lane=lease_lane,
         **kwargs,
     )
     return {
@@ -185,7 +183,6 @@ def _scale_once(
         "occupancy": result.occupancy,
         "admission": admission,
         "granularity_bits": granularity_bits,
-        "lease_lane": lease_lane,
         "fingerprint": result.fingerprint(),
     }
 
@@ -282,11 +279,6 @@ def _occupancy_gauges(occupancy: dict[str, Any]) -> dict[str, int]:
         "wheel_entries": int(occupancy.get("wheel", 0)),
         "heap_entries": int(occupancy.get("heap", 0)),
         "reanchors": int(occupancy.get("reanchors", 0)),
-        "lane_entries_peak": int(occupancy.get("lane_entries_peak", 0)),
-        "lane_slabs": int(occupancy.get("lane_slabs", 0)),
-        "lane_max_slab": int(occupancy.get("lane_max_slab", 0)),
-        "lane_rearm_batches": int(occupancy.get("lane_rearm_batches", 0)),
-        "lane_scalar_fires": int(occupancy.get("lane_scalar_fires", 0)),
     }
 
 
@@ -349,30 +341,29 @@ def bench_invocation(repeats: int, parallel: int = 1) -> dict[str, Any]:
     return out
 
 
-#: The three scale engines every scale bench compares: the per-event
-#: heap referee (PR 4/5), the PR 6 batch kernel with leases as wheel
-#: events, and the lease-lane kernel (leases as struct-of-arrays slabs).
+#: The two scale engines every scale bench compares: the per-event heap
+#: referee and the default engine (wheel scheduler, batch admission),
+#: which is the exact FIFO recurrence under the "queue" policy and the
+#: cold kernels under "cold"/"hybrid".
 _SCALE_CONFIGS = (
-    ("heap", "heap", "per-event", "off"),
-    ("wheel_nolane", "wheel", "batch", "off"),
-    ("wheel", "wheel", "batch", "on"),
+    ("heap", "heap", "per-event"),
+    ("wheel", "wheel", "batch"),
 )
 
 
-def _scale_three_way(
+def _scale_two_way(
     label: str, quick: bool = False, overrides: Optional[dict[str, Any]] = None
 ) -> dict[str, dict[str, Any]]:
-    """Run the heap referee, lane-off and lane-on engines, each in its
-    own forked process (peak RSS is a process-lifetime high-water mark,
-    so sharing a process would let one run's footprint mask another's).
+    """Run the heap referee and the default engine, each in its own
+    forked process (peak RSS is a process-lifetime high-water mark, so
+    sharing a process would let one run's footprint mask another's).
     """
     runs: dict[str, dict[str, Any]] = {}
-    for key, scheduler, admission, lane in _SCALE_CONFIGS:
+    for key, scheduler, admission in _SCALE_CONFIGS:
         kwargs: dict[str, Any] = {
             "scheduler": scheduler,
             "quick": quick,
             "admission": admission,
-            "lease_lane": lane,
         }
         if overrides:
             kwargs["overrides"] = dict(overrides)
@@ -388,41 +379,37 @@ def _scale_three_way(
     return runs
 
 
-def bench_scale(quick: bool = False) -> dict[str, Any]:
-    """Three engines on the open-loop scale scenario (the tentpole bench).
-
-    The heap side runs the PR 4/5 engine verbatim (per-event
-    ``timeout()`` admission); ``wheel_nolane`` is the PR 6 engine
-    (vectorized batch admission, leases as wheel events); ``wheel`` is
-    the PR 7 lease-lane engine.  The simulated outputs must be
-    bit-identical across all three (``bit_identical``); the headline
-    ``speedup`` is heap wall clock / lane-on wall clock, and
-    ``lane_speedup`` isolates the lane itself (lane-off / lane-on).
-    ``rss_ratio_vs_nolane`` guards the acceptance bound that the lane
-    must not buy speed with footprint.
-    """
-    runs = _scale_three_way("scale", quick=quick)
-    heap, nolane, wheel = runs["heap"], runs["wheel_nolane"], runs["wheel"]
-    record = {
+def _versus_referee(runs: dict[str, dict[str, Any]]) -> dict[str, Any]:
+    """Both runs plus the verdicts every two-way record carries."""
+    heap, wheel = runs["heap"], runs["wheel"]
+    return {
         "heap": heap,
-        "wheel_nolane": nolane,
         "wheel": wheel,
-        "invocations": wheel["invocations"],
-        "events_processed": wheel["events_processed"],
-        "events_per_sec": wheel["events_per_sec"],
-        "peak_rss_bytes": max(r["peak_rss_bytes"] for r in runs.values()),
         "speedup": heap["wall_s"] / wheel["wall_s"] if wheel["wall_s"] else 0.0,
-        "lane_speedup": nolane["wall_s"] / wheel["wall_s"] if wheel["wall_s"] else 0.0,
-        "rss_ratio_vs_nolane": (
-            wheel["peak_rss_bytes"] / nolane["peak_rss_bytes"]
-            if nolane["peak_rss_bytes"]
-            else 0.0
-        ),
-        "bit_identical": (
-            heap["fingerprint"] == wheel["fingerprint"]
-            and nolane["fingerprint"] == wheel["fingerprint"]
-        ),
+        "bit_identical": heap["fingerprint"] == wheel["fingerprint"],
     }
+
+
+def bench_scale(quick: bool = False) -> dict[str, Any]:
+    """Two engines on the open-loop scale scenario (the tentpole bench).
+
+    ``heap`` is the per-event heap referee; ``wheel`` is the default
+    engine, which under the ``queue`` policy is the exact FIFO
+    recurrence.  The simulated outputs must be bit-identical
+    (``bit_identical``); the headline ``speedup`` is heap wall clock /
+    default-engine wall clock.
+    """
+    runs = _scale_two_way("scale", quick=quick)
+    wheel = runs["wheel"]
+    record = _versus_referee(runs)
+    record.update(
+        {
+            "invocations": wheel["invocations"],
+            "events_processed": wheel["events_processed"],
+            "events_per_sec": wheel["events_per_sec"],
+            "peak_rss_bytes": max(r["peak_rss_bytes"] for r in runs.values()),
+        }
+    )
     record.update(_occupancy_gauges(wheel["occupancy"]))
     return record
 
@@ -445,7 +432,7 @@ _COLD_SCENARIO = {
 }
 
 #: Secondary scenario: a short keepalive so reclaim expiries both
-#: succeed and lose races -- exercises the strict-interleave kernel.
+#: succeed and lose races -- exercises the batch kernel's reclaims.
 _COLD_RECLAIM_KEEPALIVE_NS = 5_000_000
 
 
@@ -454,15 +441,15 @@ def bench_coldstart(
     overrides: Optional[dict[str, Any]] = None,
     spectrum: bool = True,
 ) -> dict[str, Any]:
-    """The cold-start engine: three engines x three pool policies.
+    """The cold-start engine: heap referee vs default engine x three policies.
 
-    Per policy this is the same forked three-way as :func:`bench_scale`
-    (per-event heap referee, batch lane-off, cold-lane wheel) with the
-    dry-pool cold-start path enabled; fingerprints must agree across
-    all nine runs (``bit_identical``).  The headline ``speedup`` is the
-    heap referee over the cold-lane wheel *under the cold policy* --
-    the engine the tentpole adds -- and ``rss_ratio_vs_heap`` guards
-    that the cold lane does not buy speed with footprint.
+    Per policy this is the same forked two-way as :func:`bench_scale`
+    (per-event heap referee vs the default engine) with the dry-pool
+    cold-start path enabled; fingerprints must agree across all six
+    runs (``bit_identical``).  The headline ``speedup`` is the heap
+    referee over the cold-lane wheel *under the cold policy*, and
+    ``rss_ratio_vs_heap`` guards that the cold lane does not buy speed
+    with footprint.
 
     ``spectrum`` additionally folds in the :mod:`coldstart` experiment
     sweep (pool size x start model x arrival shape) so the trajectory
@@ -471,9 +458,8 @@ def bench_coldstart(
 
     The headline scenario runs with keepalive 0 (the commuting slab
     kernel); a secondary ``reclaim`` record re-runs the cold policy at
-    a short keepalive to cover the strict-interleave kernel -- its
-    guard is bit-identity plus live reclaim traffic, not the 3x bound
-    (reclaims force scalar interleaving by construction).
+    a short keepalive, which the batch kernel runs event by event --
+    its guard is bit-identity plus live reclaim traffic.
     """
     from repro.experiments.coldstart import QUICK_KWARGS as COLD_QUICK
     from repro.experiments.coldstart import executor_seconds, run_coldstart
@@ -486,43 +472,35 @@ def bench_coldstart(
             # The paper-scale default pool (2^20 slots) exceeds the
             # 10^6 total arrivals, so it can never run dry; the cold
             # bench needs a pool that saturates (the mid spectrum
-            # point), or all nine runs measure the queue path.
+            # point), or every run measures the queue path.
             scenario["workers"] = 1 << 14
         if overrides:
             scenario.update(overrides)
-        runs = _scale_three_way(f"coldstart[{policy}]", quick=quick, overrides=scenario)
-        heap, nolane, wheel = runs["heap"], runs["wheel_nolane"], runs["wheel"]
+        runs = _scale_two_way(f"coldstart[{policy}]", quick=quick, overrides=scenario)
+        heap, wheel = runs["heap"], runs["wheel"]
         fp = wheel["fingerprint"]
-        policies[policy] = {
-            "heap": heap,
-            "wheel_nolane": nolane,
-            "wheel": wheel,
-            "speedup": heap["wall_s"] / wheel["wall_s"] if wheel["wall_s"] else 0.0,
-            "lane_speedup": (
-                nolane["wall_s"] / wheel["wall_s"] if wheel["wall_s"] else 0.0
-            ),
-            "rss_ratio_vs_heap": (
-                wheel["peak_rss_bytes"] / heap["peak_rss_bytes"]
-                if heap["peak_rss_bytes"]
-                else 0.0
-            ),
-            "bit_identical": (
-                heap["fingerprint"] == wheel["fingerprint"]
-                and nolane["fingerprint"] == wheel["fingerprint"]
-            ),
-            "cold_starts": fp["cold_starts"],
-            "cold_fraction": fp["cold_starts"] / max(1, fp["completed"]),
-            "cold_reclaimed": fp["cold_reclaimed"],
-            "cold_retained": fp["cold_retained"],
-            "p99_ns": fp["latency_p99_ns"],
-            "executor_seconds": executor_seconds(
-                wheel["workers"],
-                fp["final_now_ns"],
-                fp["cold_busy_ns"],
-                fp["cold_reclaimed"],
-                scenario["keepalive_ns"],
-            ),
-        }
+        policies[policy] = _versus_referee(runs)
+        policies[policy].update(
+            {
+                "rss_ratio_vs_heap": (
+                    wheel["peak_rss_bytes"] / heap["peak_rss_bytes"]
+                    if heap["peak_rss_bytes"]
+                    else 0.0
+                ),
+                "cold_starts": fp["cold_starts"],
+                "cold_fraction": fp["cold_starts"] / max(1, fp["completed"]),
+                "cold_reclaimed": fp["cold_reclaimed"],
+                "cold_retained": fp["cold_retained"],
+                "p99_ns": fp["latency_p99_ns"],
+                "executor_seconds": executor_seconds(
+                    wheel["workers"],
+                    fp["final_now_ns"],
+                    fp["cold_busy_ns"],
+                    fp["cold_reclaimed"],
+                    scenario["keepalive_ns"],
+                ),
+            }
+        )
     cold = policies["cold"]
     record: dict[str, Any] = {
         "policies": policies,
@@ -530,16 +508,13 @@ def bench_coldstart(
         "keepalive_ns": _COLD_SCENARIO["keepalive_ns"],
         "invocations": cold["wheel"]["invocations"],
         "speedup": cold["speedup"],
-        "lane_speedup": cold["lane_speedup"],
         "rss_ratio_vs_heap": cold["rss_ratio_vs_heap"],
         "cold_fraction": cold["cold_fraction"],
         "p99_ns": cold["p99_ns"],
         "executor_seconds": cold["executor_seconds"],
         "bit_identical": all(p["bit_identical"] for p in policies.values()),
         "peak_rss_bytes": max(
-            r["peak_rss_bytes"]
-            for p in policies.values()
-            for r in (p["heap"], p["wheel_nolane"], p["wheel"])
+            r["peak_rss_bytes"] for p in policies.values() for r in (p["heap"], p["wheel"])
         ),
     }
     occupancy = cold["wheel"]["occupancy"]
@@ -550,10 +525,9 @@ def bench_coldstart(
             "cold_max_slab": int(occupancy.get("cold_max_slab", 0)),
             "cold_scalar_fires": int(occupancy.get("cold_scalar_fires", 0)),
             "cold_spinups": int(occupancy.get("cold_spinups", 0)),
-            "cold_reclaim_fires": int(occupancy.get("cold_reclaim_fires", 0)),
         }
     )
-    # Secondary record: idle-reclaim on (strict-interleave kernel).
+    # Secondary record: idle-reclaim on (the batch kernel).
     reclaim_scenario = dict(_COLD_SCENARIO)
     reclaim_scenario["pool_policy"] = "cold"
     reclaim_scenario["keepalive_ns"] = _COLD_RECLAIM_KEEPALIVE_NS
@@ -562,22 +536,17 @@ def bench_coldstart(
     if overrides:
         reclaim_scenario.update(overrides)
         reclaim_scenario["keepalive_ns"] = _COLD_RECLAIM_KEEPALIVE_NS
-    reruns = _scale_three_way(
-        "coldstart[reclaim]", quick=quick, overrides=reclaim_scenario
-    )
-    rheap, rwheel = reruns["heap"], reruns["wheel"]
-    rfp = rwheel["fingerprint"]
+    reruns = _scale_two_way("coldstart[reclaim]", quick=quick, overrides=reclaim_scenario)
+    verdict = _versus_referee(reruns)
+    rfp = reruns["wheel"]["fingerprint"]
     record["reclaim"] = {
         "keepalive_ns": _COLD_RECLAIM_KEEPALIVE_NS,
-        "speedup": rheap["wall_s"] / rwheel["wall_s"] if rwheel["wall_s"] else 0.0,
-        "bit_identical": (
-            rheap["fingerprint"] == rfp
-            and reruns["wheel_nolane"]["fingerprint"] == rfp
-        ),
+        "speedup": verdict["speedup"],
+        "bit_identical": verdict["bit_identical"],
         "cold_starts": rfp["cold_starts"],
         "cold_reclaimed": rfp["cold_reclaimed"],
         "cold_retained": rfp["cold_retained"],
-        "wall_s": rwheel["wall_s"],
+        "wall_s": reruns["wheel"]["wall_s"],
     }
     if spectrum:
         sweep = run_coldstart(**(dict(COLD_QUICK) if quick else {}))
@@ -613,48 +582,43 @@ COLD_TEN_MILLION_KWARGS = {
 def bench_coldstart_ten_million(max_rss_growth: float = 0.20) -> dict[str, Any]:
     """10^7 cold-start invocations, cold policy only: the stress run.
 
-    Same three-way shape as :func:`bench_coldstart` for the cold
-    policy; ``within_rss_guard`` asserts the cold-lane engine's peak
-    RSS stays within *max_rss_growth* of the per-event heap referee on
-    the same scenario.
+    Same two-way shape as :func:`bench_coldstart` for the cold policy;
+    ``within_rss_guard`` asserts the cold-lane engine's peak RSS stays
+    within *max_rss_growth* of the per-event heap referee on the same
+    scenario.
     """
     from repro.experiments.coldstart import executor_seconds
 
     scenario = dict(_COLD_SCENARIO)
     scenario["pool_policy"] = "cold"
     scenario.update(COLD_TEN_MILLION_KWARGS)
-    runs = _scale_three_way("coldstart10m", overrides=scenario)
-    heap, nolane, wheel = runs["heap"], runs["wheel_nolane"], runs["wheel"]
+    runs = _scale_two_way("coldstart10m", overrides=scenario)
+    heap, wheel = runs["heap"], runs["wheel"]
     fp = wheel["fingerprint"]
     rss_ratio = (
         wheel["peak_rss_bytes"] / heap["peak_rss_bytes"] if heap["peak_rss_bytes"] else 0.0
     )
-    return {
-        "heap": heap,
-        "wheel_nolane": nolane,
-        "wheel": wheel,
-        "invocations": wheel["invocations"],
-        "speedup": heap["wall_s"] / wheel["wall_s"] if wheel["wall_s"] else 0.0,
-        "lane_speedup": nolane["wall_s"] / wheel["wall_s"] if wheel["wall_s"] else 0.0,
-        "cold_starts": fp["cold_starts"],
-        "cold_fraction": fp["cold_starts"] / max(1, fp["completed"]),
-        "p99_ns": fp["latency_p99_ns"],
-        "executor_seconds": executor_seconds(
-            wheel["workers"],
-            fp["final_now_ns"],
-            fp["cold_busy_ns"],
-            fp["cold_reclaimed"],
-            scenario["keepalive_ns"],
-        ),
-        "peak_rss_bytes": max(r["peak_rss_bytes"] for r in runs.values()),
-        "bit_identical": (
-            heap["fingerprint"] == wheel["fingerprint"]
-            and nolane["fingerprint"] == wheel["fingerprint"]
-        ),
-        "rss_ratio_vs_heap": rss_ratio,
-        "max_rss_growth": max_rss_growth,
-        "within_rss_guard": bool(rss_ratio <= 1.0 + max_rss_growth),
-    }
+    record = _versus_referee(runs)
+    record.update(
+        {
+            "invocations": wheel["invocations"],
+            "cold_starts": fp["cold_starts"],
+            "cold_fraction": fp["cold_starts"] / max(1, fp["completed"]),
+            "p99_ns": fp["latency_p99_ns"],
+            "executor_seconds": executor_seconds(
+                wheel["workers"],
+                fp["final_now_ns"],
+                fp["cold_busy_ns"],
+                fp["cold_reclaimed"],
+                scenario["keepalive_ns"],
+            ),
+            "peak_rss_bytes": max(r["peak_rss_bytes"] for r in runs.values()),
+            "rss_ratio_vs_heap": rss_ratio,
+            "max_rss_growth": max_rss_growth,
+            "within_rss_guard": bool(rss_ratio <= 1.0 + max_rss_growth),
+        }
+    )
+    return record
 
 
 def _multitenant_once(
@@ -861,41 +825,30 @@ TEN_MILLION_KWARGS = {
 def bench_scale_ten_million(max_rss_growth: float = 0.20) -> dict[str, Any]:
     """10^7 invocations on one shard: the acceptance stress run.
 
-    Same shape as :func:`bench_scale` (heap referee, lane-off, lane-on;
+    Same shape as :func:`bench_scale` (heap referee vs default engine;
     forked processes, bit-identity required), an order of magnitude
-    more events.  ``within_rss_guard`` asserts the lane-on engine's
+    more events.  ``within_rss_guard`` asserts the default engine's
     peak RSS stays within the regression guard's RSS allowance
     (*max_rss_growth*) of the per-event heap baseline on the *same*
-    scenario -- the lane must not buy speed with footprint.
+    scenario -- the fast engine must not buy speed with footprint.
     """
-    runs = _scale_three_way("scale10m", overrides=TEN_MILLION_KWARGS)
-    heap, nolane, wheel = runs["heap"], runs["wheel_nolane"], runs["wheel"]
+    runs = _scale_two_way("scale10m", overrides=TEN_MILLION_KWARGS)
+    heap, wheel = runs["heap"], runs["wheel"]
     rss_ratio = (
         wheel["peak_rss_bytes"] / heap["peak_rss_bytes"] if heap["peak_rss_bytes"] else 0.0
     )
-    record = {
-        "heap": heap,
-        "wheel_nolane": nolane,
-        "wheel": wheel,
-        "invocations": wheel["invocations"],
-        "events_processed": wheel["events_processed"],
-        "events_per_sec": wheel["events_per_sec"],
-        "peak_rss_bytes": max(r["peak_rss_bytes"] for r in runs.values()),
-        "speedup": heap["wall_s"] / wheel["wall_s"] if wheel["wall_s"] else 0.0,
-        "lane_speedup": nolane["wall_s"] / wheel["wall_s"] if wheel["wall_s"] else 0.0,
-        "rss_ratio_vs_nolane": (
-            wheel["peak_rss_bytes"] / nolane["peak_rss_bytes"]
-            if nolane["peak_rss_bytes"]
-            else 0.0
-        ),
-        "bit_identical": (
-            heap["fingerprint"] == wheel["fingerprint"]
-            and nolane["fingerprint"] == wheel["fingerprint"]
-        ),
-        "rss_ratio_vs_heap": rss_ratio,
-        "max_rss_growth": max_rss_growth,
-        "within_rss_guard": bool(rss_ratio <= 1.0 + max_rss_growth),
-    }
+    record = _versus_referee(runs)
+    record.update(
+        {
+            "invocations": wheel["invocations"],
+            "events_processed": wheel["events_processed"],
+            "events_per_sec": wheel["events_per_sec"],
+            "peak_rss_bytes": max(r["peak_rss_bytes"] for r in runs.values()),
+            "rss_ratio_vs_heap": rss_ratio,
+            "max_rss_growth": max_rss_growth,
+            "within_rss_guard": bool(rss_ratio <= 1.0 + max_rss_growth),
+        }
+    )
     record.update(_occupancy_gauges(wheel["occupancy"]))
     return record
 
@@ -1199,23 +1152,6 @@ def check_regression(
                     f"{label!r} ({base_re}; allowed max({8}, 4x baseline) = {allowed}) "
                     f"-- the adaptive granularity detector is thrashing"
                 )
-    # Lease-lane re-arm batches should stay near one per deferral
-    # window: an exploding count means slab re-arms are fragmenting
-    # into many tiny masked passes (e.g. the deferral windows or the
-    # side-block consolidation went wrong), which erodes the lane's
-    # whole advantage while times stay bit-identical.  Baselines
-    # recorded before the lane existed lack the key and skip the check.
-    if isinstance(base_scale, dict) and isinstance(current_scale, dict):
-        base_rb = base_scale.get("lane_rearm_batches")
-        current_rb = current_scale.get("lane_rearm_batches")
-        if base_rb is not None and current_rb is not None:
-            allowed = max(64, 4 * int(base_rb))
-            if int(current_rb) > allowed:
-                problems.append(
-                    f"scale_openloop.lane_rearm_batches {current_rb} exploded past "
-                    f"baseline {label!r} ({base_rb}; allowed max(64, 4x baseline) "
-                    f"= {allowed}) -- lane slab re-arms are fragmenting"
-                )
     # The 10^7 stress entry carries its own RSS verdict (wheel-batch
     # vs heap-per-event on the same scenario, same forked-process
     # measurement); when the run recorded one, a breach fails here.
@@ -1269,8 +1205,8 @@ def check_regression(
         reclaim = current_cold.get("reclaim")
         if isinstance(reclaim, dict) and reclaim.get("bit_identical") is False:
             problems.append(
-                "coldstart.reclaim: strict-interleave kernel diverged from "
-                "the per-event referee under keepalive"
+                "coldstart.reclaim: the batch kernel diverged from the "
+                "per-event referee under keepalive"
             )
     if isinstance(base_cold, dict) and isinstance(current_cold, dict):
         base_cf = base_cold.get("cold_fraction")
@@ -1433,31 +1369,9 @@ def show(results: dict[str, Any]) -> None:
                 reanchors=scale.get("reanchors", 0),
             )
         )
-        if "lane_speedup" in scale:
-            line += (
-                "\n  lease lane: {lane_speedup:.2f}x vs lane-off "
-                "({nolane_s:.1f}s -> {wheel_s:.1f}s, RSS {rss_ratio:.2f}x, "
-                "peak {lane_peak:,} entries, max slab {max_slab:,})".format(
-                    lane_speedup=scale["lane_speedup"],
-                    nolane_s=scale["wheel_nolane"]["wall_s"],
-                    wheel_s=scale["wheel"]["wall_s"],
-                    rss_ratio=scale.get("rss_ratio_vs_nolane", 0.0),
-                    lane_peak=scale.get("lane_entries_peak", 0),
-                    max_slab=scale.get("lane_max_slab", 0),
-                )
-            )
         print(line)
     stress = results.get("scale_10m")
     if stress:
-        if "lane_speedup" in stress:
-            print(
-                "scale_10m lease lane: {lane_speedup:.2f}x vs lane-off "
-                "({nolane_s:.1f}s -> {wheel_s:.1f}s)".format(
-                    lane_speedup=stress["lane_speedup"],
-                    nolane_s=stress["wheel_nolane"]["wall_s"],
-                    wheel_s=stress["wheel"]["wall_s"],
-                )
-            )
         print(
             "scale_10m: {invocations:,} invocations  heap {heap_s:.1f}s -> "
             "wheel {wheel_s:.1f}s  ({speedup:.2f}x, {events_per_sec:,} events/s, "
@@ -1497,14 +1411,13 @@ def show(results: dict[str, Any]) -> None:
         print(
             "coldstart: {invocations:,} invocations (cold policy, {model})  "
             "heap {heap_s:.1f}s -> cold lane {wheel_s:.1f}s  ({speedup:.2f}x, "
-            "lane {lane_speedup:.2f}x, cold fraction {cold_fraction:.1%}, "
+            "cold fraction {cold_fraction:.1%}, "
             "RSS {rss_ratio:.2f}x heap, bit_identical={bit_identical})".format(
                 invocations=coldstart["invocations"],
                 model=coldstart["start_model"],
                 heap_s=cold["heap"]["wall_s"],
                 wheel_s=cold["wheel"]["wall_s"],
                 speedup=coldstart["speedup"],
-                lane_speedup=coldstart["lane_speedup"],
                 cold_fraction=coldstart["cold_fraction"],
                 rss_ratio=coldstart["rss_ratio_vs_heap"],
                 bit_identical=coldstart["bit_identical"],

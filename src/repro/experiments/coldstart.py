@@ -171,7 +171,7 @@ def run_coldstart(
     spin-up fires commute and the wheel engine runs its whole-backlog
     slab kernel (see ``scale``).  Pass a positive keepalive to let the
     pool breathe under bursty/diurnal shapes; those runs take the
-    strict-interleave kernel, still bit-identical to the referee.
+    batch kernel, still bit-identical to the referee.
     """
     if profile:
         raise ValueError(

@@ -28,11 +28,25 @@ Model -- an open-loop generator over a warm executor pool:
   allocations.  The final re-arm lands exactly on the finish time, so
   sojourn times are exact, not quantized to the check interval.
 
-Implementation notes (this file is itself a hot loop):
+Engines -- which one runs is fixed by the knobs the caller already
+passes (see ``_simulate``):
+
+* ``pool_policy="queue"`` on the default engine (wheel scheduler, batch
+  admission) walks no events at all.  Under a FIFO backlog no output
+  depends on event interleaving, so :class:`_FifoDriver` computes the
+  run as an exact c-server FIFO recurrence and derives the event count
+  in closed form -- bit-identical fingerprints, several times faster.
+* ``"cold"``/``"hybrid"`` need the event order (a dry arrival's choice
+  reads the backlog).  Batch admission on the wheel runs the ColdLane
+  kernel at keepalive 0 and the batch kernel otherwise.
+* ``scheduler="heap"`` and ``admission="per-event"`` always walk every
+  event: they are the referees the fast engines are checked against.
+
+Implementation notes for the event engines (hot loops):
 
 * The driver is a callback FSM, not generator processes: no Python
-  frames parked on ``yield``, just pooled timeouts carrying an integer
-  finish time as their value.
+  frames parked on ``yield``, just reused timer events carrying an
+  integer finish time as their value.
 * Sojourn latency is fully determined at dispatch (queue wait +
   service), so it is recorded *at start* into a bounded flush buffer
   feeding :class:`repro.analysis.streams.StreamingSummary`: memory
@@ -40,11 +54,6 @@ Implementation notes (this file is itself a hot loop):
 * The automatic GC is suspended around ``env.run()`` (after a full
   collect): the FSM allocates no reference cycles, and generational
   scans over ~10^6 live timers otherwise cost ~15% of the run.
-* With the default parameters the arrival burst is much shorter than
-  the median service time, so nearly all 10^6 invocations are
-  concurrently in flight mid-run, each holding one pending timer --
-  exactly the regime where the timer wheel's O(1) scheduling beats the
-  binary heap's O(log n) (see ``BENCH_PR4.json``, ``scale_openloop``).
 
 Sharding (PR 5) -- one scenario, many cores:
 
@@ -91,6 +100,7 @@ from typing import Any, Optional, Union
 
 import numpy as np
 
+from repro.analysis.latency import FifoServers
 from repro.analysis.reporting import Table, format_bytes, format_ns
 from repro.analysis.stats import SummaryStats
 from repro.analysis.streams import KeyedStreamingSummary, StreamingSummary
@@ -152,16 +162,11 @@ class ScaleConfig:
     granularity_bits: Union[int, str] = "auto"
     #: Arrival admission: "batch" (default) bucket-sorts whole numpy
     #: arrival chunks into the scheduler via ``schedule_batch``;
-    #: "per-event" drives one ``timeout()`` per arrival (the PR 4/5
-    #: baseline the bit-identity contract is checked against).
+    #: "per-event" drives one ``timeout()`` per arrival (the referee
+    #: the bit-identity contract is checked against).  Under the
+    #: "queue" policy, "batch" on the wheel runs the exact FIFO
+    #: recurrence instead of walking events (see ``_simulate``).
     admission: str = "batch"
-    #: Lease-lane engine: "on" (default) keeps periodic lease timers in
-    #: the struct-of-arrays :class:`~repro.sim.wheel.LeaseLane` and
-    #: drains them in vectorized slabs; "off" re-arms them through the
-    #: wheel per event (the PR 6 engine).  Effective only for
-    #: ``scheduler="wheel"`` with batch admission; the per-event heap
-    #: referee always runs lane-off.
-    lease_lane: str = "on"
     #: Streaming-histogram resolution (quantile error <= 2**-subbits).
     subbits: int = 8
     #: K-way decomposition of this one scenario (part of the scenario
@@ -295,198 +300,6 @@ class ScaleResult:
         return table
 
 
-class _OpenLoopDriver:
-    """Callback FSM: Poisson arrivals over a leased warm pool."""
-
-    __slots__ = (
-        "env",
-        "config",
-        "stream",
-        "backlog",
-        "free_slots",
-        "arrived",
-        "completed",
-        "queued",
-        "max_backlog",
-        "occupancy_peaks",
-        "_interval",
-        "_gaps",
-        "_services",
-        "_rng_arrivals",
-        "_rng_service",
-        "_buffer",
-        "sojourn_total",
-        "_on_arrival",
-        "_on_lease",
-        "_is_wheel",
-    )
-
-    def __init__(self, env, config: ScaleConfig) -> None:
-        self.env = env
-        self.config = config
-        self.stream = StreamingSummary(config.subbits)
-        self.backlog: deque[int] = deque()
-        self.free_slots = config.workers
-        self.arrived = 0
-        self.completed = 0
-        self.queued = 0
-        self.max_backlog = 0
-        self.occupancy_peaks: dict[str, int] = {}
-        self._interval = config.lease_check_interval_ns
-        streams = RngStreams(config.seed)
-        self._rng_arrivals = streams.stream("arrivals")
-        self._rng_service = streams.stream("service")
-        self._gaps = iter(())
-        self._services = iter(())
-        self._buffer: list[int] = []
-        self.sojourn_total = 0
-        # Bind the callbacks once; appending a fresh bound method per
-        # event would allocate on the hottest path.
-        self._on_arrival = self._handle_arrival
-        self._on_lease = self._handle_lease
-        self._is_wheel = isinstance(env, WheelEnvironment)
-
-    # -- pre-batched draws (consumption order is event order, so the
-    # -- sequences are identical for every scheduler) ------------------
-
-    def _next_gap(self) -> int:
-        try:
-            return next(self._gaps)
-        except StopIteration:
-            draws = self._rng_arrivals.exponential(
-                self.config.mean_arrival_gap_ns, size=_RNG_CHUNK
-            )
-            self._gaps = iter(np.maximum(draws.astype(np.int64), 1).tolist())
-            return next(self._gaps)
-
-    def _next_service(self) -> int:
-        try:
-            return next(self._services)
-        except StopIteration:
-            cfg = self.config
-            draws = self._rng_service.lognormal(
-                cfg.service_log_mean, cfg.service_log_sigma, size=_RNG_CHUNK
-            )
-            clipped = np.clip(
-                draws.astype(np.int64), cfg.min_service_ns, cfg.max_service_ns
-            )
-            self._services = iter(clipped.tolist())
-            return next(self._services)
-
-    # -- FSM -----------------------------------------------------------
-
-    def start(self) -> None:
-        if self.config.invocations < 1:
-            raise ValueError("scale run needs at least one invocation")
-        timeout = self.env.timeout(self._next_gap())
-        timeout.callbacks.append(self._on_arrival)
-
-    def drive(self) -> None:
-        """Run the simulation to completion (generic loop: the per-event
-        baseline must keep the unfused engine's exact cost profile)."""
-        self.env.run()
-
-    def _handle_arrival(self, _event) -> None:
-        env = self.env
-        now = env._now
-        self.arrived += 1
-        if self.arrived < self.config.invocations:
-            timeout = env.timeout(self._next_gap())
-            timeout.callbacks.append(self._on_arrival)
-        if self.free_slots:
-            self.free_slots -= 1
-            self._begin(now)
-        else:
-            backlog = self.backlog
-            backlog.append(now)
-            self.queued += 1
-            if len(backlog) > self.max_backlog:
-                self.max_backlog = len(backlog)
-
-    def _begin(self, arrival_ns: int) -> None:
-        env = self.env
-        now = env._now
-        service = self._next_service()
-        # Sojourn = queue wait + service, fully determined at dispatch.
-        buffer = self._buffer
-        buffer.append(now - arrival_ns + service)
-        if len(buffer) >= _FLUSH_BATCH:
-            self._flush()
-        interval = self._interval
-        timeout = env.timeout(service if service <= interval else interval, now + service)
-        timeout.callbacks.append(self._on_lease)
-
-    def _handle_lease(self, event) -> None:
-        env = self.env
-        remaining = event._value - env._now
-        if remaining > 0:
-            # Lease still held: re-arm the same timeout in place (the
-            # run loop detached its callbacks and left _value alone).
-            interval = self._interval
-            event.callbacks = [self._on_lease]
-            env.schedule_timeout(
-                event, interval if remaining > interval else remaining
-            )
-            return
-        completed = self.completed + 1
-        self.completed = completed
-        if not completed & 0x3FF and self._is_wheel:
-            self._sample_wheel()
-        if self.backlog:
-            self._begin(self.backlog.popleft())
-        else:
-            self.free_slots += 1
-
-    def _flush(self) -> None:
-        if self._buffer:
-            # Exact integer total alongside the float stream: the
-            # fingerprint mean is total/count, a single division of
-            # exact ints, so it is independent of flush batching and
-            # of the order sojourns were recorded in.
-            self.sojourn_total += sum(self._buffer)
-            self.stream.observe_many(np.asarray(self._buffer, dtype=np.float64))
-            self._buffer.clear()
-        if self._is_wheel:
-            self._sample_wheel(force=True)
-
-    def _sample_wheel(self, force: bool = False) -> None:
-        # Decimated: most calls return None without computing occupancy
-        # (see WheelEnvironment.sample_occupancy), so the completion-path
-        # cadence can be tight without costing wall clock.
-        sample = self.env.sample_occupancy(force)
-        if sample is None:
-            return
-        peaks = self.occupancy_peaks
-        for key in (
-            "wheel",
-            "heap",
-            "spill",
-            "cascades",
-            "overflow_inserts",
-            "reanchors",
-            "granularity_bits",
-            "lane_entries",
-            "lane_entries_peak",
-            "lane_slabs",
-            "lane_max_slab",
-            "lane_rearm_batches",
-            "lane_scalar_fires",
-            "cold_entries",
-            "cold_entries_peak",
-            "cold_slabs",
-            "cold_max_slab",
-            "cold_scalar_fires",
-            "cold_spinups",
-            "cold_reclaim_fires",
-        ):
-            value = sample.get(key, 0)
-            if value > peaks.get(key, -1):
-                peaks[key] = value
-
-    def finish(self) -> None:
-        self._flush()
-
-
 def _peak_rss_bytes() -> int:
     """Lifetime peak RSS of this process (Linux reports KiB)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
@@ -496,12 +309,6 @@ def _validate_admission(admission: str) -> None:
     """Reject unknown admission modes before any environment is built."""
     if admission not in ("batch", "per-event"):
         raise ValueError(f"admission must be 'batch' or 'per-event', got {admission!r}")
-
-
-def _validate_lease_lane(lease_lane: str) -> None:
-    """Reject unknown lease-lane modes before any environment is built."""
-    if lease_lane not in ("on", "off"):
-        raise ValueError(f"lease_lane must be 'on' or 'off', got {lease_lane!r}")
 
 
 def _validate_pool_policy(
@@ -550,7 +357,6 @@ def run_scale(
     lease_check_interval_ns: int = ms(64),
     granularity_bits: Union[int, str] = "auto",
     admission: str = "batch",
-    lease_lane: str = "on",
     subbits: int = 8,
     shards: int = 1,
     parallel: int = 1,
@@ -571,17 +377,17 @@ def run_scale(
 
     The quick (CI) configuration shrinks ``invocations`` and
     ``workers`` so the pool saturates and the FIFO backlog path is
-    exercised; the paper-scale default instead saturates the *timer*
-    population (~10^6 concurrently pending lease/service timers).
+    exercised; the paper-scale default instead keeps ~10^6 invocations
+    in flight at once.
 
     ``shards > 1`` (or a non-Poisson ``arrival_shape``) routes through
     :func:`run_scale_sharded`, which decomposes the scenario and fans
     the shards out over ``parallel`` worker processes; the single-shard
-    Poisson path below is byte-for-byte the PR 4 engine.
+    Poisson path runs its one shard in-process on the engine
+    :func:`_simulate` picks for the policy.
     """
     validate_granularity_bits(granularity_bits)
     _validate_admission(admission)
-    _validate_lease_lane(lease_lane)
     _validate_pool_policy(pool_policy, start_model, keepalive_ns, hybrid_threshold)
     if shards != 1 or arrival_shape != "poisson":
         if profile:
@@ -598,7 +404,6 @@ def run_scale(
             lease_check_interval_ns=lease_check_interval_ns,
             granularity_bits=granularity_bits,
             admission=admission,
-            lease_lane=lease_lane,
             subbits=subbits,
             arrival_shape=arrival_shape,
             shard_split=shard_split,
@@ -624,83 +429,34 @@ def run_scale(
         scheduler=scheduler,
         granularity_bits=granularity_bits,
         admission=admission,
-        lease_lane=lease_lane,
         subbits=subbits,
         pool_policy=pool_policy,
         start_model=start_model,
         keepalive_ns=keepalive_ns,
         hybrid_threshold=hybrid_threshold,
     )
-    env_kwargs = {"granularity_bits": granularity_bits} if scheduler == "wheel" else {}
-    env = new_environment(config.scheduler, **env_kwargs)
-    if admission == "batch" or pool_policy != "queue":
-        # Batch admission consumes the pre-generated arrival stream, so
-        # the 1-shard ShardDriver *is* the unsharded engine; the
-        # chained-gap _OpenLoopDriver stays as the per-event baseline.
-        # Cold-start policies also route here: _OpenLoopDriver draws
-        # services at dispatch time, which is invalid once the cold
-        # decision depends on arrival-order service draws.
-        driver: Any = _ShardDriver(env, config, 0, 1)
-    else:
-        driver = _OpenLoopDriver(env, config)
-    driver.start()
-
-    # The FSM allocates no reference cycles, so generational GC scans
-    # over ~10^6 live timers are pure overhead; collect once, run with
-    # the collector off, restore afterwards.
-    gc_was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    started = time.perf_counter()
-    try:
-        if profile:
-            # Opt-in cProfile wrap of the drive loop only (satellite:
-            # keeps "next rung" decisions data-driven).  The tracing
-            # overhead disqualifies the run from benchmarking; results
-            # stay valid -- profiling changes no simulated state.
-            import cProfile
-
-            profiler = cProfile.Profile()
-            profiler.enable()
-            try:
-                driver.drive()
-            finally:
-                profiler.disable()
-                _report_profile(profiler, profile)
-        else:
-            driver.drive()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    wall_s = time.perf_counter() - started
-    driver.finish()
-
-    if driver.completed != config.invocations:
-        raise RuntimeError(
-            f"open-loop run lost invocations: {driver.completed} of {config.invocations}"
-        )
-    summary = driver.stream.summarize()
-    summary = replace(summary, mean=driver.sojourn_total / summary.count)
+    run = _simulate(config, 0, 1, profile)
+    summary = run.stream.summarize()
     return ScaleResult(
         scheduler=config.scheduler or "heap",
         invocations=config.invocations,
         workers=config.workers,
-        completed=driver.completed,
-        events_processed=env.events_processed,
-        wall_s=wall_s,
-        events_per_sec=env.events_processed / wall_s if wall_s > 0 else 0.0,
-        peak_rss_bytes=_peak_rss_bytes(),
-        final_now_ns=env.now,
-        max_backlog=driver.max_backlog,
-        queued=driver.queued,
-        timeout_pool_hits=env.timeout_pool_hits,
-        latency=summary,
-        stream_buckets=len(driver.stream.histogram),
-        occupancy=dict(driver.occupancy_peaks),
-        cold_starts=getattr(driver, "cold_starts", 0),
-        cold_busy_ns=getattr(driver, "cold_busy_ns", 0),
-        cold_reclaimed=getattr(driver, "cold_reclaimed", 0),
-        cold_retained=getattr(driver, "cold_retained", 0),
+        completed=run.completed,
+        events_processed=run.events_processed,
+        wall_s=run.wall_s,
+        events_per_sec=run.events_processed / run.wall_s if run.wall_s > 0 else 0.0,
+        peak_rss_bytes=run.peak_rss_bytes,
+        final_now_ns=run.final_now_ns,
+        max_backlog=run.max_backlog,
+        queued=run.queued,
+        timeout_pool_hits=run.timeout_pool_hits,
+        latency=replace(summary, mean=run.sojourn_total / summary.count),
+        stream_buckets=len(run.stream.histogram),
+        occupancy=run.occupancy,
+        cold_starts=run.cold_starts,
+        cold_busy_ns=run.cold_busy_ns,
+        cold_reclaimed=run.cold_reclaimed,
+        cold_retained=run.cold_retained,
     )
 
 
@@ -730,10 +486,10 @@ def _shard_chunks(config: ScaleConfig, shard: int, shards: int, lists: bool = Tr
     **arrival index**, not dispatch order -- the property that makes the
     decomposition independent of each shard's queueing dynamics.
 
-    With ``lists=True`` (the per-event driver) arrival times come as
-    Python lists for cheap scalar iteration; with ``lists=False`` they
-    stay ``int64`` arrays, ready for vectorized ``schedule_batch``
-    admission.  Services are always lists (indexed one at a time).
+    With ``lists=True`` (the per-event driver) both come as Python
+    lists for cheap scalar iteration; with ``lists=False`` they stay
+    ``int64`` arrays, ready for vectorized ``schedule_batch`` admission
+    and the FIFO recurrence.
     """
     shape_kwargs = dict(
         burst_len=config.burst_len,
@@ -756,8 +512,8 @@ def _shard_chunks(config: ScaleConfig, shard: int, shards: int, lists: bool = Tr
             config.mean_arrival_gap_ns * shards,
             **shape_kwargs,
         ):
-            services = _draw_services(service_rng, times.size, config).tolist()
-            yield (times.tolist() if lists else times), services
+            services = _draw_services(service_rng, times.size, config)
+            yield (times.tolist(), services.tolist()) if lists else (times, services)
         return
     if config.shard_split != "partition":
         raise ValueError(
@@ -781,28 +537,89 @@ def _shard_chunks(config: ScaleConfig, shard: int, shards: int, lists: bool = Tr
         mine = (np.arange(index, index + times.size) % shards) == shard
         index += times.size
         if mine.any():
-            kept = times[mine]
-            yield (kept.tolist() if lists else kept), services[mine].tolist()
+            kept, served = times[mine], services[mine]
+            yield (kept.tolist(), served.tolist()) if lists else (kept, served)
+
+
+class _FifoDriver:
+    """The ``queue`` policy as an exact c-server FIFO recurrence.
+
+    Under a FIFO backlog no output depends on how the ~9 events per
+    invocation interleave.  An invocation starts when the earliest slot
+    frees (:class:`~repro.analysis.latency.FifoServers`) and finishes
+    exactly ``service`` later, because the last lease re-arm lands on
+    the finish time.  Its sojourn is ``start - arrival + service``.
+    What the event engines count follows in closed form:
+
+    * ``events_processed`` is one arrival plus ``ceil(service /
+      interval)`` lease fires per invocation, i.e. ``2 N + sum((service
+      - 1) // interval)``;
+    * ``final_now_ns`` is the last finish;
+    * ``queued`` and ``max_backlog`` come from the recurrence, whose tie
+      rule -- a slot freeing at an arrival's own nanosecond serves it --
+      is the ``_ARRIVAL_PRIO`` order of the batch kernels.
+
+    No environment and no timers: the slot heap carries across chunks,
+    so memory stays bounded by the pool size.
+    """
+
+    cold_starts = cold_busy_ns = cold_reclaimed = cold_retained = 0
+
+    def __init__(self, config: ScaleConfig, shard: int, shards: int) -> None:
+        self.config = config
+        self.stream = StreamingSummary(config.subbits)
+        self.pool = FifoServers(_shard_slots(config.workers, shards, shard))
+        self.completed = 0
+        self.sojourn_total = 0
+        self.events_processed = 0
+        self.final_now_ns = 0
+        self._chunks = _shard_chunks(config, shard, shards, lists=False)
+
+    @property
+    def queued(self) -> int:
+        return self.pool.queued
+
+    @property
+    def max_backlog(self) -> int:
+        return self.pool.max_backlog
+
+    def drive(self) -> None:
+        interval = self.config.lease_check_interval_ns
+        for times, services in self._chunks:
+            finish = self.pool.serve(times, services) + services
+            sojourn = finish - times
+            self.sojourn_total += int(sojourn.sum())
+            self.stream.observe_many(sojourn)
+            self.completed += times.size
+            self.events_processed += 2 * times.size + int(((services - 1) // interval).sum())
+            self.final_now_ns = max(self.final_now_ns, int(finish.max()))
 
 
 class _ShardDriver:
     """The open-loop FSM over a pre-decomposed arrival/service stream.
 
-    Same lease/backlog machinery as :class:`_OpenLoopDriver`, but
-    arrivals come as absolute times with services pre-assigned per
+    Arrivals come as absolute times with services pre-assigned per
     arrival index, so any slice of the global scenario replays
-    identically whatever happens in the other shards.
+    identically whatever happens in the other shards.  Every running
+    invocation holds a lease timer re-armed each interval until it
+    finishes; a dry pool queues FIFO or, under the cold policies, spins
+    a sandbox up.
 
     Two admission modes (``config.admission``):
 
     * ``"per-event"`` -- one ``timeout()`` per arrival, chained from the
-      previous arrival's callback: the PR 5 baseline.
+      previous arrival's callback: the referee every fast engine is
+      checked against, on either scheduler.
     * ``"batch"`` -- each pre-generated arrival chunk is bucket-sorted
-      into the scheduler in one vectorized ``schedule_batch`` call; the
-      arrival callback just consumes the pre-assigned service stream
-      and admits the next chunk when the current one is exhausted.
-      ~10^6 Python ``timeout()`` calls per shard collapse into ~16
-      numpy passes.
+      into the scheduler in one vectorized ``schedule_batch`` call and
+      a fused closure kernel runs the FSM:
+      :meth:`_install_cold_lane_kernel` for the cold policies at
+      keepalive 0 on the wheel, :meth:`_install_batch_kernel`
+      otherwise.
+
+    The ``queue`` policy with batch admission on the wheel never builds
+    this driver: :func:`_simulate` runs it as :class:`_FifoDriver`'s
+    recurrence.
     """
 
     __slots__ = (
@@ -827,7 +644,6 @@ class _ShardDriver:
         "_buffer",
         "sojourn_total",
         "_batch",
-        "_lane_mode",
         "_lease_cbs",
         "_schedule",
         "_kernel_sync",
@@ -885,13 +701,6 @@ class _ShardDriver:
         self._kernel_sync: Any = None
         self._kernel_drive: Any = None
         self._is_wheel = isinstance(env, WheelEnvironment)
-        #: Lease-lane engine is effective only where its preconditions
-        #: hold: a wheel (the lane attaches to WheelEnvironment) driven
-        #: in batch mode (the fused kernel owns the callbacks the bulk
-        #: drain's counted-completion shortcut relies on).
-        self._lane_mode = (
-            config.lease_lane == "on" and self._batch and self._is_wheel
-        )
         # -- cold-start path (pool_policy != "queue") ------------------
         policy = config.pool_policy
         self._cold_mode = policy != "queue"
@@ -926,15 +735,9 @@ class _ShardDriver:
         self._pos = pos + 1
 
     def start(self) -> None:
-        if self.count < 1:
-            raise ValueError("shard needs at least one invocation")
-        if self.free_slots < 1:
-            raise ValueError("shard needs at least one warm slot")
         if self._batch:
-            if self._cold_mode and self._lane_mode:
-                self._install_cold_kernel()
-            elif self._lane_mode:
-                self._install_lane_kernel()
+            if self._cold_mode and self._is_wheel and not self._keepalive:
+                self._install_cold_lane_kernel()
             else:
                 self._install_batch_kernel()
             return
@@ -1019,7 +822,8 @@ class _ShardDriver:
 
         def admit_chunk() -> None:
             nonlocal services, nservices, pos
-            times, services = next(chunks)
+            times, served = next(chunks)
+            services = served.tolist()
             nservices = len(services)
             pos = 0
             schedule_batch(times, on_arrival, _ARRIVAL_PRIO)
@@ -1107,11 +911,10 @@ class _ShardDriver:
         def on_cold(event) -> None:
             """Sandbox ready: record the cold sojourn and start the
             invocation on the new executor, reusing the spin-up event as
-            its lease timer (lease eid first, reclaim eid second -- the
-            interleave the vectorized cold lane's bulk reservations
-            replicate).  Dispatched through the generic/foreign path:
-            cold events are rare by construction, so they never earn a
-            fused branch."""
+            its lease timer (lease eid first, reclaim eid second, as in
+            the per-event referee).  Dispatched through the generic
+            foreign-event path: cold events are rare by construction, so
+            they never earn a fused branch."""
             nonlocal cold_alive
             now = env._now
             service = event._value
@@ -1416,407 +1219,14 @@ class _ShardDriver:
         self._kernel_drive = drive if is_wheel else None
         admit_chunk()
 
-    def _install_lane_kernel(self) -> None:
-        """Batch kernel variant with lease timers in the LeaseLane.
-
-        Arrivals still enter the wheel through ``schedule_batch`` and
-        are dispatched by the fused loop below, but a dispatch admits
-        its lease into the struct-of-arrays lane instead of scheduling
-        a wheel event -- so the wheel carries one event per invocation
-        while the ~7 re-validations each live as three int64 cells,
-        fired in vectorized slabs between wheel pops.
-
-        Bit-identity with the lane-off kernel (hence with the per-event
-        heap referee) holds because every eid is allocated at the same
-        sequence point per-event execution would allocate it:
-
-        * ``lane.admit`` draws ``next(env._eid)`` at dispatch, exactly
-          where the lane-off kernel's inline L0 insert draws it;
-        * slab re-arms draw a contiguous ``reserve_eids`` block in
-          deadline order -- the order per-event fires would draw them --
-          and completions draw none, so deferring their callbacks to a
-          counted bulk total commutes (they only ever do
-          ``completed += 1; free_slots += 1``);
-        * the lane is drained up to the next wheel entry's ``(when,
-          priority, eid)`` key before that entry is dispatched, so the
-          global fire order (and with it every tie-break between a
-          lease deadline and an arrival at the same nanosecond) is the
-          per-event order;
-        * while the backlog is non-empty a completion's callback is
-          observable (it pops the backlog, records a sojourn, admits a
-          new lease), so the drain runs its exact scalar path until the
-          backlog drains -- ``exact=backlog`` hands the deque itself to
-          the lane as the switch.
-
-        The wheel shadowing is simpler than the lane-off kernel's: no
-        lease ever enters the wheel, so there are no inline inserts and
-        no ``gbits``/``cursor``/``l0_add`` locals -- only the pop fast
-        path over ``active``/``ai`` and the spill/overflow guards.
-        """
-        env = self.env
-        schedule_batch = env.schedule_batch
-        interval = self._interval
-        flush_batch = _FLUSH_BATCH
-        flush = self._flush
-        sample = self._sample_wheel
-        buffer = self._buffer
-        backlog = self.backlog
-        chunks = self._chunks
-        total = self.count
-        lane = env.attach_lease_lane(interval)
-        admit = lane.admit
-        drain = lane.drain
-        head_key = lane.head_key
-        free_slots = self.free_slots
-        arrived = 0
-        completed = 0
-        queued = 0
-        max_backlog = 0
-        services: list[int] = []
-        nservices = 0
-        pos = 0
-        # Cached lane head key; -1 deadline means "lane empty".  Kept
-        # current by comparing after every admit and re-reading after
-        # every drain, so the per-event merge check is two int compares.
-        lane_dl = -1
-        lane_eid = 0
-
-        def on_complete(when: int) -> None:
-            """Scalar-exact completion (the lane's drain calls this only
-            on its exact path, where per-completion effects are
-            observable; bulk drains return a count instead)."""
-            nonlocal completed, free_slots
-            completed += 1
-            if not completed & 0x3FF:
-                sample()
-            if backlog:
-                arrival_ns, service = backlog.popleft()
-                buffer.append(when - arrival_ns + service)
-                if len(buffer) >= flush_batch:
-                    flush()
-                admit(
-                    when + (service if service <= interval else interval),
-                    when + service,
-                )
-            else:
-                free_slots += 1
-
-        lane.on_complete = on_complete
-
-        def admit_chunk() -> None:
-            nonlocal services, nservices, pos
-            times, services = next(chunks)
-            nservices = len(services)
-            pos = 0
-            schedule_batch(times, on_arrival, _ARRIVAL_PRIO)
-
-        def on_arrival(event) -> None:
-            """Generic-dispatch arrival body (used if anything other
-            than the fused loop pops an arrival; the loop inlines it)."""
-            nonlocal pos, arrived, free_slots, queued, max_backlog
-            nonlocal lane_dl, lane_eid
-            now = env._now
-            service = services[pos]
-            pos += 1
-            arrived += 1
-            if pos == nservices and arrived < total:
-                admit_chunk()
-            if free_slots:
-                free_slots -= 1
-                buffer.append(service)
-                if len(buffer) >= flush_batch:
-                    flush()
-                when = now + (service if service <= interval else interval)
-                eid = admit(when, now + service)
-                if lane_dl < 0 or when < lane_dl or (when == lane_dl and eid < lane_eid):
-                    lane_dl = when
-                    lane_eid = eid
-            else:
-                backlog.append((now, service))
-                queued += 1
-                if len(backlog) > max_backlog:
-                    max_backlog = len(backlog)
-
-        def drive() -> None:
-            """Fused loop: wheel pop fast path + deferred lane drains.
-
-            While the backlog is empty, due lease fires are *deferred*
-            past arrival dispatches: a pending completion could only
-            raise ``free_slots`` (which an already-dispatchable arrival
-            never observes) and a re-arm touches nothing outside the
-            lane, so postponing them is observably identical -- and it
-            batches what would be 1-3 fires per arrival into one slab
-            per deferral window.  The three points where deferral would
-            become observable force a catch-up drain first:
-
-            * an arrival finding ``free_slots == 0`` (pending
-              completions might have freed a slot; drain up to the
-              arrival's key, then re-check);
-            * a chunk admission (it draws a block of wheel eids, and
-              deferred lane draws must not cross it or later
-              lease-vs-arrival ties at equal nanoseconds would break
-              the other way);
-            * the wheel running dry (the tail drain).
-
-            While the backlog is non-empty every completion is
-            observable (it pops the backlog), so the lane drains to
-            exact per-event order before *every* wheel entry, scalar
-            while the deque is non-empty (``exact=backlog``).
-
-            Deferral permutes eid draws only among lane-internal
-            entries between two chunk admissions; lane-vs-lane ties at
-            equal deadlines have commuting effects (completions count,
-            re-arms are invisible, and tied backlog handoffs pop the
-            same FIFO either way), so every fingerprint observable is
-            bit-identical to per-event execution.
-
-            ``env._now``/``env._ai`` are synced before every call that
-            can observe them (drain, _pop, chunk admission, flush,
-            sampling, foreign callbacks) and in ``finally``; drains
-            never touch wheel structures, so the shadowed pop state
-            stays valid across them.
-            """
-            nonlocal pos, arrived, completed, free_slots, queued, max_backlog
-            nonlocal lane_dl, lane_eid
-            pop = env._pop
-            spill = env._spill
-            overflow = env._queue
-            active = env._active
-            ai = env._ai
-            alen = len(active)
-            processed = 0
-            now = env._now
-            clear = not spill and not overflow
-            try:
-                while True:
-                    if ai < alen:
-                        if clear:
-                            entry = active[ai]
-                            active[ai] = None
-                            ai += 1
-                        else:
-                            entry = active[ai]
-                            if spill and spill[0] < entry:
-                                head = spill[0]
-                                if overflow and overflow[0] < head:
-                                    entry = heappop(overflow)
-                                else:
-                                    entry = heappop(spill)
-                                clear = not spill and not overflow
-                            elif overflow and overflow[0] < entry:
-                                entry = heappop(overflow)
-                                clear = not spill and not overflow
-                            else:
-                                active[ai] = None
-                                ai += 1
-                    else:
-                        env._ai = ai
-                        env._now = now
-                        try:
-                            entry = pop()
-                        except IndexError:
-                            if lane_dl >= 0:
-                                # Wheel empty, arrivals exhausted: one
-                                # call drains every remaining lease
-                                # generation to completion.
-                                before = completed
-                                fired, bulk, last = drain(None, 0, 0, backlog or None, False)
-                                processed += fired
-                                if bulk:
-                                    completed += bulk
-                                    free_slots += bulk
-                                if last > now:
-                                    now = last
-                                env._now = now
-                                lane_dl = -1
-                                if (before >> 10) != (completed >> 10):
-                                    sample()
-                            return
-                        active = env._active
-                        ai = env._ai
-                        alen = len(active)
-                        clear = not spill and not overflow
-                    when = entry[0]
-                    prio = entry[1]
-                    if backlog and lane_dl >= 0 and (
-                        lane_dl < when
-                        or (
-                            lane_dl == when
-                            and (prio > 1 or (prio == 1 and lane_eid < entry[2]))
-                        )
-                    ):
-                        env._ai = ai
-                        env._now = now
-                        before = completed
-                        fired, bulk, last = drain(when, prio, entry[2], backlog or None, False)
-                        processed += fired
-                        if bulk:
-                            completed += bulk
-                            free_slots += bulk
-                        if last > now:
-                            now = last
-                        head = head_key()
-                        if head is None:
-                            lane_dl = -1
-                        else:
-                            lane_dl, lane_eid = head
-                        if (before >> 10) != (completed >> 10):
-                            env._now = now
-                            sample()
-                    event = entry[3]
-                    now = when
-                    processed += 1
-                    cbs = event.callbacks
-                    if cbs.__class__ is tuple and cbs[0] is on_arrival:
-                        service = services[pos]
-                        pos += 1
-                        arrived += 1
-                        if pos == nservices and arrived < total:
-                            if lane_dl >= 0 and (
-                                lane_dl < now
-                                or (
-                                    lane_dl == now
-                                    and (prio > 1 or lane_eid < entry[2])
-                                )
-                            ):
-                                # Catch up deferred lane fires before the
-                                # chunk draws its eid block.
-                                env._ai = ai
-                                before = completed
-                                fired, bulk, _last = drain(
-                                    now, prio, entry[2], backlog or None, False
-                                )
-                                processed += fired
-                                if bulk:
-                                    completed += bulk
-                                    free_slots += bulk
-                                head = head_key()
-                                if head is None:
-                                    lane_dl = -1
-                                else:
-                                    lane_dl, lane_eid = head
-                                if (before >> 10) != (completed >> 10):
-                                    env._now = now
-                                    sample()
-                            env._now = now
-                            env._ai = ai
-                            admit_chunk()
-                            clear = not spill and not overflow
-                        if not free_slots and lane_dl >= 0 and (
-                            lane_dl < now
-                            or (
-                                lane_dl == now
-                                and (prio > 1 or lane_eid < entry[2])
-                            )
-                        ):
-                            # Saturation check: deferred completions may
-                            # have freed a slot; catch up, then re-test.
-                            env._ai = ai
-                            before = completed
-                            fired, bulk, _last = drain(
-                                now, prio, entry[2], backlog or None, False
-                            )
-                            processed += fired
-                            if bulk:
-                                completed += bulk
-                                free_slots += bulk
-                            head = head_key()
-                            if head is None:
-                                lane_dl = -1
-                            else:
-                                lane_dl, lane_eid = head
-                            if (before >> 10) != (completed >> 10):
-                                env._now = now
-                                sample()
-                        if free_slots:
-                            free_slots -= 1
-                            buffer.append(service)
-                            if len(buffer) >= flush_batch:
-                                env._now = now
-                                env._ai = ai
-                                flush()
-                            lease_when = now + (
-                                service if service <= interval else interval
-                            )
-                            eid = admit(lease_when, now + service)
-                            if lane_dl < 0 or lease_when < lane_dl or (
-                                lease_when == lane_dl and eid < lane_eid
-                            ):
-                                lane_dl = lease_when
-                                lane_eid = eid
-                        else:
-                            backlog.append((now, service))
-                            queued += 1
-                            blen = len(backlog)
-                            if blen > max_backlog:
-                                max_backlog = blen
-                        continue
-                    # Foreign event: full generic run-loop semantics.
-                    env._now = now
-                    env._ai = ai
-                    if cbs.__class__ is tuple:
-                        cbs[0](event)
-                    else:
-                        event.callbacks = None
-                        for callback in cbs:
-                            callback(event)
-                    if not event._ok and not event._defused:
-                        exc = event._value
-                        if isinstance(exc, BaseException):
-                            raise exc
-                        raise RuntimeError(f"event failed with non-exception {exc!r}")
-                    clear = not spill and not overflow
-                    head = head_key()
-                    if head is None:
-                        lane_dl = -1
-                    else:
-                        lane_dl, lane_eid = head
-            finally:
-                env._ai = ai
-                env._now = now
-                env.events_processed += processed
-
-        def sync() -> None:
-            self.arrived = arrived
-            self.completed = completed
-            self.queued = queued
-            self.max_backlog = max_backlog
-            self.free_slots = free_slots
-
-        self._on_arrival = on_arrival
-        self._kernel_sync = sync
-        self._kernel_drive = drive
-        admit_chunk()
-
-    def _install_cold_kernel(self) -> None:
-        """Install the cold-start kernel variant for this run's knobs.
-
-        ``keepalive == 0`` (the default): the batch-wheel kernel
-        extended with the vectorized ColdLane -- see
-        :meth:`_install_cold_fast_kernel` for the commutation argument
-        that makes whole-backlog spin-up slabs exact.  ``keepalive >
-        0``: idle-reclaims force a strict per-head interleave, handled
-        by :meth:`_install_cold_strict_kernel`.
-        """
-        if self._keepalive:
-            self._install_cold_strict_kernel()
-        else:
-            self._install_cold_fast_kernel()
-
-    def _install_cold_fast_kernel(self) -> None:
+    def _install_cold_lane_kernel(self) -> None:
         """Batch-wheel kernel + vectorized ColdLane (keepalive = 0).
 
-        Leases live in the wheel exactly as in the lane-off batch
-        kernel: the reused-event / inline-L0 recipe absorbs the cold
-        re-arm storm (every concurrent cold lease re-arms each
-        ``interval``, and a saturated pool holds ~``service / gap``
-        of them at once) at one list append per re-arm.  Routing those
-        leases through the LeaseLane instead would pay a windowed
-        ``searchsorted`` scan over its side blocks for every merge
-        step -- measured at 10^6 invocations that is ~9M scans and
-        dominates the whole run -- because cold slabs admit blocks of
-        non-monotone deadlines behind the lane floor faster than the
-        lane can retire them.
+        Leases live in the wheel exactly as in the batch kernel: the
+        reused-event / inline-L0 recipe absorbs the cold re-arm storm
+        (every concurrent cold lease re-arms each ``interval``, and a
+        saturated pool holds ~``service / gap`` of them at once) at one
+        list append per re-arm.
 
         What the ColdLane vectorizes is the *cold stream*: a dry-pool
         arrival that goes cold becomes three int64 cells in its
@@ -1864,8 +1274,7 @@ class _ShardDriver:
         slots0 = env._slots0
         mask0 = env._mask0
         eid = env._eid
-        # Bound once: _eid is never rebound on this path (reserve_eids
-        # is never called with keepalive off).
+        # Bound once: _eid is never rebound, even across re-anchors.
         eidn = eid.__next__
         free_slots = self.free_slots
         arrived = 0
@@ -1886,7 +1295,8 @@ class _ShardDriver:
 
         def admit_chunk() -> None:
             nonlocal services, nservices, pos
-            times, services = next(chunks)
+            times, served = next(chunks)
+            services = served.tolist()
             nservices = len(services)
             pos = 0
             schedule_batch(times, on_arrival, _ARRIVAL_PRIO)
@@ -1996,10 +1406,7 @@ class _ShardDriver:
             for ev, fin in zip(events, finishes[order].tolist()):
                 ev._value = fin
 
-        gap = interval
-        if self.config.min_service_ns < gap:
-            gap = self.config.min_service_ns
-        cold = env.attach_cold_lane(gap, on_ready, on_ready_slab, None)
+        cold = env.attach_cold_lane(on_ready, on_ready_slab)
         cold_admit = cold.admit
         drain_all = cold.drain_spinups_all
 
@@ -2275,471 +1682,6 @@ class _ShardDriver:
         self._kernel_drive = drive
         admit_chunk()
 
-    def _install_cold_strict_kernel(self) -> None:
-        """Lane kernel variant with the cold-start calendar (ColdLane).
-
-        Leases live in the LeaseLane as in the lane kernel; dry-pool
-        arrivals that go cold become three int64 cells in the
-        ColdLane's spin-up calendar (ready/arrival/service) instead of
-        a wheel event, and idle-reclaim expiries become two cells in
-        its reclaim calendar.  The wheel carries arrivals only; due
-        runs of spin-ups fire as vectorized slabs (bulk sojourn append
-        + one interleaved ``reserve_eids`` block for the lease/reclaim
-        admissions) and due runs of reclaims fold into a single
-        counted hook call.
-
-        Unlike the lease lane there is **no deferral**: an arrival's
-        cold-vs-queue decision observes ``free_slots`` and a reclaim
-        both reads and writes it, so pending fires are never
-        postponable.  The loop instead runs a strict three-way merge --
-        before dispatching each wheel entry both lanes are drained up
-        to the entry's ``(when, priority, eid)`` key, each drain call
-        bounded by the *other* lane's head so no fire can overtake a
-        pending earlier one.  Entries admitted mid-drain are handled by
-        the ColdLane's admission-window cap (a call never fires past
-        ``first fire + admit_gap``, and everything a fire admits lands
-        at least ``admit_gap`` later), with every head re-read between
-        calls.  Effects of a fire are applied at its exact sequence
-        point, so the fingerprint -- including every tie at equal
-        nanoseconds -- is the per-event referee's, bit for bit.
-
-        Only ``keepalive > 0`` runs land here (reclaims are what force
-        the strict interleave); with idle-reclaim off the dispatching
-        :meth:`_install_cold_kernel` installs the commuting fast
-        kernel instead.
-        """
-        env = self.env
-        config = self.config
-        schedule_batch = env.schedule_batch
-        interval = self._interval
-        flush_batch = _FLUSH_BATCH
-        flush = self._flush
-        sample = self._sample_wheel
-        buffer = self._buffer
-        backlog = self.backlog
-        chunks = self._chunks
-        total = self.count
-        spawn = self._spawn
-        keepalive = self._keepalive
-        threshold = self._threshold
-        reserve = env.reserve_eids
-        lane = env.attach_lease_lane(interval)
-        admit = lane.admit
-        admit_block = lane.admit_block
-        lane_drain = lane.drain
-        lane_head = lane.head_key
-        free_slots = self.free_slots
-        arrived = 0
-        completed = 0
-        queued = 0
-        max_backlog = 0
-        cold_starts = 0
-        cold_busy_ns = 0
-        cold_reclaimed = 0
-        cold_retained = 0
-        cold_alive = 0
-        services: list[int] = []
-        nservices = 0
-        pos = 0
-        # Cached lane heads; -1 means "empty".  Kept current by updating
-        # after every admit and re-reading after every drain/foreign
-        # call, so the per-entry merge check is a few int compares.
-        lane_dl = -1
-        lane_eid = 0
-        cold_w = -1
-        cold_e = 0
-
-        def on_complete(when: int) -> None:
-            """Scalar-exact lease completion (see the lane kernel)."""
-            nonlocal completed, free_slots
-            completed += 1
-            if not completed & 0x3FF:
-                sample()
-            if backlog:
-                arrival_ns, service = backlog.popleft()
-                buffer.append(when - arrival_ns + service)
-                if len(buffer) >= flush_batch:
-                    flush()
-                admit(
-                    when + (service if service <= interval else interval),
-                    when + service,
-                )
-            else:
-                free_slots += 1
-
-        lane.on_complete = on_complete
-
-        def on_ready(when: int, arrival: int, service: int) -> None:
-            """Scalar spin-up fire: sandbox ready, executor joins the
-            pool by starting its invocation under a normal lease (lease
-            eid first, reclaim eid second -- the per-event order)."""
-            nonlocal cold_alive, lane_dl, lane_eid
-            buffer.append(spawn + service)
-            if len(buffer) >= flush_batch:
-                flush()
-            cold_alive += 1
-            dl = when + (service if service <= interval else interval)
-            eid = admit(dl, when + service)
-            if lane_dl < 0 or dl < lane_dl or (dl == lane_dl and eid < lane_eid):
-                lane_dl = dl
-                lane_eid = eid
-            if keepalive:
-                cold.admit_reclaim(when + keepalive)
-
-        def on_ready_slab(when_a, arrival_a, service_a) -> None:
-            """Vectorized spin-up run: bulk sojourns, one interleaved
-            eid block (evens lease, odds reclaim -- exactly the ids the
-            scalar path would draw fire by fire)."""
-            nonlocal cold_alive, lane_dl, lane_eid
-            n = when_a.shape[0]
-            buffer.extend((service_a + spawn).tolist())
-            if len(buffer) >= flush_batch:
-                flush()
-            cold_alive += n
-            deadlines = when_a + np.minimum(service_a, interval)
-            finishes = when_a + service_a
-            if keepalive:
-                base = reserve(2 * n)
-                eids = np.arange(base, base + 2 * n, dtype=np.int64)
-                admit_block(deadlines, finishes, eids[0::2])
-                cold.admit_reclaim_block(when_a + keepalive, eids[1::2])
-            else:
-                base = reserve(n)
-                admit_block(
-                    deadlines, finishes, np.arange(base, base + n, dtype=np.int64)
-                )
-            head = lane_head()
-            if head is not None:
-                lane_dl, lane_eid = head
-
-        def on_reclaim_hook(n: int) -> None:
-            """A run of *n* consecutive reclaim expiries: successes are
-            ``min(n, free_slots, cold_alive)`` -- exactly what n scalar
-            fires of the referee's handler would conclude."""
-            nonlocal free_slots, cold_alive, cold_reclaimed, cold_retained
-            succ = n
-            if free_slots < succ:
-                succ = free_slots
-            if cold_alive < succ:
-                succ = cold_alive
-            free_slots -= succ
-            cold_alive -= succ
-            cold_reclaimed += succ
-            cold_retained += n - succ
-
-        gap = interval
-        if config.min_service_ns < gap:
-            gap = config.min_service_ns
-        if keepalive and keepalive < gap:
-            gap = keepalive
-        cold = env.attach_cold_lane(gap, on_ready, on_ready_slab, on_reclaim_hook)
-        cold_admit = cold.admit
-        cold_drain = cold.drain
-        cold_head = cold.head_key
-
-        def admit_chunk() -> None:
-            nonlocal services, nservices, pos
-            times, services = next(chunks)
-            nservices = len(services)
-            pos = 0
-            schedule_batch(times, on_arrival, _ARRIVAL_PRIO)
-
-        def on_arrival(event) -> None:
-            """Generic-dispatch arrival body (the fused loop inlines it)."""
-            nonlocal pos, arrived, free_slots, queued, max_backlog
-            nonlocal lane_dl, lane_eid, cold_w, cold_e
-            nonlocal cold_starts, cold_busy_ns
-            now = env._now
-            service = services[pos]
-            pos += 1
-            arrived += 1
-            if pos == nservices and arrived < total:
-                admit_chunk()
-            if free_slots:
-                free_slots -= 1
-                buffer.append(service)
-                if len(buffer) >= flush_batch:
-                    flush()
-                when = now + (service if service <= interval else interval)
-                eid = admit(when, now + service)
-                if lane_dl < 0 or when < lane_dl or (when == lane_dl and eid < lane_eid):
-                    lane_dl = when
-                    lane_eid = eid
-            elif len(backlog) >= threshold:
-                cold_starts += 1
-                cold_busy_ns += spawn + service
-                ready = now + spawn
-                ceid = cold_admit(ready, now, service)
-                if cold_w < 0 or ready < cold_w or (ready == cold_w and ceid < cold_e):
-                    cold_w = ready
-                    cold_e = ceid
-            else:
-                backlog.append((now, service))
-                queued += 1
-                if len(backlog) > max_backlog:
-                    max_backlog = len(backlog)
-
-        def drive() -> None:
-            """Fused loop: wheel pop fast path + strict three-way merge
-            (see the method docstring for why nothing is deferred)."""
-            nonlocal pos, arrived, completed, free_slots, queued, max_backlog
-            nonlocal lane_dl, lane_eid, cold_w, cold_e
-            nonlocal cold_starts, cold_busy_ns
-            pop = env._pop
-            spill = env._spill
-            overflow = env._queue
-            active = env._active
-            ai = env._ai
-            alen = len(active)
-            processed = 0
-            now = env._now
-            clear = not spill and not overflow
-            try:
-                while True:
-                    if ai < alen:
-                        if clear:
-                            entry = active[ai]
-                            active[ai] = None
-                            ai += 1
-                        else:
-                            entry = active[ai]
-                            if spill and spill[0] < entry:
-                                head = spill[0]
-                                if overflow and overflow[0] < head:
-                                    entry = heappop(overflow)
-                                else:
-                                    entry = heappop(spill)
-                                clear = not spill and not overflow
-                            elif overflow and overflow[0] < entry:
-                                entry = heappop(overflow)
-                                clear = not spill and not overflow
-                            else:
-                                active[ai] = None
-                                ai += 1
-                    else:
-                        env._ai = ai
-                        env._now = now
-                        try:
-                            entry = pop()
-                        except IndexError:
-                            # Wheel dry, arrivals exhausted: drain both
-                            # lanes interleaved by head order until empty
-                            # (each call still bounded by the other's
-                            # head and the admission window).
-                            while lane_dl >= 0 or cold_w >= 0:
-                                env._now = now
-                                if cold_w >= 0 and (
-                                    lane_dl < 0
-                                    or cold_w < lane_dl
-                                    or (cold_w == lane_dl and cold_e < lane_eid)
-                                ):
-                                    if lane_dl >= 0:
-                                        fired, last = cold_drain(lane_dl, 1, lane_eid)
-                                    else:
-                                        fired, last = cold_drain(None, 0, 0)
-                                    processed += fired
-                                    if last > now:
-                                        now = last
-                                else:
-                                    before = completed
-                                    if cold_w >= 0:
-                                        fired, bulk, last = lane_drain(
-                                            cold_w, 1, cold_e, backlog or None, False
-                                        )
-                                    else:
-                                        fired, bulk, last = lane_drain(
-                                            None, 0, 0, backlog or None, False
-                                        )
-                                    processed += fired
-                                    if bulk:
-                                        completed += bulk
-                                        free_slots += bulk
-                                    if last > now:
-                                        now = last
-                                    if (before >> 10) != (completed >> 10):
-                                        env._now = now
-                                        sample()
-                                head = lane_head()
-                                if head is None:
-                                    lane_dl = -1
-                                else:
-                                    lane_dl, lane_eid = head
-                                head = cold_head()
-                                if head is None:
-                                    cold_w = -1
-                                else:
-                                    cold_w, cold_e = head
-                            env._now = now
-                            return
-                        active = env._active
-                        ai = env._ai
-                        alen = len(active)
-                        clear = not spill and not overflow
-                    when = entry[0]
-                    prio = entry[1]
-                    # Strict merge: both lanes drained up to this wheel
-                    # entry's key before it dispatches.
-                    while lane_dl >= 0 or cold_w >= 0:
-                        if cold_w >= 0 and (
-                            lane_dl < 0
-                            or cold_w < lane_dl
-                            or (cold_w == lane_dl and cold_e < lane_eid)
-                        ):
-                            hw = cold_w
-                            he = cold_e
-                            use_cold = True
-                        else:
-                            hw = lane_dl
-                            he = lane_eid
-                            use_cold = False
-                        if hw > when or (
-                            hw == when and (prio < 1 or (prio == 1 and he >= entry[2]))
-                        ):
-                            break
-                        env._ai = ai
-                        env._now = now
-                        if use_cold:
-                            if lane_dl >= 0 and (
-                                lane_dl < when
-                                or (
-                                    lane_dl == when
-                                    and (prio > 1 or (prio == 1 and lane_eid < entry[2]))
-                                )
-                            ):
-                                fired, last = cold_drain(lane_dl, 1, lane_eid)
-                            else:
-                                fired, last = cold_drain(when, prio, entry[2])
-                            processed += fired
-                            if last > now:
-                                now = last
-                        else:
-                            before = completed
-                            if cold_w >= 0 and (
-                                cold_w < when
-                                or (
-                                    cold_w == when
-                                    and (prio > 1 or (prio == 1 and cold_e < entry[2]))
-                                )
-                            ):
-                                fired, bulk, last = lane_drain(
-                                    cold_w, 1, cold_e, backlog or None, False
-                                )
-                            else:
-                                fired, bulk, last = lane_drain(
-                                    when, prio, entry[2], backlog or None, False
-                                )
-                            processed += fired
-                            if bulk:
-                                completed += bulk
-                                free_slots += bulk
-                            if last > now:
-                                now = last
-                            if (before >> 10) != (completed >> 10):
-                                env._now = now
-                                sample()
-                        head = lane_head()
-                        if head is None:
-                            lane_dl = -1
-                        else:
-                            lane_dl, lane_eid = head
-                        head = cold_head()
-                        if head is None:
-                            cold_w = -1
-                        else:
-                            cold_w, cold_e = head
-                    event = entry[3]
-                    now = when
-                    processed += 1
-                    cbs = event.callbacks
-                    if cbs.__class__ is tuple and cbs[0] is on_arrival:
-                        service = services[pos]
-                        pos += 1
-                        arrived += 1
-                        if pos == nservices and arrived < total:
-                            env._now = now
-                            env._ai = ai
-                            admit_chunk()
-                            clear = not spill and not overflow
-                        if free_slots:
-                            free_slots -= 1
-                            buffer.append(service)
-                            if len(buffer) >= flush_batch:
-                                env._now = now
-                                env._ai = ai
-                                flush()
-                            lease_when = now + (
-                                service if service <= interval else interval
-                            )
-                            eid = admit(lease_when, now + service)
-                            if lane_dl < 0 or lease_when < lane_dl or (
-                                lease_when == lane_dl and eid < lane_eid
-                            ):
-                                lane_dl = lease_when
-                                lane_eid = eid
-                        elif len(backlog) >= threshold:
-                            cold_starts += 1
-                            cold_busy_ns += spawn + service
-                            ready = now + spawn
-                            ceid = cold_admit(ready, now, service)
-                            if cold_w < 0 or ready < cold_w or (
-                                ready == cold_w and ceid < cold_e
-                            ):
-                                cold_w = ready
-                                cold_e = ceid
-                        else:
-                            backlog.append((now, service))
-                            queued += 1
-                            blen = len(backlog)
-                            if blen > max_backlog:
-                                max_backlog = blen
-                        continue
-                    # Foreign event: full generic run-loop semantics.
-                    env._now = now
-                    env._ai = ai
-                    if cbs.__class__ is tuple:
-                        cbs[0](event)
-                    else:
-                        event.callbacks = None
-                        for callback in cbs:
-                            callback(event)
-                    if not event._ok and not event._defused:
-                        exc = event._value
-                        if isinstance(exc, BaseException):
-                            raise exc
-                        raise RuntimeError(f"event failed with non-exception {exc!r}")
-                    clear = not spill and not overflow
-                    head = lane_head()
-                    if head is None:
-                        lane_dl = -1
-                    else:
-                        lane_dl, lane_eid = head
-                    head = cold_head()
-                    if head is None:
-                        cold_w = -1
-                    else:
-                        cold_w, cold_e = head
-            finally:
-                env._ai = ai
-                env._now = now
-                env.events_processed += processed
-
-        def sync() -> None:
-            self.arrived = arrived
-            self.completed = completed
-            self.queued = queued
-            self.max_backlog = max_backlog
-            self.free_slots = free_slots
-            self.cold_starts = cold_starts
-            self.cold_busy_ns = cold_busy_ns
-            self.cold_reclaimed = cold_reclaimed
-            self.cold_retained = cold_retained
-            self.cold_alive = cold_alive
-
-        self._on_arrival = on_arrival
-        self._kernel_sync = sync
-        self._kernel_drive = drive
-        admit_chunk()
-
     def _handle_arrival(self, _event) -> None:
         env = self.env
         now = env._now
@@ -2783,8 +1725,8 @@ class _ShardDriver:
             self._flush()
         self.cold_alive += 1
         interval = self._interval
-        # Lease eid first, reclaim eid second: the vectorized cold lane
-        # interleaves its bulk reservations the same way.
+        # Lease eid first, reclaim eid second: the batch kernel's
+        # on_cold allocates them in the same order.
         event._value = now + service
         event.callbacks = self._lease_cbs
         self._schedule(event, service if service <= interval else interval)
@@ -2833,8 +1775,44 @@ class _ShardDriver:
         else:
             self.free_slots += 1
 
-    _flush = _OpenLoopDriver._flush
-    _sample_wheel = _OpenLoopDriver._sample_wheel
+    def _flush(self) -> None:
+        if self._buffer:
+            # Exact integer total alongside the float stream: the
+            # fingerprint mean is total/count, a single division of
+            # exact ints, so it is independent of flush batching and
+            # of the order sojourns were recorded in.
+            self.sojourn_total += sum(self._buffer)
+            self.stream.observe_many(np.asarray(self._buffer, dtype=np.float64))
+            self._buffer.clear()
+        if self._is_wheel:
+            self._sample_wheel(force=True)
+
+    def _sample_wheel(self, force: bool = False) -> None:
+        # Decimated: most calls return None without computing occupancy
+        # (see WheelEnvironment.sample_occupancy), so the completion-path
+        # cadence can be tight without costing wall clock.
+        sample = self.env.sample_occupancy(force)
+        if sample is None:
+            return
+        peaks = self.occupancy_peaks
+        for key in (
+            "wheel",
+            "heap",
+            "spill",
+            "cascades",
+            "overflow_inserts",
+            "reanchors",
+            "granularity_bits",
+            "cold_entries",
+            "cold_entries_peak",
+            "cold_slabs",
+            "cold_max_slab",
+            "cold_scalar_fires",
+            "cold_spinups",
+        ):
+            value = sample.get(key, 0)
+            if value > peaks.get(key, -1):
+                peaks[key] = value
 
     def finish(self) -> None:
         if self._kernel_sync is not None:
@@ -2876,6 +1854,109 @@ class ShardResult:
     sojourn_total: int = 0
 
 
+def _timed_drive(drive, profile: Union[bool, str, None]) -> float:
+    """Run *drive*; return its wall time.
+
+    With *profile* set the call runs under cProfile and the top-25
+    cumulative entries are printed (and archived when *profile* is a
+    path).  Profiling changes no simulated state, but its overhead
+    disqualifies the run from benchmarking.
+    """
+    started = time.perf_counter()
+    if not profile:
+        drive()
+        return time.perf_counter() - started
+    import cProfile
+
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        drive()
+    finally:
+        profiler.disable()
+        _report_profile(profiler, profile)
+    return time.perf_counter() - started
+
+
+def _simulate(
+    config: ScaleConfig, shard: int, shards: int, profile: Union[bool, str, None] = None
+) -> ShardResult:
+    """Run one shard of *config* on the engine its knobs call for.
+
+    The ``queue`` policy on the default engine (wheel scheduler, batch
+    admission) runs the exact FIFO recurrence of :class:`_FifoDriver`
+    and builds no environment.  Every other combination walks its
+    events through a :class:`_ShardDriver`: the cold policies need the
+    event order, and the heap scheduler and per-event admission stay
+    the referees the fast engines are checked against.
+    """
+    if not 0 <= shard < shards:
+        raise ValueError(f"shard {shard} outside [0, {shards})")
+    count = _shard_invocations(config.invocations, shards, shard)
+    slots = _shard_slots(config.workers, shards, shard)
+    if count < 1:
+        raise ValueError("shard needs at least one invocation")
+    if slots < 1:
+        raise ValueError("shard needs at least one warm slot")
+    driver: Any
+    if (
+        config.pool_policy == "queue"
+        and config.scheduler == "wheel"
+        and config.admission == "batch"
+    ):
+        driver = _FifoDriver(config, shard, shards)
+        wall_s = _timed_drive(driver.drive, profile)
+        events, now, pool_hits = driver.events_processed, driver.final_now_ns, 0
+        occupancy: dict[str, int] = {}
+    else:
+        env_kwargs = (
+            {"granularity_bits": config.granularity_bits} if config.scheduler == "wheel" else {}
+        )
+        env = new_environment(config.scheduler, **env_kwargs)
+        driver = _ShardDriver(env, config, shard, shards)
+        driver.start()
+        # The FSM allocates no reference cycles, so generational GC
+        # scans over ~10^6 live timers are pure overhead; collect once,
+        # run with the collector off, restore afterwards.
+        gc_was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            wall_s = _timed_drive(driver.drive, profile)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        driver.finish()
+        events, now, pool_hits = env.events_processed, env.now, env.timeout_pool_hits
+        occupancy = dict(driver.occupancy_peaks)
+    if driver.completed != count:
+        raise RuntimeError(
+            f"shard {shard}/{shards} lost invocations: {driver.completed} of {count}"
+        )
+    return ShardResult(
+        shard=shard,
+        shards=shards,
+        shard_seed=shard_seed(config.seed, shard),
+        workers=slots,
+        invocations=count,
+        completed=driver.completed,
+        events_processed=events,
+        wall_s=wall_s,
+        peak_rss_bytes=_peak_rss_bytes(),
+        final_now_ns=now,
+        max_backlog=driver.max_backlog,
+        queued=driver.queued,
+        timeout_pool_hits=pool_hits,
+        stream=driver.stream,
+        occupancy=occupancy,
+        cold_starts=driver.cold_starts,
+        cold_busy_ns=driver.cold_busy_ns,
+        cold_reclaimed=driver.cold_reclaimed,
+        cold_retained=driver.cold_retained,
+        sojourn_total=driver.sojourn_total,
+    )
+
+
 def _run_shard(
     shard: int,
     shards: int,
@@ -2889,7 +1970,6 @@ def _run_shard(
     lease_check_interval_ns: int = ms(64),
     granularity_bits: Union[int, str] = "auto",
     admission: str = "batch",
-    lease_lane: str = "on",
     subbits: int = 8,
     arrival_shape: str = "poisson",
     shard_split: str = "partition",
@@ -2910,6 +1990,9 @@ def _run_shard(
     """
     from repro import perf
 
+    validate_granularity_bits(granularity_bits)
+    _validate_admission(admission)
+    _validate_pool_policy(pool_policy, start_model, keepalive_ns, hybrid_threshold)
     config = ScaleConfig(
         invocations=invocations,
         workers=workers,
@@ -2921,7 +2004,6 @@ def _run_shard(
         scheduler=scheduler,
         granularity_bits=granularity_bits,
         admission=admission,
-        lease_lane=lease_lane,
         subbits=subbits,
         shards=shards,
         shard_split=shard_split,
@@ -2935,58 +2017,10 @@ def _run_shard(
         keepalive_ns=keepalive_ns,
         hybrid_threshold=hybrid_threshold,
     )
-    validate_granularity_bits(granularity_bits)
-    _validate_admission(admission)
-    _validate_lease_lane(lease_lane)
-    _validate_pool_policy(pool_policy, start_model, keepalive_ns, hybrid_threshold)
-    if not 0 <= shard < shards:
-        raise ValueError(f"shard {shard} outside [0, {shards})")
-    env_kwargs = {"granularity_bits": granularity_bits} if scheduler == "wheel" else {}
-    env = new_environment(config.scheduler, **env_kwargs)
-    driver = _ShardDriver(env, config, shard, shards)
-    driver.start()
-
-    gc_was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    started = time.perf_counter()
-    try:
-        driver.drive()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    wall_s = time.perf_counter() - started
-    driver.finish()
+    result = _simulate(config, shard, shards)
     if perf.enabled:
         perf.counters.shard_runs += 1
-
-    if driver.completed != driver.count:
-        raise RuntimeError(
-            f"shard {shard}/{shards} lost invocations: "
-            f"{driver.completed} of {driver.count}"
-        )
-    return ShardResult(
-        shard=shard,
-        shards=shards,
-        shard_seed=shard_seed(seed, shard),
-        workers=_shard_slots(workers, shards, shard),
-        invocations=driver.count,
-        completed=driver.completed,
-        events_processed=env.events_processed,
-        wall_s=wall_s,
-        peak_rss_bytes=_peak_rss_bytes(),
-        final_now_ns=env.now,
-        max_backlog=driver.max_backlog,
-        queued=driver.queued,
-        timeout_pool_hits=env.timeout_pool_hits,
-        stream=driver.stream,
-        occupancy=dict(driver.occupancy_peaks),
-        cold_starts=driver.cold_starts,
-        cold_busy_ns=driver.cold_busy_ns,
-        cold_reclaimed=driver.cold_reclaimed,
-        cold_retained=driver.cold_retained,
-        sojourn_total=driver.sojourn_total,
-    )
+    return result
 
 
 @dataclass
@@ -3152,7 +2186,6 @@ def run_scale_sharded(
     lease_check_interval_ns: int = ms(64),
     granularity_bits: Union[int, str] = "auto",
     admission: str = "batch",
-    lease_lane: str = "on",
     subbits: int = 8,
     arrival_shape: str = "poisson",
     shard_split: str = "partition",
@@ -3179,7 +2212,6 @@ def run_scale_sharded(
 
     validate_granularity_bits(granularity_bits)
     _validate_admission(admission)
-    _validate_lease_lane(lease_lane)
     _validate_pool_policy(pool_policy, start_model, keepalive_ns, hybrid_threshold)
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -3199,7 +2231,6 @@ def run_scale_sharded(
         lease_check_interval_ns=lease_check_interval_ns,
         granularity_bits=granularity_bits,
         admission=admission,
-        lease_lane=lease_lane,
         subbits=subbits,
         arrival_shape=arrival_shape,
         shard_split=shard_split,
@@ -3713,7 +2744,7 @@ class _TenantDriver:
         if self._is_wheel:
             self._sample_wheel(force=True)
 
-    _sample_wheel = _OpenLoopDriver._sample_wheel
+    _sample_wheel = _ShardDriver._sample_wheel
 
     def finish(self) -> None:
         if self._kernel_sync is not None:
@@ -3737,8 +2768,8 @@ class _TenantDriver:
         The fused wheel loop replicates the run loop's pop order and
         accounting exactly as the single-stream kernel does.
 
-        This kernel's lane-equivalent: lease renewal-check hops are
-        *virtualized*.  A dispatched lease's finish is fully determined
+        Unlike the single-stream event kernels, lease renewal-check hops
+        are *virtualized*.  A dispatched lease's finish is fully determined
         at dispatch, so the kernel schedules the completion event at
         ``start + service`` directly and adds the per-event engines'
         ``(service - 1) // interval`` renewal fires to
@@ -3778,7 +2809,7 @@ class _TenantDriver:
             slots0 = env._slots0
             mask0 = env._mask0
             eid = env._eid
-            # Bound once: _eid is never rebound (no lane reservations).
+            # Bound once: _eid is never rebound, even across re-anchors.
             eidn = eid.__next__
         else:
             slots0 = mask0 = eid = eidn = None

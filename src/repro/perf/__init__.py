@@ -43,9 +43,6 @@ class Counters:
         "wheel_overflow_inserts",
         "wheel_reanchors",
         "shard_runs",
-        "lane_entries",
-        "lane_slabs",
-        "lane_rearm_batches",
         "cold_lane_entries",
         "cold_lane_slabs",
         "cold_spinups",
@@ -88,15 +85,9 @@ class Counters:
         self.wheel_reanchors = 0
         #: Shard simulations executed by the sharded scale engine.
         self.shard_runs = 0
-        #: Peak sampled lease-lane residency (struct-of-arrays timers).
-        self.lane_entries = 0
-        #: Lease-lane drain calls that fired at least one entry.
-        self.lane_slabs = 0
-        #: Vectorized lease re-arm passes (one per masked slab).
-        self.lane_rearm_batches = 0
-        #: Peak sampled cold-lane residency (pending spin-ups + reclaims).
+        #: Peak sampled cold-lane residency (pending spin-ups).
         self.cold_lane_entries = 0
-        #: Cold-lane drain calls that fired at least one entry.
+        #: Cold-lane slab drains that fired at least one entry.
         self.cold_lane_slabs = 0
         #: Sandbox spin-ups fired (cold starts that reached ready).
         self.cold_spinups = 0
@@ -119,9 +110,6 @@ _GAUGES = frozenset(
     {
         "wheel_entries",
         "heap_entries",
-        "lane_entries",
-        "lane_slabs",
-        "lane_rearm_batches",
         "cold_lane_entries",
         "cold_lane_slabs",
         "leases_active_peak",

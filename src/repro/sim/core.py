@@ -121,26 +121,6 @@ class Environment:
         """
         heappush(self._queue, (self._now + delay, NORMAL, next(self._eid), event))
 
-    def reserve_eids(self, n: int) -> int:
-        """Atomically allocate *n* consecutive entry ids; return the first.
-
-        The ordering contract ties at equal ``(when, priority)`` break on
-        these ids, so a vectorized scheduler (the lease lane's slab
-        re-arm) can only match per-event execution if it hands out the
-        *same* ids the scalar path would: one per re-arm, in pop order.
-        This helper advances the shared counter by ``n`` in one step so
-        the caller can assign ``base + arange(n)`` to a whole slab.
-
-        Rebinds ``_eid``: callers must never cache the counter object or
-        its bound ``__next__`` across a ``reserve_eids`` call.
-        """
-        if n < 1:
-            raise ValueError(f"reserve_eids needs n >= 1, got {n}")
-        base = next(self._eid)
-        if n > 1:
-            self._eid = count(base + n)
-        return base
-
     def schedule_batch(
         self, times: Any, callback: Any, priority: int = NORMAL, cls: type = BatchEvent
     ) -> list[Event]:

@@ -78,57 +78,21 @@ shares a single callbacks tuple, so results are identical to per-event
 admission of the same stream while the admission cost all but
 disappears from the profile.
 
-Lease lane (:class:`LeaseLane`)
--------------------------------
-The dominant event class of the scale engine -- periodic lease
-re-validations, ~7 re-arms per invocation -- is homogeneous: every
-timer has the same period and a known absolute finish time.  The lane
-stores them as parallel ``int64`` arrays ``(deadline, finish, eid)``
-instead of per-event tuples, and drains *slabs* of due deadlines at
-once with vectorized held/released masks (``new_deadline = min(deadline
-+ interval, finish)``).  Three structural facts make this sort-free:
-
-* every pending periodic deadline lies in ``(now, now + interval]``
-  (each fire re-arms at most one interval ahead), so the pending set is
-  a sliding window of width one interval;
-* appends always land at ``now + interval`` -- the right edge -- so an
-  append-only *next* buffer is automatically ``(deadline, eid)``-sorted
-  and becomes the new drain array (``cur``) by concatenation when the
-  old one is exhausted;
-* the only irregular entries -- final re-arms clipped to the finish
-  time, and fresh leases shorter than one interval -- *complete* when
-  they fire, so they commute with each other and live in small sorted
-  side blocks plus a scalar heap.
-
-Ordering stays bit-identical to per-event execution: the drive loop
-drains the lane strictly up to the next wheel entry's ``(when,
-priority, eid)`` key, ties included, and slab re-arms take their entry
-ids from :meth:`Environment.reserve_eids` -- one id per re-arm in pop
-order, exactly the ids scalar re-arms would draw, because completions
-with an empty backlog allocate none.  When completion order *is*
-observable (caller passes its backlog), the lane falls back to an exact
-scalar merge until the backlog drains.
-
 Cold lane (:class:`ColdLane`)
 -----------------------------
-The dry-pool cold-start path (PR 9) adds a second homogeneous event
-class: sandbox *spin-ups* (ready at ``arrival + spawn`` for a constant
-per-profile spawn cost) and *idle reclaims* (due at ``ready +
-keepalive``).  Both sequences are admitted in fire order, so each is an
-append-only sorted calendar -- parallel ``int64`` ready-time / arrival
-/ service / eid vectors for spin-ups, ``(when, eid)`` vectors for
-reclaims -- and a drain is a ``searchsorted`` due-prefix per calendar,
-merged against each other (and a tiny out-of-order heap) under the
-global ``(when, NORMAL, eid)`` key.  Because a spin-up's effects admit
-new entries (a lease for the executing invocation, a reclaim expiry),
-every drain call is capped at one *admission window* -- ``first fire +
-admit_gap``, where ``admit_gap`` lower-bounds how far ahead any
-admission can land -- so nothing admitted mid-drain can be due inside
-the window; the caller re-reads all lane heads between calls.  The
-effect hooks (``on_ready`` / ``on_ready_slab`` / ``on_reclaim``) stay
-with the driver, which owns the entry-id discipline: a bulk spin-up
-slab reserves one contiguous eid block and interleaves lease/reclaim
-ids exactly as scalar fires would draw them.
+The dry-pool cold-start path adds a homogeneous event class: sandbox
+*spin-ups*, ready at ``arrival + spawn`` for a constant per-profile
+spawn cost.  Arrivals are monotone, so spin-ups are admitted in fire
+order and the calendar is append-only sorted -- parallel ``int64``
+ready-time / arrival / service / eid vectors instead of per-event
+tuples, plus a tiny heap for out-of-order admissions from generic
+callers.  The generic loop fires it scalar-exact under the global
+``(when, NORMAL, eid)`` key; the scale engine's keepalive-0 cold
+kernel fires the whole pending calendar as one vectorized slab
+(:meth:`ColdLane.drain_spinups_all`), which is exact because with
+idle-reclaim off a spin-up's effects commute with every other event.
+The effect hooks (``on_ready`` / ``on_ready_slab``) stay with the
+driver, which owns the entry-id discipline.
 """
 
 from __future__ import annotations
@@ -170,24 +134,16 @@ _ADAPT_PROBE_FACTOR = 4
 #: publish (count-based decimation; the rest return ``None``), so
 #: callers can sample on hot paths without measurable cost.
 _SAMPLE_DECIMATION = 64
-#: Below this many due entries a lease-lane slab fires scalar even in
+#: Below this many due entries a cold-lane slab fires scalar even in
 #: bulk mode: numpy mask machinery only pays off past a few dozen
 #: elements (burst-phase slabs are typically 2-8 entries).
 _LANE_SCALAR_SLAB = 32
-#: Irregular-completion blocks are consolidated (concat + lexsort) when
-#: more than this many accumulate, keeping head scans O(1)-ish.
-_LANE_IRR_BLOCKS = 16
 #: Buckets at least this large are sorted via ``numpy.lexsort`` over
 #: extracted ``(when, priority, eid)`` key arrays instead of
 #: ``list.sort`` tuple comparisons (the sort-on-drain satellite).
 _REFILL_ARGSORT_MIN = 1024
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
-
-#: Sentinel eid bound meaning "every eid at this timestamp is due"
-#: (used when normalizing a (when, priority, eid) limit whose priority
-#: sorts after NORMAL into a plain (when, eid) strict bound).
-_EID_UNBOUNDED = 1 << 62
 
 
 def validate_granularity_bits(value: Union[int, str]) -> Union[int, str]:
@@ -214,752 +170,31 @@ def validate_granularity_bits(value: Union[int, str]) -> Union[int, str]:
     return value
 
 
-class LeaseLane:
-    """Struct-of-arrays deadline calendar for homogeneous periodic timers.
-
-    See the module docstring ("Lease lane") for the array layout and the
-    sliding-window invariant that keeps it sort-free.  The lane never
-    touches the wheel's structures; the owner (generic ``run``/``step``
-    or the fused scale kernel) merges it against wheel pops by ``(when,
-    priority, eid)`` key, with every lane entry at ``NORMAL`` priority.
-
-    ``on_complete(when)`` is invoked per completion only on the exact
-    scalar path; vectorized drains *count* completions and return the
-    count for the caller to fold, which is sound exactly when the
-    caller's completion handling is commutative and allocates no entry
-    ids (an empty backlog in the scale driver).
-    """
-
-    __slots__ = (
-        "env",
-        "interval",
-        "on_complete",
-        # current generation: sorted (deadline, eid) arrays drained by index
-        "_cur_dl",
-        "_cur_fin",
-        "_cur_eid",
-        "_ci",
-        # next generation: ordered blocks + scalar tail buffers
-        "_nxt_blocks",
-        "_nxt_dl",
-        "_nxt_fin",
-        "_nxt_eid",
-        "_floor",
-        # out-of-order periodic blocks: sorted, drained by prefix
-        "_side_blocks",
-        # irregulars: sorted completion blocks + a scalar heap
-        "_irr_blocks",
-        "_irr_heap",
-        "_irr_rearms",
-        "_count",
-        # gauges
-        "entries_peak",
-        "slabs",
-        "max_slab",
-        "rearm_batches",
-        "scalar_fires",
-        "generations",
-        "admitted",
-        "completions",
-    )
-
-    def __init__(self, env: Environment, interval: int, on_complete: Any = None) -> None:
-        interval = int(interval)
-        if interval < 1:
-            raise ValueError(f"lease lane interval must be >= 1 ns, got {interval}")
-        self.env = env
-        self.interval = interval
-        self.on_complete = on_complete
-        self._cur_dl = _EMPTY_I64
-        self._cur_fin = _EMPTY_I64
-        self._cur_eid = _EMPTY_I64
-        self._ci = 0
-        self._nxt_blocks: list[tuple] = []
-        self._nxt_dl: list[int] = []
-        self._nxt_fin: list[int] = []
-        self._nxt_eid: list[int] = []
-        #: Deadline floor for fast-path appends: the largest deadline
-        #: ever appended.  Appends below it (possible only for callers
-        #: outside the fire-order contract) divert to the heap.
-        self._floor = 0
-        #: Periodic blocks whose deadlines fall below the floor (a
-        #: deferred re-arm slab behind already-admitted leases): kept as
-        #: whole sorted ``[dl, fin, eid, start]`` blocks and drained by
-        #: vectorized prefix, exactly like irregular-completion blocks
-        #: but re-arming.  Without this, every such slab would degrade
-        #: to per-entry heap traffic.
-        self._side_blocks: list[list] = []
-        self._irr_blocks: list[list] = []
-        self._irr_heap: list[tuple] = []
-        #: Heap entries that still re-arm (finish > deadline).  While any
-        #: exist, eid-allocation order is only preserved by the scalar
-        #: path, so drains force exact mode.  The scale driver never
-        #: creates them (its heap entries all complete on fire).
-        self._irr_rearms = 0
-        self._count = 0
-        self.entries_peak = 0
-        #: Drain calls that fired at least one entry.
-        self.slabs = 0
-        #: Largest single vectorized cur-slab.
-        self.max_slab = 0
-        #: Vectorized re-arm passes (one per masked slab).
-        self.rearm_batches = 0
-        #: Entries fired one-by-one (exact merges, tiny slabs).
-        self.scalar_fires = 0
-        #: cur <- nxt swaps.
-        self.generations = 0
-        self.admitted = 0
-        self.completions = 0
-
-    # -- admission -----------------------------------------------------
-
-    def admit(self, when: int, finish: int) -> int:
-        """Admit one lease timer; returns its entry id.
-
-        The id is allocated here, at the same sequence point per-event
-        scheduling would allocate it, which is what keeps lane-on runs
-        bit-identical to lane-off runs.  ``finish <= when`` admits a
-        completes-on-fire entry (a fresh lease shorter than one
-        interval, deadline == finish).
-        """
-        eid = next(self.env._eid)
-        when = int(when)
-        if int(finish) > when:
-            if when >= self._floor:
-                self._nxt_dl.append(when)
-                self._nxt_fin.append(int(finish))
-                self._nxt_eid.append(eid)
-                self._floor = when
-            else:
-                heappush(self._irr_heap, (when, eid, int(finish)))
-                self._irr_rearms += 1
-        else:
-            heappush(self._irr_heap, (when, eid, when))
-        count = self._count + 1
-        self._count = count
-        self.admitted += 1
-        if count > self.entries_peak:
-            self.entries_peak = count
-        return eid
-
-    def admit_cohort(self, whens: Any, finishes: Any) -> int:
-        """Vectorized admission of a sorted cohort; returns the base eid.
-
-        *whens* must be non-decreasing; ids are ``base + arange(n)`` via
-        :meth:`Environment.reserve_eids`, exactly the ids ``n`` scalar
-        :meth:`admit` calls would draw.  Periodic entries (finish >
-        deadline) append as one block; completes-on-fire entries become
-        one sorted irregular block.
-        """
-        dl = np.asarray(whens, dtype=np.int64)
-        fin = np.asarray(finishes, dtype=np.int64)
-        if dl.shape != fin.shape or dl.ndim != 1:
-            raise ValueError("cohort deadline/finish arrays must be equal 1-D")
-        n = int(dl.size)
-        if not n:
-            return -1  # zero admits consume zero entry ids
-        if n > 1 and bool((dl[1:] < dl[:-1]).any()):
-            raise ValueError("cohort deadlines must be non-decreasing")
-        base = self.env.reserve_eids(n)
-        eids = np.arange(base, base + n, dtype=np.int64)
-        periodic = fin > dl
-        if periodic.all():
-            self._append_block(dl, fin, eids)
-        else:
-            released = ~periodic
-            pdl = dl[periodic]
-            if pdl.size:
-                self._append_block(pdl, fin[periodic], eids[periodic])
-            self._push_irr_block(dl[released], eids[released])
-        self._count += n
-        self.admitted += n
-        if self._count > self.entries_peak:
-            self.entries_peak = self._count
-        return base
-
-    def admit_block(self, whens: Any, finishes: Any, eids: Any) -> None:
-        """Admit a cohort with caller-allocated entry ids.
-
-        The cold-start kernel draws one interleaved ``reserve_eids``
-        block per spin-up slab (lease id then reclaim id per spin-up,
-        in fire order), so lease ids arrive here pre-assigned instead
-        of being allocated per admission.  The arrays may be unsorted
-        (cold-start deadlines mix service lengths); they are lexsorted
-        by ``(deadline, eid)``.  Blocks behind the append floor become
-        side blocks, which drain vectorized for ``strict=False``
-        callers and scalar-exact otherwise.
-        """
-        dl = np.asarray(whens, dtype=np.int64)
-        fin = np.asarray(finishes, dtype=np.int64)
-        eid = np.asarray(eids, dtype=np.int64)
-        if dl.shape != fin.shape or dl.shape != eid.shape or dl.ndim != 1:
-            raise ValueError("block deadline/finish/eid arrays must be equal 1-D")
-        n = int(dl.size)
-        if not n:
-            return
-        order = np.lexsort((eid, dl))
-        dl = dl[order]
-        fin = fin[order]
-        eid = eid[order]
-        periodic = fin > dl
-        if periodic.all():
-            self._append_block(dl, fin, eid)
-        else:
-            released = ~periodic
-            pdl = dl[periodic]
-            if pdl.size:
-                self._append_block(pdl, fin[periodic], eid[periodic])
-            self._push_irr_block(dl[released], eid[released])
-        self._count += n
-        self.admitted += n
-        if self._count > self.entries_peak:
-            self.entries_peak = self._count
-
-    def _append_block(self, dl: Any, fin: Any, eid: Any) -> None:
-        """Append a (deadline, eid)-sorted periodic block to *next*."""
-        if self._nxt_dl:
-            self._flush_tail()
-        if int(dl[0]) < self._floor:
-            # Out-of-order block (a deferred re-arm slab, or a generic
-            # cohort behind the floor): keep it whole as a side block.
-            self._push_side_block(dl, fin, eid)
-            return
-        self._nxt_blocks.append((dl, fin, eid))
-        self._floor = int(dl[-1])
-
-    def _push_side_block(self, dl: Any, fin: Any, eid: Any) -> None:
-        if not dl.size:
-            return
-        blocks = self._side_blocks
-        blocks.append([dl, fin, eid, 0])
-        if len(blocks) > _LANE_IRR_BLOCKS:
-            alld = np.concatenate([b[0][b[3] :] for b in blocks])
-            allf = np.concatenate([b[1][b[3] :] for b in blocks])
-            alle = np.concatenate([b[2][b[3] :] for b in blocks])
-            order = np.lexsort((alle, alld))
-            self._side_blocks = [[alld[order], allf[order], alle[order], 0]]
-
-    def _flush_tail(self) -> None:
-        self._nxt_blocks.append(
-            (
-                np.asarray(self._nxt_dl, dtype=np.int64),
-                np.asarray(self._nxt_fin, dtype=np.int64),
-                np.asarray(self._nxt_eid, dtype=np.int64),
-            )
-        )
-        self._nxt_dl = []
-        self._nxt_fin = []
-        self._nxt_eid = []
-
-    def _swap(self) -> None:
-        """cur <- concat(next).  Precondition: cur exhausted, next nonempty."""
-        if self._nxt_dl:
-            self._flush_tail()
-        blocks = self._nxt_blocks
-        if len(blocks) == 1:
-            dl, fin, eid = blocks[0]
-        else:
-            dl = np.concatenate([b[0] for b in blocks])
-            fin = np.concatenate([b[1] for b in blocks])
-            eid = np.concatenate([b[2] for b in blocks])
-        blocks.clear()
-        self._cur_dl = dl
-        self._cur_fin = fin
-        self._cur_eid = eid
-        self._ci = 0
-        self.generations += 1
-
-    def _push_irr_block(self, dl: Any, eid: Any) -> None:
-        if not dl.size:
-            return
-        blocks = self._irr_blocks
-        blocks.append([dl, eid, 0])
-        if len(blocks) > _LANE_IRR_BLOCKS:
-            alld = np.concatenate([b[0][b[2] :] for b in blocks])
-            alle = np.concatenate([b[1][b[2] :] for b in blocks])
-            order = np.lexsort((alle, alld))
-            self._irr_blocks = [[alld[order], alle[order], 0]]
-
-    # -- head inspection -----------------------------------------------
-
-    def head_key(self) -> Optional[tuple]:
-        """Minimal pending ``(deadline, eid)`` key, or ``None`` if empty."""
-        have = False
-        best_dl = best_eid = 0
-        cur_dl = self._cur_dl
-        ci = self._ci
-        if ci < cur_dl.shape[0]:
-            best_dl = int(cur_dl[ci])
-            best_eid = int(self._cur_eid[ci])
-            have = True
-        elif self._nxt_blocks or self._nxt_dl:
-            if self._nxt_blocks:
-                block = self._nxt_blocks[0]
-                best_dl = int(block[0][0])
-                best_eid = int(block[2][0])
-            else:
-                best_dl = self._nxt_dl[0]
-                best_eid = self._nxt_eid[0]
-            have = True
-        for dl_a, _fin_a, eid_a, start in self._side_blocks:
-            d = int(dl_a[start])
-            if not have or d < best_dl or (d == best_dl and int(eid_a[start]) < best_eid):
-                best_dl = d
-                best_eid = int(eid_a[start])
-                have = True
-        for dl_a, eid_a, start in self._irr_blocks:
-            d = int(dl_a[start])
-            if not have or d < best_dl or (d == best_dl and int(eid_a[start]) < best_eid):
-                best_dl = d
-                best_eid = int(eid_a[start])
-                have = True
-        heap = self._irr_heap
-        if heap:
-            head = heap[0]
-            if not have or head[0] < best_dl or (head[0] == best_dl and head[1] < best_eid):
-                best_dl = head[0]
-                best_eid = head[1]
-                have = True
-        return (best_dl, best_eid) if have else None
-
-    # -- firing --------------------------------------------------------
-
-    def _pop_due(self, lw: Optional[int], lp: int, le: int) -> Optional[tuple]:
-        """Remove and return the minimal ``(deadline, eid, finish)``
-        triple strictly preceding the ``(lw, lp, le)`` limit key (lane
-        entries compare at ``NORMAL`` priority); ``None`` otherwise."""
-        while True:
-            cur_dl = self._cur_dl
-            ci = self._ci
-            src = 0
-            bsel = -1
-            best_dl = best_eid = 0
-            if ci < cur_dl.shape[0]:
-                best_dl = int(cur_dl[ci])
-                best_eid = int(self._cur_eid[ci])
-                src = 1
-            elif self._nxt_blocks or self._nxt_dl:
-                self._swap()
-                continue
-            blocks = self._irr_blocks
-            for bi in range(len(blocks)):
-                dl_a, eid_a, start = blocks[bi]
-                d = int(dl_a[start])
-                e = int(eid_a[start])
-                if not src or d < best_dl or (d == best_dl and e < best_eid):
-                    best_dl = d
-                    best_eid = e
-                    src = 2
-                    bsel = bi
-            side = self._side_blocks
-            for bi in range(len(side)):
-                block = side[bi]
-                start = block[3]
-                d = int(block[0][start])
-                e = int(block[2][start])
-                if not src or d < best_dl or (d == best_dl and e < best_eid):
-                    best_dl = d
-                    best_eid = e
-                    src = 4
-                    bsel = bi
-            heap = self._irr_heap
-            if heap:
-                head = heap[0]
-                if not src or head[0] < best_dl or (head[0] == best_dl and head[1] < best_eid):
-                    best_dl = head[0]
-                    best_eid = head[1]
-                    src = 3
-            if not src:
-                return None
-            if lw is not None:
-                if best_dl > lw:
-                    return None
-                if best_dl == lw and (lp < NORMAL or (lp == NORMAL and best_eid >= le)):
-                    return None
-            if src == 1:
-                fin = int(self._cur_fin[ci])
-                self._ci = ci + 1
-                return best_dl, best_eid, fin
-            if src == 2:
-                block = blocks[bsel]
-                start = block[2] + 1
-                if start >= block[0].shape[0]:
-                    del blocks[bsel]
-                else:
-                    block[2] = start
-                return best_dl, best_eid, best_dl
-            if src == 4:
-                block = side[bsel]
-                start = block[3]
-                fin = int(block[1][start])
-                start += 1
-                if start >= block[0].shape[0]:
-                    del side[bsel]
-                else:
-                    block[3] = start
-                return best_dl, best_eid, fin
-            dl, eid, fin = heappop(heap)
-            if fin > dl:
-                self._irr_rearms -= 1
-            return dl, eid, fin
-
-    def fire_one(self) -> Optional[int]:
-        """Scalar-fire the earliest entry (exact); returns its deadline.
-
-        Re-arms survivors in place (allocating one entry id, like a
-        per-event re-arm would) and invokes ``on_complete(when)`` for
-        finished leases.  Sets ``env._now`` to the fired deadline; the
-        caller accounts ``events_processed``.
-        """
-        popped = self._pop_due(None, 0, 0)
-        if popped is None:
-            return None
-        dl, _eid, fin = popped
-        env = self.env
-        env._now = dl
-        self.scalar_fires += 1
-        if fin > dl:
-            eid2 = next(env._eid)
-            ndl = dl + self.interval
-            if ndl < fin:
-                self._append_one(ndl, fin, eid2)
-            else:
-                heappush(self._irr_heap, (fin, eid2, fin))
-        else:
-            self._count -= 1
-            self.completions += 1
-            callback = self.on_complete
-            if callback is not None:
-                callback(dl)
-        return dl
-
-    def _append_one(self, when: int, fin: int, eid: int) -> None:
-        if when >= self._floor:
-            self._nxt_dl.append(when)
-            self._nxt_fin.append(fin)
-            self._nxt_eid.append(eid)
-            self._floor = when
-        else:
-            heappush(self._irr_heap, (when, eid, fin))
-            self._irr_rearms += 1
-
-    def _due_end(self, dl_a: Any, eid_a: Any, start: int, lw: Optional[int], lp: int, le: int) -> int:
-        """End index of the due prefix of a sorted (deadline, eid) array."""
-        n = dl_a.shape[0]
-        if lw is None:
-            return n
-        j = start + int(np.searchsorted(dl_a[start:], lw, side="left"))
-        if j < n and int(dl_a[j]) == lw and lp >= NORMAL:
-            j2 = start + int(np.searchsorted(dl_a[start:], lw, side="right"))
-            if lp > NORMAL:
-                j = j2
-            else:
-                j += int(np.searchsorted(eid_a[j:j2], le, side="left"))
-        return j
-
-    def _fire_cur_slab(self, ci: int, j: int) -> int:
-        return self._fire_slab(self._cur_dl, self._cur_fin, ci, j)
-
-    def _fire_slab(self, dl_a: Any, fin_a: Any, ci: int, j: int) -> int:
-        """Fire ``[ci:j]`` of a sorted block in bulk; returns the
-        completion count.
-
-        Held entries (finish > deadline) re-arm via one masked pass:
-        contiguous ids from ``reserve_eids`` in slab order, new
-        deadlines ``min(deadline + interval, finish)``, unclipped
-        survivors appended as the next block and clipped finals filed as
-        a sorted irregular-completion block.  Tiny slabs take a scalar
-        loop -- same ids, same destinations, no mask overhead.
-        """
-        env = self.env
-        interval = self.interval
-        n = j - ci
-        if n < _LANE_SCALAR_SLAB:
-            heap = self._irr_heap
-            comp = 0
-            for k in range(ci, j):
-                dl = int(dl_a[k])
-                fin = int(fin_a[k])
-                if fin > dl:
-                    eid2 = next(env._eid)
-                    ndl = dl + interval
-                    if ndl < fin:
-                        self._append_one(ndl, fin, eid2)
-                    else:
-                        heappush(heap, (fin, eid2, fin))
-                else:
-                    comp += 1
-            self.scalar_fires += n
-            self._count -= comp
-            return comp
-        dl = dl_a[ci:j]
-        fin = fin_a[ci:j]
-        held = fin > dl
-        n_held = int(np.count_nonzero(held))
-        comp = n - n_held
-        if n_held:
-            hdl = dl[held] if comp else dl
-            hfin = fin[held] if comp else fin
-            base = env.reserve_eids(n_held)
-            neid = np.arange(base, base + n_held, dtype=np.int64)
-            ndl = hdl + interval
-            clip = hfin <= ndl
-            if clip.any():
-                keep = ~clip
-                if keep.any():
-                    self._append_block(ndl[keep], hfin[keep], neid[keep])
-                cdl = hfin[clip]
-                ceid = neid[clip]
-                order = np.lexsort((ceid, cdl))
-                self._push_irr_block(cdl[order], ceid[order])
-            else:
-                self._append_block(ndl, hfin, neid)
-            self.rearm_batches += 1
-        if n > self.max_slab:
-            self.max_slab = n
-        self._count -= comp
-        return comp
-
-    def drain(
-        self,
-        limit_when: Optional[int],
-        limit_prio: int,
-        limit_eid: int,
-        exact: Any = None,
-        strict: bool = True,
-    ) -> tuple:
-        """Fire every lane entry preceding the limit key.
-
-        ``limit_when=None`` drains the lane completely.  Returns
-        ``(fired, bulk_completed, last_when)``: *fired* is the event
-        count (for ``events_processed``), *bulk_completed* the
-        completions counted-not-callbacked on the vectorized path (the
-        caller folds them; always 0 on the exact path, where
-        ``on_complete`` ran per event), *last_when* the latest fired
-        deadline (-1 if none).
-
-        ``exact``: ``None`` vectorizes from the start; ``True`` forces
-        the exact scalar merge throughout; a backlog deque runs exact
-        while it is non-empty, then switches to vectorized slabs (the
-        point completions stop being observable).
-
-        ``strict``: when True (default) and out-of-order periodic
-        entries sit on the fallback heap (``_irr_rearms > 0``), the
-        whole call is forced scalar so every re-arm draws its eid at
-        exactly the per-event sequence point.  A caller for whom eid
-        draws are unobservable between its own synchronization points
-        (the fused scale kernel: all draws inside one drain are
-        lane-internal and never cross a chunk admission) passes
-        ``strict=False`` to keep the vectorized path, whose heap pops
-        re-arm scalar but out of slab order.
-        """
-        fired = 0
-        bulk_completed = 0
-        last_when = -1
-        if strict and (self._irr_rearms or self._side_blocks):
-            # Out-of-order periodic entries exist (heap or side blocks);
-            # only the scalar path preserves their eid-allocation order.
-            exact = True
-        if exact is not None:
-            interval = self.interval
-            env = self.env
-            while exact is True or exact:
-                popped = self._pop_due(limit_when, limit_prio, limit_eid)
-                if popped is None:
-                    if fired:
-                        self.slabs += 1
-                        self.scalar_fires += fired
-                    return fired, 0, last_when
-                dl, _eid, fin = popped
-                fired += 1
-                last_when = dl
-                env._now = dl
-                if fin > dl:
-                    eid2 = next(env._eid)
-                    ndl = dl + interval
-                    if ndl < fin:
-                        self._append_one(ndl, fin, eid2)
-                    else:
-                        heappush(self._irr_heap, (fin, eid2, fin))
-                else:
-                    self._count -= 1
-                    self.completions += 1
-                    callback = self.on_complete
-                    if callback is not None:
-                        callback(dl)
-            self.scalar_fires += fired
-        # -- vectorized phase ------------------------------------------
-        heap = self._irr_heap
-        lw, lp, le = limit_when, limit_prio, limit_eid
-        while True:
-            progress = False
-            blocks = self._irr_blocks
-            bi = 0
-            while bi < len(blocks):
-                block = blocks[bi]
-                dl_a, eid_a, start = block
-                k = self._due_end(dl_a, eid_a, start, lw, lp, le)
-                if k > start:
-                    cnt = k - start
-                    fired += cnt
-                    bulk_completed += cnt
-                    self._count -= cnt
-                    w = int(dl_a[k - 1])
-                    if w > last_when:
-                        last_when = w
-                    progress = True
-                    if k >= dl_a.shape[0]:
-                        del blocks[bi]
-                        continue
-                    block[2] = k
-                bi += 1
-            side = self._side_blocks
-            if side:
-                # Detach while firing: re-arm fallbacks push fresh side
-                # blocks onto self._side_blocks, which must not perturb
-                # this iteration (or be consolidated away mid-pass).
-                self._side_blocks = []
-                remaining = []
-                for block in side:
-                    dl_a, fin_a, eid_a, start = block
-                    k = self._due_end(dl_a, eid_a, start, lw, lp, le)
-                    if k > start:
-                        comp = self._fire_slab(dl_a, fin_a, start, k)
-                        bulk_completed += comp
-                        fired += k - start
-                        w = int(dl_a[k - 1])
-                        if w > last_when:
-                            last_when = w
-                        progress = True
-                        if k < dl_a.shape[0]:
-                            block[3] = k
-                            remaining.append(block)
-                    else:
-                        remaining.append(block)
-                if self._side_blocks:
-                    remaining.extend(self._side_blocks)
-                self._side_blocks = remaining
-            while heap:
-                head = heap[0]
-                dl = head[0]
-                if lw is not None and (
-                    dl > lw or (dl == lw and (lp < NORMAL or (lp == NORMAL and head[1] >= le)))
-                ):
-                    break
-                heappop(heap)
-                fired += 1
-                if dl > last_when:
-                    last_when = dl
-                progress = True
-                fin = head[2]
-                if fin > dl:
-                    # Out-of-order periodic entry (generic callers only;
-                    # a bulk slab can push these via the floor fallback):
-                    # re-arm scalar so no fire is lost.  Times and counts
-                    # stay exact; callers needing eid bit-identity must
-                    # keep deadlines in fire order so this never runs.
-                    self._irr_rearms -= 1
-                    eid2 = next(self.env._eid)
-                    ndl = dl + self.interval
-                    if ndl < fin:
-                        self._append_one(ndl, fin, eid2)
-                    else:
-                        heappush(heap, (fin, eid2, fin))
-                    self.scalar_fires += 1
-                else:
-                    bulk_completed += 1
-                    self._count -= 1
-            cur_dl = self._cur_dl
-            ci = self._ci
-            if ci >= cur_dl.shape[0]:
-                if self._nxt_blocks or self._nxt_dl:
-                    # Swap lazily: only when the incoming head is due.
-                    if self._nxt_blocks:
-                        head_dl = int(self._nxt_blocks[0][0][0])
-                    else:
-                        head_dl = self._nxt_dl[0]
-                    if lw is None or head_dl < lw or (head_dl == lw and lp >= NORMAL):
-                        self._swap()
-                        progress = True
-                        continue
-            else:
-                j = self._due_end(cur_dl, self._cur_eid, ci, lw, lp, le)
-                if j > ci:
-                    comp = self._fire_cur_slab(ci, j)
-                    bulk_completed += comp
-                    w = int(cur_dl[j - 1])
-                    if w > last_when:
-                        last_when = w
-                    fired += j - ci
-                    self._ci = j
-                    progress = True
-            if not progress:
-                break
-        if fired:
-            self.slabs += 1
-        self.completions += bulk_completed
-        return fired, bulk_completed, last_when
-
-    # -- introspection -------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._count
-
-    def stats(self) -> dict[str, int]:
-        """Gauges for occupancy sampling and the bench lane guards."""
-        return {
-            "lane_entries": self._count,
-            "lane_entries_peak": self.entries_peak,
-            "lane_slabs": self.slabs,
-            "lane_max_slab": self.max_slab,
-            "lane_rearm_batches": self.rearm_batches,
-            "lane_scalar_fires": self.scalar_fires,
-            "lane_generations": self.generations,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"<LeaseLane interval={self.interval}ns pending={self._count} "
-            f"peak={self.entries_peak}>"
-        )
-
-
 class ColdLane:
-    """Struct-of-arrays calendar for sandbox spin-ups and idle reclaims.
+    """Struct-of-arrays calendar for sandbox spin-ups.
 
-    See the module docstring ("Cold lane").  Two append-only sorted
-    calendars -- spin-ups become ready at ``arrival + spawn`` for a
-    constant spawn cost (arrivals are monotone, so ready times are) and
-    reclaims expire at ``ready + keepalive`` (fires are monotone) --
-    plus a tiny heap for out-of-order admissions from generic callers.
-    The lane stores *times and payloads only*; the owner supplies the
-    effect hooks and keeps the entry-id discipline:
+    See the module docstring ("Cold lane").  A spin-up becomes ready at
+    ``arrival + spawn`` for a constant spawn cost, and arrivals are
+    monotone, so ready times are admitted in fire order and the
+    calendar is append-only sorted; a tiny heap takes out-of-order
+    admissions from generic callers.  The lane stores *times and
+    payloads only*; the owner supplies the effect hooks and keeps the
+    entry-id discipline:
 
     ``on_ready(when, arrival, service)``
         one spin-up reached ready (scalar path; the hook admits the
-        executing invocation's lease and, optionally, a reclaim expiry,
-        allocating ids at per-event sequence points).
+        executing invocation's lease, allocating its id at the
+        per-event sequence point).
     ``on_ready_slab(when_a, arrival_a, service_a)``
-        a contiguous due run of spin-ups (the hook reserves one
-        interleaved eid block and files leases/reclaims in bulk).
-    ``on_reclaim(count)``
-        *count* consecutive reclaim expiries with no other event
-        between them fired; the hook folds them (reclaim outcomes
-        depend only on pool gauges, so a run is order-free).
-
-    Because fires admit new entries, :meth:`drain` is capped at one
-    *admission window* per call (``first fire + admit_gap``); callers
-    re-read every pending-event head between calls, which is what keeps
-    the merge bit-identical to per-event execution.
+        a contiguous run of spin-ups fired as one vectorized slab.
     """
 
     __slots__ = (
         "env",
-        "admit_gap",
         "on_ready",
         "on_ready_slab",
-        "on_reclaim",
-        # spin-up calendar: sorted (ready, eid) + arrival/service payloads
+        # sorted (ready, eid) + arrival/service payloads, current and
+        # next generation
         "_s_when",
         "_s_arr",
         "_s_srv",
@@ -970,15 +205,7 @@ class ColdLane:
         "_sn_srv",
         "_sn_eid",
         "_s_floor",
-        # reclaim calendar: sorted (when, eid), block + tail next-gen
-        "_r_when",
-        "_r_eid",
-        "_ri",
-        "_rn_blocks",
-        "_rn_when",
-        "_rn_eid",
-        "_r_floor",
-        # out-of-order admissions: (when, eid, kind, arrival, service)
+        # out-of-order admissions: (when, eid, arrival, service)
         "_irr_heap",
         "_count",
         # gauges
@@ -989,29 +216,12 @@ class ColdLane:
         "generations",
         "admitted",
         "spinup_fires",
-        "reclaim_fires",
     )
 
-    def __init__(
-        self,
-        env: Environment,
-        admit_gap: int,
-        on_ready: Any = None,
-        on_ready_slab: Any = None,
-        on_reclaim: Any = None,
-    ) -> None:
-        admit_gap = int(admit_gap)
-        if admit_gap < 1:
-            raise ValueError(f"cold lane admit_gap must be >= 1 ns, got {admit_gap}")
+    def __init__(self, env: Environment, on_ready: Any = None, on_ready_slab: Any = None) -> None:
         self.env = env
-        #: Lower bound on how far past a fire its admissions can land
-        #: (min over keepalive, shortest service, lease interval).  A
-        #: drain call never fires past ``first fire + admit_gap``, so
-        #: entries admitted mid-drain are never due inside the call.
-        self.admit_gap = admit_gap
         self.on_ready = on_ready
         self.on_ready_slab = on_ready_slab
-        self.on_reclaim = on_reclaim
         self._s_when = _EMPTY_I64
         self._s_arr = _EMPTY_I64
         self._s_srv = _EMPTY_I64
@@ -1022,29 +232,20 @@ class ColdLane:
         self._sn_srv: list[int] = []
         self._sn_eid: list[int] = []
         self._s_floor = 0
-        self._r_when = _EMPTY_I64
-        self._r_eid = _EMPTY_I64
-        self._ri = 0
-        self._rn_blocks: list[tuple] = []
-        self._rn_when: list[int] = []
-        self._rn_eid: list[int] = []
-        self._r_floor = 0
         self._irr_heap: list[tuple] = []
         self._count = 0
         self.entries_peak = 0
-        #: Drain calls that fired at least one entry.
+        #: drain_spinups_all calls that fired at least one entry.
         self.slabs = 0
         #: Largest single vectorized run.
         self.max_slab = 0
         #: Entries fired one-by-one (tiny runs, heap pops, fire_one).
         self.scalar_fires = 0
-        #: cur <- nxt swaps (either calendar).
+        #: cur <- nxt swaps.
         self.generations = 0
         self.admitted = 0
         #: Spin-ups fired (cold starts that reached ready).
         self.spinup_fires = 0
-        #: Reclaim expiries fired (successful or not; the hook decides).
-        self.reclaim_fires = 0
 
     # -- admission -----------------------------------------------------
 
@@ -1065,61 +266,13 @@ class ColdLane:
             self._sn_eid.append(eid)
             self._s_floor = ready
         else:
-            heappush(self._irr_heap, (ready, eid, 0, int(arrival), int(service)))
+            heappush(self._irr_heap, (ready, eid, int(arrival), int(service)))
         count = self._count + 1
         self._count = count
         self.admitted += 1
         if count > self.entries_peak:
             self.entries_peak = count
         return eid
-
-    def admit_reclaim(self, when: int) -> int:
-        """Admit one idle-reclaim expiry; returns its eid."""
-        eid = next(self.env._eid)
-        when = int(when)
-        if when >= self._r_floor:
-            self._rn_when.append(when)
-            self._rn_eid.append(eid)
-            self._r_floor = when
-        else:
-            heappush(self._irr_heap, (when, eid, 1, 0, 0))
-        count = self._count + 1
-        self._count = count
-        self.admitted += 1
-        if count > self.entries_peak:
-            self.entries_peak = count
-        return eid
-
-    def admit_reclaim_block(self, whens: Any, eids: Any) -> None:
-        """Bulk reclaim admission with caller-allocated (interleaved) ids.
-
-        *whens* must be non-decreasing (reclaims are admitted in fire
-        order).  A block behind the floor -- impossible for the scale
-        kernel, possible for generic callers -- falls back to scalar
-        heap pushes, which keeps exactness at scalar cost.
-        """
-        when = np.asarray(whens, dtype=np.int64)
-        eid = np.asarray(eids, dtype=np.int64)
-        if when.shape != eid.shape or when.ndim != 1:
-            raise ValueError("reclaim when/eid arrays must be equal 1-D")
-        n = int(when.size)
-        if not n:
-            return
-        if n > 1 and bool((when[1:] < when[:-1]).any()):
-            raise ValueError("reclaim block must be non-decreasing")
-        if int(when[0]) < self._r_floor:
-            heap = self._irr_heap
-            for k in range(n):
-                heappush(heap, (int(when[k]), int(eid[k]), 1, 0, 0))
-        else:
-            if self._rn_when:
-                self._flush_reclaim_tail()
-            self._rn_blocks.append((when, eid))
-            self._r_floor = int(when[-1])
-        self._count += n
-        self.admitted += n
-        if self._count > self.entries_peak:
-            self.entries_peak = self._count
 
     # -- generation plumbing -------------------------------------------
 
@@ -1135,33 +288,8 @@ class ColdLane:
         self._si = 0
         self.generations += 1
 
-    def _flush_reclaim_tail(self) -> None:
-        self._rn_blocks.append(
-            (
-                np.asarray(self._rn_when, dtype=np.int64),
-                np.asarray(self._rn_eid, dtype=np.int64),
-            )
-        )
-        self._rn_when = []
-        self._rn_eid = []
-
-    def _swap_reclaim(self) -> None:
-        if self._rn_when:
-            self._flush_reclaim_tail()
-        blocks = self._rn_blocks
-        if len(blocks) == 1:
-            when, eid = blocks[0]
-        else:
-            when = np.concatenate([b[0] for b in blocks])
-            eid = np.concatenate([b[1] for b in blocks])
-        blocks.clear()
-        self._r_when = when
-        self._r_eid = eid
-        self._ri = 0
-        self.generations += 1
-
     def _spin_head(self) -> Optional[tuple]:
-        """(ready, eid) of the next spin-up, swapping generations lazily."""
+        """(ready, eid) of the next calendar spin-up, swapping lazily."""
         if self._si >= self._s_when.shape[0]:
             if not self._sn_when:
                 return None
@@ -1169,241 +297,54 @@ class ColdLane:
         i = self._si
         return (int(self._s_when[i]), int(self._s_eid[i]))
 
-    def _reclaim_head(self) -> Optional[tuple]:
-        if self._ri >= self._r_when.shape[0]:
-            if not (self._rn_blocks or self._rn_when):
-                return None
-            self._swap_reclaim()
-        i = self._ri
-        return (int(self._r_when[i]), int(self._r_eid[i]))
-
     def head_key(self) -> Optional[tuple]:
         """Minimal pending ``(when, eid)`` key, or ``None`` if empty.
 
         Non-mutating (next-generation heads are peeked, not swapped),
         so owners can poll it on hot paths.
         """
-        have = False
-        bw = be = 0
+        head: Optional[tuple] = None
         if self._si < self._s_when.shape[0]:
-            bw = int(self._s_when[self._si])
-            be = int(self._s_eid[self._si])
-            have = True
+            head = (int(self._s_when[self._si]), int(self._s_eid[self._si]))
         elif self._sn_when:
-            bw = self._sn_when[0]
-            be = self._sn_eid[0]
-            have = True
-        if self._ri < self._r_when.shape[0]:
-            w = int(self._r_when[self._ri])
-            e = int(self._r_eid[self._ri])
-            if not have or w < bw or (w == bw and e < be):
-                bw, be = w, e
-                have = True
-        elif self._rn_blocks:
-            block = self._rn_blocks[0]
-            w = int(block[0][0])
-            e = int(block[1][0])
-            if not have or w < bw or (w == bw and e < be):
-                bw, be = w, e
-                have = True
-        elif self._rn_when:
-            w = self._rn_when[0]
-            e = self._rn_eid[0]
-            if not have or w < bw or (w == bw and e < be):
-                bw, be = w, e
-                have = True
+            head = (self._sn_when[0], self._sn_eid[0])
         heap = self._irr_heap
-        if heap:
-            head = heap[0]
-            if not have or head[0] < bw or (head[0] == bw and head[1] < be):
-                bw, be = head[0], head[1]
-                have = True
-        return (bw, be) if have else None
+        if heap and (head is None or heap[0][:2] < head):
+            head = heap[0][:2]
+        return head
 
     # -- firing --------------------------------------------------------
 
     def fire_one(self) -> Optional[int]:
         """Scalar-fire the earliest entry (exact); returns its time."""
-        s_head = self._spin_head()
-        r_head = self._reclaim_head()
+        head = self._spin_head()
         heap = self._irr_heap
-        best = s_head
-        src = 1
-        if r_head is not None and (best is None or r_head < best):
-            best = r_head
-            src = 2
-        if heap and (best is None or (heap[0][0], heap[0][1]) < best):
-            best = (heap[0][0], heap[0][1])
-            src = 3
-        if best is None:
+        if heap and (head is None or heap[0][:2] < head):
+            w, _eid, arrival, service = heappop(heap)
+        elif head is None:
             return None
-        env = self.env
-        self.scalar_fires += 1
-        self._count -= 1
-        if src == 3:
-            w, _e, kind, arrival, service = heappop(heap)
-            env._now = w
-            if kind == 0:
-                self.spinup_fires += 1
-                self.on_ready(w, arrival, service)
-            else:
-                self.reclaim_fires += 1
-                self.on_reclaim(1)
-            return w
-        if src == 1:
+        else:
             i = self._si
             w = int(self._s_when[i])
+            arrival = int(self._s_arr[i])
+            service = int(self._s_srv[i])
             self._si = i + 1
-            env._now = w
-            self.spinup_fires += 1
-            self.on_ready(w, int(self._s_arr[i]), int(self._s_srv[i]))
-            return w
-        i = self._ri
-        w = int(self._r_when[i])
-        self._ri = i + 1
-        env._now = w
-        self.reclaim_fires += 1
-        self.on_reclaim(1)
+        self.env._now = w
+        self.scalar_fires += 1
+        self.spinup_fires += 1
+        self._count -= 1
+        self.on_ready(w, arrival, service)
         return w
-
-    def _run_end(self, when_a: Any, eid_a: Any, start: int, vw: int, ve: int) -> int:
-        """End of the due prefix strictly preceding the (vw, ve) key."""
-        n = when_a.shape[0]
-        j = start + int(np.searchsorted(when_a[start:], vw, side="left"))
-        if j < n and int(when_a[j]) == vw and ve > 0:
-            j2 = start + int(np.searchsorted(when_a[start:], vw, side="right"))
-            j += int(np.searchsorted(eid_a[j:j2], ve, side="left"))
-        return j
-
-    def drain(self, limit_when: Optional[int], limit_prio: int, limit_eid: int) -> tuple:
-        """Fire entries preceding the limit key, one admission window
-        per call.  Returns ``(fired, last_when)``.
-
-        ``limit_when=None`` means "no external bound" -- the call still
-        stops at the admission window, so callers loop until *fired*
-        comes back 0 (re-reading all lane heads between calls, which is
-        where entries admitted by this call's fires get merged).
-        """
-        # Normalize the (when, priority, eid) limit into a strict
-        # (when, eid) bound at the lane's NORMAL priority.
-        if limit_when is None:
-            lw: Optional[int] = None
-            le = 0
-        elif limit_prio > NORMAL:
-            lw, le = limit_when, _EID_UNBOUNDED
-        elif limit_prio == NORMAL:
-            lw, le = limit_when, limit_eid
-        else:
-            lw, le = limit_when, 0
-        fired = 0
-        last_when = -1
-        cap = -1
-        env = self.env
-        scalar = _LANE_SCALAR_SLAB
-        while True:
-            s_head = self._spin_head()
-            r_head = self._reclaim_head()
-            heap = self._irr_heap
-            best = s_head
-            src = 1
-            if r_head is not None and (best is None or r_head < best):
-                best = r_head
-                src = 2
-            if heap and (best is None or (heap[0][0], heap[0][1]) < best):
-                best = (heap[0][0], heap[0][1])
-                src = 3
-            if best is None:
-                break
-            bw, be = best
-            if lw is not None and (bw > lw or (bw == lw and be >= le)):
-                break
-            if cap < 0:
-                cap = bw + self.admit_gap
-            elif bw >= cap:
-                break
-            if src == 3:
-                w, _e, kind, arrival, service = heappop(heap)
-                self._count -= 1
-                fired += 1
-                self.scalar_fires += 1
-                env._now = w
-                if w > last_when:
-                    last_when = w
-                if kind == 0:
-                    self.spinup_fires += 1
-                    self.on_ready(w, arrival, service)
-                else:
-                    self.reclaim_fires += 1
-                    self.on_reclaim(1)
-                continue
-            # Vector bound for a contiguous run: min over the external
-            # limit, the admission-window cap, the other calendar's head
-            # and the fallback heap's head.
-            vw, ve = (lw, le) if lw is not None else (cap, 0)
-            if lw is not None and cap < vw:
-                vw, ve = cap, 0
-            other = r_head if src == 1 else s_head
-            if other is not None and other < (vw, ve):
-                vw, ve = other
-            if heap and (heap[0][0], heap[0][1]) < (vw, ve):
-                vw, ve = heap[0][0], heap[0][1]
-            if src == 1:
-                when_a = self._s_when
-                start = self._si
-                j = self._run_end(when_a, self._s_eid, start, vw, ve)
-                n = j - start
-                w = int(when_a[j - 1])
-                env._now = w
-                if n < scalar:
-                    on_ready = self.on_ready
-                    arr_a = self._s_arr
-                    srv_a = self._s_srv
-                    for k in range(start, j):
-                        wk = int(when_a[k])
-                        env._now = wk
-                        on_ready(wk, int(arr_a[k]), int(srv_a[k]))
-                    self.scalar_fires += n
-                else:
-                    self.on_ready_slab(
-                        when_a[start:j], self._s_arr[start:j], self._s_srv[start:j]
-                    )
-                    if n > self.max_slab:
-                        self.max_slab = n
-                self._si = j
-                self.spinup_fires += n
-            else:
-                when_a = self._r_when
-                start = self._ri
-                j = self._run_end(when_a, self._r_eid, start, vw, ve)
-                n = j - start
-                w = int(when_a[j - 1])
-                env._now = w
-                self._ri = j
-                # A reclaim run with nothing between its members folds
-                # into one hook call whatever its size (outcomes depend
-                # only on pool gauges, not on per-entry state).
-                self.on_reclaim(n)
-                self.reclaim_fires += n
-                if n > self.max_slab:
-                    self.max_slab = n
-            self._count -= n
-            fired += n
-            if w > last_when:
-                last_when = w
-        if fired:
-            self.slabs += 1
-        return fired, last_when
 
     def drain_spinups_all(self) -> int:
         """Fire every pending spin-up, in admission order, as maximal
         slabs; returns how many fired.
 
-        Only valid while the reclaim calendar and the fallback heap
-        are empty (idle-reclaim disabled).  A spin-up's effects are
-        computed from its own stored times -- the sojourn is
-        ``spawn + service``, its lease lands at ``ready + min(service,
-        interval)`` -- and with no reclaims pending nothing ever reads
-        the gauges it bumps before those admissions come due, so
+        Only valid while the fallback heap is empty.  A spin-up's
+        effects are computed from its own stored times -- the sojourn
+        is ``spawn + service``, its lease lands at ``ready +
+        min(service, interval)`` -- and with idle-reclaim off nothing
+        reads the gauges it bumps before those admissions come due, so
         firing the whole backlog early (without touching the clock) is
         observationally identical to firing each entry at its exact
         ``ready``.  This is the cold kernel's keepalive-0 fast path:
@@ -1412,15 +353,10 @@ class ColdLane:
         set goes through ``on_ready_slab`` as one vectorized run
         instead of one scalar fire per interleaved arrival.
         """
-        if (
-            self._ri < self._r_when.shape[0]
-            or self._rn_blocks
-            or self._rn_when
-            or self._irr_heap
-        ):
+        if self._irr_heap:
             raise RuntimeError(
-                "drain_spinups_all needs an empty reclaim calendar and "
-                "fallback heap (keepalive-0 mode only)"
+                "drain_spinups_all needs an empty fallback heap "
+                "(out-of-order spin-ups must fire in key order)"
             )
         fired = 0
         scalar = _LANE_SCALAR_SLAB
@@ -1461,7 +397,7 @@ class ColdLane:
         return self._count
 
     def stats(self) -> dict[str, int]:
-        """Gauges for occupancy sampling and the bench cold guards."""
+        """Gauges for occupancy sampling and the bench cold record."""
         return {
             "cold_entries": self._count,
             "cold_entries_peak": self.entries_peak,
@@ -1469,15 +405,11 @@ class ColdLane:
             "cold_max_slab": self.max_slab,
             "cold_scalar_fires": self.scalar_fires,
             "cold_spinups": self.spinup_fires,
-            "cold_reclaim_fires": self.reclaim_fires,
             "cold_generations": self.generations,
         }
 
     def __repr__(self) -> str:
-        return (
-            f"<ColdLane gap={self.admit_gap}ns pending={self._count} "
-            f"peak={self.entries_peak}>"
-        )
+        return f"<ColdLane pending={self._count} peak={self.entries_peak}>"
 
 
 class WheelEnvironment(Environment):
@@ -1516,7 +448,6 @@ class WheelEnvironment(Environment):
         "reanchors",
         "_sample_tick",
         "occupancy_samples",
-        "_lane",
         "_cold",
     )
 
@@ -1569,54 +500,24 @@ class WheelEnvironment(Environment):
         self.cascades = 0
         #: Entries that bypassed the wheel into the overflow heap.
         self.overflow_inserts = 0
-        #: Optional :class:`LeaseLane` side calendar (see attach_lease_lane).
-        self._lane: Optional[LeaseLane] = None
         #: Optional :class:`ColdLane` side calendar (see attach_cold_lane).
         self._cold: Optional[ColdLane] = None
 
-    # -- lease lane ----------------------------------------------------
+    # -- cold lane -----------------------------------------------------
 
-    @property
-    def lease_lane(self) -> Optional[LeaseLane]:
-        return self._lane
+    def attach_cold_lane(self, on_ready: Any = None, on_ready_slab: Any = None) -> ColdLane:
+        """Attach a :class:`ColdLane` spin-up calendar.
 
-    def attach_lease_lane(self, interval: int, on_complete: Any = None) -> LeaseLane:
-        """Attach a :class:`LeaseLane` for periodic timers of *interval* ns.
-
-        At most one lane per environment.  Once attached, :meth:`step`,
-        :meth:`run`, :meth:`peek`, :meth:`pending_events` and
-        :meth:`occupancy` all merge the lane against the wheel under
-        the global ``(when, priority, eid)`` contract (lane entries at
-        ``NORMAL`` priority); the fused scale kernel bypasses the
+        At most one cold lane per environment.  Once attached,
+        :meth:`step`, :meth:`run`, :meth:`peek`, :meth:`pending_events`
+        and :meth:`occupancy` merge it against the wheel under the
+        global ``(when, priority, eid)`` contract (lane entries at
+        ``NORMAL`` priority); the fused cold kernel bypasses the
         generic loop but honors the same contract.
-        """
-        if self._lane is not None:
-            raise RuntimeError("lease lane already attached")
-        lane = LeaseLane(self, interval, on_complete)
-        self._lane = lane
-        return lane
-
-    @property
-    def cold_lane(self) -> Optional["ColdLane"]:
-        return self._cold
-
-    def attach_cold_lane(
-        self,
-        admit_gap: int,
-        on_ready: Any = None,
-        on_ready_slab: Any = None,
-        on_reclaim: Any = None,
-    ) -> "ColdLane":
-        """Attach a :class:`ColdLane` for spin-up/reclaim calendars.
-
-        At most one cold lane per environment; it composes with a lease
-        lane (the generic loop and the fused cold kernel both merge the
-        two lanes against the wheel under the global ``(when, priority,
-        eid)`` contract, every lane entry at ``NORMAL`` priority).
         """
         if self._cold is not None:
             raise RuntimeError("cold lane already attached")
-        lane = ColdLane(self, admit_gap, on_ready, on_ready_slab, on_reclaim)
+        lane = ColdLane(self, on_ready, on_ready_slab)
         self._cold = lane
         return lane
 
@@ -1898,7 +799,7 @@ class WheelEnvironment(Environment):
         re-anchor state exactly as :meth:`_pop` would -- all of which is
         order-neutral -- so a subsequent :meth:`_pop` returns the same
         entry in O(1).  Used by the lane-aware event loop to decide
-        whether the lease lane fires first.
+        whether the cold lane fires first.
         """
         while True:
             active = self._active
@@ -2060,11 +961,6 @@ class WheelEnvironment(Environment):
                 for entry in bucket:
                     if best is None or entry < best:
                         best = entry
-        lane = self._lane
-        if lane is not None:
-            head = lane.head_key()
-            if head is not None and (best is None or head[0] < best[0]):
-                best = (head[0],)
         cold = self._cold
         if cold is not None:
             head = cold.head_key()
@@ -2074,7 +970,6 @@ class WheelEnvironment(Environment):
 
     def pending_events(self) -> int:
         """Total events currently scheduled (all structures)."""
-        lane = self._lane
         cold = self._cold
         return (
             len(self._active)
@@ -2083,7 +978,6 @@ class WheelEnvironment(Environment):
             + self._l0_count
             + self._l1_count
             + len(self._queue)
-            + (len(lane) if lane is not None else 0)
             + (len(cold) if cold is not None else 0)
         )
 
@@ -2108,25 +1002,12 @@ class WheelEnvironment(Environment):
             "reanchors": self.reanchors,
             "granularity_bits": self._gbits,
         }
-        lane = self._lane
-        if lane is not None:
-            occ.update(lane.stats())
-        else:
-            # Zero gauges keep the key set stable so bench entries and
-            # shard merges carry lane columns whether or not a lane ran.
-            occ.update(
-                lane_entries=0,
-                lane_entries_peak=0,
-                lane_slabs=0,
-                lane_max_slab=0,
-                lane_rearm_batches=0,
-                lane_scalar_fires=0,
-                lane_generations=0,
-            )
         cold = self._cold
         if cold is not None:
             occ.update(cold.stats())
         else:
+            # Zero gauges keep the key set stable so bench entries and
+            # shard merges carry cold columns whether or not a lane ran.
             occ.update(
                 cold_entries=0,
                 cold_entries_peak=0,
@@ -2134,7 +1015,6 @@ class WheelEnvironment(Environment):
                 cold_max_slab=0,
                 cold_scalar_fires=0,
                 cold_spinups=0,
-                cold_reclaim_fires=0,
                 cold_generations=0,
             )
         return occ
@@ -2168,13 +1048,6 @@ class WheelEnvironment(Environment):
             counters.wheel_overflow_inserts = max(
                 counters.wheel_overflow_inserts, self.overflow_inserts
             )
-            if self._lane is not None:
-                if occupancy["lane_entries"] > counters.lane_entries:
-                    counters.lane_entries = occupancy["lane_entries"]
-                counters.lane_slabs = max(counters.lane_slabs, occupancy["lane_slabs"])
-                counters.lane_rearm_batches = max(
-                    counters.lane_rearm_batches, occupancy["lane_rearm_batches"]
-                )
             if self._cold is not None:
                 if occupancy["cold_entries"] > counters.cold_lane_entries:
                     counters.cold_lane_entries = occupancy["cold_entries"]
@@ -2188,24 +1061,17 @@ class WheelEnvironment(Environment):
     def step(self) -> None:
         """Process exactly one event (same semantics as the base class).
 
-        With a lease lane and/or cold lane attached, the lane heads are
-        merged against the wheel head under the global ``(when,
-        priority, eid)`` order and the earliest fires first.
+        With a cold lane attached, its head is merged against the wheel
+        head under the global ``(when, priority, eid)`` order and the
+        earlier fires first.
         """
-        lane = self._lane
         cold = self._cold
-        if lane is not None or cold is not None:
-            head = lane.head_key() if lane is not None else None
-            fire = lane
-            if cold is not None:
-                chead = cold.head_key()
-                if chead is not None and (head is None or chead < head):
-                    head = chead
-                    fire = cold
+        if cold is not None:
+            head = cold.head_key()
             if head is not None:
                 key = self._peek_key()
                 if key is None or (head[0], NORMAL, head[1]) < key:
-                    fire.fire_one()
+                    cold.fire_one()
                     self.events_processed += 1
                     return
         try:
@@ -2243,11 +1109,11 @@ class WheelEnvironment(Environment):
             self._timeout_pool_appends += 1
 
     def _run_with_lane(self, until: Union[None, int, Event]) -> Any:
-        """Generic event loop merging the lease lane with the wheel.
+        """Generic event loop merging the cold lane with the wheel.
 
         Correctness path for arbitrary callbacks: one :meth:`step` per
         event, lane entries fired scalar-exact.  The vectorized slab
-        path lives in the fused scale kernel, which owns its callbacks
+        path lives in the fused cold kernel, which owns its callbacks
         and can prove the commutativity the bulk drain requires.
         """
         if until is not None:
@@ -2280,7 +1146,7 @@ class WheelEnvironment(Environment):
 
     def run(self, until: Union[None, int, Event] = None) -> Any:
         """Run the simulation (same contract as the base class)."""
-        if self._lane is not None or self._cold is not None:
+        if self._cold is not None:
             return self._run_with_lane(until)
         if until is not None:
             if isinstance(until, Event):

@@ -1,11 +1,12 @@
 """Cold-start engine bit-identity and plumbing at the experiment layer.
 
 The acceptance contract: under ``pool_policy`` in {cold, hybrid} the
-cold-lane wheel engine, the lane-off batch kernel and the per-event
-heap referee must produce bit-identical fingerprints -- across arrival
-shapes, keepalive on and off (strict vs commuting kernels), dense-gap
-saturation, and K-shard decompositions.  Plus the knob validation
-boundary, the coldstart harness, and the bench guard's cold checks.
+default wheel engine -- the ColdLane kernel at keepalive 0, the batch
+kernel with idle-reclaim on -- and the per-event heap referee must
+produce bit-identical fingerprints across arrival shapes, keepalive
+on and off, wheel geometries, dense-gap saturation, and K-shard
+decompositions.  Plus the knob validation boundary, the coldstart
+harness, and the bench guard's cold checks.
 """
 
 import json
@@ -33,19 +34,17 @@ def _fp(**kwargs):
     return run_scale(**kwargs).fingerprint()
 
 
-def _three_way(**kwargs):
+def _two_way(**kwargs):
     heap = _fp(scheduler="heap", admission="per-event", **kwargs)
-    off = _fp(scheduler="wheel", admission="batch", lease_lane="off", **kwargs)
-    on = _fp(scheduler="wheel", admission="batch", lease_lane="on", **kwargs)
-    assert heap == off
-    assert off == on
+    wheel = _fp(scheduler="wheel", admission="batch", **kwargs)
+    assert heap == wheel
     return heap
 
 
 @pytest.mark.parametrize("shape", ["poisson", "bursty", "diurnal"])
 @pytest.mark.parametrize("policy", ["cold", "hybrid"])
 def test_cold_identity_across_shapes_and_policies(shape, policy):
-    fp = _three_way(**{**COLD, "pool_policy": policy, "arrival_shape": shape})
+    fp = _two_way(**{**COLD, "pool_policy": policy, "arrival_shape": shape})
     assert fp["cold_starts"] > 0
 
 
@@ -53,7 +52,7 @@ def test_cold_identity_dense_gap_saturated():
     # Arrivals every ~40 ns against a 1 ms spawn: thousands of pending
     # spin-ups per slab, chunk admissions landing mid-backlog -- the
     # config that catches eid-tie divergence.
-    fp = _three_way(
+    fp = _two_way(
         invocations=20_000, workers=256, mean_arrival_gap_ns=40,
         pool_policy="cold", start_model="remote-fork", keepalive_ns=0,
     )
@@ -62,9 +61,10 @@ def test_cold_identity_dense_gap_saturated():
 
 @pytest.mark.parametrize("policy", ["cold", "hybrid"])
 def test_cold_identity_with_keepalive_strict_kernel(policy):
-    # keepalive > 0 routes to the strict-interleave kernel; a breathing
-    # pool exercises both reclaim outcomes (success and retain).
-    fp = _three_way(
+    # keepalive > 0 runs on the batch kernel (idle reclaims read and
+    # write the pool gauges, so no spin-up slab can commute); a
+    # breathing pool exercises both reclaim outcomes.
+    fp = _two_way(
         invocations=8_000, workers=512, mean_arrival_gap_ns=us(2),
         arrival_shape="bursty", pool_policy=policy, hybrid_threshold=16,
         start_model="remote-fork", keepalive_ns=ms(1),
@@ -73,10 +73,39 @@ def test_cold_identity_with_keepalive_strict_kernel(policy):
     assert fp["cold_reclaimed"] + fp["cold_retained"] > 0
 
 
+@pytest.mark.parametrize("policy", ["cold", "hybrid"])
+def test_keepalive_reclaims_match_referee(policy):
+    # ~9 ms services against a 5 ms keepalive: the pool breathes, so
+    # reclaims both tear idle executors down and find none idle.
+    fp = _two_way(
+        invocations=6_000, workers=256, mean_arrival_gap_ns=us(5),
+        service_log_mean=16.0, pool_policy=policy, hybrid_threshold=8,
+        start_model="remote-fork", keepalive_ns=ms(5),
+    )
+    assert fp["cold_starts"] > 0
+    assert fp["cold_reclaimed"] > 0
+    assert fp["cold_retained"] > 0
+
+
+def test_keepalive_identity_under_pinned_geometry():
+    # The batch kernel leans on wheel internals: a pinned coarse
+    # geometry and the adaptive one must agree with the referee.
+    kwargs = dict(
+        invocations=4_000, workers=256, mean_arrival_gap_ns=us(5),
+        service_log_mean=16.0, arrival_shape="bursty", pool_policy="hybrid",
+        hybrid_threshold=8, start_model="remote-fork", keepalive_ns=ms(5),
+    )
+    auto = _fp(scheduler="wheel", admission="batch", granularity_bits="auto", **kwargs)
+    pinned = _fp(scheduler="wheel", admission="batch", granularity_bits=24, **kwargs)
+    heap = _fp(scheduler="heap", admission="per-event", **kwargs)
+    assert auto == pinned == heap
+    assert auto["cold_reclaimed"] > 0
+
+
 def test_cold_identity_mixed_warm_and_cold():
     # Pool dips in and out of dryness: warm leases, backlog pops and
     # spin-ups interleave at the same nanoseconds.
-    fp = _three_way(
+    fp = _two_way(
         invocations=8_000, workers=2_048, mean_arrival_gap_ns=us(1),
         arrival_shape="diurnal", pool_policy="hybrid", hybrid_threshold=16,
         start_model="bare-metal", keepalive_ns=0,
@@ -89,19 +118,14 @@ def test_queue_policy_unchanged_by_cold_machinery():
     base.pop("pool_policy")
     base.pop("start_model")
     base.pop("keepalive_ns")
-    legacy = _fp(scheduler="wheel", admission="batch", lease_lane="on", **base)
-    queued = _fp(
-        scheduler="wheel", admission="batch", lease_lane="on",
-        pool_policy="queue", **base,
-    )
+    legacy = _fp(scheduler="wheel", admission="batch", **base)
+    queued = _fp(scheduler="wheel", admission="batch", pool_policy="queue", **base)
     assert legacy == queued
     assert queued["cold_starts"] == 0
 
 
 def test_cold_gauges_populate():
-    result = run_scale(
-        scheduler="wheel", admission="batch", lease_lane="on", **COLD
-    )
+    result = run_scale(scheduler="wheel", admission="batch", **COLD)
     occ = result.occupancy
     assert occ["cold_entries_peak"] > 0
     assert occ["cold_spinups"] == result.cold_starts

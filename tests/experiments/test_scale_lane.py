@@ -1,24 +1,26 @@
-"""Lease-lane bit-identity and plumbing at the experiment layer.
+"""The default scale engine against the per-event heap referee.
 
-The acceptance contract: ``lease_lane="on"`` must produce fingerprints
-bit-identical to ``lease_lane="off"`` (the PR 6 batch kernel) and to
-the per-event heap referee -- across all three arrival shapes, under
-adaptive re-anchors, saturated and unsaturated, and across K-shard
-decompositions.  Plus the CLI/config validation boundary, the
-``--profile`` path, and the bench guard's lane gauge.
+Under the ``queue`` policy the default engine (wheel scheduler, batch
+admission) walks no events: it runs the exact c-server FIFO recurrence
+and counts events in closed form.  The contract is a fingerprint
+bit-identical to the per-event heap referee -- across all three
+arrival shapes, saturated and unsaturated, and across K-shard
+decompositions.  Plus the retired ``lease_lane`` knob failing at the
+config and CLI boundary, and the ``--profile`` path.
+
+The test names keep the ``lane`` wording of the lease-lane engine the
+recurrence replaced, so their history stays comparable.
 """
-
-import json
 
 import pytest
 
-from repro.experiments.bench import check_regression
+from repro.experiments.__main__ import main
 from repro.experiments.scale import run_scale, run_scale_sharded
 from repro.sim.clock import us
 
-#: Saturating: the backlog (exact scalar drain) path runs.
+#: Saturating: the FIFO backlog fills and drains.
 SATURATED = {"invocations": 6_000, "workers": 1_024, "mean_arrival_gap_ns": us(25)}
-#: Unsaturated: pure deferred/vectorized regime.
+#: Unsaturated: every arrival finds a free slot.
 UNSATURATED = {"invocations": 3_000, "workers": 4_096, "mean_arrival_gap_ns": us(25)}
 
 
@@ -29,89 +31,67 @@ def _fp(**kwargs):
 @pytest.mark.parametrize("shape", ["poisson", "bursty", "diurnal"])
 @pytest.mark.parametrize("load", [SATURATED, UNSATURATED], ids=["saturated", "unsaturated"])
 def test_lane_identity_across_shapes(shape, load):
-    kwargs = dict(load, arrival_shape=shape, granularity_bits="auto")
+    kwargs = dict(load, arrival_shape=shape)
     heap = _fp(scheduler="heap", admission="per-event", **kwargs)
-    off = _fp(scheduler="wheel", admission="batch", lease_lane="off", **kwargs)
-    on = _fp(scheduler="wheel", admission="batch", lease_lane="on", **kwargs)
-    assert heap == off
-    assert off == on
+    default = _fp(**kwargs)
+    assert default == heap
+    assert (heap["queued"] > 0) == (load is SATURATED)
 
 
-def test_lane_identity_under_forced_reanchors():
-    # A fixed coarse geometry vs auto: the lane must not care which
-    # geometry the wheel re-anchors through.
-    kwargs = dict(UNSATURATED, arrival_shape="bursty")
-    fixed = _fp(
-        scheduler="wheel", admission="batch", lease_lane="on",
-        granularity_bits=24, **kwargs,
-    )
-    auto = _fp(
-        scheduler="wheel", admission="batch", lease_lane="on",
-        granularity_bits="auto", **kwargs,
-    )
-    assert fixed == auto
-
-
-def test_lane_gauges_populate():
-    result = run_scale(
-        scheduler="wheel", admission="batch", lease_lane="on", **UNSATURATED
-    )
-    occ = result.occupancy
-    assert occ["lane_entries_peak"] > 0
-    assert occ["lane_slabs"] > 0
-    assert occ["lane_max_slab"] >= 1
-    off = run_scale(
-        scheduler="wheel", admission="batch", lease_lane="off", **UNSATURATED
-    )
-    # Lane-off runs still report the gauges (all zero), keeping the
-    # occupancy key set stable for the bench trajectory.
-    assert off.occupancy["lane_entries_peak"] == 0
-    assert off.occupancy["lane_slabs"] == 0
+def test_default_engine_walks_no_events():
+    result = run_scale(**SATURATED)
+    referee = run_scale(scheduler="wheel", admission="per-event", **SATURATED)
+    # No environment: no scheduler occupancy, no pooled timers -- yet
+    # the closed-form event count is the event engine's.
+    assert result.occupancy == {}
+    assert result.timeout_pool_hits == 0
+    assert referee.occupancy
+    assert result.events_processed == referee.events_processed
 
 
 def test_shard_invariance_with_lane():
-    kwargs = dict(UNSATURATED, lease_lane="on")
-    one = run_scale_sharded(shards=1, parallel=1, **kwargs)
-    two = run_scale_sharded(shards=2, parallel=1, **kwargs)
-    fp1, fp2 = one.fingerprint(), two.fingerprint()
-    assert fp1.keys() == fp2.keys()
-    for key in fp1:
-        if key == "latency_mean_ns":
-            assert abs(fp1[key] - fp2[key]) <= 1e-9 * max(abs(fp1[key]), 1.0)
-        else:
-            assert fp1[key] == fp2[key], key
+    # Partition split: each shard runs its own recurrence, and the
+    # merge matches the referee's shards bit for bit (saturated) and
+    # the 1-shard run exactly (unsaturated; the mean comes from exact
+    # integer totals, so no float tolerance).
+    default = run_scale_sharded(shards=2, parallel=1, **SATURATED).fingerprint()
+    heap = run_scale_sharded(
+        shards=2, parallel=1, scheduler="heap", admission="per-event", **SATURATED
+    ).fingerprint()
+    assert default == heap
+    assert default["queued"] > 0
+    one = run_scale_sharded(shards=1, parallel=1, **UNSATURATED).fingerprint()
+    two = run_scale_sharded(shards=2, parallel=1, **UNSATURATED).fingerprint()
+    assert one == two
 
 
 def test_shard_k1_matches_single_driver_with_lane():
-    single = run_scale(
-        scheduler="wheel", admission="batch", lease_lane="on", **UNSATURATED
-    )
-    sharded = run_scale_sharded(shards=1, parallel=1, lease_lane="on", **UNSATURATED)
+    single = run_scale(**UNSATURATED)
+    sharded = run_scale_sharded(shards=1, parallel=1, **UNSATURATED)
     assert single.fingerprint() == sharded.fingerprint()
 
 
-def test_lease_lane_validation():
-    with pytest.raises(ValueError, match="lease_lane"):
-        run_scale(scheduler="wheel", lease_lane="maybe", **UNSATURATED)
-    with pytest.raises(ValueError, match="lease_lane"):
-        run_scale_sharded(shards=2, lease_lane="bogus", **UNSATURATED)
+def test_lease_lane_validation(capsys):
+    # The knob is retired: the config layer and the CLI both refuse it.
+    with pytest.raises(TypeError, match="lease_lane"):
+        run_scale(lease_lane="on", **UNSATURATED)
+    with pytest.raises(TypeError, match="lease_lane"):
+        run_scale_sharded(shards=2, lease_lane="off", **UNSATURATED)
+    with pytest.raises(SystemExit) as exc:
+        main(["scale", "--quick", "--lease-lane", "on"])
+    assert exc.value.code == 2
+    assert "--lease-lane" in capsys.readouterr().err
 
 
 def test_profile_prints_report(capsys):
-    run_scale(
-        scheduler="wheel", admission="batch", lease_lane="on",
-        profile=True, **UNSATURATED,
-    )
+    run_scale(profile=True, **UNSATURATED)
     out = capsys.readouterr().out
     assert "cumulative" in out and "drive" in out
 
 
 def test_profile_archives_to_path(tmp_path):
     dest = tmp_path / "scale.pstats"
-    run_scale(
-        scheduler="wheel", admission="batch", lease_lane="on",
-        profile=str(dest), **UNSATURATED,
-    )
+    run_scale(profile=str(dest), **UNSATURATED)
     assert dest.exists() and dest.stat().st_size > 0
     assert (tmp_path / "scale.pstats.txt").exists()
 
@@ -122,48 +102,3 @@ def test_profile_rejected_on_sharded_path():
             scheduler="wheel", admission="batch", profile=True,
             shards=2, **UNSATURATED,
         )
-
-
-# -- bench guard: lane re-arm explosion --------------------------------
-
-
-def _doc(tmp_path, scale_entry):
-    path = tmp_path / "BENCH.json"
-    path.write_text(
-        json.dumps(
-            {
-                "schema": "rfaas-repro-bench-v1",
-                "entries": {
-                    "base": {
-                        "kernel_event_throughput": {"events_per_sec": 1_000_000},
-                        "scale_openloop": scale_entry,
-                    }
-                },
-            }
-        )
-    )
-    return str(path)
-
-
-def _results(rearm_batches):
-    return {
-        "kernel_event_throughput": {"events_per_sec": 1_000_000},
-        "scale_openloop": {"lane_rearm_batches": rearm_batches},
-    }
-
-
-def test_lane_rearm_guard_passes_within_budget(tmp_path):
-    baseline = _doc(tmp_path, {"lane_rearm_batches": 40})
-    assert check_regression(_results(60), baseline, "base") == []
-    assert check_regression(_results(160), baseline, "base") == []  # 4x of 40
-
-
-def test_lane_rearm_guard_fails_on_explosion(tmp_path):
-    baseline = _doc(tmp_path, {"lane_rearm_batches": 40})
-    problems = check_regression(_results(161), baseline, "base")
-    assert any("lane_rearm_batches" in p for p in problems)
-
-
-def test_lane_rearm_guard_skips_old_baselines(tmp_path):
-    baseline = _doc(tmp_path, {})  # recorded before the lane existed
-    assert check_regression(_results(10_000), baseline, "base") == []

@@ -5,11 +5,9 @@ decomposition of a scenario is part of its spec, and the merged result
 is a pure function of that spec -- identical across repeats and across
 ``parallel`` worker counts.  In partition mode on an unsaturated pool
 the decomposition is *exact*: K shards merge back to the 1-shard (and
-legacy single-process) result, except the Welford mean which
-reassociates within float rounding.
+single-process) result bit for bit -- the mean included, since it is
+one division of exact integer sojourn totals.
 """
-
-import math
 
 import pytest
 
@@ -28,14 +26,11 @@ UNSATURATED = {"invocations": 1_500, "workers": 2_048, "mean_arrival_gap_ns": us
 SATURATED = {"invocations": 3_000, "workers": 256, "mean_arrival_gap_ns": us(25)}
 
 
-def _agree(a, b, mean_rel=1e-9):
-    """Fingerprints equal; the merged mean within float-reassociation."""
+def _agree(a, b):
+    """Fingerprints equal key by key (names the first diverging key)."""
     assert a.keys() == b.keys()
     for key in a:
-        if key == "latency_mean_ns":
-            assert math.isclose(a[key], b[key], rel_tol=mean_rel), key
-        else:
-            assert a[key] == b[key], key
+        assert a[key] == b[key], key
 
 
 # -- seed derivation ---------------------------------------------------
@@ -104,15 +99,15 @@ def test_arrival_shapes_complete_and_reproduce(shape):
     assert a.fingerprint() == b.fingerprint()
 
 
-# -- PR 6 engine: batch admission + adaptive wheel, every shape --------
+# -- default engine vs per-event admission, every shape ----------------
 
 
 @pytest.mark.parametrize("shape", ["poisson", "bursty", "diurnal"])
 def test_batch_auto_invariant_across_shard_counts(shape):
-    """The full PR 6 engine (adaptive wheel + batch admission) keeps the
-    K-shard partition exact for every arrival shape, and batch
-    admission is bit-identical to per-event admission of the same
-    sharded streams."""
+    """The default engine (wheel scheduler, batch admission) keeps the
+    K-shard partition exact for every arrival shape, and is
+    bit-identical to per-event admission of the same sharded
+    streams."""
     fingerprints = {
         shards: run_scale(
             arrival_shape=shape,

@@ -18,7 +18,12 @@ from repro.core.deployment import Deployment
 from repro.experiments.common import measure_rfaas_rtts
 from repro.sim.core import Environment
 from repro.sim.events import NORMAL, Event
-from repro.sim.wheel import SCHEDULERS, WheelEnvironment, new_environment
+from repro.sim.wheel import (
+    _REFILL_ARGSORT_MIN,
+    SCHEDULERS,
+    WheelEnvironment,
+    new_environment,
+)
 from repro.workloads.noop import noop_package
 
 #: Tiny geometry: level-0 horizon 32 slots x 16 ns = 512 ns, level-1
@@ -284,3 +289,29 @@ def test_fig8_measurement_identical_across_schedulers():
         for scheduler in SCHEDULERS
     }
     assert runs["heap"].stats == runs["wheel"].stats
+
+
+# -- the argsort refill ------------------------------------------------
+
+
+def test_large_bucket_refill_matches_heap_order():
+    """A bucket past _REFILL_ARGSORT_MIN sorts via lexsort; pop order
+    must stay bit-identical to the heap, ties included."""
+    n = _REFILL_ARGSORT_MIN + 300
+    rng = random.Random(42)
+    # Many duplicate timestamps inside one coarse slot to stress ties.
+    delays = [rng.randrange(1, 50) * 1000 for _ in range(n)]
+    orders = []
+    for cls in (Environment, WheelEnvironment):
+        env = cls() if cls is Environment else cls(granularity_bits=20)
+        fired = []
+
+        def on_fire(event):
+            fired.append((env.now, event._value))
+
+        for i, delay in enumerate(delays):
+            timeout = env.timeout(delay, i)
+            timeout.callbacks.append(on_fire)
+        env.run()
+        orders.append(fired)
+    assert orders[0] == orders[1]

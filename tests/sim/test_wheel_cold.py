@@ -1,13 +1,12 @@
-"""ColdLane: the spin-up/reclaim calendar under the ordering contract.
+"""ColdLane: the spin-up calendar under the ordering contract.
 
-The lane holds dry-pool spin-ups (ready/arrival/service int64 cells)
-and idle-reclaim expiries; fires must come out in global ``(when,
-eid)`` order through out-of-order admissions (fallback heap), bounded
-drains (admission window), folded reclaim runs, and the keepalive-0
-whole-backlog slab (``drain_spinups_all``).
+The lane holds dry-pool spin-ups (ready/arrival/service int64 cells);
+fires must come out in global ``(when, eid)`` order through
+out-of-order admissions (fallback heap), the generic event loop's
+merge against the wheel, and the keepalive-0 whole-backlog slab
+(``drain_spinups_all``).
 """
 
-import numpy as np
 import pytest
 
 from repro.sim.wheel import _LANE_SCALAR_SLAB, WheelEnvironment
@@ -19,7 +18,6 @@ class Recorder:
     def __init__(self):
         self.readies = []  # (when, arrival, service) scalar fires
         self.slabs = []  # (when_a, arrival_a, service_a) tuples
-        self.reclaim_calls = []  # run lengths n per hook call
 
     def on_ready(self, when, arrival, service):
         self.readies.append((when, arrival, service))
@@ -29,9 +27,6 @@ class Recorder:
             (when_a.tolist(), arrival_a.tolist(), service_a.tolist())
         )
 
-    def on_reclaim(self, n):
-        self.reclaim_calls.append(n)
-
     @property
     def all_ready_whens(self):
         out = [w for w, _, _ in self.readies]
@@ -39,33 +34,24 @@ class Recorder:
             out.extend(when_a)
         return out
 
-    @property
-    def spinups(self):
-        out = list(self.readies)
-        for when_a, arr_a, srv_a in self.slabs:
-            out.extend(zip(when_a, arr_a, srv_a))
-        return out
 
-
-def _lane(gap=1_000_000):
+def _lane():
     env = WheelEnvironment()
     rec = Recorder()
-    lane = env.attach_cold_lane(gap, rec.on_ready, rec.on_ready_slab, rec.on_reclaim)
+    lane = env.attach_cold_lane(rec.on_ready, rec.on_ready_slab)
     return env, lane, rec
 
 
-def _drain_to_empty(lane):
-    while True:
-        fired, _last = lane.drain(None, 0, 0)
-        if not fired:
-            break
+def _fire_to_empty(lane):
+    while lane.fire_one() is not None:
+        pass
 
 
 def test_spinups_fire_in_admission_order():
     env, lane, rec = _lane()
     for ready in (10, 20, 30, 40):
         lane.admit(ready, ready - 5, 100)
-    _drain_to_empty(lane)
+    _fire_to_empty(lane)
     assert [w for w, _, _ in rec.readies] == [10, 20, 30, 40]
     assert len(lane) == 0
 
@@ -76,60 +62,34 @@ def test_behind_floor_admission_diverts_to_heap_and_still_orders():
     lane.admit(40, 30, 5)  # behind the floor: fallback heap
     lane.admit(150, 140, 9)
     assert lane.head_key()[0] == 40
-    _drain_to_empty(lane)
-    assert [w for w, _, _ in rec.readies] == [40, 100, 150]
+    _fire_to_empty(lane)
+    assert rec.readies == [(40, 30, 5), (100, 90, 7), (150, 140, 9)]
 
 
-def test_drain_respects_limit_key():
-    env, lane, rec = _lane()
-    eids = [lane.admit(t, t, 1) for t in (10, 20, 30)]
-    # Bound strictly before the entry at when=20 (NORMAL priority).
-    lane.drain(20, 1, eids[1])
-    assert [w for w, _, _ in rec.readies] == [10]
-    _drain_to_empty(lane)
-    assert [w for w, _, _ in rec.readies] == [10, 20, 30]
-
-
-def test_drain_stops_at_admission_window():
-    gap = 10
-    env, lane, rec = _lane(gap=gap)
-    for t in range(0, 60, 2):
-        lane.admit(t, t, 1)
-    fired, _ = lane.drain(None, 0, 0)
-    # One call never fires past first + gap: entries at > 10 wait for
-    # the caller to re-read heads (where mid-drain admissions merge).
-    assert fired < 30
-    assert max(rec.all_ready_whens) <= gap
-    _drain_to_empty(lane)
-    assert len(rec.all_ready_whens) == 30
-
-
-def test_reclaim_runs_fold_into_counted_hook_calls():
-    env, lane, rec = _lane()
-    n = 4 * _LANE_SCALAR_SLAB
-    for t in range(n):
-        lane.admit_reclaim(100 + t)
-    _drain_to_empty(lane)
-    assert sum(rec.reclaim_calls) == n
-    # Vectorized folding: far fewer hook calls than expiries.
-    assert len(rec.reclaim_calls) < n
-    assert lane.stats()["cold_reclaim_fires"] == n
-
-
-def test_spinup_reclaim_interleave_is_global_key_order():
+def test_generic_run_merges_lane_with_wheel_in_key_order():
+    # Spin-ups and ordinary timeouts interleave by (when, eid): at
+    # when=20 the timeout was scheduled first, so it fires first.
     env, lane, rec = _lane()
     order = []
-    rec.on_ready = lambda w, a, s: order.append(("spin", w))
-    rec.on_reclaim = lambda n: order.append(("reclaim", n))
-    lane.on_ready = rec.on_ready
-    lane.on_reclaim = rec.on_reclaim
-    lane.admit(10, 10, 1)
-    lane.admit_reclaim(5)
-    lane.admit(20, 20, 1)
-    lane.admit_reclaim(15)
-    while lane.fire_one() is not None:
-        pass
-    assert order == [("reclaim", 1), ("spin", 10), ("reclaim", 1), ("spin", 20)]
+    lane.on_ready = lambda w, a, s: order.append(("spin", w, env.now))
+    for delay in (5, 20, 35):
+        env.timeout(delay).callbacks.append(lambda ev: order.append(("wheel", env.now)))
+    lane.admit(10, 0, 1)
+    lane.admit(20, 0, 1)
+    lane.admit(30, 0, 1)
+    assert env.peek() == 5
+    assert env.pending_events() == 6
+    env.run()
+    assert order == [
+        ("wheel", 5),
+        ("spin", 10, 10),
+        ("wheel", 20),
+        ("spin", 20, 20),
+        ("spin", 30, 30),
+        ("wheel", 35),
+    ]
+    assert env.events_processed == 6
+    assert env.pending_events() == 0
 
 
 def test_drain_spinups_all_slabs_everything_including_future():
@@ -159,22 +119,12 @@ def test_drain_spinups_all_small_runs_go_scalar():
     assert rec.slabs == []
 
 
-def test_drain_spinups_all_refuses_pending_reclaims():
+def test_drain_spinups_all_refuses_out_of_order_entries():
     env, lane, rec = _lane()
-    lane.admit(10, 10, 1)
-    lane.admit_reclaim(50)
-    with pytest.raises(RuntimeError, match="keepalive-0"):
+    lane.admit(50, 50, 1)
+    lane.admit(10, 10, 1)  # behind the floor: fallback heap
+    with pytest.raises(RuntimeError, match="fallback heap"):
         lane.drain_spinups_all()
-
-
-def test_admit_reclaim_block_folds_and_orders():
-    env, lane, rec = _lane()
-    whens = np.arange(100, 100 + 2 * _LANE_SCALAR_SLAB, dtype=np.int64)
-    base = env.reserve_eids(len(whens))
-    lane.admit_reclaim_block(whens, np.arange(base, base + len(whens), dtype=np.int64))
-    _drain_to_empty(lane)
-    assert sum(rec.reclaim_calls) == len(whens)
-    assert len(rec.reclaim_calls) < len(whens)
 
 
 def test_stats_keys_complete():
@@ -186,9 +136,14 @@ def test_stats_keys_complete():
         "cold_max_slab",
         "cold_scalar_fires",
         "cold_spinups",
-        "cold_reclaim_fires",
         "cold_generations",
     }
     lane.admit(10, 10, 1)
     assert lane.stats()["cold_entries"] == 1
     assert lane.stats()["cold_entries_peak"] == 1
+
+
+def test_attach_twice_raises():
+    env, lane, rec = _lane()
+    with pytest.raises(RuntimeError, match="already attached"):
+        env.attach_cold_lane()
