@@ -742,8 +742,8 @@ class _ShardDriver:
                 self._install_batch_kernel()
             return
         self._advance()
-        timeout = self.env.timeout(self._next_time)
-        timeout.callbacks.append(self._on_arrival)
+        event = BatchEvent(self.env, (self._on_arrival,), 0)
+        self.env.schedule(event, self._next_time, _ARRIVAL_PRIO)
 
     def drive(self) -> None:
         """Run the simulation to completion (fused loop when available)."""
@@ -1682,15 +1682,17 @@ class _ShardDriver:
         self._kernel_drive = drive
         admit_chunk()
 
-    def _handle_arrival(self, _event) -> None:
+    def _handle_arrival(self, event) -> None:
         env = self.env
         now = env._now
         service = self._next_service
         self.arrived += 1
         if self.arrived < self.count:
             self._advance()
-            timeout = env.timeout(self._next_time - now)
-            timeout.callbacks.append(self._on_arrival)
+            # One chained arrival event at _ARRIVAL_PRIO: at a shared
+            # nanosecond every completion, spin-up and reclaim fires
+            # before the arrival, whenever its eid was drawn.
+            env.schedule(event, self._next_time - now, _ARRIVAL_PRIO)
         if self.free_slots:
             self.free_slots -= 1
             self._begin(now, service)

@@ -52,12 +52,12 @@ def test_events_dominated_by_lease_renewals(quick_runs):
 
 
 def test_per_event_engine_exercises_timeout_pool():
-    """The per-event driver allocates one Timeout per arrival and lease
-    timer and must recycle them; the batch engine deliberately bypasses
-    Timeout allocation entirely (shared-callback BatchEvents), so the
-    pool assertion only applies to per-event admission."""
+    """The per-event driver allocates no Timeouts: one BatchEvent is
+    re-scheduled from arrival to arrival at ``_ARRIVAL_PRIO`` and every
+    lease timer is a BatchEvent, so the timeout pool is never touched.
+    The default engine walks no scheduler at all.  Both must agree."""
     result = run_scale(scheduler="heap", admission="per-event", **QUICK_KWARGS)
-    assert result.timeout_pool_hits > 0
+    assert result.timeout_pool_hits == 0
     batch = run_scale(scheduler="heap", admission="batch", **QUICK_KWARGS)
     assert batch.timeout_pool_hits == 0
     assert batch.fingerprint() == result.fingerprint()
