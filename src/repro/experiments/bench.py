@@ -342,9 +342,10 @@ def bench_invocation(repeats: int, parallel: int = 1) -> dict[str, Any]:
 
 
 #: The two scale engines every scale bench compares: the per-event heap
-#: referee and the default engine (wheel scheduler, batch admission),
-#: which is the exact FIFO recurrence under the "queue" policy and the
-#: cold kernels under "cold"/"hybrid".
+#: referee and the default engine (batch admission), which is the exact
+#: FIFO recurrence under the "queue" policy and the reduced-event walk
+#: under "cold"/"hybrid".  The record keys stay "heap"/"wheel" so older
+#: BENCH entries remain comparable.
 _SCALE_CONFIGS = (
     ("heap", "heap", "per-event"),
     ("wheel", "wheel", "batch"),
@@ -421,10 +422,9 @@ def bench_scale(quick: bool = False) -> dict[str, Any]:
 _COLD_POLICIES = ("queue", "cold", "hybrid")
 
 #: Shared cold scenario knobs: the MITOSIS-style remote-fork start
-#: model (~1 ms spawn), idle-reclaim off -- the commuting regime where
-#: the cold lane runs its whole-backlog slab kernel (the headline
-#: speedup).  The reclaim path is covered by a secondary record at a
-#: short keepalive (see ``bench_coldstart``).
+#: model (~1 ms spawn), idle-reclaim off -- the headline record.  The
+#: reclaim path is covered by a secondary record at a short keepalive
+#: (see ``bench_coldstart``).
 _COLD_SCENARIO = {
     "start_model": "remote-fork",
     "keepalive_ns": 0,
@@ -432,7 +432,8 @@ _COLD_SCENARIO = {
 }
 
 #: Secondary scenario: a short keepalive so reclaim expiries both
-#: succeed and lose races -- exercises the batch kernel's reclaims.
+#: succeed and lose races -- exercises the default engine's reclaim
+#: ordering.
 _COLD_RECLAIM_KEEPALIVE_NS = 5_000_000
 
 
@@ -447,18 +448,18 @@ def bench_coldstart(
     (per-event heap referee vs the default engine) with the dry-pool
     cold-start path enabled; fingerprints must agree across all six
     runs (``bit_identical``).  The headline ``speedup`` is the heap
-    referee over the cold-lane wheel *under the cold policy*, and
-    ``rss_ratio_vs_heap`` guards that the cold lane does not buy speed
-    with footprint.
+    referee over the default engine *under the cold policy*, and
+    ``rss_ratio_vs_heap`` guards that the default engine does not buy
+    speed with footprint.
 
     ``spectrum`` additionally folds in the :mod:`coldstart` experiment
     sweep (pool size x start model x arrival shape) so the trajectory
     file records cold fraction, p99 sojourn and executor-seconds per
     spectrum point, not just engine wall clocks.
 
-    The headline scenario runs with keepalive 0 (the commuting slab
-    kernel); a secondary ``reclaim`` record re-runs the cold policy at
-    a short keepalive, which the batch kernel runs event by event --
+    The headline scenario runs with keepalive 0; a secondary
+    ``reclaim`` record re-runs the cold policy at a short keepalive,
+    where reclaims race completions and readies at shared instants --
     its guard is bit-identity plus live reclaim traffic.
     """
     from repro.experiments.coldstart import QUICK_KWARGS as COLD_QUICK
@@ -517,17 +518,7 @@ def bench_coldstart(
             r["peak_rss_bytes"] for p in policies.values() for r in (p["heap"], p["wheel"])
         ),
     }
-    occupancy = cold["wheel"]["occupancy"]
-    record.update(
-        {
-            "cold_entries_peak": int(occupancy.get("cold_entries_peak", 0)),
-            "cold_slabs": int(occupancy.get("cold_slabs", 0)),
-            "cold_max_slab": int(occupancy.get("cold_max_slab", 0)),
-            "cold_scalar_fires": int(occupancy.get("cold_scalar_fires", 0)),
-            "cold_spinups": int(occupancy.get("cold_spinups", 0)),
-        }
-    )
-    # Secondary record: idle-reclaim on (the batch kernel).
+    # Secondary record: idle-reclaim on.
     reclaim_scenario = dict(_COLD_SCENARIO)
     reclaim_scenario["pool_policy"] = "cold"
     reclaim_scenario["keepalive_ns"] = _COLD_RECLAIM_KEEPALIVE_NS
@@ -583,7 +574,7 @@ def bench_coldstart_ten_million(max_rss_growth: float = 0.20) -> dict[str, Any]:
     """10^7 cold-start invocations, cold policy only: the stress run.
 
     Same two-way shape as :func:`bench_coldstart` for the cold policy;
-    ``within_rss_guard`` asserts the cold-lane engine's peak RSS stays
+    ``within_rss_guard`` asserts the default engine's peak RSS stays
     within *max_rss_growth* of the per-event heap referee on the same
     scenario.
     """
@@ -758,11 +749,12 @@ def bench_multitenant(quick: bool = False) -> dict[str, Any]:
     """The multi-tenant scale engine vs its per-event referee.
 
     The headline comparison forks the per-event heap referee and the
-    vectorized wheel-batch engine on the same 10^6-invocation
-    three-tenant scenario (pinned partitioning): ``speedup`` is the
-    wall-clock ratio and ``bit_identical`` demands every per-tenant
-    outcome count and sojourn fingerprint agree.  ``shard_identical``
-    re-runs the wheel engine split 2 ways and demands the merged
+    default engine (the reduced-event walk; record key ``wheel``) on
+    the same 10^6-invocation three-tenant scenario (pinned
+    partitioning): ``speedup`` is the wall-clock ratio and
+    ``bit_identical`` demands every per-tenant outcome count and
+    sojourn fingerprint agree.  ``shard_identical`` re-runs the
+    default engine split 2 ways and demands the merged
     fingerprint match the 1-shard run exactly (the scenario is
     unsaturated by construction).  ``isolation`` carries the 2x2
     {pinned, shared} x {calm, aggressor} matrix demonstrating the
@@ -1187,8 +1179,8 @@ def check_regression(
                 f"({base_rate:,.0f}; allowed drop {max_regression:.0%})"
             )
     # The cold-start engine's correctness guard: a wrong fast answer is
-    # not a perf win, so fingerprint divergence between the cold lane
-    # and the per-event referee fails outright.  The cold-start
+    # not a perf win, so fingerprint divergence between the default
+    # engine and the per-event referee fails outright.  The cold-start
     # *fraction* is guarded too: on the pinned quick scenario it is a
     # deterministic output, so a fraction ballooning past 4x the
     # baseline means the warm-pool accounting broke (slots leaking,
@@ -1199,13 +1191,13 @@ def check_regression(
     current_cold = results.get("coldstart")
     if isinstance(current_cold, dict) and current_cold.get("bit_identical") is False:
         problems.append(
-            "coldstart: cold-lane and per-event referee fingerprints diverged"
+            "coldstart: default engine and per-event referee fingerprints diverged"
         )
     if isinstance(current_cold, dict):
         reclaim = current_cold.get("reclaim")
         if isinstance(reclaim, dict) and reclaim.get("bit_identical") is False:
             problems.append(
-                "coldstart.reclaim: the batch kernel diverged from the "
+                "coldstart.reclaim: the default engine diverged from the "
                 "per-event referee under keepalive"
             )
     if isinstance(base_cold, dict) and isinstance(current_cold, dict):
@@ -1221,17 +1213,17 @@ def check_regression(
     if isinstance(current_cold_10m, dict):
         if current_cold_10m.get("bit_identical") is False:
             problems.append(
-                "coldstart_10m: cold-lane and per-event referee fingerprints diverged"
+                "coldstart_10m: default engine and per-event referee fingerprints diverged"
             )
         if current_cold_10m.get("within_rss_guard") is False:
             problems.append(
-                "coldstart_10m: cold-lane peak RSS is "
+                "coldstart_10m: default-engine peak RSS is "
                 f"{current_cold_10m.get('rss_ratio_vs_heap', 0.0):.2f}x the per-event "
                 "heap referee, beyond the allowed "
                 f"{1.0 + float(current_cold_10m.get('max_rss_growth', 0.0)):.2f}x"
             )
-    # Multi-tenant scale engine guards.  Correctness first: the batch
-    # wheel kernel, the per-event heap referee, and the K=2 shard split
+    # Multi-tenant scale engine guards.  Correctness first: the default
+    # engine, the per-event heap referee, and the K=2 shard split
     # must agree on every per-tenant outcome count and sojourn
     # fingerprint -- a divergence is a wrong answer, not a slow one,
     # and fails outright with no baseline needed.  Isolation is a
@@ -1248,7 +1240,7 @@ def check_regression(
     if isinstance(current_mt, dict):
         if current_mt.get("bit_identical") is False:
             problems.append(
-                "multitenant: batch-wheel kernel and per-event heap referee "
+                "multitenant: default engine and per-event heap referee "
                 "per-tenant fingerprints diverged"
             )
         if current_mt.get("shard_identical") is False:
@@ -1410,7 +1402,7 @@ def show(results: dict[str, Any]) -> None:
         cold = coldstart["policies"]["cold"]
         print(
             "coldstart: {invocations:,} invocations (cold policy, {model})  "
-            "heap {heap_s:.1f}s -> cold lane {wheel_s:.1f}s  ({speedup:.2f}x, "
+            "heap {heap_s:.1f}s -> default {wheel_s:.1f}s  ({speedup:.2f}x, "
             "cold fraction {cold_fraction:.1%}, "
             "RSS {rss_ratio:.2f}x heap, bit_identical={bit_identical})".format(
                 invocations=coldstart["invocations"],
@@ -1451,7 +1443,7 @@ def show(results: dict[str, Any]) -> None:
     if cold_stress:
         print(
             "coldstart_10m: {invocations:,} invocations  heap {heap_s:.1f}s -> "
-            "cold lane {wheel_s:.1f}s  ({speedup:.2f}x, cold fraction "
+            "default {wheel_s:.1f}s  ({speedup:.2f}x, cold fraction "
             "{cold_fraction:.1%}, RSS {rss_ratio:.2f}x heap [guard {guard}], "
             "bit_identical={bit_identical})".format(
                 invocations=cold_stress["invocations"],

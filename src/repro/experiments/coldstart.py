@@ -167,11 +167,10 @@ def run_coldstart(
     replays each point on the per-event heap referee and asserts the
     fingerprints agree (recorded per point, raising on mismatch).
 
-    ``keepalive_ns`` defaults to 0 -- no idle-reclaim, the regime where
-    spin-up fires commute and the wheel engine runs its whole-backlog
-    slab kernel (see ``scale``).  Pass a positive keepalive to let the
-    pool breathe under bursty/diurnal shapes; those runs take the
-    batch kernel, still bit-identical to the referee.
+    ``keepalive_ns`` defaults to 0 -- no idle-reclaim.  Pass a positive
+    keepalive to let the pool breathe under bursty/diurnal shapes; the
+    default engine then fires reclaims in the referee's order and stays
+    bit-identical to it (see ``scale``).
     """
     if profile:
         raise ValueError(

@@ -3,8 +3,7 @@
 The paper's pitch is *high-performance* serverless: a cluster absorbing
 enormous bursts of sub-millisecond invocations under leases.  The
 figure harnesses drive at most ~10^5 events; this one drives
-**>= 10^6 invocations** through the simulator in a single run and is
-the workload the :mod:`repro.sim.wheel` timer wheel exists for.
+**>= 10^6 invocations** through the simulator in a single run.
 
 Model -- an open-loop generator over a warm executor pool:
 
@@ -22,27 +21,31 @@ Model -- an open-loop generator over a warm executor pool:
 * **Leases**: every running invocation holds a lease on its slot and
   re-validates it every ``lease_check_interval_ns`` (Sec. III-E: leased
   resources are periodically re-checked rather than centrally tracked).
-  The lease timer is one :class:`~repro.sim.events.Timeout` *reused*
-  across renewals -- re-armed in place via ``schedule_timeout`` -- so a
-  400 ms invocation costs ~8 scheduler operations and zero per-renewal
-  allocations.  The final re-arm lands exactly on the finish time, so
-  sojourn times are exact, not quantized to the check interval.
+  The lease timer is one event *reused* across renewals -- re-armed in
+  place via ``schedule_timeout`` -- so a 400 ms invocation costs ~8
+  scheduler operations and zero per-renewal allocations.  The final
+  re-arm lands exactly on the finish time, so sojourn times are exact,
+  not quantized to the check interval.
 
 Engines -- which one runs is fixed by the knobs the caller already
-passes (see ``_simulate``):
+passes (see ``_simulate``); no engine builds an environment under batch
+admission, the default:
 
-* ``pool_policy="queue"`` on the default engine (wheel scheduler, batch
-  admission) walks no events at all.  Under a FIFO backlog no output
-  depends on event interleaving, so :class:`_FifoDriver` computes the
-  run as an exact c-server FIFO recurrence and derives the event count
-  in closed form -- bit-identical fingerprints, several times faster.
+* ``pool_policy="queue"`` walks no events at all.  Under a FIFO backlog
+  no output depends on event interleaving, so :class:`_FifoDriver`
+  computes the run as an exact c-server FIFO recurrence and derives the
+  event count in closed form.
 * ``"cold"``/``"hybrid"`` need the event order (a dry arrival's choice
-  reads the backlog).  Batch admission on the wheel runs the ColdLane
-  kernel at keepalive 0 and the batch kernel otherwise.
-* ``scheduler="heap"`` and ``admission="per-event"`` always walk every
-  event: they are the referees the fast engines are checked against.
+  reads the backlog, a reclaim reads the idle slots), but not the lease
+  renewals: :class:`_PoolWalk` fires only completions, spin-up readies
+  and reclaims, in the referee's order, and counts renewals in closed
+  form.  Multi-tenant runs take :class:`_TenantWalk`, the same walk
+  over per-tenant pools.
+* ``admission="per-event"`` walks every event on the chosen scheduler
+  (``"heap"`` or ``"wheel"``): the referees the fast engines are
+  checked against, fingerprint for fingerprint.
 
-Implementation notes for the event engines (hot loops):
+Implementation notes for the per-event referees (hot loops):
 
 * The driver is a callback FSM, not generator processes: no Python
   frames parked on ``yield``, just reused timer events carrying an
@@ -95,18 +98,20 @@ import resource
 import time
 from collections import deque
 from heapq import heappop, heappush
+from itertools import chain
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Union
 
 import numpy as np
 
+from repro import perf
 from repro.analysis.latency import FifoServers
 from repro.analysis.reporting import Table, format_bytes, format_ns
 from repro.analysis.stats import SummaryStats
 from repro.analysis.streams import KeyedStreamingSummary, StreamingSummary
 from repro.core.sandbox import SANDBOX_PROFILES
 from repro.sim.arrivals import DIURNAL_DAY, arrival_times, merge_tenant_streams
-from repro.sim.events import BatchEvent, TenantEvent
+from repro.sim.events import BatchEvent
 from repro.sim.clock import ms, us
 from repro.sim.rng import RngStreams, shard_seed
 from repro.sim.wheel import WheelEnvironment, new_environment, validate_granularity_bits
@@ -118,15 +123,10 @@ from repro.workloads.tenants import TenantSpec, split_by_weights, standard_mix
 _FLUSH_BATCH = 1 << 16
 #: Pre-drawn RNG chunk size (amortizes numpy call overhead).
 _RNG_CHUNK = 1 << 16
-#: Priority for chunk-admitted arrival events.  The per-event referee
-#: assigns each arrival's eid one arrival gap before it fires, so at a
-#: shared timestamp the arrival is always the youngest entry and fires
-#: after every kernel event; chunk admission draws arrival eids up to a
-#: whole chunk (~2^16 arrivals) early, which would let young kernel
-#: events -- cold spin-ups scheduled spawn_ns (~1 ms) out, reclaims
-#: scheduled keepalive_ns out -- overtake a coincident arrival.  Riding
-#: arrivals one priority below NORMAL restores the referee's tie order
-#: without per-arrival eid bookkeeping.
+#: Priority of the referees' arrival events, one below NORMAL: at a
+#: shared nanosecond every completion, spin-up and reclaim fires before
+#: the arrival, however early the arrival's eid was drawn.  The FIFO
+#: recurrence and the walks follow the same rule.
 _ARRIVAL_PRIO = 2
 
 
@@ -152,7 +152,8 @@ class ScaleConfig:
     #: Period of the in-flight lease re-validation timer.
     lease_check_interval_ns: int = ms(64)
     seed: int = 0x5CA1E
-    #: Event-loop scheduler: "heap" or "wheel" (see RFaaSConfig.scheduler).
+    #: Event-loop scheduler of per-event runs: "heap" or "wheel" (see
+    #: RFaaSConfig.scheduler).  Batch runs build no environment.
     scheduler: Optional[str] = "wheel"
     #: Wheel slot width, 2**bits ns, or ``"auto"`` (default): start at
     #: the wheel's own 256 ns granularity and let the occupancy-band
@@ -160,12 +161,11 @@ class ScaleConfig:
     #: scenario converges to the hand-tuned 2**16-ish ns within the
     #: first adaptation window.  Ignored for "heap".
     granularity_bits: Union[int, str] = "auto"
-    #: Arrival admission: "batch" (default) bucket-sorts whole numpy
-    #: arrival chunks into the scheduler via ``schedule_batch``;
-    #: "per-event" drives one ``timeout()`` per arrival (the referee
-    #: the bit-identity contract is checked against).  Under the
-    #: "queue" policy, "batch" on the wheel runs the exact FIFO
-    #: recurrence instead of walking events (see ``_simulate``).
+    #: Arrival admission: "batch" (default) runs the FIFO recurrence or
+    #: the reduced-event walk on whole numpy arrival chunks;
+    #: "per-event" drives one arrival event at a time through the
+    #: scheduler (the referee the bit-identity contract is checked
+    #: against).  See ``_simulate``.
     admission: str = "batch"
     #: Streaming-histogram resolution (quantile error <= 2**-subbits).
     subbits: int = 8
@@ -488,8 +488,8 @@ def _shard_chunks(config: ScaleConfig, shard: int, shards: int, lists: bool = Tr
 
     With ``lists=True`` (the per-event driver) both come as Python
     lists for cheap scalar iteration; with ``lists=False`` they stay
-    ``int64`` arrays, ready for vectorized ``schedule_batch`` admission
-    and the FIFO recurrence.
+    ``int64`` arrays for the FIFO recurrence and the walk's vectorized
+    renewal count.
     """
     shape_kwargs = dict(
         burst_len=config.burst_len,
@@ -557,7 +557,7 @@ class _FifoDriver:
     * ``final_now_ns`` is the last finish;
     * ``queued`` and ``max_backlog`` come from the recurrence, whose tie
       rule -- a slot freeing at an arrival's own nanosecond serves it --
-      is the ``_ARRIVAL_PRIO`` order of the batch kernels.
+      is the referee's ``_ARRIVAL_PRIO`` order.
 
     No environment and no timers: the slot heap carries across chunks,
     so memory stays bounded by the pool size.
@@ -595,31 +595,234 @@ class _FifoDriver:
             self.final_now_ns = max(self.final_now_ns, int(finish.max()))
 
 
+#: Stands in for "after the last arrival": the walk drains every
+#: pending event before it.
+_END = 1 << 62
+
+
+def _dry_threshold(pool_policy: str, hybrid_threshold: int) -> int:
+    """Backlog depth at which a dry-pool arrival goes cold instead of
+    queueing: 0 = always ("cold"), huge = never ("queue")."""
+    if pool_policy == "cold":
+        return 0
+    if pool_policy == "hybrid":
+        return hybrid_threshold
+    return 1 << 62
+
+
+class _PoolWalk:
+    """The ``cold``/``hybrid`` policies as a reduced-event walk.
+
+    The per-event FSM fires ~9 events per invocation, but lease renewal
+    re-arms touch nothing but their own timer.  What remains is, per
+    invocation, an arrival, a completion and, for a cold start, a
+    spin-up "ready" and (keepalive on) an idle-reclaim expiry.  Before
+    each arrival at ``t`` the walk fires every completion, ready and
+    reclaim due at or before ``t``, in the referee's order; then the
+    arrival takes a free slot, goes cold, or queues.  Renewal fires are
+    counted in closed form, ``(service - 1) // interval`` per lease.
+
+    **Order rule.**  The referee fires events in ``(when, priority,
+    eid)`` order, arrivals last at an instant (``_ARRIVAL_PRIO``).
+    With keepalive on, a reclaim does not commute with a completion
+    (both touch the free slots) or a ready (both touch the live cold
+    executors), so same-instant events must fire in eid order.  An eid
+    is drawn when its *drawer* fires: a lease re-arms every interval,
+    so a completion's eid is drawn at its last re-arm ``start + ((service
+    - 1) // interval) * interval``; a ready's at its cold arrival; a
+    reclaim's at its ready, right after that executor's own lease.
+    Each event therefore carries one packed int key, compared whole:
+    ``when``; the draw instant ``d``; the drawer's class (a NORMAL event
+    fires before an arrival); the drawer's own draw instant and class;
+    and a sequence number bumped at every draw.  Draw instants are
+    stored as offsets below ``when`` (and below ``d``), which every
+    event bounds by ``max(interval, spawn, keepalive)``.
+
+    Readies and reclaims have constant delays, so they fire in the
+    order they were armed and live in FIFO deques; only completions
+    need a heap.  No environment, no timers: memory is bounded by the
+    invocations in flight.
+    """
+
+    def __init__(self, config: ScaleConfig, shard: int, shards: int) -> None:
+        self.config = config
+        self.stream = StreamingSummary(config.subbits)
+        self.free_slots = _shard_slots(config.workers, shards, shard)
+        self.count = _shard_invocations(config.invocations, shards, shard)
+        self.completed = 0
+        self.queued = 0
+        self.max_backlog = 0
+        self.cold_starts = 0
+        self.cold_busy_ns = 0
+        self.cold_reclaimed = 0
+        self.cold_retained = 0
+        self.sojourn_total = 0
+        self.events_processed = 0
+        self.final_now_ns = 0
+        self._chunks = _shard_chunks(config, shard, shards, lists=False)
+
+    def drive(self) -> None:
+        config = self.config
+        interval = config.lease_check_interval_ns
+        spawn = SANDBOX_PROFILES[config.start_model].spawn_ns(1)
+        keepalive = config.keepalive_ns
+        threshold = _dry_threshold(config.pool_policy, config.hybrid_threshold)
+        # Key layout, most significant first:
+        #   when | span - (when - d) | c1 | span - (d - dd) | c2 | seq
+        # with d the draw instant, c1 its drawer's class (0 NORMAL,
+        # 1 arrival), dd and c2 the drawer's own draw instant and
+        # class.  An arrival drawer stores dd = d and c2 = 0: arrivals
+        # at one instant fire in index order, which seq already is.
+        span = max(interval, spawn, keepalive)
+        mbits = span.bit_length()
+        sbits = (3 * self.count + 3).bit_length()
+        c1_shift = sbits + 1 + mbits
+        o1_shift = c1_shift + 1
+        low = o1_shift + mbits
+        mmask = (1 << mbits) - 1
+        never = (_END + 1) << low
+        free = self.free_slots
+        alive = 0
+        seq = 0
+        completed = queued = max_backlog = 0
+        cold_starts = cold_busy_ns = reclaimed = retained = 0
+        hops = arrivals = 0
+        now = 0
+        heap: list[int] = []
+        ready_keys: deque[int] = deque()
+        ready_services: deque[int] = deque()
+        reclaims: deque[int] = deque()
+        backlog: deque[tuple[int, int]] = deque()
+        buffer: list[int] = []
+        flush = self._flush
+
+        def key(when: int, d: int, c1: int, dd: int, c2: int) -> int:
+            nonlocal seq
+            seq += 1
+            return (
+                (((((when << mbits | span - when + d) << 1 | c1) << mbits) | span - d + dd)
+                 << 1 | c2) << sbits
+            ) | seq
+
+        def lease(start: int, service: int, c_disp: int, d_disp: int, c2_disp: int) -> int:
+            """Completion key of a lease dispatched at *start* by a drawer
+            of class *c_disp*, drawn at *d_disp* by a *c2_disp* drawer."""
+            renewals = (service - 1) // interval
+            if not renewals:
+                return key(start + service, start, c_disp, d_disp, c2_disp)
+            if renewals == 1:
+                return key(start + service, start + interval, 0, start, c_disp)
+            d = start + renewals * interval
+            return key(start + service, d, 0, d - interval, 0)
+
+        tail = (np.array([_END]), np.array([1]))
+        for times, services in chain(self._chunks, (tail,)):
+            if times[0] != _END:
+                arrivals += times.size
+                hops += int(((services - 1) // interval).sum())
+            for t, service in zip(times.tolist(), services.tolist()):
+                bound = (t + 1) << low
+                while True:
+                    head = heap[0] if heap else never
+                    if ready_keys or reclaims:
+                        ready = ready_keys[0] if ready_keys else never
+                        expiry = reclaims[0] if reclaims else never
+                        if ready < head and ready < expiry:
+                            if ready >= bound:
+                                break
+                            ready_keys.popleft()
+                            svc = ready_services.popleft()
+                            now = ready >> low
+                            buffer.append(spawn + svc)
+                            if len(buffer) >= _FLUSH_BATCH:
+                                flush(buffer)
+                            alive += 1
+                            heappush(heap, lease(now, svc, 0, now - spawn, 1))
+                            if keepalive:
+                                reclaims.append(key(now + keepalive, now, 0, now - spawn, 1))
+                            continue
+                        if expiry < head:
+                            if expiry >= bound:
+                                break
+                            reclaims.popleft()
+                            now = expiry >> low
+                            if free and alive:
+                                free -= 1
+                                alive -= 1
+                                reclaimed += 1
+                            else:
+                                retained += 1
+                            continue
+                    if head >= bound:
+                        break
+                    heappop(heap)
+                    now = head >> low
+                    completed += 1
+                    if backlog:
+                        arrival_ns, svc = backlog.popleft()
+                        buffer.append(now - arrival_ns + svc)
+                        if len(buffer) >= _FLUSH_BATCH:
+                            flush(buffer)
+                        drawn = now - span + ((head >> o1_shift) & mmask)
+                        heappush(heap, lease(now, svc, 0, drawn, (head >> c1_shift) & 1))
+                    else:
+                        free += 1
+                if t == _END:
+                    break
+                if free:
+                    free -= 1
+                    buffer.append(service)
+                    if len(buffer) >= _FLUSH_BATCH:
+                        flush(buffer)
+                    heappush(heap, lease(t, service, 1, t, 0))
+                elif len(backlog) >= threshold:
+                    cold_starts += 1
+                    cold_busy_ns += spawn + service
+                    ready_keys.append(key(t + spawn, t, 1, t, 0))
+                    ready_services.append(service)
+                else:
+                    backlog.append((t, service))
+                    queued += 1
+                    if len(backlog) > max_backlog:
+                        max_backlog = len(backlog)
+        flush(buffer)
+        self.free_slots = free
+        self.completed = completed
+        self.queued = queued
+        self.max_backlog = max_backlog
+        self.cold_starts = cold_starts
+        self.cold_busy_ns = cold_busy_ns
+        self.cold_reclaimed = reclaimed
+        self.cold_retained = retained
+        # Per arrival: itself plus its lease fires; per cold start: its
+        # ready and, with keepalive on, its reclaim.
+        self.events_processed = (
+            2 * arrivals + hops + cold_starts * (2 if keepalive else 1)
+        )
+        self.final_now_ns = now
+
+    def _flush(self, buffer: list[int]) -> None:
+        if buffer:
+            self.sojourn_total += sum(buffer)
+            self.stream.observe_many(np.asarray(buffer, dtype=np.float64))
+            buffer.clear()
+
+
 class _ShardDriver:
-    """The open-loop FSM over a pre-decomposed arrival/service stream.
+    """The per-event open-loop FSM: the referee every fast engine is
+    checked against, on either scheduler.
 
     Arrivals come as absolute times with services pre-assigned per
     arrival index, so any slice of the global scenario replays
-    identically whatever happens in the other shards.  Every running
-    invocation holds a lease timer re-armed each interval until it
-    finishes; a dry pool queues FIFO or, under the cold policies, spins
-    a sandbox up.
+    identically whatever happens in the other shards.  One arrival
+    event is re-scheduled from arrival to arrival at ``_ARRIVAL_PRIO``.
+    Every running invocation holds a lease timer re-armed each interval
+    until it finishes; a dry pool queues FIFO or, under the cold
+    policies, spins a sandbox up.
 
-    Two admission modes (``config.admission``):
-
-    * ``"per-event"`` -- one ``timeout()`` per arrival, chained from the
-      previous arrival's callback: the referee every fast engine is
-      checked against, on either scheduler.
-    * ``"batch"`` -- each pre-generated arrival chunk is bucket-sorted
-      into the scheduler in one vectorized ``schedule_batch`` call and
-      a fused closure kernel runs the FSM:
-      :meth:`_install_cold_lane_kernel` for the cold policies at
-      keepalive 0 on the wheel, :meth:`_install_batch_kernel`
-      otherwise.
-
-    The ``queue`` policy with batch admission on the wheel never builds
-    this driver: :func:`_simulate` runs it as :class:`_FifoDriver`'s
-    recurrence.
+    Only ``admission="per-event"`` builds this driver; batch admission
+    runs :class:`_FifoDriver`'s recurrence (``queue``) or
+    :class:`_PoolWalk` (``cold``/``hybrid``).
     """
 
     __slots__ = (
@@ -643,15 +846,10 @@ class _ShardDriver:
         "_next_service",
         "_buffer",
         "sojourn_total",
-        "_batch",
         "_lease_cbs",
         "_schedule",
-        "_kernel_sync",
-        "_kernel_drive",
         "_on_arrival",
-        "_on_lease",
         "_is_wheel",
-        "_cold_mode",
         "_threshold",
         "_spawn",
         "_keepalive",
@@ -662,8 +860,6 @@ class _ShardDriver:
         "cold_alive",
         "_cold_cbs",
         "_reclaim_cbs",
-        "_on_cold",
-        "_on_reclaim",
     )
 
     def __init__(self, env, config: ScaleConfig, shard: int, shards: int) -> None:
@@ -679,8 +875,7 @@ class _ShardDriver:
         self.max_backlog = 0
         self.occupancy_peaks: dict[str, int] = {}
         self._interval = config.lease_check_interval_ns
-        self._batch = config.admission == "batch"
-        self._chunks = _shard_chunks(config, shard, shards, lists=not self._batch)
+        self._chunks = _shard_chunks(config, shard, shards)
         self._times: list[int] = []
         self._services: list[int] = []
         self._pos = 0
@@ -688,30 +883,16 @@ class _ShardDriver:
         self._next_service = 0
         self._buffer: list[int] = []
         self.sojourn_total = 0
-        # Batch mode installs a closure kernel in start(); the method
-        # FSM below serves per-event mode.
         self._on_arrival = self._handle_arrival
-        self._on_lease = self._handle_lease
-        #: One shared callbacks tuple for every lease timeout: the run
+        #: One shared callbacks tuple for every lease timer: the run
         #: loop only reads and detaches callbacks, so re-arms and fresh
         #: dispatches alike avoid a per-event list allocation.
-        self._lease_cbs = (self._on_lease,)
+        self._lease_cbs = (self._handle_lease,)
         #: Bound once: ~7 re-arms per invocation go through this.
         self._schedule = env.schedule_timeout
-        self._kernel_sync: Any = None
-        self._kernel_drive: Any = None
         self._is_wheel = isinstance(env, WheelEnvironment)
         # -- cold-start path (pool_policy != "queue") ------------------
-        policy = config.pool_policy
-        self._cold_mode = policy != "queue"
-        #: Backlog depth at which a dry-pool arrival goes cold instead
-        #: of queueing: 0 = always ("cold"), huge = never ("queue").
-        if policy == "cold":
-            self._threshold = 0
-        elif policy == "hybrid":
-            self._threshold = config.hybrid_threshold
-        else:
-            self._threshold = 1 << 62
+        self._threshold = _dry_threshold(config.pool_policy, config.hybrid_threshold)
         self._spawn = SANDBOX_PROFILES[config.start_model].spawn_ns(1)
         self._keepalive = config.keepalive_ns
         self.cold_starts = 0
@@ -719,10 +900,8 @@ class _ShardDriver:
         self.cold_reclaimed = 0
         self.cold_retained = 0
         self.cold_alive = 0
-        self._on_cold = self._handle_cold
-        self._on_reclaim = self._handle_reclaim
-        self._cold_cbs = (self._on_cold,)
-        self._reclaim_cbs = (self._on_reclaim,)
+        self._cold_cbs = (self._handle_cold,)
+        self._reclaim_cbs = (self._handle_reclaim,)
 
     def _advance(self) -> None:
         """Prefetch the next (arrival time, service) pair."""
@@ -735,952 +914,13 @@ class _ShardDriver:
         self._pos = pos + 1
 
     def start(self) -> None:
-        if self._batch:
-            if self._cold_mode and self._is_wheel and not self._keepalive:
-                self._install_cold_lane_kernel()
-            else:
-                self._install_batch_kernel()
-            return
         self._advance()
         event = BatchEvent(self.env, (self._on_arrival,), 0)
         self.env.schedule(event, self._next_time, _ARRIVAL_PRIO)
 
     def drive(self) -> None:
-        """Run the simulation to completion (fused loop when available)."""
-        kernel = self._kernel_drive
-        if kernel is not None:
-            kernel()
-        else:
-            self.env.run()
-
-    def _install_batch_kernel(self) -> None:
-        """Build the batch-mode FSM as closures and admit the first chunk.
-
-        The arrival/lease handlers run ~9 million times per million
-        invocations; closing their state over cells (LOAD_DEREF) instead
-        of attribute access roughly halves the interpreter work per
-        event.  Three further hot-path savings over the method FSM:
-
-        * the just-processed arrival BatchEvent is *reused* as its own
-          lease timer (value/callbacks re-set, rescheduled) -- a
-          dispatch allocates nothing;
-        * a completed lease event is likewise reused for the backlogged
-          invocation it hands its slot to;
-        * the dominant re-arm destination -- a level-0 wheel slot ahead
-          of the cursor -- is filed inline against stable wheel
-          internals (``_slots0``/``_mask0``/``_eid`` never change
-          identity, even across re-anchors), with everything else
-          falling back to ``schedule_timeout``.  The entry tuples and
-          eid allocation points are identical, so pop order -- hence the
-          fingerprint -- is untouched.
-
-        Simulated-domain state is written back by ``finish()`` via the
-        ``_sync`` closure; ``_buffer``/``backlog``/``occupancy_peaks``
-        are shared mutable objects and need no sync.
-        """
-        env = self.env
-        schedule = env.schedule_timeout
-        schedule_batch = env.schedule_batch
-        interval = self._interval
-        flush_batch = _FLUSH_BATCH
-        flush = self._flush
-        sample = self._sample_wheel
-        buffer = self._buffer
-        backlog = self.backlog
-        chunks = self._chunks
-        total = self.count
-        is_wheel = self._is_wheel
-        if is_wheel:
-            slots0 = env._slots0
-            mask0 = env._mask0
-            eid = env._eid
-            # Bound once: _eid is never rebound, even across re-anchors.
-            eidn = eid.__next__
-        else:
-            slots0 = mask0 = eid = eidn = None
-        free_slots = self.free_slots
-        arrived = 0
-        completed = 0
-        queued = 0
-        max_backlog = 0
-        services: list[int] = []
-        nservices = 0
-        pos = 0
-        lease_cbs: tuple = ()
-        # Cold-start knobs (threshold is 1 << 62 under "queue", so the
-        # saturated-arrival path costs one extra int compare).
-        spawn = self._spawn
-        keepalive = self._keepalive
-        threshold = self._threshold
-        cold_starts = 0
-        cold_busy_ns = 0
-        cold_reclaimed = 0
-        cold_retained = 0
-        cold_alive = 0
-        cold_cbs: tuple = ()
-        reclaim_cbs: tuple = ()
-
-        def admit_chunk() -> None:
-            nonlocal services, nservices, pos
-            times, served = next(chunks)
-            services = served.tolist()
-            nservices = len(services)
-            pos = 0
-            schedule_batch(times, on_arrival, _ARRIVAL_PRIO)
-
-        def on_arrival(event) -> None:
-            nonlocal pos, arrived, free_slots, queued, max_backlog
-            nonlocal cold_starts, cold_busy_ns
-            now = env._now
-            service = services[pos]
-            pos += 1
-            arrived += 1
-            # Admit the successor chunk from the *last* arrival of the
-            # current one, before its dispatch -- the same point in the
-            # event order where the per-event driver schedules its next
-            # arrival timeout.
-            if pos == nservices and arrived < total:
-                admit_chunk()
-            if free_slots:
-                free_slots -= 1
-                buffer.append(service)  # sojourn: zero wait + service
-                if len(buffer) >= flush_batch:
-                    flush()
-                event._value = now + service
-                event.callbacks = lease_cbs
-                delay = service if service <= interval else interval
-                if is_wheel:
-                    when = now + delay
-                    s0 = when >> env._gbits
-                    d0 = s0 - env._cursor
-                    if 0 < d0 <= mask0:
-                        slots0[s0 & mask0].append((when, 1, next(eid), event))
-                        env._l0_count += 1
-                        return
-                schedule(event, delay)
-            elif len(backlog) >= threshold:
-                cold_starts += 1
-                cold_busy_ns += spawn + service
-                schedule(BatchEvent(env, cold_cbs, service), spawn)
-            else:
-                backlog.append((now, service))
-                queued += 1
-                if len(backlog) > max_backlog:
-                    max_backlog = len(backlog)
-
-        def on_lease(event) -> None:
-            nonlocal completed, free_slots
-            now = env._now
-            remaining = event._value - now
-            if remaining > 0:
-                # The lease descriptor is a tuple, so the loop never
-                # detached it: re-arming is just a re-insert.
-                delay = interval if remaining > interval else remaining
-                if is_wheel:
-                    when = now + delay
-                    s0 = when >> env._gbits
-                    d0 = s0 - env._cursor
-                    if 0 < d0 <= mask0:
-                        slots0[s0 & mask0].append((when, 1, next(eid), event))
-                        env._l0_count += 1
-                        return
-                schedule(event, delay)
-                return
-            completed += 1
-            if not completed & 0x3FF and is_wheel:
-                sample()
-            if backlog:
-                arrival_ns, service = backlog.popleft()
-                buffer.append(now - arrival_ns + service)
-                if len(buffer) >= flush_batch:
-                    flush()
-                event._value = now + service
-                delay = service if service <= interval else interval
-                if is_wheel:
-                    when = now + delay
-                    s0 = when >> env._gbits
-                    d0 = s0 - env._cursor
-                    if 0 < d0 <= mask0:
-                        slots0[s0 & mask0].append((when, 1, next(eid), event))
-                        env._l0_count += 1
-                        return
-                schedule(event, delay)
-            else:
-                free_slots += 1
-
-        def on_cold(event) -> None:
-            """Sandbox ready: record the cold sojourn and start the
-            invocation on the new executor, reusing the spin-up event as
-            its lease timer (lease eid first, reclaim eid second, as in
-            the per-event referee).  Dispatched through the generic
-            foreign-event path: cold events are rare by construction, so
-            they never earn a fused branch."""
-            nonlocal cold_alive
-            now = env._now
-            service = event._value
-            buffer.append(spawn + service)
-            if len(buffer) >= flush_batch:
-                flush()
-            cold_alive += 1
-            event._value = now + service
-            event.callbacks = lease_cbs
-            schedule(event, service if service <= interval else interval)
-            if keepalive:
-                schedule(BatchEvent(env, reclaim_cbs, 0), keepalive)
-
-        def on_reclaim_ev(_event) -> None:
-            """Idle-reclaim expiry: tear one cold executor down iff the
-            pool has an idle slot to give back."""
-            nonlocal free_slots, cold_alive, cold_reclaimed, cold_retained
-            if free_slots and cold_alive:
-                free_slots -= 1
-                cold_alive -= 1
-                cold_reclaimed += 1
-            else:
-                cold_retained += 1
-
-        def drive() -> None:
-            """Fused event loop: the wheel's pop fast path with both
-            kernel handlers inlined.
-
-            ``WheelEnvironment.run`` costs a Python call frame, an
-            ``env._now`` store, a class check and a failure check per
-            event before the handler does any work; at ~9 events per
-            invocation that overhead alone is seconds per million
-            invocations.  This loop recognizes the kernel's own events
-            by their dispatch-descriptor identity (``lease_cbs``, or a
-            tuple holding ``on_arrival``) and runs the handler bodies
-            inline with ``now`` kept in a local.  Everything the run
-            loop would have done for these events is replicated: same
-            pop order (identical guard structure over the same spill /
-            overflow / active objects), same ``events_processed``
-            accounting, and ``env._now`` / ``env._ai`` are synced
-            before any call that can observe them (``_pop``, the
-            ``schedule_timeout`` fallback, chunk admission, occupancy
-            sampling, foreign callbacks) and in ``finally``.  The
-            failure check is skipped only for the kernel's own events,
-            which are constructed ``_ok`` and never fail; foreign
-            events get the full generic treatment.  Invariants relied
-            on: callbacks never rebind ``_active`` / ``_spill`` /
-            ``_queue`` (refill and re-anchor drain them in place, and
-            only inside ``_pop``), and inline L0 inserts never target
-            the active bucket (``0 < d0`` excludes the cursor slot).
-            """
-            nonlocal pos, arrived, completed, free_slots, queued, max_backlog
-            nonlocal cold_starts, cold_busy_ns
-            pop = env._pop
-            spill = env._spill
-            overflow = env._queue
-            active = env._active
-            ai = env._ai
-            alen = len(active)
-            processed = 0
-            now = env._now
-            # Shadowed wheel state, valid between "cold" calls (_pop,
-            # the schedule fallback, chunk admission, foreign
-            # callbacks): _gbits/_cursor only change inside those calls,
-            # so they live in locals and are re-read afterwards;
-            # inline-insert increments of _l0_count accumulate in
-            # l0_add and are flushed to the wheel before every cold
-            # call (whose dry-wheel checks read the true count) and on
-            # exit.  `clear` is True while the spill and overflow heaps
-            # are both empty -- they only gain entries during cold
-            # calls and only drain here -- letting the common case
-            # skip both head-comparison guards per event.
-            gbits = env._gbits
-            cursor = env._cursor
-            l0_add = 0
-            clear = not spill and not overflow
-            try:
-                while True:
-                    if ai < alen:
-                        if clear:
-                            entry = active[ai]
-                            active[ai] = None
-                            ai += 1
-                        else:
-                            entry = active[ai]
-                            if spill and spill[0] < entry:
-                                head = spill[0]
-                                if overflow and overflow[0] < head:
-                                    entry = heappop(overflow)
-                                else:
-                                    entry = heappop(spill)
-                                clear = not spill and not overflow
-                            elif overflow and overflow[0] < entry:
-                                entry = heappop(overflow)
-                                clear = not spill and not overflow
-                            else:
-                                active[ai] = None
-                                ai += 1
-                    else:
-                        env._ai = ai
-                        env._now = now
-                        if l0_add:
-                            env._l0_count += l0_add
-                            l0_add = 0
-                        try:
-                            entry = pop()
-                        except IndexError:
-                            return
-                        active = env._active
-                        ai = env._ai
-                        alen = len(active)
-                        gbits = env._gbits
-                        cursor = env._cursor
-                        clear = not spill and not overflow
-                    now = entry[0]
-                    event = entry[3]
-                    processed += 1
-                    cbs = event.callbacks
-                    if cbs is lease_cbs:
-                        deadline = event._value
-                        if deadline > now:
-                            when = now + interval
-                            if when > deadline:
-                                when = deadline
-                            s0 = when >> gbits
-                            d0 = s0 - cursor
-                            if 0 < d0 <= mask0:
-                                slots0[s0 & mask0].append((when, 1, eidn(), event))
-                                l0_add += 1
-                            else:
-                                env._now = now
-                                env._ai = ai
-                                if l0_add:
-                                    env._l0_count += l0_add
-                                    l0_add = 0
-                                schedule(event, when - now)
-                                gbits = env._gbits
-                                cursor = env._cursor
-                                clear = not spill and not overflow
-                            continue
-                        completed += 1
-                        if not completed & 0x3FF:
-                            env._now = now
-                            env._ai = ai
-                            if l0_add:
-                                env._l0_count += l0_add
-                                l0_add = 0
-                            sample()
-                        if backlog:
-                            arrival_ns, service = backlog.popleft()
-                            buffer.append(now - arrival_ns + service)
-                            if len(buffer) >= flush_batch:
-                                # flush() force-samples occupancy: give
-                                # it the true wheel state first.
-                                env._now = now
-                                env._ai = ai
-                                if l0_add:
-                                    env._l0_count += l0_add
-                                    l0_add = 0
-                                flush()
-                            deadline = now + service
-                            event._value = deadline
-                            when = now + interval
-                            if when > deadline:
-                                when = deadline
-                            s0 = when >> gbits
-                            d0 = s0 - cursor
-                            if 0 < d0 <= mask0:
-                                slots0[s0 & mask0].append((when, 1, eidn(), event))
-                                l0_add += 1
-                            else:
-                                env._now = now
-                                env._ai = ai
-                                if l0_add:
-                                    env._l0_count += l0_add
-                                    l0_add = 0
-                                schedule(event, when - now)
-                                gbits = env._gbits
-                                cursor = env._cursor
-                                clear = not spill and not overflow
-                        else:
-                            free_slots += 1
-                        continue
-                    if cbs.__class__ is tuple and cbs[0] is on_arrival:
-                        service = services[pos]
-                        pos += 1
-                        arrived += 1
-                        if pos == nservices and arrived < total:
-                            env._now = now
-                            env._ai = ai
-                            if l0_add:
-                                env._l0_count += l0_add
-                                l0_add = 0
-                            admit_chunk()
-                            gbits = env._gbits
-                            cursor = env._cursor
-                            clear = not spill and not overflow
-                        if free_slots:
-                            free_slots -= 1
-                            buffer.append(service)
-                            if len(buffer) >= flush_batch:
-                                # flush() force-samples occupancy: give
-                                # it the true wheel state first.
-                                env._now = now
-                                env._ai = ai
-                                if l0_add:
-                                    env._l0_count += l0_add
-                                    l0_add = 0
-                                flush()
-                            deadline = now + service
-                            event._value = deadline
-                            event.callbacks = lease_cbs
-                            when = now + interval
-                            if when > deadline:
-                                when = deadline
-                            s0 = when >> gbits
-                            d0 = s0 - cursor
-                            if 0 < d0 <= mask0:
-                                slots0[s0 & mask0].append((when, 1, eidn(), event))
-                                l0_add += 1
-                            else:
-                                env._now = now
-                                env._ai = ai
-                                if l0_add:
-                                    env._l0_count += l0_add
-                                    l0_add = 0
-                                schedule(event, when - now)
-                                gbits = env._gbits
-                                cursor = env._cursor
-                                clear = not spill and not overflow
-                        elif len(backlog) >= threshold:
-                            cold_starts += 1
-                            cold_busy_ns += spawn + service
-                            env._now = now
-                            env._ai = ai
-                            if l0_add:
-                                env._l0_count += l0_add
-                                l0_add = 0
-                            schedule(BatchEvent(env, cold_cbs, service), spawn)
-                            gbits = env._gbits
-                            cursor = env._cursor
-                            clear = not spill and not overflow
-                        else:
-                            backlog.append((now, service))
-                            queued += 1
-                            blen = len(backlog)
-                            if blen > max_backlog:
-                                max_backlog = blen
-                        continue
-                    # Foreign event: full generic run-loop semantics.
-                    env._now = now
-                    env._ai = ai
-                    if l0_add:
-                        env._l0_count += l0_add
-                        l0_add = 0
-                    if cbs.__class__ is tuple:
-                        cbs[0](event)
-                    else:
-                        event.callbacks = None
-                        for callback in cbs:
-                            callback(event)
-                    if not event._ok and not event._defused:
-                        exc = event._value
-                        if isinstance(exc, BaseException):
-                            raise exc
-                        raise RuntimeError(f"event failed with non-exception {exc!r}")
-                    gbits = env._gbits
-                    cursor = env._cursor
-                    clear = not spill and not overflow
-            finally:
-                env._ai = ai
-                env._now = now
-                if l0_add:
-                    env._l0_count += l0_add
-                env.events_processed += processed
-
-        def sync() -> None:
-            self.arrived = arrived
-            self.completed = completed
-            self.queued = queued
-            self.max_backlog = max_backlog
-            self.free_slots = free_slots
-            self.cold_starts = cold_starts
-            self.cold_busy_ns = cold_busy_ns
-            self.cold_reclaimed = cold_reclaimed
-            self.cold_retained = cold_retained
-            self.cold_alive = cold_alive
-
-        lease_cbs = (on_lease,)
-        cold_cbs = (on_cold,)
-        reclaim_cbs = (on_reclaim_ev,)
-        self._on_arrival = on_arrival
-        self._on_lease = on_lease
-        self._lease_cbs = lease_cbs
-        self._on_cold = on_cold
-        self._on_reclaim = on_reclaim_ev
-        self._cold_cbs = cold_cbs
-        self._reclaim_cbs = reclaim_cbs
-        self._kernel_sync = sync
-        # The fused loop leans on wheel internals; heap-batch runs keep
-        # the generic Environment.run dispatch over the same closures.
-        self._kernel_drive = drive if is_wheel else None
-        admit_chunk()
-
-    def _install_cold_lane_kernel(self) -> None:
-        """Batch-wheel kernel + vectorized ColdLane (keepalive = 0).
-
-        Leases live in the wheel exactly as in the batch kernel: the
-        reused-event / inline-L0 recipe absorbs the cold re-arm storm
-        (every concurrent cold lease re-arms each ``interval``, and a
-        saturated pool holds ~``service / gap`` of them at once) at one
-        list append per re-arm.
-
-        What the ColdLane vectorizes is the *cold stream*: a dry-pool
-        arrival that goes cold becomes three int64 cells in its
-        spin-up calendar instead of a scheduled event, and the entire
-        pending backlog fires as one slab
-        (:meth:`~repro.sim.wheel.ColdLane.drain_spinups_all`) the
-        moment the merge reaches the oldest ready time.  Under a
-        saturated pool that is one ``spawn / gap``-sized slab (~4k
-        spin-ups at the default 250 ns gap) per ``spawn`` of virtual
-        time instead of one scalar fire wedged between every pair of
-        arrivals.
-
-        Exactness of the early slab: with idle-reclaim off nothing
-        ever reads ``cold_alive``, and a spin-up fire's effects are
-        functions of its own stored times -- the sojourn is ``spawn +
-        service`` and its lease lands at ``ready + min(service,
-        interval)``, strictly ahead of every already-dispatched event.
-        Spin-up fires therefore commute with arrivals and completions.
-        The slab admits its leases through ``schedule_batch`` sorted
-        by deadline, so their eids are drawn in deadline order where
-        the referee draws them in ready order; a tie at equal ``(when,
-        priority)`` between two lease events is the only place that
-        renumbering can flip a fire order, and lease fires commute
-        among themselves (a re-arm touches only its own stored finish;
-        completions are interchangeable -- the backlog pops FIFO and
-        ``free_slots`` increments commute).  Every fingerprint
-        aggregate (counter totals, the sojourn multiset into histogram
-        buckets, exact min/max, the exact-integer mean) is order-free,
-        so the fingerprint is the per-event referee's, bit for bit.
-        """
-        env = self.env
-        schedule = env.schedule_timeout
-        schedule_batch = env.schedule_batch
-        insert = env._insert
-        interval = self._interval
-        flush_batch = _FLUSH_BATCH
-        flush = self._flush
-        sample = self._sample_wheel
-        buffer = self._buffer
-        backlog = self.backlog
-        chunks = self._chunks
-        total = self.count
-        spawn = self._spawn
-        threshold = self._threshold
-        slots0 = env._slots0
-        mask0 = env._mask0
-        eid = env._eid
-        # Bound once: _eid is never rebound, even across re-anchors.
-        eidn = eid.__next__
-        free_slots = self.free_slots
-        arrived = 0
-        completed = 0
-        queued = 0
-        max_backlog = 0
-        cold_starts = 0
-        cold_busy_ns = 0
-        cold_alive = 0
-        services: list[int] = []
-        nservices = 0
-        pos = 0
-        lease_cbs: tuple = ()
-        # Cached cold-lane head ready time; -1 means "empty".  Ready
-        # times are monotone in admission order (now + spawn), so only
-        # the first admission after a drain sets it.
-        cold_w = -1
-
-        def admit_chunk() -> None:
-            nonlocal services, nservices, pos
-            times, served = next(chunks)
-            services = served.tolist()
-            nservices = len(services)
-            pos = 0
-            schedule_batch(times, on_arrival, _ARRIVAL_PRIO)
-
-        def on_arrival(event) -> None:
-            """Generic-dispatch arrival body (the fused loop inlines it)."""
-            nonlocal pos, arrived, free_slots, queued, max_backlog
-            nonlocal cold_starts, cold_busy_ns, cold_w
-            now = env._now
-            service = services[pos]
-            pos += 1
-            arrived += 1
-            if pos == nservices and arrived < total:
-                admit_chunk()
-            if free_slots:
-                free_slots -= 1
-                buffer.append(service)
-                if len(buffer) >= flush_batch:
-                    flush()
-                event._value = now + service
-                event.callbacks = lease_cbs
-                delay = service if service <= interval else interval
-                when = now + delay
-                s0 = when >> env._gbits
-                d0 = s0 - env._cursor
-                if 0 < d0 <= mask0:
-                    slots0[s0 & mask0].append((when, 1, eidn(), event))
-                    env._l0_count += 1
-                    return
-                schedule(event, delay)
-            elif len(backlog) >= threshold:
-                cold_starts += 1
-                cold_busy_ns += spawn + service
-                ready = now + spawn
-                cold_admit(ready, now, service)
-                if cold_w < 0:
-                    cold_w = ready
-            else:
-                backlog.append((now, service))
-                queued += 1
-                if len(backlog) > max_backlog:
-                    max_backlog = len(backlog)
-
-        def on_lease(event) -> None:
-            nonlocal completed, free_slots
-            now = env._now
-            remaining = event._value - now
-            if remaining > 0:
-                delay = interval if remaining > interval else remaining
-                when = now + delay
-                s0 = when >> env._gbits
-                d0 = s0 - env._cursor
-                if 0 < d0 <= mask0:
-                    slots0[s0 & mask0].append((when, 1, eidn(), event))
-                    env._l0_count += 1
-                    return
-                schedule(event, delay)
-                return
-            completed += 1
-            if not completed & 0x3FF:
-                sample()
-            if backlog:
-                arrival_ns, service = backlog.popleft()
-                buffer.append(now - arrival_ns + service)
-                if len(buffer) >= flush_batch:
-                    flush()
-                event._value = now + service
-                delay = service if service <= interval else interval
-                when = now + delay
-                s0 = when >> env._gbits
-                d0 = s0 - env._cursor
-                if 0 < d0 <= mask0:
-                    slots0[s0 & mask0].append((when, 1, eidn(), event))
-                    env._l0_count += 1
-                    return
-                schedule(event, delay)
-            else:
-                free_slots += 1
-
-        def on_ready(when: int, arrival: int, service: int) -> None:
-            """Scalar spin-up fire (sub-slab runs): sandbox ready, the
-            executor joins the pool by starting its invocation under a
-            wheel-resident lease."""
-            nonlocal cold_alive
-            buffer.append(spawn + service)
-            if len(buffer) >= flush_batch:
-                flush()
-            cold_alive += 1
-            dl = when + (service if service <= interval else interval)
-            insert((dl, 1, eidn(), BatchEvent(env, lease_cbs, when + service)))
-
-        def on_ready_slab(when_a, arrival_a, service_a) -> None:
-            """Vectorized spin-up run: bulk sojourns, leases admitted
-            into the wheel via one deadline-sorted ``schedule_batch``
-            (passing ``lease_cbs`` itself so the fused loop keeps
-            recognizing the events by descriptor identity)."""
-            nonlocal cold_alive
-            n = when_a.shape[0]
-            buffer.extend((service_a + spawn).tolist())
-            if len(buffer) >= flush_batch:
-                flush()
-            cold_alive += n
-            finishes = when_a + service_a
-            deadlines = when_a + np.minimum(service_a, interval)
-            order = np.argsort(deadlines, kind="stable")
-            events = schedule_batch(deadlines[order], lease_cbs)
-            for ev, fin in zip(events, finishes[order].tolist()):
-                ev._value = fin
-
-        cold = env.attach_cold_lane(on_ready, on_ready_slab)
-        cold_admit = cold.admit
-        drain_all = cold.drain_spinups_all
-
-        def drive() -> None:
-            """Fused loop: the batch kernel's pop fast path plus the
-            cold gate.
-
-            Before an entry at ``when`` dispatches, a pending spin-up
-            backlog whose oldest ready time is <= ``when`` fires as one
-            slab; the entry is pushed back through the spill heap (the
-            slab's lease admissions may precede it) and the pop
-            retried.  Shadow-state rules are the batch kernel's, with
-            one addition: the gate and the dry-wheel slab flush
-            ``l0_add`` and re-read ``_gbits``/``_cursor`` around
-            ``drain_all`` (slab admissions can re-anchor a dry wheel).
-            ``cold_admit`` touches only lane arrays and the eid
-            counter, so the arrival fast path needs no sync around it.
-            """
-            nonlocal pos, arrived, completed, free_slots, queued, max_backlog
-            nonlocal cold_starts, cold_busy_ns, cold_w
-            pop = env._pop
-            spill = env._spill
-            overflow = env._queue
-            active = env._active
-            ai = env._ai
-            alen = len(active)
-            processed = 0
-            now = env._now
-            gbits = env._gbits
-            cursor = env._cursor
-            l0_add = 0
-            clear = not spill and not overflow
-            try:
-                while True:
-                    if ai < alen:
-                        if clear:
-                            entry = active[ai]
-                            active[ai] = None
-                            ai += 1
-                        else:
-                            entry = active[ai]
-                            if spill and spill[0] < entry:
-                                head = spill[0]
-                                if overflow and overflow[0] < head:
-                                    entry = heappop(overflow)
-                                else:
-                                    entry = heappop(spill)
-                                clear = not spill and not overflow
-                            elif overflow and overflow[0] < entry:
-                                entry = heappop(overflow)
-                                clear = not spill and not overflow
-                            else:
-                                active[ai] = None
-                                ai += 1
-                    else:
-                        env._ai = ai
-                        env._now = now
-                        if l0_add:
-                            env._l0_count += l0_add
-                            l0_add = 0
-                        try:
-                            entry = pop()
-                        except IndexError:
-                            if cold_w < 0:
-                                return
-                            # Wheel dry with spin-ups pending: slab
-                            # them out (their leases land back in the
-                            # wheel) and resume popping.
-                            processed += drain_all()
-                            cold_w = -1
-                            active = env._active
-                            ai = env._ai
-                            alen = len(active)
-                            gbits = env._gbits
-                            cursor = env._cursor
-                            clear = not spill and not overflow
-                            continue
-                        active = env._active
-                        ai = env._ai
-                        alen = len(active)
-                        gbits = env._gbits
-                        cursor = env._cursor
-                        clear = not spill and not overflow
-                    if 0 <= cold_w <= entry[0]:
-                        # Cold gate: the whole pending spin-up backlog
-                        # commutes and its oldest ready precedes this
-                        # entry -- fire it as one slab, push the entry
-                        # back and re-pop.
-                        env._ai = ai
-                        env._now = now
-                        if l0_add:
-                            env._l0_count += l0_add
-                            l0_add = 0
-                        processed += drain_all()
-                        cold_w = -1
-                        heappush(spill, entry)
-                        gbits = env._gbits
-                        cursor = env._cursor
-                        clear = False
-                        continue
-                    now = entry[0]
-                    event = entry[3]
-                    processed += 1
-                    cbs = event.callbacks
-                    if cbs is lease_cbs:
-                        deadline = event._value
-                        if deadline > now:
-                            when = now + interval
-                            if when > deadline:
-                                when = deadline
-                            s0 = when >> gbits
-                            d0 = s0 - cursor
-                            if 0 < d0 <= mask0:
-                                slots0[s0 & mask0].append((when, 1, eidn(), event))
-                                l0_add += 1
-                            else:
-                                env._now = now
-                                env._ai = ai
-                                if l0_add:
-                                    env._l0_count += l0_add
-                                    l0_add = 0
-                                schedule(event, when - now)
-                                gbits = env._gbits
-                                cursor = env._cursor
-                                clear = not spill and not overflow
-                            continue
-                        completed += 1
-                        if not completed & 0x3FF:
-                            env._now = now
-                            env._ai = ai
-                            if l0_add:
-                                env._l0_count += l0_add
-                                l0_add = 0
-                            sample()
-                        if backlog:
-                            arrival_ns, service = backlog.popleft()
-                            buffer.append(now - arrival_ns + service)
-                            if len(buffer) >= flush_batch:
-                                # flush() force-samples occupancy: give
-                                # it the true wheel state first.
-                                env._now = now
-                                env._ai = ai
-                                if l0_add:
-                                    env._l0_count += l0_add
-                                    l0_add = 0
-                                flush()
-                            deadline = now + service
-                            event._value = deadline
-                            when = now + interval
-                            if when > deadline:
-                                when = deadline
-                            s0 = when >> gbits
-                            d0 = s0 - cursor
-                            if 0 < d0 <= mask0:
-                                slots0[s0 & mask0].append((when, 1, eidn(), event))
-                                l0_add += 1
-                            else:
-                                env._now = now
-                                env._ai = ai
-                                if l0_add:
-                                    env._l0_count += l0_add
-                                    l0_add = 0
-                                schedule(event, when - now)
-                                gbits = env._gbits
-                                cursor = env._cursor
-                                clear = not spill and not overflow
-                        else:
-                            free_slots += 1
-                        continue
-                    if cbs.__class__ is tuple and cbs[0] is on_arrival:
-                        service = services[pos]
-                        pos += 1
-                        arrived += 1
-                        if pos == nservices and arrived < total:
-                            env._now = now
-                            env._ai = ai
-                            if l0_add:
-                                env._l0_count += l0_add
-                                l0_add = 0
-                            admit_chunk()
-                            gbits = env._gbits
-                            cursor = env._cursor
-                            clear = not spill and not overflow
-                        if free_slots:
-                            free_slots -= 1
-                            buffer.append(service)
-                            if len(buffer) >= flush_batch:
-                                # flush() force-samples occupancy: give
-                                # it the true wheel state first.
-                                env._now = now
-                                env._ai = ai
-                                if l0_add:
-                                    env._l0_count += l0_add
-                                    l0_add = 0
-                                flush()
-                            deadline = now + service
-                            event._value = deadline
-                            event.callbacks = lease_cbs
-                            when = now + interval
-                            if when > deadline:
-                                when = deadline
-                            s0 = when >> gbits
-                            d0 = s0 - cursor
-                            if 0 < d0 <= mask0:
-                                slots0[s0 & mask0].append((when, 1, eidn(), event))
-                                l0_add += 1
-                            else:
-                                env._now = now
-                                env._ai = ai
-                                if l0_add:
-                                    env._l0_count += l0_add
-                                    l0_add = 0
-                                schedule(event, when - now)
-                                gbits = env._gbits
-                                cursor = env._cursor
-                                clear = not spill and not overflow
-                        elif len(backlog) >= threshold:
-                            cold_starts += 1
-                            cold_busy_ns += spawn + service
-                            ready = now + spawn
-                            cold_admit(ready, now, service)
-                            if cold_w < 0:
-                                cold_w = ready
-                        else:
-                            backlog.append((now, service))
-                            queued += 1
-                            blen = len(backlog)
-                            if blen > max_backlog:
-                                max_backlog = blen
-                        continue
-                    # Foreign event: full generic run-loop semantics.
-                    env._now = now
-                    env._ai = ai
-                    if l0_add:
-                        env._l0_count += l0_add
-                        l0_add = 0
-                    if cbs.__class__ is tuple:
-                        cbs[0](event)
-                    else:
-                        event.callbacks = None
-                        for callback in cbs:
-                            callback(event)
-                    if not event._ok and not event._defused:
-                        exc = event._value
-                        if isinstance(exc, BaseException):
-                            raise exc
-                        raise RuntimeError(f"event failed with non-exception {exc!r}")
-                    gbits = env._gbits
-                    cursor = env._cursor
-                    clear = not spill and not overflow
-            finally:
-                env._ai = ai
-                env._now = now
-                if l0_add:
-                    env._l0_count += l0_add
-                env.events_processed += processed
-
-        def sync() -> None:
-            self.arrived = arrived
-            self.completed = completed
-            self.queued = queued
-            self.max_backlog = max_backlog
-            self.free_slots = free_slots
-            self.cold_starts = cold_starts
-            self.cold_busy_ns = cold_busy_ns
-            self.cold_alive = cold_alive
-
-        lease_cbs = (on_lease,)
-        self._on_arrival = on_arrival
-        self._on_lease = on_lease
-        self._lease_cbs = lease_cbs
-        self._kernel_sync = sync
-        self._kernel_drive = drive
-        admit_chunk()
+        """Run the simulation to completion."""
+        self.env.run()
 
     def _handle_arrival(self, event) -> None:
         env = self.env
@@ -1696,7 +936,7 @@ class _ShardDriver:
         if self.free_slots:
             self.free_slots -= 1
             self._begin(now, service)
-        elif self._cold_mode and len(self.backlog) >= self._threshold:
+        elif len(self.backlog) >= self._threshold:
             self._cold_start(now, service)
         else:
             backlog = self.backlog
@@ -1727,8 +967,8 @@ class _ShardDriver:
             self._flush()
         self.cold_alive += 1
         interval = self._interval
-        # Lease eid first, reclaim eid second: the batch kernel's
-        # on_cold allocates them in the same order.
+        # Lease eid first, reclaim eid second: the walk's keys follow
+        # the same order.
         event._value = now + service
         event.callbacks = self._lease_cbs
         self._schedule(event, service if service <= interval else interval)
@@ -1737,8 +977,7 @@ class _ShardDriver:
 
     def _handle_reclaim(self, _event) -> None:
         """Idle-reclaim expiry: tear one cold executor down iff the pool
-        has an idle slot to give back (outcomes depend only on the two
-        gauges, which is what lets bulk expiry runs fold exactly)."""
+        has an idle slot to give back."""
         if self.free_slots and self.cold_alive:
             self.free_slots -= 1
             self.cold_alive -= 1
@@ -1805,27 +1044,13 @@ class _ShardDriver:
             "overflow_inserts",
             "reanchors",
             "granularity_bits",
-            "cold_entries",
-            "cold_entries_peak",
-            "cold_slabs",
-            "cold_max_slab",
-            "cold_scalar_fires",
-            "cold_spinups",
         ):
             value = sample.get(key, 0)
             if value > peaks.get(key, -1):
                 peaks[key] = value
 
     def finish(self) -> None:
-        if self._kernel_sync is not None:
-            self._kernel_sync()
         self._flush()
-        if self.cold_starts:
-            from repro import perf
-
-            if perf.enabled:
-                perf.counters.cold_spinups += self.cold_starts
-                perf.counters.cold_reclaims += self.cold_reclaimed
 
 
 @dataclass
@@ -1885,12 +1110,11 @@ def _simulate(
 ) -> ShardResult:
     """Run one shard of *config* on the engine its knobs call for.
 
-    The ``queue`` policy on the default engine (wheel scheduler, batch
-    admission) runs the exact FIFO recurrence of :class:`_FifoDriver`
-    and builds no environment.  Every other combination walks its
-    events through a :class:`_ShardDriver`: the cold policies need the
-    event order, and the heap scheduler and per-event admission stay
-    the referees the fast engines are checked against.
+    Batch admission (the default) builds no environment: the ``queue``
+    policy runs :class:`_FifoDriver`'s exact FIFO recurrence and
+    ``cold``/``hybrid`` run :class:`_PoolWalk`.  Per-event admission
+    walks every event through a :class:`_ShardDriver` on the chosen
+    scheduler: the referee the fast engines are checked against.
     """
     if not 0 <= shard < shards:
         raise ValueError(f"shard {shard} outside [0, {shards})")
@@ -1901,12 +1125,9 @@ def _simulate(
     if slots < 1:
         raise ValueError("shard needs at least one warm slot")
     driver: Any
-    if (
-        config.pool_policy == "queue"
-        and config.scheduler == "wheel"
-        and config.admission == "batch"
-    ):
-        driver = _FifoDriver(config, shard, shards)
+    if config.admission == "batch":
+        walk = _FifoDriver if config.pool_policy == "queue" else _PoolWalk
+        driver = walk(config, shard, shards)
         wall_s = _timed_drive(driver.drive, profile)
         events, now, pool_hits = driver.events_processed, driver.final_now_ns, 0
         occupancy: dict[str, int] = {}
@@ -1935,6 +1156,9 @@ def _simulate(
         raise RuntimeError(
             f"shard {shard}/{shards} lost invocations: {driver.completed} of {count}"
         )
+    if perf.enabled:
+        perf.counters.cold_spinups += driver.cold_starts
+        perf.counters.cold_reclaims += driver.cold_reclaimed
     return ShardResult(
         shard=shard,
         shards=shards,
@@ -1990,8 +1214,6 @@ def _run_shard(
     and the result cache can key it: the kwargs *are* the shard's
     identity, and the outcome depends on nothing else.
     """
-    from repro import perf
-
     validate_granularity_bits(granularity_bits)
     _validate_admission(admission)
     _validate_pool_policy(pool_policy, start_model, keepalive_ns, hybrid_threshold)
@@ -2294,19 +1516,17 @@ QUICK_UNSATURATED_KWARGS = {
 
 # -- multi-tenant engine -----------------------------------------------
 #
-# Tenancy as a vectorized dimension of the same open-loop machine: the
-# per-tenant arrival streams of a declarative TenantSpec mix are merged
-# into ONE global non-decreasing calendar (np.lexsort, tenant-id column
-# carried through every slab), services are drawn per tenant in
-# within-tenant arrival order and scattered back to merged order, and
-# the batch kernels above gain a tenant column: ``tenants[pos]`` rides
-# next to ``services[pos]`` through chunk admission, and completed
-# lease timers are :class:`TenantEvent`s whose (tenant, pool) slots
-# drive pool-partitioned hand-off.  Admission outcomes follow the
-# rFaaS/compSpot taxonomy -- SUCCESS / CONGESTION / DEADLINE_MISSED --
-# with the deadline classification done purely at flush time against
-# per-tenant deadline masks (no per-event Python).  The per-event heap
-# FSM stays the bit-identity referee.
+# Tenancy as a dimension of the same open-loop machine: the per-tenant
+# arrival streams of a declarative TenantSpec mix are merged into ONE
+# global non-decreasing calendar (np.lexsort, tenant-id column carried
+# through every slab), services are drawn per tenant in within-tenant
+# arrival order and scattered back to merged order, and every
+# completion carries its (tenant, pool) slot for pool-partitioned
+# hand-off.  Admission outcomes follow the rFaaS/compSpot taxonomy --
+# SUCCESS / CONGESTION / DEADLINE_MISSED -- with the deadline
+# classification done purely at flush time against per-tenant deadline
+# masks (no per-event Python).  The per-event FSM stays the
+# bit-identity referee.
 
 #: Warm-pool partition plans over the tenant mix.
 PARTITIONINGS = ("pinned", "shared", "overflow")
@@ -2336,7 +1556,7 @@ class MultiTenantConfig:
     seed: int = 0x7E7A77
     scheduler: Optional[str] = "wheel"
     granularity_bits: Union[int, str] = "auto"
-    #: "batch" (vectorized chunk admission) or "per-event" (the referee).
+    #: "batch" (the reduced-event walk) or "per-event" (the referee).
     admission: str = "batch"
     subbits: int = 8
     shards: int = 1
@@ -2418,13 +1638,12 @@ def _tenant_chunks(config: "MultiTenantConfig", shard: int, shards: int, lists: 
         )
 
 
-class _TenantDriver:
-    """The open-loop FSM over a merged multi-tenant calendar.
+class _TenantBook:
+    """Per-tenant pools, FIFOs and outcome books.
 
-    Same two admission modes as :class:`_ShardDriver` -- a per-event
-    method FSM (the bit-identity referee) and a fused closure kernel
-    installed by ``start()`` for batch mode -- but dispatch is
-    pool-partitioned and every outcome is per-tenant:
+    Shared by the reduced-event walk (:class:`_TenantWalk`) and the
+    per-event referee (:class:`_TenantDriver`), which apply the same
+    dispatch rules and differ only in how they order events:
 
     * an arrival tries its tenant's **pinned** partition first, then
       the **shared** tier; a dry pool queues in the tenant's own FIFO
@@ -2439,16 +1658,9 @@ class _TenantDriver:
       classified at flush time: per-tenant masks feed a
       :class:`KeyedStreamingSummary`, exact integer totals, and the
       vectorized ``sojourn > deadline_ns[t]`` DEADLINE_MISSED counts.
-
-    The per-event referee schedules its chained arrival event at
-    ``_ARRIVAL_PRIO`` -- the same priority batch admission uses -- so
-    lease-vs-arrival ties resolve identically in both engines by
-    construction, and eids within each priority class increase in
-    admission order in both.
     """
 
     __slots__ = (
-        "env",
         "config",
         "names",
         "stream",
@@ -2471,37 +1683,14 @@ class _TenantDriver:
         "sojourn_total",
         "deadlines",
         "queue_caps",
-        "occupancy_peaks",
         "_interval",
-        "_chunks",
-        "_times",
-        "_tenants",
-        "_services",
-        "_pos",
-        "_next_time",
-        "_next_tenant",
-        "_next_service",
-        "_buf_tenant",
-        "_buf_sojourn",
-        "_batch",
-        "_lease_cbs",
-        "_arrival_cbs",
-        "_cold_cbs",
-        "_hop_cbs",
-        "_schedule",
-        "_kernel_sync",
-        "_kernel_drive",
-        "_on_arrival",
-        "_on_lease",
-        "_on_cold",
-        "_on_hop",
-        "_is_wheel",
         "_threshold",
         "_spawn",
+        "_buf_tenant",
+        "_buf_sojourn",
     )
 
-    def __init__(self, env, config: MultiTenantConfig, shard: int, shards: int) -> None:
-        self.env = env
+    def __init__(self, config: MultiTenantConfig, shard: int, shards: int) -> None:
         self.config = config
         specs = config.specs
         n = len(specs)
@@ -2517,6 +1706,8 @@ class _TenantDriver:
         self.waiting = 0
         total = sum(spec.invocations for spec in specs)
         self.count = _shard_invocations(total, shards, shard)
+        if self.count < 1:
+            raise ValueError("tenant shard needs at least one invocation")
         self.arrived = 0
         self.completed = 0
         self.arrived_by = [0] * n
@@ -2530,193 +1721,21 @@ class _TenantDriver:
         self.sojourn_total = 0
         self.deadlines = [spec.effective_deadline_ns() for spec in specs]
         self.queue_caps = [spec.queue_cap for spec in specs]
-        self.occupancy_peaks: dict[str, int] = {}
         self._interval = config.lease_check_interval_ns
-        self._batch = config.admission == "batch"
-        self._chunks = _tenant_chunks(config, shard, shards, lists=not self._batch)
-        self._times: list[int] = []
-        self._tenants: list[int] = []
-        self._services: list[int] = []
-        self._pos = 0
-        self._next_time = 0
-        self._next_tenant = 0
-        self._next_service = 0
+        self._threshold = _dry_threshold(config.pool_policy, config.hybrid_threshold)
+        self._spawn = SANDBOX_PROFILES[config.start_model].spawn_ns(1)
         self._buf_tenant: list[int] = []
         self._buf_sojourn: list[int] = []
-        self._on_arrival = self._handle_arrival
-        self._on_lease = self._handle_lease
-        self._on_cold = self._handle_cold
-        self._on_hop = self._handle_hop
-        self._lease_cbs = (self._on_lease,)
-        self._arrival_cbs = (self._on_arrival,)
-        self._cold_cbs = (self._on_cold,)
-        self._hop_cbs = (self._on_hop,)
-        self._schedule = env.schedule_timeout
-        self._kernel_sync: Any = None
-        self._kernel_drive: Any = None
-        self._is_wheel = isinstance(env, WheelEnvironment)
-        policy = config.pool_policy
-        if policy == "cold":
-            self._threshold = 0
-        elif policy == "hybrid":
-            self._threshold = config.hybrid_threshold
-        else:
-            self._threshold = 1 << 62
-        self._spawn = SANDBOX_PROFILES[config.start_model].spawn_ns(1)
 
-    # -- per-event referee ---------------------------------------------
-
-    def _advance(self) -> None:
-        """Prefetch the next (arrival time, tenant, service) triple."""
-        pos = self._pos
-        while pos >= len(self._times):
-            self._times, self._tenants, self._services = next(self._chunks)
-            pos = 0
-        self._next_time = self._times[pos]
-        self._next_tenant = self._tenants[pos]
-        self._next_service = self._services[pos]
-        self._pos = pos + 1
-
-    def start(self) -> None:
-        if self.count < 1:
-            raise ValueError("tenant shard needs at least one invocation")
-        if self._batch:
-            self._install_tenant_kernel()
-            return
-        self._advance()
-        event = BatchEvent(self.env, self._arrival_cbs, 0)
-        self.env.schedule(event, self._next_time, _ARRIVAL_PRIO)
-
-    def drive(self) -> None:
-        kernel = self._kernel_drive
-        if kernel is not None:
-            kernel()
-        else:
-            self.env.run()
-
-    def _handle_arrival(self, event) -> None:
-        env = self.env
-        now = env._now
-        tenant = self._next_tenant
-        service = self._next_service
-        self.arrived += 1
-        self.arrived_by[tenant] += 1
-        if self.arrived < self.count:
-            self._advance()
-            # Reused chained arrival event, same priority as batch
-            # admission: tie order is engine-independent.
-            env.schedule(event, self._next_time - now, _ARRIVAL_PRIO)
-        if self.pinned[tenant]:
-            self.pinned[tenant] -= 1
-            self._begin(tenant, 0, now, service)
-        elif self.shared_free:
-            self.shared_free -= 1
-            self._begin(tenant, 1, now, service)
-        elif len(self.backlogs[tenant]) >= self._threshold:
-            self._cold_start(tenant, service)
-        elif len(self.backlogs[tenant]) >= self.queue_caps[tenant]:
-            self.congested_by[tenant] += 1
-        else:
-            backlog = self.backlogs[tenant]
-            backlog.append((now, service))
-            self.waiting += 1
-            self.queued_by[tenant] += 1
-            if len(backlog) > self.max_backlog_by[tenant]:
-                self.max_backlog_by[tenant] = len(backlog)
-
-    def _begin(self, tenant: int, pool: int, arrival_ns: int, service: int) -> None:
-        """Dispatch into a slot: one completion event at the finish time
-        (its eid drawn *here*, at the dispatch sequence point -- the
-        anchor of the cross-engine tie-break contract) plus, for leases
-        longer than one check interval, a renewal-check hop chain.  The
-        hops are pure bookkeeping (each re-arms only its own chain), so
-        their fire order -- and their eids -- are unobservable; the
-        batch-wheel kernel counts them arithmetically instead of
-        walking them."""
-        now = self.env._now
-        self._buf_tenant.append(tenant)
-        self._buf_sojourn.append(now - arrival_ns + service)
-        if len(self._buf_sojourn) >= _FLUSH_BATCH:
-            self._flush()
-        event = TenantEvent(self.env, self._lease_cbs, now + service, tenant, pool)
-        self._schedule(event, service)
-        if service > self._interval:
-            hop = BatchEvent(self.env, self._hop_cbs, now + service)
-            self._schedule(hop, self._interval)
-
-    def _redispatch(self, event, tenant: int, arrival_ns: int, service: int) -> None:
-        """Reuse a completed slot's event for the waiter it serves."""
-        now = self.env._now
-        self._buf_tenant.append(tenant)
-        self._buf_sojourn.append(now - arrival_ns + service)
-        if len(self._buf_sojourn) >= _FLUSH_BATCH:
-            self._flush()
-        event._value = now + service
-        self._schedule(event, service)
-        if service > self._interval:
-            hop = BatchEvent(self.env, self._hop_cbs, now + service)
-            self._schedule(hop, self._interval)
-
-    def _handle_hop(self, event) -> None:
-        """Per-interval lease-renewal check: re-arm while the next check
-        still lands strictly before the lease's finish, then vanish.
-        Fires exactly ``(service - 1) // interval`` times per lease."""
-        if self.env._now + self._interval < event._value:
-            self._schedule(event, self._interval)
-
-    def _handle_lease(self, event) -> None:
-        completed = self.completed + 1
-        self.completed = completed
-        if not completed & 0x3FF and self._is_wheel:
-            self._sample_wheel()
-        if event.pool:
-            if self.waiting:
-                backlogs = self.backlogs
-                best = -1
-                best_key = 0
-                for t in range(len(backlogs)):
-                    b = backlogs[t]
-                    if b and (best < 0 or b[0][0] < best_key):
-                        best_key = b[0][0]
-                        best = t
-                arrival_ns, service = backlogs[best].popleft()
-                self.waiting -= 1
-                event.tenant = best
-                self._redispatch(event, best, arrival_ns, service)
-            else:
-                self.shared_free += 1
-        else:
-            tenant = event.tenant
-            backlog = self.backlogs[tenant]
-            if backlog:
-                arrival_ns, service = backlog.popleft()
-                self.waiting -= 1
-                self._redispatch(event, tenant, arrival_ns, service)
-            else:
-                self.pinned[tenant] += 1
-
-    def _cold_start(self, tenant: int, service: int) -> None:
-        self.cold_by[tenant] += 1
-        event = TenantEvent(self.env, self._cold_cbs, service, tenant, 1)
-        self._schedule(event, self._spawn)
-
-    def _handle_cold(self, event) -> None:
-        """Sandbox ready: the cold executor joins the *shared* tier --
-        its spin-up event becomes the invocation's completion event, and
-        at completion it serves shared-tier hand-off like any other
-        slot."""
-        now = self.env._now
-        service = event._value
-        self._buf_tenant.append(event.tenant)
-        self._buf_sojourn.append(self._spawn + service)
-        if len(self._buf_sojourn) >= _FLUSH_BATCH:
-            self._flush()
-        event._value = now + service
-        event.callbacks = self._lease_cbs
-        self._schedule(event, service)
-        if service > self._interval:
-            hop = BatchEvent(self.env, self._hop_cbs, now + service)
-            self._schedule(hop, self._interval)
+    def _oldest_waiter(self) -> int:
+        """Tenant whose FIFO head arrived first (lowest id on ties)."""
+        best = -1
+        best_key = 0
+        for t, backlog in enumerate(self.backlogs):
+            if backlog and (best < 0 or backlog[0][0] < best_key):
+                best_key = backlog[0][0]
+                best = t
+        return best
 
     # -- vectorized flush: the admission-outcome classifier ------------
 
@@ -2743,60 +1762,41 @@ class _TenantDriver:
                 keyed.observe_many(name, slab.astype(np.float64))
             buf.clear()
             self._buf_tenant.clear()
-        if self._is_wheel:
-            self._sample_wheel(force=True)
 
-    _sample_wheel = _ShardDriver._sample_wheel
 
-    def finish(self) -> None:
-        if self._kernel_sync is not None:
-            self._kernel_sync()
-        self._flush()
+class _TenantWalk(_TenantBook):
+    """The multi-tenant FSM as a reduced-event walk (the default engine).
 
-    # -- fused batch kernel --------------------------------------------
+    The referee already keeps renewal hops off the critical path: a
+    dispatch draws its completion's eid at once, and the hop chain
+    touches nothing but itself.  So the walk keeps only completions
+    and cold-start readies, counts ``(service - 1) // interval`` hops
+    per lease in closed form, and before each arrival at ``t`` fires
+    every completion and ready due at or before ``t``.
 
-    def _install_tenant_kernel(self) -> None:
-        """Build the tenant-aware batch FSM as closures and admit chunk 0.
+    Only a pinned and a shared-tier completion at one instant fail to
+    commute (both may serve the same FIFO head), so same-instant events
+    fire in the referee's eid order.  Completion eids are drawn at
+    dispatch and ready eids at the cold arrival; one counter bumped at
+    those points reproduces that order, and each event is one packed
+    int ``(((when << sbits) | seq) << tbits) | tenant << 1 | pool``.
+    Readies have a constant delay, so they sit in a FIFO deque; only
+    completions need a heap.
+    """
 
-        Structurally :meth:`_ShardDriver._install_batch_kernel` with a
-        tenant column: chunk admission schedules :class:`TenantEvent`
-        slabs (``cls=TenantEvent`` through ``schedule_batch``), the
-        arrival handler reads ``tenants[pos]`` next to
-        ``services[pos]``, dispatch stamps ``(tenant, pool)`` into the
-        event it reuses as the completion event, and completion hands
-        the slot off by pool tier.  Per-tenant counters live in the
-        driver's own lists (shared mutable state, no sync needed);
-        scalar gauges are closure cells written back by ``sync()``.
-        The fused wheel loop replicates the run loop's pop order and
-        accounting exactly as the single-stream kernel does.
+    __slots__ = ("_chunks", "events_processed", "final_now_ns")
 
-        Unlike the single-stream event kernels, lease renewal-check hops
-        are *virtualized*.  A dispatched lease's finish is fully determined
-        at dispatch, so the kernel schedules the completion event at
-        ``start + service`` directly and adds the per-event engines'
-        ``(service - 1) // interval`` renewal fires to
-        ``events_processed`` in closed form -- the hops it never walks.
-        Exactness: a hop re-arms only its own chain (no shared state),
-        so hop fire order and hop eids are unobservable; completion
-        eids are drawn at the dispatch sequence point in *every*
-        engine (see :meth:`_begin`), so completion eids ascend in
-        dispatch order everywhere and every tie-break class
-        (completion-vs-completion by eid, completion-vs-arrival by
-        priority) resolves identically.  Cold-start spin-ups keep real
-        hop chains on all engines (they are rare and foreign-dispatched
-        here), so their counts match by construction.
-        """
-        env = self.env
-        schedule = env.schedule_timeout
-        schedule_batch = env.schedule_batch
+    def __init__(self, config: MultiTenantConfig, shard: int, shards: int) -> None:
+        super().__init__(config, shard, shards)
+        self._chunks = _tenant_chunks(config, shard, shards)
+        self.events_processed = 0
+        self.final_now_ns = 0
+
+    def drive(self) -> None:
         interval = self._interval
-        flush_batch = _FLUSH_BATCH
-        flush = self._flush
-        sample = self._sample_wheel
-        buf_tenant = self._buf_tenant
-        buf_sojourn = self._buf_sojourn
+        spawn = self._spawn
+        threshold = self._threshold
         backlogs = self.backlogs
-        ntenants = len(backlogs)
         pinned = self.pinned
         arrived_by = self.arrived_by
         congested_by = self.congested_by
@@ -2804,413 +1804,278 @@ class _TenantDriver:
         cold_by = self.cold_by
         max_backlog_by = self.max_backlog_by
         queue_caps = self.queue_caps
-        chunks = self._chunks
-        total = self.count
-        is_wheel = self._is_wheel
-        if is_wheel:
-            slots0 = env._slots0
-            mask0 = env._mask0
-            eid = env._eid
-            # Bound once: _eid is never rebound, even across re-anchors.
-            eidn = eid.__next__
-        else:
-            slots0 = mask0 = eid = eidn = None
+        buf_tenant = self._buf_tenant
+        buf_sojourn = self._buf_sojourn
+        flush = self._flush
+        oldest = self._oldest_waiter
+        tbits = 1 + (len(backlogs) - 1).bit_length()
+        tmask = (1 << (tbits - 1)) - 1
+        sbits = (2 * self.count + 2).bit_length()
+        low = sbits + tbits
+        never = (_END + 1) << low
         shared_free = self.shared_free
         waiting = 0
-        arrived = 0
-        completed = 0
-        tenants: list[int] = []
-        services: list[int] = []
-        nservices = 0
-        pos = 0
-        lease_cbs: tuple = ()
-        cold_cbs: tuple = ()
-        hop_cbs: tuple = ()
-        spawn = self._spawn
-        threshold = self._threshold
+        completed = hops = seq = 0
+        now = last = 0
+        heap: list[int] = []
+        ready_keys: deque[int] = deque()
+        ready_services: deque[int] = deque()
 
-        def admit_chunk() -> None:
-            nonlocal tenants, services, nservices, pos
-            times, tenants, services = next(chunks)
-            nservices = len(services)
-            pos = 0
-            schedule_batch(times, on_arrival, _ARRIVAL_PRIO, TenantEvent)
-
-        def on_arrival(event) -> None:
-            nonlocal pos, arrived, shared_free, waiting
-            now = env._now
-            tenant = tenants[pos]
-            service = services[pos]
-            pos += 1
-            arrived += 1
-            arrived_by[tenant] += 1
-            if pos == nservices and arrived < total:
-                admit_chunk()
-            if pinned[tenant]:
-                pinned[tenant] -= 1
-                pool = 0
-            elif shared_free:
-                shared_free -= 1
-                pool = 1
-            elif len(backlogs[tenant]) >= threshold:
-                cold_by[tenant] += 1
-                schedule(TenantEvent(env, cold_cbs, service, tenant, 1), spawn)
-                return
-            elif len(backlogs[tenant]) >= queue_caps[tenant]:
-                congested_by[tenant] += 1
-                return
-            else:
-                backlog = backlogs[tenant]
-                backlog.append((now, service))
-                waiting += 1
-                queued_by[tenant] += 1
-                if len(backlog) > max_backlog_by[tenant]:
-                    max_backlog_by[tenant] = len(backlog)
-                return
+        def dispatch(tenant: int, pool: int, start: int, arrival_ns: int, service: int) -> None:
+            nonlocal seq, hops
             buf_tenant.append(tenant)
-            buf_sojourn.append(service)  # zero wait + service
-            if len(buf_sojourn) >= flush_batch:
+            buf_sojourn.append(start - arrival_ns + service)
+            if len(buf_sojourn) >= _FLUSH_BATCH:
                 flush()
-            when = now + service
-            event.tenant = tenant
-            event.pool = pool
-            event._value = when
-            event.callbacks = lease_cbs
-            if is_wheel:
-                s0 = when >> env._gbits
-                d0 = s0 - env._cursor
-                if 0 < d0 <= mask0:
-                    slots0[s0 & mask0].append((when, 1, next(eid), event))
-                    env._l0_count += 1
-                else:
-                    schedule(event, service)
-            else:
-                schedule(event, service)
-            if service > interval:
-                schedule(BatchEvent(env, hop_cbs, when), interval)
+            seq += 1
+            heappush(heap, (((start + service) << sbits | seq) << tbits) | tenant << 1 | pool)
+            hops += (service - 1) // interval
 
-        def on_hop(event) -> None:
-            """Lease-renewal check chain (real events on the per-event
-            engines; the fused wheel loop counts these arithmetically)."""
-            if env._now + interval < event._value:
-                schedule(event, interval)
-
-        def on_lease(event) -> None:
-            nonlocal completed, shared_free, waiting
-            now = env._now
-            completed += 1
-            if not completed & 0x3FF and is_wheel:
-                sample()
-            if event.pool:
-                if waiting:
-                    best = -1
-                    best_key = 0
-                    for t in range(ntenants):
-                        b = backlogs[t]
-                        if b and (best < 0 or b[0][0] < best_key):
-                            best_key = b[0][0]
-                            best = t
-                    arrival_ns, service = backlogs[best].popleft()
-                    waiting -= 1
-                    event.tenant = best
-                else:
-                    shared_free += 1
-                    return
-            else:
-                tenant = event.tenant
-                backlog = backlogs[tenant]
-                if backlog:
-                    arrival_ns, service = backlog.popleft()
-                    waiting -= 1
-                else:
-                    pinned[tenant] += 1
-                    return
-            buf_tenant.append(event.tenant)
-            buf_sojourn.append(now - arrival_ns + service)
-            if len(buf_sojourn) >= flush_batch:
-                flush()
-            when = now + service
-            event._value = when
-            if is_wheel:
-                s0 = when >> env._gbits
-                d0 = s0 - env._cursor
-                if 0 < d0 <= mask0:
-                    slots0[s0 & mask0].append((when, 1, next(eid), event))
-                    env._l0_count += 1
-                else:
-                    schedule(event, service)
-            else:
-                schedule(event, service)
-            if service > interval:
-                schedule(BatchEvent(env, hop_cbs, when), interval)
-
-        def on_cold(event) -> None:
-            """Sandbox ready: dispatched through the generic/foreign
-            path -- cold events are rare by construction."""
-            now = env._now
-            service = event._value
-            buf_tenant.append(event.tenant)
-            buf_sojourn.append(spawn + service)
-            if len(buf_sojourn) >= flush_batch:
-                flush()
-            when = now + service
-            event._value = when
-            event.callbacks = lease_cbs
-            schedule(event, service)
-            if service > interval:
-                schedule(BatchEvent(env, hop_cbs, when), interval)
-
-        def drive() -> None:
-            """Fused event loop: the wheel pop fast path with the tenant
-            arrival/lease handlers inlined (see
-            :meth:`_ShardDriver._install_batch_kernel` for the shadowing
-            and sync discipline this replicates verbatim)."""
-            nonlocal pos, arrived, completed, shared_free, waiting
-            pop = env._pop
-            spill = env._spill
-            overflow = env._queue
-            active = env._active
-            ai = env._ai
-            alen = len(active)
-            processed = 0
-            now = env._now
-            gbits = env._gbits
-            cursor = env._cursor
-            l0_add = 0
-            clear = not spill and not overflow
-            try:
+        tail = ([_END], [0], [0])
+        for times, tenants, services in chain(self._chunks, (tail,)):
+            for t, tenant, service in zip(times, tenants, services):
+                bound = (t + 1) << low
                 while True:
-                    if ai < alen:
-                        if clear:
-                            entry = active[ai]
-                            active[ai] = None
-                            ai += 1
-                        else:
-                            entry = active[ai]
-                            if spill and spill[0] < entry:
-                                head = spill[0]
-                                if overflow and overflow[0] < head:
-                                    entry = heappop(overflow)
-                                else:
-                                    entry = heappop(spill)
-                                clear = not spill and not overflow
-                            elif overflow and overflow[0] < entry:
-                                entry = heappop(overflow)
-                                clear = not spill and not overflow
-                            else:
-                                active[ai] = None
-                                ai += 1
-                    else:
-                        env._ai = ai
-                        env._now = now
-                        if l0_add:
-                            env._l0_count += l0_add
-                            l0_add = 0
-                        try:
-                            entry = pop()
-                        except IndexError:
-                            return
-                        active = env._active
-                        ai = env._ai
-                        alen = len(active)
-                        gbits = env._gbits
-                        cursor = env._cursor
-                        clear = not spill and not overflow
-                    now = entry[0]
-                    event = entry[3]
-                    processed += 1
-                    cbs = event.callbacks
-                    if cbs is lease_cbs:
-                        # Completion events fire exactly at their stored
-                        # finish: the renewal-check hops the per-event
-                        # engines walk were already counted
-                        # arithmetically at dispatch, so there is no
-                        # re-arm branch on this path.
-                        completed += 1
-                        if not completed & 0x3FF:
-                            env._now = now
-                            env._ai = ai
-                            if l0_add:
-                                env._l0_count += l0_add
-                                l0_add = 0
-                            sample()
-                        if event.pool:
-                            if waiting:
-                                best = -1
-                                best_key = 0
-                                for t in range(ntenants):
-                                    b = backlogs[t]
-                                    if b and (best < 0 or b[0][0] < best_key):
-                                        best_key = b[0][0]
-                                        best = t
-                                arrival_ns, service = backlogs[best].popleft()
-                                waiting -= 1
-                                event.tenant = best
-                                tenant = best
-                            else:
-                                shared_free += 1
-                                continue
-                        else:
-                            tenant = event.tenant
-                            backlog = backlogs[tenant]
-                            if backlog:
-                                arrival_ns, service = backlog.popleft()
-                                waiting -= 1
-                            else:
-                                pinned[tenant] += 1
-                                continue
-                        buf_tenant.append(tenant)
-                        buf_sojourn.append(now - arrival_ns + service)
-                        if len(buf_sojourn) >= flush_batch:
-                            env._now = now
-                            env._ai = ai
-                            if l0_add:
-                                env._l0_count += l0_add
-                                l0_add = 0
-                            flush()
-                        when = now + service
-                        event._value = when
-                        processed += (service - 1) // interval
-                        s0 = when >> gbits
-                        d0 = s0 - cursor
-                        if 0 < d0 <= mask0:
-                            slots0[s0 & mask0].append((when, 1, eidn(), event))
-                            l0_add += 1
-                        else:
-                            env._now = now
-                            env._ai = ai
-                            if l0_add:
-                                env._l0_count += l0_add
-                                l0_add = 0
-                            schedule(event, service)
-                            gbits = env._gbits
-                            cursor = env._cursor
-                            clear = not spill and not overflow
+                    head = heap[0] if heap else never
+                    if ready_keys and ready_keys[0] < head:
+                        ready = ready_keys[0]
+                        if ready >= bound:
+                            break
+                        ready_keys.popleft()
+                        svc = ready_services.popleft()
+                        now = ready >> low
+                        dispatch((ready >> 1) & tmask, 1, now, now - spawn, svc)
                         continue
-                    if cbs.__class__ is tuple and cbs[0] is on_arrival:
-                        tenant = tenants[pos]
-                        service = services[pos]
-                        pos += 1
-                        arrived += 1
-                        arrived_by[tenant] += 1
-                        if pos == nservices and arrived < total:
-                            env._now = now
-                            env._ai = ai
-                            if l0_add:
-                                env._l0_count += l0_add
-                                l0_add = 0
-                            admit_chunk()
-                            gbits = env._gbits
-                            cursor = env._cursor
-                            clear = not spill and not overflow
-                        if pinned[tenant]:
-                            pinned[tenant] -= 1
-                            pool = 0
-                        elif shared_free:
-                            shared_free -= 1
-                            pool = 1
-                        elif len(backlogs[tenant]) >= threshold:
-                            cold_by[tenant] += 1
-                            env._now = now
-                            env._ai = ai
-                            if l0_add:
-                                env._l0_count += l0_add
-                                l0_add = 0
-                            schedule(TenantEvent(env, cold_cbs, service, tenant, 1), spawn)
-                            gbits = env._gbits
-                            cursor = env._cursor
-                            clear = not spill and not overflow
-                            continue
-                        elif len(backlogs[tenant]) >= queue_caps[tenant]:
-                            congested_by[tenant] += 1
-                            continue
+                    if head >= bound:
+                        break
+                    heappop(heap)
+                    now = head >> low
+                    completed += 1
+                    if head & 1:
+                        if waiting:
+                            best = oldest()
+                            arrival_ns, svc = backlogs[best].popleft()
+                            waiting -= 1
+                            dispatch(best, 1, now, arrival_ns, svc)
                         else:
-                            backlog = backlogs[tenant]
-                            backlog.append((now, service))
-                            waiting += 1
-                            queued_by[tenant] += 1
-                            blen = len(backlog)
-                            if blen > max_backlog_by[tenant]:
-                                max_backlog_by[tenant] = blen
-                            continue
-                        buf_tenant.append(tenant)
-                        buf_sojourn.append(service)
-                        if len(buf_sojourn) >= flush_batch:
-                            env._now = now
-                            env._ai = ai
-                            if l0_add:
-                                env._l0_count += l0_add
-                                l0_add = 0
-                            flush()
-                        when = now + service
-                        event.tenant = tenant
-                        event.pool = pool
-                        event._value = when
-                        event.callbacks = lease_cbs
-                        processed += (service - 1) // interval
-                        s0 = when >> gbits
-                        d0 = s0 - cursor
-                        if 0 < d0 <= mask0:
-                            slots0[s0 & mask0].append((when, 1, eidn(), event))
-                            l0_add += 1
-                        else:
-                            env._now = now
-                            env._ai = ai
-                            if l0_add:
-                                env._l0_count += l0_add
-                                l0_add = 0
-                            schedule(event, service)
-                            gbits = env._gbits
-                            cursor = env._cursor
-                            clear = not spill and not overflow
-                        continue
-                    # Foreign event (cold spin-ups included): full
-                    # generic run-loop semantics.
-                    env._now = now
-                    env._ai = ai
-                    if l0_add:
-                        env._l0_count += l0_add
-                        l0_add = 0
-                    if cbs.__class__ is tuple:
-                        cbs[0](event)
+                            shared_free += 1
                     else:
-                        event.callbacks = None
-                        for callback in cbs:
-                            callback(event)
-                    if not event._ok and not event._defused:
-                        exc = event._value
-                        if isinstance(exc, BaseException):
-                            raise exc
-                        raise RuntimeError(f"event failed with non-exception {exc!r}")
-                    gbits = env._gbits
-                    cursor = env._cursor
-                    clear = not spill and not overflow
-            finally:
-                env._ai = ai
-                env._now = now
-                if l0_add:
-                    env._l0_count += l0_add
-                env.events_processed += processed
+                        u = (head >> 1) & tmask
+                        backlog = backlogs[u]
+                        if backlog:
+                            arrival_ns, svc = backlog.popleft()
+                            waiting -= 1
+                            dispatch(u, 0, now, arrival_ns, svc)
+                        else:
+                            pinned[u] += 1
+                if t == _END:
+                    break
+                arrived_by[tenant] += 1
+                if pinned[tenant]:
+                    pinned[tenant] -= 1
+                    dispatch(tenant, 0, t, t, service)
+                elif shared_free:
+                    shared_free -= 1
+                    dispatch(tenant, 1, t, t, service)
+                else:
+                    backlog = backlogs[tenant]
+                    if len(backlog) >= threshold:
+                        cold_by[tenant] += 1
+                        seq += 1
+                        ready_keys.append(
+                            (((t + spawn) << sbits | seq) << tbits) | tenant << 1 | 1
+                        )
+                        ready_services.append(service)
+                    elif len(backlog) >= queue_caps[tenant]:
+                        congested_by[tenant] += 1
+                    else:
+                        backlog.append((t, service))
+                        waiting += 1
+                        queued_by[tenant] += 1
+                        if len(backlog) > max_backlog_by[tenant]:
+                            max_backlog_by[tenant] = len(backlog)
+                last = t
+        flush()
+        self.shared_free = shared_free
+        self.waiting = waiting
+        self.arrived = sum(arrived_by)
+        self.completed = completed
+        # Per arrival one event; per dispatch a completion plus its
+        # renewal hops; per cold start a ready.
+        self.events_processed = self.arrived + completed + hops + sum(cold_by)
+        # A congested last arrival can outlive every completion.
+        self.final_now_ns = max(now, last)
 
-        def sync() -> None:
-            self.arrived = arrived
-            self.completed = completed
-            self.shared_free = shared_free
-            self.waiting = waiting
 
-        lease_cbs = (on_lease,)
-        cold_cbs = (on_cold,)
-        hop_cbs = (on_hop,)
-        self._on_arrival = on_arrival
-        self._on_lease = on_lease
-        self._on_cold = on_cold
-        self._on_hop = on_hop
-        self._lease_cbs = lease_cbs
-        self._cold_cbs = cold_cbs
-        self._hop_cbs = hop_cbs
-        self._kernel_sync = sync
-        self._kernel_drive = drive if is_wheel else None
-        admit_chunk()
+class _TenantDriver(_TenantBook):
+    """The per-event multi-tenant FSM: the referee the walk is checked against.
+
+    Arrivals ride one chained event at ``_ARRIVAL_PRIO``.  A dispatch
+    schedules one completion event at the finish time -- its eid drawn
+    *here*, at the dispatch sequence point, and its value the
+    ``(tenant, pool)`` slot it frees -- plus, for leases longer than
+    one check interval, a renewal-check hop chain.  The hops are pure
+    bookkeeping (each re-arms only its own chain), which is what lets
+    the walk count them instead of walking them.
+    """
+
+    __slots__ = (
+        "env",
+        "occupancy_peaks",
+        "_chunks",
+        "_times",
+        "_tenants",
+        "_services",
+        "_pos",
+        "_next_time",
+        "_next_tenant",
+        "_next_service",
+        "_lease_cbs",
+        "_arrival_cbs",
+        "_cold_cbs",
+        "_hop_cbs",
+        "_schedule",
+        "_is_wheel",
+    )
+
+    def __init__(self, env, config: MultiTenantConfig, shard: int, shards: int) -> None:
+        super().__init__(config, shard, shards)
+        self.env = env
+        self.occupancy_peaks: dict[str, int] = {}
+        self._chunks = _tenant_chunks(config, shard, shards)
+        self._times: list[int] = []
+        self._tenants: list[int] = []
+        self._services: list[int] = []
+        self._pos = 0
+        self._next_time = 0
+        self._next_tenant = 0
+        self._next_service = 0
+        self._lease_cbs = (self._handle_lease,)
+        self._arrival_cbs = (self._handle_arrival,)
+        self._cold_cbs = (self._handle_cold,)
+        self._hop_cbs = (self._handle_hop,)
+        self._schedule = env.schedule_timeout
+        self._is_wheel = isinstance(env, WheelEnvironment)
+
+    def _advance(self) -> None:
+        """Prefetch the next (arrival time, tenant, service) triple."""
+        pos = self._pos
+        while pos >= len(self._times):
+            self._times, self._tenants, self._services = next(self._chunks)
+            pos = 0
+        self._next_time = self._times[pos]
+        self._next_tenant = self._tenants[pos]
+        self._next_service = self._services[pos]
+        self._pos = pos + 1
+
+    def start(self) -> None:
+        self._advance()
+        event = BatchEvent(self.env, self._arrival_cbs, 0)
+        self.env.schedule(event, self._next_time, _ARRIVAL_PRIO)
+
+    def drive(self) -> None:
+        self.env.run()
+
+    def _handle_arrival(self, event) -> None:
+        env = self.env
+        now = env._now
+        tenant = self._next_tenant
+        service = self._next_service
+        self.arrived += 1
+        self.arrived_by[tenant] += 1
+        if self.arrived < self.count:
+            self._advance()
+            # Reused chained arrival event: at a shared nanosecond every
+            # completion and ready fires first.
+            env.schedule(event, self._next_time - now, _ARRIVAL_PRIO)
+        if self.pinned[tenant]:
+            self.pinned[tenant] -= 1
+            self._begin(tenant, 0, now, service)
+        elif self.shared_free:
+            self.shared_free -= 1
+            self._begin(tenant, 1, now, service)
+        elif len(self.backlogs[tenant]) >= self._threshold:
+            self.cold_by[tenant] += 1
+            cold = BatchEvent(self.env, self._cold_cbs, (tenant, service))
+            self._schedule(cold, self._spawn)
+        elif len(self.backlogs[tenant]) >= self.queue_caps[tenant]:
+            self.congested_by[tenant] += 1
+        else:
+            backlog = self.backlogs[tenant]
+            backlog.append((now, service))
+            self.waiting += 1
+            self.queued_by[tenant] += 1
+            if len(backlog) > self.max_backlog_by[tenant]:
+                self.max_backlog_by[tenant] = len(backlog)
+
+    def _begin(
+        self, tenant: int, pool: int, arrival_ns: int, service: int, event=None
+    ) -> None:
+        """Dispatch into a slot: record the sojourn, schedule the
+        completion (reusing *event* when one is handed over) and, for a
+        lease longer than one interval, its hop chain."""
+        now = self.env._now
+        self._buf_tenant.append(tenant)
+        self._buf_sojourn.append(now - arrival_ns + service)
+        if len(self._buf_sojourn) >= _FLUSH_BATCH:
+            self._flush()
+        if event is None:
+            event = BatchEvent(self.env, self._lease_cbs, (tenant, pool))
+        else:
+            event.callbacks = self._lease_cbs
+            event._value = (tenant, pool)
+        self._schedule(event, service)
+        if service > self._interval:
+            hop = BatchEvent(self.env, self._hop_cbs, now + service)
+            self._schedule(hop, self._interval)
+
+    def _handle_hop(self, event) -> None:
+        """Per-interval lease-renewal check: re-arm while the next check
+        still lands strictly before the lease's finish, then vanish.
+        Fires exactly ``(service - 1) // interval`` times per lease."""
+        if self.env._now + self._interval < event._value:
+            self._schedule(event, self._interval)
+
+    def _handle_lease(self, event) -> None:
+        completed = self.completed + 1
+        self.completed = completed
+        if not completed & 0x3FF and self._is_wheel:
+            self._sample_wheel()
+        tenant, pool = event._value
+        if pool:
+            if self.waiting:
+                best = self._oldest_waiter()
+                arrival_ns, service = self.backlogs[best].popleft()
+                self.waiting -= 1
+                self._begin(best, 1, arrival_ns, service, event)
+            else:
+                self.shared_free += 1
+        else:
+            backlog = self.backlogs[tenant]
+            if backlog:
+                arrival_ns, service = backlog.popleft()
+                self.waiting -= 1
+                self._begin(tenant, 0, arrival_ns, service, event)
+            else:
+                self.pinned[tenant] += 1
+
+    def _handle_cold(self, event) -> None:
+        """Sandbox ready: the cold executor joins the *shared* tier --
+        its spin-up event becomes the invocation's completion event, and
+        at completion it serves shared-tier hand-off like any other
+        slot."""
+        tenant, service = event._value
+        self._begin(tenant, 1, self.env._now - self._spawn, service, event)
+
+    def _flush(self) -> None:
+        super()._flush()
+        if self._is_wheel:
+            self._sample_wheel(force=True)
+
+    _sample_wheel = _ShardDriver._sample_wheel
+
+    def finish(self) -> None:
+        self._flush()
 
 
 @dataclass
@@ -3415,22 +2280,32 @@ def _run_tenant_shard(
         start_model=start_model,
         hybrid_threshold=hybrid_threshold,
     )
-    env_kwargs = {"granularity_bits": granularity_bits} if scheduler == "wheel" else {}
-    env = new_environment(config.scheduler, **env_kwargs)
-    driver = _TenantDriver(env, config, shard, shards)
-    driver.start()
-
-    gc_was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    started = time.perf_counter()
-    try:
+    driver: Any
+    if admission == "batch":
+        driver = _TenantWalk(config, shard, shards)
+        started = time.perf_counter()
         driver.drive()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    wall_s = time.perf_counter() - started
-    driver.finish()
+        wall_s = time.perf_counter() - started
+        events, now, pool_hits = driver.events_processed, driver.final_now_ns, 0
+        occupancy: dict[str, int] = {}
+    else:
+        env_kwargs = {"granularity_bits": granularity_bits} if scheduler == "wheel" else {}
+        env = new_environment(config.scheduler, **env_kwargs)
+        driver = _TenantDriver(env, config, shard, shards)
+        driver.start()
+        gc_was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        started = time.perf_counter()
+        try:
+            driver.drive()
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        wall_s = time.perf_counter() - started
+        driver.finish()
+        events, now, pool_hits = env.events_processed, env.now, env.timeout_pool_hits
+        occupancy = dict(driver.occupancy_peaks)
 
     congested = sum(driver.congested_by)
     if driver.completed + congested != driver.count:
@@ -3454,14 +2329,14 @@ def _run_tenant_shard(
         max_backlog_by=list(driver.max_backlog_by),
         sojourn_totals=list(driver.sojourn_totals),
         sojourn_total=driver.sojourn_total,
-        events_processed=env.events_processed,
+        events_processed=events,
         wall_s=wall_s,
         peak_rss_bytes=_peak_rss_bytes(),
-        final_now_ns=env.now,
-        timeout_pool_hits=env.timeout_pool_hits,
+        final_now_ns=now,
+        timeout_pool_hits=pool_hits,
         stream=driver.stream,
         keyed=driver.keyed,
-        occupancy=dict(driver.occupancy_peaks),
+        occupancy=occupancy,
     )
 
 

@@ -43,8 +43,6 @@ class Counters:
         "wheel_overflow_inserts",
         "wheel_reanchors",
         "shard_runs",
-        "cold_lane_entries",
-        "cold_lane_slabs",
         "cold_spinups",
         "cold_reclaims",
         "lease_grants",
@@ -85,10 +83,6 @@ class Counters:
         self.wheel_reanchors = 0
         #: Shard simulations executed by the sharded scale engine.
         self.shard_runs = 0
-        #: Peak sampled cold-lane residency (pending spin-ups).
-        self.cold_lane_entries = 0
-        #: Cold-lane slab drains that fired at least one entry.
-        self.cold_lane_slabs = 0
         #: Sandbox spin-ups fired (cold starts that reached ready).
         self.cold_spinups = 0
         #: Idle-reclaim expiries fired (successful teardowns only).
@@ -110,8 +104,6 @@ _GAUGES = frozenset(
     {
         "wheel_entries",
         "heap_entries",
-        "cold_lane_entries",
-        "cold_lane_slabs",
         "leases_active_peak",
     }
 )

@@ -121,9 +121,7 @@ class Environment:
         """
         heappush(self._queue, (self._now + delay, NORMAL, next(self._eid), event))
 
-    def schedule_batch(
-        self, times: Any, callback: Any, priority: int = NORMAL, cls: type = BatchEvent
-    ) -> list[Event]:
+    def schedule_batch(self, times: Any, callback: Any, priority: int = NORMAL) -> list[Event]:
         """Admit a whole chunk of events at *priority* in one call.
 
         *times* is a non-decreasing sequence of absolute deadlines (a
@@ -138,12 +136,6 @@ class Environment:
         descriptor (a tuple): it is then shared as-is across the whole
         chunk, letting a fused kernel recognize the admitted events by
         descriptor identity.
-
-        *cls* swaps the admitted event class for a BatchEvent subclass
-        whose constructor accepts ``(env, callbacks)`` -- the
-        multi-tenant kernel admits :class:`~repro.sim.events.
-        TenantEvent` chunks so a dispatched arrival can be reused as
-        its own pool-tagged lease timer.
 
         This heap implementation exists as the correctness baseline;
         the timer wheel overrides it with a vectorized bucket sort.
@@ -160,7 +152,7 @@ class Environment:
         if any(b < a for a, b in zip(whens, whens[1:])):
             raise ValueError("batch deadlines must be non-decreasing")
         shared = callback if callback.__class__ is tuple else (callback,)
-        events = [cls(self, shared) for _ in whens]
+        events = [BatchEvent(self, shared) for _ in whens]
         eids = islice(self._eid, len(whens))
         queue = self._queue
         if queue:

@@ -178,43 +178,6 @@ class BatchEvent(Event):
         self._defused = False
 
 
-class TenantEvent(BatchEvent):
-    """A :class:`BatchEvent` carrying multi-tenant completion bookkeeping.
-
-    The multi-tenant scale kernel needs two facts at completion time
-    that the single-stream kernel never did: *whose* invocation the
-    lease timer guards (``tenant``, the merged-calendar tenant id) and
-    *which pool tier* the slot came from (``pool``: 0 = the tenant's
-    pinned partition, 1 = the oversubscribed shared tier).  Two extra
-    slots beat a tuple value because the value slot stays free for the
-    absolute finish time, exactly like the single-stream lease events
-    -- so the fused kernels treat both event classes identically.
-
-    Both fields are plain mutable slots: the kernel reuses a completed
-    lease event for the backlogged invocation its slot dispatches next,
-    re-stamping ``tenant`` (the pool tier is sticky -- a pinned slot
-    only ever serves its own tenant, a shared slot serves anyone).
-    """
-
-    __slots__ = ("tenant", "pool")
-
-    def __init__(
-        self,
-        env: "Environment",
-        callbacks: Any,
-        value: Any = None,
-        tenant: int = 0,
-        pool: int = 0,
-    ) -> None:
-        self.env = env
-        self.callbacks = callbacks
-        self._value = value
-        self._ok = True
-        self._defused = False
-        self.tenant = tenant
-        self.pool = pool
-
-
 class ConditionValue:
     """Ordered mapping from source events to their values.
 

@@ -77,22 +77,6 @@ per chunk.  Entry ids are allocated in sequence order and each batch
 shares a single callbacks tuple, so results are identical to per-event
 admission of the same stream while the admission cost all but
 disappears from the profile.
-
-Cold lane (:class:`ColdLane`)
------------------------------
-The dry-pool cold-start path adds a homogeneous event class: sandbox
-*spin-ups*, ready at ``arrival + spawn`` for a constant per-profile
-spawn cost.  Arrivals are monotone, so spin-ups are admitted in fire
-order and the calendar is append-only sorted -- parallel ``int64``
-ready-time / arrival / service / eid vectors instead of per-event
-tuples, plus a tiny heap for out-of-order admissions from generic
-callers.  The generic loop fires it scalar-exact under the global
-``(when, NORMAL, eid)`` key; the scale engine's keepalive-0 cold
-kernel fires the whole pending calendar as one vectorized slab
-(:meth:`ColdLane.drain_spinups_all`), which is exact because with
-idle-reclaim off a spin-up's effects commute with every other event.
-The effect hooks (``on_ready`` / ``on_ready_slab``) stay with the
-driver, which owns the entry-id discipline.
 """
 
 from __future__ import annotations
@@ -134,16 +118,10 @@ _ADAPT_PROBE_FACTOR = 4
 #: publish (count-based decimation; the rest return ``None``), so
 #: callers can sample on hot paths without measurable cost.
 _SAMPLE_DECIMATION = 64
-#: Below this many due entries a cold-lane slab fires scalar even in
-#: bulk mode: numpy mask machinery only pays off past a few dozen
-#: elements (burst-phase slabs are typically 2-8 entries).
-_LANE_SCALAR_SLAB = 32
 #: Buckets at least this large are sorted via ``numpy.lexsort`` over
 #: extracted ``(when, priority, eid)`` key arrays instead of
 #: ``list.sort`` tuple comparisons (the sort-on-drain satellite).
 _REFILL_ARGSORT_MIN = 1024
-
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 
 def validate_granularity_bits(value: Union[int, str]) -> Union[int, str]:
@@ -168,248 +146,6 @@ def validate_granularity_bits(value: Union[int, str]) -> Union[int, str]:
             f"(or 'auto'), got {value}"
         )
     return value
-
-
-class ColdLane:
-    """Struct-of-arrays calendar for sandbox spin-ups.
-
-    See the module docstring ("Cold lane").  A spin-up becomes ready at
-    ``arrival + spawn`` for a constant spawn cost, and arrivals are
-    monotone, so ready times are admitted in fire order and the
-    calendar is append-only sorted; a tiny heap takes out-of-order
-    admissions from generic callers.  The lane stores *times and
-    payloads only*; the owner supplies the effect hooks and keeps the
-    entry-id discipline:
-
-    ``on_ready(when, arrival, service)``
-        one spin-up reached ready (scalar path; the hook admits the
-        executing invocation's lease, allocating its id at the
-        per-event sequence point).
-    ``on_ready_slab(when_a, arrival_a, service_a)``
-        a contiguous run of spin-ups fired as one vectorized slab.
-    """
-
-    __slots__ = (
-        "env",
-        "on_ready",
-        "on_ready_slab",
-        # sorted (ready, eid) + arrival/service payloads, current and
-        # next generation
-        "_s_when",
-        "_s_arr",
-        "_s_srv",
-        "_s_eid",
-        "_si",
-        "_sn_when",
-        "_sn_arr",
-        "_sn_srv",
-        "_sn_eid",
-        "_s_floor",
-        # out-of-order admissions: (when, eid, arrival, service)
-        "_irr_heap",
-        "_count",
-        # gauges
-        "entries_peak",
-        "slabs",
-        "max_slab",
-        "scalar_fires",
-        "generations",
-        "admitted",
-        "spinup_fires",
-    )
-
-    def __init__(self, env: Environment, on_ready: Any = None, on_ready_slab: Any = None) -> None:
-        self.env = env
-        self.on_ready = on_ready
-        self.on_ready_slab = on_ready_slab
-        self._s_when = _EMPTY_I64
-        self._s_arr = _EMPTY_I64
-        self._s_srv = _EMPTY_I64
-        self._s_eid = _EMPTY_I64
-        self._si = 0
-        self._sn_when: list[int] = []
-        self._sn_arr: list[int] = []
-        self._sn_srv: list[int] = []
-        self._sn_eid: list[int] = []
-        self._s_floor = 0
-        self._irr_heap: list[tuple] = []
-        self._count = 0
-        self.entries_peak = 0
-        #: drain_spinups_all calls that fired at least one entry.
-        self.slabs = 0
-        #: Largest single vectorized run.
-        self.max_slab = 0
-        #: Entries fired one-by-one (tiny runs, heap pops, fire_one).
-        self.scalar_fires = 0
-        #: cur <- nxt swaps.
-        self.generations = 0
-        self.admitted = 0
-        #: Spin-ups fired (cold starts that reached ready).
-        self.spinup_fires = 0
-
-    # -- admission -----------------------------------------------------
-
-    def admit(self, ready: int, arrival: int, service: int) -> int:
-        """Admit one spin-up becoming ready at *ready*; returns its eid.
-
-        The id is allocated here, at the sequence point per-event
-        scheduling would allocate it (the dry-pool arrival).  Ready
-        times behind the floor (generic callers only) divert to the
-        fallback heap and fire scalar.
-        """
-        eid = next(self.env._eid)
-        ready = int(ready)
-        if ready >= self._s_floor:
-            self._sn_when.append(ready)
-            self._sn_arr.append(int(arrival))
-            self._sn_srv.append(int(service))
-            self._sn_eid.append(eid)
-            self._s_floor = ready
-        else:
-            heappush(self._irr_heap, (ready, eid, int(arrival), int(service)))
-        count = self._count + 1
-        self._count = count
-        self.admitted += 1
-        if count > self.entries_peak:
-            self.entries_peak = count
-        return eid
-
-    # -- generation plumbing -------------------------------------------
-
-    def _swap_spin(self) -> None:
-        self._s_when = np.asarray(self._sn_when, dtype=np.int64)
-        self._s_arr = np.asarray(self._sn_arr, dtype=np.int64)
-        self._s_srv = np.asarray(self._sn_srv, dtype=np.int64)
-        self._s_eid = np.asarray(self._sn_eid, dtype=np.int64)
-        self._sn_when = []
-        self._sn_arr = []
-        self._sn_srv = []
-        self._sn_eid = []
-        self._si = 0
-        self.generations += 1
-
-    def _spin_head(self) -> Optional[tuple]:
-        """(ready, eid) of the next calendar spin-up, swapping lazily."""
-        if self._si >= self._s_when.shape[0]:
-            if not self._sn_when:
-                return None
-            self._swap_spin()
-        i = self._si
-        return (int(self._s_when[i]), int(self._s_eid[i]))
-
-    def head_key(self) -> Optional[tuple]:
-        """Minimal pending ``(when, eid)`` key, or ``None`` if empty.
-
-        Non-mutating (next-generation heads are peeked, not swapped),
-        so owners can poll it on hot paths.
-        """
-        head: Optional[tuple] = None
-        if self._si < self._s_when.shape[0]:
-            head = (int(self._s_when[self._si]), int(self._s_eid[self._si]))
-        elif self._sn_when:
-            head = (self._sn_when[0], self._sn_eid[0])
-        heap = self._irr_heap
-        if heap and (head is None or heap[0][:2] < head):
-            head = heap[0][:2]
-        return head
-
-    # -- firing --------------------------------------------------------
-
-    def fire_one(self) -> Optional[int]:
-        """Scalar-fire the earliest entry (exact); returns its time."""
-        head = self._spin_head()
-        heap = self._irr_heap
-        if heap and (head is None or heap[0][:2] < head):
-            w, _eid, arrival, service = heappop(heap)
-        elif head is None:
-            return None
-        else:
-            i = self._si
-            w = int(self._s_when[i])
-            arrival = int(self._s_arr[i])
-            service = int(self._s_srv[i])
-            self._si = i + 1
-        self.env._now = w
-        self.scalar_fires += 1
-        self.spinup_fires += 1
-        self._count -= 1
-        self.on_ready(w, arrival, service)
-        return w
-
-    def drain_spinups_all(self) -> int:
-        """Fire every pending spin-up, in admission order, as maximal
-        slabs; returns how many fired.
-
-        Only valid while the fallback heap is empty.  A spin-up's
-        effects are computed from its own stored times -- the sojourn
-        is ``spawn + service``, its lease lands at ``ready +
-        min(service, interval)`` -- and with idle-reclaim off nothing
-        reads the gauges it bumps before those admissions come due, so
-        firing the whole backlog early (without touching the clock) is
-        observationally identical to firing each entry at its exact
-        ``ready``.  This is the cold kernel's keepalive-0 fast path:
-        under a saturated pool ``spawn / gap`` spin-ups pile up before
-        the merge first catches up to the oldest ready, so the whole
-        set goes through ``on_ready_slab`` as one vectorized run
-        instead of one scalar fire per interleaved arrival.
-        """
-        if self._irr_heap:
-            raise RuntimeError(
-                "drain_spinups_all needs an empty fallback heap "
-                "(out-of-order spin-ups must fire in key order)"
-            )
-        fired = 0
-        scalar = _LANE_SCALAR_SLAB
-        while True:
-            j = self._s_when.shape[0]
-            start = self._si
-            if start >= j:
-                if not self._sn_when:
-                    break
-                self._swap_spin()
-                continue
-            n = j - start
-            if n < scalar:
-                on_ready = self.on_ready
-                when_a = self._s_when
-                arr_a = self._s_arr
-                srv_a = self._s_srv
-                for k in range(start, j):
-                    on_ready(int(when_a[k]), int(arr_a[k]), int(srv_a[k]))
-                self.scalar_fires += n
-            else:
-                self.on_ready_slab(
-                    self._s_when[start:j], self._s_arr[start:j], self._s_srv[start:j]
-                )
-                if n > self.max_slab:
-                    self.max_slab = n
-            self._si = j
-            self.spinup_fires += n
-            self._count -= n
-            fired += n
-        if fired:
-            self.slabs += 1
-        return fired
-
-    # -- introspection -------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._count
-
-    def stats(self) -> dict[str, int]:
-        """Gauges for occupancy sampling and the bench cold record."""
-        return {
-            "cold_entries": self._count,
-            "cold_entries_peak": self.entries_peak,
-            "cold_slabs": self.slabs,
-            "cold_max_slab": self.max_slab,
-            "cold_scalar_fires": self.scalar_fires,
-            "cold_spinups": self.spinup_fires,
-            "cold_generations": self.generations,
-        }
-
-    def __repr__(self) -> str:
-        return f"<ColdLane pending={self._count} peak={self.entries_peak}>"
 
 
 class WheelEnvironment(Environment):
@@ -448,7 +184,6 @@ class WheelEnvironment(Environment):
         "reanchors",
         "_sample_tick",
         "occupancy_samples",
-        "_cold",
     )
 
     def __init__(
@@ -500,26 +235,6 @@ class WheelEnvironment(Environment):
         self.cascades = 0
         #: Entries that bypassed the wheel into the overflow heap.
         self.overflow_inserts = 0
-        #: Optional :class:`ColdLane` side calendar (see attach_cold_lane).
-        self._cold: Optional[ColdLane] = None
-
-    # -- cold lane -----------------------------------------------------
-
-    def attach_cold_lane(self, on_ready: Any = None, on_ready_slab: Any = None) -> ColdLane:
-        """Attach a :class:`ColdLane` spin-up calendar.
-
-        At most one cold lane per environment.  Once attached,
-        :meth:`step`, :meth:`run`, :meth:`peek`, :meth:`pending_events`
-        and :meth:`occupancy` merge it against the wheel under the
-        global ``(when, priority, eid)`` contract (lane entries at
-        ``NORMAL`` priority); the fused cold kernel bypasses the
-        generic loop but honors the same contract.
-        """
-        if self._cold is not None:
-            raise RuntimeError("cold lane already attached")
-        lane = ColdLane(self, on_ready, on_ready_slab)
-        self._cold = lane
-        return lane
 
     # -- scheduling ----------------------------------------------------
 
@@ -587,15 +302,13 @@ class WheelEnvironment(Environment):
         heappush(self._spill, (when, NORMAL, next(self._eid), event))
 
     def schedule_batch(
-        self, times: Any, callback: Any, priority: int = NORMAL, cls: type = BatchEvent
+        self, times: Any, callback: Any, priority: int = NORMAL
     ) -> list[Event]:
         """Vectorized batch admission: bucket-sort a whole chunk at once.
 
         Same contract as the base class (non-decreasing absolute
         *times*, all ``>= now``; one shared-callback :class:`BatchEvent`
-        per deadline, eids in sequence order, *cls* swapping in a
-        BatchEvent subclass such as the multi-tenant kernel's
-        :class:`~repro.sim.events.TenantEvent`), but instead of ~2^16
+        per deadline, eids in sequence order), but instead of ~2^16
         per-event Python calls the chunk is classified in one numpy
         pass: ``searchsorted`` against the cursor finds the
         spill/level-0/level-1/overflow segment boundaries (the slot
@@ -628,7 +341,7 @@ class WheelEnvironment(Environment):
         cursor = self._cursor
         s0 = arr >> gbits
         shared = callback if callback.__class__ is tuple else (callback,)
-        events = [cls(self, shared) for _ in range(n)]
+        events = [BatchEvent(self, shared) for _ in range(n)]
         entries = list(zip(arr.tolist(), repeat(priority), islice(self._eid, n), events))
         # Segment boundaries over the sorted slot numbers:
         # s0 <= cursor                  -> spill
@@ -792,42 +505,6 @@ class WheelEnvironment(Environment):
                 continue
             self._refill()
 
-    def _peek_key(self) -> Optional[tuple]:
-        """``(when, priority, eid)`` of the next wheel entry, sans removal.
-
-        ``None`` when nothing is pending.  Advances cursor/refill/
-        re-anchor state exactly as :meth:`_pop` would -- all of which is
-        order-neutral -- so a subsequent :meth:`_pop` returns the same
-        entry in O(1).  Used by the lane-aware event loop to decide
-        whether the cold lane fires first.
-        """
-        while True:
-            active = self._active
-            ai = self._ai
-            if ai < len(active):
-                entry = active[ai]
-                spill = self._spill
-                if spill and spill[0] < entry:
-                    entry = spill[0]
-                overflow = self._queue
-                if overflow and overflow[0] < entry:
-                    entry = overflow[0]
-                return entry[:3]
-            spill = self._spill
-            if spill:
-                entry = spill[0]
-                overflow = self._queue
-                if overflow and overflow[0] < entry:
-                    entry = overflow[0]
-                return entry[:3]
-            if not (self._l0_count or self._l1_count):
-                overflow = self._queue
-                return overflow[0][:3] if overflow else None
-            if self._adaptive and self._adapt_drained >= self._adapt_window:
-                self._maybe_reanchor()
-                continue
-            self._refill()
-
     # -- adaptive granularity ------------------------------------------
 
     def _maybe_reanchor(self) -> None:
@@ -961,16 +638,10 @@ class WheelEnvironment(Environment):
                 for entry in bucket:
                     if best is None or entry < best:
                         best = entry
-        cold = self._cold
-        if cold is not None:
-            head = cold.head_key()
-            if head is not None and (best is None or head[0] < best[0]):
-                return head[0]
         return best[0] if best is not None else None
 
     def pending_events(self) -> int:
         """Total events currently scheduled (all structures)."""
-        cold = self._cold
         return (
             len(self._active)
             - self._ai
@@ -978,7 +649,6 @@ class WheelEnvironment(Environment):
             + self._l0_count
             + self._l1_count
             + len(self._queue)
-            + (len(cold) if cold is not None else 0)
         )
 
     def occupancy(self) -> dict[str, int]:
@@ -990,7 +660,7 @@ class WheelEnvironment(Environment):
         :mod:`repro.perf` (``wheel_entries`` / ``heap_entries``).
         """
         wheel = len(self._active) - self._ai + len(self._spill)
-        occ = {
+        return {
             "wheel": wheel + self._l0_count + self._l1_count,
             "active": len(self._active) - self._ai,
             "spill": len(self._spill),
@@ -1002,22 +672,6 @@ class WheelEnvironment(Environment):
             "reanchors": self.reanchors,
             "granularity_bits": self._gbits,
         }
-        cold = self._cold
-        if cold is not None:
-            occ.update(cold.stats())
-        else:
-            # Zero gauges keep the key set stable so bench entries and
-            # shard merges carry cold columns whether or not a lane ran.
-            occ.update(
-                cold_entries=0,
-                cold_entries_peak=0,
-                cold_slabs=0,
-                cold_max_slab=0,
-                cold_scalar_fires=0,
-                cold_spinups=0,
-                cold_generations=0,
-            )
-        return occ
 
     def sample_occupancy(self, force: bool = False) -> Optional[dict[str, int]]:
         """Decimated :meth:`occupancy`, also published to :mod:`repro.perf`.
@@ -1048,32 +702,12 @@ class WheelEnvironment(Environment):
             counters.wheel_overflow_inserts = max(
                 counters.wheel_overflow_inserts, self.overflow_inserts
             )
-            if self._cold is not None:
-                if occupancy["cold_entries"] > counters.cold_lane_entries:
-                    counters.cold_lane_entries = occupancy["cold_entries"]
-                counters.cold_lane_slabs = max(
-                    counters.cold_lane_slabs, occupancy["cold_slabs"]
-                )
         return occupancy
 
     # -- event loop ----------------------------------------------------
 
     def step(self) -> None:
-        """Process exactly one event (same semantics as the base class).
-
-        With a cold lane attached, its head is merged against the wheel
-        head under the global ``(when, priority, eid)`` order and the
-        earlier fires first.
-        """
-        cold = self._cold
-        if cold is not None:
-            head = cold.head_key()
-            if head is not None:
-                key = self._peek_key()
-                if key is None or (head[0], NORMAL, head[1]) < key:
-                    cold.fire_one()
-                    self.events_processed += 1
-                    return
+        """Process exactly one event (same semantics as the base class)."""
         try:
             when, _prio, _eid, event = self._pop()
         except IndexError:
@@ -1108,46 +742,8 @@ class WheelEnvironment(Environment):
             self._timeout_pool.append(event)  # type: ignore[arg-type]
             self._timeout_pool_appends += 1
 
-    def _run_with_lane(self, until: Union[None, int, Event]) -> Any:
-        """Generic event loop merging the cold lane with the wheel.
-
-        Correctness path for arbitrary callbacks: one :meth:`step` per
-        event, lane entries fired scalar-exact.  The vectorized slab
-        path lives in the fused cold kernel, which owns its callbacks
-        and can prove the commutativity the bulk drain requires.
-        """
-        if until is not None:
-            if isinstance(until, Event):
-                if until.callbacks is None:
-                    return until.value
-                until.callbacks.append(StopSimulation.callback)
-            else:
-                at = int(until)
-                if at < self._now:
-                    raise ValueError(f"until={at} is in the past (now={self._now})")
-                stop = Event(self)
-                stop._ok = True
-                stop._value = None
-                self._insert((at, _STOP_PRIORITY, next(self._eid), stop))
-                stop.callbacks.append(StopSimulation.callback)
-        step = self.step
-        try:
-            while True:
-                try:
-                    step()
-                except EmptySchedule:
-                    if isinstance(until, Event) and not until.triggered:
-                        raise RuntimeError(
-                            "simulation ran out of events before the awaited event triggered"
-                        ) from None
-                    return None
-        except StopSimulation as stop_exc:
-            return stop_exc.args[0]
-
     def run(self, until: Union[None, int, Event] = None) -> Any:
         """Run the simulation (same contract as the base class)."""
-        if self._cold is not None:
-            return self._run_with_lane(until)
         if until is not None:
             if isinstance(until, Event):
                 if until.callbacks is None:

@@ -1,12 +1,14 @@
 """Cold-start engine bit-identity and plumbing at the experiment layer.
 
 The acceptance contract: under ``pool_policy`` in {cold, hybrid} the
-default wheel engine -- the ColdLane kernel at keepalive 0, the batch
-kernel with idle-reclaim on -- and the per-event heap referee must
-produce bit-identical fingerprints across arrival shapes, keepalive
-on and off, wheel geometries, dense-gap saturation, and K-shard
-decompositions.  Plus the knob validation boundary, the coldstart
-harness, and the bench guard's cold checks.
+default engine -- the reduced-event walk, which builds no environment
+-- and the per-event heap referee must produce bit-identical
+fingerprints across arrival shapes, keepalive on and off, dense-gap
+saturation, and K-shard decompositions; the per-event referee must
+also agree with itself across wheel geometries.  Plus the knob
+validation boundary, the coldstart harness, and the bench guard's
+cold checks.  Exact same-instant ties are covered by
+``test_scale_ties.py``.
 """
 
 import json
@@ -61,9 +63,9 @@ def test_cold_identity_dense_gap_saturated():
 
 @pytest.mark.parametrize("policy", ["cold", "hybrid"])
 def test_cold_identity_with_keepalive_strict_kernel(policy):
-    # keepalive > 0 runs on the batch kernel (idle reclaims read and
-    # write the pool gauges, so no spin-up slab can commute); a
-    # breathing pool exercises both reclaim outcomes.
+    # keepalive > 0: idle reclaims read and write the pool gauges, so
+    # the walk must fire them in the referee's eid order; a breathing
+    # pool exercises both reclaim outcomes.
     fp = _two_way(
         invocations=8_000, workers=512, mean_arrival_gap_ns=us(2),
         arrival_shape="bursty", pool_policy=policy, hybrid_threshold=16,
@@ -88,17 +90,19 @@ def test_keepalive_reclaims_match_referee(policy):
 
 
 def test_keepalive_identity_under_pinned_geometry():
-    # The batch kernel leans on wheel internals: a pinned coarse
-    # geometry and the adaptive one must agree with the referee.
+    # Per-event runs on the wheel are the only scale path whose
+    # geometry still matters: a pinned coarse geometry and the
+    # adaptive one must agree with the heap referee and the walk.
     kwargs = dict(
         invocations=4_000, workers=256, mean_arrival_gap_ns=us(5),
         service_log_mean=16.0, arrival_shape="bursty", pool_policy="hybrid",
         hybrid_threshold=8, start_model="remote-fork", keepalive_ns=ms(5),
     )
-    auto = _fp(scheduler="wheel", admission="batch", granularity_bits="auto", **kwargs)
-    pinned = _fp(scheduler="wheel", admission="batch", granularity_bits=24, **kwargs)
+    auto = _fp(scheduler="wheel", admission="per-event", granularity_bits="auto", **kwargs)
+    pinned = _fp(scheduler="wheel", admission="per-event", granularity_bits=24, **kwargs)
     heap = _fp(scheduler="heap", admission="per-event", **kwargs)
-    assert auto == pinned == heap
+    walk = _fp(**kwargs)
+    assert auto == pinned == heap == walk
     assert auto["cold_reclaimed"] > 0
 
 
@@ -122,14 +126,6 @@ def test_queue_policy_unchanged_by_cold_machinery():
     queued = _fp(scheduler="wheel", admission="batch", pool_policy="queue", **base)
     assert legacy == queued
     assert queued["cold_starts"] == 0
-
-
-def test_cold_gauges_populate():
-    result = run_scale(scheduler="wheel", admission="batch", **COLD)
-    occ = result.occupancy
-    assert occ["cold_entries_peak"] > 0
-    assert occ["cold_spinups"] == result.cold_starts
-    assert occ["cold_slabs"] >= 1
 
 
 def test_shard_decomposition_invariance_with_cold_lane():

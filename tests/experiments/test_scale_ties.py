@@ -11,12 +11,15 @@ reclaim fires before the arrival (``_ARRIVAL_PRIO``), whatever the
 order their event ids were drawn in.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.experiments import scale
-from repro.experiments.scale import run_scale
-from repro.sim.clock import ms
+from repro.experiments.scale import run_scale, run_tenant_scale
+from repro.sim.clock import ms, us
+from repro.workloads.tenants import standard_mix
 
 
 def _feed(monkeypatch, times, services):
@@ -66,3 +69,91 @@ def test_completion_at_an_arrival_instant_fires_first(monkeypatch, policy):
         # Threshold 1: the dry arrival at 1.5 ms queues behind the
         # lease that started at 1.0 ms.
         assert (fp["queued"], fp["cold_starts"], fp["final_now_ns"]) == (1, 0, ms(3))
+
+
+# -- grid ties: the walk against the per-event referee -----------------
+
+
+@pytest.fixture
+def on_grid(monkeypatch):
+    """Floor every arrival and service onto a *step*-ns grid.
+
+    A test-only wrapper around the stream generators (no engine knob):
+    with spawn, keepalive and interval multiples of the step too, most
+    events share their instant with others -- completion vs arrival,
+    reclaim vs completion, ready vs reclaim, pinned vs shared.
+    """
+
+    def install(step: int) -> None:
+        shard_chunks, tenant_chunks = scale._shard_chunks, scale._tenant_chunks
+
+        def snap(times, services):
+            times = np.asarray(times, dtype=np.int64) // step * step
+            services = np.maximum(np.asarray(services, dtype=np.int64) // step, 1) * step
+            return times, services
+
+        def shard(config, shard, shards, lists=True):
+            for times, services in shard_chunks(config, shard, shards, lists=False):
+                t, s = snap(times, services)
+                yield (t.tolist(), s.tolist()) if lists else (t, s)
+
+        def tenant(config, shard, shards, lists=True):
+            for times, tenants, services in tenant_chunks(config, shard, shards, lists=False):
+                t, s = snap(times, services)
+                yield (t.tolist() if lists else t), tenants, s.tolist()
+
+        monkeypatch.setattr(scale, "_shard_chunks", shard)
+        monkeypatch.setattr(scale, "_tenant_chunks", tenant)
+
+    return install
+
+
+def _walk_vs_referee(run, **kwargs):
+    walk = run(**kwargs).fingerprint()
+    referee = run(scheduler="heap", admission="per-event", **kwargs).fingerprint()
+    assert walk == referee
+    return walk
+
+
+#: remote-fork spawns in 1 ms; the intervals sit below, at and above it.
+_INTERVALS = [us(500), ms(1), ms(2)]
+
+
+@pytest.mark.parametrize("step", [us(1), us(250)], ids=["1us", "250us"])
+@pytest.mark.parametrize("interval", _INTERVALS, ids=["lt-spawn", "eq-spawn", "gt-spawn"])
+@pytest.mark.parametrize("keepalive", ["off", "le-interval", "gt-interval"])
+@pytest.mark.parametrize("policy", ["cold", "hybrid"])
+def test_grid_ties_single_stream(on_grid, policy, keepalive, interval, step):
+    # At the 250 us step with interval 500 us, keepalive 250 us, 5 us
+    # gaps and 128 slots this is the adversarial config: a renewal
+    # re-arm, a ready and a reclaim routinely share their draw instant.
+    on_grid(step)
+    keepalive_ns = {"off": 0, "le-interval": interval // 2, "gt-interval": 3 * interval}
+    fp = _walk_vs_referee(
+        run_scale,
+        invocations=2_000, workers=128, mean_arrival_gap_ns=us(5),
+        service_log_mean=14.7, service_log_sigma=0.5,
+        lease_check_interval_ns=interval, pool_policy=policy, hybrid_threshold=4,
+        start_model="remote-fork", keepalive_ns=keepalive_ns[keepalive],
+    )
+    assert fp["cold_starts"] > 0
+    if keepalive != "off":
+        assert fp["cold_reclaimed"] > 0 and fp["cold_retained"] > 0
+
+
+@pytest.mark.parametrize("step", [us(1), ms(1)], ids=["1us", "1ms"])
+@pytest.mark.parametrize("queue_cap", [None, 8], ids=["uncapped", "capped"])
+@pytest.mark.parametrize("pool_policy", ["queue", "cold", "hybrid"])
+@pytest.mark.parametrize("partitioning", ["pinned", "shared", "overflow"])
+def test_grid_ties_tenants(on_grid, partitioning, pool_policy, queue_cap, step):
+    on_grid(step)
+    specs = standard_mix(invocations=1_500, rate_scale=400.0, compute_scale=40.0)
+    if queue_cap is not None:
+        specs = [replace(spec, queue_cap=queue_cap) for spec in specs]
+    fp = _walk_vs_referee(
+        run_tenant_scale,
+        specs=specs, workers=24, partitioning=partitioning, pool_policy=pool_policy,
+        hybrid_threshold=4, lease_check_interval_ns=ms(4), seed=13,
+    )
+    assert fp["completed"] + fp["congested"] == 1_500
+    assert (fp["cold_starts"] > 0) == (pool_policy != "queue")
