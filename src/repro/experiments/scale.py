@@ -848,7 +848,6 @@ class _ShardDriver:
         "sojourn_total",
         "_lease_cbs",
         "_schedule",
-        "_on_arrival",
         "_is_wheel",
         "_threshold",
         "_spawn",
@@ -883,7 +882,6 @@ class _ShardDriver:
         self._next_service = 0
         self._buffer: list[int] = []
         self.sojourn_total = 0
-        self._on_arrival = self._handle_arrival
         #: One shared callbacks tuple for every lease timer: the run
         #: loop only reads and detaches callbacks, so re-arms and fresh
         #: dispatches alike avoid a per-event list allocation.
@@ -915,7 +913,7 @@ class _ShardDriver:
 
     def start(self) -> None:
         self._advance()
-        event = BatchEvent(self.env, (self._on_arrival,), 0)
+        event = BatchEvent(self.env, (self._handle_arrival,), 0)
         self.env.schedule(event, self._next_time, _ARRIVAL_PRIO)
 
     def drive(self) -> None:
@@ -1595,7 +1593,7 @@ def _draw_tenant_services(rng, size: int, spec: TenantSpec):
     return np.maximum(draws.astype(np.int64), 1)
 
 
-def _tenant_chunks(config: "MultiTenantConfig", shard: int, shards: int, lists: bool = True):
+def _tenant_chunks(config: "MultiTenantConfig", shard: int, shards: int):
     """Yield this shard's ``(times, tenants, services)`` merged chunks.
 
     Every shard replays the **global** merged calendar (partition
@@ -1631,11 +1629,7 @@ def _tenant_chunks(config: "MultiTenantConfig", shard: int, shards: int, lists: 
             if not mine.any():
                 continue
             times, tenants, services = times[mine], tenants[mine], services[mine]
-        yield (
-            (times.tolist() if lists else times),
-            tenants.tolist(),
-            services.tolist(),
-        )
+        yield times.tolist(), tenants.tolist(), services.tolist()
 
 
 class _TenantBook:
@@ -1931,7 +1925,6 @@ class _TenantDriver(_TenantBook):
         "_next_tenant",
         "_next_service",
         "_lease_cbs",
-        "_arrival_cbs",
         "_cold_cbs",
         "_hop_cbs",
         "_schedule",
@@ -1951,7 +1944,6 @@ class _TenantDriver(_TenantBook):
         self._next_tenant = 0
         self._next_service = 0
         self._lease_cbs = (self._handle_lease,)
-        self._arrival_cbs = (self._handle_arrival,)
         self._cold_cbs = (self._handle_cold,)
         self._hop_cbs = (self._handle_hop,)
         self._schedule = env.schedule_timeout
@@ -1970,7 +1962,7 @@ class _TenantDriver(_TenantBook):
 
     def start(self) -> None:
         self._advance()
-        event = BatchEvent(self.env, self._arrival_cbs, 0)
+        event = BatchEvent(self.env, (self._handle_arrival,), 0)
         self.env.schedule(event, self._next_time, _ARRIVAL_PRIO)
 
     def drive(self) -> None:

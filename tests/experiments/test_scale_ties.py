@@ -97,10 +97,10 @@ def on_grid(monkeypatch):
                 t, s = snap(times, services)
                 yield (t.tolist(), s.tolist()) if lists else (t, s)
 
-        def tenant(config, shard, shards, lists=True):
-            for times, tenants, services in tenant_chunks(config, shard, shards, lists=False):
+        def tenant(config, shard, shards):
+            for times, tenants, services in tenant_chunks(config, shard, shards):
                 t, s = snap(times, services)
-                yield (t.tolist() if lists else t), tenants, s.tolist()
+                yield t.tolist(), tenants, s.tolist()
 
         monkeypatch.setattr(scale, "_shard_chunks", shard)
         monkeypatch.setattr(scale, "_tenant_chunks", tenant)
