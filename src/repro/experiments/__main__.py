@@ -225,19 +225,20 @@ def main(argv: list[str] | None = None) -> int:
         type=_granularity_bits,
         default="auto",
         metavar="BITS",
-        help="for 'scale': wheel slot width as a power of two of ns -- "
-        "'auto' (default) adapts to observed occupancy at runtime, an "
-        "integer in [1, 40] pins it",
+        help="for 'scale'/'multitenant' with --admission per-event: wheel "
+        "slot width as a power of two of ns -- 'auto' (default) adapts "
+        "to observed occupancy at runtime, an integer in [1, 40] pins it",
     )
     parser.add_argument(
         "--admission",
         choices=("batch", "per-event"),
         default="batch",
-        help="for 'scale': arrival admission -- 'batch' (default) "
-        "bucket-sorts whole numpy arrival chunks in one vectorized "
-        "pass (under --pool-policy queue on the wheel it runs the "
-        "exact FIFO recurrence instead), 'per-event' schedules each "
-        "arrival individually (the referee engine)",
+        help="for 'scale'/'multitenant': arrival admission -- 'batch' "
+        "(default) builds no event calendar: the exact FIFO recurrence "
+        "for a 'scale' run under --pool-policy queue, the reduced-event "
+        "walk for everything else; "
+        "'per-event' walks every event through the timer wheel (the "
+        "referee engine)",
     )
     parser.add_argument(
         "--profile",

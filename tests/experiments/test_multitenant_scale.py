@@ -1,8 +1,8 @@
 """Multi-tenant scale engine: bit-identity, sharding, and pool plans.
 
 The contract under test mirrors the single-stream scale engine's: the
-vectorized batch kernel and the per-event referee FSM must agree on
-every simulated-domain output -- here *per tenant*: outcome counts
+default engine (the tenant reduced-event walk) and the per-event
+referee FSM must agree on every simulated-domain output -- here *per tenant*: outcome counts
 (SUCCESS / CONGESTION / DEADLINE_MISSED), exact sojourn totals, and
 histogram-derived tails -- across both schedulers, and (unsaturated) a
 K-way shard split must merge back bit-identical to the 1-shard run.

@@ -1,7 +1,7 @@
 """The default scale engine against the per-event heap referee.
 
-Under the ``queue`` policy the default engine (wheel scheduler, batch
-admission) walks no events: it runs the exact c-server FIFO recurrence
+Under the ``queue`` policy the default engine (batch admission) walks
+no events: it runs the exact c-server FIFO recurrence
 and counts events in closed form.  The contract is a fingerprint
 bit-identical to the per-event heap referee -- across all three
 arrival shapes, saturated and unsaturated, and across K-shard

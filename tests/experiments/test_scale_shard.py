@@ -104,7 +104,7 @@ def test_arrival_shapes_complete_and_reproduce(shape):
 
 @pytest.mark.parametrize("shape", ["poisson", "bursty", "diurnal"])
 def test_batch_auto_invariant_across_shard_counts(shape):
-    """The default engine (wheel scheduler, batch admission) keeps the
+    """The default engine (batch admission) keeps the
     K-shard partition exact for every arrival shape, and is
     bit-identical to per-event admission of the same sharded
     streams."""
