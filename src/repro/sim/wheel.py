@@ -301,9 +301,7 @@ class WheelEnvironment(Environment):
             return
         heappush(self._spill, (when, NORMAL, next(self._eid), event))
 
-    def schedule_batch(
-        self, times: Any, callback: Any, priority: int = NORMAL
-    ) -> list[Event]:
+    def schedule_batch(self, times: Any, callback: Any, priority: int = NORMAL) -> list[Event]:
         """Vectorized batch admission: bucket-sort a whole chunk at once.
 
         Same contract as the base class (non-decreasing absolute

@@ -4,11 +4,14 @@ Random nanosecond-resolution streams almost never put two events on
 the same instant, so the identity tests elsewhere say nothing about
 tie rules.  The cases here build ties on purpose: a hand-built stream
 where a completion lands exactly on an arrival, fed to every engine
-through a monkeypatched ``_shard_chunks``.
+through a monkeypatched ``_shard_chunks``, and grid cases that floor
+the generated streams onto a coarse grid and compare the default
+engine (the reduced-event walk) with the per-event heap referee.
 
 The rule: at a shared nanosecond every completion, spin-up and
 reclaim fires before the arrival (``_ARRIVAL_PRIO``), whatever the
-order their event ids were drawn in.
+order their event ids were drawn in; among themselves they fire in
+event-id order.
 """
 
 from dataclasses import replace
