@@ -534,6 +534,10 @@ def _shard_chunks(config: ScaleConfig, shard: int, shards: int, lists: bool = Tr
         **shape_kwargs,
     ):
         services = _draw_services(service_rng, times.size, config)
+        if shards == 1:
+            # One shard keeps everything: no mask, no copies.
+            yield (times.tolist(), services.tolist()) if lists else (times, services)
+            continue
         mine = (np.arange(index, index + times.size) % shards) == shard
         index += times.size
         if mine.any():
