@@ -12,6 +12,7 @@ bandwidth, exactly as in the paper.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
@@ -70,7 +71,9 @@ class LinkQueue:
     non-overlapping by construction: each starts no earlier than the
     previous finish), so :meth:`utilization` can answer *windowed*
     queries exactly instead of dividing cumulative-from-zero busy time
-    by an arbitrary window.
+    by an arbitrary window.  The history is two ``int64`` columns,
+    16 B per reservation: finishes and duration prefix sums.  A start
+    is never stored; it is the finish minus that interval's duration.
     """
 
     def __init__(self, env: "Environment", model: LatencyModel, name: str) -> None:
@@ -80,12 +83,10 @@ class LinkQueue:
         self._busy_until = 0
         self.bytes_carried = 0
         self.busy_time = 0
-        # Parallel arrays of interval starts/finishes plus duration
-        # prefix sums (``_prefix[i]`` = busy time of the first i
-        # intervals); three int appends per reserve, O(log n) queries.
-        self._starts: list[int] = []
-        self._finishes: list[int] = []
-        self._prefix: list[int] = [0]
+        # Interval finishes plus duration prefix sums (``_prefix[i]`` =
+        # busy time of the first i intervals); O(log n) queries.
+        self._finishes = array("q")
+        self._prefix = array("q", [0])
 
     def reserve(self, size: int) -> tuple[int, int]:
         """Book *size* bytes of serialization starting no earlier than now."""
@@ -95,7 +96,6 @@ class LinkQueue:
         self._busy_until = finish
         self.bytes_carried += size
         self.busy_time += duration
-        self._starts.append(start)
         self._finishes.append(finish)
         self._prefix.append(self._prefix[-1] + duration)
         return start, finish
@@ -109,10 +109,14 @@ class LinkQueue:
         # First interval finishing after t is the only one that can
         # straddle it; everything before is fully counted, everything
         # after starts at or beyond the straddler's finish.
-        index = bisect_right(self._finishes, t)
-        busy = self._prefix[index]
-        if index < len(self._starts) and self._starts[index] < t:
-            busy += t - self._starts[index]
+        finishes = self._finishes
+        prefix = self._prefix
+        index = bisect_right(finishes, t)
+        busy = prefix[index]
+        if index < len(finishes):
+            start = finishes[index] - (prefix[index + 1] - busy)
+            if start < t:
+                busy += t - start
         return busy
 
     def utilization(self, since: int = 0) -> float:

@@ -200,3 +200,48 @@ def test_windowed_utilization_across_gaps():
     # Window covering the gap plus the second interval only.
     assert link.utilization(since=4 * duration) == pytest.approx(1 / 6)
     assert link.utilization(since=6 * duration) == 0.0
+
+
+def _brute_busy(intervals, t):
+    """Busy time within [0, t] by summing every clipped interval."""
+    return sum(min(finish, t) - start for start, finish in intervals if start < t)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_windowed_utilization_matches_brute_force_interval_sum(seed):
+    """The compact history (finishes + prefix sums, starts derived)
+    answers every query exactly as a brute-force walk of the intervals.
+
+    Reservations arrive in bursts (queued back to back, so some extend
+    past ``now``), after idle gaps, and with zero length; queries probe
+    ``since`` inside intervals, in gaps, on interval edges and before
+    reservations that extend past ``now``.
+    """
+    import random
+
+    rng = random.Random(seed)
+    env, link = _fresh_link()
+    intervals = []
+    queued = gaps = 0
+    for _ in range(300):
+        env.now += rng.choice((0, 0, rng.randrange(1, 40), rng.randrange(500, 20_000)))
+        size = rng.choice((0, rng.randrange(1, 64), rng.randrange(1, 64 * KiB)))
+        start, finish = link.reserve(size)
+        queued += start > env.now
+        gaps += bool(intervals) and start > intervals[-1][1]
+        intervals.append((start, finish))
+        if rng.random() < 0.2:
+            probes = {0, env.now, env.now - 1, env.now + 1, link.busy_until + 3}
+            for start, finish in intervals[-5:]:
+                probes.update(
+                    {start, finish, start - 1, finish + 1, (start + finish) // 2, rng.randrange(0, finish + 2)}
+                )
+            for t in sorted(p for p in probes if p >= 0):
+                assert link.busy_before(t) == _brute_busy(intervals, t), t
+                if t < env.now:
+                    expected = (_brute_busy(intervals, env.now) - _brute_busy(intervals, t)) / (env.now - t)
+                    assert link.utilization(since=t) == expected
+                    assert 0.0 <= expected <= 1.0
+    # Both regimes were exercised: reservations queued past the clock,
+    # and idle gaps between intervals.
+    assert queued > 10 and gaps > 10
