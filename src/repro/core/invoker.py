@@ -33,6 +33,7 @@ from repro.core.rpc import RpcConnection, rpc_connect
 from repro.rdma.cm import install_cm
 from repro.rdma.constants import Access, Opcode
 from repro.rdma.verbs import RecvWR, SendWR, sge
+from repro.sim.events import SKIP, URGENT, BatchEvent, Step
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rdma.device import NIC
@@ -269,6 +270,81 @@ class WorkerConnection:
             self._dispatch(self._queue.pop(0))
 
 
+class _CompletionLoop(Step):
+    """Per-connection consumer of response CQEs.
+
+    A callback state machine on this one re-armed event: it polls
+    (``CompletionQueue.busy_poll``) or blocks (``blocking_wait``) per
+    the invoker's completion mode, then charges ``client_complete_ns``
+    per successful CQE before fulfilling its future -- the events a
+    generator process running that loop would schedule.
+    """
+
+    __slots__ = ("invoker", "connection", "cq", "detect_ns", "wcs", "index")
+
+    def __init__(self, invoker: "Invoker", connection: WorkerConnection) -> None:
+        super().__init__(invoker.env, self._top)
+        self.invoker = invoker
+        self.connection = connection
+        self.cq = connection.qp.recv_cq
+        #: Wake-up cost of the current consumer style.
+        self.detect_ns = 0
+        #: The CQEs of the last poll and the next one to complete.
+        self.wcs: list = []
+        self.index = 0
+        self.env.schedule(self, priority=URGENT)
+
+    def _top(self) -> None:
+        if not self.connection.alive:
+            self.step = None
+            self.env.schedule_timeout(BatchEvent(self.env, SKIP), 0)  # the loop's end
+            return
+        model = self.cq.nic.model
+        if self.invoker.completion_mode == "polling":
+            self.detect_ns = model.poll_detect_ns
+        else:
+            self.detect_ns = model.blocking_notify_ns
+        self._wait()
+
+    def _wait(self) -> None:
+        if len(self.cq) == 0:
+            self.step = self._detect
+            self.cq.arm(self)
+            return
+        self._detect()
+
+    def _detect(self) -> None:
+        self.step = self._polled
+        self.env.schedule_timeout(self, self.detect_ns)
+
+    def _polled(self) -> None:
+        wcs = self.cq.poll(max_entries=16)
+        if not wcs:
+            # A competing consumer drained the CQ between the wake-up
+            # and our poll; wait again.
+            self._wait()
+            return
+        self.wcs = wcs
+        self.index = 0
+        self._next_wc()
+
+    def _next_wc(self) -> None:
+        wcs = self.wcs
+        while self.index < len(wcs):
+            if wcs[self.index].ok:
+                self.step = self._complete
+                self.env.schedule_timeout(self, self.invoker.config.timings.client_complete_ns)
+                return
+            self.index += 1
+        self._top()
+
+    def _complete(self) -> None:
+        wc = self.wcs[self.index]
+        self.index += 1
+        self.invoker._on_response(self.connection, wc)
+        self._next_wc()
+
+
 class _ManagerClient:
     """Demuxed RPC client: responses by id, notifications to the invoker."""
 
@@ -445,7 +521,7 @@ class Invoker:
                 package=package,
             )
             self.connections.append(connection)
-            env.process(self._completion_loop(connection), name=f"{self.name}-compl-w{worker_port}")
+            _CompletionLoop(self, connection)
         breakdown.connect_workers = env.now - t4
         return breakdown
 
@@ -527,50 +603,38 @@ class Invoker:
             return None
         return min(live, key=lambda c: c.inflight)
 
-    def _completion_loop(self, connection: WorkerConnection):
-        """Per-connection consumer of response CQEs."""
-        env = self.env
-        cq = connection.qp.recv_cq
-        timings = self.config.timings
-        while connection.alive:
-            if self.completion_mode == "polling":
-                wcs = yield from cq.busy_poll(max_entries=16)
-            else:
-                wcs = yield from cq.blocking_wait(max_entries=16)
-            for wc in wcs:
-                if not wc.ok:
-                    continue
-                yield env.timeout(timings.client_complete_ns)
-                invocation_id, status = protocol.unpack_response_imm(wc.imm_data or 0)
-                future = connection.futures.pop(invocation_id, None)
-                if future is None:
-                    continue
-                wr = future._send_wr
-                if wr is not None:
-                    future._send_wr = None
-                    connection._send_pool.append(wr)
-                connection.inflight -= 1
-                connection._completed_one()
-                if status == protocol.STATUS_REJECTED:
-                    self._redirect(future)
-                    continue
-                result = InvocationResult(
-                    status=status,
-                    output_size=wc.byte_len,
-                    output_buffer=future.out_buf,
-                    submitted_ns=future.submitted_ns,
-                    completed_ns=env.now,
-                )
-                if status == protocol.STATUS_OK:
-                    future.event.succeed(result)
-                else:
-                    error = (
-                        InvocationRejected("function not found")
-                        if status == protocol.STATUS_FUNCTION_NOT_FOUND
-                        else RFaaSError(f"invocation failed with status {status}")
-                    )
-                    future.event.defuse()
-                    future.event.fail(error)
+    def _on_response(self, connection: WorkerConnection, wc) -> None:
+        """Fulfil (or redirect) the future a response CQE answers."""
+        invocation_id, status = protocol.unpack_response_imm(wc.imm_data or 0)
+        future = connection.futures.pop(invocation_id, None)
+        if future is None:
+            return
+        wr = future._send_wr
+        if wr is not None:
+            future._send_wr = None
+            connection._send_pool.append(wr)
+        connection.inflight -= 1
+        connection._completed_one()
+        if status == protocol.STATUS_REJECTED:
+            self._redirect(future)
+            return
+        result = InvocationResult(
+            status=status,
+            output_size=wc.byte_len,
+            output_buffer=future.out_buf,
+            submitted_ns=future.submitted_ns,
+            completed_ns=self.env.now,
+        )
+        if status == protocol.STATUS_OK:
+            future.event.succeed(result)
+        else:
+            error = (
+                InvocationRejected("function not found")
+                if status == protocol.STATUS_FUNCTION_NOT_FOUND
+                else RFaaSError(f"invocation failed with status {status}")
+            )
+            future.event.defuse()
+            future.event.fail(error)
 
     def _redirect(self, future: RemoteFuture) -> None:
         """Fig. 6: resubmit a rejected invocation to another executor."""

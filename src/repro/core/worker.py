@@ -14,6 +14,11 @@ An invocation arrives as one RDMA WRITE_WITH_IMM carrying
 ``[12-byte result header | payload]``; the worker runs the *real*
 function handler, charges the cost model's virtual time, and answers
 with a single WRITE_WITH_IMM into the client's result buffer.
+
+The loop is a callback state machine on one re-armed
+:class:`~repro.sim.events.Step`: each method below is one step, and it
+schedules exactly the events a generator process running the same loop
+would (its start, every wait, and its end).
 """
 
 from __future__ import annotations
@@ -27,8 +32,7 @@ from repro.core.functions import CodePackage
 from repro.core.sandbox import SandboxProfile
 from repro.rdma.constants import Access, Opcode
 from repro.rdma.verbs import RecvWR, SendWR, sge
-from repro.sim.events import AnyOf
-from repro.sim.process import Interrupt
+from repro.sim.events import SKIP, URGENT, AnyOf, BatchEvent, Step
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executor import Allocation, SpotExecutor
@@ -102,7 +106,10 @@ class Worker:
         self.recv_cq = self.nic.create_cq(name=f"{executor.name}.w{worker_id}.recv")
         self.send_cq = self.nic.create_cq(name=f"{executor.name}.w{worker_id}.send")
         self.qp = self.nic.create_qp(pd, self.send_cq, self.recv_cq)
-        self._process = None
+        #: The loop's event; ``step`` points at what it waits to do next.
+        self._step = Step(self.env, self._next)
+        #: Started and not yet ended (a live process, in generator terms).
+        self._running = False
 
     # -- connection metadata exposed to the client ------------------------
 
@@ -126,15 +133,26 @@ class Worker:
         for _ in range(self.config.recv_ring_depth):
             self.qp.post_recv(self._recv_wr)
         self.stats.last_activity_ns = self.env.now
-        self._process = self.env.process(
-            self._loop(), name=f"{self.executor.name}-worker{self.worker_id}"
-        )
+        self._running = True
+        self.env.schedule(self._step, priority=URGENT)
 
     def kill(self) -> None:
         """Hard stop (executor teardown or failure injection)."""
         self.alive = False
-        if self._process is not None and self._process.is_alive:
-            self._process.interrupt("killed")
+        if self._running:
+            self.env.schedule(Step(self.env, self._interrupted), priority=URGENT)
+
+    def _interrupted(self) -> None:
+        if not self._running:
+            return  # the loop ended in the meantime; drop the interrupt
+        # Whatever the loop waits on stays scheduled (or armed on the
+        # CQ) and fires as a no-op, like a lazily cancelled timeout.
+        self._step.step = _idle
+        self._end()
+
+    def _end(self) -> None:
+        self._running = False
+        self.env.schedule_timeout(BatchEvent(self.env, SKIP), 0)
 
     def release_buffers(self) -> None:
         """Free the input, output and scratch blocks (executor teardown).
@@ -150,117 +168,183 @@ class Worker:
 
     # -- the invocation loop ---------------------------------------------------
 
-    def _loop(self):
-        env = self.env
-        model = self.nic.model
-        try:
-            while self.alive:
-                if self.mode == "hot":
-                    entered_hot = env.now
-                    arrival = self.recv_cq.arrival_event()
-                    if self.hot_timeout_ns is None:
-                        yield arrival
-                    else:
-                        rollback = env.timeout(self.hot_timeout_ns)
-                        yield AnyOf(env, [arrival, rollback])
-                        if not arrival.processed and len(self.recv_cq) == 0:
-                            # Rolled back: the whole window was polling.
-                            self.stats.hotpoll_ns += env.now - entered_hot
-                            self.stats.hot_to_warm_rollbacks += 1
-                            self.mode = "warm"
-                            self.stats.mode_history.append("warm")
-                            continue
-                    # Request arrived; everything since entering hot mode
-                    # except this detection was polling.
-                    self.stats.hotpoll_ns += env.now - entered_hot
-                    yield env.timeout(model.poll_detect_ns)
-                    wcs = self.recv_cq.poll(max_entries=1)
-                    if not wcs:
-                        continue
-                    yield from self._handle(wcs[0], hot=True)
-                else:
-                    wcs = yield from self.recv_cq.blocking_wait(max_entries=1)
-                    yield from self._handle(wcs[0], hot=False)
-                    if self.hot_timeout_ns != 0:
-                        # Sec. III-C: enter hot mode right after execution.
-                        self.mode = "hot"
-                        self.stats.mode_history.append("hot")
-        except Interrupt:
+    def _next(self) -> None:
+        """Top of the loop: wait for the next request in the current mode."""
+        if not self.alive:
+            self._end()
             return
-
-    def _handle(self, wc, hot: bool):
+        if self.mode != "hot":
+            self._warm_wait()
+            return
         env = self.env
-        timings = self.config.timings
+        self._entered_hot = env.now
+        if self.hot_timeout_ns is None:
+            self._step.step = self._hot_arrived
+            self.recv_cq.arm(self._step)
+            return
+        # Race the arrival against the hot->warm rollback timer.
+        self._arrival = arrival = self.recv_cq.arrival_event()
+        rollback = env.timeout(self.hot_timeout_ns)
+        self._step.step = self._hot_woke
+        AnyOf(env, [arrival, rollback]).callbacks.append(self._wake)
+
+    def _wake(self, _event) -> None:
+        self._step.step()
+
+    def _hot_woke(self) -> None:
+        arrival, self._arrival = self._arrival, None
+        if not arrival.processed and len(self.recv_cq) == 0:
+            # Rolled back: the whole window was polling.
+            self.stats.hotpoll_ns += self.env.now - self._entered_hot
+            self.stats.hot_to_warm_rollbacks += 1
+            self.mode = "warm"
+            self.stats.mode_history.append("warm")
+            self._next()
+            return
+        self._hot_arrived()
+
+    def _hot_arrived(self) -> None:
+        # Request arrived; everything since entering hot mode except
+        # this detection was polling.
+        self.stats.hotpoll_ns += self.env.now - self._entered_hot
+        self._step.step = self._hot_polled
+        self.env.schedule_timeout(self._step, self.nic.model.poll_detect_ns)
+
+    def _hot_polled(self) -> None:
+        wcs = self.recv_cq.poll(max_entries=1)
+        if not wcs:
+            self._next()
+            return
+        self._handle(wcs[0], hot=True)
+
+    def _warm_wait(self) -> None:
+        """Sleep on the completion channel (``CompletionQueue.blocking_wait``)."""
+        if len(self.recv_cq) == 0:
+            self._step.step = self._warm_notified
+            self.recv_cq.arm(self._step)
+            return
+        self._warm_notified()
+
+    def _warm_notified(self) -> None:
+        self._step.step = self._warm_polled
+        self.env.schedule_timeout(self._step, self.nic.model.blocking_notify_ns)
+
+    def _warm_polled(self) -> None:
+        wcs = self.recv_cq.poll(max_entries=1)
+        if not wcs:
+            self._warm_wait()
+            return
+        self._handle(wcs[0], hot=False)
+
+    def _handle(self, wc, hot: bool) -> None:
+        """Serve one request CQE; the loop resumes in :meth:`_handled`."""
+        self._hot = hot
         if not wc.ok:
+            self._handled()
             return
+        env = self.env
         self.stats.last_activity_ns = env.now
-        invocation_id, fn_index = protocol.unpack_request_imm(wc.imm_data or 0)
-
+        self._invocation_id, self._fn_index = protocol.unpack_request_imm(wc.imm_data or 0)
+        self._byte_len = wc.byte_len
         # SR-IOV virtual-function data-path penalty (Fig. 8, Docker).
         penalty = self.sandbox.hot_penalty_ns if hot else self.sandbox.warm_penalty_ns
         if penalty:
-            yield env.timeout(penalty)
+            self._step.step = self._parse
+            env.schedule(self._step, penalty)
+            return
+        self._parse()
 
+    def _parse(self) -> None:
         # Locate this invocation's input slot (slot 0 when unpipelined)
         # and parse its 12-byte header: where the result goes.
         depth = self.pipeline_depth
-        slot_offset = (invocation_id % depth) * (self.input_mr.length // depth)
+        self._slot_offset = slot_offset = (self._invocation_id % depth) * (self.input_mr.length // depth)
         header = self.input_mr.read(slot_offset, protocol.HEADER_BYTES)
-        result_addr, result_rkey = protocol.unpack_header(header)
-        payload_size = max(0, wc.byte_len - protocol.HEADER_BYTES)
+        self._result_addr, self._result_rkey = protocol.unpack_header(header)
+        self._payload_size = max(0, self._byte_len - protocol.HEADER_BYTES)
 
         # Warm invocations on oversubscribed executors verify resource
         # availability with the allocator first (Sec. III-D); rejection
         # is immediate and cheap.
-        core_claim = None
-        if not hot and self.executor.oversubscribed:
-            yield env.timeout(timings.warm_resource_check_ns)
-            core_claim = self.executor.try_claim_core()
-            if core_claim is None:
-                self.stats.rejections += 1
-                yield env.timeout(timings.rejection_ns)
-                self._respond(invocation_id, protocol.STATUS_REJECTED, None, 0, result_addr, result_rkey)
-                self._repost()
-                return
+        self._core_claim = None
+        if not self._hot and self.executor.oversubscribed:
+            self._step.step = self._claim_core
+            self.env.schedule_timeout(self._step, self.config.timings.warm_resource_check_ns)
+            return
+        self._dispatch()
 
-        yield env.timeout(timings.worker_dispatch_ns)
-        spec = self.package.by_index(fn_index)
+    def _claim_core(self) -> None:
+        self._core_claim = self.executor.try_claim_core()
+        if self._core_claim is None:
+            self.stats.rejections += 1
+            self._step.step = self._rejected
+            self.env.schedule_timeout(self._step, self.config.timings.rejection_ns)
+            return
+        self._dispatch()
+
+    def _rejected(self) -> None:
+        self._reply(protocol.STATUS_REJECTED)
+
+    def _dispatch(self) -> None:
+        self._step.step = self._execute
+        self.env.schedule_timeout(self._step, self.config.timings.worker_dispatch_ns)
+
+    def _execute(self) -> None:
+        spec = self.package.by_index(self._fn_index)
         if spec is None:
-            self._respond(
-                invocation_id, protocol.STATUS_FUNCTION_NOT_FOUND, None, 0, result_addr, result_rkey
-            )
-            self._repost()
-            if core_claim is not None:
-                core_claim.release()
+            self._reply(protocol.STATUS_FUNCTION_NOT_FOUND)
             return
 
         payload: Optional[bytes]
+        payload_size = self._payload_size
         if self._input_block.is_virtual:
             payload = None
         else:
-            payload = self.input_mr.read(slot_offset + protocol.HEADER_BYTES, payload_size)
+            payload = self.input_mr.read(self._slot_offset + protocol.HEADER_BYTES, payload_size)
 
-        started = env.now
+        env = self.env
+        self._started = env.now
         try:
-            output, out_size = spec.execute(payload, payload_size)
+            self._output, self._out_size = spec.execute(payload, payload_size)
         except Exception:
-            yield env.timeout(timings.rejection_ns)
-            self._respond(invocation_id, protocol.STATUS_FAILED, None, 0, result_addr, result_rkey)
-            self._repost()
-            if core_claim is not None:
-                core_claim.release()
+            self._step.step = self._failed
+            env.schedule_timeout(self._step, self.config.timings.rejection_ns)
             return
         cost = spec.cost_ns(payload_size)
         if cost:
-            yield env.timeout(cost)
-        self.stats.busy_ns += env.now - started
-        self.stats.invocations += 1
+            self._step.step = self._executed
+            env.schedule(self._step, cost)
+            return
+        self._executed()
 
-        self._respond(invocation_id, protocol.STATUS_OK, output, out_size, result_addr, result_rkey)
+    def _failed(self) -> None:
+        self._reply(protocol.STATUS_FAILED)
+
+    def _executed(self) -> None:
+        now = self.env.now
+        self.stats.busy_ns += now - self._started
+        self.stats.invocations += 1
+        self.stats.last_activity_ns = now
+        output, self._output = self._output, None
+        self._reply(protocol.STATUS_OK, output, self._out_size)
+
+    def _reply(self, status: int, output: Optional[bytes] = None, out_size: int = 0) -> None:
+        """Answer the client, re-arm the receive, free the core claim."""
+        self._respond(
+            self._invocation_id, status, output, out_size, self._result_addr, self._result_rkey
+        )
         self._repost()
-        self.stats.last_activity_ns = env.now
-        if core_claim is not None:
-            core_claim.release()
+        if self._core_claim is not None:
+            self._core_claim.release()
+            self._core_claim = None
+        self._handled()
+
+    def _handled(self) -> None:
+        if not self._hot and self.hot_timeout_ns != 0:
+            # Sec. III-C: enter hot mode right after execution.
+            self.mode = "hot"
+            self.stats.mode_history.append("hot")
+        self._next()
 
     def _respond(
         self,
@@ -306,3 +390,7 @@ class Worker:
     @property
     def idle_ns(self) -> int:
         return self.env.now - self.stats.last_activity_ns
+
+
+def _idle() -> None:
+    """A killed worker's pending step."""

@@ -12,10 +12,11 @@ rFaaS's hot/warm split is exactly the choice between these consumers:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.rdma.constants import WCOpcode, WCStatus
+from repro.sim.events import Step
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
@@ -34,8 +35,6 @@ class WorkCompletion:
     qp_num: int = 0
     #: Virtual time the completion entered the CQ.
     timestamp: int = 0
-    #: Free-form context (used by tests and higher layers).
-    context: dict[str, Any] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -69,7 +68,11 @@ class CompletionQueue:
         self.completions_pushed += 1
         waiters, self._waiters = self._waiters, []
         for event in waiters:
-            if not event.triggered:
+            if isinstance(event, Step):
+                # A callback waiter (see arm): re-armable, so never
+                # "triggered"; wake it exactly as succeed() would.
+                self.env.schedule_timeout(event, 0)
+            elif not event.triggered:
                 event.succeed()
 
     def poll(self, max_entries: int = 16) -> list[WorkCompletion]:
@@ -94,6 +97,18 @@ class CompletionQueue:
 
     # Backwards-compatible private alias.
     _arrival_event = arrival_event
+
+    def arm(self, step: Step) -> None:
+        """Callback form of :meth:`arrival_event` for a state machine.
+
+        Schedules *step* at the next push, or right away if entries are
+        already waiting -- the same event, at the same point in the
+        schedule, that :meth:`arrival_event` would produce.
+        """
+        if self._entries:
+            self.env.schedule_timeout(step, 0)
+        else:
+            self._waiters.append(step)
 
     # -- consumer styles -----------------------------------------------
 

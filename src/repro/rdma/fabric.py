@@ -233,28 +233,52 @@ class Fabric:
     def transfer_path(self, path: _Path, size: int):
         """Like :meth:`transfer` but over a pre-resolved :class:`_Path`.
 
-        Data-path callers (one per work request) resolve the path once
-        per connection and reuse it here.  The fault-penalty draw stays
-        first so RNG consumption order matches the uncached code.
+        The queue pairs' callback data path runs the same steps --
+        :meth:`penalty_ns`, then :meth:`loopback_ns` or
+        :meth:`head_arrival` and :meth:`tail_arrival` -- without a
+        generator; both share these helpers, so the fault draws and the
+        link arithmetic exist once.
         """
         env = self.env
-        if self.faults is not None:
-            penalty = self.faults.penalty_ns()
-            if penalty:
-                # The requester sits out the retransmission timeout.
-                yield env.timeout(penalty)
+        penalty = self.penalty_ns()
+        if penalty:
+            # The requester sits out the retransmission timeout.
+            yield env.timeout(penalty)
         if path.loopback:
-            # NIC-internal loopback: serialization only, no propagation.
-            yield env.timeout(self.model.serialization_ns(size) // 2)
+            yield env.timeout(self.loopback_ns(size))
             return
+        head = self.head_arrival(path, size)
+        if head > env.now:
+            yield env.timeout(head - env.now)
+        tail = self.tail_arrival(path, size)
+        if tail > env.now:
+            yield env.timeout(tail - env.now)
 
+    def penalty_ns(self) -> int:
+        """Retransmission delay of one transfer (0 without faults).
+
+        Drawn first thing in every transfer, so fault-RNG consumption
+        follows transfer-start order.
+        """
+        faults = self.faults
+        return 0 if faults is None else faults.penalty_ns()
+
+    def loopback_ns(self, size: int) -> int:
+        """NIC-internal loopback: serialization only, no propagation."""
+        return self.model.serialization_ns(size) // 2
+
+    def head_arrival(self, path: _Path, size: int) -> int:
+        """Book *size* bytes on the source link; when the head lands.
+
+        Cut-through: the head of the message reaches the destination
+        after propagation; the tail arrives when the slower of the two
+        links has clocked all bytes through (:meth:`tail_arrival`,
+        booked once the head is there).
+        """
         _, egress_done = path.egress.reserve(size)
-        # Cut-through: the head of the message reaches the destination
-        # after propagation; the tail arrives when the slower of the two
-        # links has clocked all bytes through.
-        head_arrival = egress_done - self.model.serialization_ns(size) + path.propagation_ns
-        if head_arrival > env.now:
-            yield env.timeout(head_arrival - env.now)
-        _, ingress_done = path.ingress.reserve(size)
-        if ingress_done > env.now:
-            yield env.timeout(ingress_done - env.now)
+        return egress_done - self.model.serialization_ns(size) + path.propagation_ns
+
+    @staticmethod
+    def tail_arrival(path: _Path, size: int) -> int:
+        """Book the destination link from now; when the last byte lands."""
+        return path.ingress.reserve(size)[1]

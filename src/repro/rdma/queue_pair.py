@@ -6,39 +6,31 @@ fabric links) but deliveries pipeline, so back-to-back large writes
 saturate the link.  The responder side validates rkeys/bounds/access
 and either executes the operation or NAKs, driving the requester QP into
 the error state exactly as hardware would.
+
+Both halves are callback state machines, not generator processes: the
+send pump is one re-armed :class:`~repro.sim.events.Step` per QP, and
+each work request's delivery is its own :class:`_WireOp`.  They
+schedule the events a process per pump and per delivery would: the
+same instants, priorities and order, with the events nobody waits on
+(a send-queue put, the end of a delivery) kept as no-op slots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.rdma.constants import ATOMIC_SIZE, Access, Opcode, QPState, WCOpcode, WCStatus
 from repro.rdma.completion import CompletionQueue, WorkCompletion
 from repro.rdma.errors import QPStateError, RdmaError
 from repro.rdma.memory import SHADOW_BYTES
 from repro.rdma.verbs import RecvWR, SendWR
-from repro.sim.resources import Store
+from repro.sim.events import SKIP, URGENT, BatchEvent, Step
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rdma.device import NIC
     from repro.rdma.fabric import _Path
     from repro.rdma.memory import ProtectionDomain
-
-
-@dataclass(slots=True)
-class _WireOp:
-    """What actually crosses the fabric for one work request."""
-
-    wr: SendWR
-    src_qp: "QueuePair"
-    #: Payload bytes -- a zero-copy memoryview over the (stable, per the
-    #: verbs contract) source buffer -- or None when the source is virtual.
-    payload: Optional[Union[bytes, memoryview]]
-    nbytes: int
-    inline: bool
-    #: Shadow prefix of a virtual source (control headers survive).
-    prefix: Optional[bytes] = None
 
 
 _SEND_OPCODE_TO_WC = {
@@ -50,6 +42,260 @@ _SEND_OPCODE_TO_WC = {
     Opcode.ATOMIC_FETCH_ADD: WCOpcode.FETCH_ADD,
     Opcode.ATOMIC_CMP_SWP: WCOpcode.COMP_SWAP,
 }
+
+#: Access the responder's MR must grant, per rkey-carrying opcode.
+_NEEDED_ACCESS = {
+    Opcode.RDMA_WRITE: Access.REMOTE_WRITE,
+    Opcode.RDMA_WRITE_WITH_IMM: Access.REMOTE_WRITE,
+    Opcode.RDMA_READ: Access.REMOTE_READ,
+    Opcode.ATOMIC_FETCH_ADD: Access.REMOTE_ATOMIC,
+    Opcode.ATOMIC_CMP_SWP: Access.REMOTE_ATOMIC,
+}
+
+
+class _WireOp(Step):
+    """One work request after initiation: what crosses the fabric, and
+    the state of its delivery (wire, responder, completion).
+
+    Each method below is one step; a step that waits points ``step``
+    at the next one and re-schedules this same event.
+    """
+
+    __slots__ = ("qp", "wr", "payload", "nbytes", "prefix", "remote", "path", "size", "landed", "retries")
+
+    def __init__(
+        self,
+        qp: "QueuePair",
+        wr: SendWR,
+        payload: Optional[Union[bytes, memoryview]],
+        nbytes: int,
+        prefix: Optional[bytes],
+    ) -> None:
+        super().__init__(qp.env, self._start)
+        self.qp = qp
+        self.wr = wr
+        #: Payload bytes -- a zero-copy memoryview over the (stable, per
+        #: the verbs contract) source buffer -- or None when the source
+        #: is virtual.
+        self.payload = payload
+        self.nbytes = nbytes
+        #: Shadow prefix of a virtual source (control headers survive).
+        self.prefix = prefix
+        self.remote: Optional["QueuePair"] = None
+        #: The transfer in progress and the step to run once it landed.
+        self.path: Optional["_Path"] = None
+        self.size = 0
+        self.landed: Optional[Callable[[], None]] = None
+        #: RNR retries left.
+        self.retries = 0
+
+    # -- requester to responder ----------------------------------------------
+
+    def _start(self) -> None:
+        qp = self.qp
+        remote = qp.remote
+        if remote is None:  # connection torn down mid-flight
+            qp._complete_send(self.wr, WCStatus.WR_FLUSH_ERR)
+            self._end()
+            return
+        if remote is not qp._cached_remote:
+            # Resolve both directions once per peer; reconnecting to a
+            # different QP (identity check) re-resolves.
+            fabric = qp.nic.fabric
+            qp._path_fwd = fabric.path(qp.nic.name, remote.nic.name)
+            qp._path_rev = fabric.path(remote.nic.name, qp.nic.name)
+            qp._cached_remote = remote
+        self.remote = remote
+        wire_size = self.nbytes if self.wr.opcode is not Opcode.RDMA_READ else 0
+        self._transfer(qp._path_fwd, wire_size, self._arrived)
+
+    def _transfer(self, path: "_Path", size: int, landed: Callable[[], None]) -> None:
+        """``Fabric.transfer_path`` then the receiving NIC, as steps."""
+        self.path = path
+        self.size = size
+        self.landed = landed
+        penalty = self.qp.nic.fabric.penalty_ns()
+        if penalty:
+            self.step = self._wire
+            self.env.schedule(self, penalty)
+            return
+        self._wire()
+
+    def _wire(self) -> None:
+        fabric = self.qp.nic.fabric
+        path = self.path
+        if path.loopback:
+            self.step = self._rx
+            self.env.schedule_timeout(self, fabric.loopback_ns(self.size))
+            return
+        head = fabric.head_arrival(path, self.size)
+        now = self.env.now
+        if head > now:
+            self.step = self._tail
+            self.env.schedule_timeout(self, head - now)
+            return
+        self._tail()
+
+    def _tail(self) -> None:
+        tail = self.qp.nic.fabric.tail_arrival(self.path, self.size)
+        now = self.env.now
+        if tail > now:
+            self.step = self._rx
+            self.env.schedule_timeout(self, tail - now)
+            return
+        self._rx()
+
+    def _rx(self) -> None:
+        self.step = self.landed
+        self.env.schedule_timeout(self, self.qp.nic.model.nic_rx_ns)
+
+    # -- responder ------------------------------------------------------------
+
+    def _arrived(self) -> None:
+        """Execute the operation at the responder (or NAK it)."""
+        remote = self.remote
+        if remote.state is not QPState.RTS:
+            self._fail(WCStatus.RETRY_EXC_ERR)
+            return
+        wr = self.wr
+        opcode = wr.opcode
+        if opcode.needs_remote_key:
+            mr = remote.nic.lookup_rkey(wr.rkey)
+            needed = _NEEDED_ACCESS[opcode]
+            if mr is None or not mr.allows(needed) or not mr.in_bounds(wr.remote_addr, self.nbytes):
+                remote.modify(QPState.ERR)
+                self._responded(WCStatus.REM_ACCESS_ERR)
+                return
+
+        if opcode.consumes_recv_wr:
+            self.retries = self.qp.rnr_retry
+            self._claim_recv_wr()
+            return
+
+        if opcode is Opcode.RDMA_WRITE:
+            self._store_remote()
+            self._responded(WCStatus.SUCCESS)
+            return
+
+        if opcode is Opcode.RDMA_READ:
+            mr = remote.nic.lookup_rkey(wr.rkey)
+            assert mr is not None  # validated above
+            if not mr.block.is_virtual and wr.local is not None and not wr.local.mr.block.is_virtual:
+                # Zero-copy: the write happens at the same instant the
+                # view is taken, so aliasing is safe (and a same-block
+                # overlap is handled inside MemoryBlock.write).
+                wr.local.mr.write(wr.local.offset, mr.block.view(wr.remote_addr, self.nbytes))
+            self._responded(WCStatus.SUCCESS)
+            return
+
+        if opcode.is_atomic:
+            self.step = self._atomic
+            self.env.schedule_timeout(self, self.qp.nic.model.atomic_exec_ns)
+            return
+
+        raise RdmaError(f"unhandled opcode {opcode}")  # pragma: no cover
+
+    def _claim_recv_wr(self) -> None:
+        """Pop a posted receive, honoring RNR retry semantics."""
+        remote = self.remote
+        if remote._recv_queue:
+            self._consume(remote._recv_queue.pop(0))
+            return
+        if self.retries:
+            self.retries -= 1
+            self.step = self._claim_recv_wr
+            self.env.schedule_timeout(self, remote.nic.model.rnr_timer_ns)
+            return
+        self._responded(WCStatus.RNR_RETRY_EXC_ERR)
+
+    def _consume(self, recv_wr: RecvWR) -> None:
+        wr = self.wr
+        remote = self.remote
+        if wr.opcode in (Opcode.SEND, Opcode.SEND_WITH_IMM):
+            if self.nbytes > recv_wr.local.nbytes:
+                remote.recv_cq.push(
+                    WorkCompletion(
+                        wr_id=recv_wr.wr_id,
+                        opcode=WCOpcode.RECV,
+                        status=WCStatus.LOC_LEN_ERR,
+                        qp_num=remote.qpn,
+                    )
+                )
+                remote.modify(QPState.ERR)
+                self._responded(WCStatus.REM_INV_REQ_ERR)
+                return
+            data = self.payload if self.payload is not None else self.prefix
+            if data is not None:
+                recv_wr.local.mr.write(recv_wr.local.offset, data)
+            wc_opcode = WCOpcode.RECV
+        else:  # RDMA_WRITE_WITH_IMM: data goes to the rkey target
+            self._store_remote()
+            wc_opcode = WCOpcode.RECV_RDMA_WITH_IMM
+        remote.recv_cq.push(
+            WorkCompletion(
+                wr_id=recv_wr.wr_id,
+                opcode=wc_opcode,
+                byte_len=self.nbytes,
+                imm_data=wr.imm_data,
+                qp_num=remote.qpn,
+            )
+        )
+        self._responded(WCStatus.SUCCESS)
+
+    def _store_remote(self) -> None:
+        mr = self.remote.nic.lookup_rkey(self.wr.rkey)
+        assert mr is not None
+        data = self.payload if self.payload is not None else self.prefix
+        if data is not None:
+            mr.block.write(self.wr.remote_addr, data)
+
+    def _atomic(self) -> None:
+        wr = self.wr
+        remote = self.remote
+        mr = remote.nic.lookup_rkey(wr.rkey)
+        assert mr is not None
+        if mr.block.is_virtual:
+            remote.modify(QPState.ERR)
+            self._responded(WCStatus.REM_ACCESS_ERR)
+            return
+        old = mr.block.read_u64(wr.remote_addr)
+        if wr.opcode is Opcode.ATOMIC_FETCH_ADD:
+            mr.block.write_u64(wr.remote_addr, old + wr.compare_add)
+        else:  # compare-and-swap
+            if old == wr.compare_add:
+                mr.block.write_u64(wr.remote_addr, wr.swap)
+        if wr.local is not None:
+            wr.local.mr.write(wr.local.offset, old.to_bytes(8, "little"))
+        self._responded(WCStatus.SUCCESS)
+
+    # -- back to the requester ----------------------------------------------------
+
+    def _responded(self, status: WCStatus) -> None:
+        if status is not WCStatus.SUCCESS:
+            self._fail(status)
+            return
+        opcode = self.wr.opcode
+        if opcode.has_response_data:
+            # READ/atomic response carries data back to the requester.
+            resp_size = self.nbytes if opcode is Opcode.RDMA_READ else ATOMIC_SIZE
+            self._transfer(self.qp._path_rev, resp_size, self._done)
+        else:
+            # Transport ACK (does not occupy data links).
+            self.step = self._done
+            self.env.schedule_timeout(self, self.qp.nic.model.ack_delay_ns)
+
+    def _done(self) -> None:
+        self.qp._complete_send(self.wr, WCStatus.SUCCESS)
+        self._end()
+
+    def _fail(self, status: WCStatus) -> None:
+        self.qp._fail_send(self.wr, status)
+        self._end()
+
+    def _end(self) -> None:
+        """The delivery's end: a no-op slot where its process ended."""
+        self.step = None  # drop the self-reference so the op is freed
+        self.env.schedule_timeout(self.qp._noop, 0)
 
 
 class QueuePair:
@@ -85,8 +331,16 @@ class QueuePair:
         self._path_fwd: Optional["_Path"] = None
         self._path_rev: Optional["_Path"] = None
         self._recv_queue: list[RecvWR] = []
-        self._send_fifo = Store(self.env)
-        self._send_loop_proc = self.env.process(self._send_loop(), name=f"qp{qpn}-send")
+        #: Posted WRs the send pump has not taken yet.
+        self._send_queue: deque[SendWR] = deque()
+        #: The send pump: idle means waiting on an empty send queue;
+        #: _pump_wr is the WR it took last.
+        self._pump = Step(self.env, self._pump_get)
+        self._pump_idle = False
+        self._pump_wr: Optional[SendWR] = None
+        #: Pre-triggered no-op for the pipeline's unobserved events.
+        self._noop = BatchEvent(self.env, SKIP)
+        self.env.schedule(self._pump, priority=URGENT)
         #: Statistics.
         self.bytes_sent = 0
         self.ops_posted = 0
@@ -159,198 +413,68 @@ class QueuePair:
         wr.validate(self.max_inline_data)
         if wr.opcode.is_atomic and wr.local is not None and wr.local.mr.block.is_virtual:
             raise RdmaError("atomic result buffers must be real memory")
-        if len(self._send_fifo.items) >= self.max_send_wr:
+        if len(self._send_queue) >= self.max_send_wr:
             # ibv_post_send returns ENOMEM when the SQ is full.
             raise RdmaError(f"send queue full (max_send_wr={self.max_send_wr})")
         self.ops_posted += 1
-        self._send_fifo.put(wr)
+        env = self.env
+        env.schedule_timeout(self._noop, 0)  # the send-queue put
+        if self._pump_idle:
+            self._pump_idle = False
+            self._pump_wr = wr
+            self._pump.step = self._pump_took
+            env.schedule_timeout(self._pump, 0)
+        else:
+            self._send_queue.append(wr)
 
     # -- requester pipeline --------------------------------------------------
 
-    def _send_loop(self):
-        """Sequential WR initiation; deliveries run concurrently."""
-        env = self.env
-        model = self.nic.model
-        while True:
-            wr: SendWR = yield self._send_fifo.get()
-            if self.state is not QPState.RTS:
-                self._complete_send(wr, WCStatus.WR_FLUSH_ERR)
-                continue
-
-            inline = wr.inline and wr.nbytes <= self.max_inline_data
-            # NIC processing; non-inline payloads need a PCIe DMA fetch.
-            cost = model.nic_tx_ns
-            if not inline and wr.nbytes > 0 and wr.opcode is not Opcode.RDMA_READ:
-                cost += model.pcie_dma_fetch_ns
-            yield env.timeout(cost)
-
-            payload: Optional[bytes] = None
-            prefix: Optional[bytes] = None
-            nbytes = wr.nbytes
-            if wr.opcode.is_atomic:
-                nbytes = ATOMIC_SIZE
-            elif wr.opcode is not Opcode.RDMA_READ and wr.local is not None and nbytes > 0:
-                if not wr.local.mr.block.is_virtual:
-                    # Zero-copy: reference the source buffer instead of
-                    # materializing it.  The verbs contract (the buffer
-                    # is stable until the send completes) makes this
-                    # equivalent to the DMA-fetch-time copy it replaces.
-                    payload = wr.local.mr.view(wr.local.offset, nbytes)
-                else:
-                    prefix = wr.local.mr.read(wr.local.offset, min(nbytes, SHADOW_BYTES))
-
-            op = _WireOp(
-                wr=wr, src_qp=self, payload=payload, nbytes=nbytes, inline=inline, prefix=prefix
-            )
-            self.bytes_sent += nbytes
-            env.process(self._deliver(op), name=f"qp{self.qpn}-wr{wr.wr_id}")
-
-    def _deliver(self, op: _WireOp):
-        """One WR's life after initiation: wire, responder, completion."""
-        env = self.env
-        model = self.nic.model
-        remote = self.remote
-        if remote is None:  # connection torn down mid-flight
-            self._complete_send(op.wr, WCStatus.WR_FLUSH_ERR)
-            return
-
-        if remote is not self._cached_remote:
-            # Resolve both directions once per peer; reconnecting to a
-            # different QP (identity check) re-resolves.
-            fabric = self.nic.fabric
-            self._path_fwd = fabric.path(self.nic.name, remote.nic.name)
-            self._path_rev = fabric.path(remote.nic.name, self.nic.name)
-            self._cached_remote = remote
-
-        wire_size = op.nbytes if op.wr.opcode is not Opcode.RDMA_READ else 0
-        yield from self.nic.fabric.transfer_path(self._path_fwd, wire_size)
-        yield env.timeout(model.nic_rx_ns)
-
-        if remote.state is not QPState.RTS:
-            self._fail_send(op.wr, WCStatus.RETRY_EXC_ERR)
-            return
-
-        status = yield from self._respond(op, remote)
-        if status is not WCStatus.SUCCESS:
-            self._fail_send(op.wr, status)
-            return
-
-        if op.wr.opcode.has_response_data:
-            # READ/atomic response carries data back to the requester.
-            resp_size = op.nbytes if op.wr.opcode is Opcode.RDMA_READ else ATOMIC_SIZE
-            yield from self.nic.fabric.transfer_path(self._path_rev, resp_size)
-            yield env.timeout(model.nic_rx_ns)
-            self._complete_send(op.wr, WCStatus.SUCCESS)
+    def _pump_get(self) -> None:
+        """Take the next posted WR, or idle until one is posted."""
+        queue = self._send_queue
+        if queue:
+            self._pump_wr = queue.popleft()
+            self._pump.step = self._pump_took
+            self.env.schedule_timeout(self._pump, 0)
         else:
-            # Transport ACK (does not occupy data links).
-            yield env.timeout(model.ack_delay_ns)
-            self._complete_send(op.wr, WCStatus.SUCCESS)
+            self._pump_idle = True
 
-    # -- responder ------------------------------------------------------------
-
-    def _respond(self, op: _WireOp, remote: "QueuePair"):
-        """Execute *op* at the responder; returns the requester status."""
-        env = self.env
+    def _pump_took(self) -> None:
+        """Sequential WR initiation: NIC processing of one WR."""
+        wr = self._pump_wr
+        if self.state is not QPState.RTS:
+            self._complete_send(wr, WCStatus.WR_FLUSH_ERR)
+            self._pump_get()
+            return
+        inline = wr.inline and wr.nbytes <= self.max_inline_data
+        # Non-inline payloads need a PCIe DMA fetch.
         model = self.nic.model
-        wr = op.wr
+        cost = model.nic_tx_ns
+        if not inline and wr.nbytes > 0 and wr.opcode is not Opcode.RDMA_READ:
+            cost += model.pcie_dma_fetch_ns
+        self._pump.step = self._pump_sent
+        self.env.schedule_timeout(self._pump, cost)
 
-        if wr.opcode.needs_remote_key:
-            mr = remote.nic.lookup_rkey(wr.rkey)
-            needed = {
-                Opcode.RDMA_WRITE: Access.REMOTE_WRITE,
-                Opcode.RDMA_WRITE_WITH_IMM: Access.REMOTE_WRITE,
-                Opcode.RDMA_READ: Access.REMOTE_READ,
-                Opcode.ATOMIC_FETCH_ADD: Access.REMOTE_ATOMIC,
-                Opcode.ATOMIC_CMP_SWP: Access.REMOTE_ATOMIC,
-            }[wr.opcode]
-            length = op.nbytes
-            if mr is None or not mr.allows(needed) or not mr.in_bounds(wr.remote_addr, length):
-                remote.modify(QPState.ERR)
-                return WCStatus.REM_ACCESS_ERR
-
-        if wr.opcode.consumes_recv_wr:
-            recv_wr = yield from remote._claim_recv_wr(self.rnr_retry)
-            if recv_wr is None:
-                return WCStatus.RNR_RETRY_EXC_ERR
-            if wr.opcode in (Opcode.SEND, Opcode.SEND_WITH_IMM):
-                if op.nbytes > recv_wr.local.nbytes:
-                    remote.recv_cq.push(
-                        WorkCompletion(
-                            wr_id=recv_wr.wr_id,
-                            opcode=WCOpcode.RECV,
-                            status=WCStatus.LOC_LEN_ERR,
-                            qp_num=remote.qpn,
-                        )
-                    )
-                    remote.modify(QPState.ERR)
-                    return WCStatus.REM_INV_REQ_ERR
-                data = op.payload if op.payload is not None else op.prefix
-                if data is not None:
-                    recv_wr.local.mr.write(recv_wr.local.offset, data)
-                wc_opcode = WCOpcode.RECV
-            else:  # RDMA_WRITE_WITH_IMM: data goes to the rkey target
-                self._store_remote(op, wr, remote)
-                wc_opcode = WCOpcode.RECV_RDMA_WITH_IMM
-            remote.recv_cq.push(
-                WorkCompletion(
-                    wr_id=recv_wr.wr_id,
-                    opcode=wc_opcode,
-                    byte_len=op.nbytes,
-                    imm_data=wr.imm_data,
-                    qp_num=remote.qpn,
-                )
-            )
-            return WCStatus.SUCCESS
-
-        if wr.opcode is Opcode.RDMA_WRITE:
-            self._store_remote(op, wr, remote)
-            return WCStatus.SUCCESS
-
-        if wr.opcode is Opcode.RDMA_READ:
-            mr = remote.nic.lookup_rkey(wr.rkey)
-            assert mr is not None  # validated above
-            if not mr.block.is_virtual and wr.local is not None and not wr.local.mr.block.is_virtual:
-                # Zero-copy: the write happens at the same instant the
-                # view is taken, so aliasing is safe (and a same-block
-                # overlap is handled inside MemoryBlock.write).
-                wr.local.mr.write(wr.local.offset, mr.block.view(wr.remote_addr, op.nbytes))
-            return WCStatus.SUCCESS
-
+    def _pump_sent(self) -> None:
+        """Hand the WR to its own delivery; deliveries run concurrently."""
+        wr = self._pump_wr
+        payload: Optional[memoryview] = None
+        prefix: Optional[bytes] = None
+        nbytes = wr.nbytes
         if wr.opcode.is_atomic:
-            yield env.timeout(model.atomic_exec_ns)
-            mr = remote.nic.lookup_rkey(wr.rkey)
-            assert mr is not None
-            if mr.block.is_virtual:
-                remote.modify(QPState.ERR)
-                return WCStatus.REM_ACCESS_ERR
-            old = mr.block.read_u64(wr.remote_addr)
-            if wr.opcode is Opcode.ATOMIC_FETCH_ADD:
-                mr.block.write_u64(wr.remote_addr, old + wr.compare_add)
-            else:  # compare-and-swap
-                if old == wr.compare_add:
-                    mr.block.write_u64(wr.remote_addr, wr.swap)
-            if wr.local is not None:
-                wr.local.mr.write(wr.local.offset, old.to_bytes(8, "little"))
-            return WCStatus.SUCCESS
-
-        raise RdmaError(f"unhandled opcode {wr.opcode}")  # pragma: no cover
-
-    @staticmethod
-    def _store_remote(op: _WireOp, wr: SendWR, remote: "QueuePair") -> None:
-        mr = remote.nic.lookup_rkey(wr.rkey)
-        assert mr is not None
-        data = op.payload if op.payload is not None else op.prefix
-        if data is not None:
-            mr.block.write(wr.remote_addr, data)
-
-    def _claim_recv_wr(self, retries: int):
-        """Pop a posted receive, honoring RNR retry semantics."""
-        for attempt in range(retries + 1):
-            if self._recv_queue:
-                return self._recv_queue.pop(0)
-            if attempt < retries:
-                yield self.env.timeout(self.nic.model.rnr_timer_ns)
-        return None
+            nbytes = ATOMIC_SIZE
+        elif wr.opcode is not Opcode.RDMA_READ and wr.local is not None and nbytes > 0:
+            if not wr.local.mr.block.is_virtual:
+                # Zero-copy: reference the source buffer instead of
+                # materializing it.  The verbs contract (the buffer
+                # is stable until the send completes) makes this
+                # equivalent to the DMA-fetch-time copy it replaces.
+                payload = wr.local.mr.view(wr.local.offset, nbytes)
+            else:
+                prefix = wr.local.mr.read(wr.local.offset, min(nbytes, SHADOW_BYTES))
+        self.bytes_sent += nbytes
+        self.env.schedule(_WireOp(self, wr, payload, nbytes, prefix), priority=URGENT)
+        self._pump_get()
 
     # -- completions -----------------------------------------------------------
 

@@ -178,6 +178,47 @@ class BatchEvent(Event):
         self._defused = False
 
 
+def _run_step(event: "Step") -> None:
+    event.step()
+
+
+def _skip(event: Event) -> None:
+    pass
+
+
+#: Dispatch descriptors shared by every :class:`Step` / no-op event.
+_STEP = (_run_step,)
+SKIP = (_skip,)
+
+
+class Step(Event):
+    """A re-armable callback event: the next step of a state machine.
+
+    :class:`BatchEvent`'s persistent one-callback tuple plus a ``step``
+    pointer.  A state machine keeps one of these, points ``step`` at
+    the zero-argument callable that continues it, and schedules the
+    same object again (``schedule_timeout``/``schedule``) wherever a
+    generator process would have yielded a fresh event -- no
+    :class:`Process`, generator resume or per-wait allocation.
+
+    Like ``BatchEvent``, a Step is pre-triggered and its ``processed``
+    flag is meaningless; it may sit in the queue at most once at a
+    time, which a state machine guarantees by waiting on one thing at
+    a time.  ``BatchEvent(env, SKIP)`` is the matching pre-triggered
+    no-op: it keeps the queue slot of an event nobody waits on.
+    """
+
+    __slots__ = ("step",)
+
+    def __init__(self, env: "Environment", step: Optional[Callable[[], None]] = None) -> None:
+        self.env = env
+        self.callbacks = _STEP
+        self._value = None
+        self._ok = True
+        self._defused = False
+        self.step = step
+
+
 class ConditionValue:
     """Ordered mapping from source events to their values.
 

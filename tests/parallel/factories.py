@@ -69,7 +69,7 @@ def counted_double(x):
 def faulty_rtts(probability, seed, invocations=40):
     """Echo invocations over a flaky fabric; returns (rtts, faults).
 
-    Exercises the full RNG draw order through ``Fabric.transfer_path``
+    Exercises the full RNG draw order of ``Fabric.penalty_ns``
     -- the determinism surface the cache layer must not perturb.
     """
     from repro.core import Deployment
