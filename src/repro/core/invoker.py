@@ -594,14 +594,18 @@ class Invoker:
     ) -> Optional[WorkerConnection]:
         if worker is not None:
             return self.connections[worker]
-        live = [
-            c
-            for c in self.connections
-            if c.alive and c.worker_id not in exclude and (fn is None or c.serves(fn))
-        ]
-        if not live:
-            return None
-        return min(live, key=lambda c: c.inflight)
+        # The least-loaded live connection serving fn; the first one
+        # wins ties.
+        best = None
+        for c in self.connections:
+            if (
+                c.alive
+                and c.worker_id not in exclude
+                and (fn is None or c.serves(fn))
+                and (best is None or c.inflight < best.inflight)
+            ):
+                best = c
+        return best
 
     def _on_response(self, connection: WorkerConnection, wc) -> None:
         """Fulfil (or redirect) the future a response CQE answers."""

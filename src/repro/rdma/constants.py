@@ -6,7 +6,20 @@ import enum
 
 
 class Opcode(enum.Enum):
-    """Send work-request opcodes (``ibv_wr_opcode``)."""
+    """Send work-request opcodes (``ibv_wr_opcode``).
+
+    The flags below are plain member attributes, set once after the
+    class body: the data path reads them several times per work
+    request.
+    """
+
+    #: Does the responder consume a posted receive for this opcode?
+    consumes_recv_wr: bool
+    carries_immediate: bool
+    needs_remote_key: bool
+    is_atomic: bool
+    #: Does the responder send payload back (READ result, atomic old value)?
+    has_response_data: bool
 
     SEND = "send"
     SEND_WITH_IMM = "send_with_imm"
@@ -16,33 +29,14 @@ class Opcode(enum.Enum):
     ATOMIC_FETCH_ADD = "atomic_fetch_add"
     ATOMIC_CMP_SWP = "atomic_cmp_swp"
 
-    @property
-    def consumes_recv_wr(self) -> bool:
-        """Does the responder consume a posted receive for this opcode?"""
-        return self in (Opcode.SEND, Opcode.SEND_WITH_IMM, Opcode.RDMA_WRITE_WITH_IMM)
 
-    @property
-    def carries_immediate(self) -> bool:
-        return self in (Opcode.SEND_WITH_IMM, Opcode.RDMA_WRITE_WITH_IMM)
-
-    @property
-    def needs_remote_key(self) -> bool:
-        return self in (
-            Opcode.RDMA_WRITE,
-            Opcode.RDMA_WRITE_WITH_IMM,
-            Opcode.RDMA_READ,
-            Opcode.ATOMIC_FETCH_ADD,
-            Opcode.ATOMIC_CMP_SWP,
-        )
-
-    @property
-    def is_atomic(self) -> bool:
-        return self in (Opcode.ATOMIC_FETCH_ADD, Opcode.ATOMIC_CMP_SWP)
-
-    @property
-    def has_response_data(self) -> bool:
-        """Does the responder send payload back (READ result, atomic old value)?"""
-        return self is Opcode.RDMA_READ or self.is_atomic
+for _opcode in Opcode:
+    _opcode.consumes_recv_wr = _opcode in (Opcode.SEND, Opcode.SEND_WITH_IMM, Opcode.RDMA_WRITE_WITH_IMM)
+    _opcode.carries_immediate = _opcode in (Opcode.SEND_WITH_IMM, Opcode.RDMA_WRITE_WITH_IMM)
+    _opcode.needs_remote_key = _opcode not in (Opcode.SEND, Opcode.SEND_WITH_IMM)
+    _opcode.is_atomic = _opcode in (Opcode.ATOMIC_FETCH_ADD, Opcode.ATOMIC_CMP_SWP)
+    _opcode.has_response_data = _opcode is Opcode.RDMA_READ or _opcode.is_atomic
+del _opcode
 
 
 class WCOpcode(enum.Enum):
