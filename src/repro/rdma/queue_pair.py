@@ -294,7 +294,9 @@ class _WireOp(Step):
 
     def _end(self) -> None:
         """The delivery's end: a no-op slot where its process ended."""
-        self.step = None  # drop the self-reference so the op is freed
+        # Drop the bound-method self-references so refcounting frees
+        # the op (a cycle would leave it to the garbage collector).
+        self.step = self.landed = None
         self.env.schedule_timeout(self.qp._noop, 0)
 
 
