@@ -191,7 +191,7 @@ _STEP = (_run_step,)
 SKIP = (_skip,)
 
 
-class Step(Event):
+class Step(BatchEvent):
     """A re-armable callback event: the next step of a state machine.
 
     :class:`BatchEvent`'s persistent one-callback tuple plus a ``step``
@@ -201,21 +201,16 @@ class Step(Event):
     generator process would have yielded a fresh event -- no
     :class:`Process`, generator resume or per-wait allocation.
 
-    Like ``BatchEvent``, a Step is pre-triggered and its ``processed``
-    flag is meaningless; it may sit in the queue at most once at a
-    time, which a state machine guarantees by waiting on one thing at
-    a time.  ``BatchEvent(env, SKIP)`` is the matching pre-triggered
-    no-op: it keeps the queue slot of an event nobody waits on.
+    A Step sits in the queue at most once at a time, which a state
+    machine guarantees by waiting on one thing at a time.
+    ``BatchEvent(env, SKIP)`` is the matching pre-triggered no-op: it
+    keeps the queue slot of an event nobody waits on.
     """
 
     __slots__ = ("step",)
 
     def __init__(self, env: "Environment", step: Optional[Callable[[], None]] = None) -> None:
-        self.env = env
-        self.callbacks = _STEP
-        self._value = None
-        self._ok = True
-        self._defused = False
+        super().__init__(env, _STEP)
         self.step = step
 
 
