@@ -108,7 +108,8 @@ class Worker:
         self.qp = self.nic.create_qp(pd, self.send_cq, self.recv_cq)
         #: The loop's event; ``step`` points at what it waits to do next.
         self._step = Step(self.env, self._next)
-        #: Started and not yet ended (a live process, in generator terms).
+        #: The loop has started and not yet ended: only then does a
+        #: kill schedule an interruption.
         self._running = False
 
     # -- connection metadata exposed to the client ------------------------

@@ -235,7 +235,7 @@ class Fabric:
 
         The queue pairs' callback data path runs the same steps --
         :meth:`penalty_ns`, then :meth:`loopback_ns` or
-        :meth:`head_arrival` and :meth:`tail_arrival` -- without a
+        :meth:`head_arrival` and the ingress reservation -- without a
         generator; both share these helpers, so the fault draws and the
         link arithmetic exist once.
         """
@@ -250,7 +250,7 @@ class Fabric:
         head = self.head_arrival(path, size)
         if head > env.now:
             yield env.timeout(head - env.now)
-        tail = self.tail_arrival(path, size)
+        _, tail = path.ingress.reserve(size)
         if tail > env.now:
             yield env.timeout(tail - env.now)
 
@@ -272,13 +272,8 @@ class Fabric:
 
         Cut-through: the head of the message reaches the destination
         after propagation; the tail arrives when the slower of the two
-        links has clocked all bytes through (:meth:`tail_arrival`,
-        booked once the head is there).
+        links has clocked all bytes through, which the caller books on
+        ``path.ingress`` once the head is there.
         """
         _, egress_done = path.egress.reserve(size)
         return egress_done - self.model.serialization_ns(size) + path.propagation_ns
-
-    @staticmethod
-    def tail_arrival(path: _Path, size: int) -> int:
-        """Book the destination link from now; when the last byte lands."""
-        return path.ingress.reserve(size)[1]

@@ -7,12 +7,12 @@ saturate the link.  The responder side validates rkeys/bounds/access
 and either executes the operation or NAKs, driving the requester QP into
 the error state exactly as hardware would.
 
-Both halves are callback state machines, not generator processes: the
-send pump is one re-armed :class:`~repro.sim.events.Step` per QP, and
-each work request's delivery is its own :class:`_WireOp`.  They
-schedule the events a process per pump and per delivery would: the
-same instants, priorities and order, with the events nobody waits on
-(a send-queue put, the end of a delivery) kept as no-op slots.
+Both halves are callback state machines: the send pump is one
+re-armed :class:`~repro.sim.events.Step` per QP, and each work
+request's delivery is its own :class:`_WireOp`.  They schedule the
+events a process per pump and per delivery would -- same instants,
+priorities and order -- keeping the events nobody waits on (a
+send-queue put, the end of a delivery) as no-op slots.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ class _WireOp(Step):
         self._tail()
 
     def _tail(self) -> None:
-        tail = self.qp.nic.fabric.tail_arrival(self.path, self.size)
+        _, tail = self.path.ingress.reserve(self.size)
         now = self.env.now
         if tail > now:
             self.step = self._rx
