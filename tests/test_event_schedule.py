@@ -92,7 +92,7 @@ def _deployment(config=None, **kwargs) -> Deployment:
 
 
 def _outcome(future) -> list:
-    """``[status-or-error, rtt, redirects]`` of a resolved future."""
+    """``[status or error name, rtt, output size, redirects]`` of a resolved future."""
     event = future.event
     if event.ok:
         result = event.value
