@@ -293,7 +293,7 @@ class _WireOp(Step):
         self._end()
 
     def _end(self) -> None:
-        """The delivery's end: a no-op slot where its process ended."""
+        """Schedule the delivery's end event: a no-op nobody waits on."""
         # Drop the bound-method self-references so refcounting frees
         # the op (a cycle would leave it to the garbage collector).
         self.step = self.landed = None
