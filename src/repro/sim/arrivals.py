@@ -226,17 +226,21 @@ def merge_tenant_streams(
 
     The merge is barrier-based so memory stays bounded: each round tops
     up every live tenant's buffer to ~one chunk, then emits the prefix
-    of the combined buffer at or below the *barrier* -- the smallest
+    of the combined buffer strictly below the *barrier* -- the smallest
     last-buffered time over tenants that still have arrivals pending.
-    Everything retained is provably later than everything emitted (a
-    non-exhausted tenant can only produce times beyond its buffered
-    horizon), which is what makes the output globally non-decreasing.
+    A live tenant produces nothing earlier than its last buffered time,
+    but may produce that time again, so everything retained or still to
+    come is at or after the barrier: the output is globally
+    non-decreasing, and a tie is only emitted once all of its arrivals
+    are buffered.  A round with nothing below the barrier reads on in
+    the tenants that set it.
     """
     iters = [iter(s) for s in streams]
     if not iters:
         raise ValueError("merge_tenant_streams needs at least one stream")
     buffers: list[np.ndarray] = [np.empty(0, dtype=ARRIVAL_DTYPE) for _ in iters]
     live = [True] * len(iters)
+    need = [chunk] * len(iters)
     while True:
         # Top up: every live tenant holds at least `chunk` buffered
         # arrivals (or is exhausted), so the barrier advances by at
@@ -246,7 +250,7 @@ def merge_tenant_streams(
                 continue
             parts = [buffers[t]]
             size = buffers[t].size
-            while size < chunk:
+            while size < need[t]:
                 block = next(it, None)
                 if block is None:
                     live[t] = False
@@ -255,15 +259,18 @@ def merge_tenant_streams(
                 size += block.size
             if len(parts) > 1:
                 buffers[t] = np.concatenate(parts)
+            need[t] = chunk
         pending = [t for t in range(len(iters)) if live[t]]
         if pending:
             barrier = min(int(buffers[t][-1]) for t in pending)
-            emit = [
-                buf[: np.searchsorted(buf, barrier, side="right")] for buf in buffers
-            ]
-            buffers = [
-                buf[np.searchsorted(buf, barrier, side="right") :] for buf in buffers
-            ]
+            cuts = [int(np.searchsorted(buf, barrier, side="left")) for buf in buffers]
+            if not any(cuts):
+                for t in pending:
+                    if buffers[t][-1] == barrier:
+                        need[t] = buffers[t].size + 1
+                continue
+            emit = [buf[:cut] for buf, cut in zip(buffers, cuts)]
+            buffers = [buf[cut:] for buf, cut in zip(buffers, cuts)]
         else:
             emit, buffers = buffers, [b[:0] for b in buffers]
         total = sum(part.size for part in emit)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.arrivals import DIURNAL_DAY, SHAPES, arrival_times
+from repro.sim.arrivals import DIURNAL_DAY, SHAPES, arrival_times, merge_tenant_streams
 from repro.sim.rng import RngStreams
 
 
@@ -124,6 +124,41 @@ def test_diurnal_peak_trough_ratio():
 def test_diurnal_auto_period():
     times, _ = _collect("diurnal", count=2_000, mean_gap=1_000)
     assert times.size == 2_000
+
+
+#: Hand-built per-tenant block streams.  Integer times collide across
+#: tenants and across block boundaries; in the second set a tenant also
+#: repeats a time, across its own block boundaries too.
+_COLLIDING = {
+    "across-tenants": [
+        [[1, 3], [4, 7], [9, 12]],
+        [[0, 3], [4, 8, 9], [12]],
+        [[3], [5, 7, 9], [12, 13]],
+    ],
+    "within-tenant": [
+        [[1, 3, 3], [3, 7], [9, 9, 12]],
+        [[0, 3], [3, 3, 8, 9], [12]],
+        [[3], [5, 7, 7, 9], [12, 12, 13]],
+    ],
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+@pytest.mark.parametrize("streams", list(_COLLIDING))
+def test_merge_breaks_time_ties_by_ascending_tenant(streams, chunk):
+    """The tenant FIFO recurrence is exact only under this order."""
+    streams = [
+        [np.asarray(block, dtype=np.int64) for block in blocks]
+        for blocks in _COLLIDING[streams]
+    ]
+    merged = list(merge_tenant_streams([iter(blocks) for blocks in streams], chunk=chunk))
+    times = np.concatenate([t for t, _ in merged])
+    tenants = np.concatenate([k for _, k in merged])
+    assert (np.diff(times) >= 0).all()
+    ties = np.diff(times) == 0
+    assert (np.diff(tenants)[ties] >= 0).all()
+    for tenant, blocks in enumerate(streams):
+        assert times[tenants == tenant].tolist() == np.concatenate(blocks).tolist()
 
 
 def test_rejects_bad_arguments():
