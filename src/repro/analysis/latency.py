@@ -26,14 +26,15 @@ arrival takes the earliest-free server, the per-core finish-time list
 of a greedy list scheduler.  It has no closed form, so it walks the
 arrivals, but only where they can queue -- the scale engine's
 ``queue`` policy runs on it instead of walking ~9 events per
-invocation (see :mod:`repro.experiments.scale`).
+invocation, for one stream and for tenants on a shared or pinned pool
+(see :mod:`repro.experiments.scale`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heapreplace
-from typing import Any
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -97,35 +98,64 @@ class FifoServers:
     equal times), and equal arrival times are served in index order.
     With one server this is :func:`replay_fifo`'s Lindley pass.
 
+    Arrivals may carry a key (a tenant, say) with a per-key queue cap:
+    an arrival that must wait while its key already has ``caps[key]``
+    arrivals waiting is rejected -- it takes no server and its start
+    reads ``-1``.  Waiters of all keys are still served in index order,
+    so the caller's order of equal times is the tie rule.  Without
+    *caps* every arrival has key 0 and no cap.
+
     Only the finish times of servers that have run are kept -- numpy
     blocks while some server is still untouched, one heap afterwards --
-    so memory is bounded by the pool size, not by the stream.
-    ``queued`` counts arrivals that had to wait; ``max_backlog`` is the
-    peak number of arrivals waiting at once.
+    so memory is bounded by the pool size, not by the stream.  Per key,
+    ``queued_by`` counts arrivals that had to wait, ``max_backlog_by``
+    is the peak number waiting at once and ``rejected_by`` counts
+    arrivals turned away at the cap.
     """
 
-    def __init__(self, servers: int) -> None:
+    def __init__(self, servers: int, caps: Optional[Sequence[int]] = None) -> None:
         if servers < 1:
             raise ValueError(f"need at least one server, got {servers}")
+        keys = 1 if caps is None else len(caps)
+        if keys < 1:
+            raise ValueError("need at least one key")
         self.untouched = servers
-        self.queued = 0
-        self.max_backlog = 0
+        self._caps = None if caps is None else list(caps)
+        self.queued_by = [0] * keys
+        self.max_backlog_by = [0] * keys
+        self.rejected_by = [0] * keys
         self._blocks: list[np.ndarray] = []
         self._heap: list[int] = []
-        #: Start times of the arrivals still waiting (non-decreasing).
-        self._waiting: deque[int] = deque()
+        #: Per key, start times of the arrivals still waiting
+        #: (non-decreasing).
+        self._waiting: list[deque[int]] = [deque() for _ in range(keys)]
 
-    def serve(self, times: Any, services: Any) -> np.ndarray:
-        """Start times of the next chunk of arrivals.
+    @property
+    def queued(self) -> int:
+        return sum(self.queued_by)
+
+    @property
+    def max_backlog(self) -> int:
+        return max(self.max_backlog_by)
+
+    def serve(self, times: Any, services: Any, keys: Any = None) -> np.ndarray:
+        """Start times of the next chunk of arrivals (``-1``: rejected).
 
         *times* must be non-decreasing and no earlier than the previous
-        chunk's; *services* are the matching service times.
+        chunk's; *services* are the matching service times and *keys*
+        the matching keys in ``range(len(caps))`` (default: all 0).
         """
         times = np.asarray(times, dtype=np.int64)
         services = np.asarray(services, dtype=np.int64)
         if times.shape != services.shape or times.ndim != 1:
             raise ValueError("times/services must be equal-length 1-D arrays")
         n = int(times.size)
+        if keys is not None:
+            keys = np.asarray(keys)
+            if keys.shape != times.shape:
+                raise ValueError("keys must match times")
+            if n and not (0 <= keys.min() and keys.max() < len(self._waiting)):
+                raise ValueError(f"keys must lie in [0, {len(self._waiting)})")
         fresh = min(self.untouched, n)
         if fresh:
             self._blocks.append(times[:fresh] + services[:fresh])
@@ -139,23 +169,53 @@ class FifoServers:
         starts = times.tolist()
         durations = services.tolist()
         heap = self._heap
-        waiting = self._waiting
-        queued = self.queued
-        max_backlog = self.max_backlog
+        caps = self._caps
+        keyed = caps is not None
+        if keyed:
+            if keys is None:
+                keys = np.zeros(n, dtype=np.intp)
+            tags = keys.tolist()
+            waiting_by = self._waiting
+            backlog_by = self.max_backlog_by
+        waiting = self._waiting[0]
+        max_backlog = self.max_backlog_by[0]
         for i in range(fresh, n):
             arrival = starts[i]
             free = heap[0]
             if free <= arrival:
                 heapreplace(heap, arrival + durations[i])
                 continue
+            if keyed:
+                # The tail below with per-key waiting lists and a cap
+                # check; kept apart because the per-key lookups cost ~20%
+                # on a saturated single stream.
+                key = tags[i]
+                pending = waiting_by[key]
+                while pending and pending[0] <= arrival:
+                    pending.popleft()
+                depth = len(pending)
+                if depth >= caps[key]:
+                    starts[i] = -1
+                    continue
+                starts[i] = free
+                heapreplace(heap, free + durations[i])
+                pending.append(free)
+                if depth >= backlog_by[key]:
+                    backlog_by[key] = depth + 1
+                continue
             starts[i] = free
             heapreplace(heap, free + durations[i])
-            queued += 1
             while waiting and waiting[0] <= arrival:
                 waiting.popleft()
             waiting.append(free)
             if len(waiting) > max_backlog:
                 max_backlog = len(waiting)
-        self.queued = queued
-        self.max_backlog = max_backlog
-        return np.asarray(starts, dtype=np.int64)
+        result = np.asarray(starts, dtype=np.int64)
+        if not keyed:
+            self.max_backlog_by[0] = max_backlog
+            self.queued_by[0] += int(np.count_nonzero(result > times))
+            return result
+        for book, hits in ((self.queued_by, result > times), (self.rejected_by, result < 0)):
+            for key, count in enumerate(np.bincount(keys[hits], minlength=len(book))):
+                book[key] += int(count)
+        return result

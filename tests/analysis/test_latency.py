@@ -91,27 +91,42 @@ def test_shape_validation():
 # -- FifoServers: the c-server recurrence ------------------------------
 
 
-def _serve(servers, times, services, chunk=None):
-    pool = FifoServers(servers)
+def _serve(servers, times, services, chunk=None, keys=None, caps=None):
+    pool = FifoServers(servers, caps)
     times = np.asarray(times, dtype=np.int64)
     services = np.asarray(services, dtype=np.int64)
     step = chunk or max(1, times.size)
     starts = [
-        pool.serve(times[i : i + step], services[i : i + step])
+        pool.serve(
+            times[i : i + step],
+            services[i : i + step],
+            None if keys is None else keys[i : i + step],
+        )
         for i in range(0, max(1, times.size), step)
     ]
     return np.concatenate(starts).tolist(), pool
 
 
-def event_walk(servers, times, services):
+def event_walk(servers, times, services, keys=None, caps=None):
     """The scale engine's FSM, one event at a time: completions fire
-    before arrivals at equal times, a dry pool queues FIFO."""
+    before arrivals at equal times, a dry pool queues FIFO.
+
+    Each key queues in its own FIFO; an arrival that finds its key's
+    FIFO at ``caps[key]`` is rejected (start ``-1``), and a completion
+    serves the oldest waiter across keys, the lowest key on ties.
+    Returns the starts and the per-key queued, peak backlog and
+    rejected counts.
+    """
+    n = len(times)
+    keys = [0] * n if keys is None else keys
+    caps = [n] if caps is None else caps
     events = [(t, 1, i) for i, t in enumerate(times)]  # (when, prio, seq)
     heapq.heapify(events)
-    seq = len(times)
-    free, backlog = servers, deque()
-    starts = [None] * len(times)
-    queued = max_backlog = 0
+    seq = n
+    free = servers
+    backlogs = [deque() for _ in caps]
+    starts = [None] * n
+    queued, max_backlog, rejected = [0] * len(caps), [0] * len(caps), [0] * len(caps)
 
     def begin(i, now):
         nonlocal seq
@@ -122,18 +137,24 @@ def event_walk(servers, times, services):
     while events:
         now, prio, i = heapq.heappop(events)
         if prio == 1:
+            key = keys[i]
             if free:
                 free -= 1
                 begin(i, now)
+            elif len(backlogs[key]) >= caps[key]:
+                starts[i] = -1
+                rejected[key] += 1
             else:
-                backlog.append(i)
-                queued += 1
-                max_backlog = max(max_backlog, len(backlog))
-        elif backlog:
-            begin(backlog.popleft(), now)
+                backlogs[key].append(i)
+                queued[key] += 1
+                max_backlog[key] = max(max_backlog[key], len(backlogs[key]))
+            continue
+        heads = [(times[backlog[0]], key) for key, backlog in enumerate(backlogs) if backlog]
+        if heads:
+            begin(backlogs[min(heads)[1]].popleft(), now)
         else:
             free += 1
-    return starts, queued, max_backlog
+    return starts, queued, max_backlog, rejected
 
 
 def test_arrival_at_a_completion_instant_is_not_queued():
@@ -184,12 +205,41 @@ def test_matches_event_walk(servers, chunk):
     times = np.sort(rng.integers(0, 400, size=n)).astype(np.int64)
     services = rng.integers(1, 30, size=n).astype(np.int64)
     starts, pool = _serve(servers, times, services, chunk)
-    ref_starts, ref_queued, ref_backlog = event_walk(
+    ref_starts, ref_queued, ref_backlog, _ = event_walk(
         servers, times.tolist(), services.tolist()
     )
     assert starts == ref_starts
-    assert (pool.queued, pool.max_backlog) == (ref_queued, ref_backlog)
+    assert (pool.queued, pool.max_backlog) == (ref_queued[0], ref_backlog[0])
     assert pool.queued > 0
+
+
+@pytest.mark.parametrize("servers", [1, 3, 16])
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize(
+    "caps", [(5,), (600, 600, 600), (1, 3, 16)], ids=["one-key", "uncapped", "capped"]
+)
+def test_keyed_matches_event_walk(servers, chunk, caps):
+    rng = np.random.default_rng(servers)
+    n = 600
+    times = rng.integers(0, 400, size=n).astype(np.int64)
+    services = rng.integers(1, 30, size=n).astype(np.int64)
+    keys = rng.integers(0, len(caps), size=n)
+    # The merged tenant calendar's order: equal times by ascending key.
+    order = np.lexsort((keys, times))
+    times, keys = times[order], keys[order]
+    starts, pool = _serve(
+        servers, times, services, chunk, None if len(caps) == 1 else keys, caps
+    )
+    ref_starts, ref_queued, ref_backlog, ref_rejected = event_walk(
+        servers, times.tolist(), services.tolist(), keys.tolist(), list(caps)
+    )
+    assert starts == ref_starts
+    assert pool.queued_by == ref_queued
+    assert pool.max_backlog_by == ref_backlog
+    assert pool.rejected_by == ref_rejected
+    assert pool.queued > 0
+    # A cap of n can never bind; every smaller one here does.
+    assert (sum(ref_rejected) > 0) == (min(caps) < n)
 
 
 def test_fifo_servers_empty_input():
@@ -204,3 +254,11 @@ def test_fifo_servers_validation():
         FifoServers(0)
     with pytest.raises(ValueError):
         FifoServers(2).serve([1, 2], [1])
+    with pytest.raises(ValueError):
+        FifoServers(2, caps=[])
+    with pytest.raises(ValueError):
+        FifoServers(2, caps=[4, 4]).serve([1, 2], [1, 1], keys=[0])
+    with pytest.raises(ValueError):
+        FifoServers(2, caps=[4, 4]).serve([1, 2], [1, 1], keys=[0, 2])
+    with pytest.raises(ValueError):
+        FifoServers(2).serve([1, 2], [1, 1], keys=[0, 1])
