@@ -34,13 +34,18 @@ admission, the default:
 * ``pool_policy="queue"`` walks no events at all.  Under a FIFO backlog
   no output depends on event interleaving, so :class:`_FifoDriver`
   computes the run as an exact c-server FIFO recurrence and derives the
-  event count in closed form.
+  event count in closed form.  Multi-tenant ``queue`` runs on a
+  ``shared`` or ``pinned`` plan do the same (:class:`_TenantFifo`): one
+  recurrence over the merged calendar for the shared tier, one per
+  tenant for pinned partitions.
 * ``"cold"``/``"hybrid"`` need the event order (a dry arrival's choice
   reads the backlog, a reclaim reads the idle slots), but not the lease
   renewals: :class:`_PoolWalk` fires only completions, spin-up readies
   and reclaims, in the referee's order, and counts renewals in closed
-  form.  Multi-tenant runs take :class:`_TenantWalk`, the same walk
-  over per-tenant pools.
+  form.  Multi-tenant runs under these policies, and ``overflow`` plans
+  under any (a pinned completion serves its own tenant ahead of older
+  shared waiters), take :class:`_TenantWalk`, the same walk over
+  per-tenant pools.
 * ``admission="per-event"`` walks every event on the chosen scheduler
   (``"heap"`` or ``"wheel"``): the referees the fast engines are
   checked against, fingerprint for fingerprint.
@@ -1572,21 +1577,32 @@ class MultiTenantConfig:
 
 
 def _tenant_pool_plan(
-    specs: tuple, workers: int, partitioning: str
+    specs: tuple, workers: int, partitioning: str, shards: int = 1
 ) -> tuple[list[int], int]:
-    """Split *workers* into per-tenant pinned partitions + a shared tier."""
+    """Split *workers* into per-tenant pinned partitions + a shared tier.
+
+    Every tenant must reach a slot in each of *shards* shards, through
+    its pinned partition or the shared tier: a shard where it reaches
+    none would leave its waiters queued forever.
+    """
     _validate_partitioning(partitioning)
     weights = [max(1, spec.workers) for spec in specs]
     if partitioning == "shared":
-        return [0] * len(specs), workers
-    if partitioning == "pinned":
+        pinned, shared = [0] * len(specs), workers
+    elif partitioning == "pinned":
         pinned, shared = split_by_weights(workers, weights), 0
     else:  # overflow: half pinned by weight, half shared
         half = workers // 2
         pinned, shared = split_by_weights(half, weights), workers - half
-    if min(pinned) < 1:
+    if partitioning != "shared" and min(pinned) < 1:
         raise ValueError(
             f"{workers} workers spread too thin over {len(specs)} pinned partitions"
+        )
+    thin = [spec.name for spec, slots in zip(specs, pinned) if max(slots, shared) < shards]
+    if thin:
+        raise ValueError(
+            f"{workers} {partitioning} workers leave tenants {thin} without a "
+            f"slot in some of {shards} shards"
         )
     return pinned, shared
 
@@ -1597,7 +1613,9 @@ def _draw_tenant_services(rng, size: int, spec: TenantSpec):
     return np.maximum(draws.astype(np.int64), 1)
 
 
-def _tenant_chunks(config: "MultiTenantConfig", shard: int, shards: int):
+def _tenant_chunks(
+    config: "MultiTenantConfig", shard: int, shards: int, lists: bool = True
+):
     """Yield this shard's ``(times, tenants, services)`` merged chunks.
 
     Every shard replays the **global** merged calendar (partition
@@ -1608,6 +1626,10 @@ def _tenant_chunks(config: "MultiTenantConfig", shard: int, shards: int):
     arrival order* and scattered back to merged order through boolean
     masks (masks preserve order), which keeps a tenant's service
     sequence independent of what the co-tenants do.
+
+    With ``lists=True`` (the walk and the per-event referee) the three
+    columns come as Python lists; with ``lists=False`` they stay arrays
+    for the FIFO recurrence.
     """
     specs = config.specs
     streams = RngStreams(config.seed)
@@ -1633,7 +1655,10 @@ def _tenant_chunks(config: "MultiTenantConfig", shard: int, shards: int):
             if not mine.any():
                 continue
             times, tenants, services = times[mine], tenants[mine], services[mine]
-        yield times.tolist(), tenants.tolist(), services.tolist()
+        if lists:
+            yield times.tolist(), tenants.tolist(), services.tolist()
+        else:
+            yield times, tenants, services
 
 
 class _TenantBook:
@@ -1641,7 +1666,9 @@ class _TenantBook:
 
     Shared by the reduced-event walk (:class:`_TenantWalk`) and the
     per-event referee (:class:`_TenantDriver`), which apply the same
-    dispatch rules and differ only in how they order events:
+    dispatch rules and differ only in how they order events, and by the
+    FIFO recurrence (:class:`_TenantFifo`), which keeps the pool plan
+    and the books but serves the FIFOs in closed form:
 
     * an arrival tries its tenant's **pinned** partition first, then
       the **shared** tier; a dry pool queues in the tenant's own FIFO
@@ -1697,7 +1724,7 @@ class _TenantBook:
         self.keyed = KeyedStreamingSummary(config.subbits)
         self.backlogs = [deque() for _ in range(n)]
         pinned_plan, shared_plan = _tenant_pool_plan(
-            specs, config.workers, config.partitioning
+            specs, config.workers, config.partitioning, shards
         )
         self.pinned = [_shard_slots(p, shards, shard) for p in pinned_plan]
         self.shared_free = _shard_slots(shared_plan, shards, shard)
@@ -1740,30 +1767,112 @@ class _TenantBook:
     def _flush(self) -> None:
         buf = self._buf_sojourn
         if buf:
-            vals = np.asarray(buf, dtype=np.int64)
-            tens = np.asarray(self._buf_tenant, dtype=np.int64)
-            self.sojourn_total += int(vals.sum())
-            self.stream.observe_many(vals.astype(np.float64))
-            keyed = self.keyed
-            for t, name in enumerate(self.names):
-                mask = tens == t
-                count = int(mask.sum())
-                if not count:
-                    continue
-                slab = vals[mask]
-                self.dispatched_by[t] += count
-                self.sojourn_totals[t] += int(slab.sum())
-                # The deadline mask IS the outcome classifier: a
-                # dispatched invocation either makes its sojourn budget
-                # (SUCCESS) or misses it (DEADLINE_MISSED).
-                self.missed_by[t] += int((slab > self.deadlines[t]).sum())
-                keyed.observe_many(name, slab.astype(np.float64))
+            self._classify(
+                np.asarray(buf, dtype=np.int64),
+                np.asarray(self._buf_tenant, dtype=np.int64),
+            )
             buf.clear()
             self._buf_tenant.clear()
 
+    def _classify(self, vals: np.ndarray, tens: np.ndarray) -> None:
+        """Book dispatched sojourns *vals* with their tenant column *tens*."""
+        self.sojourn_total += int(vals.sum())
+        self.stream.observe_many(vals.astype(np.float64))
+        keyed = self.keyed
+        for t, name in enumerate(self.names):
+            mask = tens == t
+            count = int(mask.sum())
+            if not count:
+                continue
+            slab = vals[mask]
+            self.dispatched_by[t] += count
+            self.sojourn_totals[t] += int(slab.sum())
+            # The deadline mask IS the outcome classifier: a dispatched
+            # invocation either makes its sojourn budget (SUCCESS) or
+            # misses it (DEADLINE_MISSED).
+            self.missed_by[t] += int((slab > self.deadlines[t]).sum())
+            keyed.observe_many(name, slab.astype(np.float64))
+
+
+class _TenantFifo(_TenantBook):
+    """``queue`` tenants on a shared or pinned plan as c-server FIFO recurrences.
+
+    Under the ``queue`` policy no output of these two plans depends on
+    event interleaving.  A shared-tier completion serves the oldest
+    waiter across tenants -- earliest arrival, lowest tenant id on ties
+    -- which is the merged calendar's own order
+    (:func:`~repro.sim.arrivals.merge_tenant_streams`), so the tier is
+    one :class:`~repro.analysis.latency.FifoServers` over the calendar,
+    keyed by tenant for the per-tenant queue caps.  A pinned completion
+    serves only its own tenant, so each pinned partition is a FIFO of
+    its own.  A congested arrival takes no slot; its service draw is
+    still consumed positionally.  The rest follows in closed form, as
+    in :class:`_FifoDriver`:
+
+    * ``events_processed`` is one event per arrival plus, per dispatch,
+      its completion and ``(service - 1) // interval`` renewal hops;
+    * ``final_now_ns`` is the later of the last finish and the last
+      arrival (a congested last arrival can outlive every completion);
+    * per-tenant ``queued``, ``max_backlog`` and ``congested`` come
+      from the recurrence.
+
+    Sojourns are booked in arrival order, not dispatch order.  Every
+    booked output is an exact integer total, a histogram count, a
+    minimum or a maximum, so the order does not show.
+    """
+
+    __slots__ = ("_chunks", "_pools", "events_processed", "final_now_ns")
+
+    def __init__(self, config: MultiTenantConfig, shard: int, shards: int) -> None:
+        super().__init__(config, shard, shards)
+        self._chunks = _tenant_chunks(config, shard, shards, lists=False)
+        if config.partitioning == "shared":
+            self._pools = [FifoServers(self.shared_free, self.queue_caps)]
+        else:
+            self._pools = [
+                FifoServers(slots, [cap]) for slots, cap in zip(self.pinned, self.queue_caps)
+            ]
+        self.events_processed = 0
+        self.final_now_ns = 0
+
+    def drive(self) -> None:
+        interval = self._interval
+        pools = self._pools
+        shared = self.config.partitioning == "shared"
+        arrived_by = self.arrived_by
+        hops = finish = last = 0
+        for times, tenants, services in self._chunks:
+            if shared:
+                starts = pools[0].serve(times, services, tenants)
+            else:
+                starts = np.empty_like(times)
+                for t, pool in enumerate(pools):
+                    mask = tenants == t
+                    starts[mask] = pool.serve(times[mask], services[mask])
+            for t, count in enumerate(np.bincount(tenants, minlength=len(arrived_by))):
+                arrived_by[t] += int(count)
+            last = int(times[-1])
+            kept = starts >= 0  # a congested arrival starts at -1
+            served = services[kept]
+            done = starts[kept] + served
+            if done.size:
+                self._classify(done - times[kept], tenants[kept])
+                hops += int(((served - 1) // interval).sum())
+                finish = max(finish, int(done.max()))
+        # Per tenant, one list entry per key: the shared pool keys its
+        # books by tenant, and each pinned pool has its tenant's only.
+        self.queued_by = [q for pool in pools for q in pool.queued_by]
+        self.max_backlog_by = [b for pool in pools for b in pool.max_backlog_by]
+        self.congested_by = [r for pool in pools for r in pool.rejected_by]
+        self.arrived = sum(arrived_by)
+        self.completed = sum(self.dispatched_by)
+        self.events_processed = self.arrived + self.completed + hops
+        self.final_now_ns = max(finish, last)
+
 
 class _TenantWalk(_TenantBook):
-    """The multi-tenant FSM as a reduced-event walk (the default engine).
+    """The multi-tenant FSM as a reduced-event walk: the default engine
+    for ``cold``/``hybrid`` runs and for ``overflow`` plans.
 
     The referee already keeps renewal hops off the critical path: a
     dispatch draws its completion's eid at once, and the hop chain
@@ -2278,7 +2387,10 @@ def _run_tenant_shard(
     )
     driver: Any
     if admission == "batch":
-        driver = _TenantWalk(config, shard, shards)
+        # Only a queue run mixing pinned and shared slots needs the
+        # walk's event order.
+        fifo = pool_policy == "queue" and partitioning != "overflow"
+        driver = (_TenantFifo if fifo else _TenantWalk)(config, shard, shards)
         started = time.perf_counter()
         driver.drive()
         wall_s = time.perf_counter() - started
@@ -2457,12 +2569,12 @@ def run_tenant_scale(
     _validate_admission(admission)
     _validate_partitioning(partitioning)
     _validate_pool_policy(pool_policy, start_model, 0, hybrid_threshold)
-    _tenant_pool_plan(specs, workers, partitioning)  # fail fast on thin pools
     total = sum(spec.invocations for spec in specs)
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     if shards > total:
         raise ValueError(f"{shards} shards for {total} invocations (some get none)")
+    _tenant_pool_plan(specs, workers, partitioning, shards)  # fail fast on thin pools
     shared_kwargs = dict(
         shards=shards,
         specs=specs,

@@ -1,11 +1,13 @@
 """Multi-tenant scale engine: bit-identity, sharding, and pool plans.
 
 The contract under test mirrors the single-stream scale engine's: the
-default engine (the tenant reduced-event walk) and the per-event
-referee FSM must agree on every simulated-domain output -- here *per tenant*: outcome counts
-(SUCCESS / CONGESTION / DEADLINE_MISSED), exact sojourn totals, and
-histogram-derived tails -- across both schedulers, and (unsaturated) a
-K-way shard split must merge back bit-identical to the 1-shard run.
+default engines -- the tenant FIFO recurrence for ``queue`` runs on a
+pinned or shared plan, the tenant reduced-event walk otherwise -- and
+the per-event referee FSM must agree on every simulated-domain output,
+here *per tenant*: outcome counts (SUCCESS / CONGESTION /
+DEADLINE_MISSED), exact sojourn totals, histogram-derived tails and
+peak backlog -- across both schedulers, and (unsaturated) a K-way
+shard split must merge back bit-identical to the 1-shard run.
 """
 
 from dataclasses import replace
@@ -26,6 +28,12 @@ from repro.workloads.tenants import TenantSpec, standard_mix
 SATURATED = dict(workers=48, seed=13)
 
 
+def _outputs(result):
+    """The fingerprint plus per-tenant ``max_backlog``, which it omits."""
+    backlogs = {name: t.max_backlog for name, t in result.tenants.items()}
+    return result.fingerprint(), backlogs
+
+
 def _specs(**overrides):
     specs = standard_mix(invocations=4_000, rate_scale=400.0, compute_scale=40.0)
     return [replace(spec, **overrides) for spec in specs] if overrides else specs
@@ -33,18 +41,21 @@ def _specs(**overrides):
 
 @pytest.mark.parametrize("partitioning", ["pinned", "shared", "overflow"])
 def test_engines_bit_identical_across_partitionings(partitioning):
-    fingerprints = [
-        run_tenant_scale(
-            specs=_specs(),
-            partitioning=partitioning,
-            scheduler=scheduler,
-            admission=admission,
-            **SATURATED,
-        ).fingerprint()
+    outputs = [
+        _outputs(
+            run_tenant_scale(
+                specs=_specs(),
+                partitioning=partitioning,
+                scheduler=scheduler,
+                admission=admission,
+                **SATURATED,
+            )
+        )
         for scheduler in ("heap", "wheel")
         for admission in ("per-event", "batch")
     ]
-    assert all(fp == fingerprints[0] for fp in fingerprints[1:])
+    assert all(out == outputs[0] for out in outputs[1:])
+    fingerprints = [fp for fp, _ in outputs]
     assert fingerprints[0]["completed"] == 4_000
     # Saturation produced real per-tenant queueing/misses to agree on.
     assert fingerprints[0]["missed"] > 0
@@ -67,8 +78,8 @@ def test_engines_bit_identical_across_pool_policies(pool_policy):
         for scheduler in ("heap", "wheel")
         for admission in ("per-event", "batch")
     ]
+    assert all(_outputs(r) == _outputs(results[0]) for r in results[1:])
     base = results[0].fingerprint()
-    assert all(r.fingerprint() == base for r in results[1:])
     if pool_policy == "queue":
         assert base["congested"] > 0 and base["cold_starts"] == 0
     else:
@@ -154,3 +165,9 @@ def test_run_validation_rejects_bad_knobs():
         run_tenant_scale(specs=specs, shards=0)
     with pytest.raises(ValueError):
         run_tenant_scale(specs=specs, shards=10**9)
+    # Some shard would get no slot a tenant can use: its waiters would
+    # never run.
+    with pytest.raises(ValueError):
+        run_tenant_scale(specs=specs, partitioning="shared", workers=1, shards=2)
+    with pytest.raises(ValueError):
+        run_tenant_scale(specs=specs, partitioning="pinned", workers=4, shards=2)

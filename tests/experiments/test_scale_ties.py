@@ -6,7 +6,8 @@ tie rules.  The cases here build ties on purpose: a hand-built stream
 where a completion lands exactly on an arrival, fed to every engine
 through a monkeypatched ``_shard_chunks``, and grid cases that floor
 the generated streams onto a coarse grid and compare the default
-engine (the reduced-event walk) with the per-event heap referee.
+engine with the per-event heap referee: the reduced-event walk, or for
+``queue`` tenants on a pinned or shared plan the FIFO recurrence.
 
 The rule: at a shared nanosecond every completion, spin-up and
 reclaim fires before the arrival (``_ARRIVAL_PRIO``), whatever the
@@ -84,38 +85,45 @@ def on_grid(monkeypatch):
     A test-only wrapper around the stream generators (no engine knob):
     with spawn, keepalive and interval multiples of the step too, most
     events share their instant with others -- completion vs arrival,
-    reclaim vs completion, ready vs reclaim, pinned vs shared.
+    reclaim vs completion, ready vs reclaim, pinned vs shared.  Tenant
+    streams are floored before they merge, so the merged calendar keeps
+    the merge's tie order (equal times in ascending tenant id).
     """
 
     def install(step: int) -> None:
-        shard_chunks, tenant_chunks = scale._shard_chunks, scale._tenant_chunks
+        shard_chunks = scale._shard_chunks
+        merge, draw = scale.merge_tenant_streams, scale._draw_tenant_services
 
-        def snap(times, services):
-            times = np.asarray(times, dtype=np.int64) // step * step
-            services = np.maximum(np.asarray(services, dtype=np.int64) // step, 1) * step
-            return times, services
+        def snap(times):
+            return np.asarray(times, dtype=np.int64) // step * step
+
+        def snap_services(services):
+            return np.maximum(np.asarray(services, dtype=np.int64) // step, 1) * step
 
         def shard(config, shard, shards, lists=True):
             for times, services in shard_chunks(config, shard, shards, lists=False):
-                t, s = snap(times, services)
+                t, s = snap(times), snap_services(services)
                 yield (t.tolist(), s.tolist()) if lists else (t, s)
 
-        def tenant(config, shard, shards):
-            for times, tenants, services in tenant_chunks(config, shard, shards):
-                t, s = snap(times, services)
-                yield t.tolist(), tenants, s.tolist()
+        def merged(streams, chunk):
+            return merge([map(snap, stream) for stream in streams], chunk=chunk)
+
+        def services(rng, size, spec):
+            return snap_services(draw(rng, size, spec))
 
         monkeypatch.setattr(scale, "_shard_chunks", shard)
-        monkeypatch.setattr(scale, "_tenant_chunks", tenant)
+        monkeypatch.setattr(scale, "merge_tenant_streams", merged)
+        monkeypatch.setattr(scale, "_draw_tenant_services", services)
 
     return install
 
 
-def _walk_vs_referee(run, **kwargs):
-    walk = run(**kwargs).fingerprint()
-    referee = run(scheduler="heap", admission="per-event", **kwargs).fingerprint()
-    assert walk == referee
-    return walk
+def _default_vs_referee(run, **kwargs):
+    """Results of the default engine and the heap referee, fingerprints equal."""
+    default = run(**kwargs)
+    referee = run(scheduler="heap", admission="per-event", **kwargs)
+    assert default.fingerprint() == referee.fingerprint()
+    return default, referee
 
 
 #: remote-fork spawns in 1 ms; the intervals sit below, at and above it.
@@ -132,13 +140,13 @@ def test_grid_ties_single_stream(on_grid, policy, keepalive, interval, step):
     # re-arm, a ready and a reclaim routinely share their draw instant.
     on_grid(step)
     keepalive_ns = {"off": 0, "le-interval": interval // 2, "gt-interval": 3 * interval}
-    fp = _walk_vs_referee(
+    fp = _default_vs_referee(
         run_scale,
         invocations=2_000, workers=128, mean_arrival_gap_ns=us(5),
         service_log_mean=14.7, service_log_sigma=0.5,
         lease_check_interval_ns=interval, pool_policy=policy, hybrid_threshold=4,
         start_model="remote-fork", keepalive_ns=keepalive_ns[keepalive],
-    )
+    )[0].fingerprint()
     assert fp["cold_starts"] > 0
     if keepalive != "off":
         assert fp["cold_reclaimed"] > 0 and fp["cold_retained"] > 0
@@ -153,10 +161,15 @@ def test_grid_ties_tenants(on_grid, partitioning, pool_policy, queue_cap, step):
     specs = standard_mix(invocations=1_500, rate_scale=400.0, compute_scale=40.0)
     if queue_cap is not None:
         specs = [replace(spec, queue_cap=queue_cap) for spec in specs]
-    fp = _walk_vs_referee(
+    default, referee = _default_vs_referee(
         run_tenant_scale,
         specs=specs, workers=24, partitioning=partitioning, pool_policy=pool_policy,
         hybrid_threshold=4, lease_check_interval_ns=ms(4), seed=13,
     )
+    # Not in the fingerprint, but perfbench's backlog gauge reads it.
+    assert [t.max_backlog for t in default.tenants.values()] == [
+        t.max_backlog for t in referee.tenants.values()
+    ]
+    fp = default.fingerprint()
     assert fp["completed"] + fp["congested"] == 1_500
     assert (fp["cold_starts"] > 0) == (pool_policy != "queue")
