@@ -2387,8 +2387,8 @@ def _run_tenant_shard(
     )
     driver: Any
     if admission == "batch":
-        # Only a queue run mixing pinned and shared slots needs the
-        # walk's event order.
+        # Under the queue policy only an overflow plan, which mixes
+        # pinned and shared slots, needs the walk's event order.
         fifo = pool_policy == "queue" and partitioning != "overflow"
         driver = (_TenantFifo if fifo else _TenantWalk)(config, shard, shards)
         started = time.perf_counter()
