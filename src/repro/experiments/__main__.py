@@ -235,8 +235,8 @@ def main(argv: list[str] | None = None) -> int:
         default="batch",
         help="for 'scale'/'multitenant': arrival admission -- 'batch' "
         "(default) builds no event calendar: the exact FIFO recurrence "
-        "for a 'scale' run under --pool-policy queue, the reduced-event "
-        "walk for everything else; "
+        "under --pool-policy queue (for 'multitenant' on a pinned or "
+        "shared plan), the reduced-event walk for everything else; "
         "'per-event' walks every event through the timer wheel (the "
         "referee engine)",
     )

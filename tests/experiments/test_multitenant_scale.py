@@ -16,6 +16,7 @@ import pytest
 
 from repro.experiments.scale import (
     MultiTenantConfig,
+    _TenantWalk,
     _tenant_chunks,
     _tenant_pool_plan,
     run_tenant_scale,
@@ -86,6 +87,16 @@ def test_engines_bit_identical_across_pool_policies(pool_policy):
         assert base["cold_starts"] > 0
     # Accounting closes: every arrival either completed or was rejected.
     assert base["completed"] + base["congested"] == 4_000
+
+
+@pytest.mark.parametrize("partitioning", ["pinned", "shared"])
+def test_queue_runs_on_pinned_and_shared_plans_skip_the_walk(monkeypatch, partitioning):
+    def walk(self):
+        raise AssertionError("the FIFO recurrence should have run")
+
+    monkeypatch.setattr(_TenantWalk, "drive", walk)
+    result = run_tenant_scale(specs=_specs(), partitioning=partitioning, **SATURATED)
+    assert result.completed == 4_000 and result.queued > 0
 
 
 @pytest.mark.parametrize("shards", [2, 3])
