@@ -23,20 +23,23 @@ exact integer arithmetic, no approximation.
 
 :class:`FifoServers` is the same recurrence over ``c`` servers: each
 arrival takes the earliest-free server, the per-core finish-time list
-of a greedy list scheduler.  It has no closed form, so it walks the
-arrivals, but only where they can queue -- the scale engine's
-``queue`` policy runs on it instead of walking ~9 events per
-invocation, for one stream and for tenants on a shared or pinned pool
-(see :mod:`repro.experiments.scale`).
+of a greedy list scheduler.  It has no closed form, but runs of up to
+``c`` arrivals that each take the next free time in sorted order
+vectorize exactly, and only short runs are stepped one at a time --
+the scale engine's ``queue`` policy runs on it instead of walking ~9
+events per invocation, for one stream and for tenants on a shared or
+pinned pool (see :mod:`repro.experiments.scale`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heapify, heapreplace
+from heapq import heapreplace
 from typing import Any, Optional, Sequence
 
 import numpy as np
+
+from repro import perf
 
 
 def replay_fifo(
@@ -89,6 +92,11 @@ def sojourn_by_kind(
     return [sojourn[sorted_kinds == kind] for kind in range(kind_count)]
 
 
+#: Fewest arrivals a block must hold to pay for its numpy calls; after
+#: a shorter one the next arrivals are stepped one at a time.
+_MIN_BLOCK = 32
+
+
 class FifoServers:
     """Exact ``c``-server FIFO queue, fed one arrival chunk at a time.
 
@@ -105,12 +113,32 @@ class FifoServers:
     so the caller's order of equal times is the tie rule.  Without
     *caps* every arrival has key 0 and no cap.
 
-    Only the finish times of servers that have run are kept -- numpy
-    blocks while some server is still untouched, one heap afterwards --
-    so memory is bounded by the pool size, not by the stream.  Per key,
-    ``queued_by`` counts arrivals that had to wait, ``max_backlog_by``
-    is the peak number waiting at once and ``rejected_by`` counts
-    arrivals turned away at the cap.
+    **Blocks.**  While some server is untouched the next arrivals start
+    at once and only their finish times are kept, so a pool larger than
+    the stream stores nothing else.  Afterwards the ``c`` free times
+    are one sorted array ``p``, and the next ``B <= c`` arrivals are
+    served as a block: arrival ``j`` takes ``p[j]``, starting at
+    ``max(t_j, p[j])`` and finishing at ``f_j``.  The earliest free
+    time arrival ``j`` could see is the least of ``p[j:]`` and ``f_0 ..
+    f_{j-1}``, which is ``p[j]`` exactly while ``p[j] <= min(f_0 ..
+    f_{j-1})``; so the block holds up to the first arrival where that
+    fails, and its finishes merge back into ``p``.  After a block of
+    fewer than ``_MIN_BLOCK`` arrivals (small pools, wide service
+    spread) a stretch of ``L`` arrivals is stepped one at a time on a
+    heap of the ``L`` earliest free times -- ``L`` arrivals can take no
+    other -- the stretch doubling while blocks stay short.
+
+    **Queue depths.**  Starts are non-decreasing in arrival order, so
+    a waiting arrival's depth is the number of earlier same-key
+    arrivals that start after it arrives: one ``searchsorted`` per key
+    and chunk over the starts of the key's waiters still pending from
+    earlier chunks and the chunk's own.  Per key, ``queued_by`` counts
+    arrivals that had to wait, ``max_backlog_by`` is the peak number
+    waiting at once and ``rejected_by`` counts arrivals turned away at
+    the cap.  A chunk in which some cap could bind is served by the
+    one-at-a-time loop, which checks the cap at every waiting arrival.
+    Memory is bounded by the pool size plus the waiters, not by the
+    stream.
     """
 
     def __init__(self, servers: int, caps: Optional[Sequence[int]] = None) -> None:
@@ -124,11 +152,14 @@ class FifoServers:
         self.queued_by = [0] * keys
         self.max_backlog_by = [0] * keys
         self.rejected_by = [0] * keys
+        #: Finish times of the servers run so far, while some is untouched.
         self._blocks: list[np.ndarray] = []
-        self._heap: list[int] = []
-        #: Per key, start times of the arrivals still waiting
-        #: (non-decreasing).
-        self._waiting: list[deque[int]] = [deque() for _ in range(keys)]
+        #: Sorted free times of all servers, once every server has run.
+        self._pool = np.empty(0, dtype=np.int64)
+        #: Per key, start times (non-decreasing) of the arrivals still
+        #: waiting at the last arrival.
+        self._pending = [np.empty(0, dtype=np.int64) for _ in range(keys)]
+        self._last = -(1 << 63)
 
     @property
     def queued(self) -> int:
@@ -142,8 +173,9 @@ class FifoServers:
         """Start times of the next chunk of arrivals (``-1``: rejected).
 
         *times* must be non-decreasing and no earlier than the previous
-        chunk's; *services* are the matching service times and *keys*
-        the matching keys in ``range(len(caps))`` (default: all 0).
+        chunk's (``ValueError`` otherwise); *services* are the matching
+        service times and *keys* the matching keys in
+        ``range(len(caps))`` (default: all 0).
         """
         times = np.asarray(times, dtype=np.int64)
         services = np.asarray(services, dtype=np.int64)
@@ -154,68 +186,178 @@ class FifoServers:
             keys = np.asarray(keys)
             if keys.shape != times.shape:
                 raise ValueError("keys must match times")
-            if n and not (0 <= keys.min() and keys.max() < len(self._waiting)):
-                raise ValueError(f"keys must lie in [0, {len(self._waiting)})")
+            if n and not (0 <= keys.min() and keys.max() < len(self._pending)):
+                raise ValueError(f"keys must lie in [0, {len(self._pending)})")
+        if n:
+            if bool((times[1:] < times[:-1]).any()):
+                raise ValueError("arrival times must be non-decreasing")
+            if times[0] < self._last:
+                raise ValueError(
+                    f"chunk starts at {int(times[0])}, before the previous "
+                    f"chunk's last arrival at {self._last}"
+                )
+            self._last = int(times[-1])
         fresh = min(self.untouched, n)
         if fresh:
             self._blocks.append(times[:fresh] + services[:fresh])
             self.untouched -= fresh
             if not self.untouched:
-                self._heap = np.concatenate(self._blocks).tolist()
-                heapify(self._heap)
+                self._pool = np.sort(np.concatenate(self._blocks))
                 self._blocks = []
+        stepped = 0
         if fresh == n:
-            return times
+            starts = times
+        else:
+            caps = self._caps
+            if caps is not None and keys is None:
+                keys = np.zeros(n, dtype=np.intp)
+            if caps is not None and any(
+                pending.size + int(count) > cap
+                for pending, count, cap in zip(
+                    self._pending, np.bincount(keys, minlength=len(caps)), caps
+                )
+            ):
+                # A depth reaches at most pending + count - 1: only here
+                # can some cap bind.
+                starts = self._serve_capped(times, services, keys, fresh)
+                stepped = n - fresh
+            else:
+                starts = times.copy()
+                stepped = self._serve_blocks(times[fresh:], services[fresh:], starts[fresh:])
+            waited = starts > times
+            self._book(times[waited], starts[waited], None if keys is None else keys[waited])
+            if caps is None:
+                self.queued_by[0] += int(np.count_nonzero(waited))
+            else:
+                for book, hits in ((self.queued_by, waited), (self.rejected_by, starts < 0)):
+                    for key, count in enumerate(np.bincount(keys[hits], minlength=len(book))):
+                        book[key] += int(count)
+        if perf.enabled:
+            perf.counters.fifo_block_arrivals += n - stepped
+            perf.counters.fifo_step_arrivals += stepped
+        return starts
+
+    def _serve_blocks(self, times: np.ndarray, services: np.ndarray, starts: np.ndarray) -> int:
+        """Serve arrivals on the sorted pool in blocks, filling *starts*.
+
+        Returns how many arrivals were stepped one at a time.
+        """
+        pool = self._pool
+        servers = pool.size
+        n = times.size
+        i = stepped = 0
+        probe = servers
+        stretch = _MIN_BLOCK
+        while i < n:
+            size = min(probe, n - i)
+            if size >= _MIN_BLOCK:
+                start = np.maximum(times[i : i + size], pool[:size])
+                finish = start + services[i : i + size]
+                # The first arrival an earlier finish in the block beats
+                # to a server ends the block.
+                beaten = pool[1:size] > np.minimum.accumulate(finish[:-1])
+                first = int(beaten.argmax())
+                held = first + 1 if beaten[first] else size
+                starts[i : i + held] = start[:held]
+                # Two sorted runs: the stable sort merges them.
+                pool = np.concatenate((pool[held:], np.sort(finish[:held])))
+                pool.sort(kind="stable")
+                i += held
+                # Probe about as far as the last block reached.
+                probe = min(servers, 2 * held + _MIN_BLOCK)
+                if held >= _MIN_BLOCK:
+                    stretch = _MIN_BLOCK
+                    continue
+            end = min(n, i + stretch)
+            pool = _step(pool, times[i:end], services[i:end], starts[i:end])
+            stepped += end - i
+            i = end
+            stretch *= 2
+            probe = servers
+        self._pool = pool
+        return stepped
+
+    def _book(self, times: np.ndarray, starts: np.ndarray, keys: Optional[np.ndarray]) -> None:
+        """Book each key's peak queue depth from the chunk's waiters."""
+        if len(self._pending) == 1:
+            self._book_key(0, times, starts)
+            return
+        for key in range(len(self._pending)):
+            mask = keys == key
+            if mask.any() or self._pending[key].size:
+                self._book_key(key, times[mask], starts[mask])
+
+    def _book_key(self, key: int, times: np.ndarray, starts: np.ndarray) -> None:
+        # Only arrivals that waited are ever waiting when a later one
+        # arrives.  Waiter i's earlier same-key waiters number pending
+        # + i; those that started by t_i are the carried starts <= t_i
+        # (later waiters start no earlier than i, after t_i).
+        pending = self._pending[key]
+        carried = np.concatenate((pending, starts)) if pending.size else starts
+        if times.size:
+            depth = np.arange(pending.size, carried.size) - np.searchsorted(
+                carried, times, side="right"
+            )
+            peak = int(depth.max()) + 1
+            if peak > self.max_backlog_by[key]:
+                self.max_backlog_by[key] = peak
+        self._pending[key] = carried[np.searchsorted(carried, self._last, side="right") :].copy()
+
+    def _serve_capped(
+        self, times: np.ndarray, services: np.ndarray, keys: np.ndarray, fresh: int
+    ) -> np.ndarray:
+        """One arrival at a time, checking each waiting arrival's cap.
+
+        The depths are booked afterwards, as for blocks.
+        """
         starts = times.tolist()
         durations = services.tolist()
-        heap = self._heap
+        tags = keys.tolist()
+        heap = self._pool.tolist()  # sorted, hence a valid heap
         caps = self._caps
-        keyed = caps is not None
-        if keyed:
-            if keys is None:
-                keys = np.zeros(n, dtype=np.intp)
-            tags = keys.tolist()
-            waiting_by = self._waiting
-            backlog_by = self.max_backlog_by
-        waiting = self._waiting[0]
-        max_backlog = self.max_backlog_by[0]
-        for i in range(fresh, n):
+        waiting_by = [deque(pending.tolist()) for pending in self._pending]
+        for i in range(fresh, len(starts)):
             arrival = starts[i]
             free = heap[0]
             if free <= arrival:
                 heapreplace(heap, arrival + durations[i])
                 continue
-            if keyed:
-                # The tail below with per-key waiting lists and a cap
-                # check; kept apart because the per-key lookups cost ~20%
-                # on a saturated single stream.
-                key = tags[i]
-                pending = waiting_by[key]
-                while pending and pending[0] <= arrival:
-                    pending.popleft()
-                depth = len(pending)
-                if depth >= caps[key]:
-                    starts[i] = -1
-                    continue
-                starts[i] = free
-                heapreplace(heap, free + durations[i])
-                pending.append(free)
-                if depth >= backlog_by[key]:
-                    backlog_by[key] = depth + 1
+            key = tags[i]
+            pending = waiting_by[key]
+            while pending and pending[0] <= arrival:
+                pending.popleft()
+            if len(pending) >= caps[key]:
+                starts[i] = -1
                 continue
             starts[i] = free
             heapreplace(heap, free + durations[i])
-            while waiting and waiting[0] <= arrival:
-                waiting.popleft()
-            waiting.append(free)
-            if len(waiting) > max_backlog:
-                max_backlog = len(waiting)
-        result = np.asarray(starts, dtype=np.int64)
-        if not keyed:
-            self.max_backlog_by[0] = max_backlog
-            self.queued_by[0] += int(np.count_nonzero(result > times))
-            return result
-        for book, hits in ((self.queued_by, result > times), (self.rejected_by, result < 0)):
-            for key, count in enumerate(np.bincount(keys[hits], minlength=len(book))):
-                book[key] += int(count)
-        return result
+            pending.append(free)
+        self._pool = np.sort(np.array(heap, dtype=np.int64))
+        return np.asarray(starts, dtype=np.int64)
+
+
+def _step(
+    pool: np.ndarray, times: np.ndarray, services: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """Serve arrivals one at a time, filling *starts*; returns the new pool.
+
+    ``n`` arrivals take at most ``n`` free times, each the earliest
+    left, so a heap of the sorted pool's first ``n`` serves them.
+    """
+    n = times.size
+    heap = pool[:n].tolist()  # sorted, hence a valid heap
+    out = []
+    for arrival, service in zip(times.tolist(), services.tolist()):
+        free = heap[0]
+        if free < arrival:
+            free = arrival
+        heapreplace(heap, free + service)
+        out.append(free)
+    starts[:] = out
+    head = np.array(heap, dtype=np.int64)
+    head.sort()
+    if n >= pool.size:
+        return head
+    pool = np.concatenate((pool[n:], head))
+    pool.sort(kind="stable")
+    return pool

@@ -568,8 +568,8 @@ class _FifoDriver:
       rule -- a slot freeing at an arrival's own nanosecond serves it --
       is the referee's ``_ARRIVAL_PRIO`` order.
 
-    No environment and no timers: the slot heap carries across chunks,
-    so memory stays bounded by the pool size.
+    No environment and no timers: the slots' free times carry across
+    chunks, so memory stays bounded by the pool size and the backlog.
     """
 
     cold_starts = cold_busy_ns = cold_reclaimed = cold_retained = 0

@@ -50,6 +50,8 @@ class Counters:
         "lease_steals",
         "dead_nodes",
         "leases_active_peak",
+        "fifo_block_arrivals",
+        "fifo_step_arrivals",
     )
 
     def __init__(self) -> None:
@@ -97,6 +99,11 @@ class Counters:
         self.dead_nodes = 0
         #: Peak concurrently active leases -- a gauge, not a total.
         self.leases_active_peak = 0
+        #: FIFO-recurrence arrivals served in vectorized blocks (a
+        #: pool's untouched servers included).
+        self.fifo_block_arrivals = 0
+        #: FIFO-recurrence arrivals stepped one at a time.
+        self.fifo_step_arrivals = 0
 
 
 #: Counters that are sampled gauges (peaks): merged with max, not sum.

@@ -6,6 +6,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from repro import perf
 from repro.analysis.latency import FifoServers, replay_fifo, sojourn_by_kind
 
 
@@ -249,6 +250,52 @@ def test_fifo_servers_empty_input():
     assert (pool.queued, pool.max_backlog, pool.untouched) == (0, 0, 4)
 
 
+@pytest.mark.parametrize("servers", [256, 1_536])
+@pytest.mark.parametrize("chunk", [None, 7, 1_000])
+@pytest.mark.parametrize(
+    "caps", [None, (8_000,) * 3, (4, 40, 400)], ids=["unkeyed", "uncapped", "capped"]
+)
+def test_large_pools_match_event_walk(servers, chunk, caps):
+    """Pools large enough for the block path, overloaded twofold with
+    wide log-normal services so that blocks truncate and fall back to
+    stepping; coarse times make arrival and completion ties common."""
+    rng = np.random.default_rng(servers + (chunk or 0))
+    n = 8_000
+    services = np.maximum(1, rng.lognormal(5.0, 1.5, size=n)).astype(np.int64)
+    span = int(n * services.mean() / (servers * 2.0))
+    times = rng.integers(0, span, size=n) // 50 * 50
+    keys = None if caps is None else rng.integers(0, len(caps), size=n)
+    order = np.argsort(times, kind="stable") if keys is None else np.lexsort((keys, times))
+    times = times[order]
+    keys = None if keys is None else keys[order]
+    before = perf.snapshot()
+    perf.enable()
+    try:
+        starts, pool = _serve(servers, times, services, chunk, keys, caps)
+    finally:
+        perf.disable()
+    moved = perf.delta(before, perf.snapshot())
+    ref_starts, ref_queued, ref_backlog, ref_rejected = event_walk(
+        servers,
+        times.tolist(),
+        services.tolist(),
+        None if keys is None else keys.tolist(),
+        None if caps is None else list(caps),
+    )
+    assert starts == ref_starts
+    assert pool.queued_by == ref_queued
+    assert pool.max_backlog_by == ref_backlog
+    assert pool.rejected_by == ref_rejected
+    assert pool.queued > 0
+    assert (sum(ref_rejected) > 0) == (caps is not None and min(caps) < n)
+    # Every arrival went through exactly one path, and a chunk of 1,000
+    # or more under no binding cap took both: blocks and stepped stretches.
+    assert moved["fifo_block_arrivals"] + moved["fifo_step_arrivals"] == n
+    if chunk != 7 and caps != (4, 40, 400):
+        assert moved["fifo_block_arrivals"] > servers
+        assert moved["fifo_step_arrivals"] > 0
+
+
 def test_fifo_servers_validation():
     with pytest.raises(ValueError):
         FifoServers(0)
@@ -262,3 +309,12 @@ def test_fifo_servers_validation():
         FifoServers(2, caps=[4, 4]).serve([1, 2], [1, 1], keys=[0, 2])
     with pytest.raises(ValueError):
         FifoServers(2).serve([1, 2], [1, 1], keys=[0, 1])
+    # The block rule and the backlog pass need non-decreasing times,
+    # within a chunk and across chunks.
+    with pytest.raises(ValueError):
+        FifoServers(1).serve([0, 10, 5, 6], [4] * 4)
+    pool = FifoServers(1)
+    pool.serve([0, 10], [4, 4])
+    with pytest.raises(ValueError):
+        pool.serve([5, 6], [4, 4])
+    pool.serve([10, 12], [4, 4])  # equal to the last arrival is in order

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import perf
 from repro.experiments.scale import (
     MultiTenantConfig,
     _TenantWalk,
@@ -97,6 +98,30 @@ def test_queue_runs_on_pinned_and_shared_plans_skip_the_walk(monkeypatch, partit
     monkeypatch.setattr(_TenantWalk, "drive", walk)
     result = run_tenant_scale(specs=_specs(), partitioning=partitioning, **SATURATED)
     assert result.completed == 4_000 and result.queued > 0
+
+
+def test_benchmark_cell_matches_the_referee():
+    """The perfbench ``tenant_mix`` cell's shape -- 1,536 shared slots,
+    the bursty tenant's rate boosted 6x, 20k invocations, about half of
+    them queued -- is where the shared FIFO serves arrivals in blocks.
+    The recurrence must match the per-event heap referee there too."""
+    specs = [
+        replace(spec, rate_per_s=spec.rate_per_s * 6.0) if spec.name == "bursty-service" else spec
+        for spec in standard_mix(invocations=20_000, rate_scale=400.0, compute_scale=40.0)
+    ]
+    kwargs = dict(specs=specs, workers=1_536, partitioning="shared", seed=11)
+    before = perf.snapshot()
+    perf.enable()
+    try:
+        fifo = run_tenant_scale(**kwargs)
+    finally:
+        perf.disable()
+    moved = perf.delta(before, perf.snapshot())
+    referee = run_tenant_scale(scheduler="heap", admission="per-event", **kwargs)
+    assert _outputs(fifo) == _outputs(referee)
+    assert fifo.completed == 20_000 and fifo.queued > 5_000
+    assert moved["fifo_block_arrivals"] + moved["fifo_step_arrivals"] == 20_000
+    assert moved["fifo_block_arrivals"] > 15_000
 
 
 @pytest.mark.parametrize("shards", [2, 3])
