@@ -42,12 +42,9 @@ from __future__ import annotations
 from math import frexp, ldexp, sqrt
 from typing import Any, Iterable, Optional
 
-from repro.analysis.stats import SummaryStats, median_ci_ranks
+import numpy as np
 
-try:  # pragma: no cover - exercised via observe_many when numpy exists
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is in the base image
-    _np = None
+from repro.analysis.stats import SummaryStats, median_ci_ranks
 
 
 class Welford:
@@ -191,9 +188,12 @@ class LogHistogram:
 
     Zeros are counted exactly in a dedicated bucket; negative values are
     rejected (the harness records latencies and rates, both >= 0).
+    Occupied buckets are kept as two parallel arrays, keys ascending, so
+    bulk inserts, merges and rank reads are a few numpy calls and memory
+    follows the occupied buckets, not ``2**subbits``.
     """
 
-    __slots__ = ("subbits", "count", "zero_count", "_scale", "_buckets")
+    __slots__ = ("subbits", "count", "zero_count", "_scale", "_keys", "_counts")
 
     def __init__(self, subbits: int = 8) -> None:
         if not 1 <= subbits <= 16:
@@ -202,8 +202,11 @@ class LogHistogram:
         self._scale = 1 << subbits
         self.count = 0
         self.zero_count = 0
-        #: bucket key -> occupancy; key = octave * 2**subbits + sub.
-        self._buckets: dict[int, int] = {}
+        #: Occupied bucket keys, ascending (key = octave * 2**subbits +
+        #: sub), and their occupancies.  Never shared with another
+        #: histogram, so updates may write in place.
+        self._keys = np.empty(0, dtype=np.int64)
+        self._counts = np.empty(0, dtype=np.int64)
 
     def _key(self, value: float) -> int:
         mantissa, exponent = frexp(value)
@@ -223,48 +226,63 @@ class LogHistogram:
         if value == 0:
             self.zero_count += 1
             return
-        key = self._key(value)
-        buckets = self._buckets
-        buckets[key] = buckets.get(key, 0) + 1
+        self._fold(np.array([self._key(value)], dtype=np.int64), np.ones(1, dtype=np.int64))
 
     def add_many(self, values) -> None:
-        """Bulk insert; vectorized with numpy when available."""
-        if _np is not None:
-            arr = _np.asarray(values, dtype=_np.float64)
-            if arr.size == 0:
-                return
-            if bool((arr < 0).any()):
-                raise ValueError("LogHistogram records non-negative values")
-            self.count += int(arr.size)
-            zeros = int((arr == 0).sum())
-            self.zero_count += zeros
-            positive = arr[arr > 0]
-            if positive.size == 0:
-                return
-            mantissa, exponent = _np.frexp(positive)
-            sub = ((2 * mantissa - 1) * self._scale).astype(_np.int64)
-            _np.clip(sub, 0, self._scale - 1, out=sub)
-            keys = (exponent.astype(_np.int64) - 1) * self._scale + sub
-            uniq, counts = _np.unique(keys, return_counts=True)
-            buckets = self._buckets
-            for key, bump in zip(uniq.tolist(), counts.tolist()):
-                buckets[key] = buckets.get(key, 0) + bump
+        """Bulk insert, vectorized."""
+        arr = np.asarray(values, dtype=np.float64)
+        if arr.size == 0:
             return
-        for value in values:
-            self.add(value)
+        if bool((arr < 0).any()):
+            raise ValueError("LogHistogram records non-negative values")
+        self.count += int(arr.size)
+        self.zero_count += int((arr == 0).sum())
+        positive = arr[arr > 0]
+        if positive.size == 0:
+            return
+        mantissa, exponent = np.frexp(positive)
+        sub = ((2 * mantissa - 1) * self._scale).astype(np.int64)
+        np.clip(sub, 0, self._scale - 1, out=sub)
+        keys = (exponent.astype(np.int64) - 1) * self._scale + sub
+        low = int(keys.min())
+        span = int(keys.max()) - low + 1
+        if span <= keys.size:
+            # A dense tally over the sample's own key range is no
+            # larger than the sample, and much cheaper than a sort.
+            tally = np.bincount(keys - low, minlength=span)
+            occupied = np.flatnonzero(tally)
+            self._fold(occupied + low, tally[occupied])
+        else:
+            self._fold(*np.unique(keys, return_counts=True))
+
+    def _fold(self, keys: np.ndarray, counts: np.ndarray) -> None:
+        """Add *counts* to the buckets *keys* (ascending, distinct)."""
+        known = self._keys
+        at = np.searchsorted(known, keys)
+        if at[-1] < known.size and bool((known[at] == keys).all()):
+            self._counts[at] += counts
+            return
+        if not known.size:
+            self._keys, self._counts = keys.copy(), counts.astype(np.int64)
+            return
+        merged = np.concatenate((known, keys))
+        order = np.argsort(merged, kind="stable")  # two ascending runs
+        merged = merged[order]
+        heads = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
+        self._keys = merged[heads]
+        self._counts = np.add.reduceat(np.concatenate((self._counts, counts))[order], heads)
 
     def merge(self, other: "LogHistogram") -> None:
         if other.subbits != self.subbits:
             raise ValueError("cannot merge histograms with different subbits")
         self.count += other.count
         self.zero_count += other.zero_count
-        buckets = self._buckets
-        for key, bump in other._buckets.items():
-            buckets[key] = buckets.get(key, 0) + bump
+        if other._keys.size:
+            self._fold(other._keys, other._counts)
 
     def __len__(self) -> int:
         """Occupied buckets -- the memory footprint, not the sample count."""
-        return len(self._buckets) + (1 if self.zero_count else 0)
+        return int(self._keys.size) + (1 if self.zero_count else 0)
 
     def value_at_rank(self, rank: int) -> float:
         """Lower edge of the bucket holding the rank-th smallest sample.
@@ -276,12 +294,11 @@ class LogHistogram:
             raise ValueError(f"rank {rank} outside [1, {self.count}]")
         if rank <= self.zero_count:
             return 0.0
-        remaining = rank - self.zero_count
-        for key in sorted(self._buckets):
-            remaining -= self._buckets[key]
-            if remaining <= 0:
-                return self._edge(key)
-        raise AssertionError("bucket counts inconsistent with self.count")
+        below = np.cumsum(self._counts)
+        bucket = int(np.searchsorted(below, rank - self.zero_count))
+        if bucket == below.size:
+            raise AssertionError("bucket counts inconsistent with self.count")
+        return self._edge(int(self._keys[bucket]))
 
     def quantile(self, q: float) -> float:
         """q-th quantile (0..1), nearest-rank, within the error bound."""
@@ -325,26 +342,22 @@ class StreamingSummary:
             self.maximum = value
 
     def observe_many(self, values: Iterable[float]) -> None:
-        """Bulk observe; numpy arrays take the vectorized path."""
-        if _np is not None:
-            arr = _np.asarray(values, dtype=_np.float64)
-            if arr.size == 0:
-                return
-            self.histogram.add_many(arr)
-            batch_mean = float(arr.mean())
-            self.welford.add_batch(
-                int(arr.size),
-                batch_mean,
-                float(((arr - batch_mean) ** 2).sum()),
-            )
-            low, high = float(arr.min()), float(arr.max())
-            if self.minimum is None or low < self.minimum:
-                self.minimum = low
-            if self.maximum is None or high > self.maximum:
-                self.maximum = high
+        """Bulk observe, vectorized."""
+        arr = np.asarray(values, dtype=np.float64)
+        if arr.size == 0:
             return
-        for value in values:
-            self.observe(value)
+        self.histogram.add_many(arr)
+        batch_mean = float(arr.mean())
+        self.welford.add_batch(
+            int(arr.size),
+            batch_mean,
+            float(((arr - batch_mean) ** 2).sum()),
+        )
+        low, high = float(arr.min()), float(arr.max())
+        if self.minimum is None or low < self.minimum:
+            self.minimum = low
+        if self.maximum is None or high > self.maximum:
+            self.maximum = high
 
     @classmethod
     def merged(cls, parts: Iterable["StreamingSummary"]) -> "StreamingSummary":

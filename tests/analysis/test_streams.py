@@ -116,30 +116,103 @@ def test_histogram_quantile_error_bound(subbits):
         assert exact < reported * (1 + bound) * (1 + 1e-12), f"q={q}"
 
 
+class DictHistogram:
+    """The dict-of-buckets histogram, kept as the reference for
+    :class:`LogHistogram`'s arrays: same keys, same reads."""
+
+    def __init__(self, subbits):
+        self.scale = 1 << subbits
+        self.count = 0
+        self.zero_count = 0
+        self.buckets = {}
+
+    def add(self, value):
+        self.count += 1
+        if value == 0:
+            self.zero_count += 1
+            return
+        mantissa, exponent = math.frexp(value)
+        sub = min(int((2 * mantissa - 1) * self.scale), self.scale - 1)
+        key = (exponent - 1) * self.scale + sub
+        self.buckets[key] = self.buckets.get(key, 0) + 1
+
+    def __len__(self):
+        return len(self.buckets) + (1 if self.zero_count else 0)
+
+    def reads(self):
+        """What :func:`_reads` returns for a LogHistogram of the same samples."""
+        ranks = [0.0] * self.zero_count
+        for key in sorted(self.buckets):
+            octave, sub = divmod(key, self.scale)
+            ranks += [math.ldexp(1 + sub / self.scale, octave)] * self.buckets[key]
+        return len(self), self.count, self.zero_count, tuple(ranks)
+
+
+def _reads(hist):
+    """Everything a histogram answers: len, counts and every rank."""
+    ranks = tuple(hist.value_at_rank(rank) for rank in range(1, hist.count + 1))
+    return len(hist), hist.count, hist.zero_count, ranks
+
+
+def _reference(values, subbits=8):
+    ref = DictHistogram(subbits)
+    for value in values:
+        ref.add(value)
+    return ref.reads()
+
+
 def test_histogram_scalar_and_vector_paths_identical():
     rng = random.Random(5)
     values = [rng.lognormvariate(8, 3.0) for _ in range(2_000)] + [0.0] * 17
-    scalar, vector = LogHistogram(), LogHistogram()
-    for value in values:
-        scalar.add(value)
-    vector.add_many(values)
-    assert scalar._buckets == vector._buckets
-    assert scalar.zero_count == vector.zero_count == 17
-    assert scalar.count == vector.count == len(values)
+    rng.shuffle(values)
+    for subbits in (1, 8, 16):
+        scalar, vector, chunked = (LogHistogram(subbits) for _ in range(3))
+        for value in values:
+            scalar.add(value)
+        vector.add_many(values)
+        for start in range(0, len(values), 300):
+            chunked.add_many(values[start : start + 300])
+        expected = _reference(values, subbits)
+        assert _reads(scalar) == _reads(vector) == _reads(chunked) == expected, subbits
+        assert scalar.zero_count == 17
+        assert scalar.count == len(values)
+
+
+def _merge_layouts(rng):
+    """Left/right samples whose bucket ranges are disjoint, overlap, or nest."""
+    yield "disjoint", (
+        [rng.uniform(1, 2**10) for _ in range(800)],
+        [rng.uniform(2**20, 2**30) for _ in range(900)] + [0.0] * 3,
+    )
+    yield "overlapping", (
+        [rng.expovariate(1e-6) for _ in range(800)],
+        [rng.expovariate(1e-3) for _ in range(900)],
+    )
+    yield "nested", (
+        [rng.lognormvariate(10, 4.0) for _ in range(800)],
+        [rng.lognormvariate(10, 0.2) for _ in range(900)],
+    )
 
 
 def test_histogram_merge_equals_serial():
     rng = random.Random(6)
-    left = [rng.expovariate(1e-6) for _ in range(800)]
-    right = [rng.expovariate(1e-3) for _ in range(900)]
-    serial = LogHistogram()
-    serial.add_many(left + right)
-    a, b = LogHistogram(), LogHistogram()
-    a.add_many(left)
-    b.add_many(right)
-    a.merge(b)
-    assert a._buckets == serial._buckets
-    assert a.count == serial.count
+    for layout, (left, right) in _merge_layouts(rng):
+        for subbits in (1, 8, 16):
+            serial = LogHistogram(subbits)
+            serial.add_many(left + right)
+            a, b = LogHistogram(subbits), LogHistogram(subbits)
+            a.add_many(left)
+            b.add_many(right)
+            empty = LogHistogram(subbits)
+            empty.merge(a)  # into an empty histogram
+            a.merge(b)
+            a.merge(LogHistogram(subbits))  # an empty one in
+            expected = _reference(left + right, subbits)
+            assert _reads(a) == _reads(serial) == expected, (layout, subbits)
+            # Merges never alias or mutate their inputs.
+            b.add_many(left)
+            empty.add_many(right)
+            assert _reads(empty) == _reads(b) == _reads(a) == expected, (layout, subbits)
     with pytest.raises(ValueError):
         a.merge(LogHistogram(4))
 
@@ -226,7 +299,7 @@ def test_streaming_summary_scalar_vector_merge_agree():
     sharded.merge(shard)
     for other in (vector, sharded):
         assert other.count == scalar.count
-        assert other.histogram._buckets == scalar.histogram._buckets
+        assert _reads(other.histogram) == _reads(scalar.histogram)
         assert other.minimum == scalar.minimum
         assert other.maximum == scalar.maximum
         assert other.welford.mean == pytest.approx(scalar.welford.mean, rel=1e-12)
@@ -257,7 +330,7 @@ def test_merged_fold_invariant_across_split_arity(ways):
         parts.append(part)
     merged = StreamingSummary.merged(parts)
     assert merged.count == serial.count
-    assert merged.histogram._buckets == serial.histogram._buckets
+    assert _reads(merged.histogram) == _reads(serial.histogram)
     assert merged.minimum == serial.minimum
     assert merged.maximum == serial.maximum
     assert merged.welford.mean == pytest.approx(serial.welford.mean, rel=1e-12)
@@ -292,7 +365,7 @@ def test_merged_fold_commutes_and_associates():
     nested = StreamingSummary.merged([paired_left, paired_right])
     for other in (backward, nested):
         assert other.count == forward.count
-        assert other.histogram._buckets == forward.histogram._buckets
+        assert _reads(other.histogram) == _reads(forward.histogram)
         assert other.minimum == forward.minimum
         assert other.maximum == forward.maximum
         assert other.welford.mean == pytest.approx(forward.welford.mean, rel=1e-12)
@@ -379,10 +452,7 @@ def test_keyed_merged_commutes_and_associates():
         assert set(other.parts) == set(forward.parts)
         for key in forward.parts:
             assert other.count(key) == forward.count(key)
-            assert (
-                other.parts[key].histogram._buckets
-                == forward.parts[key].histogram._buckets
-            )
+            assert _reads(other.parts[key].histogram) == _reads(forward.parts[key].histogram)
             assert other.parts[key].minimum == forward.parts[key].minimum
             assert other.parts[key].maximum == forward.parts[key].maximum
             assert other.parts[key].welford.mean == pytest.approx(
