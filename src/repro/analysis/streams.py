@@ -203,8 +203,7 @@ class LogHistogram:
         self.count = 0
         self.zero_count = 0
         #: Occupied bucket keys, ascending (key = octave * 2**subbits +
-        #: sub), and their occupancies.  Never shared with another
-        #: histogram, so updates may write in place.
+        #: sub), and their occupancies.
         self._keys = np.empty(0, dtype=np.int64)
         self._counts = np.empty(0, dtype=np.int64)
 
@@ -257,15 +256,7 @@ class LogHistogram:
 
     def _fold(self, keys: np.ndarray, counts: np.ndarray) -> None:
         """Add *counts* to the buckets *keys* (ascending, distinct)."""
-        known = self._keys
-        at = np.searchsorted(known, keys)
-        if at[-1] < known.size and bool((known[at] == keys).all()):
-            self._counts[at] += counts
-            return
-        if not known.size:
-            self._keys, self._counts = keys.copy(), counts.astype(np.int64)
-            return
-        merged = np.concatenate((known, keys))
+        merged = np.concatenate((self._keys, keys))
         order = np.argsort(merged, kind="stable")  # two ascending runs
         merged = merged[order]
         heads = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
