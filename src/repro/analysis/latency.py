@@ -219,7 +219,8 @@ class FifoServers:
             ):
                 # A depth reaches at most pending + count - 1: only here
                 # can some cap bind.
-                starts = self._serve_capped(times, services, keys, fresh)
+                starts = times.copy()
+                self._serve_capped(times[fresh:], services[fresh:], keys[fresh:], starts[fresh:])
                 stepped = n - fresh
             else:
                 starts = times.copy()
@@ -259,9 +260,7 @@ class FifoServers:
                 first = int(beaten.argmax())
                 held = first + 1 if beaten[first] else size
                 starts[i : i + held] = start[:held]
-                # Two sorted runs: the stable sort merges them.
-                pool = np.concatenate((pool[held:], np.sort(finish[:held])))
-                pool.sort(kind="stable")
+                pool = _merge_head(pool, finish[:held])
                 i += held
                 # Probe about as far as the last block reached.
                 probe = min(servers, 2 * held + _MIN_BLOCK)
@@ -304,36 +303,34 @@ class FifoServers:
         self._pending[key] = carried[np.searchsorted(carried, self._last, side="right") :].copy()
 
     def _serve_capped(
-        self, times: np.ndarray, services: np.ndarray, keys: np.ndarray, fresh: int
-    ) -> np.ndarray:
+        self, times: np.ndarray, services: np.ndarray, keys: np.ndarray, starts: np.ndarray
+    ) -> None:
         """One arrival at a time, checking each waiting arrival's cap.
 
-        The depths are booked afterwards, as for blocks.
+        Fills *starts* (``-1``: rejected), as :func:`_step` does; the
+        depths are booked afterwards, as for blocks.
         """
-        starts = times.tolist()
-        durations = services.tolist()
-        tags = keys.tolist()
-        heap = self._pool.tolist()  # sorted, hence a valid heap
         caps = self._caps
         waiting_by = [deque(pending.tolist()) for pending in self._pending]
-        for i in range(fresh, len(starts)):
-            arrival = starts[i]
+        heap = self._pool[: times.size].tolist()  # as in _step
+        out = []
+        for arrival, service, key in zip(times.tolist(), services.tolist(), keys.tolist()):
             free = heap[0]
             if free <= arrival:
-                heapreplace(heap, arrival + durations[i])
+                heapreplace(heap, arrival + service)
+                out.append(arrival)
                 continue
-            key = tags[i]
             pending = waiting_by[key]
             while pending and pending[0] <= arrival:
                 pending.popleft()
             if len(pending) >= caps[key]:
-                starts[i] = -1
+                out.append(-1)
                 continue
-            starts[i] = free
-            heapreplace(heap, free + durations[i])
+            heapreplace(heap, free + service)
             pending.append(free)
-        self._pool = np.sort(np.array(heap, dtype=np.int64))
-        return np.asarray(starts, dtype=np.int64)
+            out.append(free)
+        starts[:] = out
+        self._pool = _merge_head(self._pool, heap)
 
 
 def _step(
@@ -344,8 +341,7 @@ def _step(
     ``n`` arrivals take at most ``n`` free times, each the earliest
     left, so a heap of the sorted pool's first ``n`` serves them.
     """
-    n = times.size
-    heap = pool[:n].tolist()  # sorted, hence a valid heap
+    heap = pool[: times.size].tolist()  # sorted, hence a valid heap
     out = []
     for arrival, service in zip(times.tolist(), services.tolist()):
         free = heap[0]
@@ -354,10 +350,15 @@ def _step(
         heapreplace(heap, free + service)
         out.append(free)
     starts[:] = out
-    head = np.array(heap, dtype=np.int64)
-    head.sort()
-    if n >= pool.size:
+    return _merge_head(pool, heap)
+
+
+def _merge_head(pool: np.ndarray, head: Any) -> np.ndarray:
+    """The sorted pool with its first ``len(head)`` free times replaced by *head*."""
+    head = np.sort(np.asarray(head, dtype=np.int64))
+    if head.size == pool.size:
         return head
-    pool = np.concatenate((pool[n:], head))
+    # Two sorted runs: the stable sort merges them.
+    pool = np.concatenate((pool[head.size :], head))
     pool.sort(kind="stable")
     return pool
