@@ -208,6 +208,7 @@ class FifoServers:
         if fresh == n:
             starts = times
         else:
+            starts = times.copy()
             caps = self._caps
             if caps is not None and keys is None:
                 keys = np.zeros(n, dtype=np.intp)
@@ -219,11 +220,9 @@ class FifoServers:
             ):
                 # A depth reaches at most pending + count - 1: only here
                 # can some cap bind.
-                starts = times.copy()
                 self._serve_capped(times[fresh:], services[fresh:], keys[fresh:], starts[fresh:])
                 stepped = n - fresh
             else:
-                starts = times.copy()
                 stepped = self._serve_blocks(times[fresh:], services[fresh:], starts[fresh:])
             waited = starts > times
             self._book(times[waited], starts[waited], None if keys is None else keys[waited])
