@@ -39,7 +39,7 @@ touch at most ~37 octaves, i.e. <10k buckets at the default resolution.
 
 from __future__ import annotations
 
-from math import frexp, ldexp, sqrt
+from math import frexp, inf, ldexp, sqrt
 from typing import Any, Iterable, Optional
 
 import numpy as np
@@ -186,11 +186,24 @@ class LogHistogram:
     ``r <= true < r * (1 + 2**-subbits)`` -- the documented relative
     error bound (underestimates only, never overestimates).
 
-    Zeros are counted exactly in a dedicated bucket; negative values are
-    rejected (the harness records latencies and rates, both >= 0).
-    Occupied buckets are kept as two parallel arrays, keys ascending, so
-    bulk inserts, merges and rank reads are a few numpy calls and memory
-    follows the occupied buckets, not ``2**subbits``.
+    Bulk inserts read the same key from the IEEE-754 bit pattern.  A
+    positive normal double is ``(1 + f * 2**-52) * 2**(E - 1023)``, with
+    the biased exponent ``E`` in bits 52..62 and the fraction ``f`` in
+    bits 0..51; its octave is ``E - 1023`` and its sub-bucket the top
+    ``subbits`` bits of ``f``, so the key is ``(bits >> (52 - subbits))
+    - (1023 << subbits)``: one shift and one subtraction.  That equals
+    the ``frexp`` formula exactly for every positive normal double, from
+    ``2**-1022`` to the largest finite one (``2m - 1`` and the scaling
+    are exact, so the floor sees the fraction's own bits).  Subnormals
+    (``E == 0``) have no implicit leading bit, so ``add_many`` keys them
+    with ``frexp`` as ``add`` does.
+
+    Zeros are counted exactly in a dedicated bucket; negative values,
+    NaN and infinities are rejected with ``ValueError`` before any count
+    moves (the harness records latencies and rates, both finite and
+    >= 0).  Occupied buckets are kept as two parallel arrays, keys
+    ascending, so bulk inserts, merges and rank reads are a few numpy
+    calls and memory follows the occupied buckets, not ``2**subbits``.
     """
 
     __slots__ = ("subbits", "count", "zero_count", "_scale", "_keys", "_counts")
@@ -219,32 +232,43 @@ class LogHistogram:
         return ldexp(1 + sub / self._scale, octave)
 
     def add(self, value: float) -> None:
-        if value < 0:
-            raise ValueError(f"LogHistogram records non-negative values, got {value}")
-        self.count += 1
+        if not 0 <= value < inf:  # NaN fails both comparisons
+            raise ValueError(f"LogHistogram records finite non-negative values, got {value}")
         if value == 0:
+            self.count += 1
             self.zero_count += 1
             return
-        self._fold(np.array([self._key(value)], dtype=np.int64), np.ones(1, dtype=np.int64))
+        key = self._key(value)
+        self.count += 1
+        self._fold(np.array([key], dtype=np.int64), np.ones(1, dtype=np.int64))
 
     def add_many(self, values) -> None:
-        """Bulk insert, vectorized."""
-        arr = np.asarray(values, dtype=np.float64)
+        """Bulk insert, vectorized, keyed from the bit pattern (see above)."""
+        arr = np.asarray(values, dtype=np.float64).ravel()
         if arr.size == 0:
             return
-        if bool((arr < 0).any()):
-            raise ValueError("LogHistogram records non-negative values")
+        positive, zeros = arr, 0
+        smallest = arr.min()  # NaN if any value is NaN
+        if not smallest > 0:  # a zero, a negative or a NaN
+            if not smallest >= 0:
+                raise ValueError("LogHistogram records finite non-negative values")
+            positive = arr[arr > 0]
+            zeros = arr.size - positive.size
+        if positive.size:
+            keys = positive.view(np.int64) >> (52 - self.subbits)
+            keys -= 1023 << self.subbits
+            low, high = int(keys.min()), int(keys.max())
+            if high >= 1024 * self._scale:  # exponent bits all ones
+                raise ValueError("LogHistogram records finite non-negative values")
+            if low < -1022 * self._scale:  # exponent bits all zeros
+                tiny = np.flatnonzero(keys < -1022 * self._scale)
+                keys[tiny] = [self._key(value) for value in positive[tiny].tolist()]
+                low = int(keys.min())
         self.count += int(arr.size)
-        self.zero_count += int((arr == 0).sum())
-        positive = arr[arr > 0]
-        if positive.size == 0:
+        self.zero_count += zeros
+        if not positive.size:
             return
-        mantissa, exponent = np.frexp(positive)
-        sub = ((2 * mantissa - 1) * self._scale).astype(np.int64)
-        np.clip(sub, 0, self._scale - 1, out=sub)
-        keys = (exponent.astype(np.int64) - 1) * self._scale + sub
-        low = int(keys.min())
-        span = int(keys.max()) - low + 1
+        span = high - low + 1
         if span <= keys.size:
             # A dense tally over the sample's own key range is no
             # larger than the sample, and much cheaper than a sort.
@@ -325,8 +349,8 @@ class StreamingSummary:
         return self.histogram.count
 
     def observe(self, value: float) -> None:
+        self.histogram.add(value)  # first: it rejects NaN, inf and negatives
         self.welford.add(value)
-        self.histogram.add(value)
         if self.minimum is None or value < self.minimum:
             self.minimum = value
         if self.maximum is None or value > self.maximum:
@@ -339,11 +363,10 @@ class StreamingSummary:
             return
         self.histogram.add_many(arr)
         batch_mean = float(arr.mean())
-        self.welford.add_batch(
-            int(arr.size),
-            batch_mean,
-            float(((arr - batch_mean) ** 2).sum()),
-        )
+        # numpy computes x**2 as x*x, so squaring in place keeps m2's bits.
+        deviation = arr - batch_mean
+        deviation *= deviation
+        self.welford.add_batch(int(arr.size), batch_mean, float(deviation.sum()))
         low, high = float(arr.min()), float(arr.max())
         if self.minimum is None or low < self.minimum:
             self.minimum = low

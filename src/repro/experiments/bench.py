@@ -36,7 +36,7 @@ import resource
 import statistics
 import time
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro import perf
 from repro.parallel import FailedPoint, RunSpec, available_workers, resolve_workers, run_specs
@@ -56,6 +56,20 @@ def _rss_tree() -> int:
     """Peak RSS across this process and all reaped children, bytes."""
     children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024
     return max(_rss_self(), children)
+
+
+def _host_cost(run: Callable[[], Any]) -> tuple[Any, dict[str, Any]]:
+    """Call *run*; return its result and what it cost this process in
+    the kernel: minor page faults and system CPU seconds (``getrusage``
+    deltas).  A chunked engine that re-faults its memory every chunk
+    shows here, not in its simulated outputs."""
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    result = run()
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return result, {
+        "minor_faults": after.ru_minflt - before.ru_minflt,
+        "sys_s": after.ru_stime - before.ru_stime,
+    }
 
 #: The multi-experiment batch timed serial-vs-parallel (quick kwargs).
 #: Deliberately the *heavier* quick experiments, so worker startup and
@@ -166,14 +180,17 @@ def _scale_once(
     kwargs = dict(QUICK_KWARGS) if quick else {}
     if overrides:
         kwargs.update(overrides)
-    result = run_scale(
-        scheduler=scheduler,
-        admission=admission,
-        granularity_bits=granularity_bits,
-        **kwargs,
+    result, host = _host_cost(
+        lambda: run_scale(
+            scheduler=scheduler,
+            admission=admission,
+            granularity_bits=granularity_bits,
+            **kwargs,
+        )
     )
     return {
         "wall_s": result.wall_s,
+        **host,
         "invocations": result.invocations,
         "workers": result.workers,
         "events_processed": result.events_processed,
@@ -194,7 +211,8 @@ def _control_once(driver: str, quick: bool = False, overrides: Optional[dict[str
     fresh process, making ``peak_rss_bytes`` attributable to that
     driver.  The manager gauges (grants, renewals, steals, dead nodes,
     peak active leases) ride along via :mod:`repro.perf` so every
-    control BENCH entry records them.
+    control BENCH entry records them, as this run's counter deltas:
+    the counters keep running for whatever counts around the call.
     """
     from repro.experiments.control import QUICK_KWARGS, run_control
 
@@ -204,13 +222,15 @@ def _control_once(driver: str, quick: bool = False, overrides: Optional[dict[str
         kwargs.pop("verify", None)  # bit-identity is asserted by the bench itself
     if overrides:
         kwargs.update(overrides)
-    perf.reset()
+    before = perf.snapshot()
+    was_enabled = perf.enabled
     perf.enable()
     try:
         result = run_control(driver=driver, **kwargs)
     finally:
-        perf.disable()
-    counters = perf.snapshot()
+        if not was_enabled:
+            perf.disable()
+    counters = perf.delta(before, perf.snapshot())
     return {
         "wall_s": result.wall_s,
         "executors": result.executors,
@@ -221,7 +241,8 @@ def _control_once(driver: str, quick: bool = False, overrides: Optional[dict[str
         "events_processed": result.events_processed,
         "peak_rss_bytes": result.peak_rss_bytes,
         "gauges": {
-            "leases_active_peak": counters["leases_active_peak"],
+            # A peak has no delta: the run reports its own.
+            "leases_active_peak": result.leases_active_peak,
             "grants": counters["lease_grants"],
             "renewals": counters["lease_renewals"],
             "steals": counters["lease_steals"],
@@ -629,16 +650,19 @@ def _multitenant_once(
     kwargs = dict(QUICK_KWARGS) if quick else {}
     if overrides:
         kwargs.update(overrides)
-    result = run_multitenant_scale(
-        scheduler=scheduler,
-        admission=admission,
-        shards=shards,
-        parallel=parallel,
-        partitioning=partitioning,
-        **kwargs,
+    result, host = _host_cost(
+        lambda: run_multitenant_scale(
+            scheduler=scheduler,
+            admission=admission,
+            shards=shards,
+            parallel=parallel,
+            partitioning=partitioning,
+            **kwargs,
+        )
     )
     return {
         "wall_s": result.wall_s,
+        **host,
         "invocations": result.invocations,
         "workers": result.workers,
         "events_processed": result.events_processed,
@@ -1019,7 +1043,9 @@ def run_bench(
     which entries were measured under comparable decompositions.
     *ten_million* additionally runs the 10^7-invocation stress scenario
     (several minutes of wall clock; meant for recorded trajectory
-    entries, not CI quick runs).
+    entries, not CI quick runs).  ``perf_counters`` covers every entry:
+    counting stays on for the whole bench, and forked runs ship their
+    counters back through :mod:`repro.parallel`.
     """
     repeats = 3 if quick else 9
     perf.reset()
@@ -1030,24 +1056,24 @@ def run_bench(
             "rdma_pingpong": bench_pingpong(max(3, repeats - 2), parallel),
             "invocation": bench_invocation(max(3, repeats - 4), parallel),
         }
+        if parallel != 1:
+            results["parallel_batch"] = bench_parallel_batch(parallel)
+        results["cache_batch"] = bench_cache_batch()
+        results["scale_openloop"] = bench_scale(quick)
+        results["control_plane"] = bench_control(quick)
+        results["coldstart"] = bench_coldstart(quick)
+        results["multitenant"] = bench_multitenant(quick)
+        if shards > 1:
+            results["scale_sharded"] = bench_scale_sharded(
+                quick, shards=shards, parallel=parallel,
+                single_wheel=results["scale_openloop"]["wheel"],
+            )
+        if ten_million:
+            results["scale_10m"] = bench_scale_ten_million()
+            results["coldstart_10m"] = bench_coldstart_ten_million()
     finally:
         perf.disable()
     results["perf_counters"] = perf.snapshot()
-    if parallel != 1:
-        results["parallel_batch"] = bench_parallel_batch(parallel)
-    results["cache_batch"] = bench_cache_batch()
-    results["scale_openloop"] = bench_scale(quick)
-    results["control_plane"] = bench_control(quick)
-    results["coldstart"] = bench_coldstart(quick)
-    results["multitenant"] = bench_multitenant(quick)
-    if shards > 1:
-        results["scale_sharded"] = bench_scale_sharded(
-            quick, shards=shards, parallel=parallel,
-            single_wheel=results["scale_openloop"]["wheel"],
-        )
-    if ten_million:
-        results["scale_10m"] = bench_scale_ten_million()
-        results["coldstart_10m"] = bench_coldstart_ten_million()
     results["shards"] = shards
     results["workers"] = resolve_workers(parallel)
     results["cpus_available"] = available_workers()
@@ -1324,7 +1350,9 @@ def show(results: dict[str, Any]) -> None:
     if counters:
         print(
             "perf: alloc_avoided={alloc_avoided:,} bytes_copied={bytes_copied:,} "
-            "bytes_referenced={bytes_referenced:,}".format(**counters)
+            "bytes_referenced={bytes_referenced:,} "
+            "fifo_block_arrivals={fifo_block_arrivals:,} "
+            "fifo_step_arrivals={fifo_step_arrivals:,}".format(**counters)
         )
     batch = results.get("parallel_batch")
     if batch:
@@ -1349,11 +1377,12 @@ def show(results: dict[str, Any]) -> None:
         line = (
             "scale_openloop: {invocations:,} invocations  heap {heap_s:.1f}s -> "
             "wheel {wheel_s:.1f}s  ({speedup:.2f}x, {events_per_sec:,} events/s, "
-            "peak RSS {rss_mib:.0f} MiB, bit_identical={bit_identical}, "
-            "reanchors={reanchors})".format(
+            "peak RSS {rss_mib:.0f} MiB, {faults:,} minor faults, "
+            "bit_identical={bit_identical}, reanchors={reanchors})".format(
                 invocations=scale["invocations"],
                 heap_s=scale["heap"]["wall_s"],
                 wheel_s=scale["wheel"]["wall_s"],
+                faults=scale["wheel"]["minor_faults"],
                 speedup=scale["speedup"],
                 events_per_sec=scale["events_per_sec"],
                 rss_mib=scale["peak_rss_bytes"] / 2**20,

@@ -115,6 +115,7 @@ from repro.analysis.reporting import Table, format_bytes, format_ns
 from repro.analysis.stats import SummaryStats
 from repro.analysis.streams import KeyedStreamingSummary, StreamingSummary
 from repro.core.sandbox import SANDBOX_PROFILES
+from repro.perf.malloc import pin_thresholds
 from repro.sim.arrivals import DIURNAL_DAY, arrival_times, merge_tenant_streams
 from repro.sim.events import BatchEvent
 from repro.sim.clock import ms, us
@@ -481,7 +482,8 @@ def _shard_slots(workers: int, shards: int, shard: int) -> int:
 def _draw_services(rng, size: int, config: ScaleConfig):
     """*size* clipped log-normal service times -- the PR 4 recipe."""
     draws = rng.lognormal(config.service_log_mean, config.service_log_sigma, size=size)
-    return np.clip(draws.astype(np.int64), config.min_service_ns, config.max_service_ns)
+    services = draws.astype(np.int64)
+    return np.clip(services, config.min_service_ns, config.max_service_ns, out=services)
 
 
 def _shard_chunks(config: ScaleConfig, shard: int, shards: int, lists: bool = True):
@@ -595,13 +597,17 @@ class _FifoDriver:
     def drive(self) -> None:
         interval = self.config.lease_check_interval_ns
         for times, services in self._chunks:
-            finish = self.pool.serve(times, services) + services
-            sojourn = finish - times
+            # The chunk's arrays are ours to overwrite, but serve() may
+            # return *times* itself, so its result is never written to.
+            sojourn = self.pool.serve(times, services) + services
+            self.final_now_ns = max(self.final_now_ns, int(sojourn.max()))
+            sojourn -= times
             self.sojourn_total += int(sojourn.sum())
             self.stream.observe_many(sojourn)
             self.completed += times.size
-            self.events_processed += 2 * times.size + int(((services - 1) // interval).sum())
-            self.final_now_ns = max(self.final_now_ns, int(finish.max()))
+            services -= 1
+            services //= interval  # renewal hops
+            self.events_processed += 2 * times.size + int(services.sum())
 
 
 #: Stands in for "after the last arrival": the walk drains every
@@ -1121,7 +1127,10 @@ def _simulate(
     policy runs :class:`_FifoDriver`'s exact FIFO recurrence and
     ``cold``/``hybrid`` run :class:`_PoolWalk`.  Per-event admission
     walks every event through a :class:`_ShardDriver` on the chosen
-    scheduler: the referee the fast engines are checked against.
+    scheduler: the referee the fast engines are checked against.  Both
+    run with glibc's malloc thresholds pinned
+    (:mod:`repro.perf.malloc`), so a referee and the engine it checks
+    share one allocator.
     """
     if not 0 <= shard < shards:
         raise ValueError(f"shard {shard} outside [0, {shards})")
@@ -1131,6 +1140,7 @@ def _simulate(
         raise ValueError("shard needs at least one invocation")
     if slots < 1:
         raise ValueError("shard needs at least one warm slot")
+    pin_thresholds()
     driver: Any
     if config.admission == "batch":
         walk = _FifoDriver if config.pool_policy == "queue" else _PoolWalk
@@ -1610,7 +1620,8 @@ def _tenant_pool_plan(
 def _draw_tenant_services(rng, size: int, spec: TenantSpec):
     """*size* log-normal service times around the tenant's compute cost."""
     draws = rng.lognormal(np.log(spec.compute_ns), spec.service_log_sigma, size=size)
-    return np.maximum(draws.astype(np.int64), 1)
+    services = draws.astype(np.int64)
+    return np.maximum(services, 1, out=services)
 
 
 def _tenant_chunks(
@@ -2385,6 +2396,7 @@ def _run_tenant_shard(
         start_model=start_model,
         hybrid_threshold=hybrid_threshold,
     )
+    pin_thresholds()
     driver: Any
     if admission == "batch":
         # Under the queue policy only an overflow plan, which mixes

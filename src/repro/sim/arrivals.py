@@ -79,8 +79,11 @@ def _poisson_times(
     while remaining:
         size = min(chunk, remaining)
         draws = rng.exponential(mean_gap_ns, size=size)
-        gaps = np.maximum(draws.astype(ARRIVAL_DTYPE), 1)
-        times = now + np.cumsum(gaps)
+        # One int64 array, updated in place: gaps, then absolute times.
+        times = draws.astype(ARRIVAL_DTYPE)
+        np.maximum(times, 1, out=times)
+        np.cumsum(times, out=times)
+        times += now
         now = int(times[-1])
         remaining -= size
         yield times

@@ -10,6 +10,7 @@ import math
 import random
 import statistics
 
+import numpy as np
 import pytest
 
 from repro.analysis.stats import percentile, summarize
@@ -263,6 +264,85 @@ def test_histogram_exact_powers_of_two_report_themselves():
         assert hist.value_at_rank(rank) == 2.0**k
 
 
+def _frexp_keys(values, subbits):
+    """The ``frexp`` bucket keys ``add_many`` used before it read the bits."""
+    scale = 1 << subbits
+    mantissa, exponent = np.frexp(values)
+    sub = np.clip(((2 * mantissa - 1) * scale).astype(np.int64), 0, scale - 1)
+    return (exponent.astype(np.int64) - 1) * scale + sub
+
+
+def _normal_doubles():
+    """Positive normal doubles across the whole exponent range, plus the
+    edges: powers of two and their neighbours, 1.0, the smallest normal
+    and the largest finite double."""
+    rng = np.random.default_rng(31)
+    smallest, largest = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+    bits = rng.integers(
+        np.float64(smallest).view(np.int64), np.float64(largest).view(np.int64),
+        size=30_000, endpoint=True,
+    )
+    powers = np.ldexp(1.0, np.arange(-1022, 1024))
+    edges = np.concatenate(
+        (powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), [1.0, smallest, largest])
+    )
+    edges = edges[(edges >= smallest) & (edges <= largest)]
+    return np.concatenate((bits.view(np.float64), edges))
+
+
+@pytest.mark.parametrize("subbits", range(1, 17))
+def test_bit_keys_equal_frexp_keys(subbits):
+    """add_many's IEEE-754 bit keys are the frexp keys for every normal double."""
+    values = _normal_doubles()
+    hist = LogHistogram(subbits)
+    hist.add_many(values)
+    keys, counts = np.unique(_frexp_keys(values, subbits), return_counts=True)
+    assert np.array_equal(hist._keys, keys)
+    assert np.array_equal(hist._counts, counts)
+    assert hist.count == values.size and hist.zero_count == 0
+
+
+@pytest.mark.parametrize("subbits", [1, 8, 16])
+def test_subnormals_share_a_bucket_through_add_and_add_many(subbits):
+    tiny = np.finfo(np.float64).tiny
+    values = [5e-324, 1e-310, float(np.nextafter(tiny, 0.0)), tiny, 1.0, 0.0, 3e-320]
+    scalar, vector = LogHistogram(subbits), LogHistogram(subbits)
+    for value in values:
+        scalar.add(value)
+    vector.add_many(values)
+    assert np.array_equal(scalar._keys, vector._keys)
+    assert _reads(scalar) == _reads(vector) == _reference(values, subbits)
+    # Each subnormal keeps its own octave below the smallest normal's.
+    assert vector.value_at_rank(2) == 5e-324
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [1.0, math.inf, 2.0],
+        [1.0, math.nan, 2.0],
+        [0.0, math.nan],
+        [0.0, math.inf],
+        [-math.inf],
+        [math.nan],
+        [1.0, -2.0],
+    ],
+)
+def test_histogram_rejects_non_finite_before_counting(bad):
+    hist = LogHistogram()
+    hist.add_many([0.0, 3.0, 7.0])
+    before = (hist.count, hist.zero_count, len(hist))
+    with pytest.raises(ValueError):
+        hist.add_many(bad)
+    assert (hist.count, hist.zero_count, len(hist)) == before
+    for value in bad:
+        if not 0 <= value < math.inf:
+            with pytest.raises(ValueError):
+                hist.add(value)
+            assert (hist.count, hist.zero_count, len(hist)) == before
+    assert hist.value_at_rank(3) == _reference([0.0, 3.0, 7.0])[3][2]
+
+
 # -- StreamingSummary --------------------------------------------------
 
 
@@ -388,6 +468,31 @@ def test_streaming_summary_empty_cases():
     assert summary.count == 1
     assert summary.minimum == summary.maximum == 5.0
     assert not math.isnan(summary.median)
+
+
+def test_streaming_summary_rejects_non_finite_before_moving():
+    stream = StreamingSummary()
+    stream.observe_many([2.0, 4.0])
+    before = (stream.count, stream.welford.count, stream.welford.mean, stream.minimum, stream.maximum)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            stream.observe(bad)
+        with pytest.raises(ValueError):
+            stream.observe_many([1.0, bad, 3.0])
+        after = (stream.count, stream.welford.count, stream.welford.mean, stream.minimum, stream.maximum)
+        assert after == before
+    assert stream.summarize().count == 2
+
+
+def test_streaming_summary_m2_is_the_squared_deviation_sum():
+    """observe_many squares deviations in place; m2 keeps the x**2 bits."""
+    rng = np.random.default_rng(5)
+    values = rng.lognormal(19.8, 0.6, size=65_536).astype(np.int64)
+    stream = StreamingSummary()
+    stream.observe_many(values)
+    floats = values.astype(np.float64)
+    assert stream.welford.mean == float(floats.mean())
+    assert stream.welford._m2 == float(((floats - floats.mean()) ** 2).sum())
 
 
 # -- KeyedStreamingSummary ---------------------------------------------

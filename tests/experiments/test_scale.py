@@ -1,9 +1,19 @@
 """Open-loop scale harness: determinism, queueing, bounded memory."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from repro.experiments.bench import check_regression
-from repro.experiments.scale import QUICK_KWARGS, run_scale
+from repro.experiments.bench import _scale_once, check_regression
+from repro.experiments.scale import (
+    QUICK_KWARGS,
+    ScaleConfig,
+    _draw_services,
+    _draw_tenant_services,
+    run_scale,
+)
+from repro.workloads.tenants import standard_mix
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +116,27 @@ def test_rss_regression_guard(tmp_path):
         '{"kernel_event_throughput": {"events_per_sec": 1000000}}}}'
     )
     assert check_regression(current_bad, str(path), "base") == []
+
+
+@pytest.mark.parametrize("size", [1, 7, 65_536])
+def test_service_draws_match_the_recipe(size):
+    """Clipping and flooring in place keep the recipes' arrays."""
+    # Wide enough that both clip bounds and the tenant floor bind.
+    config = ScaleConfig(service_log_mean=14.0, service_log_sigma=3.0)
+    draws = np.random.default_rng(9).lognormal(14.0, 3.0, size=size)
+    want = np.clip(draws.astype(np.int64), config.min_service_ns, config.max_service_ns)
+    got = _draw_services(np.random.default_rng(9), size, config)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    spec = replace(standard_mix()[0], compute_ns=2, service_log_sigma=2.0)
+    draws = np.random.default_rng(9).lognormal(np.log(2), 2.0, size=size)
+    want = np.maximum(draws.astype(np.int64), 1)
+    got = _draw_tenant_services(np.random.default_rng(9), size, spec)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_bench_run_records_host_cost():
+    """Every bench scale record carries its minor faults and system time."""
+    record = _scale_once("wheel", quick=True)
+    assert record["minor_faults"] >= 0 and record["sys_s"] >= 0.0
+    assert record["fingerprint"] == run_scale(**QUICK_KWARGS).fingerprint()

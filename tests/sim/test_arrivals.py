@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.sim.arrivals import DIURNAL_DAY, SHAPES, arrival_times, merge_tenant_streams
+from repro.sim.arrivals import (
+    DIURNAL_DAY,
+    SHAPES,
+    _poisson_times,
+    arrival_times,
+    merge_tenant_streams,
+)
 from repro.sim.rng import RngStreams
 
 
@@ -183,3 +189,27 @@ def test_rejects_bad_arguments():
                 "diurnal", rng, 10, 100, diurnal_period_ns=2, diurnal_multipliers=DIURNAL_DAY
             )
         )
+
+
+def _poisson_recipe(rng, count, mean_gap_ns, chunk):
+    """The Poisson chunk recipe as written before it updated in place."""
+    now, remaining = 0, count
+    while remaining:
+        size = min(chunk, remaining)
+        gaps = np.maximum(rng.exponential(mean_gap_ns, size=size).astype(np.int64), 1)
+        times = now + np.cumsum(gaps)
+        now, remaining = int(times[-1]), remaining - size
+        yield times
+
+
+@pytest.mark.parametrize("mean_gap", [0.7, 250])
+@pytest.mark.parametrize("chunk", [1, 7, 65_536])
+def test_poisson_chunks_match_the_recipe(chunk, mean_gap):
+    """In-place gaps, floor and cumsum yield the recipe's arrays, chunk by chunk."""
+    count = 70_000 if chunk == 65_536 else 500
+    got = list(_poisson_times(np.random.default_rng(3), count, mean_gap, chunk))
+    want = list(_poisson_recipe(np.random.default_rng(3), count, mean_gap, chunk))
+    assert len(got) == len(want)
+    for ours, recipe in zip(got, want):
+        assert ours.dtype == np.int64
+        assert np.array_equal(ours, recipe)
