@@ -1,10 +1,14 @@
 """The allocator-threshold helper: once per process, a no-op without mallopt."""
 
+import os
 import platform
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
 
+import repro
 from repro.perf import malloc
 
 
@@ -56,3 +60,22 @@ def test_rejected_mallopt_is_not_pinned(monkeypatch, unpinned):
 def test_glibc_accepts_the_thresholds():
     assert malloc.pin_thresholds() is True
     assert malloc.pin_thresholds() is True
+
+
+def test_only_an_engine_run_pins():
+    """Importing the engines pins nothing (perfbench's hot_invoke and
+    lease_cycle import them); the first engine run does."""
+    code = (
+        "import repro.experiments.scale as scale\n"
+        "from repro.perf import malloc\n"
+        "assert not malloc._pinned\n"
+        "scale.run_scale(invocations=100, workers=8)\n"
+        "print(malloc._pinned)\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == str(platform.libc_ver()[0] == "glibc")
