@@ -14,7 +14,7 @@ defaults are derived from the paper's measured overheads:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from repro.sim.clock import ms, secs, us
 
@@ -48,7 +48,12 @@ class RFaaSTimings:
 
 @dataclass(frozen=True)
 class RFaaSConfig:
-    """Deployment-wide policy knobs."""
+    """Deployment-wide policy knobs.
+
+    The event calendar is not one of them: :meth:`Deployment.build
+    <repro.core.deployment.Deployment.build>` creates a plain
+    :class:`~repro.sim.core.Environment` unless handed one.
+    """
 
     timings: RFaaSTimings = field(default_factory=RFaaSTimings)
     #: Workers stay hot (busy-polling) this long after the last
@@ -82,20 +87,6 @@ class RFaaSConfig:
     #: Operator-provisioned secret shared by managers and executors;
     #: leases are MAC-signed with it (Sec. III-E authentication).
     cluster_secret: bytes = b"rfaas-cluster-secret"
-    #: Event-loop scheduler for environments the deployment creates
-    #: itself: ``None``/"heap" = binary heap (best at small scale),
-    #: "wheel" = hierarchical timer wheel (O(1) scheduling; the choice
-    #: for 10^5+ concurrently pending timeouts -- lease renewals, poll
-    #: intervals, in-flight invocations).  Simulated results are
-    #: bit-identical either way; see ``repro.sim.wheel``.
-    scheduler: Optional[str] = None
-    #: Timer-wheel slot width as a power of two of nanoseconds, for
-    #: environments the deployment creates with ``scheduler="wheel"``:
-    #: ``None`` keeps the wheel's built-in default, ``"auto"`` adapts
-    #: the granularity to observed occupancy at runtime, an int in
-    #: [1, 40] pins it.  Ignored under the heap scheduler.  Simulated
-    #: results are bit-identical for every setting.
-    granularity_bits: Union[int, str, None] = None
 
 
 @dataclass

@@ -25,7 +25,6 @@ from repro.core.resource_manager import ResourceManager
 from repro.rdma.fabric import Fabric, FaultModel
 from repro.rdma.latency import LatencyModel
 from repro.sim.core import Environment
-from repro.sim.wheel import new_environment, validate_granularity_bits
 
 
 @dataclass
@@ -62,12 +61,7 @@ class Deployment:
         """
         config = config or RFaaSConfig()
         if env is None:
-            env_kwargs = {}
-            if config.scheduler == "wheel" and config.granularity_bits is not None:
-                env_kwargs["granularity_bits"] = validate_granularity_bits(
-                    config.granularity_bits
-                )
-            env = new_environment(config.scheduler, **env_kwargs)
+            env = Environment()
         fabric = Fabric(env, latency_model, faults=faults)
         spec = node_spec or NodeSpec()
         deployment = cls(env=env, fabric=fabric, config=config)

@@ -14,7 +14,7 @@ Usage::
     python -m repro.experiments bench --quick --parallel 2
     python -m repro.experiments scale --shards 4 --parallel auto
     python -m repro.experiments scale --arrival-shape diurnal --quick
-    python -m repro.experiments scale --granularity-bits 16 --admission per-event
+    python -m repro.experiments scale --quick --admission per-event
     python -m repro.experiments bench --ten-million --json BENCH_PR6.json --label pr6
     python -m repro.experiments control --quick --verify
     python -m repro.experiments control --driver reference --no-churn
@@ -109,32 +109,6 @@ def _parallel_workers(value: str) -> int:
         ) from None
 
 
-def _granularity_bits(value: str):
-    """Parse ``--granularity-bits``: ``auto`` or an int in [1, 40].
-
-    Validation happens here, at the CLI boundary, via the same
-    :func:`repro.sim.wheel.validate_granularity_bits` the config layer
-    uses -- the error names the limit instead of failing deep inside
-    the wheel geometry.
-    """
-    from repro.sim.wheel import validate_granularity_bits
-
-    text = value.strip().lower()
-    if text != "auto":
-        try:
-            parsed: object = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected 'auto' or an integer, got {value!r}"
-            ) from None
-    else:
-        parsed = "auto"
-    try:
-        return validate_granularity_bits(parsed)  # type: ignore[arg-type]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _open_cache(args: argparse.Namespace):
     from repro.cache import ResultCache
 
@@ -221,23 +195,14 @@ def main(argv: list[str] | None = None) -> int:
         "streams at rate/K (default partition)",
     )
     parser.add_argument(
-        "--granularity-bits",
-        type=_granularity_bits,
-        default="auto",
-        metavar="BITS",
-        help="for 'scale'/'multitenant' with --admission per-event: wheel "
-        "slot width as a power of two of ns -- 'auto' (default) adapts "
-        "to observed occupancy at runtime, an integer in [1, 40] pins it",
-    )
-    parser.add_argument(
         "--admission",
         choices=("batch", "per-event"),
         default="batch",
-        help="for 'scale'/'multitenant': arrival admission -- 'batch' "
-        "(default) builds no event calendar: the exact FIFO recurrence "
-        "under --pool-policy queue (for 'multitenant' on a pinned or "
-        "shared plan), the reduced-event walk for everything else; "
-        "'per-event' walks every event through the timer wheel (the "
+        help="for 'scale'/'multitenant': the engine -- 'batch' (default) "
+        "builds no event calendar: the exact FIFO recurrence under "
+        "--pool-policy queue (for 'multitenant' on a pinned or shared "
+        "plan), the reduced-event walk for everything else; 'per-event' "
+        "walks every event through the heap event calendar (the "
         "referee engine)",
     )
     parser.add_argument(
@@ -439,8 +404,6 @@ def main(argv: list[str] | None = None) -> int:
         scale_overrides["arrival_shape"] = args.arrival_shape
     if args.shard_split != "partition":
         scale_overrides["shard_split"] = args.shard_split
-    if args.granularity_bits != "auto":
-        scale_overrides["granularity_bits"] = args.granularity_bits
     if args.admission != "batch":
         scale_overrides["admission"] = args.admission
     if args.profile is not None:
@@ -485,8 +448,6 @@ def main(argv: list[str] | None = None) -> int:
         multitenant_overrides["shards"] = args.shards
     if args.admission != "batch":
         multitenant_overrides["admission"] = args.admission
-    if args.granularity_bits != "auto":
-        multitenant_overrides["granularity_bits"] = args.granularity_bits
     if args.pool_policy is not None:
         multitenant_overrides["pool_policy"] = args.pool_policy
     if args.start_model is not None:

@@ -161,33 +161,24 @@ def _invocation_once() -> dict[str, Any]:
 
 
 def _scale_once(
-    scheduler: str,
-    quick: bool = False,
     admission: str = "batch",
-    granularity_bits: Any = "auto",
+    quick: bool = False,
     overrides: Optional[dict[str, Any]] = None,
 ) -> dict[str, Any]:
     """One open-loop scale run (see :mod:`repro.experiments.scale`).
 
     Module-level so ``run_specs`` can ship it to a forked worker: each
-    scheduler runs in a fresh process, which is what makes the
-    ``peak_rss_bytes`` numbers attributable to that scheduler instead
-    of to whatever ran earlier in the bench process.  *overrides*
-    merges extra ``run_scale`` kwargs (the 10^7 stress scenario).
+    engine runs in a fresh process, which is what makes the
+    ``peak_rss_bytes`` numbers attributable to that engine instead of
+    to whatever ran earlier in the bench process.  *overrides* merges
+    extra ``run_scale`` kwargs (the 10^7 stress scenario).
     """
     from repro.experiments.scale import QUICK_KWARGS, run_scale
 
     kwargs = dict(QUICK_KWARGS) if quick else {}
     if overrides:
         kwargs.update(overrides)
-    result, host = _host_cost(
-        lambda: run_scale(
-            scheduler=scheduler,
-            admission=admission,
-            granularity_bits=granularity_bits,
-            **kwargs,
-        )
-    )
+    result, host = _host_cost(lambda: run_scale(admission=admission, **kwargs))
     return {
         "wall_s": result.wall_s,
         **host,
@@ -197,9 +188,7 @@ def _scale_once(
         "events_per_sec": round(result.events_per_sec),
         "peak_rss_bytes": result.peak_rss_bytes,
         "stream_buckets": result.stream_buckets,
-        "occupancy": result.occupancy,
         "admission": admission,
-        "granularity_bits": granularity_bits,
         "fingerprint": result.fingerprint(),
     }
 
@@ -294,15 +283,6 @@ def bench_control(
     }
 
 
-def _occupancy_gauges(occupancy: dict[str, Any]) -> dict[str, int]:
-    """The occupancy facts every scale BENCH entry must record."""
-    return {
-        "wheel_entries": int(occupancy.get("wheel", 0)),
-        "heap_entries": int(occupancy.get("heap", 0)),
-        "reanchors": int(occupancy.get("reanchors", 0)),
-    }
-
-
 def _repeated(factory: str, repeats: int, parallel: int) -> list[dict[str, Any]]:
     """Run a self-timed benchmark function *repeats* times, maybe fanned out."""
     specs = [
@@ -362,15 +342,12 @@ def bench_invocation(repeats: int, parallel: int = 1) -> dict[str, Any]:
     return out
 
 
-#: The two scale engines every scale bench compares: the per-event heap
-#: referee and the default engine (batch admission), which is the exact
-#: FIFO recurrence under the "queue" policy and the reduced-event walk
-#: under "cold"/"hybrid".  The record keys stay "heap"/"wheel" so older
-#: BENCH entries remain comparable.
-_SCALE_CONFIGS = (
-    ("heap", "heap", "per-event"),
-    ("wheel", "wheel", "batch"),
-)
+#: The two scale engines every scale bench compares, by record key and
+#: admission: the per-event heap referee and the default engine (batch
+#: admission), which is the exact FIFO recurrence under the "queue"
+#: policy and the reduced-event walk under "cold"/"hybrid".  The record
+#: keys stay "heap"/"wheel" so older BENCH entries remain comparable.
+_ENGINES = (("heap", "per-event"), ("wheel", "batch"))
 
 
 def _scale_two_way(
@@ -381,12 +358,8 @@ def _scale_two_way(
     sharing a process would let one run's footprint mask another's).
     """
     runs: dict[str, dict[str, Any]] = {}
-    for key, scheduler, admission in _SCALE_CONFIGS:
-        kwargs: dict[str, Any] = {
-            "scheduler": scheduler,
-            "quick": quick,
-            "admission": admission,
-        }
+    for key, admission in _ENGINES:
+        kwargs: dict[str, Any] = {"admission": admission, "quick": quick}
         if overrides:
             kwargs["overrides"] = dict(overrides)
         spec = RunSpec(
@@ -403,12 +376,12 @@ def _scale_two_way(
 
 def _versus_referee(runs: dict[str, dict[str, Any]]) -> dict[str, Any]:
     """Both runs plus the verdicts every two-way record carries."""
-    heap, wheel = runs["heap"], runs["wheel"]
+    heap, default = runs["heap"], runs["wheel"]
     return {
         "heap": heap,
-        "wheel": wheel,
-        "speedup": heap["wall_s"] / wheel["wall_s"] if wheel["wall_s"] else 0.0,
-        "bit_identical": heap["fingerprint"] == wheel["fingerprint"],
+        "wheel": default,
+        "speedup": heap["wall_s"] / default["wall_s"] if default["wall_s"] else 0.0,
+        "bit_identical": heap["fingerprint"] == default["fingerprint"],
     }
 
 
@@ -422,17 +395,16 @@ def bench_scale(quick: bool = False) -> dict[str, Any]:
     default-engine wall clock.
     """
     runs = _scale_two_way("scale", quick=quick)
-    wheel = runs["wheel"]
+    default = runs["wheel"]
     record = _versus_referee(runs)
     record.update(
         {
-            "invocations": wheel["invocations"],
-            "events_processed": wheel["events_processed"],
-            "events_per_sec": wheel["events_per_sec"],
+            "invocations": default["invocations"],
+            "events_processed": default["events_processed"],
+            "events_per_sec": default["events_per_sec"],
             "peak_rss_bytes": max(r["peak_rss_bytes"] for r in runs.values()),
         }
     )
-    record.update(_occupancy_gauges(wheel["occupancy"]))
     return record
 
 
@@ -499,13 +471,13 @@ def bench_coldstart(
         if overrides:
             scenario.update(overrides)
         runs = _scale_two_way(f"coldstart[{policy}]", quick=quick, overrides=scenario)
-        heap, wheel = runs["heap"], runs["wheel"]
-        fp = wheel["fingerprint"]
+        heap, default = runs["heap"], runs["wheel"]
+        fp = default["fingerprint"]
         policies[policy] = _versus_referee(runs)
         policies[policy].update(
             {
                 "rss_ratio_vs_heap": (
-                    wheel["peak_rss_bytes"] / heap["peak_rss_bytes"]
+                    default["peak_rss_bytes"] / heap["peak_rss_bytes"]
                     if heap["peak_rss_bytes"]
                     else 0.0
                 ),
@@ -515,7 +487,7 @@ def bench_coldstart(
                 "cold_retained": fp["cold_retained"],
                 "p99_ns": fp["latency_p99_ns"],
                 "executor_seconds": executor_seconds(
-                    wheel["workers"],
+                    default["workers"],
                     fp["final_now_ns"],
                     fp["cold_busy_ns"],
                     fp["cold_reclaimed"],
@@ -605,20 +577,20 @@ def bench_coldstart_ten_million(max_rss_growth: float = 0.20) -> dict[str, Any]:
     scenario["pool_policy"] = "cold"
     scenario.update(COLD_TEN_MILLION_KWARGS)
     runs = _scale_two_way("coldstart10m", overrides=scenario)
-    heap, wheel = runs["heap"], runs["wheel"]
-    fp = wheel["fingerprint"]
+    heap, default = runs["heap"], runs["wheel"]
+    fp = default["fingerprint"]
     rss_ratio = (
-        wheel["peak_rss_bytes"] / heap["peak_rss_bytes"] if heap["peak_rss_bytes"] else 0.0
+        default["peak_rss_bytes"] / heap["peak_rss_bytes"] if heap["peak_rss_bytes"] else 0.0
     )
     record = _versus_referee(runs)
     record.update(
         {
-            "invocations": wheel["invocations"],
+            "invocations": default["invocations"],
             "cold_starts": fp["cold_starts"],
             "cold_fraction": fp["cold_starts"] / max(1, fp["completed"]),
             "p99_ns": fp["latency_p99_ns"],
             "executor_seconds": executor_seconds(
-                wheel["workers"],
+                default["workers"],
                 fp["final_now_ns"],
                 fp["cold_busy_ns"],
                 fp["cold_reclaimed"],
@@ -634,7 +606,6 @@ def bench_coldstart_ten_million(max_rss_growth: float = 0.20) -> dict[str, Any]:
 
 
 def _multitenant_once(
-    scheduler: str,
     admission: str,
     quick: bool = False,
     shards: int = 1,
@@ -652,7 +623,6 @@ def _multitenant_once(
         kwargs.update(overrides)
     result, host = _host_cost(
         lambda: run_multitenant_scale(
-            scheduler=scheduler,
             admission=admission,
             shards=shards,
             parallel=parallel,
@@ -669,7 +639,6 @@ def _multitenant_once(
         "events_per_sec": round(result.events_per_sec),
         "peak_rss_bytes": result.peak_rss_bytes,
         "stream_buckets": result.stream_buckets,
-        "occupancy": result.occupancy,
         "partitioning": partitioning,
         "admission": admission,
         "shards": shards,
@@ -773,7 +742,7 @@ def bench_multitenant(quick: bool = False) -> dict[str, Any]:
     """The multi-tenant scale engine vs its per-event referee.
 
     The headline comparison forks the per-event heap referee and the
-    default engine (the reduced-event walk; record key ``wheel``) on
+    default engine (the tenant FIFO recurrence; record key ``wheel``) on
     the same 10^6-invocation three-tenant scenario (pinned
     partitioning): ``speedup`` is the wall-clock ratio and
     ``bit_identical`` demands every per-tenant outcome count and
@@ -785,44 +754,40 @@ def bench_multitenant(quick: bool = False) -> dict[str, Any]:
     isolation spectrum.
     """
     runs: dict[str, dict[str, Any]] = {}
-    for key, scheduler, admission in (
-        ("heap", "heap", "per-event"),
-        ("wheel", "wheel", "batch"),
-    ):
+    for key, admission in _ENGINES:
         spec = RunSpec(
             factory="repro.experiments.bench:_multitenant_once",
-            kwargs={"scheduler": scheduler, "admission": admission, "quick": quick},
+            kwargs={"admission": admission, "quick": quick},
             label=f"multitenant[{key}]",
         )
         (outcome,) = run_specs([spec], 2)
         if isinstance(outcome, FailedPoint):
             raise RuntimeError(f"multitenant bench failed: {outcome.summary()}")
         runs[key] = outcome
-    heap, wheel = runs["heap"], runs["wheel"]
-    sharded = _multitenant_once("wheel", "batch", quick=quick, shards=2, parallel=2)
+    heap, default = runs["heap"], runs["wheel"]
+    sharded = _multitenant_once("batch", quick=quick, shards=2, parallel=2)
     record = {
         "heap": heap,
-        "wheel": wheel,
+        "wheel": default,
         "sharded": sharded,
-        "invocations": wheel["invocations"],
-        "workers": wheel["workers"],
-        "events_processed": wheel["events_processed"],
-        "events_per_sec": wheel["events_per_sec"],
-        "peak_rss_bytes": max(heap["peak_rss_bytes"], wheel["peak_rss_bytes"]),
-        "partitioning": wheel["partitioning"],
-        "miss_rates": wheel["miss_rates"],
-        "congestion_rates": wheel["congestion_rates"],
-        "speedup": heap["wall_s"] / wheel["wall_s"] if wheel["wall_s"] else 0.0,
+        "invocations": default["invocations"],
+        "workers": default["workers"],
+        "events_processed": default["events_processed"],
+        "events_per_sec": default["events_per_sec"],
+        "peak_rss_bytes": max(heap["peak_rss_bytes"], default["peak_rss_bytes"]),
+        "partitioning": default["partitioning"],
+        "miss_rates": default["miss_rates"],
+        "congestion_rates": default["congestion_rates"],
+        "speedup": heap["wall_s"] / default["wall_s"] if default["wall_s"] else 0.0,
         "rss_ratio_vs_heap": (
-            wheel["peak_rss_bytes"] / heap["peak_rss_bytes"]
+            default["peak_rss_bytes"] / heap["peak_rss_bytes"]
             if heap["peak_rss_bytes"]
             else 0.0
         ),
-        "bit_identical": heap["fingerprint"] == wheel["fingerprint"],
-        "shard_identical": sharded["fingerprint"] == wheel["fingerprint"],
+        "bit_identical": heap["fingerprint"] == default["fingerprint"],
+        "shard_identical": sharded["fingerprint"] == default["fingerprint"],
         "isolation": _multitenant_isolation(quick),
     }
-    record.update(_occupancy_gauges(wheel["occupancy"]))
     return record
 
 
@@ -849,23 +814,22 @@ def bench_scale_ten_million(max_rss_growth: float = 0.20) -> dict[str, Any]:
     scenario -- the fast engine must not buy speed with footprint.
     """
     runs = _scale_two_way("scale10m", overrides=TEN_MILLION_KWARGS)
-    heap, wheel = runs["heap"], runs["wheel"]
+    heap, default = runs["heap"], runs["wheel"]
     rss_ratio = (
-        wheel["peak_rss_bytes"] / heap["peak_rss_bytes"] if heap["peak_rss_bytes"] else 0.0
+        default["peak_rss_bytes"] / heap["peak_rss_bytes"] if heap["peak_rss_bytes"] else 0.0
     )
     record = _versus_referee(runs)
     record.update(
         {
-            "invocations": wheel["invocations"],
-            "events_processed": wheel["events_processed"],
-            "events_per_sec": wheel["events_per_sec"],
+            "invocations": default["invocations"],
+            "events_processed": default["events_processed"],
+            "events_per_sec": default["events_per_sec"],
             "peak_rss_bytes": max(r["peak_rss_bytes"] for r in runs.values()),
             "rss_ratio_vs_heap": rss_ratio,
             "max_rss_growth": max_rss_growth,
             "within_rss_guard": bool(rss_ratio <= 1.0 + max_rss_growth),
         }
     )
-    record.update(_occupancy_gauges(wheel["occupancy"]))
     return record
 
 
@@ -873,18 +837,19 @@ def bench_scale_sharded(
     quick: bool = False,
     shards: int = 2,
     parallel: int = 0,
-    single_wheel: Optional[dict[str, Any]] = None,
+    single: Optional[dict[str, Any]] = None,
 ) -> dict[str, Any]:
-    """The sharded scale engine vs. the single-core wheel run.
+    """The sharded scale engine vs. the single-process default engine.
 
-    Decomposes the same wheel scenario :func:`bench_scale` just timed
-    into *shards* and fans them out.  Dispatch is forced through forked
+    Decomposes the same scenario :func:`bench_scale` just timed on the
+    default engine (the run record *single*) into *shards* and fans
+    them out.  Dispatch is forced through forked
     workers (``max(2, resolved)``) even on one CPU, so ``peak_rss_bytes``
     is the per-shard worker high-water mark, attributable to one shard
     rather than to the whole bench process.
 
     ``speedup_vs_single`` is merged sharded events/sec over the
-    single-process wheel events/sec from the same bench run.  On a
+    single-process events/sec from the same bench run.  On a
     single usable CPU the fan-out serializes behind fork + IPC overhead,
     so the entry is flagged ``speedup_representative: false`` -- the
     committed number documents the environment, it does not pretend to
@@ -895,10 +860,8 @@ def bench_scale_sharded(
     kwargs = dict(QUICK_KWARGS) if quick else {}
     cpus = available_workers()
     dispatch_workers = max(2, resolve_workers(parallel))
-    result = run_scale_sharded(
-        shards=shards, scheduler="wheel", parallel=dispatch_workers, **kwargs
-    )
-    single_rate = float((single_wheel or {}).get("events_per_sec") or 0.0)
+    result = run_scale_sharded(shards=shards, parallel=dispatch_workers, **kwargs)
+    single_rate = float((single or {}).get("events_per_sec") or 0.0)
     record = {
         "shards": shards,
         "workers": dispatch_workers,
@@ -915,7 +878,6 @@ def bench_scale_sharded(
         "speedup_vs_single": result.events_per_sec / single_rate if single_rate else 0.0,
         "speedup_representative": cpus > 1,
     }
-    record.update(_occupancy_gauges(result.occupancy))
     if cpus <= 1:
         record["note"] = (
             "sharded fan-out measured with 1 usable CPU: shards serialize "
@@ -1066,7 +1028,7 @@ def run_bench(
         if shards > 1:
             results["scale_sharded"] = bench_scale_sharded(
                 quick, shards=shards, parallel=parallel,
-                single_wheel=results["scale_openloop"]["wheel"],
+                single=results["scale_openloop"]["wheel"],
             )
         if ten_million:
             results["scale_10m"] = bench_scale_ten_million()
@@ -1154,29 +1116,13 @@ def check_regression(
                     f"{current_rss / base_rss - 1:.1%} above baseline {label!r} "
                     f"({base_rss:,}; allowed growth {max_rss_growth:.0%})"
                 )
-    # Adaptive re-anchors are rare by design: each one re-buckets the
-    # whole wheel, so a count that explodes versus the baseline means
-    # the occupancy-band detector is thrashing (granularity flapping),
-    # which silently taxes every subsequent insert.  Baselines recorded
-    # before the gauge existed lack the key and skip the check.
-    if isinstance(base_scale, dict) and isinstance(current_scale, dict):
-        base_re = base_scale.get("reanchors")
-        current_re = current_scale.get("reanchors")
-        if base_re is not None and current_re is not None:
-            allowed = max(8, 4 * int(base_re))
-            if int(current_re) > allowed:
-                problems.append(
-                    f"scale_openloop.reanchors {current_re} exploded past baseline "
-                    f"{label!r} ({base_re}; allowed max({8}, 4x baseline) = {allowed}) "
-                    f"-- the adaptive granularity detector is thrashing"
-                )
-    # The 10^7 stress entry carries its own RSS verdict (wheel-batch
+    # The 10^7 stress entry carries its own RSS verdict (default engine
     # vs heap-per-event on the same scenario, same forked-process
     # measurement); when the run recorded one, a breach fails here.
     current_10m = results.get("scale_10m")
     if isinstance(current_10m, dict) and current_10m.get("within_rss_guard") is False:
         problems.append(
-            "scale_10m: wheel-batch peak RSS is "
+            "scale_10m: default-engine peak RSS is "
             f"{current_10m.get('rss_ratio_vs_heap', 0.0):.2f}x the per-event heap "
             "baseline, beyond the allowed "
             f"{1.0 + float(current_10m.get('max_rss_growth', 0.0)):.2f}x"
@@ -1376,18 +1322,17 @@ def show(results: dict[str, Any]) -> None:
     if scale:
         line = (
             "scale_openloop: {invocations:,} invocations  heap {heap_s:.1f}s -> "
-            "wheel {wheel_s:.1f}s  ({speedup:.2f}x, {events_per_sec:,} events/s, "
+            "default {default_s:.1f}s  ({speedup:.2f}x, {events_per_sec:,} events/s, "
             "peak RSS {rss_mib:.0f} MiB, {faults:,} minor faults, "
-            "bit_identical={bit_identical}, reanchors={reanchors})".format(
+            "bit_identical={bit_identical})".format(
                 invocations=scale["invocations"],
                 heap_s=scale["heap"]["wall_s"],
-                wheel_s=scale["wheel"]["wall_s"],
+                default_s=scale["wheel"]["wall_s"],
                 faults=scale["wheel"]["minor_faults"],
                 speedup=scale["speedup"],
                 events_per_sec=scale["events_per_sec"],
                 rss_mib=scale["peak_rss_bytes"] / 2**20,
                 bit_identical=scale["bit_identical"],
-                reanchors=scale.get("reanchors", 0),
             )
         )
         print(line)
@@ -1395,12 +1340,12 @@ def show(results: dict[str, Any]) -> None:
     if stress:
         print(
             "scale_10m: {invocations:,} invocations  heap {heap_s:.1f}s -> "
-            "wheel {wheel_s:.1f}s  ({speedup:.2f}x, {events_per_sec:,} events/s, "
+            "default {default_s:.1f}s  ({speedup:.2f}x, {events_per_sec:,} events/s, "
             "RSS {rss_ratio:.2f}x heap [guard {guard}], "
             "bit_identical={bit_identical})".format(
                 invocations=stress["invocations"],
                 heap_s=stress["heap"]["wall_s"],
-                wheel_s=stress["wheel"]["wall_s"],
+                default_s=stress["wheel"]["wall_s"],
                 speedup=stress["speedup"],
                 events_per_sec=stress["events_per_sec"],
                 rss_ratio=stress["rss_ratio_vs_heap"],
@@ -1431,13 +1376,13 @@ def show(results: dict[str, Any]) -> None:
         cold = coldstart["policies"]["cold"]
         print(
             "coldstart: {invocations:,} invocations (cold policy, {model})  "
-            "heap {heap_s:.1f}s -> default {wheel_s:.1f}s  ({speedup:.2f}x, "
+            "heap {heap_s:.1f}s -> default {default_s:.1f}s  ({speedup:.2f}x, "
             "cold fraction {cold_fraction:.1%}, "
             "RSS {rss_ratio:.2f}x heap, bit_identical={bit_identical})".format(
                 invocations=coldstart["invocations"],
                 model=coldstart["start_model"],
                 heap_s=cold["heap"]["wall_s"],
-                wheel_s=cold["wheel"]["wall_s"],
+                default_s=cold["wheel"]["wall_s"],
                 speedup=coldstart["speedup"],
                 cold_fraction=coldstart["cold_fraction"],
                 rss_ratio=coldstart["rss_ratio_vs_heap"],
@@ -1472,12 +1417,12 @@ def show(results: dict[str, Any]) -> None:
     if cold_stress:
         print(
             "coldstart_10m: {invocations:,} invocations  heap {heap_s:.1f}s -> "
-            "default {wheel_s:.1f}s  ({speedup:.2f}x, cold fraction "
+            "default {default_s:.1f}s  ({speedup:.2f}x, cold fraction "
             "{cold_fraction:.1%}, RSS {rss_ratio:.2f}x heap [guard {guard}], "
             "bit_identical={bit_identical})".format(
                 invocations=cold_stress["invocations"],
                 heap_s=cold_stress["heap"]["wall_s"],
-                wheel_s=cold_stress["wheel"]["wall_s"],
+                default_s=cold_stress["wheel"]["wall_s"],
                 speedup=cold_stress["speedup"],
                 cold_fraction=cold_stress["cold_fraction"],
                 rss_ratio=cold_stress["rss_ratio_vs_heap"],
@@ -1490,7 +1435,7 @@ def show(results: dict[str, Any]) -> None:
         line = (
             "scale_sharded: {invocations:,} invocations over {shards} shards  "
             "batch {wall_s:.1f}s  ({events_per_sec:,} events/s, "
-            "{speedup_vs_single:.2f}x vs single wheel, {workers} workers/"
+            "{speedup_vs_single:.2f}x vs single default, {workers} workers/"
             "{cpus_available} cpus, peak shard RSS {rss_mib:.0f} MiB)".format(
                 rss_mib=sharded["peak_rss_bytes"] / 2**20, **sharded
             )
@@ -1502,7 +1447,7 @@ def show(results: dict[str, Any]) -> None:
     if mt:
         print(
             "multitenant: {invocations:,} invocations / {tenants} tenants "
-            "({partitioning})  heap {heap_s:.1f}s -> wheel {wheel_s:.1f}s  "
+            "({partitioning})  heap {heap_s:.1f}s -> default {default_s:.1f}s  "
             "({speedup:.2f}x, {events_per_sec:,} events/s, RSS "
             "{rss_ratio:.2f}x heap, bit_identical={bit_identical}, "
             "shard_identical={shard_identical})".format(
@@ -1510,7 +1455,7 @@ def show(results: dict[str, Any]) -> None:
                 tenants=len(mt.get("miss_rates", {})),
                 partitioning=mt["partitioning"],
                 heap_s=mt["heap"]["wall_s"],
-                wheel_s=mt["wheel"]["wall_s"],
+                default_s=mt["wheel"]["wall_s"],
                 speedup=mt["speedup"],
                 events_per_sec=mt["events_per_sec"],
                 rss_ratio=mt["rss_ratio_vs_heap"],

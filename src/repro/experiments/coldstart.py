@@ -20,12 +20,14 @@ small pool + remote-fork buys Docker-pool tail latency at a fraction
 of the executor-seconds, while a Docker cold path needs a pool ~the
 full concurrency to hide its 2.7 s spawns.
 
-Engine notes: every point runs the wheel scheduler's vectorized cold
-lane (see :mod:`repro.sim.wheel`); ``verify=True`` replays each point
-on the per-event heap referee and records bit-identity.  Profiling a
+Engine notes: every point runs the scale experiment's default engine
+(batch admission): the reduced-event walk for the ``cold``/``hybrid``
+policies, the exact FIFO recurrence for ``queue`` (see
+:mod:`repro.experiments.scale`).  ``verify=True`` replays each point on
+the per-event heap referee and records bit-identity.  Profiling a
 sweep is refused with a pointer at the single-run path -- see
-``--profile`` on the ``scale`` experiment, which covers the cold
-driver (``scale --pool-policy cold --profile``).
+``--profile`` on the ``scale`` experiment, which covers the walk
+(``scale --pool-policy cold --profile``).
 
 Run it::
 
@@ -79,12 +81,11 @@ class ColdstartResult:
     invocations: int
     pool_policy: str
     keepalive_ns: int
-    scheduler: str
     points: list[ColdstartPoint] = field(default_factory=list)
     wall_s: float = 0.0
 
     def fingerprint(self) -> dict[str, Any]:
-        """Simulated-domain outputs per point -- scheduler-independent."""
+        """Simulated-domain outputs per point -- admission-independent."""
         out: dict[str, Any] = {}
         for p in self.points:
             key = f"pool={p.pool_size}|model={p.start_model}|shape={p.arrival_shape}"
@@ -103,7 +104,7 @@ class ColdstartResult:
         table = Table(
             f"Cold-start spectrum -- {self.invocations:,} invocations, "
             f"policy={self.pool_policy}, keepalive={format_ns(self.keepalive_ns)} "
-            f"({self.scheduler} scheduler)",
+            "(default engine)",
             [
                 "pool",
                 "start model",
@@ -155,7 +156,6 @@ def run_coldstart(
     hybrid_threshold: int = 64,
     mean_arrival_gap_ns: int = 250,
     seed: int = 0x0C01D,
-    scheduler: str = "wheel",
     verify: bool = False,
     profile: Union[bool, str, None] = None,
 ) -> ColdstartResult:
@@ -191,7 +191,6 @@ def run_coldstart(
                 kwargs = dict(
                     invocations=invocations,
                     workers=pool,
-                    scheduler=scheduler,
                     seed=seed,
                     mean_arrival_gap_ns=mean_arrival_gap_ns,
                     arrival_shape=shape,
@@ -203,13 +202,7 @@ def run_coldstart(
                 result = run_scale(**kwargs)
                 bit_identical: Optional[bool] = None
                 if verify:
-                    referee = run_scale(
-                        **{
-                            **kwargs,
-                            "scheduler": "heap",
-                            "admission": "per-event",
-                        }
-                    )
+                    referee = run_scale(**kwargs, admission="per-event")
                     bit_identical = referee.fingerprint() == result.fingerprint()
                     if not bit_identical:
                         raise RuntimeError(
@@ -247,7 +240,6 @@ def run_coldstart(
         invocations=invocations,
         pool_policy=pool_policy,
         keepalive_ns=keepalive_ns,
-        scheduler=scheduler,
         points=points,
         wall_s=time.perf_counter() - started,
     )

@@ -27,13 +27,13 @@ Two drivers replay the *same* deterministic calendar:
   count and timestamps are closed-form per lease, emitted vectorized
   after the run.
 
-Both produce identical fingerprints (the wheel-vs-heap contract,
-extended to a whole subsystem), including runs with churn enabled.
+Both run on the heap :class:`~repro.sim.core.Environment` and produce
+identical fingerprints, including runs with churn enabled.
 
 Determinism without tie-break coupling
 --------------------------------------
-The drivers use different event engines with different entry-id
-spaces, so equal-timestamp ordering must never matter.  The calendar
+The drivers schedule different events, so their entry ids differ and
+equal-timestamp ordering must never matter.  The calendar
 guarantees that with a residue grid (mod ``QUANT`` = 16): every event
 class that mutates shared state lands on its own residue --
 
@@ -87,7 +87,7 @@ from repro.core.placement import SoACapacity
 from repro.core.resource_manager import ResourceManager
 from repro.rdma.fabric import Fabric
 from repro.sim.clock import ms, us
-from repro.sim.wheel import new_environment
+from repro.sim.core import Environment
 
 #: Residue grid modulus (see the module docstring).
 QUANT = 16
@@ -255,7 +255,6 @@ class ControlResult:
     """One control-plane run: counts, latencies, throughput."""
 
     driver: str
-    engine: str
     executors: int
     requests: int
     lease_events: int
@@ -274,7 +273,7 @@ class ControlResult:
     peak_rss_bytes: int
 
     def fingerprint(self) -> dict[str, Any]:
-        """Simulated-domain outputs -- identical across drivers/engines.
+        """Simulated-domain outputs -- identical across drivers.
 
         Wall-clock, RSS, and raw simulator event counts are measurement
         artifacts of the driver and excluded.
@@ -302,8 +301,7 @@ class ControlResult:
         counts = self.counts
         table = Table(
             f"Control plane -- {self.lease_events:,} lease events over "
-            f"{self.executors:,} executors ({self.driver} driver, "
-            f"{self.engine} engine)",
+            f"{self.executors:,} executors ({self.driver} driver)",
             ["metric", "value"],
         )
         table.add_row("requests", f"{self.requests:,}")
@@ -361,7 +359,6 @@ def _peak_rss_bytes() -> int:
 def _finish(
     config: ControlConfig,
     driver: str,
-    engine: str,
     counts: dict[str, int],
     checksum: int,
     log_times: np.ndarray,
@@ -399,7 +396,6 @@ def _finish(
             perf.counters.leases_active_peak = leases_active_peak
     return ControlResult(
         driver=driver,
-        engine=engine,
         executors=config.executors,
         requests=config.requests,
         lease_events=lease_events,
@@ -446,11 +442,10 @@ class _LoopbackConn:
 class _ReferenceDriver:
     """Per-event replay through the ResourceManager RPC path."""
 
-    def __init__(self, config: ControlConfig, streams: ControlStreams, engine: str) -> None:
+    def __init__(self, config: ControlConfig, streams: ControlStreams) -> None:
         self.config = config
         self.streams = streams
-        self.engine = engine
-        self.env = new_environment(engine)
+        self.env = Environment()
         fabric = Fabric(self.env)
         self.manager = ResourceManager(
             fabric.attach("control-manager"),
@@ -677,7 +672,6 @@ class _ReferenceDriver:
         return _finish(
             self.config,
             "reference",
-            self.engine,
             self.counts,
             self.checksum,
             np.asarray(self.log_times, dtype=np.int64),
@@ -700,11 +694,10 @@ class _KernelDriver:
     """Struct-of-arrays replay: cohort admission, masked churn,
     closed-form renewals."""
 
-    def __init__(self, config: ControlConfig, streams: ControlStreams, engine: str) -> None:
+    def __init__(self, config: ControlConfig, streams: ControlStreams) -> None:
         self.config = config
         self.streams = streams
-        self.engine = engine
-        self.env = new_environment(engine)
+        self.env = Environment()
         self.soa = SoACapacity.uniform(
             config.executors, config.cores_per_executor, config.memory_per_executor
         )
@@ -937,7 +930,6 @@ class _KernelDriver:
         return _finish(
             config,
             "kernel",
-            self.engine,
             self.counts,
             self.checksum,
             log_times,
@@ -959,27 +951,25 @@ QUICK_KWARGS = {"executors": 256, "requests": 6_000, "deaths": 24, "verify": Tru
 
 def run_control(
     driver: str = "kernel",
-    engine: Optional[str] = None,
     verify: bool = False,
     **overrides: Any,
 ) -> ControlResult:
     """Run the control-plane scenario with one driver.
 
     ``driver`` is ``"kernel"`` (struct-of-arrays fast path, default) or
-    ``"reference"`` (per-event ResourceManager RPC replay).  ``engine``
-    picks the event scheduler underneath (kernel defaults to the timer
-    wheel, reference to the heap); simulated results are identical for
-    every combination.  ``verify=True`` additionally runs the *other*
-    driver and raises if the fingerprints differ.
+    ``"reference"`` (per-event ResourceManager RPC replay); both run on
+    the heap environment and produce identical simulated results.
+    ``verify=True`` additionally runs the *other* driver and raises if
+    the fingerprints differ.
     """
     if driver not in DRIVERS:
         raise ValueError(f"driver must be one of {DRIVERS}, got {driver!r}")
     config = ControlConfig(**overrides)
     streams = control_streams(config)
-    result = _run_one(driver, config, streams, engine)
+    result = _run_one(driver, config, streams)
     if verify:
         other = DRIVERS[1 - DRIVERS.index(driver)]
-        referee = _run_one(other, config, streams, None)
+        referee = _run_one(other, config, streams)
         if referee.fingerprint() != result.fingerprint():
             raise AssertionError(
                 f"control drivers diverged: {driver} vs {other}\n"
@@ -988,9 +978,7 @@ def run_control(
     return result
 
 
-def _run_one(
-    driver: str, config: ControlConfig, streams: ControlStreams, engine: Optional[str]
-) -> ControlResult:
+def _run_one(driver: str, config: ControlConfig, streams: ControlStreams) -> ControlResult:
     if driver == "kernel":
-        return _KernelDriver(config, streams, engine or "wheel").run()
-    return _ReferenceDriver(config, streams, engine or "heap").run()
+        return _KernelDriver(config, streams).run()
+    return _ReferenceDriver(config, streams).run()

@@ -158,8 +158,8 @@ def run_multitenant_scale(
     10^6 invocations over a 2^21-slot warm pool -- arrival rates high
     enough that the bursty profile's burst epochs stress its partition
     while the mix stays unsaturated overall -- and every engine knob
-    (``partitioning``, ``scheduler``, ``admission``, ``pool_policy``,
-    ``shards``, ``parallel``, ...) passes straight through.
+    (``partitioning``, ``admission``, ``pool_policy``, ``shards``,
+    ``parallel``, ...) passes straight through.
     """
     return run_tenant_scale(
         invocations=invocations,

@@ -46,9 +46,9 @@ admission, the default:
   under any (a pinned completion serves its own tenant ahead of older
   shared waiters), take :class:`_TenantWalk`, the same walk over
   per-tenant pools.
-* ``admission="per-event"`` walks every event on the chosen scheduler
-  (``"heap"`` or ``"wheel"``): the referees the fast engines are
-  checked against, fingerprint for fingerprint.
+* ``admission="per-event"`` walks every event on the heap
+  :class:`~repro.sim.core.Environment`: the referees the fast engines
+  are checked against, fingerprint for fingerprint.
 
 Implementation notes for the per-event referees (hot loops):
 
@@ -119,8 +119,8 @@ from repro.perf.malloc import pin_thresholds
 from repro.sim.arrivals import DIURNAL_DAY, arrival_times, merge_tenant_streams
 from repro.sim.events import BatchEvent
 from repro.sim.clock import ms, us
+from repro.sim.core import Environment
 from repro.sim.rng import RngStreams, shard_seed
-from repro.sim.wheel import WheelEnvironment, new_environment, validate_granularity_bits
 from repro.workloads.tenants import TenantSpec, split_by_weights, standard_mix
 
 #: Latencies buffered before a vectorized flush into the streaming
@@ -158,20 +158,11 @@ class ScaleConfig:
     #: Period of the in-flight lease re-validation timer.
     lease_check_interval_ns: int = ms(64)
     seed: int = 0x5CA1E
-    #: Event-loop scheduler of per-event runs: "heap" or "wheel" (see
-    #: RFaaSConfig.scheduler).  Batch runs build no environment.
-    scheduler: Optional[str] = "wheel"
-    #: Wheel slot width, 2**bits ns, or ``"auto"`` (default): start at
-    #: the wheel's own 256 ns granularity and let the occupancy-band
-    #: controller re-anchor to the regime it observes -- the scale
-    #: scenario converges to the hand-tuned 2**16-ish ns within the
-    #: first adaptation window.  Ignored for "heap".
-    granularity_bits: Union[int, str] = "auto"
-    #: Arrival admission: "batch" (default) runs the FIFO recurrence or
-    #: the reduced-event walk on whole numpy arrival chunks;
-    #: "per-event" drives one arrival event at a time through the
-    #: scheduler (the referee the bit-identity contract is checked
-    #: against).  See ``_simulate``.
+    #: The engine choice: "batch" (default) runs the FIFO recurrence or
+    #: the reduced-event walk on whole numpy arrival chunks and builds
+    #: no environment; "per-event" drives one arrival event at a time
+    #: through the heap environment (the referee the bit-identity
+    #: contract is checked against).  See ``_simulate``.
     admission: str = "batch"
     #: Streaming-histogram resolution (quantile error <= 2**-subbits).
     subbits: int = 8
@@ -216,7 +207,7 @@ class ScaleConfig:
 class ScaleResult:
     """One open-loop run: throughput, memory, and tail latency."""
 
-    scheduler: str
+    admission: str
     invocations: int
     workers: int
     completed: int
@@ -231,8 +222,7 @@ class ScaleResult:
     latency: SummaryStats
     #: Occupied streaming-histogram buckets -- the O(1)-memory evidence.
     stream_buckets: int
-    #: Peak scheduler occupancy ({"wheel": ..., "heap": ...} and friends);
-    #: empty for the plain heap environment.
+    #: Always empty; kept because the perfbench harness still reads it.
     occupancy: dict[str, int] = field(default_factory=dict)
     #: Dry-pool arrivals that took the cold-start path (0 under the
     #: "queue" policy).
@@ -246,11 +236,11 @@ class ScaleResult:
     cold_retained: int = 0
 
     def fingerprint(self) -> dict[str, Any]:
-        """The simulated-domain outputs -- identical across schedulers.
+        """The simulated-domain outputs -- identical across admissions.
 
-        Wall-clock, RSS and scheduler occupancy are measurement
-        artifacts and excluded; everything here must match bit-for-bit
-        between heap and wheel runs of the same config.
+        Wall-clock and RSS are measurement artifacts and excluded;
+        everything here must match bit-for-bit between the default
+        engine and the per-event referee on the same config.
         """
         return {
             "invocations": self.invocations,
@@ -274,7 +264,7 @@ class ScaleResult:
     def table(self) -> Table:
         table = Table(
             f"Open-loop scale run -- {self.invocations:,} invocations "
-            f"({self.scheduler} scheduler)",
+            f"({self.admission} admission)",
             ["metric", "value"],
         )
         table.add_row("completed", f"{self.completed:,}")
@@ -297,11 +287,6 @@ class ScaleResult:
             table.add_row(
                 "cold reclaimed / retained",
                 f"{self.cold_reclaimed:,} / {self.cold_retained:,}",
-            )
-        if self.occupancy:
-            table.add_row(
-                "peak wheel/heap residency",
-                f"{self.occupancy.get('wheel', 0):,} / {self.occupancy.get('heap', 0):,}",
             )
         return table
 
@@ -355,13 +340,11 @@ def _report_profile(profiler, destination: Union[bool, str]) -> None:
 def run_scale(
     invocations: int = 1_000_000,
     workers: int = 1 << 20,
-    scheduler: str = "wheel",
     seed: int = 0x5CA1E,
     mean_arrival_gap_ns: int = 250,
     service_log_mean: float = 19.8,
     service_log_sigma: float = 0.6,
     lease_check_interval_ns: int = ms(64),
-    granularity_bits: Union[int, str] = "auto",
     admission: str = "batch",
     subbits: int = 8,
     shards: int = 1,
@@ -392,7 +375,6 @@ def run_scale(
     Poisson path runs its one shard in-process on the engine
     :func:`_simulate` picks for the policy.
     """
-    validate_granularity_bits(granularity_bits)
     _validate_admission(admission)
     _validate_pool_policy(pool_policy, start_model, keepalive_ns, hybrid_threshold)
     if shards != 1 or arrival_shape != "poisson":
@@ -402,13 +384,11 @@ def run_scale(
             invocations=invocations,
             workers=workers,
             shards=max(1, shards),
-            scheduler=scheduler,
             seed=seed,
             mean_arrival_gap_ns=mean_arrival_gap_ns,
             service_log_mean=service_log_mean,
             service_log_sigma=service_log_sigma,
             lease_check_interval_ns=lease_check_interval_ns,
-            granularity_bits=granularity_bits,
             admission=admission,
             subbits=subbits,
             arrival_shape=arrival_shape,
@@ -432,8 +412,6 @@ def run_scale(
         service_log_sigma=service_log_sigma,
         lease_check_interval_ns=lease_check_interval_ns,
         seed=seed,
-        scheduler=scheduler,
-        granularity_bits=granularity_bits,
         admission=admission,
         subbits=subbits,
         pool_policy=pool_policy,
@@ -444,7 +422,7 @@ def run_scale(
     run = _simulate(config, 0, 1, profile)
     summary = run.stream.summarize()
     return ScaleResult(
-        scheduler=config.scheduler or "heap",
+        admission=config.admission,
         invocations=config.invocations,
         workers=config.workers,
         completed=run.completed,
@@ -458,7 +436,6 @@ def run_scale(
         timeout_pool_hits=run.timeout_pool_hits,
         latency=replace(summary, mean=run.sojourn_total / summary.count),
         stream_buckets=len(run.stream.histogram),
-        occupancy=run.occupancy,
         cold_starts=run.cold_starts,
         cold_busy_ns=run.cold_busy_ns,
         cold_reclaimed=run.cold_reclaimed,
@@ -825,7 +802,7 @@ class _PoolWalk:
 
 class _ShardDriver:
     """The per-event open-loop FSM: the referee every fast engine is
-    checked against, on either scheduler.
+    checked against.
 
     Arrivals come as absolute times with services pre-assigned per
     arrival index, so any slice of the global scenario replays
@@ -851,7 +828,6 @@ class _ShardDriver:
         "completed",
         "queued",
         "max_backlog",
-        "occupancy_peaks",
         "_interval",
         "_chunks",
         "_times",
@@ -863,7 +839,6 @@ class _ShardDriver:
         "sojourn_total",
         "_lease_cbs",
         "_schedule",
-        "_is_wheel",
         "_threshold",
         "_spawn",
         "_keepalive",
@@ -887,7 +862,6 @@ class _ShardDriver:
         self.completed = 0
         self.queued = 0
         self.max_backlog = 0
-        self.occupancy_peaks: dict[str, int] = {}
         self._interval = config.lease_check_interval_ns
         self._chunks = _shard_chunks(config, shard, shards)
         self._times: list[int] = []
@@ -903,7 +877,6 @@ class _ShardDriver:
         self._lease_cbs = (self._handle_lease,)
         #: Bound once: ~7 re-arms per invocation go through this.
         self._schedule = env.schedule_timeout
-        self._is_wheel = isinstance(env, WheelEnvironment)
         # -- cold-start path (pool_policy != "queue") ------------------
         self._threshold = _dry_threshold(config.pool_policy, config.hybrid_threshold)
         self._spawn = SANDBOX_PROFILES[config.start_model].spawn_ns(1)
@@ -1019,10 +992,7 @@ class _ShardDriver:
             # Tuple dispatch descriptor: still attached, just re-insert.
             self._schedule(event, interval if remaining > interval else remaining)
             return
-        completed = self.completed + 1
-        self.completed = completed
-        if not completed & 0x3FF and self._is_wheel:
-            self._sample_wheel()
+        self.completed += 1
         if self.backlog:
             arrival_ns, service = self.backlog.popleft()
             self._begin(arrival_ns, service)
@@ -1038,29 +1008,6 @@ class _ShardDriver:
             self.sojourn_total += sum(self._buffer)
             self.stream.observe_many(np.asarray(self._buffer, dtype=np.float64))
             self._buffer.clear()
-        if self._is_wheel:
-            self._sample_wheel(force=True)
-
-    def _sample_wheel(self, force: bool = False) -> None:
-        # Decimated: most calls return None without computing occupancy
-        # (see WheelEnvironment.sample_occupancy), so the completion-path
-        # cadence can be tight without costing wall clock.
-        sample = self.env.sample_occupancy(force)
-        if sample is None:
-            return
-        peaks = self.occupancy_peaks
-        for key in (
-            "wheel",
-            "heap",
-            "spill",
-            "cascades",
-            "overflow_inserts",
-            "reanchors",
-            "granularity_bits",
-        ):
-            value = sample.get(key, 0)
-            if value > peaks.get(key, -1):
-                peaks[key] = value
 
     def finish(self) -> None:
         self._flush()
@@ -1085,7 +1032,6 @@ class ShardResult:
     queued: int
     timeout_pool_hits: int
     stream: StreamingSummary
-    occupancy: dict[str, int] = field(default_factory=dict)
     cold_starts: int = 0
     cold_busy_ns: int = 0
     cold_reclaimed: int = 0
@@ -1126,8 +1072,8 @@ def _simulate(
     Batch admission (the default) builds no environment: the ``queue``
     policy runs :class:`_FifoDriver`'s exact FIFO recurrence and
     ``cold``/``hybrid`` run :class:`_PoolWalk`.  Per-event admission
-    walks every event through a :class:`_ShardDriver` on the chosen
-    scheduler: the referee the fast engines are checked against.  Both
+    walks every event through a :class:`_ShardDriver` on the heap
+    environment: the referee the fast engines are checked against.  Both
     run with glibc's malloc thresholds pinned
     (:mod:`repro.perf.malloc`), so a referee and the engine it checks
     share one allocator.
@@ -1147,12 +1093,8 @@ def _simulate(
         driver = walk(config, shard, shards)
         wall_s = _timed_drive(driver.drive, profile)
         events, now, pool_hits = driver.events_processed, driver.final_now_ns, 0
-        occupancy: dict[str, int] = {}
     else:
-        env_kwargs = (
-            {"granularity_bits": config.granularity_bits} if config.scheduler == "wheel" else {}
-        )
-        env = new_environment(config.scheduler, **env_kwargs)
+        env = Environment()
         driver = _ShardDriver(env, config, shard, shards)
         driver.start()
         # The FSM allocates no reference cycles, so generational GC
@@ -1168,7 +1110,6 @@ def _simulate(
                 gc.enable()
         driver.finish()
         events, now, pool_hits = env.events_processed, env.now, env.timeout_pool_hits
-        occupancy = dict(driver.occupancy_peaks)
     if driver.completed != count:
         raise RuntimeError(
             f"shard {shard}/{shards} lost invocations: {driver.completed} of {count}"
@@ -1191,7 +1132,6 @@ def _simulate(
         queued=driver.queued,
         timeout_pool_hits=pool_hits,
         stream=driver.stream,
-        occupancy=occupancy,
         cold_starts=driver.cold_starts,
         cold_busy_ns=driver.cold_busy_ns,
         cold_reclaimed=driver.cold_reclaimed,
@@ -1205,13 +1145,11 @@ def _run_shard(
     shards: int,
     invocations: int = 1_000_000,
     workers: int = 1 << 20,
-    scheduler: str = "wheel",
     seed: int = 0x5CA1E,
     mean_arrival_gap_ns: int = 250,
     service_log_mean: float = 19.8,
     service_log_sigma: float = 0.6,
     lease_check_interval_ns: int = ms(64),
-    granularity_bits: Union[int, str] = "auto",
     admission: str = "batch",
     subbits: int = 8,
     arrival_shape: str = "poisson",
@@ -1231,7 +1169,6 @@ def _run_shard(
     and the result cache can key it: the kwargs *are* the shard's
     identity, and the outcome depends on nothing else.
     """
-    validate_granularity_bits(granularity_bits)
     _validate_admission(admission)
     _validate_pool_policy(pool_policy, start_model, keepalive_ns, hybrid_threshold)
     config = ScaleConfig(
@@ -1242,8 +1179,6 @@ def _run_shard(
         service_log_sigma=service_log_sigma,
         lease_check_interval_ns=lease_check_interval_ns,
         seed=seed,
-        scheduler=scheduler,
-        granularity_bits=granularity_bits,
         admission=admission,
         subbits=subbits,
         shards=shards,
@@ -1270,11 +1205,11 @@ class ShardedScaleResult:
 
     Simulated-domain fields (everything in :meth:`fingerprint`) are a
     pure function of the scenario spec -- identical across repeats,
-    worker counts, and cache hits.  Wall-clock, RSS, and occupancy are
-    measurement artifacts of this particular execution.
+    worker counts, and cache hits.  Wall-clock and RSS are measurement
+    artifacts of this particular execution.
     """
 
-    scheduler: str
+    admission: str
     shards: int
     shard_split: str
     arrival_shape: str
@@ -1295,7 +1230,6 @@ class ShardedScaleResult:
     timeout_pool_hits: int
     latency: SummaryStats
     stream_buckets: int
-    occupancy: dict[str, int] = field(default_factory=dict)
     shard_seeds: list[int] = field(default_factory=list)
     cold_starts: int = 0
     cold_busy_ns: int = 0
@@ -1328,7 +1262,7 @@ class ShardedScaleResult:
     def table(self) -> Table:
         table = Table(
             f"Sharded open-loop scale run -- {self.invocations:,} invocations, "
-            f"{self.shards} shard(s) ({self.scheduler} scheduler, "
+            f"{self.shards} shard(s) ({self.admission} admission, "
             f"{self.arrival_shape} arrivals, {self.shard_split} split)",
             ["metric", "value"],
         )
@@ -1355,7 +1289,7 @@ class ShardedScaleResult:
 def merge_shard_results(
     results: list[ShardResult],
     *,
-    scheduler: str,
+    admission: str,
     shard_split: str,
     arrival_shape: str,
     workers: int,
@@ -1375,14 +1309,9 @@ def merge_shard_results(
     if [r.shard for r in results] != list(range(len(results))):
         raise ValueError("shard results must arrive complete and in shard order")
     stream = StreamingSummary.merged([r.stream for r in results])
-    occupancy: dict[str, int] = {}
-    for result in results:
-        for key, value in result.occupancy.items():
-            if value > occupancy.get(key, -1):
-                occupancy[key] = value
     events = sum(r.events_processed for r in results)
     return ShardedScaleResult(
-        scheduler=scheduler,
+        admission=admission,
         shards=len(results),
         shard_split=shard_split,
         arrival_shape=arrival_shape,
@@ -1406,7 +1335,6 @@ def merge_shard_results(
             mean=sum(r.sojourn_total for r in results) / stream.count,
         ),
         stream_buckets=len(stream.histogram),
-        occupancy=occupancy,
         shard_seeds=[r.shard_seed for r in results],
         cold_starts=sum(r.cold_starts for r in results),
         cold_busy_ns=sum(r.cold_busy_ns for r in results),
@@ -1419,13 +1347,11 @@ def run_scale_sharded(
     invocations: int = 1_000_000,
     workers: int = 1 << 20,
     shards: int = 2,
-    scheduler: str = "wheel",
     seed: int = 0x5CA1E,
     mean_arrival_gap_ns: int = 250,
     service_log_mean: float = 19.8,
     service_log_sigma: float = 0.6,
     lease_check_interval_ns: int = ms(64),
-    granularity_bits: Union[int, str] = "auto",
     admission: str = "batch",
     subbits: int = 8,
     arrival_shape: str = "poisson",
@@ -1451,7 +1377,6 @@ def run_scale_sharded(
     """
     from repro.parallel import FailedPoint, RunSpec, available_workers, resolve_workers, run_specs
 
-    validate_granularity_bits(granularity_bits)
     _validate_admission(admission)
     _validate_pool_policy(pool_policy, start_model, keepalive_ns, hybrid_threshold)
     if shards < 1:
@@ -1464,13 +1389,11 @@ def run_scale_sharded(
         shards=shards,
         invocations=invocations,
         workers=workers,
-        scheduler=scheduler,
         seed=seed,
         mean_arrival_gap_ns=mean_arrival_gap_ns,
         service_log_mean=service_log_mean,
         service_log_sigma=service_log_sigma,
         lease_check_interval_ns=lease_check_interval_ns,
-        granularity_bits=granularity_bits,
         admission=admission,
         subbits=subbits,
         arrival_shape=arrival_shape,
@@ -1506,7 +1429,7 @@ def run_scale_sharded(
         raise RuntimeError(f"sharded scale run failed: {failed[0].summary()}")
     return merge_shard_results(
         outcomes,
-        scheduler=scheduler or "heap",
+        admission=admission,
         shard_split=shard_split,
         arrival_shape=arrival_shape,
         workers=workers,
@@ -1571,9 +1494,8 @@ class MultiTenantConfig:
     partitioning: str = "pinned"
     lease_check_interval_ns: int = ms(64)
     seed: int = 0x7E7A77
-    scheduler: Optional[str] = "wheel"
-    granularity_bits: Union[int, str] = "auto"
-    #: "batch" (the reduced-event walk) or "per-event" (the referee).
+    #: "batch" (the FIFO recurrence or the reduced-event walk) or
+    #: "per-event" (the referee on the heap environment).
     admission: str = "batch"
     subbits: int = 8
     shards: int = 1
@@ -1694,12 +1616,14 @@ class _TenantBook:
       classified at flush time: per-tenant masks feed a
       :class:`KeyedStreamingSummary`, exact integer totals, and the
       vectorized ``sojourn > deadline_ns[t]`` DEADLINE_MISSED counts.
+      Each sojourn is histogrammed once, under its tenant; the
+      all-tenant summary is the exact merge of the tenants' parts
+      (:func:`merge_tenant_shards`).
     """
 
     __slots__ = (
         "config",
         "names",
-        "stream",
         "keyed",
         "backlogs",
         "pinned",
@@ -1731,7 +1655,6 @@ class _TenantBook:
         specs = config.specs
         n = len(specs)
         self.names = [spec.name for spec in specs]
-        self.stream = StreamingSummary(config.subbits)
         self.keyed = KeyedStreamingSummary(config.subbits)
         self.backlogs = [deque() for _ in range(n)]
         pinned_plan, shared_plan = _tenant_pool_plan(
@@ -1788,7 +1711,6 @@ class _TenantBook:
     def _classify(self, vals: np.ndarray, tens: np.ndarray) -> None:
         """Book dispatched sojourns *vals* with their tenant column *tens*."""
         self.sojourn_total += int(vals.sum())
-        self.stream.observe_many(vals.astype(np.float64))
         keyed = self.keyed
         for t, name in enumerate(self.names):
             mask = tens == t
@@ -2039,7 +1961,6 @@ class _TenantDriver(_TenantBook):
 
     __slots__ = (
         "env",
-        "occupancy_peaks",
         "_chunks",
         "_times",
         "_tenants",
@@ -2052,13 +1973,11 @@ class _TenantDriver(_TenantBook):
         "_cold_cbs",
         "_hop_cbs",
         "_schedule",
-        "_is_wheel",
     )
 
     def __init__(self, env, config: MultiTenantConfig, shard: int, shards: int) -> None:
         super().__init__(config, shard, shards)
         self.env = env
-        self.occupancy_peaks: dict[str, int] = {}
         self._chunks = _tenant_chunks(config, shard, shards)
         self._times: list[int] = []
         self._tenants: list[int] = []
@@ -2071,7 +1990,6 @@ class _TenantDriver(_TenantBook):
         self._cold_cbs = (self._handle_cold,)
         self._hop_cbs = (self._handle_hop,)
         self._schedule = env.schedule_timeout
-        self._is_wheel = isinstance(env, WheelEnvironment)
 
     def _advance(self) -> None:
         """Prefetch the next (arrival time, tenant, service) triple."""
@@ -2153,10 +2071,7 @@ class _TenantDriver(_TenantBook):
             self._schedule(event, self._interval)
 
     def _handle_lease(self, event) -> None:
-        completed = self.completed + 1
-        self.completed = completed
-        if not completed & 0x3FF and self._is_wheel:
-            self._sample_wheel()
+        self.completed += 1
         tenant, pool = event._value
         if pool:
             if self.waiting:
@@ -2182,13 +2097,6 @@ class _TenantDriver(_TenantBook):
         slot."""
         tenant, service = event._value
         self._begin(tenant, 1, self.env._now - self._spawn, service, event)
-
-    def _flush(self) -> None:
-        super()._flush()
-        if self._is_wheel:
-            self._sample_wheel(force=True)
-
-    _sample_wheel = _ShardDriver._sample_wheel
 
     def finish(self) -> None:
         self._flush()
@@ -2219,9 +2127,7 @@ class TenantShardResult:
     peak_rss_bytes: int
     final_now_ns: int
     timeout_pool_hits: int
-    stream: StreamingSummary
     keyed: KeyedStreamingSummary
-    occupancy: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -2259,7 +2165,6 @@ class TenantStats:
 class TenantScaleResult:
     """A multi-tenant open-loop run (merged across shards)."""
 
-    scheduler: str
     admission: str
     partitioning: str
     pool_policy: str
@@ -2279,11 +2184,12 @@ class TenantScaleResult:
     latency: SummaryStats
     tenants: dict[str, TenantStats]
     stream_buckets: int
+    #: Always empty; kept because the perfbench harness still reads it.
     occupancy: dict[str, int] = field(default_factory=dict)
 
     def fingerprint(self) -> dict[str, Any]:
-        """Simulated-domain outputs: identical across heap/wheel engines
-        and (in the unsaturated regime) across K=1/K=2 shard splits."""
+        """Simulated-domain outputs: identical across admissions and
+        (in the unsaturated regime) across K=1/K=2 shard splits."""
         per_tenant = {}
         for name, t in self.tenants.items():
             stats = {
@@ -2321,8 +2227,7 @@ class TenantScaleResult:
     def table(self) -> Table:
         table = Table(
             f"Multi-tenant scale run -- {self.invocations:,} invocations, "
-            f"{self.partitioning} partitioning ({self.scheduler} scheduler, "
-            f"{self.admission} admission)",
+            f"{self.partitioning} partitioning ({self.admission} admission)",
             [
                 "tenant",
                 "arrived",
@@ -2364,18 +2269,15 @@ def _run_tenant_shard(
     specs: tuple,
     workers: int = 1 << 21,
     partitioning: str = "pinned",
-    scheduler: str = "wheel",
     admission: str = "batch",
     pool_policy: str = "queue",
     start_model: str = "remote-fork",
     hybrid_threshold: int = 64,
     lease_check_interval_ns: int = ms(64),
-    granularity_bits: Union[int, str] = "auto",
     seed: int = 0x7E7A77,
     subbits: int = 8,
 ) -> TenantShardResult:
     """Run one shard of the multi-tenant scenario (picklable factory)."""
-    validate_granularity_bits(granularity_bits)
     _validate_admission(admission)
     _validate_partitioning(partitioning)
     _validate_pool_policy(pool_policy, start_model, 0, hybrid_threshold)
@@ -2387,8 +2289,6 @@ def _run_tenant_shard(
         partitioning=partitioning,
         lease_check_interval_ns=lease_check_interval_ns,
         seed=seed,
-        scheduler=scheduler,
-        granularity_bits=granularity_bits,
         admission=admission,
         subbits=subbits,
         shards=shards,
@@ -2407,10 +2307,8 @@ def _run_tenant_shard(
         driver.drive()
         wall_s = time.perf_counter() - started
         events, now, pool_hits = driver.events_processed, driver.final_now_ns, 0
-        occupancy: dict[str, int] = {}
     else:
-        env_kwargs = {"granularity_bits": granularity_bits} if scheduler == "wheel" else {}
-        env = new_environment(config.scheduler, **env_kwargs)
+        env = Environment()
         driver = _TenantDriver(env, config, shard, shards)
         driver.start()
         gc_was_enabled = gc.isenabled()
@@ -2425,7 +2323,6 @@ def _run_tenant_shard(
         wall_s = time.perf_counter() - started
         driver.finish()
         events, now, pool_hits = env.events_processed, env.now, env.timeout_pool_hits
-        occupancy = dict(driver.occupancy_peaks)
 
     congested = sum(driver.congested_by)
     if driver.completed + congested != driver.count:
@@ -2454,16 +2351,13 @@ def _run_tenant_shard(
         peak_rss_bytes=_peak_rss_bytes(),
         final_now_ns=now,
         timeout_pool_hits=pool_hits,
-        stream=driver.stream,
         keyed=driver.keyed,
-        occupancy=occupancy,
     )
 
 
 def merge_tenant_shards(
     results: list[TenantShardResult],
     *,
-    scheduler: str,
     admission: str,
     partitioning: str,
     pool_policy: str,
@@ -2474,19 +2368,16 @@ def merge_tenant_shards(
 
     Counts sum per tenant; clocks take the max; the keyed summaries
     fold with the exact :meth:`KeyedStreamingSummary.merge` path, and
-    every per-tenant mean comes from summed exact integer totals."""
+    every per-tenant mean comes from summed exact integer totals.  The
+    all-tenant summary merges the tenants' parts: histogram counts,
+    min and max fold exactly, and its mean is the exact total too."""
     if not results:
         raise ValueError("merge of zero tenant shards")
     if [r.shard for r in results] != list(range(len(results))):
         raise ValueError("tenant shard results must arrive complete and in shard order")
     names = results[0].names
-    stream = StreamingSummary.merged([r.stream for r in results])
     keyed = KeyedStreamingSummary.merged([r.keyed for r in results])
-    occupancy: dict[str, int] = {}
-    for result in results:
-        for key, value in result.occupancy.items():
-            if value > occupancy.get(key, -1):
-                occupancy[key] = value
+    stream = StreamingSummary.merged(keyed.parts[k] for k in keyed.keys())
     tenants: dict[str, TenantStats] = {}
     for t, name in enumerate(names):
         dispatched = sum(r.dispatched_by[t] for r in results)
@@ -2512,7 +2403,6 @@ def merge_tenant_shards(
     events = sum(r.events_processed for r in results)
     completed = sum(r.completed for r in results)
     return TenantScaleResult(
-        scheduler=scheduler,
         admission=admission,
         partitioning=partitioning,
         pool_policy=pool_policy,
@@ -2535,7 +2425,6 @@ def merge_tenant_shards(
         ),
         tenants=tenants,
         stream_buckets=len(stream.histogram) + keyed.buckets(),
-        occupancy=occupancy,
     )
 
 
@@ -2546,13 +2435,11 @@ def run_tenant_scale(
     compute_scale: float = 1.0,
     workers: int = 1 << 21,
     partitioning: str = "pinned",
-    scheduler: str = "wheel",
     admission: str = "batch",
     pool_policy: str = "queue",
     start_model: str = "remote-fork",
     hybrid_threshold: int = 64,
     lease_check_interval_ns: int = ms(64),
-    granularity_bits: Union[int, str] = "auto",
     seed: int = 0x7E7A77,
     subbits: int = 8,
     shards: int = 1,
@@ -2577,7 +2464,6 @@ def run_tenant_scale(
     names = [spec.name for spec in specs]
     if len(set(names)) != len(names):
         raise ValueError(f"tenant names must be unique, got {names}")
-    validate_granularity_bits(granularity_bits)
     _validate_admission(admission)
     _validate_partitioning(partitioning)
     _validate_pool_policy(pool_policy, start_model, 0, hybrid_threshold)
@@ -2592,13 +2478,11 @@ def run_tenant_scale(
         specs=specs,
         workers=workers,
         partitioning=partitioning,
-        scheduler=scheduler,
         admission=admission,
         pool_policy=pool_policy,
         start_model=start_model,
         hybrid_threshold=hybrid_threshold,
         lease_check_interval_ns=lease_check_interval_ns,
-        granularity_bits=granularity_bits,
         seed=seed,
         subbits=subbits,
     )
@@ -2631,7 +2515,6 @@ def run_tenant_scale(
             raise RuntimeError(f"multi-tenant run failed: {failed[0].summary()}")
     return merge_tenant_shards(
         outcomes,
-        scheduler=scheduler or "heap",
         admission=admission,
         partitioning=partitioning,
         pool_policy=pool_policy,

@@ -199,6 +199,7 @@ def _execute_pairs(
     pool = ProcessPoolExecutor(
         max_workers=min(max_workers, len(chunks)), mp_context=context
     )
+    timed_out = False
     try:
         futures = [pool.submit(_worker_chunk, (chunk, with_perf)) for chunk in chunks]
         position = 0
@@ -209,6 +210,7 @@ def _execute_pairs(
                     raise BrokenProcessPool("pool already broken by an earlier crash")
                 outcomes = future.result(timeout=timeout_s)
             except FuturesTimeout:
+                timed_out = True
                 future.cancel()
                 outcomes = [
                     (
@@ -240,6 +242,10 @@ def _execute_pairs(
                 results[position] = (outcome, snapshot)
                 position += 1
     finally:
-        # Abandon stragglers (timeouts) rather than blocking on them.
-        pool.shutdown(wait=False, cancel_futures=True)
+        # Join the executor's manager thread, unless a chunk timed out:
+        # a straggler is abandoned rather than waited on.  A manager
+        # thread left running past this call can race the interpreter's
+        # exit hook, which then writes to its closed wake-up pipe
+        # ("OSError: [Errno 9] Bad file descriptor" at exit).
+        pool.shutdown(wait=not timed_out, cancel_futures=True)
     return results

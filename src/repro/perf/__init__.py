@@ -37,11 +37,6 @@ class Counters:
         "cache_misses",
         "cache_bytes_read",
         "cache_bytes_written",
-        "wheel_entries",
-        "heap_entries",
-        "wheel_cascades",
-        "wheel_overflow_inserts",
-        "wheel_reanchors",
         "shard_runs",
         "cold_spinups",
         "cold_reclaims",
@@ -72,17 +67,6 @@ class Counters:
         self.cache_bytes_read = 0
         #: Artifact bytes persisted on cache fills.
         self.cache_bytes_written = 0
-        #: Peak sampled timer-wheel residency (events owned by the O(1)
-        #: wheel paths of a WheelEnvironment) -- a gauge, not a total.
-        self.wheel_entries = 0
-        #: Peak sampled overflow-heap residency alongside the wheel.
-        self.heap_entries = 0
-        #: Level-1 buckets cascaded into level-0 slots.
-        self.wheel_cascades = 0
-        #: Scheduled entries that bypassed the wheel (beyond horizon).
-        self.wheel_overflow_inserts = 0
-        #: Granularity re-anchors performed by adaptive wheels.
-        self.wheel_reanchors = 0
         #: Shard simulations executed by the sharded scale engine.
         self.shard_runs = 0
         #: Sandbox spin-ups fired (cold starts that reached ready).
@@ -107,13 +91,7 @@ class Counters:
 
 
 #: Counters that are sampled gauges (peaks): merged with max, not sum.
-_GAUGES = frozenset(
-    {
-        "wheel_entries",
-        "heap_entries",
-        "leases_active_peak",
-    }
-)
+_GAUGES = frozenset({"leases_active_peak"})
 
 
 counters = Counters()

@@ -29,7 +29,6 @@ from repro.sim.process import Interrupt, InterruptedError_, Process
 from repro.sim.core import Environment, StopSimulation
 from repro.sim.resources import Container, FilterStore, Resource, Store
 from repro.sim.rng import RngStreams
-from repro.sim.wheel import SCHEDULERS, WheelEnvironment, new_environment
 
 __all__ = [
     "AllOf",
@@ -49,12 +48,9 @@ __all__ = [
     "Process",
     "Resource",
     "RngStreams",
-    "SCHEDULERS",
     "StopSimulation",
     "Store",
     "Timeout",
-    "WheelEnvironment",
-    "new_environment",
     "ms",
     "ns_to_ms",
     "ns_to_s",

@@ -131,14 +131,6 @@ class Environment:
         tuple, and entry ids are allocated in sequence order -- so the
         resulting pop order is exactly what per-event
         ``schedule_timeout`` calls in the same order would produce.
-
-        *callback* may also be a pre-built one-callback dispatch
-        descriptor (a tuple): it is then shared as-is across the whole
-        chunk, letting a fused kernel recognize the admitted events by
-        descriptor identity.
-
-        This heap implementation exists as the correctness baseline;
-        the timer wheel overrides it with a vectorized bucket sort.
         Returns the admitted events, in deadline order.
         """
         if getattr(times, "ndim", 1) != 1:
@@ -151,7 +143,7 @@ class Environment:
             raise ValueError(f"batch deadline {whens[0]} is in the past (now={now})")
         if any(b < a for a, b in zip(whens, whens[1:])):
             raise ValueError("batch deadlines must be non-decreasing")
-        shared = callback if callback.__class__ is tuple else (callback,)
+        shared = (callback,)
         events = [BatchEvent(self, shared) for _ in whens]
         eids = islice(self._eid, len(whens))
         queue = self._queue

@@ -10,12 +10,12 @@ separated by disjoint namespaces.
 from repro.core.leases import Lease
 from repro.core.resource_manager import LEASE_NAMESPACE_STRIDE, ResourceManager
 from repro.rdma.fabric import Fabric
-from repro.sim.wheel import new_environment
+from repro.sim.core import Environment
 
 
 def _grant_ids(n=5, lease_namespace=0):
     """Fresh env + manager, grant *n* leases, return their ids."""
-    env = new_environment("heap")
+    env = Environment()
     manager = ResourceManager(
         Fabric(env).attach("m"), name="m", lease_namespace=lease_namespace
     )
@@ -39,7 +39,7 @@ def test_repeat_runs_see_identical_ids():
 
 
 def test_denials_consume_no_ids():
-    env = new_environment("heap")
+    env = Environment()
     manager = ResourceManager(Fabric(env).attach("m"), name="m")
     manager.register_record("x0", host="x0", port=1, cores=2, memory_bytes=1 << 20)
     granted = manager.grant_lease({"client": "c", "cores": 2, "memory_bytes": 1 << 20}, None)

@@ -174,9 +174,9 @@ class TestManagerPickExecutor:
     def _manager(self):
         from repro.core.resource_manager import ResourceManager
         from repro.rdma.fabric import Fabric
-        from repro.sim.wheel import new_environment
+        from repro.sim.core import Environment
 
-        env = new_environment("heap")
+        env = Environment()
         manager = ResourceManager(Fabric(env).attach("m"), name="m")
         for name in ("e2", "e0", "e1"):
             manager.register_record(name, host=name, port=1, cores=4, memory_bytes=100)

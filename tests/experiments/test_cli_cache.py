@@ -89,24 +89,10 @@ def test_parallel_accepts_auto_and_integers():
         _parallel_workers("many")
 
 
-def test_granularity_bits_accepts_auto_and_valid_integers():
-    from argparse import ArgumentTypeError
-
-    from repro.experiments.__main__ import _granularity_bits
-
-    assert _granularity_bits("auto") == "auto"
-    assert _granularity_bits("AUTO") == "auto"
-    assert _granularity_bits("16") == 16
-    assert _granularity_bits("1") == 1
-    assert _granularity_bits("40") == 40
-    for bad in ("0", "-2", "41", "2.5", "fast"):
-        with pytest.raises(ArgumentTypeError):
-            _granularity_bits(bad)
-
-
-def test_granularity_bits_rejected_at_the_cli():
+def test_retired_wheel_flag_rejected_at_the_cli():
+    # The timer wheel and its slot-width flag are gone.
     with pytest.raises(SystemExit) as excinfo:
-        run_cli("scale", "--quick", "--granularity-bits", "nope")
+        run_cli("scale", "--quick", "--granularity-bits", "16")
     assert excinfo.value.code == 2
 
 

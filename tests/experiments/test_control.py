@@ -12,7 +12,7 @@ from repro.experiments.control import (
     run_control,
 )
 from repro.rdma.fabric import Fabric
-from repro.sim.wheel import new_environment
+from repro.sim.core import Environment
 
 #: Small enough that the per-event reference driver stays fast in CI.
 TINY = dict(executors=32, requests=400, deaths=6)
@@ -38,12 +38,6 @@ class TestDriverAgreement:
         assert kernel.fingerprint() == reference.fingerprint()
         assert kernel.counts["steals"] == 0
         assert kernel.counts["revives"] == 0
-
-    @pytest.mark.parametrize("engine", ["heap", "wheel"])
-    def test_engines_agree_per_driver(self, engine):
-        kernel = run_control(driver="kernel", engine=engine, **TINY)
-        reference = run_control(driver="reference", engine=engine, **TINY)
-        assert kernel.fingerprint() == reference.fingerprint()
 
     def test_verify_flag_runs_referee(self):
         result = run_control(driver="kernel", verify=True, **TINY)
@@ -111,17 +105,16 @@ class _RecordingConn:
         self.messages.append(dict(message))
 
 
-@pytest.mark.parametrize("engine", ["heap", "wheel"])
 class TestDeclareDeadAtScale:
     """Scale-shaped death handling on the real RPC manager: one node
     death terminates every hosted lease and announces each one to the
-    affected client, identically on both event engines."""
+    affected client."""
 
     EXECUTORS = 48
     LEASES = 96
 
-    def _build(self, engine):
-        env = new_environment(engine)
+    def _build(self):
+        env = Environment()
         manager = ResourceManager(Fabric(env).attach("m"), name="m")
         for i in range(self.EXECUTORS):
             manager.register_record(
@@ -136,8 +129,8 @@ class TestDeclareDeadAtScale:
             assert response["type"] == "lease_granted"
         return env, manager, conn
 
-    def _trace(self, engine):
-        env, manager, conn = self._build(engine)
+    def _trace(self):
+        env, manager, conn = self._build()
         victim = manager.executors["x007"]
         hosted = [lease.lease_id for lease in victim.leases]
         manager._handle_rpc({"type": "deregister_executor", "name": "x007"}, None)
@@ -155,8 +148,8 @@ class TestDeclareDeadAtScale:
         manager.kill()
         return trace
 
-    def test_death_terminates_and_announces_all_hosted_leases(self, engine):
-        trace = self._trace(engine)
+    def test_death_terminates_and_announces_all_hosted_leases(self):
+        trace = self._trace()
         assert len(trace["hosted"]) == self.LEASES // self.EXECUTORS
         # Every hosted lease announced, in the record's grant order.
         assert trace["announced"] == trace["hosted"]
@@ -167,12 +160,8 @@ class TestDeclareDeadAtScale:
         assert trace["leases_after_revive"] == 0
         assert trace["active_after"] == self.LEASES - len(trace["hosted"])
 
-    def test_trace_identical_across_engines(self, engine):
-        # Compare each engine's trace against the heap referee's.
-        assert self._trace(engine) == self._trace("heap")
-
-    def test_dead_node_excluded_until_revival(self, engine):
-        env, manager, conn = self._build(engine)
+    def test_dead_node_excluded_until_revival(self):
+        env, manager, conn = self._build()
         manager._handle_rpc({"type": "deregister_executor", "name": "x007"}, None)
         manager._rr_index = 7  # cursor parked on the dead node
         picked = manager._pick_executor(2, 1 << 30)

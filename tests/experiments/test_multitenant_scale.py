@@ -6,8 +6,8 @@ pinned or shared plan, the tenant reduced-event walk otherwise -- and
 the per-event referee FSM must agree on every simulated-domain output,
 here *per tenant*: outcome counts (SUCCESS / CONGESTION /
 DEADLINE_MISSED), exact sojourn totals, histogram-derived tails and
-peak backlog -- across both schedulers, and (unsaturated) a K-way
-shard split must merge back bit-identical to the 1-shard run.
+peak backlog -- and (unsaturated) a K-way shard split must merge back
+bit-identical to the 1-shard run.
 """
 
 from dataclasses import replace
@@ -15,11 +15,14 @@ from dataclasses import replace
 import pytest
 
 from repro import perf
+from repro.analysis.streams import KeyedStreamingSummary
 from repro.experiments.scale import (
     MultiTenantConfig,
+    TenantShardResult,
     _TenantWalk,
     _tenant_chunks,
     _tenant_pool_plan,
+    merge_tenant_shards,
     run_tenant_scale,
 )
 from repro.workloads.tenants import TenantSpec, standard_mix
@@ -48,12 +51,10 @@ def test_engines_bit_identical_across_partitionings(partitioning):
             run_tenant_scale(
                 specs=_specs(),
                 partitioning=partitioning,
-                scheduler=scheduler,
                 admission=admission,
                 **SATURATED,
             )
         )
-        for scheduler in ("heap", "wheel")
         for admission in ("per-event", "batch")
     ]
     assert all(out == outputs[0] for out in outputs[1:])
@@ -73,11 +74,9 @@ def test_engines_bit_identical_across_pool_policies(pool_policy):
             partitioning="overflow",
             pool_policy=pool_policy,
             hybrid_threshold=8,
-            scheduler=scheduler,
             admission=admission,
             **SATURATED,
         )
-        for scheduler in ("heap", "wheel")
         for admission in ("per-event", "batch")
     ]
     assert all(_outputs(r) == _outputs(results[0]) for r in results[1:])
@@ -117,7 +116,7 @@ def test_benchmark_cell_matches_the_referee():
     finally:
         perf.disable()
     moved = perf.delta(before, perf.snapshot())
-    referee = run_tenant_scale(scheduler="heap", admission="per-event", **kwargs)
+    referee = run_tenant_scale(admission="per-event", **kwargs)
     assert _outputs(fifo) == _outputs(referee)
     assert fifo.completed == 20_000 and fifo.queued > 5_000
     assert moved["fifo_block_arrivals"] + moved["fifo_step_arrivals"] == 20_000
@@ -149,6 +148,36 @@ def test_per_tenant_outcome_conservation_and_stats():
     assert total_arrived == result.invocations
     assert result.events_processed > 0
     assert "(all)" in result.table().render()
+
+
+def test_all_tenant_summary_merges_the_tenant_parts():
+    """Each sojourn is histogrammed once, under its tenant: the
+    all-tenant summary is the exact merge of the tenants' parts."""
+    result = run_tenant_scale(specs=_specs(), partitioning="overflow", shards=2, **SATURATED)
+    parts = [t for t in result.tenants.values() if t.latency is not None]
+    dispatched = sum(t.dispatched for t in parts)
+    assert result.latency.count == dispatched == result.completed
+    assert result.latency.mean == sum(t.sojourn_total for t in parts) / dispatched
+    assert result.latency.minimum == min(t.latency.minimum for t in parts)
+    assert result.latency.maximum == max(t.latency.maximum for t in parts)
+    low = min(t.latency.median for t in parts)
+    high = max(t.latency.median for t in parts)
+    assert low <= result.latency.median <= high
+
+
+def test_merge_without_dispatched_sojourns_fails():
+    empty = TenantShardResult(
+        shard=0, shards=1, names=["a"], invocations=1, completed=0,
+        arrived_by=[1], dispatched_by=[0], missed_by=[0], congested_by=[1],
+        queued_by=[0], cold_by=[0], max_backlog_by=[0], sojourn_totals=[0],
+        sojourn_total=0, events_processed=1, wall_s=0.0, peak_rss_bytes=0,
+        final_now_ns=0, timeout_pool_hits=0, keyed=KeyedStreamingSummary(),
+    )
+    with pytest.raises(ValueError):
+        merge_tenant_shards(
+            [empty], admission="batch", partitioning="pinned", pool_policy="queue",
+            workers=1, wall_s=0.0,
+        )
 
 
 def test_tenant_chunks_shard_union_is_global_stream():

@@ -17,47 +17,39 @@ from repro.workloads.tenants import standard_mix
 
 
 @pytest.fixture(scope="module")
-def quick_runs():
-    """One CI-sized run per scheduler (shared: the runs are the cost)."""
-    return {
-        scheduler: run_scale(scheduler=scheduler, **QUICK_KWARGS)
-        for scheduler in ("heap", "wheel")
-    }
+def quick_run():
+    """One CI-sized default-engine run (shared: the run is the cost)."""
+    return run_scale(**QUICK_KWARGS)
 
 
-def test_fingerprints_identical_across_schedulers(quick_runs):
-    """The tentpole invariant: same simulated outputs, bit for bit."""
-    assert quick_runs["heap"].fingerprint() == quick_runs["wheel"].fingerprint()
+def test_all_invocations_complete(quick_run):
+    result = quick_run
+    assert result.completed == result.invocations == QUICK_KWARGS["invocations"]
+    assert result.final_now_ns > 0
+    assert result.events_per_sec > 0
 
 
-def test_all_invocations_complete(quick_runs):
-    for result in quick_runs.values():
-        assert result.completed == result.invocations == QUICK_KWARGS["invocations"]
-        assert result.final_now_ns > 0
-        assert result.events_per_sec > 0
-
-
-def test_quick_config_exercises_backlog(quick_runs):
+def test_quick_config_exercises_backlog(quick_run):
     """The CI sizing must saturate the pool so the FIFO path is covered."""
-    result = quick_runs["heap"]
+    result = quick_run
     assert result.queued > 0
     assert result.max_backlog > 0
     assert result.queued <= result.invocations
 
 
-def test_streaming_memory_is_bounded(quick_runs):
-    for result in quick_runs.values():
-        # Latencies span ~10 octaves; buckets must be nowhere near n.
-        assert result.stream_buckets < 5_000
-        assert result.latency.count == result.invocations
-        assert 0 < result.latency.median <= result.latency.p95 <= result.latency.p99
-        assert result.peak_rss_bytes > 0
+def test_streaming_memory_is_bounded(quick_run):
+    result = quick_run
+    # Latencies span ~10 octaves; buckets must be nowhere near n.
+    assert result.stream_buckets < 5_000
+    assert result.latency.count == result.invocations
+    assert 0 < result.latency.median <= result.latency.p95 <= result.latency.p99
+    assert result.peak_rss_bytes > 0
 
 
-def test_events_dominated_by_lease_renewals(quick_runs):
+def test_events_dominated_by_lease_renewals(quick_run):
     """Every invocation costs one arrival, >=1 lease event; long services
     re-arm periodically, so events exceed 2x invocations."""
-    result = quick_runs["heap"]
+    result = quick_run
     assert result.events_processed > 2 * result.invocations
 
 
@@ -65,16 +57,16 @@ def test_per_event_engine_exercises_timeout_pool():
     """The per-event driver allocates no Timeouts: one BatchEvent is
     re-scheduled from arrival to arrival at ``_ARRIVAL_PRIO`` and every
     lease timer is a BatchEvent, so the timeout pool is never touched.
-    The default engine walks no scheduler at all.  Both must agree."""
-    result = run_scale(scheduler="heap", admission="per-event", **QUICK_KWARGS)
+    The default engine walks no event calendar at all.  Both must agree."""
+    result = run_scale(admission="per-event", **QUICK_KWARGS)
     assert result.timeout_pool_hits == 0
-    batch = run_scale(scheduler="heap", admission="batch", **QUICK_KWARGS)
+    batch = run_scale(admission="batch", **QUICK_KWARGS)
     assert batch.timeout_pool_hits == 0
     assert batch.fingerprint() == result.fingerprint()
 
 
-def test_table_renders(quick_runs):
-    text = quick_runs["wheel"].table().render()
+def test_table_renders(quick_run):
+    text = quick_run.table().render()
     assert "invocations" in text
     assert "events/sec" in text
 
@@ -137,6 +129,6 @@ def test_service_draws_match_the_recipe(size):
 
 def test_bench_run_records_host_cost():
     """Every bench scale record carries its minor faults and system time."""
-    record = _scale_once("wheel", quick=True)
+    record = _scale_once(quick=True)
     assert record["minor_faults"] >= 0 and record["sys_s"] >= 0.0
     assert record["fingerprint"] == run_scale(**QUICK_KWARGS).fingerprint()

@@ -4,8 +4,7 @@ The acceptance contract: under ``pool_policy`` in {cold, hybrid} the
 default engine -- the reduced-event walk, which builds no environment
 -- and the per-event heap referee must produce bit-identical
 fingerprints across arrival shapes, keepalive on and off, dense-gap
-saturation, and K-shard decompositions; the per-event referee must
-also agree with itself across wheel geometries.  Plus the knob
+saturation, and K-shard decompositions.  Plus the knob
 validation boundary, the coldstart harness, and the bench guard's
 cold checks.  Exact same-instant ties are covered by
 ``test_scale_ties.py``.
@@ -37,9 +36,9 @@ def _fp(**kwargs):
 
 
 def _two_way(**kwargs):
-    heap = _fp(scheduler="heap", admission="per-event", **kwargs)
-    wheel = _fp(scheduler="wheel", admission="batch", **kwargs)
-    assert heap == wheel
+    heap = _fp(admission="per-event", **kwargs)
+    default = _fp(admission="batch", **kwargs)
+    assert heap == default
     return heap
 
 
@@ -89,23 +88,6 @@ def test_keepalive_reclaims_match_referee(policy):
     assert fp["cold_retained"] > 0
 
 
-def test_keepalive_identity_under_pinned_geometry():
-    # Per-event runs on the wheel are the only scale path whose
-    # geometry still matters: a pinned coarse geometry and the
-    # adaptive one must agree with the heap referee and the walk.
-    kwargs = dict(
-        invocations=4_000, workers=256, mean_arrival_gap_ns=us(5),
-        service_log_mean=16.0, arrival_shape="bursty", pool_policy="hybrid",
-        hybrid_threshold=8, start_model="remote-fork", keepalive_ns=ms(5),
-    )
-    auto = _fp(scheduler="wheel", admission="per-event", granularity_bits="auto", **kwargs)
-    pinned = _fp(scheduler="wheel", admission="per-event", granularity_bits=24, **kwargs)
-    heap = _fp(scheduler="heap", admission="per-event", **kwargs)
-    walk = _fp(**kwargs)
-    assert auto == pinned == heap == walk
-    assert auto["cold_reclaimed"] > 0
-
-
 def test_cold_identity_mixed_warm_and_cold():
     # Pool dips in and out of dryness: warm leases, backlog pops and
     # spin-ups interleave at the same nanoseconds.
@@ -122,8 +104,8 @@ def test_queue_policy_unchanged_by_cold_machinery():
     base.pop("pool_policy")
     base.pop("start_model")
     base.pop("keepalive_ns")
-    legacy = _fp(scheduler="wheel", admission="batch", **base)
-    queued = _fp(scheduler="wheel", admission="batch", pool_policy="queue", **base)
+    legacy = _fp(**base)
+    queued = _fp(pool_policy="queue", **base)
     assert legacy == queued
     assert queued["cold_starts"] == 0
 

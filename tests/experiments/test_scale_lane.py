@@ -32,7 +32,7 @@ def _fp(**kwargs):
 @pytest.mark.parametrize("load", [SATURATED, UNSATURATED], ids=["saturated", "unsaturated"])
 def test_lane_identity_across_shapes(shape, load):
     kwargs = dict(load, arrival_shape=shape)
-    heap = _fp(scheduler="heap", admission="per-event", **kwargs)
+    heap = _fp(admission="per-event", **kwargs)
     default = _fp(**kwargs)
     assert default == heap
     assert (heap["queued"] > 0) == (load is SATURATED)
@@ -40,12 +40,11 @@ def test_lane_identity_across_shapes(shape, load):
 
 def test_default_engine_walks_no_events():
     result = run_scale(**SATURATED)
-    referee = run_scale(scheduler="wheel", admission="per-event", **SATURATED)
-    # No environment: no scheduler occupancy, no pooled timers -- yet
-    # the closed-form event count is the event engine's.
+    referee = run_scale(admission="per-event", **SATURATED)
+    # No environment: no pooled timers -- yet the closed-form event
+    # count is the event engine's.
     assert result.occupancy == {}
     assert result.timeout_pool_hits == 0
-    assert referee.occupancy
     assert result.events_processed == referee.events_processed
 
 
@@ -56,7 +55,7 @@ def test_shard_invariance_with_lane():
     # integer totals, so no float tolerance).
     default = run_scale_sharded(shards=2, parallel=1, **SATURATED).fingerprint()
     heap = run_scale_sharded(
-        shards=2, parallel=1, scheduler="heap", admission="per-event", **SATURATED
+        shards=2, parallel=1, admission="per-event", **SATURATED
     ).fingerprint()
     assert default == heap
     assert default["queued"] > 0
@@ -98,7 +97,4 @@ def test_profile_archives_to_path(tmp_path):
 
 def test_profile_rejected_on_sharded_path():
     with pytest.raises(ValueError, match="single-shard"):
-        run_scale(
-            scheduler="wheel", admission="batch", profile=True,
-            shards=2, **UNSATURATED,
-        )
+        run_scale(admission="batch", profile=True, shards=2, **UNSATURATED)

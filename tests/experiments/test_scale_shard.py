@@ -113,8 +113,6 @@ def test_batch_auto_invariant_across_shard_counts(shape):
             arrival_shape=shape,
             shards=shards,
             parallel=1,
-            scheduler="wheel",
-            granularity_bits="auto",
             admission="batch",
             **UNSATURATED,
         ).fingerprint()
@@ -125,8 +123,6 @@ def test_batch_auto_invariant_across_shard_counts(shape):
         arrival_shape=shape,
         shards=2,
         parallel=1,
-        scheduler="wheel",
-        granularity_bits="auto",
         admission="per-event",
         **UNSATURATED,
     )

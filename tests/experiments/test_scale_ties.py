@@ -42,12 +42,7 @@ def _feed(monkeypatch, times, services):
 #: lease ends exactly on the second arrival.
 _HAND_BUILT = ([0, ms(1), ms(1) + ms(1) // 2], [ms(1)] * 3)
 
-_ENGINES = [
-    ("heap", "per-event"),
-    ("wheel", "per-event"),
-    ("heap", "batch"),
-    ("wheel", "batch"),
-]
+_ADMISSIONS = ["per-event", "batch"]
 
 
 @pytest.mark.parametrize("policy", ["queue", "cold", "hybrid"])
@@ -56,9 +51,9 @@ def test_completion_at_an_arrival_instant_fires_first(monkeypatch, policy):
     fps = [
         run_scale(
             invocations=3, workers=1, pool_policy=policy, hybrid_threshold=1,
-            start_model="remote-fork", scheduler=scheduler, admission=admission,
+            start_model="remote-fork", admission=admission,
         ).fingerprint()
-        for scheduler, admission in _ENGINES
+        for admission in _ADMISSIONS
     ]
     assert all(fp == fps[0] for fp in fps[1:])
     fp = fps[0]
@@ -121,7 +116,7 @@ def on_grid(monkeypatch):
 def _default_vs_referee(run, **kwargs):
     """Results of the default engine and the heap referee, fingerprints equal."""
     default = run(**kwargs)
-    referee = run(scheduler="heap", admission="per-event", **kwargs)
+    referee = run(admission="per-event", **kwargs)
     assert default.fingerprint() == referee.fingerprint()
     return default, referee
 

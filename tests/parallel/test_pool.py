@@ -1,6 +1,8 @@
 """Engine correctness: RunSpec round-trips, ordering, failures, perf merge."""
 
 import pickle
+import threading
+import time
 
 import pytest
 
@@ -122,10 +124,30 @@ def test_timeout_yields_failed_point():
         RunSpec("tests.parallel.factories:sleepy", {"seconds": 30}, index=0, label="slow"),
         RunSpec("tests.parallel.factories:double", {"x": 4}, index=1),
     ]
+    started = time.perf_counter()
     results = run_specs(specs, 2, timeout_s=1.0)
+    # The 30 s straggler is abandoned, not waited on.
+    assert time.perf_counter() - started < 15
     assert isinstance(results[0], FailedPoint)
     assert results[0].error_type == "TimeoutError"
     assert results[1] == 8
+
+
+def _manager_threads():
+    return {
+        thread
+        for thread in threading.enumerate()
+        if type(thread).__name__ == "_ExecutorManagerThread" and thread.is_alive()
+    }
+
+
+def test_pool_manager_thread_joined_on_return():
+    """A clean run leaves no executor manager thread behind: one that
+    outlives run_specs can write to its closed wake-up pipe at exit."""
+    before = _manager_threads()  # e.g. an abandoned straggler's
+    specs = [RunSpec("tests.parallel.factories:double", {"x": x}, index=x) for x in range(4)]
+    assert run_specs(specs, 2) == [0, 2, 4, 6]
+    assert _manager_threads() - before == set()
 
 
 def test_parallel_runs_in_separate_processes():

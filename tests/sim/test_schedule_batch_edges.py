@@ -1,21 +1,18 @@
-"""``schedule_batch`` edge cases, on both the heap and wheel engines.
+"""``Environment.schedule_batch``: edge cases and per-event equivalence.
 
-The hardening satellite: empty chunks, single elements, all-equal
-timestamps, chunks landing exactly at ``now``, chunks in the past, and
-non-1-D inputs must behave identically on ``Environment`` (the
-correctness baseline) and ``WheelEnvironment`` (the vectorized
-override) -- errors included.
+Empty chunks, single elements, all-equal timestamps, chunks landing
+exactly at ``now``, chunks in the past and non-1-D inputs, plus the
+admission contract: a batch must pop exactly like per-event admission
+of the same deadline stream.
 """
+
+import random
 
 import numpy as np
 import pytest
 
 from repro.sim.core import Environment
-from repro.sim.wheel import WheelEnvironment
-
-
-def _envs():
-    return [Environment(), WheelEnvironment(), WheelEnvironment(granularity_bits="auto")]
+from repro.sim.events import BatchEvent
 
 
 def _fire_all(env, times):
@@ -29,8 +26,8 @@ def _fire_all(env, times):
     return events, fired
 
 
-@pytest.mark.parametrize("env", _envs())
-def test_empty_chunk_is_a_noop(env):
+def test_empty_chunk_is_a_noop():
+    env = Environment()
     events = env.schedule_batch(np.empty(0, dtype=np.int64), lambda e: None)
     assert events == []
     assert env.peek() is None
@@ -38,16 +35,16 @@ def test_empty_chunk_is_a_noop(env):
     assert next(env._eid) == 0
 
 
-@pytest.mark.parametrize("env", _envs())
-def test_single_element_chunk(env):
+def test_single_element_chunk():
+    env = Environment()
     events, fired = _fire_all(env, np.array([1_234], dtype=np.int64))
     assert len(events) == 1
     assert fired == [1_234]
     assert env.now == 1_234
 
 
-@pytest.mark.parametrize("env", _envs())
-def test_all_equal_timestamps_fire_in_admission_order(env):
+def test_all_equal_timestamps_fire_in_admission_order():
+    env = Environment()
     order = []
 
     def make(tag):
@@ -63,8 +60,8 @@ def test_all_equal_timestamps_fire_in_admission_order(env):
     assert order == list(range(8))
 
 
-@pytest.mark.parametrize("env", _envs())
-def test_chunk_exactly_at_now_fires_immediately(env):
+def test_chunk_exactly_at_now_fires_immediately():
+    env = Environment()
     # Advance the clock first, then admit a chunk entirely at `now`.
     env.timeout(700)
     env.run()
@@ -73,8 +70,8 @@ def test_chunk_exactly_at_now_fires_immediately(env):
     assert fired == [700, 700, 700]
 
 
-@pytest.mark.parametrize("env", _envs())
-def test_chunk_in_the_past_rejected(env):
+def test_chunk_in_the_past_rejected():
+    env = Environment()
     env.timeout(1_000)
     env.run()
     with pytest.raises(ValueError, match="past"):
@@ -84,22 +81,59 @@ def test_chunk_in_the_past_rejected(env):
         env.schedule_batch(np.array([2_000, 1_500], dtype=np.int64), lambda e: None)
 
 
-@pytest.mark.parametrize("env", _envs())
-def test_non_1d_chunk_rejected(env):
+def test_non_1d_chunk_rejected():
+    env = Environment()
     with pytest.raises(ValueError, match="1-D"):
         env.schedule_batch(np.array([[1, 2], [3, 4]], dtype=np.int64), lambda e: None)
 
 
-def test_batch_pop_order_identical_across_engines():
-    times = np.sort(np.random.default_rng(9).integers(1, 10_000, 500)).astype(np.int64)
-    results = []
-    for env in _envs():
-        fired = []
+def test_batch_validation_rejects_bad_streams():
+    env = Environment()
+    env._now = 1_000
+    with pytest.raises(ValueError, match="past"):
+        env.schedule_batch(np.asarray([500, 1_500], dtype=np.int64), lambda e: None)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        env.schedule_batch(np.asarray([2_000, 1_500], dtype=np.int64), lambda e: None)
+    # A rejected chunk admits nothing.
+    assert env.peek() is None
+    assert env.schedule_batch(np.asarray([], dtype=np.int64), lambda e: None) == []
 
-        def on_fire(event):
-            fired.append(env.now)
 
-        env.schedule_batch(times, on_fire)
-        env.run()
-        results.append(fired)
-    assert results[0] == results[1] == results[2]
+# -- batch admission == per-event admission ----------------------------
+
+
+def _drain_admitted(times, batch):
+    """Admit *times* (batch or per-event), run, return the firing record.
+
+    Per-event admission uses the same shared-descriptor BatchEvent and
+    the same eid-per-deadline order ``schedule_batch`` allocates.
+    """
+    env = Environment()
+    fired = []
+
+    def callback(event):
+        fired.append((env.now, event._value))
+
+    if batch:
+        events = env.schedule_batch(np.asarray(times, dtype=np.int64), callback)
+    else:
+        shared = (callback,)
+        events = []
+        for when in times:
+            event = BatchEvent(env, shared)
+            env.schedule_timeout(event, when - env.now)
+            events.append(event)
+    for index, event in enumerate(events):
+        event._value = index
+    env.run()
+    return fired
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_batch_admission_identical_to_per_event(seed):
+    rng = random.Random(seed)
+    # Duplicates and a heavy tail.
+    times = sorted(rng.randrange(1, 400_000) for _ in range(600))
+    per_event = _drain_admitted(times, batch=False)
+    assert len(per_event) == len(times)
+    assert _drain_admitted(times, batch=True) == per_event
