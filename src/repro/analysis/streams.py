@@ -381,8 +381,9 @@ class StreamingSummary:
         any order or grouping; the Welford moments use Chan's formulas,
         which are exact in real arithmetic and reassociate only within
         float rounding -- callers that need bit-stable output (the
-        sharded scale engine) fold in a fixed order, which this helper
-        guarantees by consuming *parts* sequentially.
+        multi-tenant scale engine's all-tenant summary) fold in a fixed
+        order, which this helper guarantees by consuming *parts*
+        sequentially.
         """
         parts = list(parts)
         if not parts:
@@ -429,8 +430,8 @@ class KeyedStreamingSummary:
     """A map of :class:`StreamingSummary` accumulators, one per key.
 
     The multi-tenant scale engine records every tenant's sojourns into
-    its own accumulator and folds per-shard maps back together.  The
-    keyed merge keeps the component guarantees: histogram counts,
+    its own accumulator and merges the parts into its all-tenant
+    summary.  The keyed merge keeps the component guarantees: histogram counts,
     min/max and sample counts fold exactly under any grouping of
     shards (keys union; a key absent from a shard contributes
     nothing), so per-key quantiles are bit-stable however the scenario

@@ -12,14 +12,12 @@ Usage::
     python -m repro.experiments cache verify --sample 5
     python -m repro.experiments bench --json BENCH_PR1.json --label pr1
     python -m repro.experiments bench --quick --parallel 2
-    python -m repro.experiments scale --shards 4 --parallel auto
     python -m repro.experiments scale --arrival-shape diurnal --quick
     python -m repro.experiments scale --quick --admission per-event
     python -m repro.experiments bench --ten-million --json BENCH_PR6.json --label pr6
     python -m repro.experiments control --quick --verify
     python -m repro.experiments control --driver reference --no-churn
     python -m repro.experiments multitenant --quick --partitioning shared
-    python -m repro.experiments multitenant --shards 4 --parallel auto
 
 ``--parallel N`` fans independent work out across N worker processes
 via :mod:`repro.parallel` (``auto`` or ``0`` = one per usable CPU,
@@ -43,15 +41,10 @@ sample of entries and diffs them against the stored artifacts).
 wall-clock measurement would defeat the point -- but measures the
 cache's own cold-vs-warm speedup as ``cache_batch``.
 
-``--shards K`` decomposes the ``scale`` scenario into K deterministic
-shards (see :mod:`repro.experiments.scale`); merged results are
-bit-identical for every ``--parallel`` value.  A single ``scale`` run
-fans its shards out over ``--parallel`` workers directly; in an
-``all`` batch the outer pool already owns the workers, so shards run
-serially inside scale's worker.  ``--arrival-shape`` picks the arrival
-process (``poisson``, ``bursty``, ``diurnal``) and ``--shard-split``
-the decomposition (``partition`` = exact thinning of the global
-stream, ``thin`` = independent per-shard streams at rate/K).
+``--arrival-shape`` picks the ``scale`` arrival process (``poisson``,
+``bursty``, ``diurnal``; see :mod:`repro.experiments.scale`).  Every
+``scale`` and ``multitenant`` run is one scenario driven in one
+process; ``--parallel`` fans out whole experiments, never parts of one.
 """
 
 from __future__ import annotations
@@ -172,27 +165,10 @@ def main(argv: list[str] | None = None) -> int:
         "('auto' or 0 = one per usable CPU, 1 = serial; default 1)",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="K",
-        help="for 'scale': decompose the scenario into K deterministic "
-        "shards (merged result is identical for every --parallel); "
-        "for 'bench': shard count of the scale_sharded entry (default 2)",
-    )
-    parser.add_argument(
         "--arrival-shape",
         choices=("poisson", "bursty", "diurnal"),
         default="poisson",
         help="for 'scale': arrival process shape (default poisson)",
-    )
-    parser.add_argument(
-        "--shard-split",
-        choices=("partition", "thin"),
-        default="partition",
-        help="for 'scale': shard decomposition -- 'partition' thins the "
-        "global stream exactly, 'thin' draws independent per-shard "
-        "streams at rate/K (default partition)",
     )
     parser.add_argument(
         "--admission",
@@ -211,11 +187,10 @@ def main(argv: list[str] | None = None) -> int:
         const=True,
         default=None,
         metavar="FILE",
-        help="for 'scale' (any --pool-policy): wrap the drive loop in "
-        "cProfile and print the top-25 cumulative entries; with FILE, "
-        "also dump pstats to FILE and the text report to FILE.txt "
-        "(single-shard poisson path only; other paths refuse with a "
-        "pointer instead of silently ignoring the flag)",
+        help="for 'scale' (any --pool-policy or --arrival-shape): wrap "
+        "the drive loop in cProfile and print the top-25 cumulative "
+        "entries; with FILE, also dump pstats to FILE and the text "
+        "report to FILE.txt",
     )
     parser.add_argument(
         "--pool-policy",
@@ -283,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--ten-million",
         action="store_true",
-        help="for 'bench': also run the 10^7-invocation single-shard "
+        help="for 'bench': also run the 10^7-invocation "
         "stress scenario (several minutes; records speedup, "
         "bit-identity, and the RSS guard verdict as 'scale_10m')",
     )
@@ -358,10 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.experiments.bench import check_regression, run_bench, show, write_bench
 
         results = run_bench(
-            quick=args.quick,
-            parallel=args.parallel,
-            shards=args.shards if args.shards is not None else 2,
-            ten_million=args.ten_million,
+            quick=args.quick, parallel=args.parallel, ten_million=args.ten_million
         )
         show(results)
         if args.json:
@@ -398,12 +370,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     scale_overrides: dict = {}
-    if args.shards is not None:
-        scale_overrides["shards"] = args.shards
     if args.arrival_shape != "poisson":
         scale_overrides["arrival_shape"] = args.arrival_shape
-    if args.shard_split != "partition":
-        scale_overrides["shard_split"] = args.shard_split
     if args.admission != "batch":
         scale_overrides["admission"] = args.admission
     if args.profile is not None:
@@ -444,8 +412,6 @@ def main(argv: list[str] | None = None) -> int:
     multitenant_overrides: dict = {}
     if args.partitioning is not None:
         multitenant_overrides["partitioning"] = args.partitioning
-    if args.shards is not None:
-        multitenant_overrides["shards"] = args.shards
     if args.admission != "batch":
         multitenant_overrides["admission"] = args.admission
     if args.pool_policy is not None:
@@ -456,22 +422,6 @@ def main(argv: list[str] | None = None) -> int:
         multitenant_overrides["hybrid_threshold"] = args.hybrid_threshold
 
     cache = _open_cache(args) if args.cache else None
-    outer_workers = args.parallel
-    if scale_overrides and not batch:
-        # A sharded single 'scale' run owns the fan-out itself: the
-        # shards go through repro.parallel directly (with per-shard
-        # cache keys), so the outer dispatch stays inline rather than
-        # nesting a pool inside a pool worker.
-        scale_overrides["parallel"] = args.parallel
-        if cache is not None:
-            scale_overrides["cache_dir"] = str(cache.root)
-        outer_workers = 1
-    if multitenant_overrides and not batch and targets == ["multitenant"]:
-        # Same inline-fan-out rule for a sharded multitenant run.
-        multitenant_overrides["parallel"] = args.parallel
-        if cache is not None:
-            multitenant_overrides["cache_dir"] = str(cache.root)
-        outer_workers = 1
     batch_started = time.perf_counter()
     outcomes = run_specs(
         _batch_specs(
@@ -482,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
             coldstart_overrides,
             multitenant_overrides,
         ),
-        outer_workers,
+        args.parallel,
         cache=cache,
     )
     batch_wall = time.perf_counter() - batch_started

@@ -608,8 +608,6 @@ def bench_coldstart_ten_million(max_rss_growth: float = 0.20) -> dict[str, Any]:
 def _multitenant_once(
     admission: str,
     quick: bool = False,
-    shards: int = 1,
-    parallel: int = 1,
     partitioning: str = "pinned",
     overrides: Optional[dict[str, Any]] = None,
 ) -> dict[str, Any]:
@@ -623,11 +621,7 @@ def _multitenant_once(
         kwargs.update(overrides)
     result, host = _host_cost(
         lambda: run_multitenant_scale(
-            admission=admission,
-            shards=shards,
-            parallel=parallel,
-            partitioning=partitioning,
-            **kwargs,
+            admission=admission, partitioning=partitioning, **kwargs
         )
     )
     return {
@@ -641,7 +635,6 @@ def _multitenant_once(
         "stream_buckets": result.stream_buckets,
         "partitioning": partitioning,
         "admission": admission,
-        "shards": shards,
         "miss_rates": {name: t.miss_rate for name, t in result.tenants.items()},
         "congestion_rates": {
             name: t.congestion_rate for name, t in result.tenants.items()
@@ -746,10 +739,7 @@ def bench_multitenant(quick: bool = False) -> dict[str, Any]:
     the same 10^6-invocation three-tenant scenario (pinned
     partitioning): ``speedup`` is the wall-clock ratio and
     ``bit_identical`` demands every per-tenant outcome count and
-    sojourn fingerprint agree.  ``shard_identical`` re-runs the
-    default engine split 2 ways and demands the merged
-    fingerprint match the 1-shard run exactly (the scenario is
-    unsaturated by construction).  ``isolation`` carries the 2x2
+    sojourn fingerprint agree.  ``isolation`` carries the 2x2
     {pinned, shared} x {calm, aggressor} matrix demonstrating the
     isolation spectrum.
     """
@@ -765,11 +755,9 @@ def bench_multitenant(quick: bool = False) -> dict[str, Any]:
             raise RuntimeError(f"multitenant bench failed: {outcome.summary()}")
         runs[key] = outcome
     heap, default = runs["heap"], runs["wheel"]
-    sharded = _multitenant_once("batch", quick=quick, shards=2, parallel=2)
     record = {
         "heap": heap,
         "wheel": default,
-        "sharded": sharded,
         "invocations": default["invocations"],
         "workers": default["workers"],
         "events_processed": default["events_processed"],
@@ -785,13 +773,12 @@ def bench_multitenant(quick: bool = False) -> dict[str, Any]:
             else 0.0
         ),
         "bit_identical": heap["fingerprint"] == default["fingerprint"],
-        "shard_identical": sharded["fingerprint"] == default["fingerprint"],
         "isolation": _multitenant_isolation(quick),
     }
     return record
 
 
-#: The 10^7-invocation single-shard stress scenario: arrivals come 2x
+#: The 10^7-invocation stress scenario: arrivals come 2x
 #: faster than the paper-scale default but the pool is twice as deep,
 #: so the run stays *unsaturated* (~10^6 in-flight leases at peak, the
 #: same order as the saturated 10^6 scenario) -- memory stays within
@@ -804,7 +791,7 @@ TEN_MILLION_KWARGS = {
 
 
 def bench_scale_ten_million(max_rss_growth: float = 0.20) -> dict[str, Any]:
-    """10^7 invocations on one shard: the acceptance stress run.
+    """10^7 invocations in one run: the acceptance stress run.
 
     Same shape as :func:`bench_scale` (heap referee vs default engine;
     forked processes, bit-identity required), an order of magnitude
@@ -830,59 +817,6 @@ def bench_scale_ten_million(max_rss_growth: float = 0.20) -> dict[str, Any]:
             "within_rss_guard": bool(rss_ratio <= 1.0 + max_rss_growth),
         }
     )
-    return record
-
-
-def bench_scale_sharded(
-    quick: bool = False,
-    shards: int = 2,
-    parallel: int = 0,
-    single: Optional[dict[str, Any]] = None,
-) -> dict[str, Any]:
-    """The sharded scale engine vs. the single-process default engine.
-
-    Decomposes the same scenario :func:`bench_scale` just timed on the
-    default engine (the run record *single*) into *shards* and fans
-    them out.  Dispatch is forced through forked
-    workers (``max(2, resolved)``) even on one CPU, so ``peak_rss_bytes``
-    is the per-shard worker high-water mark, attributable to one shard
-    rather than to the whole bench process.
-
-    ``speedup_vs_single`` is merged sharded events/sec over the
-    single-process events/sec from the same bench run.  On a
-    single usable CPU the fan-out serializes behind fork + IPC overhead,
-    so the entry is flagged ``speedup_representative: false`` -- the
-    committed number documents the environment, it does not pretend to
-    a speedup the hardware cannot show.
-    """
-    from repro.experiments.scale import QUICK_KWARGS, run_scale_sharded
-
-    kwargs = dict(QUICK_KWARGS) if quick else {}
-    cpus = available_workers()
-    dispatch_workers = max(2, resolve_workers(parallel))
-    result = run_scale_sharded(shards=shards, parallel=dispatch_workers, **kwargs)
-    single_rate = float((single or {}).get("events_per_sec") or 0.0)
-    record = {
-        "shards": shards,
-        "workers": dispatch_workers,
-        "cpus_available": cpus,
-        "invocations": result.invocations,
-        "events_processed": result.events_processed,
-        "wall_s": result.wall_s,
-        "serial_wall_s": result.serial_wall_s,
-        "shard_walls_s": result.shard_walls_s,
-        "events_per_sec": round(result.events_per_sec),
-        "peak_rss_bytes": result.peak_rss_bytes,
-        "stream_buckets": result.stream_buckets,
-        "fingerprint": result.fingerprint(),
-        "speedup_vs_single": result.events_per_sec / single_rate if single_rate else 0.0,
-        "speedup_representative": cpus > 1,
-    }
-    if cpus <= 1:
-        record["note"] = (
-            "sharded fan-out measured with 1 usable CPU: shards serialize "
-            "behind fork+IPC overhead; speedup_vs_single is not representative"
-        )
     return record
 
 
@@ -996,13 +930,13 @@ def bench_cache_batch(
 
 
 def run_bench(
-    quick: bool = False, parallel: int = 1, shards: int = 2, ten_million: bool = False
+    quick: bool = False, parallel: int = 1, ten_million: bool = False
 ) -> dict[str, Any]:
     """Run all three hot-loop benchmarks; returns a JSON-ready dict.
 
-    Every entry records its execution environment (``shards``,
-    ``workers``, ``cpus_available``) so trajectory comparisons know
-    which entries were measured under comparable decompositions.
+    Every entry records its execution environment (``workers``,
+    ``cpus_available``) so trajectory comparisons know which entries
+    were measured on comparable hosts.
     *ten_million* additionally runs the 10^7-invocation stress scenario
     (several minutes of wall clock; meant for recorded trajectory
     entries, not CI quick runs).  ``perf_counters`` covers every entry:
@@ -1025,18 +959,12 @@ def run_bench(
         results["control_plane"] = bench_control(quick)
         results["coldstart"] = bench_coldstart(quick)
         results["multitenant"] = bench_multitenant(quick)
-        if shards > 1:
-            results["scale_sharded"] = bench_scale_sharded(
-                quick, shards=shards, parallel=parallel,
-                single=results["scale_openloop"]["wheel"],
-            )
         if ten_million:
             results["scale_10m"] = bench_scale_ten_million()
             results["coldstart_10m"] = bench_coldstart_ten_million()
     finally:
         perf.disable()
     results["perf_counters"] = perf.snapshot()
-    results["shards"] = shards
     results["workers"] = resolve_workers(parallel)
     results["cpus_available"] = available_workers()
     results["peak_rss_bytes"] = _rss_tree()
@@ -1195,10 +1123,10 @@ def check_regression(
                 f"{1.0 + float(current_cold_10m.get('max_rss_growth', 0.0)):.2f}x"
             )
     # Multi-tenant scale engine guards.  Correctness first: the default
-    # engine, the per-event heap referee, and the K=2 shard split
-    # must agree on every per-tenant outcome count and sojourn
-    # fingerprint -- a divergence is a wrong answer, not a slow one,
-    # and fails outright with no baseline needed.  Isolation is a
+    # engine and the per-event heap referee must agree on every
+    # per-tenant outcome count and sojourn fingerprint -- a divergence
+    # is a wrong answer, not a slow one, and fails outright with no
+    # baseline needed.  Isolation is a
     # structural property of `pinned` partitioning (private partition +
     # independent per-tenant streams), so its collapse also fails
     # outright.  The per-tenant deadline-miss rates on the pinned quick
@@ -1214,11 +1142,6 @@ def check_regression(
             problems.append(
                 "multitenant: default engine and per-event heap referee "
                 "per-tenant fingerprints diverged"
-            )
-        if current_mt.get("shard_identical") is False:
-            problems.append(
-                "multitenant: K=2 shard split no longer merges bit-identical "
-                "to the single-shard run"
             )
         isolation = current_mt.get("isolation")
         if isinstance(isolation, dict) and isolation.get("isolated") is False:
@@ -1251,36 +1174,6 @@ def check_regression(
                 f"multitenant.events_per_sec {current_rate:,.0f} is "
                 f"{1 - current_rate / base_rate:.1%} below baseline {label!r} "
                 f"({base_rate:,.0f}; allowed drop {max_regression:.0%})"
-            )
-    # Sharded throughput is only comparable between identical
-    # decompositions: a 2-shard and a 4-shard run simulate different
-    # per-environment workloads, so mismatched shard counts (or a
-    # baseline recorded before sharding existed) skip this guard
-    # rather than fabricate a regression.  Entries flagged
-    # speedup_representative=false (single-CPU fan-out serialized
-    # behind fork+IPC) carry rates dominated by dispatch noise, not by
-    # the engine, so they are recorded but never guarded against.
-    base_sharded = entry.get("scale_sharded")
-    current_sharded = results.get("scale_sharded")
-    if (
-        isinstance(base_sharded, dict)
-        and isinstance(current_sharded, dict)
-        and base_sharded.get("shards") == current_sharded.get("shards")
-        and base_sharded.get("workers") == current_sharded.get("workers")
-        and base_sharded.get("speedup_representative")
-        and current_sharded.get("speedup_representative")
-    ):
-        try:
-            base_rate = float(base_sharded["events_per_sec"])
-            current_rate = float(current_sharded["events_per_sec"])
-        except (KeyError, TypeError, ValueError):
-            base_rate = current_rate = 0.0
-        if base_rate and current_rate < base_rate * (1.0 - max_regression):
-            problems.append(
-                f"scale_sharded.events_per_sec {current_rate:,.0f} is "
-                f"{1 - current_rate / base_rate:.1%} below baseline {label!r} "
-                f"({base_rate:,.0f}; allowed drop {max_regression:.0%}; "
-                f"both at {base_sharded.get('shards')} shards)"
             )
     return problems
 
@@ -1430,27 +1323,13 @@ def show(results: dict[str, Any]) -> None:
                 bit_identical=cold_stress["bit_identical"],
             )
         )
-    sharded = results.get("scale_sharded")
-    if sharded:
-        line = (
-            "scale_sharded: {invocations:,} invocations over {shards} shards  "
-            "batch {wall_s:.1f}s  ({events_per_sec:,} events/s, "
-            "{speedup_vs_single:.2f}x vs single default, {workers} workers/"
-            "{cpus_available} cpus, peak shard RSS {rss_mib:.0f} MiB)".format(
-                rss_mib=sharded["peak_rss_bytes"] / 2**20, **sharded
-            )
-        )
-        if not sharded.get("speedup_representative", True):
-            line += "  [NOT representative: 1 cpu]"
-        print(line)
     mt = results.get("multitenant")
     if mt:
         print(
             "multitenant: {invocations:,} invocations / {tenants} tenants "
             "({partitioning})  heap {heap_s:.1f}s -> default {default_s:.1f}s  "
             "({speedup:.2f}x, {events_per_sec:,} events/s, RSS "
-            "{rss_ratio:.2f}x heap, bit_identical={bit_identical}, "
-            "shard_identical={shard_identical})".format(
+            "{rss_ratio:.2f}x heap, bit_identical={bit_identical})".format(
                 invocations=mt["invocations"],
                 tenants=len(mt.get("miss_rates", {})),
                 partitioning=mt["partitioning"],
@@ -1460,7 +1339,6 @@ def show(results: dict[str, Any]) -> None:
                 events_per_sec=mt["events_per_sec"],
                 rss_ratio=mt["rss_ratio_vs_heap"],
                 bit_identical=mt["bit_identical"],
-                shard_identical=mt["shard_identical"],
             )
         )
         for tenant, rate in mt.get("miss_rates", {}).items():

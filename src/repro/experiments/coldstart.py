@@ -162,10 +162,10 @@ def run_coldstart(
     """Sweep the cold-start spectrum and fold the per-point economics.
 
     Every point is one full open-loop run (:func:`run_scale`) with the
-    dry-pool cold-start path enabled; non-Poisson shapes route through
-    the sharded engine exactly as ``scale`` does.  ``verify=True``
-    replays each point on the per-event heap referee and asserts the
-    fingerprints agree (recorded per point, raising on mismatch).
+    dry-pool cold-start path enabled, on the same in-process engine
+    whatever its arrival shape.  ``verify=True`` replays each point on
+    the per-event heap referee and asserts the fingerprints agree
+    (recorded per point, raising on mismatch).
 
     ``keepalive_ns`` defaults to 0 -- no idle-reclaim.  Pass a positive
     keepalive to let the pool breathe under bursty/diurnal shapes; the

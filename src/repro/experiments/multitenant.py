@@ -130,12 +130,12 @@ def run_multitenant(
 
 
 #: CI-sized multi-tenant scale scenario: ~2x10^4 invocations on a pool
-#: just large enough to stay unsaturated (queued == 0), so the K-shard
-#: partition split is bit-exact and the quick bench can assert the same
-#: shard-identity contract as the paper-scale run.  Deadline misses
+#: just large enough to stay unsaturated (queued == 0).  Deadline misses
 #: still occur (tight deadlines, not backlog), so the per-tenant
 #: miss-rate guard has real signal; the isolation scenario saturates
-#: the pool separately with its own worker count.
+#: the pool separately with its own worker count.  The committed
+#: ``pr10-quick`` multitenant fingerprints were recorded on these
+#: values.
 QUICK_KWARGS = {
     "invocations": 20_000,
     "rate_scale": 2_000.0,
@@ -158,8 +158,8 @@ def run_multitenant_scale(
     10^6 invocations over a 2^21-slot warm pool -- arrival rates high
     enough that the bursty profile's burst epochs stress its partition
     while the mix stays unsaturated overall -- and every engine knob
-    (``partitioning``, ``admission``, ``pool_policy``, ``shards``,
-    ``parallel``, ...) passes straight through.
+    (``partitioning``, ``admission``, ``pool_policy``, ...) passes
+    straight through.
     """
     return run_tenant_scale(
         invocations=invocations,

@@ -136,7 +136,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         Experiment(
             "scale",
             "Open-loop million-invocation load over a leased warm pool "
-            "(shardable across cores: --shards K)",
+            "(--arrival-shape poisson|bursty|diurnal)",
             run_scale,
             dict(SCALE_QUICK_KWARGS),
         ),

@@ -13,6 +13,11 @@ Model -- an open-loop generator over a warm executor pool:
   serverless invocations.  Open loop: the arrival process never waits
   for completions, so overload shows up as queueing delay (the honest
   way to measure tail latency; closed loops coordinate-omit).
+  ``arrival_shape`` swaps in a ``bursty`` (compound bursts) or
+  ``diurnal`` (piecewise day curve) process with the same long-run
+  rate (see :mod:`repro.sim.arrivals`); services are drawn per arrival
+  index, so the shape changes when invocations come, not what they
+  cost.
 * **Service** times are log-normal with clipping, again the trace_gen
   shape scaled to the paper's function-duration range.
 * **The pool** is ``workers`` warm executor slots.  A free slot starts
@@ -63,37 +68,15 @@ Implementation notes for the per-event referees (hot loops):
   collect): the FSM allocates no reference cycles, and generational
   scans over ~10^6 live timers otherwise cost ~15% of the run.
 
-Sharding (PR 5) -- one scenario, many cores:
-
-The classes below run one environment on one core.  ``run_scale_sharded``
-decomposes the *same* scenario into K shards, each a full open-loop
-simulation over a slice of the warm pool and a deterministic share of
-the arrival stream, runs them in forked processes via
-:mod:`repro.parallel`, and folds the per-shard streaming accumulators
-back with the exact ``merge`` paths.  Two decompositions:
-
-* ``partition`` (default): every shard replays the **global** arrival
-  and service streams (seeded by the scenario root) and keeps arrivals
-  whose index is ``shard (mod K)`` -- a systematic thinning of the one
-  true process.  Exact: when the pool never saturates, the K-shard
-  merged result is bit-identical to the 1-shard run, because the same
-  multiset of (arrival, service) pairs flows through, just in separate
-  environments.
-* ``thin``: shard k draws its own streams from
-  ``derive_seed(root, "shard", k)`` at 1/K of the rate -- no redundant
-  global generation, statistically the same superposed process, but a
-  different realization per K.
-
-Either way a shard depends only on ``(spec, k)``: K shards on 1 worker
-are bit-identical to K shards on K workers, and the result cache keys
-each shard spec individually, so repeated or resumed sharded runs are
-incremental.
+Every run is one scenario on one pool in one process: ``run_scale``
+and ``run_tenant_scale`` build one config, drive one engine in-process
+and build their result from it.
 
 Run it::
 
     python -m repro.experiments scale            # paper scale, 10^6
     python -m repro.experiments scale --quick    # CI-sized, 10^4
-    python -m repro.experiments scale --shards 4 --parallel auto
+    python -m repro.experiments scale --quick --arrival-shape diurnal
 """
 
 from __future__ import annotations
@@ -120,7 +103,7 @@ from repro.sim.arrivals import DIURNAL_DAY, arrival_times, merge_tenant_streams
 from repro.sim.events import BatchEvent
 from repro.sim.clock import ms, us
 from repro.sim.core import Environment
-from repro.sim.rng import RngStreams, shard_seed
+from repro.sim.rng import RngStreams
 from repro.workloads.tenants import TenantSpec, split_by_weights, standard_mix
 
 #: Latencies buffered before a vectorized flush into the streaming
@@ -166,13 +149,6 @@ class ScaleConfig:
     admission: str = "batch"
     #: Streaming-histogram resolution (quantile error <= 2**-subbits).
     subbits: int = 8
-    #: K-way decomposition of this one scenario (part of the scenario
-    #: identity: a 4-shard run is a different -- reproducible -- spec).
-    shards: int = 1
-    #: "partition" (global streams, keep index % K == k; exact) or
-    #: "thin" (independent derive_seed(root, "shard", k) streams at
-    #: rate/K; cheaper, different realization per K).
-    shard_split: str = "partition"
     #: Arrival process: "poisson", "bursty", or "diurnal"
     #: (see :mod:`repro.sim.arrivals`).
     arrival_shape: str = "poisson"
@@ -234,6 +210,8 @@ class ScaleResult:
     cold_reclaimed: int = 0
     #: Reclaim expiries that found no idle cold executor (retained).
     cold_retained: int = 0
+    #: The arrival process the run drew ("poisson", "bursty", "diurnal").
+    arrival_shape: str = "poisson"
 
     def fingerprint(self) -> dict[str, Any]:
         """The simulated-domain outputs -- identical across admissions.
@@ -262,9 +240,10 @@ class ScaleResult:
         }
 
     def table(self) -> Table:
+        shape = "" if self.arrival_shape == "poisson" else f", {self.arrival_shape} arrivals"
         table = Table(
             f"Open-loop scale run -- {self.invocations:,} invocations "
-            f"({self.admission} admission)",
+            f"({self.admission} admission{shape})",
             ["metric", "value"],
         )
         table.add_row("completed", f"{self.completed:,}")
@@ -347,10 +326,7 @@ def run_scale(
     lease_check_interval_ns: int = ms(64),
     admission: str = "batch",
     subbits: int = 8,
-    shards: int = 1,
-    parallel: int = 1,
     arrival_shape: str = "poisson",
-    shard_split: str = "partition",
     burst_len: int = 64,
     burst_intra_gap_ns: int = 1,
     diurnal_period_ns: int = 0,
@@ -359,51 +335,24 @@ def run_scale(
     start_model: str = "remote-fork",
     keepalive_ns: int = 0,
     hybrid_threshold: int = 64,
-    cache_dir: Optional[str] = None,
     profile: Union[bool, str, None] = None,
-):
-    """Drive the open-loop scale scenario once and measure it.
+) -> ScaleResult:
+    """Drive the open-loop scale scenario once, in-process, and measure it.
 
     The quick (CI) configuration shrinks ``invocations`` and
     ``workers`` so the pool saturates and the FIFO backlog path is
     exercised; the paper-scale default instead keeps ~10^6 invocations
-    in flight at once.
-
-    ``shards > 1`` (or a non-Poisson ``arrival_shape``) routes through
-    :func:`run_scale_sharded`, which decomposes the scenario and fans
-    the shards out over ``parallel`` worker processes; the single-shard
-    Poisson path runs its one shard in-process on the engine
-    :func:`_simulate` picks for the policy.
+    in flight at once.  The run takes the engine :func:`_simulate`
+    picks for the admission and policy, whatever the arrival shape; a
+    bad arrival knob fails as ``ValueError`` when its stream is first
+    drawn, before any arrival is served.
     """
     _validate_admission(admission)
     _validate_pool_policy(pool_policy, start_model, keepalive_ns, hybrid_threshold)
-    if shards != 1 or arrival_shape != "poisson":
-        if profile:
-            raise ValueError("--profile supports the single-shard poisson path only")
-        return run_scale_sharded(
-            invocations=invocations,
-            workers=workers,
-            shards=max(1, shards),
-            seed=seed,
-            mean_arrival_gap_ns=mean_arrival_gap_ns,
-            service_log_mean=service_log_mean,
-            service_log_sigma=service_log_sigma,
-            lease_check_interval_ns=lease_check_interval_ns,
-            admission=admission,
-            subbits=subbits,
-            arrival_shape=arrival_shape,
-            shard_split=shard_split,
-            burst_len=burst_len,
-            burst_intra_gap_ns=burst_intra_gap_ns,
-            diurnal_period_ns=diurnal_period_ns,
-            diurnal_multipliers=diurnal_multipliers,
-            pool_policy=pool_policy,
-            start_model=start_model,
-            keepalive_ns=keepalive_ns,
-            hybrid_threshold=hybrid_threshold,
-            parallel=parallel,
-            cache_dir=cache_dir,
-        )
+    if invocations < 1:
+        raise ValueError(f"scale run needs at least one invocation, got {invocations}")
+    if workers < 1:
+        raise ValueError(f"scale run needs at least one warm slot, got {workers}")
     config = ScaleConfig(
         invocations=invocations,
         workers=workers,
@@ -414,46 +363,17 @@ def run_scale(
         seed=seed,
         admission=admission,
         subbits=subbits,
+        arrival_shape=arrival_shape,
+        burst_len=burst_len,
+        burst_intra_gap_ns=burst_intra_gap_ns,
+        diurnal_period_ns=diurnal_period_ns,
+        diurnal_multipliers=tuple(diurnal_multipliers),
         pool_policy=pool_policy,
         start_model=start_model,
         keepalive_ns=keepalive_ns,
         hybrid_threshold=hybrid_threshold,
     )
-    run = _simulate(config, 0, 1, profile)
-    summary = run.stream.summarize()
-    return ScaleResult(
-        admission=config.admission,
-        invocations=config.invocations,
-        workers=config.workers,
-        completed=run.completed,
-        events_processed=run.events_processed,
-        wall_s=run.wall_s,
-        events_per_sec=run.events_processed / run.wall_s if run.wall_s > 0 else 0.0,
-        peak_rss_bytes=run.peak_rss_bytes,
-        final_now_ns=run.final_now_ns,
-        max_backlog=run.max_backlog,
-        queued=run.queued,
-        timeout_pool_hits=run.timeout_pool_hits,
-        latency=replace(summary, mean=run.sojourn_total / summary.count),
-        stream_buckets=len(run.stream.histogram),
-        cold_starts=run.cold_starts,
-        cold_busy_ns=run.cold_busy_ns,
-        cold_reclaimed=run.cold_reclaimed,
-        cold_retained=run.cold_retained,
-    )
-
-
-# -- sharded engine ----------------------------------------------------
-
-
-def _shard_invocations(invocations: int, shards: int, shard: int) -> int:
-    """Arrivals owned by *shard*: ``#{i < N : i % K == shard}``."""
-    return (invocations - shard + shards - 1) // shards
-
-
-def _shard_slots(workers: int, shards: int, shard: int) -> int:
-    """Warm-pool slice for *shard*: W//K plus one of the W%K leftovers."""
-    return workers // shards + (1 if shard < workers % shards else 0)
+    return _simulate(config, profile)
 
 
 def _draw_services(rng, size: int, config: ScaleConfig):
@@ -463,70 +383,33 @@ def _draw_services(rng, size: int, config: ScaleConfig):
     return np.clip(services, config.min_service_ns, config.max_service_ns, out=services)
 
 
-def _shard_chunks(config: ScaleConfig, shard: int, shards: int, lists: bool = True):
-    """Yield this shard's ``(arrival_times, services)`` chunks.
+def _scale_chunks(config: ScaleConfig, lists: bool = True):
+    """Yield the run's ``(arrival_times, services)`` chunks.
 
     Consumption order is arrival order, so services are assigned by
-    **arrival index**, not dispatch order -- the property that makes the
-    decomposition independent of each shard's queueing dynamics.
+    **arrival index**, not dispatch order: the service sequence is the
+    same whatever the pool does with it.
 
     With ``lists=True`` (the per-event driver) both come as Python
     lists for cheap scalar iteration; with ``lists=False`` they stay
     ``int64`` arrays for the FIFO recurrence and the walk's vectorized
     renewal count.
     """
-    shape_kwargs = dict(
-        burst_len=config.burst_len,
-        burst_intra_gap_ns=config.burst_intra_gap_ns,
-        diurnal_period_ns=config.diurnal_period_ns,
-        diurnal_multipliers=config.diurnal_multipliers,
-        chunk=_RNG_CHUNK,
-    )
-    if config.shard_split == "thin":
-        # Independent streams: shard k is its own Poisson-thinned
-        # process at 1/K of the rate, seeded by derive_seed(root,
-        # "shard", k) -- nothing global is generated twice.
-        streams = RngStreams(shard_seed(config.seed, shard))
-        count = _shard_invocations(config.invocations, shards, shard)
-        service_rng = streams.stream("service")
-        for times in arrival_times(
-            config.arrival_shape,
-            streams.stream("arrivals"),
-            count,
-            config.mean_arrival_gap_ns * shards,
-            **shape_kwargs,
-        ):
-            services = _draw_services(service_rng, times.size, config)
-            yield (times.tolist(), services.tolist()) if lists else (times, services)
-        return
-    if config.shard_split != "partition":
-        raise ValueError(
-            f"shard_split must be 'partition' or 'thin', got {config.shard_split!r}"
-        )
-    # Partition: replay the global streams (same chunk sizes as the
-    # unsharded driver, so the draws are the identical prefix) and keep
-    # every K-th arrival.  Redundant generation costs O(N) vectorized
-    # draws per shard -- noise next to the O(N/K) simulation itself.
     streams = RngStreams(config.seed)
     service_rng = streams.stream("service")
-    index = 0
     for times in arrival_times(
         config.arrival_shape,
         streams.stream("arrivals"),
         config.invocations,
         config.mean_arrival_gap_ns,
-        **shape_kwargs,
+        burst_len=config.burst_len,
+        burst_intra_gap_ns=config.burst_intra_gap_ns,
+        diurnal_period_ns=config.diurnal_period_ns,
+        diurnal_multipliers=config.diurnal_multipliers,
+        chunk=_RNG_CHUNK,
     ):
         services = _draw_services(service_rng, times.size, config)
-        if shards == 1:
-            # One shard keeps everything: no mask, no copies.
-            yield (times.tolist(), services.tolist()) if lists else (times, services)
-            continue
-        mine = (np.arange(index, index + times.size) % shards) == shard
-        index += times.size
-        if mine.any():
-            kept, served = times[mine], services[mine]
-            yield (kept.tolist(), served.tolist()) if lists else (kept, served)
+        yield (times.tolist(), services.tolist()) if lists else (times, services)
 
 
 class _FifoDriver:
@@ -553,15 +436,15 @@ class _FifoDriver:
 
     cold_starts = cold_busy_ns = cold_reclaimed = cold_retained = 0
 
-    def __init__(self, config: ScaleConfig, shard: int, shards: int) -> None:
+    def __init__(self, config: ScaleConfig) -> None:
         self.config = config
         self.stream = StreamingSummary(config.subbits)
-        self.pool = FifoServers(_shard_slots(config.workers, shards, shard))
+        self.pool = FifoServers(config.workers)
         self.completed = 0
         self.sojourn_total = 0
         self.events_processed = 0
         self.final_now_ns = 0
-        self._chunks = _shard_chunks(config, shard, shards, lists=False)
+        self._chunks = _scale_chunks(config, lists=False)
 
     @property
     def queued(self) -> int:
@@ -636,11 +519,11 @@ class _PoolWalk:
     invocations in flight.
     """
 
-    def __init__(self, config: ScaleConfig, shard: int, shards: int) -> None:
+    def __init__(self, config: ScaleConfig) -> None:
         self.config = config
         self.stream = StreamingSummary(config.subbits)
-        self.free_slots = _shard_slots(config.workers, shards, shard)
-        self.count = _shard_invocations(config.invocations, shards, shard)
+        self.free_slots = config.workers
+        self.count = config.invocations
         self.completed = 0
         self.queued = 0
         self.max_backlog = 0
@@ -651,7 +534,7 @@ class _PoolWalk:
         self.sojourn_total = 0
         self.events_processed = 0
         self.final_now_ns = 0
-        self._chunks = _shard_chunks(config, shard, shards, lists=False)
+        self._chunks = _scale_chunks(config, lists=False)
 
     def drive(self) -> None:
         config = self.config
@@ -805,12 +688,10 @@ class _ShardDriver:
     checked against.
 
     Arrivals come as absolute times with services pre-assigned per
-    arrival index, so any slice of the global scenario replays
-    identically whatever happens in the other shards.  One arrival
-    event is re-scheduled from arrival to arrival at ``_ARRIVAL_PRIO``.
-    Every running invocation holds a lease timer re-armed each interval
-    until it finishes; a dry pool queues FIFO or, under the cold
-    policies, spins a sandbox up.
+    arrival index.  One arrival event is re-scheduled from arrival to
+    arrival at ``_ARRIVAL_PRIO``.  Every running invocation holds a
+    lease timer re-armed each interval until it finishes; a dry pool
+    queues FIFO or, under the cold policies, spins a sandbox up.
 
     Only ``admission="per-event"`` builds this driver; batch admission
     runs :class:`_FifoDriver`'s recurrence (``queue``) or
@@ -851,19 +732,19 @@ class _ShardDriver:
         "_reclaim_cbs",
     )
 
-    def __init__(self, env, config: ScaleConfig, shard: int, shards: int) -> None:
+    def __init__(self, env, config: ScaleConfig) -> None:
         self.env = env
         self.config = config
         self.stream = StreamingSummary(config.subbits)
         self.backlog: deque[tuple[int, int]] = deque()
-        self.free_slots = _shard_slots(config.workers, shards, shard)
-        self.count = _shard_invocations(config.invocations, shards, shard)
+        self.free_slots = config.workers
+        self.count = config.invocations
         self.arrived = 0
         self.completed = 0
         self.queued = 0
         self.max_backlog = 0
         self._interval = config.lease_check_interval_ns
-        self._chunks = _shard_chunks(config, shard, shards)
+        self._chunks = _scale_chunks(config)
         self._times: list[int] = []
         self._services: list[int] = []
         self._pos = 0
@@ -1013,33 +894,6 @@ class _ShardDriver:
         self._flush()
 
 
-@dataclass
-class ShardResult:
-    """One shard's run: a full per-environment measurement plus the
-    streaming accumulator the parent folds (exact merge, no samples)."""
-
-    shard: int
-    shards: int
-    shard_seed: int
-    workers: int
-    invocations: int
-    completed: int
-    events_processed: int
-    wall_s: float
-    peak_rss_bytes: int
-    final_now_ns: int
-    max_backlog: int
-    queued: int
-    timeout_pool_hits: int
-    stream: StreamingSummary
-    cold_starts: int = 0
-    cold_busy_ns: int = 0
-    cold_reclaimed: int = 0
-    cold_retained: int = 0
-    #: Exact integer sum of recorded sojourns (see ``_flush``).
-    sojourn_total: int = 0
-
-
 def _timed_drive(drive, profile: Union[bool, str, None]) -> float:
     """Run *drive*; return its wall time.
 
@@ -1064,378 +918,82 @@ def _timed_drive(drive, profile: Union[bool, str, None]) -> float:
     return time.perf_counter() - started
 
 
-def _simulate(
-    config: ScaleConfig, shard: int, shards: int, profile: Union[bool, str, None] = None
-) -> ShardResult:
-    """Run one shard of *config* on the engine its knobs call for.
+def _drive(
+    config: Union[ScaleConfig, MultiTenantConfig],
+    engine,
+    referee,
+    profile: Union[bool, str, None] = None,
+) -> tuple[Any, float, int, int, int]:
+    """Build the driver *config* calls for and run it to completion.
 
-    Batch admission (the default) builds no environment: the ``queue``
-    policy runs :class:`_FifoDriver`'s exact FIFO recurrence and
-    ``cold``/``hybrid`` run :class:`_PoolWalk`.  Per-event admission
-    walks every event through a :class:`_ShardDriver` on the heap
-    environment: the referee the fast engines are checked against.  Both
-    run with glibc's malloc thresholds pinned
+    Batch admission (the default) builds *engine*, which needs no
+    environment.  Per-event admission walks every event through
+    *referee* on the heap environment: the referee the fast engines are
+    checked against.  Both run with glibc's malloc thresholds pinned
     (:mod:`repro.perf.malloc`), so a referee and the engine it checks
-    share one allocator.
+    share one allocator.  Returns the driver, the drive's wall time,
+    and the events, final clock and timeout-pool hits of the run.
     """
-    if not 0 <= shard < shards:
-        raise ValueError(f"shard {shard} outside [0, {shards})")
-    count = _shard_invocations(config.invocations, shards, shard)
-    slots = _shard_slots(config.workers, shards, shard)
-    if count < 1:
-        raise ValueError("shard needs at least one invocation")
-    if slots < 1:
-        raise ValueError("shard needs at least one warm slot")
     pin_thresholds()
-    driver: Any
     if config.admission == "batch":
-        walk = _FifoDriver if config.pool_policy == "queue" else _PoolWalk
-        driver = walk(config, shard, shards)
+        driver = engine(config)
         wall_s = _timed_drive(driver.drive, profile)
-        events, now, pool_hits = driver.events_processed, driver.final_now_ns, 0
-    else:
-        env = Environment()
-        driver = _ShardDriver(env, config, shard, shards)
-        driver.start()
-        # The FSM allocates no reference cycles, so generational GC
-        # scans over ~10^6 live timers are pure overhead; collect once,
-        # run with the collector off, restore afterwards.
-        gc_was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
-            wall_s = _timed_drive(driver.drive, profile)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        driver.finish()
-        events, now, pool_hits = env.events_processed, env.now, env.timeout_pool_hits
-    if driver.completed != count:
+        return driver, wall_s, driver.events_processed, driver.final_now_ns, 0
+    env = Environment()
+    driver = referee(env, config)
+    driver.start()
+    # The FSM allocates no reference cycles, so generational GC
+    # scans over ~10^6 live timers are pure overhead; collect once,
+    # run with the collector off, restore afterwards.
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        wall_s = _timed_drive(driver.drive, profile)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    driver.finish()
+    return driver, wall_s, env.events_processed, env.now, env.timeout_pool_hits
+
+
+def _simulate(config: ScaleConfig, profile: Union[bool, str, None] = None) -> ScaleResult:
+    """Run *config* on the engine its knobs call for and measure it.
+
+    Batch admission runs :class:`_FifoDriver`'s exact FIFO recurrence
+    under the ``queue`` policy and :class:`_PoolWalk` under
+    ``cold``/``hybrid``; per-event admission runs :class:`_ShardDriver`.
+    """
+    engine = _FifoDriver if config.pool_policy == "queue" else _PoolWalk
+    driver, wall_s, events, now, pool_hits = _drive(config, engine, _ShardDriver, profile)
+    if driver.completed != config.invocations:
         raise RuntimeError(
-            f"shard {shard}/{shards} lost invocations: {driver.completed} of {count}"
+            f"scale run lost invocations: {driver.completed} of {config.invocations}"
         )
     if perf.enabled:
         perf.counters.cold_spinups += driver.cold_starts
         perf.counters.cold_reclaims += driver.cold_reclaimed
-    return ShardResult(
-        shard=shard,
-        shards=shards,
-        shard_seed=shard_seed(config.seed, shard),
-        workers=slots,
-        invocations=count,
+    summary = driver.stream.summarize()
+    return ScaleResult(
+        admission=config.admission,
+        invocations=config.invocations,
+        workers=config.workers,
         completed=driver.completed,
         events_processed=events,
         wall_s=wall_s,
+        events_per_sec=events / wall_s if wall_s > 0 else 0.0,
         peak_rss_bytes=_peak_rss_bytes(),
         final_now_ns=now,
         max_backlog=driver.max_backlog,
         queued=driver.queued,
         timeout_pool_hits=pool_hits,
-        stream=driver.stream,
+        latency=replace(summary, mean=driver.sojourn_total / summary.count),
+        stream_buckets=len(driver.stream.histogram),
         cold_starts=driver.cold_starts,
         cold_busy_ns=driver.cold_busy_ns,
         cold_reclaimed=driver.cold_reclaimed,
         cold_retained=driver.cold_retained,
-        sojourn_total=driver.sojourn_total,
-    )
-
-
-def _run_shard(
-    shard: int,
-    shards: int,
-    invocations: int = 1_000_000,
-    workers: int = 1 << 20,
-    seed: int = 0x5CA1E,
-    mean_arrival_gap_ns: int = 250,
-    service_log_mean: float = 19.8,
-    service_log_sigma: float = 0.6,
-    lease_check_interval_ns: int = ms(64),
-    admission: str = "batch",
-    subbits: int = 8,
-    arrival_shape: str = "poisson",
-    shard_split: str = "partition",
-    burst_len: int = 64,
-    burst_intra_gap_ns: int = 1,
-    diurnal_period_ns: int = 0,
-    diurnal_multipliers: tuple = DIURNAL_DAY,
-    pool_policy: str = "queue",
-    start_model: str = "remote-fork",
-    keepalive_ns: int = 0,
-    hybrid_threshold: int = 64,
-) -> ShardResult:
-    """Run one shard of the decomposed scenario (picklable factory).
-
-    Module-level so :mod:`repro.parallel` can ship it to forked workers
-    and the result cache can key it: the kwargs *are* the shard's
-    identity, and the outcome depends on nothing else.
-    """
-    _validate_admission(admission)
-    _validate_pool_policy(pool_policy, start_model, keepalive_ns, hybrid_threshold)
-    config = ScaleConfig(
-        invocations=invocations,
-        workers=workers,
-        mean_arrival_gap_ns=mean_arrival_gap_ns,
-        service_log_mean=service_log_mean,
-        service_log_sigma=service_log_sigma,
-        lease_check_interval_ns=lease_check_interval_ns,
-        seed=seed,
-        admission=admission,
-        subbits=subbits,
-        shards=shards,
-        shard_split=shard_split,
-        arrival_shape=arrival_shape,
-        burst_len=burst_len,
-        burst_intra_gap_ns=burst_intra_gap_ns,
-        diurnal_period_ns=diurnal_period_ns,
-        diurnal_multipliers=tuple(diurnal_multipliers),
-        pool_policy=pool_policy,
-        start_model=start_model,
-        keepalive_ns=keepalive_ns,
-        hybrid_threshold=hybrid_threshold,
-    )
-    result = _simulate(config, shard, shards)
-    if perf.enabled:
-        perf.counters.shard_runs += 1
-    return result
-
-
-@dataclass
-class ShardedScaleResult:
-    """A K-shard scenario folded back together.
-
-    Simulated-domain fields (everything in :meth:`fingerprint`) are a
-    pure function of the scenario spec -- identical across repeats,
-    worker counts, and cache hits.  Wall-clock and RSS are measurement
-    artifacts of this particular execution.
-    """
-
-    admission: str
-    shards: int
-    shard_split: str
-    arrival_shape: str
-    invocations: int
-    workers: int
-    parallel_workers: int
-    cpus_available: int
-    completed: int
-    events_processed: int
-    wall_s: float
-    events_per_sec: float
-    serial_wall_s: float
-    shard_walls_s: list[float]
-    peak_rss_bytes: int
-    final_now_ns: int
-    max_backlog: int
-    queued: int
-    timeout_pool_hits: int
-    latency: SummaryStats
-    stream_buckets: int
-    shard_seeds: list[int] = field(default_factory=list)
-    cold_starts: int = 0
-    cold_busy_ns: int = 0
-    cold_reclaimed: int = 0
-    cold_retained: int = 0
-
-    def fingerprint(self) -> dict[str, Any]:
-        """Simulated-domain outputs -- the same keys as
-        :meth:`ScaleResult.fingerprint`, so unsharded and sharded runs
-        of an equivalent scenario can be diffed directly."""
-        return {
-            "invocations": self.invocations,
-            "completed": self.completed,
-            "events_processed": self.events_processed,
-            "final_now_ns": self.final_now_ns,
-            "max_backlog": self.max_backlog,
-            "queued": self.queued,
-            "cold_starts": self.cold_starts,
-            "cold_busy_ns": self.cold_busy_ns,
-            "cold_reclaimed": self.cold_reclaimed,
-            "cold_retained": self.cold_retained,
-            "latency_median_ns": self.latency.median,
-            "latency_p95_ns": self.latency.p95,
-            "latency_p99_ns": self.latency.p99,
-            "latency_mean_ns": self.latency.mean,
-            "latency_min_ns": self.latency.minimum,
-            "latency_max_ns": self.latency.maximum,
-        }
-
-    def table(self) -> Table:
-        table = Table(
-            f"Sharded open-loop scale run -- {self.invocations:,} invocations, "
-            f"{self.shards} shard(s) ({self.admission} admission, "
-            f"{self.arrival_shape} arrivals, {self.shard_split} split)",
-            ["metric", "value"],
-        )
-        table.add_row("completed", f"{self.completed:,}")
-        table.add_row("simulator events", f"{self.events_processed:,}")
-        table.add_row(
-            "wall clock (batch / serial-sum)",
-            f"{self.wall_s:.2f} s / {self.serial_wall_s:.2f} s",
-        )
-        table.add_row("events/sec (merged)", f"{self.events_per_sec:,.0f}")
-        table.add_row(
-            "dispatch workers / cpus", f"{self.parallel_workers} / {self.cpus_available}"
-        )
-        table.add_row("peak shard RSS", format_bytes(self.peak_rss_bytes))
-        table.add_row("simulated span", format_ns(self.final_now_ns))
-        table.add_row("warm slots / peak backlog", f"{self.workers:,} / {self.max_backlog:,}")
-        table.add_row("sojourn median", format_ns(self.latency.median))
-        table.add_row("sojourn p95", format_ns(self.latency.p95))
-        table.add_row("sojourn p99", format_ns(self.latency.p99))
-        table.add_row("stream buckets (O(1) memory)", f"{self.stream_buckets:,}")
-        return table
-
-
-def merge_shard_results(
-    results: list[ShardResult],
-    *,
-    admission: str,
-    shard_split: str,
-    arrival_shape: str,
-    workers: int,
-    wall_s: float,
-    parallel_workers: int,
-    cpus_available: int,
-) -> ShardedScaleResult:
-    """Fold per-shard accumulators, in shard order, into one result.
-
-    Counts sum; clocks take the max (the scenario ends when its last
-    shard does); the latency summary is the exact
-    :meth:`StreamingSummary.merge` fold -- the same code path the
-    PR 4 streaming layer was built around.
-    """
-    if not results:
-        raise ValueError("merge of zero shards")
-    if [r.shard for r in results] != list(range(len(results))):
-        raise ValueError("shard results must arrive complete and in shard order")
-    stream = StreamingSummary.merged([r.stream for r in results])
-    events = sum(r.events_processed for r in results)
-    return ShardedScaleResult(
-        admission=admission,
-        shards=len(results),
-        shard_split=shard_split,
-        arrival_shape=arrival_shape,
-        invocations=sum(r.invocations for r in results),
-        workers=workers,
-        parallel_workers=parallel_workers,
-        cpus_available=cpus_available,
-        completed=sum(r.completed for r in results),
-        events_processed=events,
-        wall_s=wall_s,
-        events_per_sec=events / wall_s if wall_s > 0 else 0.0,
-        serial_wall_s=sum(r.wall_s for r in results),
-        shard_walls_s=[r.wall_s for r in results],
-        peak_rss_bytes=max(r.peak_rss_bytes for r in results),
-        final_now_ns=max(r.final_now_ns for r in results),
-        max_backlog=max(r.max_backlog for r in results),
-        queued=sum(r.queued for r in results),
-        timeout_pool_hits=sum(r.timeout_pool_hits for r in results),
-        latency=replace(
-            stream.summarize(),
-            mean=sum(r.sojourn_total for r in results) / stream.count,
-        ),
-        stream_buckets=len(stream.histogram),
-        shard_seeds=[r.shard_seed for r in results],
-        cold_starts=sum(r.cold_starts for r in results),
-        cold_busy_ns=sum(r.cold_busy_ns for r in results),
-        cold_reclaimed=sum(r.cold_reclaimed for r in results),
-        cold_retained=sum(r.cold_retained for r in results),
-    )
-
-
-def run_scale_sharded(
-    invocations: int = 1_000_000,
-    workers: int = 1 << 20,
-    shards: int = 2,
-    seed: int = 0x5CA1E,
-    mean_arrival_gap_ns: int = 250,
-    service_log_mean: float = 19.8,
-    service_log_sigma: float = 0.6,
-    lease_check_interval_ns: int = ms(64),
-    admission: str = "batch",
-    subbits: int = 8,
-    arrival_shape: str = "poisson",
-    shard_split: str = "partition",
-    burst_len: int = 64,
-    burst_intra_gap_ns: int = 1,
-    diurnal_period_ns: int = 0,
-    diurnal_multipliers: tuple = DIURNAL_DAY,
-    pool_policy: str = "queue",
-    start_model: str = "remote-fork",
-    keepalive_ns: int = 0,
-    hybrid_threshold: int = 64,
-    parallel: int = 0,
-    cache_dir: Optional[str] = None,
-) -> ShardedScaleResult:
-    """Decompose one scale scenario into *shards* and run them fanned out.
-
-    ``parallel`` follows the shared :func:`repro.parallel.resolve_workers`
-    chain (``0``/``None`` = one worker per usable CPU); the merged
-    result is bit-identical for every value of it.  ``cache_dir`` keys
-    each shard spec in the content-addressed result cache, so a
-    repeated or interrupted sharded run only pays for missing shards.
-    """
-    from repro.parallel import FailedPoint, RunSpec, available_workers, resolve_workers, run_specs
-
-    _validate_admission(admission)
-    _validate_pool_policy(pool_policy, start_model, keepalive_ns, hybrid_threshold)
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if shards > invocations:
-        raise ValueError(f"{shards} shards for {invocations} invocations (some get none)")
-    if shards > workers:
-        raise ValueError(f"{shards} shards over {workers} warm slots (some get none)")
-    shared_kwargs = dict(
-        shards=shards,
-        invocations=invocations,
-        workers=workers,
-        seed=seed,
-        mean_arrival_gap_ns=mean_arrival_gap_ns,
-        service_log_mean=service_log_mean,
-        service_log_sigma=service_log_sigma,
-        lease_check_interval_ns=lease_check_interval_ns,
-        admission=admission,
-        subbits=subbits,
-        arrival_shape=arrival_shape,
-        shard_split=shard_split,
-        burst_len=burst_len,
-        burst_intra_gap_ns=burst_intra_gap_ns,
-        diurnal_period_ns=diurnal_period_ns,
-        diurnal_multipliers=tuple(diurnal_multipliers),
-        pool_policy=pool_policy,
-        start_model=start_model,
-        keepalive_ns=keepalive_ns,
-        hybrid_threshold=hybrid_threshold,
-    )
-    specs = [
-        RunSpec(
-            factory="repro.experiments.scale:_run_shard",
-            kwargs={"shard": shard, **shared_kwargs},
-            index=shard,
-            label=f"scale-shard[{shard}/{shards}]",
-        )
-        for shard in range(shards)
-    ]
-    cache = None
-    if cache_dir is not None:
-        from repro.cache import ResultCache
-
-        cache = ResultCache(cache_dir)
-    started = time.perf_counter()
-    outcomes = run_specs(specs, parallel, cache=cache)
-    wall_s = time.perf_counter() - started
-    failed = [o for o in outcomes if isinstance(o, FailedPoint)]
-    if failed:
-        raise RuntimeError(f"sharded scale run failed: {failed[0].summary()}")
-    return merge_shard_results(
-        outcomes,
-        admission=admission,
-        shard_split=shard_split,
-        arrival_shape=arrival_shape,
-        workers=workers,
-        wall_s=wall_s,
-        parallel_workers=resolve_workers(parallel),
-        cpus_available=available_workers(),
+        arrival_shape=config.arrival_shape,
     )
 
 
@@ -1443,15 +1001,6 @@ def run_scale_sharded(
 #: pool saturates within the burst, so the smoke run exercises the FIFO
 #: queueing path the paper-scale defaults deliberately avoid.
 QUICK_KWARGS = {"invocations": 10_000, "workers": 2_048, "mean_arrival_gap_ns": us(25)}
-
-#: Quick sharding-exactness configuration: the pool never saturates
-#: (slots >= invocations), the regime where a K-way partition of the
-#: global streams merges back bit-identical to the 1-shard run.
-QUICK_UNSATURATED_KWARGS = {
-    "invocations": 4_000,
-    "workers": 4_096,
-    "mean_arrival_gap_ns": us(25),
-}
 
 
 # -- multi-tenant engine -----------------------------------------------
@@ -1498,7 +1047,6 @@ class MultiTenantConfig:
     #: "per-event" (the referee on the heap environment).
     admission: str = "batch"
     subbits: int = 8
-    shards: int = 1
     #: Dry-pool arrival policy, per-tenant thresholds: "queue" (FIFO up
     #: to ``spec.queue_cap``, then CONGESTION), "cold" (every dry
     #: arrival spins a sandbox up; it joins the *shared* tier), or
@@ -1508,14 +1056,12 @@ class MultiTenantConfig:
     hybrid_threshold: int = 64
 
 
-def _tenant_pool_plan(
-    specs: tuple, workers: int, partitioning: str, shards: int = 1
-) -> tuple[list[int], int]:
+def _tenant_pool_plan(specs: tuple, workers: int, partitioning: str) -> tuple[list[int], int]:
     """Split *workers* into per-tenant pinned partitions + a shared tier.
 
-    Every tenant must reach a slot in each of *shards* shards, through
-    its pinned partition or the shared tier: a shard where it reaches
-    none would leave its waiters queued forever.
+    Every tenant must reach a slot, through its pinned partition or the
+    shared tier: a tenant that reaches none would leave its waiters
+    queued forever.
     """
     _validate_partitioning(partitioning)
     weights = [max(1, spec.workers) for spec in specs]
@@ -1526,15 +1072,12 @@ def _tenant_pool_plan(
     else:  # overflow: half pinned by weight, half shared
         half = workers // 2
         pinned, shared = split_by_weights(half, weights), workers - half
-    if partitioning != "shared" and min(pinned) < 1:
+    if partitioning == "shared":
+        if workers < 1:
+            raise ValueError(f"a shared plan needs at least one worker, got {workers}")
+    elif min(pinned) < 1:
         raise ValueError(
             f"{workers} workers spread too thin over {len(specs)} pinned partitions"
-        )
-    thin = [spec.name for spec, slots in zip(specs, pinned) if max(slots, shared) < shards]
-    if thin:
-        raise ValueError(
-            f"{workers} {partitioning} workers leave tenants {thin} without a "
-            f"slot in some of {shards} shards"
         )
     return pinned, shared
 
@@ -1546,19 +1089,13 @@ def _draw_tenant_services(rng, size: int, spec: TenantSpec):
     return np.maximum(services, 1, out=services)
 
 
-def _tenant_chunks(
-    config: "MultiTenantConfig", shard: int, shards: int, lists: bool = True
-):
-    """Yield this shard's ``(times, tenants, services)`` merged chunks.
+def _tenant_chunks(config: "MultiTenantConfig", lists: bool = True):
+    """Yield the merged calendar's ``(times, tenants, services)`` chunks.
 
-    Every shard replays the **global** merged calendar (partition
-    decomposition, as in :func:`_shard_chunks`) and keeps arrivals
-    whose global merged index is ``shard (mod K)`` -- so the K-shard
-    union is exactly the 1-shard stream, triple for triple.  Services
-    are drawn from each tenant's own RNG stream in *within-tenant
-    arrival order* and scattered back to merged order through boolean
-    masks (masks preserve order), which keeps a tenant's service
-    sequence independent of what the co-tenants do.
+    Services are drawn from each tenant's own RNG stream in
+    *within-tenant arrival order* and scattered back to merged order
+    through boolean masks (masks preserve order), which keeps a
+    tenant's service sequence independent of what the co-tenants do.
 
     With ``lists=True`` (the walk and the per-event referee) the three
     columns come as Python lists; with ``lists=False`` they stay arrays
@@ -1574,7 +1111,6 @@ def _tenant_chunks(
         ],
         chunk=_RNG_CHUNK,
     )
-    index = 0
     for times, tenants in merged:
         services = np.empty(times.size, dtype=np.int64)
         for t in range(len(specs)):
@@ -1582,12 +1118,6 @@ def _tenant_chunks(
             count = int(mask.sum())
             if count:
                 services[mask] = _draw_tenant_services(service_rngs[t], count, specs[t])
-        if shards != 1:
-            mine = (np.arange(index, index + times.size) % shards) == shard
-            index += times.size
-            if not mine.any():
-                continue
-            times, tenants, services = times[mine], tenants[mine], services[mine]
         if lists:
             yield times.tolist(), tenants.tolist(), services.tolist()
         else:
@@ -1618,7 +1148,7 @@ class _TenantBook:
       vectorized ``sojourn > deadline_ns[t]`` DEADLINE_MISSED counts.
       Each sojourn is histogrammed once, under its tenant; the
       all-tenant summary is the exact merge of the tenants' parts
-      (:func:`merge_tenant_shards`).
+      (:func:`run_tenant_scale`).
     """
 
     __slots__ = (
@@ -1650,23 +1180,20 @@ class _TenantBook:
         "_buf_sojourn",
     )
 
-    def __init__(self, config: MultiTenantConfig, shard: int, shards: int) -> None:
+    def __init__(self, config: MultiTenantConfig) -> None:
         self.config = config
         specs = config.specs
         n = len(specs)
         self.names = [spec.name for spec in specs]
         self.keyed = KeyedStreamingSummary(config.subbits)
         self.backlogs = [deque() for _ in range(n)]
-        pinned_plan, shared_plan = _tenant_pool_plan(
-            specs, config.workers, config.partitioning, shards
+        self.pinned, self.shared_free = _tenant_pool_plan(
+            specs, config.workers, config.partitioning
         )
-        self.pinned = [_shard_slots(p, shards, shard) for p in pinned_plan]
-        self.shared_free = _shard_slots(shared_plan, shards, shard)
         self.waiting = 0
-        total = sum(spec.invocations for spec in specs)
-        self.count = _shard_invocations(total, shards, shard)
+        self.count = sum(spec.invocations for spec in specs)
         if self.count < 1:
-            raise ValueError("tenant shard needs at least one invocation")
+            raise ValueError("multi-tenant run needs at least one invocation")
         self.arrived = 0
         self.completed = 0
         self.arrived_by = [0] * n
@@ -1756,9 +1283,9 @@ class _TenantFifo(_TenantBook):
 
     __slots__ = ("_chunks", "_pools", "events_processed", "final_now_ns")
 
-    def __init__(self, config: MultiTenantConfig, shard: int, shards: int) -> None:
-        super().__init__(config, shard, shards)
-        self._chunks = _tenant_chunks(config, shard, shards, lists=False)
+    def __init__(self, config: MultiTenantConfig) -> None:
+        super().__init__(config)
+        self._chunks = _tenant_chunks(config, lists=False)
         if config.partitioning == "shared":
             self._pools = [FifoServers(self.shared_free, self.queue_caps)]
         else:
@@ -1826,9 +1353,9 @@ class _TenantWalk(_TenantBook):
 
     __slots__ = ("_chunks", "events_processed", "final_now_ns")
 
-    def __init__(self, config: MultiTenantConfig, shard: int, shards: int) -> None:
-        super().__init__(config, shard, shards)
-        self._chunks = _tenant_chunks(config, shard, shards)
+    def __init__(self, config: MultiTenantConfig) -> None:
+        super().__init__(config)
+        self._chunks = _tenant_chunks(config)
         self.events_processed = 0
         self.final_now_ns = 0
 
@@ -1975,10 +1502,10 @@ class _TenantDriver(_TenantBook):
         "_schedule",
     )
 
-    def __init__(self, env, config: MultiTenantConfig, shard: int, shards: int) -> None:
-        super().__init__(config, shard, shards)
+    def __init__(self, env, config: MultiTenantConfig) -> None:
+        super().__init__(config)
         self.env = env
-        self._chunks = _tenant_chunks(config, shard, shards)
+        self._chunks = _tenant_chunks(config)
         self._times: list[int] = []
         self._tenants: list[int] = []
         self._services: list[int] = []
@@ -2103,34 +1630,6 @@ class _TenantDriver(_TenantBook):
 
 
 @dataclass
-class TenantShardResult:
-    """One shard of the multi-tenant scenario: per-tenant accumulators
-    (exact integer counters + keyed streaming summaries) plus the
-    per-environment measurement."""
-
-    shard: int
-    shards: int
-    names: list[str]
-    invocations: int
-    completed: int
-    arrived_by: list[int]
-    dispatched_by: list[int]
-    missed_by: list[int]
-    congested_by: list[int]
-    queued_by: list[int]
-    cold_by: list[int]
-    max_backlog_by: list[int]
-    sojourn_totals: list[int]
-    sojourn_total: int
-    events_processed: int
-    wall_s: float
-    peak_rss_bytes: int
-    final_now_ns: int
-    timeout_pool_hits: int
-    keyed: KeyedStreamingSummary
-
-
-@dataclass
 class TenantStats:
     """One tenant's admission outcomes and sojourn tail over a run."""
 
@@ -2163,12 +1662,11 @@ class TenantStats:
 
 @dataclass
 class TenantScaleResult:
-    """A multi-tenant open-loop run (merged across shards)."""
+    """A multi-tenant open-loop run."""
 
     admission: str
     partitioning: str
     pool_policy: str
-    shards: int
     invocations: int
     workers: int
     completed: int
@@ -2188,8 +1686,7 @@ class TenantScaleResult:
     occupancy: dict[str, int] = field(default_factory=dict)
 
     def fingerprint(self) -> dict[str, Any]:
-        """Simulated-domain outputs: identical across admissions and
-        (in the unsaturated regime) across K=1/K=2 shard splits."""
+        """Simulated-domain outputs: identical across admissions."""
         per_tenant = {}
         for name, t in self.tenants.items():
             stats = {
@@ -2263,171 +1760,6 @@ class TenantScaleResult:
         return table
 
 
-def _run_tenant_shard(
-    shard: int,
-    shards: int,
-    specs: tuple,
-    workers: int = 1 << 21,
-    partitioning: str = "pinned",
-    admission: str = "batch",
-    pool_policy: str = "queue",
-    start_model: str = "remote-fork",
-    hybrid_threshold: int = 64,
-    lease_check_interval_ns: int = ms(64),
-    seed: int = 0x7E7A77,
-    subbits: int = 8,
-) -> TenantShardResult:
-    """Run one shard of the multi-tenant scenario (picklable factory)."""
-    _validate_admission(admission)
-    _validate_partitioning(partitioning)
-    _validate_pool_policy(pool_policy, start_model, 0, hybrid_threshold)
-    if not 0 <= shard < shards:
-        raise ValueError(f"shard {shard} outside [0, {shards})")
-    config = MultiTenantConfig(
-        specs=tuple(specs),
-        workers=workers,
-        partitioning=partitioning,
-        lease_check_interval_ns=lease_check_interval_ns,
-        seed=seed,
-        admission=admission,
-        subbits=subbits,
-        shards=shards,
-        pool_policy=pool_policy,
-        start_model=start_model,
-        hybrid_threshold=hybrid_threshold,
-    )
-    pin_thresholds()
-    driver: Any
-    if admission == "batch":
-        # Under the queue policy only an overflow plan, which mixes
-        # pinned and shared slots, needs the walk's event order.
-        fifo = pool_policy == "queue" and partitioning != "overflow"
-        driver = (_TenantFifo if fifo else _TenantWalk)(config, shard, shards)
-        started = time.perf_counter()
-        driver.drive()
-        wall_s = time.perf_counter() - started
-        events, now, pool_hits = driver.events_processed, driver.final_now_ns, 0
-    else:
-        env = Environment()
-        driver = _TenantDriver(env, config, shard, shards)
-        driver.start()
-        gc_was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        started = time.perf_counter()
-        try:
-            driver.drive()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        wall_s = time.perf_counter() - started
-        driver.finish()
-        events, now, pool_hits = env.events_processed, env.now, env.timeout_pool_hits
-
-    congested = sum(driver.congested_by)
-    if driver.completed + congested != driver.count:
-        raise RuntimeError(
-            f"tenant shard {shard}/{shards} lost invocations: "
-            f"{driver.completed} completed + {congested} congested "
-            f"of {driver.count}"
-        )
-    return TenantShardResult(
-        shard=shard,
-        shards=shards,
-        names=list(driver.names),
-        invocations=driver.count,
-        completed=driver.completed,
-        arrived_by=list(driver.arrived_by),
-        dispatched_by=list(driver.dispatched_by),
-        missed_by=list(driver.missed_by),
-        congested_by=list(driver.congested_by),
-        queued_by=list(driver.queued_by),
-        cold_by=list(driver.cold_by),
-        max_backlog_by=list(driver.max_backlog_by),
-        sojourn_totals=list(driver.sojourn_totals),
-        sojourn_total=driver.sojourn_total,
-        events_processed=events,
-        wall_s=wall_s,
-        peak_rss_bytes=_peak_rss_bytes(),
-        final_now_ns=now,
-        timeout_pool_hits=pool_hits,
-        keyed=driver.keyed,
-    )
-
-
-def merge_tenant_shards(
-    results: list[TenantShardResult],
-    *,
-    admission: str,
-    partitioning: str,
-    pool_policy: str,
-    workers: int,
-    wall_s: float,
-) -> TenantScaleResult:
-    """Fold per-shard tenant accumulators, in shard order, into one result.
-
-    Counts sum per tenant; clocks take the max; the keyed summaries
-    fold with the exact :meth:`KeyedStreamingSummary.merge` path, and
-    every per-tenant mean comes from summed exact integer totals.  The
-    all-tenant summary merges the tenants' parts: histogram counts,
-    min and max fold exactly, and its mean is the exact total too."""
-    if not results:
-        raise ValueError("merge of zero tenant shards")
-    if [r.shard for r in results] != list(range(len(results))):
-        raise ValueError("tenant shard results must arrive complete and in shard order")
-    names = results[0].names
-    keyed = KeyedStreamingSummary.merged([r.keyed for r in results])
-    stream = StreamingSummary.merged(keyed.parts[k] for k in keyed.keys())
-    tenants: dict[str, TenantStats] = {}
-    for t, name in enumerate(names):
-        dispatched = sum(r.dispatched_by[t] for r in results)
-        sojourn_total = sum(r.sojourn_totals[t] for r in results)
-        if dispatched:
-            latency = replace(
-                keyed.summarize(name), mean=sojourn_total / dispatched
-            )
-        else:
-            latency = None
-        tenants[name] = TenantStats(
-            name=name,
-            arrived=sum(r.arrived_by[t] for r in results),
-            dispatched=dispatched,
-            missed=sum(r.missed_by[t] for r in results),
-            congested=sum(r.congested_by[t] for r in results),
-            queued=sum(r.queued_by[t] for r in results),
-            cold_starts=sum(r.cold_by[t] for r in results),
-            max_backlog=max(r.max_backlog_by[t] for r in results),
-            sojourn_total=sojourn_total,
-            latency=latency,
-        )
-    events = sum(r.events_processed for r in results)
-    completed = sum(r.completed for r in results)
-    return TenantScaleResult(
-        admission=admission,
-        partitioning=partitioning,
-        pool_policy=pool_policy,
-        shards=len(results),
-        invocations=sum(r.invocations for r in results),
-        workers=workers,
-        completed=completed,
-        events_processed=events,
-        wall_s=wall_s,
-        events_per_sec=events / wall_s if wall_s > 0 else 0.0,
-        peak_rss_bytes=max(r.peak_rss_bytes for r in results),
-        final_now_ns=max(r.final_now_ns for r in results),
-        queued=sum(sum(r.queued_by) for r in results),
-        congested=sum(sum(r.congested_by) for r in results),
-        missed=sum(sum(r.missed_by) for r in results),
-        cold_starts=sum(sum(r.cold_by) for r in results),
-        latency=replace(
-            stream.summarize(),
-            mean=sum(r.sojourn_total for r in results) / stream.count,
-        ),
-        tenants=tenants,
-        stream_buckets=len(stream.histogram) + keyed.buckets(),
-    )
-
-
 def run_tenant_scale(
     specs=None,
     invocations: Optional[int] = None,
@@ -2442,19 +1774,20 @@ def run_tenant_scale(
     lease_check_interval_ns: int = ms(64),
     seed: int = 0x7E7A77,
     subbits: int = 8,
-    shards: int = 1,
-    parallel: int = 1,
-    cache_dir: Optional[str] = None,
 ) -> TenantScaleResult:
-    """Drive the multi-tenant open-loop scenario once and measure it.
+    """Drive the multi-tenant open-loop scenario once, in-process, and measure it.
 
     *specs* defaults to :func:`repro.workloads.tenants.standard_mix`
     rescaled by (*invocations*, *rate_scale*, *compute_scale*); pass an
-    explicit mix to override.  ``shards > 1`` decomposes the one merged
-    calendar by global arrival index (partition split) and fans the
-    shards out over ``parallel`` worker processes -- exact in the
-    unsaturated regime, where the K-shard merge is bit-identical to
-    the 1-shard run.
+    explicit mix to override.  Batch admission runs the tenant FIFO
+    recurrence (:class:`_TenantFifo`) for ``queue`` runs on a pinned or
+    shared plan and the tenant walk (:class:`_TenantWalk`) otherwise;
+    per-event admission runs the referee (:class:`_TenantDriver`).
+
+    Per-tenant summaries come straight from the driver's keyed
+    accumulators, with means from exact integer totals.  The all-tenant
+    summary merges the tenants' parts: histogram counts, min and max
+    fold exactly, and its mean is the exact total too.
     """
     if specs is None:
         specs = standard_mix(invocations, rate_scale, compute_scale)
@@ -2467,57 +1800,68 @@ def run_tenant_scale(
     _validate_admission(admission)
     _validate_partitioning(partitioning)
     _validate_pool_policy(pool_policy, start_model, 0, hybrid_threshold)
-    total = sum(spec.invocations for spec in specs)
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if shards > total:
-        raise ValueError(f"{shards} shards for {total} invocations (some get none)")
-    _tenant_pool_plan(specs, workers, partitioning, shards)  # fail fast on thin pools
-    shared_kwargs = dict(
-        shards=shards,
+    config = MultiTenantConfig(
         specs=specs,
         workers=workers,
         partitioning=partitioning,
+        lease_check_interval_ns=lease_check_interval_ns,
+        seed=seed,
         admission=admission,
+        subbits=subbits,
         pool_policy=pool_policy,
         start_model=start_model,
         hybrid_threshold=hybrid_threshold,
-        lease_check_interval_ns=lease_check_interval_ns,
-        seed=seed,
-        subbits=subbits,
     )
-    if shards == 1:
-        started = time.perf_counter()
-        outcomes: list = [_run_tenant_shard(shard=0, **shared_kwargs)]
-        wall_s = time.perf_counter() - started
-    else:
-        from repro.parallel import FailedPoint, RunSpec, run_specs
-
-        run_spec_list = [
-            RunSpec(
-                factory="repro.experiments.scale:_run_tenant_shard",
-                kwargs={"shard": shard, **shared_kwargs},
-                index=shard,
-                label=f"tenant-shard[{shard}/{shards}]",
-            )
-            for shard in range(shards)
-        ]
-        cache = None
-        if cache_dir is not None:
-            from repro.cache import ResultCache
-
-            cache = ResultCache(cache_dir)
-        started = time.perf_counter()
-        outcomes = run_specs(run_spec_list, parallel, cache=cache)
-        wall_s = time.perf_counter() - started
-        failed = [o for o in outcomes if isinstance(o, FailedPoint)]
-        if failed:
-            raise RuntimeError(f"multi-tenant run failed: {failed[0].summary()}")
-    return merge_tenant_shards(
-        outcomes,
+    # Under the queue policy only an overflow plan, which mixes pinned
+    # and shared slots, needs the walk's event order.
+    fifo = pool_policy == "queue" and partitioning != "overflow"
+    driver, wall_s, events, now, _ = _drive(
+        config, _TenantFifo if fifo else _TenantWalk, _TenantDriver
+    )
+    congested = sum(driver.congested_by)
+    if driver.completed + congested != driver.count:
+        raise RuntimeError(
+            f"multi-tenant run lost invocations: {driver.completed} completed "
+            f"+ {congested} congested of {driver.count}"
+        )
+    keyed = driver.keyed
+    tenants: dict[str, TenantStats] = {}
+    for t, name in enumerate(names):
+        dispatched = driver.dispatched_by[t]
+        sojourn_total = driver.sojourn_totals[t]
+        latency = None
+        if dispatched:
+            latency = replace(keyed.summarize(name), mean=sojourn_total / dispatched)
+        tenants[name] = TenantStats(
+            name=name,
+            arrived=driver.arrived_by[t],
+            dispatched=dispatched,
+            missed=driver.missed_by[t],
+            congested=driver.congested_by[t],
+            queued=driver.queued_by[t],
+            cold_starts=driver.cold_by[t],
+            max_backlog=driver.max_backlog_by[t],
+            sojourn_total=sojourn_total,
+            latency=latency,
+        )
+    stream = StreamingSummary.merged(keyed.parts[k] for k in keyed.keys())
+    return TenantScaleResult(
         admission=admission,
         partitioning=partitioning,
         pool_policy=pool_policy,
+        invocations=driver.count,
         workers=workers,
+        completed=driver.completed,
+        events_processed=events,
         wall_s=wall_s,
+        events_per_sec=events / wall_s if wall_s > 0 else 0.0,
+        peak_rss_bytes=_peak_rss_bytes(),
+        final_now_ns=now,
+        queued=sum(driver.queued_by),
+        congested=congested,
+        missed=sum(driver.missed_by),
+        cold_starts=sum(driver.cold_by),
+        latency=replace(stream.summarize(), mean=driver.sojourn_total / stream.count),
+        tenants=tenants,
+        stream_buckets=len(stream.histogram) + keyed.buckets(),
     )

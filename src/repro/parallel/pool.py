@@ -242,10 +242,18 @@ def _execute_pairs(
                 results[position] = (outcome, snapshot)
                 position += 1
     finally:
-        # Join the executor's manager thread, unless a chunk timed out:
-        # a straggler is abandoned rather than waited on.  A manager
-        # thread left running past this call can race the interpreter's
-        # exit hook, which then writes to its closed wake-up pipe
-        # ("OSError: [Errno 9] Bad file descriptor" at exit).
-        pool.shutdown(wait=not timed_out, cancel_futures=True)
+        if timed_out:
+            # A running future cannot be cancelled: stop the workers, or
+            # the straggler outlives this call and the interpreter's
+            # exit hook waits for it.  Every other chunk has been
+            # collected or has timed out by now.  There is no public
+            # call for this before Python 3.14, whose terminate_workers()
+            # would also drop the manager thread before the join below.
+            for process in list((pool._processes or {}).values()):
+                process.terminate()
+        # Join the executor's manager thread: one left running past this
+        # call can race the interpreter's exit hook, which then writes
+        # to its closed wake-up pipe ("OSError: [Errno 9] Bad file
+        # descriptor" at exit).
+        pool.shutdown(wait=True, cancel_futures=True)
     return results

@@ -37,7 +37,6 @@ class Counters:
         "cache_misses",
         "cache_bytes_read",
         "cache_bytes_written",
-        "shard_runs",
         "cold_spinups",
         "cold_reclaims",
         "lease_grants",
@@ -67,8 +66,6 @@ class Counters:
         self.cache_bytes_read = 0
         #: Artifact bytes persisted on cache fills.
         self.cache_bytes_written = 0
-        #: Shard simulations executed by the sharded scale engine.
-        self.shard_runs = 0
         #: Sandbox spin-ups fired (cold starts that reached ready).
         self.cold_spinups = 0
         #: Idle-reclaim expiries fired (successful teardowns only).

@@ -1,19 +1,17 @@
 """Arrival-time generators for the open-loop scale harness.
 
 The scale engine (``repro.experiments.scale``) needs one thing from an
-arrival model: the **global sequence of absolute arrival times**, drawn
+arrival model: the **sequence of absolute arrival times**, drawn
 deterministically from a seeded generator, in bounded-memory chunks.
-Centralizing that sequence is what makes scenario *sharding* exact: a
-shard that keeps every K-th arrival of the global sequence simulates a
-systematic thinning of the very process the unsharded run would have
-seen, so per-shard results fold back without statistical drift.
+Every engine and its per-event referee consume the same sequence, so
+they simulate the very same arrivals.
 
 Three shapes, all with the same long-run mean rate ``1/mean_gap_ns``:
 
 * ``poisson`` -- exponential inter-arrival gaps.  The gap recipe
   (chunked ``Generator.exponential``, ``int64``, floor at 1 ns) is
-  byte-for-byte the one the PR 4 driver used, so a 1-shard partition
-  run replays the identical arrival stream.
+  byte-for-byte the one the PR 4 driver used, so a run replays the
+  identical arrival stream.
 * ``bursty`` -- a compound process: burst *epochs* arrive with
   exponential gaps of mean ``mean_gap_ns * burst_len``; each epoch
   releases ``burst_len`` invocations spaced ``burst_intra_gap_ns``
@@ -46,8 +44,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-#: Chunk size for pre-batched draws; matches the scale driver's RNG
-#: chunking so partition-mode shards replay identical stream prefixes.
+#: Chunk size for pre-batched draws (the scale engine draws its
+#: streams with the same chunk, ``_RNG_CHUNK``).
 ARRIVAL_CHUNK = 1 << 16
 
 #: The dtype every generator yields (and batch admission expects):

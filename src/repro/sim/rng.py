@@ -30,25 +30,6 @@ def derive_seed(root_seed: int, *path: str) -> int:
     return seed
 
 
-def shard_seed(root_seed: int, shard: int) -> int:
-    """The derived root seed for shard *shard* of a sharded scenario.
-
-    ``derive_seed(root, "shard", k)`` -- the seed-splitting contract the
-    sharded scale engine uses for its independent-streams ("thin")
-    decomposition: shard k's streams depend only on ``(root_seed, k)``,
-    never on which worker process runs it or in what order, so a
-    K-shard run is bit-identical across repeats and worker counts.
-    """
-    return derive_seed(root_seed, "shard", str(int(shard)))
-
-
-def shard_seeds(root_seed: int, shards: int) -> list[int]:
-    """:func:`shard_seed` for every shard of a K-way decomposition."""
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    return [shard_seed(root_seed, shard) for shard in range(shards)]
-
-
 class RngStreams:
     """A family of independent, named ``numpy.random.Generator`` streams."""
 

@@ -428,9 +428,8 @@ def test_merged_fold_invariant_across_split_arity(ways):
 def test_merged_fold_commutes_and_associates():
     """Any order/grouping of shard merges yields the same histogram state.
 
-    This is what lets the sharded scale engine fold shard results in
-    shard order and still claim worker-count independence: dispatch
-    order never reaches the fold.
+    This is what lets a caller fold partial results in whatever order
+    they arrive: dispatch order never reaches the fold.
     """
     rng = random.Random(21)
     shards = []

@@ -62,63 +62,3 @@ def test_check_regression_reports_missing_baseline(tmp_path):
 def test_check_regression_defaults_to_last_label(tmp_path):
     baseline = _baseline_doc(tmp_path, 1_000_000)
     assert check_regression(_results(999_999), baseline, None) == []
-
-
-def _sharded_entry(rate, shards=2, workers=2, representative=True):
-    return {
-        "kernel_event_throughput": {"events_per_sec": 1_000_000},
-        "scale_sharded": {
-            "shards": shards,
-            "workers": workers,
-            "events_per_sec": rate,
-            "speedup_representative": representative,
-        },
-    }
-
-
-def _sharded_baseline(tmp_path, rate, **kwargs):
-    path = tmp_path / "BENCH_SHARDED.json"
-    path.write_text(
-        json.dumps(
-            {
-                "schema": "rfaas-repro-bench-v1",
-                "entries": {"base": _sharded_entry(rate, **kwargs)},
-            }
-        )
-    )
-    return str(path)
-
-
-_sharded_results = _sharded_entry
-
-
-def test_sharded_guard_compares_matching_shard_counts(tmp_path):
-    baseline = _sharded_baseline(tmp_path, 1_000_000)
-    assert check_regression(_sharded_results(900_000), baseline, "base") == []
-    problems = check_regression(_sharded_results(500_000), baseline, "base")
-    assert len(problems) == 1
-    assert "scale_sharded" in problems[0] and "2 shards" in problems[0]
-
-
-def test_sharded_guard_skips_mismatched_decompositions(tmp_path):
-    """2-shard and 4-shard runs simulate different per-env workloads."""
-    baseline = _sharded_baseline(tmp_path, 1_000_000, shards=2)
-    assert check_regression(_sharded_results(100_000, shards=4), baseline, "base") == []
-    # Same shard count but different worker count: also incomparable.
-    assert (
-        check_regression(_sharded_results(100_000, workers=8), baseline, "base") == []
-    )
-    # A baseline recorded before sharding existed guards nothing sharded.
-    old = _baseline_doc(tmp_path, 1_000_000)
-    assert check_regression(_sharded_results(100_000), old, "base") == []
-
-
-def test_sharded_guard_skips_non_representative_entries(tmp_path):
-    """Single-CPU fan-out rates are dispatch noise: recorded, not guarded."""
-    flagged = _sharded_baseline(tmp_path, 1_000_000, representative=False)
-    assert check_regression(_sharded_results(100_000), flagged, "base") == []
-    good = _sharded_baseline(tmp_path, 1_000_000)
-    assert (
-        check_regression(_sharded_results(100_000, representative=False), good, "base")
-        == []
-    )

@@ -89,10 +89,21 @@ def test_parallel_accepts_auto_and_integers():
         _parallel_workers("many")
 
 
-def test_retired_wheel_flag_rejected_at_the_cli():
-    # The timer wheel and its slot-width flag are gone.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # The timer wheel and its slot-width flag are gone.
+        pytest.param(("scale", "--quick", "--granularity-bits", "16"), id="granularity-bits"),
+        # So is single-scenario sharding.
+        pytest.param(("scale", "--quick", "--shards", "2"), id="scale-shards"),
+        pytest.param(("scale", "--quick", "--shard-split", "thin"), id="scale-shard-split"),
+        pytest.param(("multitenant", "--quick", "--shards", "2"), id="multitenant-shards"),
+        pytest.param(("bench", "--quick", "--shards", "2"), id="bench-shards"),
+    ],
+)
+def test_retired_wheel_flag_rejected_at_the_cli(argv):
     with pytest.raises(SystemExit) as excinfo:
-        run_cli("scale", "--quick", "--granularity-bits", "16")
+        run_cli(*argv)
     assert excinfo.value.code == 2
 
 

@@ -1,4 +1,4 @@
-"""Multi-tenant scale engine: bit-identity, sharding, and pool plans.
+"""Multi-tenant scale engine: bit-identity, accounting, and pool plans.
 
 The contract under test mirrors the single-stream scale engine's: the
 default engines -- the tenant FIFO recurrence for ``queue`` runs on a
@@ -6,8 +6,7 @@ pinned or shared plan, the tenant reduced-event walk otherwise -- and
 the per-event referee FSM must agree on every simulated-domain output,
 here *per tenant*: outcome counts (SUCCESS / CONGESTION /
 DEADLINE_MISSED), exact sojourn totals, histogram-derived tails and
-peak backlog -- and (unsaturated) a K-way shard split must merge back
-bit-identical to the 1-shard run.
+peak backlog.
 """
 
 from dataclasses import replace
@@ -15,16 +14,7 @@ from dataclasses import replace
 import pytest
 
 from repro import perf
-from repro.analysis.streams import KeyedStreamingSummary
-from repro.experiments.scale import (
-    MultiTenantConfig,
-    TenantShardResult,
-    _TenantWalk,
-    _tenant_chunks,
-    _tenant_pool_plan,
-    merge_tenant_shards,
-    run_tenant_scale,
-)
+from repro.experiments.scale import _TenantWalk, _tenant_pool_plan, run_tenant_scale
 from repro.workloads.tenants import TenantSpec, standard_mix
 
 #: A saturated mix: pool far smaller than the in-flight demand, so
@@ -123,18 +113,6 @@ def test_benchmark_cell_matches_the_referee():
     assert moved["fifo_block_arrivals"] > 15_000
 
 
-@pytest.mark.parametrize("shards", [2, 3])
-def test_unsaturated_shard_split_is_exact(shards):
-    """K-way partition split merges bit-identical to the 1-shard run
-    when the pool never saturates (no cross-shard queue interaction)."""
-    specs = standard_mix(invocations=3_000, rate_scale=50.0)
-    kwargs = dict(specs=specs, workers=8_192, partitioning="overflow", seed=5)
-    serial = run_tenant_scale(**kwargs)
-    sharded = run_tenant_scale(shards=shards, **kwargs)
-    assert sharded.fingerprint() == serial.fingerprint()
-    assert sharded.shards == shards
-
-
 def test_per_tenant_outcome_conservation_and_stats():
     result = run_tenant_scale(specs=_specs(queue_cap=64), partitioning="pinned", **SATURATED)
     total_arrived = 0
@@ -153,7 +131,7 @@ def test_per_tenant_outcome_conservation_and_stats():
 def test_all_tenant_summary_merges_the_tenant_parts():
     """Each sojourn is histogrammed once, under its tenant: the
     all-tenant summary is the exact merge of the tenants' parts."""
-    result = run_tenant_scale(specs=_specs(), partitioning="overflow", shards=2, **SATURATED)
+    result = run_tenant_scale(specs=_specs(), partitioning="overflow", **SATURATED)
     parts = [t for t in result.tenants.values() if t.latency is not None]
     dispatched = sum(t.dispatched for t in parts)
     assert result.latency.count == dispatched == result.completed
@@ -163,41 +141,6 @@ def test_all_tenant_summary_merges_the_tenant_parts():
     low = min(t.latency.median for t in parts)
     high = max(t.latency.median for t in parts)
     assert low <= result.latency.median <= high
-
-
-def test_merge_without_dispatched_sojourns_fails():
-    empty = TenantShardResult(
-        shard=0, shards=1, names=["a"], invocations=1, completed=0,
-        arrived_by=[1], dispatched_by=[0], missed_by=[0], congested_by=[1],
-        queued_by=[0], cold_by=[0], max_backlog_by=[0], sojourn_totals=[0],
-        sojourn_total=0, events_processed=1, wall_s=0.0, peak_rss_bytes=0,
-        final_now_ns=0, timeout_pool_hits=0, keyed=KeyedStreamingSummary(),
-    )
-    with pytest.raises(ValueError):
-        merge_tenant_shards(
-            [empty], admission="batch", partitioning="pinned", pool_policy="queue",
-            workers=1, wall_s=0.0,
-        )
-
-
-def test_tenant_chunks_shard_union_is_global_stream():
-    """The K shards' merged calendars tile the global one exactly."""
-    config = MultiTenantConfig(specs=tuple(standard_mix(invocations=2_000)))
-    serial = []
-    for times, tenants, services in _tenant_chunks(config, 0, 1):
-        serial.extend(zip(times, tenants, services))
-    recombined = [[] for _ in range(3)]
-    for shard in range(3):
-        for times, tenants, services in _tenant_chunks(config, shard, 3):
-            recombined[shard].extend(zip(times, tenants, services))
-    interleaved = []
-    cursors = [0, 0, 0]
-    for index in range(len(serial)):
-        shard = index % 3
-        interleaved.append(recombined[shard][cursors[shard]])
-        cursors[shard] += 1
-    assert interleaved == serial
-    assert [t for t, _, _ in serial] == sorted(t for t, _, _ in serial)
 
 
 def test_pool_plan_partitions_and_validation():
@@ -227,12 +170,9 @@ def test_run_validation_rejects_bad_knobs():
     with pytest.raises(ValueError):
         run_tenant_scale(specs=[TenantSpec(name="a"), TenantSpec(name="a")])
     with pytest.raises(ValueError):
-        run_tenant_scale(specs=specs, shards=0)
+        run_tenant_scale(specs=[replace(spec, invocations=0) for spec in specs])
+    # A tenant that reaches no slot would leave its waiters queued forever.
     with pytest.raises(ValueError):
-        run_tenant_scale(specs=specs, shards=10**9)
-    # Some shard would get no slot a tenant can use: its waiters would
-    # never run.
+        run_tenant_scale(specs=specs, partitioning="shared", workers=0)
     with pytest.raises(ValueError):
-        run_tenant_scale(specs=specs, partitioning="shared", workers=1, shards=2)
-    with pytest.raises(ValueError):
-        run_tenant_scale(specs=specs, partitioning="pinned", workers=4, shards=2)
+        run_tenant_scale(specs=specs, partitioning="pinned", workers=2)

@@ -12,8 +12,15 @@ from repro.experiments.scale import (
     _draw_services,
     _draw_tenant_services,
     run_scale,
+    run_tenant_scale,
 )
+from repro.sim.clock import us
 from repro.workloads.tenants import standard_mix
+
+#: Pool never saturates (slots >= invocations).
+UNSATURATED = {"invocations": 1_500, "workers": 2_048, "mean_arrival_gap_ns": us(25)}
+#: Pool saturates: the FIFO backlog fills and drains.
+SATURATED = {"invocations": 3_000, "workers": 256, "mean_arrival_gap_ns": us(25)}
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +81,41 @@ def test_table_renders(quick_run):
 def test_rejects_empty_run():
     with pytest.raises(ValueError):
         run_scale(invocations=0, workers=4)
+    with pytest.raises(ValueError):
+        run_scale(invocations=4, workers=0)
+
+
+@pytest.mark.parametrize("shape", ["bursty", "diurnal"])
+def test_arrival_shapes_complete_and_reproduce(shape):
+    a = run_scale(arrival_shape=shape, **UNSATURATED)
+    b = run_scale(arrival_shape=shape, **UNSATURATED)
+    assert a.completed == UNSATURATED["invocations"]
+    assert a.fingerprint() == b.fingerprint()
+    assert f"{shape} arrivals" in a.table().render()
+
+
+def test_bursty_shape_saturates_harder_than_poisson():
+    poisson = run_scale(**SATURATED)
+    bursty = run_scale(arrival_shape="bursty", burst_len=256, **SATURATED)
+    assert bursty.max_backlog >= poisson.max_backlog
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"arrival_shape": "nope"}, {"arrival_shape": "bursty", "burst_len": 0}],
+    ids=["unknown-shape", "empty-burst"],
+)
+def test_bad_arrival_knobs_fail_as_value_error(bad):
+    with pytest.raises(ValueError):
+        run_scale(**bad, **UNSATURATED)
+
+
+def test_retired_shard_knobs_are_unknown_arguments():
+    # One scenario runs on one pool in one process: no shard split.
+    with pytest.raises(TypeError, match="shards"):
+        run_scale(shards=2, **UNSATURATED)
+    with pytest.raises(TypeError, match="shards"):
+        run_tenant_scale(specs=standard_mix(invocations=100), shards=2)
 
 
 def test_rss_regression_guard(tmp_path):

@@ -3,11 +3,10 @@
 The acceptance contract: under ``pool_policy`` in {cold, hybrid} the
 default engine -- the reduced-event walk, which builds no environment
 -- and the per-event heap referee must produce bit-identical
-fingerprints across arrival shapes, keepalive on and off, dense-gap
-saturation, and K-shard decompositions.  Plus the knob
-validation boundary, the coldstart harness, and the bench guard's
-cold checks.  Exact same-instant ties are covered by
-``test_scale_ties.py``.
+fingerprints across arrival shapes, keepalive on and off, and dense-gap
+saturation.  Plus the knob validation boundary, the coldstart harness,
+and the bench guard's cold checks.  Exact same-instant ties are
+covered by ``test_scale_ties.py``.
 """
 
 import json
@@ -16,7 +15,7 @@ import pytest
 
 from repro.experiments.bench import check_regression
 from repro.experiments.coldstart import QUICK_KWARGS, executor_seconds, run_coldstart
-from repro.experiments.scale import run_scale, run_scale_sharded
+from repro.experiments.scale import run_scale
 from repro.sim.clock import ms, us
 
 #: Small saturating scenario: the pool runs dry within the burst, so
@@ -108,23 +107,6 @@ def test_queue_policy_unchanged_by_cold_machinery():
     queued = _fp(pool_policy="queue", **base)
     assert legacy == queued
     assert queued["cold_starts"] == 0
-
-
-def test_shard_decomposition_invariance_with_cold_lane():
-    # Exactness regime for the mod-K partition (see the scale module
-    # docstring): arrivals interact only through warm-pool slots, so
-    # pick services that outlast the arrival span -- no slot refills,
-    # the warm set is exactly the first W arrivals under any K, and
-    # the cold set (hence cold_busy_ns) is decomposition-invariant.
-    kwargs = dict(
-        invocations=4_000, workers=256, mean_arrival_gap_ns=us(25),
-        service_log_mean=23.0, service_log_sigma=0.3,
-        pool_policy="cold", start_model="remote-fork", keepalive_ns=0,
-    )
-    one = run_scale_sharded(shards=1, parallel=1, **kwargs).fingerprint()
-    two = run_scale_sharded(shards=2, parallel=1, **kwargs).fingerprint()
-    assert one == two
-    assert one["cold_starts"] == 4_000 - 256
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ Random nanosecond-resolution streams almost never put two events on
 the same instant, so the identity tests elsewhere say nothing about
 tie rules.  The cases here build ties on purpose: a hand-built stream
 where a completion lands exactly on an arrival, fed to every engine
-through a monkeypatched ``_shard_chunks``, and grid cases that floor
+through a monkeypatched ``_scale_chunks``, and grid cases that floor
 the generated streams onto a coarse grid and compare the default
 engine with the per-event heap referee: the reduced-event walk, or for
 ``queue`` tenants on a pinned or shared plan the FIFO recurrence.
@@ -29,13 +29,12 @@ from repro.workloads.tenants import standard_mix
 def _feed(monkeypatch, times, services):
     """Replace the generated stream with *times*/*services* (one chunk)."""
 
-    def chunks(config, shard, shards, lists=True):
-        assert shards == 1
+    def chunks(config, lists=True):
         t = np.asarray(times, dtype=np.int64)
         s = np.asarray(services, dtype=np.int64)
         yield (t.tolist(), s.tolist()) if lists else (t, s)
 
-    monkeypatch.setattr(scale, "_shard_chunks", chunks)
+    monkeypatch.setattr(scale, "_scale_chunks", chunks)
 
 
 #: One slot, 1 ms services, arrivals at 0 / 1.0 / 1.5 ms: the first
@@ -86,7 +85,7 @@ def on_grid(monkeypatch):
     """
 
     def install(step: int) -> None:
-        shard_chunks = scale._shard_chunks
+        scale_chunks = scale._scale_chunks
         merge, draw = scale.merge_tenant_streams, scale._draw_tenant_services
 
         def snap(times):
@@ -95,8 +94,8 @@ def on_grid(monkeypatch):
         def snap_services(services):
             return np.maximum(np.asarray(services, dtype=np.int64) // step, 1) * step
 
-        def shard(config, shard, shards, lists=True):
-            for times, services in shard_chunks(config, shard, shards, lists=False):
+        def chunks(config, lists=True):
+            for times, services in scale_chunks(config, lists=False):
                 t, s = snap(times), snap_services(services)
                 yield (t.tolist(), s.tolist()) if lists else (t, s)
 
@@ -106,7 +105,7 @@ def on_grid(monkeypatch):
         def services(rng, size, spec):
             return snap_services(draw(rng, size, spec))
 
-        monkeypatch.setattr(scale, "_shard_chunks", shard)
+        monkeypatch.setattr(scale, "_scale_chunks", chunks)
         monkeypatch.setattr(scale, "merge_tenant_streams", merged)
         monkeypatch.setattr(scale, "_draw_tenant_services", services)
 

@@ -133,6 +133,20 @@ def test_timeout_yields_failed_point():
     assert results[1] == 8
 
 
+def test_timed_out_worker_does_not_outlive_the_call():
+    """A timed-out chunk's worker is stopped, not left running: the
+    interpreter's exit hook would otherwise wait for the straggler."""
+    import multiprocessing
+
+    specs = [
+        RunSpec("tests.parallel.factories:sleepy", {"seconds": 30}, index=0, label="slow"),
+        RunSpec("tests.parallel.factories:double", {"x": 4}, index=1),
+    ]
+    results = run_specs(specs, 2, timeout_s=1.0)
+    assert isinstance(results[0], FailedPoint) and results[1] == 8
+    assert multiprocessing.active_children() == []
+
+
 def _manager_threads():
     return {
         thread
