@@ -10,8 +10,10 @@ Both control drivers (the per-event RPC reference and the vectorized
 kernel) produce the *same multiset* of manager events; this module is
 the single shared post-pass that turns those logs into latencies, so
 the two drivers' statistics agree bit for bit by construction: one
-canonical sort, one exact vectorized recurrence, one
-:class:`~repro.analysis.streams.StreamingSummary` observation order.
+canonical sort and one exact vectorized recurrence.  The
+:class:`~repro.analysis.streams.StreamingSummary` the latencies feed
+does not depend on observation order (integer total, histogram
+counts, min and max).
 
 The recurrence for completion times is the classic Lindley unrolling::
 
@@ -80,12 +82,8 @@ def sojourn_by_kind(
     service_ns: np.ndarray,
     kind_count: int,
 ) -> list[np.ndarray]:
-    """FIFO sojourn times (done - arrival) split per kind.
-
-    Each returned array is in canonical event order, so observing it
-    into a :class:`~repro.analysis.streams.StreamingSummary` with one
-    ``observe_many`` call is deterministic across drivers.
-    """
+    """FIFO sojourn times (done - arrival) split per kind, each an
+    ``int64`` array in canonical event order."""
     order, done = replay_fifo(times, kinds, keys, service_ns)
     sojourn = done - np.asarray(times, dtype=np.int64)[order]
     sorted_kinds = np.asarray(kinds, dtype=np.int64)[order]

@@ -6,30 +6,22 @@ memory and sorts once per summary -- fine for the paper's figures
 produces >=10^6 latencies.  This module computes the same summary shape
 (:class:`repro.analysis.stats.SummaryStats`) from bounded state:
 
-* :class:`Welford` -- numerically stable running mean/variance
-  (Welford's online algorithm), with Chan's parallel-merge formulas so
-  per-shard accumulators combine exactly.
-* :class:`P2Quantile` -- the classic Jain & Chlamtac P-squared
-  single-quantile estimator: five markers, piecewise-parabolic
-  adjustment, O(1) state.  Kept for spot estimates of one quantile;
-  it is *approximate with no hard error bound*, so the summary path
-  below does not rely on it.
 * :class:`LogHistogram` -- base-2 logarithmic histogram with
   ``2**subbits`` sub-buckets per octave.  Every recorded value lands in
   a bucket whose width is at most ``2**-subbits`` of its magnitude, so
   any quantile read back from the histogram has **relative error
   <= 2**-subbits** (default ``subbits=8``: <= 0.39%).  This bound is
   deterministic -- not probabilistic like a reservoir -- and the
-  histogram merges exactly across shards.
-* :class:`StreamingSummary` -- glue: Welford + LogHistogram + exact
-  min/max, bridged to ``SummaryStats`` (median, p95, p99, mean, CI)
-  through the same binomial CI ranks the exact path uses
-  (:func:`repro.analysis.stats.median_ci_ranks`).
+  histogram merges exactly.
+* :class:`StreamingSummary` -- glue: the running total, LogHistogram
+  and exact min/max, bridged to ``SummaryStats`` (median, p95, p99,
+  mean, CI) through the same binomial CI ranks the exact path uses
+  (:func:`repro.analysis.stats.median_ci_ranks`).  Every caller in the
+  program records integer nanoseconds, so the total is an exact integer
+  and the mean ``total / count`` is one correctly rounded division:
+  it does not depend on batching, observation order or merge order.
 * :class:`KeyedStreamingSummary` -- a keyed map of the above (one
-  accumulator per tenant/class), with the same exact keyed merge
-  across shards: keys union, per-key accumulators fold with the exact
-  histogram/min/max paths, so any grouping of shards produces the same
-  per-key histograms whatever order keys first appeared in.
+  accumulator per tenant/class).
 
 Memory is O(number of occupied buckets), bounded by
 ``subbits``-per-octave times the dynamic range of the data and
@@ -39,140 +31,12 @@ touch at most ~37 octaves, i.e. <10k buckets at the default resolution.
 
 from __future__ import annotations
 
-from math import frexp, inf, ldexp, sqrt
+from math import frexp, inf, ldexp
 from typing import Any, Iterable, Optional
 
 import numpy as np
 
 from repro.analysis.stats import SummaryStats, median_ci_ranks
-
-
-class Welford:
-    """Running count/mean/variance (Welford online, Chan merge)."""
-
-    __slots__ = ("count", "mean", "_m2")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-
-    def add_batch(self, count: int, mean: float, m2: float) -> None:
-        """Fold pre-aggregated moments in (Chan et al. pairwise update)."""
-        if count <= 0:
-            return
-        total = self.count + count
-        delta = mean - self.mean
-        self.mean += delta * count / total
-        self._m2 += m2 + delta * delta * self.count * count / total
-        self.count = total
-
-    def merge(self, other: "Welford") -> None:
-        self.add_batch(other.count, other.mean, other._m2)
-
-    @property
-    def variance(self) -> float:
-        """Population variance (0.0 until two samples arrive)."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / self.count
-
-    @property
-    def sample_variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def std(self) -> float:
-        return sqrt(self.variance)
-
-
-class P2Quantile:
-    """Jain & Chlamtac's P-squared estimator for a single quantile.
-
-    Five markers track (min, q/2, q, (1+q)/2, max); marker heights move
-    by piecewise-parabolic interpolation as observations arrive.  Exact
-    while fewer than five samples have been seen.  Accuracy is good in
-    practice but carries no worst-case bound -- use
-    :class:`LogHistogram` when a guaranteed bound matters.
-    """
-
-    __slots__ = ("q", "_heights", "_positions", "_desired", "_increments")
-
-    def __init__(self, q: float) -> None:
-        if not 0 < q < 1:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        self.q = q
-        self._heights: list[float] = []
-        self._positions = [1, 2, 3, 4, 5]
-        self._desired = [1.0, 1 + 2 * q, 1 + 4 * q, 3 + 2 * q, 5.0]
-        self._increments = [0.0, q / 2, q, (1 + q) / 2, 1.0]
-
-    def add(self, value: float) -> None:
-        heights = self._heights
-        if len(heights) < 5:
-            heights.append(value)
-            heights.sort()
-            return
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
-        positions = self._positions
-        for i in range(cell + 1, 5):
-            positions[i] += 1
-        desired = self._desired
-        for i in range(5):
-            desired[i] += self._increments[i]
-        # Adjust the three interior markers toward their desired ranks.
-        for i in (1, 2, 3):
-            gap = desired[i] - positions[i]
-            if (gap >= 1 and positions[i + 1] - positions[i] > 1) or (
-                gap <= -1 and positions[i - 1] - positions[i] < -1
-            ):
-                step = 1 if gap >= 1 else -1
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: int) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: int) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step * (h[i + step] - h[i]) / (n[i + step] - n[i])
-
-    @property
-    def value(self) -> float:
-        """Current estimate of the tracked quantile."""
-        heights = self._heights
-        if not heights:
-            raise ValueError("P2Quantile.value before any sample")
-        if len(heights) < 5:
-            # Exact small-sample path: nearest-rank on the sorted buffer.
-            rank = max(0, min(len(heights) - 1, round(self.q * (len(heights) - 1))))
-            return heights[rank]
-        return self._heights[2]
 
 
 class LogHistogram:
@@ -328,18 +192,24 @@ class LogHistogram:
 class StreamingSummary:
     """Bounded-memory replacement for ``stats.summarize`` at scale.
 
-    Combines exact moments (:class:`Welford`), exact min/max, and
-    bounded-error quantiles (:class:`LogHistogram`).  ``summarize()``
-    returns the same :class:`~repro.analysis.stats.SummaryStats` shape
-    as the exact path, with median/p95/p99/CI read from the histogram:
-    each carries the histogram's relative error bound of
-    ``2**-subbits``; count, mean, min and max are exact.
+    Combines the running total, exact min/max, and bounded-error
+    quantiles (:class:`LogHistogram`).  ``summarize()`` returns the same
+    :class:`~repro.analysis.stats.SummaryStats` shape as the exact path,
+    with median/p95/p99/CI read from the histogram: each carries the
+    histogram's relative error bound of ``2**-subbits``; count, min and
+    max are exact, and so is the mean of integer samples.
+
+    ``total`` is the sum of every observed value.  Integer samples (an
+    integer array, or Python ints one at a time) sum as exact integers,
+    so ``summarize().mean`` is ``total / count``, correctly rounded,
+    whatever the batching or merge order; float samples sum in floating
+    point.
     """
 
-    __slots__ = ("welford", "histogram", "minimum", "maximum")
+    __slots__ = ("total", "histogram", "minimum", "maximum")
 
     def __init__(self, subbits: int = 8) -> None:
-        self.welford = Welford()
+        self.total = 0
         self.histogram = LogHistogram(subbits)
         self.minimum: Optional[float] = None
         self.maximum: Optional[float] = None
@@ -350,40 +220,37 @@ class StreamingSummary:
 
     def observe(self, value: float) -> None:
         self.histogram.add(value)  # first: it rejects NaN, inf and negatives
-        self.welford.add(value)
+        self.total += value
         if self.minimum is None or value < self.minimum:
             self.minimum = value
         if self.maximum is None or value > self.maximum:
             self.maximum = value
 
     def observe_many(self, values: Iterable[float]) -> None:
-        """Bulk observe, vectorized."""
-        arr = np.asarray(values, dtype=np.float64)
+        """Bulk observe, vectorized; integer arrays keep an exact total."""
+        arr = np.asarray(values)
+        if arr.dtype.kind not in "iu":
+            arr = arr.astype(np.float64, copy=False)
         if arr.size == 0:
             return
-        self.histogram.add_many(arr)
-        batch_mean = float(arr.mean())
-        # numpy computes x**2 as x*x, so squaring in place keeps m2's bits.
-        deviation = arr - batch_mean
-        deviation *= deviation
-        self.welford.add_batch(int(arr.size), batch_mean, float(deviation.sum()))
-        low, high = float(arr.min()), float(arr.max())
+        self.histogram.add_many(arr)  # first: it rejects NaN, inf and negatives
+        low, high = arr.min().item(), arr.max().item()
+        if isinstance(high, int) and high * arr.size >= 1 << 63:
+            self.total += sum(arr.tolist())  # the int64 sum could wrap
+        else:
+            self.total += arr.sum().item()
         if self.minimum is None or low < self.minimum:
-            self.minimum = low
+            self.minimum = float(low)
         if self.maximum is None or high > self.maximum:
-            self.maximum = high
+            self.maximum = float(high)
 
     @classmethod
     def merged(cls, parts: Iterable["StreamingSummary"]) -> "StreamingSummary":
-        """Fold shard accumulators, in the given order, into a fresh summary.
+        """Fold accumulators into a fresh summary.
 
-        Histogram counts, min/max, and sample counts fold exactly in
-        any order or grouping; the Welford moments use Chan's formulas,
-        which are exact in real arithmetic and reassociate only within
-        float rounding -- callers that need bit-stable output (the
-        multi-tenant scale engine's all-tenant summary) fold in a fixed
-        order, which this helper guarantees by consuming *parts*
-        sequentially.
+        Histogram counts, min/max, sample counts and integer totals fold
+        exactly, so any order or grouping of *parts* gives the same
+        summary.
         """
         parts = list(parts)
         if not parts:
@@ -394,8 +261,8 @@ class StreamingSummary:
         return out
 
     def merge(self, other: "StreamingSummary") -> None:
-        """Exact fold of a shard's accumulator (for parallel runs)."""
-        self.welford.merge(other.welford)
+        """Exact fold of another accumulator into this one."""
+        self.total += other.total
         self.histogram.merge(other.histogram)
         if other.minimum is not None and (
             self.minimum is None or other.minimum < self.minimum
@@ -416,7 +283,7 @@ class StreamingSummary:
             count=n,
             median=hist.quantile(0.5),
             p99=hist.quantile(0.99),
-            mean=self.welford.mean,
+            mean=self.total / n,
             minimum=float(self.minimum),
             maximum=float(self.maximum),
             ci_low=hist.value_at_rank(lo),
@@ -430,14 +297,9 @@ class KeyedStreamingSummary:
     """A map of :class:`StreamingSummary` accumulators, one per key.
 
     The multi-tenant scale engine records every tenant's sojourns into
-    its own accumulator and merges the parts into its all-tenant
-    summary.  The keyed merge keeps the component guarantees: histogram counts,
-    min/max and sample counts fold exactly under any grouping of
-    shards (keys union; a key absent from a shard contributes
-    nothing), so per-key quantiles are bit-stable however the scenario
-    was decomposed.  Only the Welford moments reassociate within float
-    rounding -- callers that need bit-stable means divide exact integer
-    totals instead, exactly like the unkeyed scale path.
+    its own accumulator, reads each tenant's summary and total from its
+    part, and merges the parts into its all-tenant summary
+    (:meth:`StreamingSummary.merged`).
     """
 
     __slots__ = ("subbits", "parts")
@@ -447,12 +309,6 @@ class KeyedStreamingSummary:
         #: key -> accumulator; insertion order is first-observation
         #: order, but nothing below depends on it (``keys()`` sorts).
         self.parts: dict[Any, StreamingSummary] = {}
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self.parts
 
     def keys(self) -> list:
         """All keys observed so far, sorted for deterministic iteration."""
@@ -471,44 +327,9 @@ class KeyedStreamingSummary:
     def observe_many(self, key: Any, values: Iterable[float]) -> None:
         self.part(key).observe_many(values)
 
-    def count(self, key: Any) -> int:
-        summary = self.parts.get(key)
-        return 0 if summary is None else summary.count
-
-    def total_count(self) -> int:
-        return sum(summary.count for summary in self.parts.values())
-
     def buckets(self) -> int:
         """Total occupied histogram buckets across keys (memory gauge)."""
         return sum(len(summary.histogram) for summary in self.parts.values())
-
-    def merge(self, other: "KeyedStreamingSummary") -> None:
-        """Exact keyed fold of a shard's map (keys union)."""
-        if other.subbits != self.subbits:
-            raise ValueError("cannot merge keyed summaries with different subbits")
-        for key, summary in other.parts.items():
-            mine = self.parts.get(key)
-            if mine is None:
-                # Fold into a fresh accumulator rather than aliasing the
-                # shard's: merges must never mutate their inputs.
-                mine = self.parts[key] = StreamingSummary(self.subbits)
-            mine.merge(summary)
-
-    @classmethod
-    def merged(cls, parts: Iterable["KeyedStreamingSummary"]) -> "KeyedStreamingSummary":
-        """Fold shard maps, in the given order, into a fresh keyed map.
-
-        Consuming *parts* sequentially pins the Welford fold order the
-        same way :meth:`StreamingSummary.merged` does; every other
-        component is order-independent.
-        """
-        parts = list(parts)
-        if not parts:
-            raise ValueError("merged() needs at least one keyed summary")
-        out = cls(parts[0].subbits)
-        for part in parts:
-            out.merge(part)
-        return out
 
     def summarize(self, key: Any, confidence: float = 0.99) -> SummaryStats:
         summary = self.parts.get(key)

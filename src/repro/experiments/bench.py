@@ -431,9 +431,7 @@ _COLD_RECLAIM_KEEPALIVE_NS = 5_000_000
 
 
 def bench_coldstart(
-    quick: bool = False,
-    overrides: Optional[dict[str, Any]] = None,
-    spectrum: bool = True,
+    quick: bool = False, overrides: Optional[dict[str, Any]] = None
 ) -> dict[str, Any]:
     """The cold-start engine: heap referee vs default engine x three policies.
 
@@ -445,18 +443,12 @@ def bench_coldstart(
     ``rss_ratio_vs_heap`` guards that the default engine does not buy
     speed with footprint.
 
-    ``spectrum`` additionally folds in the :mod:`coldstart` experiment
-    sweep (pool size x start model x arrival shape) so the trajectory
-    file records cold fraction, p99 sojourn and executor-seconds per
-    spectrum point, not just engine wall clocks.
-
     The headline scenario runs with keepalive 0; a secondary
     ``reclaim`` record re-runs the cold policy at a short keepalive,
     where reclaims race completions and readies at shared instants --
     its guard is bit-identity plus live reclaim traffic.
     """
-    from repro.experiments.coldstart import QUICK_KWARGS as COLD_QUICK
-    from repro.experiments.coldstart import executor_seconds, run_coldstart
+    from repro.experiments.coldstart import executor_seconds
 
     policies: dict[str, dict[str, Any]] = {}
     for policy in _COLD_POLICIES:
@@ -532,9 +524,20 @@ def bench_coldstart(
         "cold_retained": rfp["cold_retained"],
         "wall_s": reruns["wheel"]["wall_s"],
     }
-    if spectrum:
-        sweep = run_coldstart(**(dict(COLD_QUICK) if quick else {}))
-        record["spectrum"] = [
+    return record
+
+
+def _coldstart_spectrum(quick: bool = False) -> dict[str, Any]:
+    """The :mod:`coldstart` experiment sweep (pool size x start model x
+    arrival shape), run in this process: the trajectory file records
+    cold fraction, p99 sojourn and executor-seconds per spectrum point,
+    not just engine wall clocks."""
+    from repro.experiments.coldstart import QUICK_KWARGS as COLD_QUICK
+    from repro.experiments.coldstart import run_coldstart
+
+    sweep = run_coldstart(**(dict(COLD_QUICK) if quick else {}))
+    return {
+        "spectrum": [
             {
                 "pool_size": p.pool_size,
                 "start_model": p.start_model,
@@ -547,9 +550,9 @@ def bench_coldstart(
                 "bit_identical": p.bit_identical,
             }
             for p in sweep.points
-        ]
-        record["spectrum_wall_s"] = sweep.wall_s
-    return record
+        ],
+        "spectrum_wall_s": sweep.wall_s,
+    }
 
 
 #: The 10^7-invocation cold-start stress scenario: the saturated pool
@@ -734,14 +737,11 @@ def _multitenant_isolation(quick: bool = False) -> dict[str, Any]:
 def bench_multitenant(quick: bool = False) -> dict[str, Any]:
     """The multi-tenant scale engine vs its per-event referee.
 
-    The headline comparison forks the per-event heap referee and the
-    default engine (the tenant FIFO recurrence; record key ``wheel``) on
-    the same 10^6-invocation three-tenant scenario (pinned
-    partitioning): ``speedup`` is the wall-clock ratio and
-    ``bit_identical`` demands every per-tenant outcome count and
-    sojourn fingerprint agree.  ``isolation`` carries the 2x2
-    {pinned, shared} x {calm, aggressor} matrix demonstrating the
-    isolation spectrum.
+    The comparison forks the per-event heap referee and the default
+    engine (the tenant FIFO recurrence; record key ``wheel``) on the
+    same 10^6-invocation three-tenant scenario (pinned partitioning):
+    ``speedup`` is the wall-clock ratio and ``bit_identical`` demands
+    every per-tenant outcome count and sojourn fingerprint agree.
     """
     runs: dict[str, dict[str, Any]] = {}
     for key, admission in _ENGINES:
@@ -755,7 +755,7 @@ def bench_multitenant(quick: bool = False) -> dict[str, Any]:
             raise RuntimeError(f"multitenant bench failed: {outcome.summary()}")
         runs[key] = outcome
     heap, default = runs["heap"], runs["wheel"]
-    record = {
+    return {
         "heap": heap,
         "wheel": default,
         "invocations": default["invocations"],
@@ -773,9 +773,7 @@ def bench_multitenant(quick: bool = False) -> dict[str, Any]:
             else 0.0
         ),
         "bit_identical": heap["fingerprint"] == default["fingerprint"],
-        "isolation": _multitenant_isolation(quick),
     }
-    return record
 
 
 #: The 10^7-invocation stress scenario: arrivals come 2x
@@ -942,11 +940,25 @@ def run_bench(
     entries, not CI quick runs).  ``perf_counters`` covers every entry:
     counting stays on for the whole bench, and forked runs ship their
     counters back through :mod:`repro.parallel`.
+
+    Every forked engine comparison runs first.  A forked run's peak RSS
+    counts the pages it inherits, so each one forks from a bench
+    process that no in-process work (the micro-benches, the cache
+    batch, the cold-start spectrum, the isolation matrix) has grown.
     """
     repeats = 3 if quick else 9
     perf.reset()
     perf.enable()
     try:
+        forked = {
+            "scale_openloop": bench_scale(quick),
+            "control_plane": bench_control(quick),
+            "coldstart": bench_coldstart(quick),
+            "multitenant": bench_multitenant(quick),
+        }
+        if ten_million:
+            forked["scale_10m"] = bench_scale_ten_million()
+            forked["coldstart_10m"] = bench_coldstart_ten_million()
         results = {
             "kernel_event_throughput": bench_kernel(repeats, parallel),
             "rdma_pingpong": bench_pingpong(max(3, repeats - 2), parallel),
@@ -955,13 +967,10 @@ def run_bench(
         if parallel != 1:
             results["parallel_batch"] = bench_parallel_batch(parallel)
         results["cache_batch"] = bench_cache_batch()
-        results["scale_openloop"] = bench_scale(quick)
-        results["control_plane"] = bench_control(quick)
-        results["coldstart"] = bench_coldstart(quick)
-        results["multitenant"] = bench_multitenant(quick)
-        if ten_million:
-            results["scale_10m"] = bench_scale_ten_million()
-            results["coldstart_10m"] = bench_coldstart_ten_million()
+        forked["coldstart"].update(_coldstart_spectrum(quick))
+        # The 2x2 {pinned, shared} x {calm, aggressor} isolation matrix.
+        forked["multitenant"]["isolation"] = _multitenant_isolation(quick)
+        results.update(forked)
     finally:
         perf.disable()
     results["perf_counters"] = perf.snapshot()

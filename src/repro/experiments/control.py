@@ -945,7 +945,7 @@ class _KernelDriver:
 
 DRIVERS = ("kernel", "reference")
 
-#: CI-sized scenario (registry --quick and the control-smoke job).
+#: CI-sized scenario (registry --quick and CI's engine-smoke job).
 QUICK_KWARGS = {"executors": 256, "requests": 6_000, "deaths": 24, "verify": True}
 
 

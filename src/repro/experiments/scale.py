@@ -87,7 +87,7 @@ import time
 from collections import deque
 from heapq import heappop, heappush
 from itertools import chain
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
 import numpy as np
@@ -441,7 +441,6 @@ class _FifoDriver:
         self.stream = StreamingSummary(config.subbits)
         self.pool = FifoServers(config.workers)
         self.completed = 0
-        self.sojourn_total = 0
         self.events_processed = 0
         self.final_now_ns = 0
         self._chunks = _scale_chunks(config, lists=False)
@@ -462,7 +461,6 @@ class _FifoDriver:
             sojourn = self.pool.serve(times, services) + services
             self.final_now_ns = max(self.final_now_ns, int(sojourn.max()))
             sojourn -= times
-            self.sojourn_total += int(sojourn.sum())
             self.stream.observe_many(sojourn)
             self.completed += times.size
             services -= 1
@@ -531,7 +529,6 @@ class _PoolWalk:
         self.cold_busy_ns = 0
         self.cold_reclaimed = 0
         self.cold_retained = 0
-        self.sojourn_total = 0
         self.events_processed = 0
         self.final_now_ns = 0
         self._chunks = _scale_chunks(config, lists=False)
@@ -678,8 +675,7 @@ class _PoolWalk:
 
     def _flush(self, buffer: list[int]) -> None:
         if buffer:
-            self.sojourn_total += sum(buffer)
-            self.stream.observe_many(np.asarray(buffer, dtype=np.float64))
+            self.stream.observe_many(np.asarray(buffer, dtype=np.int64))
             buffer.clear()
 
 
@@ -717,7 +713,6 @@ class _ShardDriver:
         "_next_time",
         "_next_service",
         "_buffer",
-        "sojourn_total",
         "_lease_cbs",
         "_schedule",
         "_threshold",
@@ -751,7 +746,6 @@ class _ShardDriver:
         self._next_time = 0
         self._next_service = 0
         self._buffer: list[int] = []
-        self.sojourn_total = 0
         #: One shared callbacks tuple for every lease timer: the run
         #: loop only reads and detaches callbacks, so re-arms and fresh
         #: dispatches alike avoid a per-event list allocation.
@@ -882,12 +876,7 @@ class _ShardDriver:
 
     def _flush(self) -> None:
         if self._buffer:
-            # Exact integer total alongside the float stream: the
-            # fingerprint mean is total/count, a single division of
-            # exact ints, so it is independent of flush batching and
-            # of the order sojourns were recorded in.
-            self.sojourn_total += sum(self._buffer)
-            self.stream.observe_many(np.asarray(self._buffer, dtype=np.float64))
+            self.stream.observe_many(np.asarray(self._buffer, dtype=np.int64))
             self._buffer.clear()
 
     def finish(self) -> None:
@@ -973,7 +962,6 @@ def _simulate(config: ScaleConfig, profile: Union[bool, str, None] = None) -> Sc
     if perf.enabled:
         perf.counters.cold_spinups += driver.cold_starts
         perf.counters.cold_reclaims += driver.cold_reclaimed
-    summary = driver.stream.summarize()
     return ScaleResult(
         admission=config.admission,
         invocations=config.invocations,
@@ -987,7 +975,7 @@ def _simulate(config: ScaleConfig, profile: Union[bool, str, None] = None) -> Sc
         max_backlog=driver.max_backlog,
         queued=driver.queued,
         timeout_pool_hits=pool_hits,
-        latency=replace(summary, mean=driver.sojourn_total / summary.count),
+        latency=driver.stream.summarize(),
         stream_buckets=len(driver.stream.histogram),
         cold_starts=driver.cold_starts,
         cold_busy_ns=driver.cold_busy_ns,
@@ -1143,12 +1131,12 @@ class _TenantBook:
       completed **shared** slot serves the globally-oldest waiter
       across all tenant FIFOs (ties break on the lowest tenant id);
     * sojourns are buffered *with a parallel tenant column* and
-      classified at flush time: per-tenant masks feed a
-      :class:`KeyedStreamingSummary`, exact integer totals, and the
-      vectorized ``sojourn > deadline_ns[t]`` DEADLINE_MISSED counts.
-      Each sojourn is histogrammed once, under its tenant; the
-      all-tenant summary is the exact merge of the tenants' parts
-      (:func:`run_tenant_scale`).
+      classified at flush time: per-tenant masks feed the vectorized
+      ``sojourn > deadline_ns[t]`` DEADLINE_MISSED counts and a
+      :class:`KeyedStreamingSummary`, whose parts keep each tenant's
+      exact integer sojourn total.  Each sojourn is recorded once,
+      under its tenant; the all-tenant summary is the exact merge of
+      the tenants' parts (:func:`run_tenant_scale`).
     """
 
     __slots__ = (
@@ -1169,8 +1157,6 @@ class _TenantBook:
         "queued_by",
         "cold_by",
         "max_backlog_by",
-        "sojourn_totals",
-        "sojourn_total",
         "deadlines",
         "queue_caps",
         "_interval",
@@ -1203,8 +1189,6 @@ class _TenantBook:
         self.queued_by = [0] * n
         self.cold_by = [0] * n
         self.max_backlog_by = [0] * n
-        self.sojourn_totals = [0] * n
-        self.sojourn_total = 0
         self.deadlines = [spec.effective_deadline_ns() for spec in specs]
         self.queue_caps = [spec.queue_cap for spec in specs]
         self._interval = config.lease_check_interval_ns
@@ -1237,7 +1221,6 @@ class _TenantBook:
 
     def _classify(self, vals: np.ndarray, tens: np.ndarray) -> None:
         """Book dispatched sojourns *vals* with their tenant column *tens*."""
-        self.sojourn_total += int(vals.sum())
         keyed = self.keyed
         for t, name in enumerate(self.names):
             mask = tens == t
@@ -1246,12 +1229,11 @@ class _TenantBook:
                 continue
             slab = vals[mask]
             self.dispatched_by[t] += count
-            self.sojourn_totals[t] += int(slab.sum())
             # The deadline mask IS the outcome classifier: a dispatched
             # invocation either makes its sojourn budget (SUCCESS) or
             # misses it (DEADLINE_MISSED).
             self.missed_by[t] += int((slab > self.deadlines[t]).sum())
-            keyed.observe_many(name, slab.astype(np.float64))
+            keyed.observe_many(name, slab)
 
 
 class _TenantFifo(_TenantBook):
@@ -1784,10 +1766,10 @@ def run_tenant_scale(
     shared plan and the tenant walk (:class:`_TenantWalk`) otherwise;
     per-event admission runs the referee (:class:`_TenantDriver`).
 
-    Per-tenant summaries come straight from the driver's keyed
-    accumulators, with means from exact integer totals.  The all-tenant
-    summary merges the tenants' parts: histogram counts, min and max
-    fold exactly, and its mean is the exact total too.
+    Per-tenant summaries and sojourn totals come straight from the
+    driver's keyed accumulators, whose means divide exact integer
+    totals.  The all-tenant summary merges the tenants' parts, and
+    every part of that merge is exact.
     """
     if specs is None:
         specs = standard_mix(invocations, rate_scale, compute_scale)
@@ -1828,10 +1810,6 @@ def run_tenant_scale(
     tenants: dict[str, TenantStats] = {}
     for t, name in enumerate(names):
         dispatched = driver.dispatched_by[t]
-        sojourn_total = driver.sojourn_totals[t]
-        latency = None
-        if dispatched:
-            latency = replace(keyed.summarize(name), mean=sojourn_total / dispatched)
         tenants[name] = TenantStats(
             name=name,
             arrived=driver.arrived_by[t],
@@ -1841,8 +1819,8 @@ def run_tenant_scale(
             queued=driver.queued_by[t],
             cold_starts=driver.cold_by[t],
             max_backlog=driver.max_backlog_by[t],
-            sojourn_total=sojourn_total,
-            latency=latency,
+            sojourn_total=keyed.parts[name].total if dispatched else 0,
+            latency=keyed.summarize(name) if dispatched else None,
         )
     stream = StreamingSummary.merged(keyed.parts[k] for k in keyed.keys())
     return TenantScaleResult(
@@ -1861,7 +1839,7 @@ def run_tenant_scale(
         congested=congested,
         missed=sum(driver.missed_by),
         cold_starts=sum(driver.cold_by),
-        latency=replace(stream.summarize(), mean=driver.sojourn_total / stream.count),
+        latency=stream.summarize(),
         tenants=tenants,
         stream_buckets=len(stream.histogram) + keyed.buckets(),
     )

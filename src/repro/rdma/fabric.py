@@ -12,8 +12,6 @@ bandwidth, exactly as in the paper.
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -67,13 +65,9 @@ class LinkQueue:
     single-threaded and reservations happen in event order, this models
     a work-conserving FIFO link without per-packet events.
 
-    Busy intervals are recorded per reservation (they are ordered and
-    non-overlapping by construction: each starts no earlier than the
-    previous finish), so :meth:`utilization` can answer *windowed*
-    queries exactly instead of dividing cumulative-from-zero busy time
-    by an arbitrary window.  The history is two ``int64`` columns,
-    16 B per reservation: finishes and duration prefix sums.  A start
-    is never stored; it is the finish minus that interval's duration.
+    The queue keeps three running counters -- when the link frees,
+    bytes carried and cumulative busy time -- and no per-reservation
+    history, so its memory does not grow with traffic.
     """
 
     def __init__(self, env: "Environment", model: LatencyModel, name: str) -> None:
@@ -83,10 +77,6 @@ class LinkQueue:
         self._busy_until = 0
         self.bytes_carried = 0
         self.busy_time = 0
-        # Interval finishes plus duration prefix sums (``_prefix[i]`` =
-        # busy time of the first i intervals); O(log n) queries.
-        self._finishes = array("q")
-        self._prefix = array("q", [0])
 
     def reserve(self, size: int) -> tuple[int, int]:
         """Book *size* bytes of serialization starting no earlier than now."""
@@ -96,41 +86,11 @@ class LinkQueue:
         self._busy_until = finish
         self.bytes_carried += size
         self.busy_time += duration
-        self._finishes.append(finish)
-        self._prefix.append(self._prefix[-1] + duration)
         return start, finish
 
     @property
     def busy_until(self) -> int:
         return self._busy_until
-
-    def busy_before(self, t: int) -> int:
-        """Busy time accumulated strictly within [0, t]."""
-        # First interval finishing after t is the only one that can
-        # straddle it; everything before is fully counted, everything
-        # after starts at or beyond the straddler's finish.
-        finishes = self._finishes
-        prefix = self._prefix
-        index = bisect_right(finishes, t)
-        busy = prefix[index]
-        if index < len(finishes):
-            start = finishes[index] - (prefix[index + 1] - busy)
-            if start < t:
-                busy += t - start
-        return busy
-
-    def utilization(self, since: int = 0) -> float:
-        """Fraction of [since, now] the link spent serializing.
-
-        Counts only busy time that actually falls inside the window
-        (reservations may extend beyond ``now``; the future part is
-        excluded), so the result is always in [0, 1].
-        """
-        now = self.env.now
-        window = now - since
-        if window <= 0:
-            return 0.0
-        return (self.busy_before(now) - self.busy_before(since)) / window
 
     def __repr__(self) -> str:
         return f"<LinkQueue {self.name} busy_until={self._busy_until}>"

@@ -1,100 +1,21 @@
 """Streaming statistics: error bounds, merges, and edge cases.
 
-The central claim under test: :class:`LogHistogram` quantiles carry a
+The central claims under test: :class:`LogHistogram` quantiles carry a
 deterministic relative error of at most ``2**-subbits`` versus the
 exact sorted-sample quantile, while memory stays proportional to the
-number of occupied buckets (not samples).
+number of occupied buckets (not samples); and a
+:class:`StreamingSummary` of integer samples keeps their exact total,
+so its mean does not depend on batching or merge order.
 """
 
 import math
 import random
-import statistics
 
 import numpy as np
 import pytest
 
-from repro.analysis.stats import percentile, summarize
-from repro.analysis.streams import (
-    KeyedStreamingSummary,
-    LogHistogram,
-    P2Quantile,
-    StreamingSummary,
-    Welford,
-)
-
-
-# -- Welford -----------------------------------------------------------
-
-
-def test_welford_matches_statistics_module():
-    rng = random.Random(1)
-    values = [rng.lognormvariate(10, 1.5) for _ in range(5_000)]
-    w = Welford()
-    for value in values:
-        w.add(value)
-    assert w.count == len(values)
-    assert w.mean == pytest.approx(statistics.fmean(values), rel=1e-12)
-    assert w.sample_variance == pytest.approx(statistics.variance(values), rel=1e-9)
-    assert w.std == pytest.approx(statistics.pstdev(values), rel=1e-9)
-
-
-def test_welford_merge_equals_serial():
-    rng = random.Random(2)
-    left = [rng.gauss(50, 9) for _ in range(777)]
-    right = [rng.gauss(-3, 2) for _ in range(1_234)]
-    serial = Welford()
-    for value in left + right:
-        serial.add(value)
-    a, b = Welford(), Welford()
-    for value in left:
-        a.add(value)
-    for value in right:
-        b.add(value)
-    a.merge(b)
-    assert a.count == serial.count
-    assert a.mean == pytest.approx(serial.mean, rel=1e-12)
-    assert a.variance == pytest.approx(serial.variance, rel=1e-9)
-
-
-def test_welford_empty_and_single():
-    w = Welford()
-    assert w.variance == 0.0
-    w.add(42.0)
-    assert w.mean == 42.0
-    assert w.variance == 0.0  # undefined -> 0 by contract
-    w.merge(Welford())  # merging an empty shard is a no-op
-    assert w.count == 1
-
-
-# -- P2Quantile --------------------------------------------------------
-
-
-def test_p2_exact_below_five_samples():
-    p2 = P2Quantile(0.5)
-    with pytest.raises(ValueError):
-        _ = p2.value
-    p2.add(3.0)
-    assert p2.value == 3.0
-    p2.add(1.0)
-    p2.add(2.0)
-    assert p2.value == 2.0  # nearest-rank on the sorted buffer
-
-
-def test_p2_converges_on_lognormal():
-    rng = random.Random(3)
-    values = [rng.lognormvariate(12, 0.8) for _ in range(20_000)]
-    p2 = P2Quantile(0.95)
-    for value in values:
-        p2.add(value)
-    exact = percentile(values, 95)
-    assert p2.value == pytest.approx(exact, rel=0.05)
-
-
-def test_p2_rejects_degenerate_quantile():
-    with pytest.raises(ValueError):
-        P2Quantile(0.0)
-    with pytest.raises(ValueError):
-        P2Quantile(1.0)
+from repro.analysis.stats import summarize
+from repro.analysis.streams import KeyedStreamingSummary, LogHistogram, StreamingSummary
 
 
 # -- LogHistogram ------------------------------------------------------
@@ -366,7 +287,7 @@ def test_streaming_summary_tracks_exact_path():
 
 def test_streaming_summary_scalar_vector_merge_agree():
     rng = random.Random(9)
-    values = [rng.expovariate(1e-4) for _ in range(3_000)]
+    values = [int(rng.expovariate(1e-4)) for _ in range(3_000)]
     scalar = StreamingSummary()
     for value in values:
         scalar.observe(value)
@@ -377,77 +298,100 @@ def test_streaming_summary_scalar_vector_merge_agree():
     sharded.observe_many(values[: len(values) // 2])
     shard.observe_many(values[len(values) // 2 :])
     sharded.merge(shard)
+    assert scalar.total == sum(values)
     for other in (vector, sharded):
         assert other.count == scalar.count
         assert _reads(other.histogram) == _reads(scalar.histogram)
         assert other.minimum == scalar.minimum
         assert other.maximum == scalar.maximum
-        assert other.welford.mean == pytest.approx(scalar.welford.mean, rel=1e-12)
+        assert other.total == scalar.total
+        assert other.summarize().mean == scalar.summarize().mean == sum(values) / len(values)
 
 
 def _split(values, ways):
-    """Contiguous split into *ways* shards (uneven tails included)."""
+    """Contiguous split into *ways* parts (uneven tails included)."""
     size = -(-len(values) // ways)
     return [values[i : i + size] for i in range(0, len(values), size)]
 
 
 @pytest.mark.parametrize("ways", [1, 2, 4, 8])
 def test_merged_fold_invariant_across_split_arity(ways):
-    """K-way shard folds agree with the serial stream for K in 1..8.
+    """K-way folds agree with the serial stream for K in 1..8.
 
-    Histogram buckets, counts, and min/max are integer-exact whatever
-    the grouping; the Welford moments (Chan's formulas) reassociate
-    only within float rounding, so mean/variance compare approximately.
+    Histogram buckets, counts, min/max and the integer total are exact
+    whatever the grouping, so every summary field compares equal.
     """
     rng = random.Random(20)
-    values = [rng.lognormvariate(13, 1.2) for _ in range(4_000)]
+    values = [int(rng.lognormvariate(13, 1.2)) for _ in range(4_000)]
     serial = StreamingSummary()
     serial.observe_many(values)
     parts = []
-    for shard in _split(values, ways):
+    for chunk in _split(values, ways):
         part = StreamingSummary()
-        part.observe_many(shard)
+        part.observe_many(chunk)
         parts.append(part)
     merged = StreamingSummary.merged(parts)
     assert merged.count == serial.count
     assert _reads(merged.histogram) == _reads(serial.histogram)
     assert merged.minimum == serial.minimum
     assert merged.maximum == serial.maximum
-    assert merged.welford.mean == pytest.approx(serial.welford.mean, rel=1e-12)
-    assert merged.welford.variance == pytest.approx(serial.welford.variance, rel=1e-9)
-    a, b = merged.summarize(), serial.summarize()
-    assert (a.median, a.p95, a.p99, a.ci_low, a.ci_high) == (
-        b.median,
-        b.p95,
-        b.p99,
-        b.ci_low,
-        b.ci_high,
-    )
+    assert merged.total == serial.total == sum(values)
+    assert merged.summarize() == serial.summarize()
 
 
 def test_merged_fold_commutes_and_associates():
-    """Any order/grouping of shard merges yields the same histogram state.
+    """Any order/grouping of merges yields the same summary state.
 
     This is what lets a caller fold partial results in whatever order
     they arrive: dispatch order never reaches the fold.
     """
     rng = random.Random(21)
-    shards = []
+    parts = []
     for _ in range(4):
         part = StreamingSummary()
-        part.observe_many([rng.expovariate(1e-5) for _ in range(500)])
-        shards.append(part)
-    forward = StreamingSummary.merged(shards)
-    backward = StreamingSummary.merged(list(reversed(shards)))
-    paired_left = StreamingSummary.merged([shards[0], shards[1]])
-    paired_right = StreamingSummary.merged([shards[2], shards[3]])
+        part.observe_many([int(rng.expovariate(1e-5)) for _ in range(500)])
+        parts.append(part)
+    forward = StreamingSummary.merged(parts)
+    backward = StreamingSummary.merged(list(reversed(parts)))
+    paired_left = StreamingSummary.merged([parts[0], parts[1]])
+    paired_right = StreamingSummary.merged([parts[2], parts[3]])
     nested = StreamingSummary.merged([paired_left, paired_right])
     for other in (backward, nested):
         assert other.count == forward.count
         assert _reads(other.histogram) == _reads(forward.histogram)
         assert other.minimum == forward.minimum
         assert other.maximum == forward.maximum
-        assert other.welford.mean == pytest.approx(forward.welford.mean, rel=1e-12)
+        assert other.total == forward.total
+        assert other.summarize().mean == forward.summarize().mean
+
+
+@pytest.mark.parametrize("ways", range(1, 9))
+def test_integer_total_and_mean_are_exact_across_folds(ways):
+    """Integer samples keep their exact sum through every fold: the
+    total is ``int(values.sum())`` and the mean that sum over the count,
+    bit for bit, however the samples are split and the parts merged."""
+    rng = np.random.default_rng(40 + ways)
+    values = rng.lognormal(19.8, 0.6, size=20_011).astype(np.int64)
+    exact_total = int(values.sum())
+    exact_mean = exact_total / values.size
+    parts = []
+    for chunk in np.array_split(values, ways):
+        part = StreamingSummary()
+        part.observe_many(chunk)
+        parts.append(part)
+    nested = parts[::-1]
+    while len(nested) > 1:  # balanced pairwise merges of merges
+        nested = [StreamingSummary.merged(nested[i : i + 2]) for i in range(0, len(nested), 2)]
+    folds = {
+        "forward": StreamingSummary.merged(parts),
+        "reversed": StreamingSummary.merged(reversed(parts)),
+        "nested": nested[0],
+    }
+    for label, fold in folds.items():
+        assert type(fold.total) is int, label
+        assert fold.total == exact_total, label
+        assert fold.summarize().mean == exact_mean, label
+        assert fold.count == values.size, label
 
 
 def test_merged_requires_at_least_one_part():
@@ -471,113 +415,58 @@ def test_streaming_summary_empty_cases():
 
 def test_streaming_summary_rejects_non_finite_before_moving():
     stream = StreamingSummary()
-    stream.observe_many([2.0, 4.0])
-    before = (stream.count, stream.welford.count, stream.welford.mean, stream.minimum, stream.maximum)
+    stream.observe_many([2, 4])
+    before = (stream.count, stream.total, stream.minimum, stream.maximum)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             stream.observe(bad)
         with pytest.raises(ValueError):
             stream.observe_many([1.0, bad, 3.0])
-        after = (stream.count, stream.welford.count, stream.welford.mean, stream.minimum, stream.maximum)
+        after = (stream.count, stream.total, stream.minimum, stream.maximum)
         assert after == before
+    assert stream.total == 6
+    assert stream.summarize().mean == 3.0
     assert stream.summarize().count == 2
 
 
-def test_streaming_summary_m2_is_the_squared_deviation_sum():
-    """observe_many squares deviations in place; m2 keeps the x**2 bits."""
+def test_streaming_summary_total_is_the_integer_sum():
+    """An int64 batch sums as an exact Python int, also where the int64
+    sum itself would wrap."""
     rng = np.random.default_rng(5)
     values = rng.lognormal(19.8, 0.6, size=65_536).astype(np.int64)
     stream = StreamingSummary()
     stream.observe_many(values)
-    floats = values.astype(np.float64)
-    assert stream.welford.mean == float(floats.mean())
-    assert stream.welford._m2 == float(((floats - floats.mean()) ** 2).sum())
+    assert type(stream.total) is int and stream.total == int(values.sum())
+    assert stream.summarize().mean == int(values.sum()) / values.size
+    huge = np.full(4, 1 << 62, dtype=np.int64)  # sums to 2**64
+    stream.observe_many(huge)
+    assert stream.total == int(values.sum()) + (1 << 64)
 
 
 # -- KeyedStreamingSummary ---------------------------------------------
 
 
-def _keyed_samples():
-    """Three tenants with very uneven sample counts (2400 / 320 / 11)."""
+def test_keyed_parts_summarize_their_own_samples():
+    """Each key's part holds exactly its own samples; keys sort."""
     rng = random.Random(22)
-    samples = []
-    for key, count, mu in (("hot", 2_400, 10.0), ("bursty", 320, 12.0), ("batch", 11, 14.0)):
-        samples.extend((key, rng.lognormvariate(mu, 1.1)) for _ in range(count))
-    rng.shuffle(samples)
-    return samples
+    keyed = KeyedStreamingSummary()
+    samples = {
+        key: [int(rng.lognormvariate(mu, 1.1)) for _ in range(count)]
+        for key, count, mu in (("hot", 2_400, 10.0), ("bursty", 320, 12.0), ("batch", 11, 14.0))
+    }
+    for key, values in samples.items():
+        keyed.observe_many(key, values[: len(values) // 2])
+        for value in values[len(values) // 2 :]:
+            keyed.observe(key, value)
+    assert keyed.keys() == ["batch", "bursty", "hot"]
+    for key, values in samples.items():
+        alone = StreamingSummary()
+        alone.observe_many(values)
+        assert keyed.parts[key].total == sum(values)
+        assert keyed.summarize(key) == alone.summarize()
+    assert keyed.buckets() == sum(len(keyed.parts[key].histogram) for key in samples)
 
 
-def _keyed_part(samples):
-    part = KeyedStreamingSummary()
-    for key, value in samples:
-        part.observe(key, value)
-    return part
-
-
-@pytest.mark.parametrize("ways", [1, 2, 4, 8])
-def test_keyed_merged_invariant_across_split_arity(ways):
-    """Per-key accumulators fold exactly for K in 1..8, tenants unevenly
-    spread across the shards (contiguous splits of a shuffled stream, so
-    the 11-sample tenant can be entirely absent from most shards)."""
-    samples = _keyed_samples()
-    serial = _keyed_part(samples)
-    merged = KeyedStreamingSummary.merged(
-        [_keyed_part(shard) for shard in _split(samples, ways)]
-    )
-    assert set(merged.parts) == set(serial.parts)
-    assert merged.total_count() == serial.total_count()
-    assert merged.buckets() == serial.buckets()
-    for key in serial.parts:
-        assert merged.count(key) == serial.count(key)
-        a, b = merged.summarize(key), serial.summarize(key)
-        assert (a.median, a.p95, a.p99, a.minimum, a.maximum) == (
-            b.median,
-            b.p95,
-            b.p99,
-            b.minimum,
-            b.maximum,
-        )
-        assert a.mean == pytest.approx(b.mean, rel=1e-12)
-
-
-def test_keyed_merged_commutes_and_associates():
-    """Shard order and grouping never reach the per-key histograms."""
-    samples = _keyed_samples()
-    shards = [_keyed_part(shard) for shard in _split(samples, 4)]
-    forward = KeyedStreamingSummary.merged(shards)
-    backward = KeyedStreamingSummary.merged(list(reversed(shards)))
-    nested = KeyedStreamingSummary.merged(
-        [
-            KeyedStreamingSummary.merged([shards[0], shards[1]]),
-            KeyedStreamingSummary.merged([shards[2], shards[3]]),
-        ]
-    )
-    for other in (backward, nested):
-        assert set(other.parts) == set(forward.parts)
-        for key in forward.parts:
-            assert other.count(key) == forward.count(key)
-            assert _reads(other.parts[key].histogram) == _reads(forward.parts[key].histogram)
-            assert other.parts[key].minimum == forward.parts[key].minimum
-            assert other.parts[key].maximum == forward.parts[key].maximum
-            assert other.parts[key].welford.mean == pytest.approx(
-                forward.parts[key].welford.mean, rel=1e-12
-            )
-
-
-def test_keyed_merge_never_aliases_shard_state():
-    """Folding a shard in must deep-copy unseen keys, not alias them."""
-    shard = KeyedStreamingSummary()
-    shard.observe("only-here", 7.0)
-    out = KeyedStreamingSummary.merged([shard])
-    out.observe("only-here", 9.0)
-    assert shard.count("only-here") == 1
-    assert out.count("only-here") == 2
-
-
-def test_keyed_merge_validates_and_raises_on_unknown_key():
-    left = KeyedStreamingSummary(subbits=8)
-    with pytest.raises(ValueError):
-        left.merge(KeyedStreamingSummary(subbits=4))
+def test_keyed_summarize_raises_on_unknown_key():
     with pytest.raises(KeyError):
-        left.summarize("never-observed")
-    assert left.count("never-observed") == 0
+        KeyedStreamingSummary().summarize("never-observed")
