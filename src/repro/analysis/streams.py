@@ -200,7 +200,7 @@ class StreamingSummary:
     max are exact, and so is the mean of integer samples.
 
     ``total`` is the sum of every observed value.  Integer samples (an
-    integer array, or Python ints one at a time) sum as exact integers,
+    integer array, or a sequence of Python ints) sum as exact integers,
     so ``summarize().mean`` is ``total / count``, correctly rounded,
     whatever the batching or merge order; float samples sum in floating
     point.
@@ -218,16 +218,8 @@ class StreamingSummary:
     def count(self) -> int:
         return self.histogram.count
 
-    def observe(self, value: float) -> None:
-        self.histogram.add(value)  # first: it rejects NaN, inf and negatives
-        self.total += value
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
-
     def observe_many(self, values: Iterable[float]) -> None:
-        """Bulk observe, vectorized; integer arrays keep an exact total."""
+        """Observe a batch, vectorized; integer arrays keep an exact total."""
         arr = np.asarray(values)
         if arr.dtype.kind not in "iu":
             arr = arr.astype(np.float64, copy=False)
@@ -320,9 +312,6 @@ class KeyedStreamingSummary:
         if summary is None:
             summary = self.parts[key] = StreamingSummary(self.subbits)
         return summary
-
-    def observe(self, key: Any, value: float) -> None:
-        self.part(key).observe(value)
 
     def observe_many(self, key: Any, values: Iterable[float]) -> None:
         self.part(key).observe_many(values)

@@ -21,9 +21,8 @@ experiment     what it reproduces
 ``billing``    the Sec. IV-C cost model (ablation)
 ``leases``     leases vs centralized scheduling (ablation)
 =============  ====================================================
+
+Import ``EXPERIMENTS`` and ``run_experiment`` from
+:mod:`repro.experiments.registry`.  This package imports nothing
+itself, so importing one harness does not load every other.
 """
-
-from repro.experiments import registry
-from repro.experiments.registry import EXPERIMENTS, run_experiment
-
-__all__ = ["EXPERIMENTS", "registry", "run_experiment"]

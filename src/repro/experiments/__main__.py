@@ -187,8 +187,8 @@ def main(argv: list[str] | None = None) -> int:
         const=True,
         default=None,
         metavar="FILE",
-        help="for 'scale' (any --pool-policy or --arrival-shape): wrap "
-        "the drive loop in cProfile and print the top-25 cumulative "
+        help="for 'scale' only (any --pool-policy or --arrival-shape): "
+        "wrap the drive loop in cProfile and print the top-25 cumulative "
         "entries; with FILE, also dump pstats to FILE and the text "
         "report to FILE.txt",
     )
@@ -320,6 +320,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    if args.profile is not None and args.experiment != "scale":
+        # A sweep or a batch is many runs and cannot be profiled as one.
+        print(
+            f"--profile profiles one scale run, not {args.experiment!r}; "
+            "profile a single run instead, e.g. the cold driver: "
+            "python -m repro.experiments scale --pool-policy cold --profile",
+            file=sys.stderr,
+        )
+        return 2
+
     if args.experiment == "list":
         width = max(len(key) for key in EXPERIMENTS)
         for key in experiment_ids():
@@ -396,10 +406,6 @@ def main(argv: list[str] | None = None) -> int:
         coldstart_overrides["hybrid_threshold"] = args.hybrid_threshold
     if args.arrival_shape != "poisson":
         coldstart_overrides["arrival_shapes"] = (args.arrival_shape,)
-    if args.profile is not None:
-        # run_coldstart refuses the flag with a pointer at the
-        # single-run path rather than silently ignoring it.
-        coldstart_overrides["profile"] = args.profile
 
     control_overrides: dict = {}
     if args.driver != "kernel":

@@ -11,6 +11,13 @@ invocation -- plus the opt-in :mod:`repro.perf` counters (allocations
 avoided, bytes copied vs. referenced) that wall-clock numbers alone
 cannot show.
 
+Every fast engine (the scale, cold-start and multi-tenant engines, the
+control-plane kernel) is recorded the same way: :func:`_two_way` forks
+its per-event referee and the engine on one scenario and builds the
+record's ``speedup``, ``bit_identical`` and RSS ratio once, and
+:func:`check_regression` fails any verdict in the results that reads
+false.
+
 Usage::
 
     python -m repro.experiments bench --json BENCH_PR1.json --label pr1
@@ -58,17 +65,27 @@ def _rss_tree() -> int:
     return max(_rss_self(), children)
 
 
-def _host_cost(run: Callable[[], Any]) -> tuple[Any, dict[str, Any]]:
-    """Call *run*; return its result and what it cost this process in
-    the kernel: minor page faults and system CPU seconds (``getrusage``
-    deltas).  A chunked engine that re-faults its memory every chunk
-    shows here, not in its simulated outputs."""
+def _engine_run(run: Callable[[], Any], admission: str) -> tuple[Any, dict[str, Any]]:
+    """Call *run*, one scale-engine run; return its result and the
+    record every engine run carries.  ``minor_faults`` and ``sys_s``
+    are what the run cost this process in the kernel (``getrusage``
+    deltas): a chunked engine that re-faults its memory every chunk
+    shows there, not in its simulated outputs."""
     before = resource.getrusage(resource.RUSAGE_SELF)
     result = run()
     after = resource.getrusage(resource.RUSAGE_SELF)
     return result, {
+        "wall_s": result.wall_s,
         "minor_faults": after.ru_minflt - before.ru_minflt,
         "sys_s": after.ru_stime - before.ru_stime,
+        "invocations": result.invocations,
+        "workers": result.workers,
+        "events_processed": result.events_processed,
+        "events_per_sec": round(result.events_per_sec),
+        "peak_rss_bytes": result.peak_rss_bytes,
+        "stream_buckets": result.stream_buckets,
+        "admission": admission,
+        "fingerprint": result.fingerprint(),
     }
 
 #: The multi-experiment batch timed serial-vs-parallel (quick kwargs).
@@ -165,43 +182,25 @@ def _scale_once(
     quick: bool = False,
     overrides: Optional[dict[str, Any]] = None,
 ) -> dict[str, Any]:
-    """One open-loop scale run (see :mod:`repro.experiments.scale`).
-
-    Module-level so ``run_specs`` can ship it to a forked worker: each
-    engine runs in a fresh process, which is what makes the
-    ``peak_rss_bytes`` numbers attributable to that engine instead of
-    to whatever ran earlier in the bench process.  *overrides* merges
-    extra ``run_scale`` kwargs (the 10^7 stress scenario).
-    """
+    """One open-loop scale run (see :mod:`repro.experiments.scale`), a
+    side of :func:`_two_way`.  *overrides* merges extra ``run_scale``
+    kwargs (the cold-start and 10^7 stress scenarios)."""
     from repro.experiments.scale import QUICK_KWARGS, run_scale
 
     kwargs = dict(QUICK_KWARGS) if quick else {}
     if overrides:
         kwargs.update(overrides)
-    result, host = _host_cost(lambda: run_scale(admission=admission, **kwargs))
-    return {
-        "wall_s": result.wall_s,
-        **host,
-        "invocations": result.invocations,
-        "workers": result.workers,
-        "events_processed": result.events_processed,
-        "events_per_sec": round(result.events_per_sec),
-        "peak_rss_bytes": result.peak_rss_bytes,
-        "stream_buckets": result.stream_buckets,
-        "admission": admission,
-        "fingerprint": result.fingerprint(),
-    }
+    _, record = _engine_run(lambda: run_scale(admission=admission, **kwargs), admission)
+    return record
 
 
 def _control_once(driver: str, quick: bool = False, overrides: Optional[dict[str, Any]] = None) -> dict[str, Any]:
-    """One control-plane run (see :mod:`repro.experiments.control`).
-
-    Module-level so ``run_specs`` can fork it: each driver runs in a
-    fresh process, making ``peak_rss_bytes`` attributable to that
-    driver.  The manager gauges (grants, renewals, steals, dead nodes,
-    peak active leases) ride along via :mod:`repro.perf` so every
-    control BENCH entry records them, as this run's counter deltas:
-    the counters keep running for whatever counts around the call.
+    """One control-plane run (see :mod:`repro.experiments.control`), a
+    side of :func:`_two_way`.  The manager gauges (grants, renewals,
+    steals, dead nodes, peak active leases) ride along via
+    :mod:`repro.perf` so every control BENCH entry records them, as
+    this run's counter deltas: the counters keep running for whatever
+    counts around the call.
     """
     from repro.experiments.control import QUICK_KWARGS, run_control
 
@@ -241,6 +240,72 @@ def _control_once(driver: str, quick: bool = False, overrides: Optional[dict[str
     }
 
 
+#: The two sides of every engine comparison, referee first, as (record
+#: key, admission): the per-event heap referee and the default engine
+#: (batch admission), which is the exact FIFO recurrence under the
+#: "queue" policy and the reduced-event walk under "cold"/"hybrid".
+#: The record keys stay "heap"/"wheel" so older BENCH entries remain
+#: comparable.
+_ENGINES = (("heap", "per-event"), ("wheel", "batch"))
+
+#: The control plane's two drivers, referee first, as (record key, driver).
+_DRIVERS = (("reference", "reference"), ("kernel", "kernel"))
+
+
+def _two_way(
+    label: str,
+    factory: str,
+    kwargs: dict[str, Any],
+    lift: tuple[str, ...] = (),
+    sides: tuple[tuple[str, str], ...] = _ENGINES,
+    side_kwarg: str = "admission",
+    max_rss_growth: Optional[float] = None,
+) -> dict[str, Any]:
+    """One engine-versus-referee record.
+
+    Runs *factory* once per side, each in its own forked process (peak
+    RSS is a process-lifetime high-water mark, so sharing a process
+    would let one run's footprint mask the other's), and keeps both
+    runs under their *sides* keys.  Builds the verdicts every two-way
+    record carries: ``speedup`` (referee wall clock / engine wall
+    clock), ``bit_identical`` (the fingerprints agree),
+    ``rss_ratio_vs_heap`` (engine peak RSS / referee peak RSS) and
+    ``peak_rss_bytes`` (the larger).  The engine run's *lift* fields
+    are copied into the record.  With *max_rss_growth* set,
+    ``within_rss_guard`` asserts the engine's peak RSS stays within
+    that fraction of the referee's on the same scenario: the fast
+    engine must not buy speed with footprint.
+    """
+    runs: dict[str, dict[str, Any]] = {}
+    for key, side in sides:
+        spec = RunSpec(
+            factory=f"repro.experiments.bench:{factory}",
+            kwargs={side_kwarg: side, **kwargs},
+            label=f"{label}[{key}]",
+        )
+        (outcome,) = run_specs([spec], 2)
+        if isinstance(outcome, FailedPoint):
+            raise RuntimeError(f"{label} bench failed: {outcome.summary()}")
+        runs[key] = outcome
+    referee, engine = runs.values()
+    record = {
+        **runs,
+        **{name: engine[name] for name in lift},
+        "speedup": referee["wall_s"] / engine["wall_s"] if engine["wall_s"] else 0.0,
+        "bit_identical": referee["fingerprint"] == engine["fingerprint"],
+        "rss_ratio_vs_heap": (
+            engine["peak_rss_bytes"] / referee["peak_rss_bytes"]
+            if referee["peak_rss_bytes"]
+            else 0.0
+        ),
+        "peak_rss_bytes": max(referee["peak_rss_bytes"], engine["peak_rss_bytes"]),
+    }
+    if max_rss_growth is not None:
+        record["max_rss_growth"] = max_rss_growth
+        record["within_rss_guard"] = bool(record["rss_ratio_vs_heap"] <= 1.0 + max_rss_growth)
+    return record
+
+
 def bench_control(
     quick: bool = False, overrides: Optional[dict[str, Any]] = None
 ) -> dict[str, Any]:
@@ -253,136 +318,73 @@ def bench_control(
     and ``grants_per_sec``, with ``rss_ok`` guarding that the kernel's
     footprint stays at or below the referee's.
     """
-    runs: dict[str, dict[str, Any]] = {}
-    for driver in ("reference", "kernel"):
-        spec = RunSpec(
-            factory="repro.experiments.bench:_control_once",
-            kwargs={"driver": driver, "quick": quick, "overrides": dict(overrides or {})},
-            label=f"control[{driver}]",
-        )
-        (outcome,) = run_specs([spec], 2)
-        if isinstance(outcome, FailedPoint):
-            raise RuntimeError(f"control bench failed: {outcome.summary()}")
-        runs[driver] = outcome
-    reference, kernel = runs["reference"], runs["kernel"]
-    return {
-        "reference": reference,
-        "kernel": kernel,
-        "executors": kernel["executors"],
-        "requests": kernel["requests"],
-        "lease_events": kernel["lease_events"],
-        "lease_events_per_sec": kernel["lease_events_per_sec"],
-        "grants_per_sec": kernel["grants_per_sec"],
-        "peak_rss_bytes": max(r["peak_rss_bytes"] for r in runs.values()),
-        "gauges": kernel["gauges"],
-        "speedup": (
-            reference["wall_s"] / kernel["wall_s"] if kernel["wall_s"] else 0.0
+    record = _two_way(
+        "control",
+        "_control_once",
+        {"quick": quick, "overrides": dict(overrides or {})},
+        lift=(
+            "executors",
+            "requests",
+            "lease_events",
+            "lease_events_per_sec",
+            "grants_per_sec",
+            "gauges",
         ),
-        "rss_ok": kernel["peak_rss_bytes"] <= reference["peak_rss_bytes"],
-        "bit_identical": reference["fingerprint"] == kernel["fingerprint"],
-    }
+        sides=_DRIVERS,
+        side_kwarg="driver",
+    )
+    record["rss_ok"] = record["kernel"]["peak_rss_bytes"] <= record["reference"]["peak_rss_bytes"]
+    return record
 
 
-def _repeated(factory: str, repeats: int, parallel: int) -> list[dict[str, Any]]:
-    """Run a self-timed benchmark function *repeats* times, maybe fanned out."""
+def _micro_bench(factory: str, repeats: int, parallel: int, *fields: str) -> dict[str, Any]:
+    """Run a self-timed micro-bench *repeats* times, maybe fanned out.
+
+    Every entry carries the median, minimum and every run's wall clock,
+    ``events_per_sec`` (the event count over the median wall clock) and
+    ``peak_rss_bytes`` (the max across repetitions) so the trajectory
+    file tracks memory alongside throughput, plus the last run's
+    *fields*.
+    """
     specs = [
         RunSpec(factory=f"repro.experiments.bench:{factory}", index=i, label=f"{factory}[{i}]")
         for i in range(repeats)
     ]
-    outcomes = run_specs(specs, parallel)
-    failed = [o for o in outcomes if isinstance(o, FailedPoint)]
+    reps = run_specs(specs, parallel)
+    failed = [o for o in reps if isinstance(o, FailedPoint)]
     if failed:
         raise RuntimeError(f"benchmark repetition failed: {failed[0].summary()}")
-    return outcomes
-
-
-def _stats(reps: list[dict[str, Any]]) -> dict[str, Any]:
-    """Aggregate self-timed repetitions.
-
-    Every entry carries ``events_per_sec`` (from its event count and
-    median wall clock) and ``peak_rss_bytes`` (max across repetitions)
-    so the trajectory file tracks memory alongside throughput.
-    """
     runs = [r["wall_s"] for r in reps]
-    out: dict[str, Any] = {
-        "median_s": statistics.median(runs),
+    last = reps[-1]
+    median_s = statistics.median(runs)
+    return {
+        "median_s": median_s,
         "min_s": min(runs),
         "runs_s": runs,
         "peak_rss_bytes": max(r["peak_rss_bytes"] for r in reps),
+        "events_processed": last["events_processed"],
+        "events_per_sec": round(last["events_processed"] / median_s),
+        **{name: last[name] for name in fields},
     }
-    if "events_processed" in reps[-1]:
-        out["events_processed"] = reps[-1]["events_processed"]
-        out["events_per_sec"] = round(out["events_processed"] / out["median_s"])
-    return out
 
 
 def bench_kernel(repeats: int, parallel: int = 1) -> dict[str, Any]:
     """Pure event-loop throughput: ping-pong timeouts (5000 events)."""
-    reps = _repeated("_kernel_once", repeats, parallel)
-    out = _stats(reps)
-    out["timeout_pool_hits"] = reps[-1]["timeout_pool_hits"]
-    return out
+    return _micro_bench("_kernel_once", repeats, parallel, "timeout_pool_hits")
 
 
 def bench_pingpong(repeats: int, parallel: int = 1) -> dict[str, Any]:
     """Full verbs data path: 100 WRITE_WITH_IMM ping-pongs of 64 B."""
-    reps = _repeated("_pingpong_once", repeats, parallel)
-    out = _stats(reps)
-    out["iterations"] = reps[-1]["iterations"]
-    out["median_rtt_ns"] = reps[-1]["median_rtt_ns"]
-    return out
+    return _micro_bench("_pingpong_once", repeats, parallel, "iterations", "median_rtt_ns")
 
 
 def bench_invocation(repeats: int, parallel: int = 1) -> dict[str, Any]:
     """End-to-end rFaaS invocations incl. control-plane setup (50 calls)."""
-    reps = _repeated("_invocation_once", repeats, parallel)
-    out = _stats(reps)
-    out["invocations"] = reps[-1]["invocations"]
-    out["final_now_ns"] = reps[-1]["final_now_ns"]
-    return out
+    return _micro_bench("_invocation_once", repeats, parallel, "invocations", "final_now_ns")
 
 
-#: The two scale engines every scale bench compares, by record key and
-#: admission: the per-event heap referee and the default engine (batch
-#: admission), which is the exact FIFO recurrence under the "queue"
-#: policy and the reduced-event walk under "cold"/"hybrid".  The record
-#: keys stay "heap"/"wheel" so older BENCH entries remain comparable.
-_ENGINES = (("heap", "per-event"), ("wheel", "batch"))
-
-
-def _scale_two_way(
-    label: str, quick: bool = False, overrides: Optional[dict[str, Any]] = None
-) -> dict[str, dict[str, Any]]:
-    """Run the heap referee and the default engine, each in its own
-    forked process (peak RSS is a process-lifetime high-water mark, so
-    sharing a process would let one run's footprint mask another's).
-    """
-    runs: dict[str, dict[str, Any]] = {}
-    for key, admission in _ENGINES:
-        kwargs: dict[str, Any] = {"admission": admission, "quick": quick}
-        if overrides:
-            kwargs["overrides"] = dict(overrides)
-        spec = RunSpec(
-            factory="repro.experiments.bench:_scale_once",
-            kwargs=kwargs,
-            label=f"{label}[{key}]",
-        )
-        (outcome,) = run_specs([spec], 2)
-        if isinstance(outcome, FailedPoint):
-            raise RuntimeError(f"{label} bench failed: {outcome.summary()}")
-        runs[key] = outcome
-    return runs
-
-
-def _versus_referee(runs: dict[str, dict[str, Any]]) -> dict[str, Any]:
-    """Both runs plus the verdicts every two-way record carries."""
-    heap, default = runs["heap"], runs["wheel"]
-    return {
-        "heap": heap,
-        "wheel": default,
-        "speedup": heap["wall_s"] / default["wall_s"] if default["wall_s"] else 0.0,
-        "bit_identical": heap["fingerprint"] == default["fingerprint"],
-    }
+#: What a scale record lifts from its default-engine run.
+_SCALE_FIELDS = ("invocations", "events_processed", "events_per_sec")
 
 
 def bench_scale(quick: bool = False) -> dict[str, Any]:
@@ -394,18 +396,7 @@ def bench_scale(quick: bool = False) -> dict[str, Any]:
     (``bit_identical``); the headline ``speedup`` is heap wall clock /
     default-engine wall clock.
     """
-    runs = _scale_two_way("scale", quick=quick)
-    default = runs["wheel"]
-    record = _versus_referee(runs)
-    record.update(
-        {
-            "invocations": default["invocations"],
-            "events_processed": default["events_processed"],
-            "events_per_sec": default["events_per_sec"],
-            "peak_rss_bytes": max(r["peak_rss_bytes"] for r in runs.values()),
-        }
-    )
-    return record
+    return _two_way("scale", "_scale_once", {"quick": quick}, lift=_SCALE_FIELDS)
 
 
 #: The policies the coldstart bench compares on one saturated scenario.
@@ -430,100 +421,102 @@ _COLD_SCENARIO = {
 _COLD_RECLAIM_KEEPALIVE_NS = 5_000_000
 
 
+def _cold_two_way(
+    label: str,
+    scenario: dict[str, Any],
+    quick: bool = False,
+    max_rss_growth: Optional[float] = None,
+) -> dict[str, Any]:
+    """:func:`_two_way` on a cold-start *scenario*, plus its cold-start
+    economics read from the default engine's fingerprint."""
+    from repro.experiments.coldstart import executor_seconds
+
+    record = _two_way(
+        label,
+        "_scale_once",
+        {"quick": quick, "overrides": scenario},
+        lift=("invocations",),
+        max_rss_growth=max_rss_growth,
+    )
+    fp = record["wheel"]["fingerprint"]
+    record.update(
+        {
+            "cold_starts": fp["cold_starts"],
+            "cold_fraction": fp["cold_starts"] / max(1, fp["completed"]),
+            "cold_reclaimed": fp["cold_reclaimed"],
+            "cold_retained": fp["cold_retained"],
+            "p99_ns": fp["latency_p99_ns"],
+            "executor_seconds": executor_seconds(
+                record["wheel"]["workers"],
+                fp["final_now_ns"],
+                fp["cold_busy_ns"],
+                fp["cold_reclaimed"],
+                scenario["keepalive_ns"],
+            ),
+        }
+    )
+    return record
+
+
 def bench_coldstart(
     quick: bool = False, overrides: Optional[dict[str, Any]] = None
 ) -> dict[str, Any]:
     """The cold-start engine: heap referee vs default engine x three policies.
 
     Per policy this is the same forked two-way as :func:`bench_scale`
-    (per-event heap referee vs the default engine) with the dry-pool
-    cold-start path enabled; fingerprints must agree across all six
-    runs (``bit_identical``).  The headline ``speedup`` is the heap
-    referee over the default engine *under the cold policy*, and
-    ``rss_ratio_vs_heap`` guards that the default engine does not buy
-    speed with footprint.
+    with the dry-pool cold-start path enabled; every policy's record
+    carries its own ``bit_identical``, and the top-level one requires
+    all three.  The headline ``speedup`` and ``rss_ratio_vs_heap`` are
+    the cold policy's.
 
     The headline scenario runs with keepalive 0; a secondary
     ``reclaim`` record re-runs the cold policy at a short keepalive,
     where reclaims race completions and readies at shared instants --
     its guard is bit-identity plus live reclaim traffic.
     """
-    from repro.experiments.coldstart import executor_seconds
 
-    policies: dict[str, dict[str, Any]] = {}
-    for policy in _COLD_POLICIES:
-        scenario = dict(_COLD_SCENARIO)
-        scenario["pool_policy"] = policy
+    def scenario(**knobs: Any) -> dict[str, Any]:
+        knobs = {**_COLD_SCENARIO, **knobs}
         if not quick:
             # The paper-scale default pool (2^20 slots) exceeds the
             # 10^6 total arrivals, so it can never run dry; the cold
             # bench needs a pool that saturates (the mid spectrum
             # point), or every run measures the queue path.
-            scenario["workers"] = 1 << 14
-        if overrides:
-            scenario.update(overrides)
-        runs = _scale_two_way(f"coldstart[{policy}]", quick=quick, overrides=scenario)
-        heap, default = runs["heap"], runs["wheel"]
-        fp = default["fingerprint"]
-        policies[policy] = _versus_referee(runs)
-        policies[policy].update(
-            {
-                "rss_ratio_vs_heap": (
-                    default["peak_rss_bytes"] / heap["peak_rss_bytes"]
-                    if heap["peak_rss_bytes"]
-                    else 0.0
-                ),
-                "cold_starts": fp["cold_starts"],
-                "cold_fraction": fp["cold_starts"] / max(1, fp["completed"]),
-                "cold_reclaimed": fp["cold_reclaimed"],
-                "cold_retained": fp["cold_retained"],
-                "p99_ns": fp["latency_p99_ns"],
-                "executor_seconds": executor_seconds(
-                    default["workers"],
-                    fp["final_now_ns"],
-                    fp["cold_busy_ns"],
-                    fp["cold_reclaimed"],
-                    scenario["keepalive_ns"],
-                ),
-            }
-        )
+            knobs["workers"] = 1 << 14
+        return {**knobs, **(overrides or {})}
+
+    policies = {
+        policy: _cold_two_way(f"coldstart[{policy}]", scenario(pool_policy=policy), quick)
+        for policy in _COLD_POLICIES
+    }
     cold = policies["cold"]
     record: dict[str, Any] = {
         "policies": policies,
         "start_model": _COLD_SCENARIO["start_model"],
         "keepalive_ns": _COLD_SCENARIO["keepalive_ns"],
-        "invocations": cold["wheel"]["invocations"],
-        "speedup": cold["speedup"],
-        "rss_ratio_vs_heap": cold["rss_ratio_vs_heap"],
-        "cold_fraction": cold["cold_fraction"],
-        "p99_ns": cold["p99_ns"],
-        "executor_seconds": cold["executor_seconds"],
+        **{
+            key: cold[key]
+            for key in (
+                "invocations",
+                "speedup",
+                "rss_ratio_vs_heap",
+                "cold_fraction",
+                "p99_ns",
+                "executor_seconds",
+            )
+        },
         "bit_identical": all(p["bit_identical"] for p in policies.values()),
-        "peak_rss_bytes": max(
-            r["peak_rss_bytes"] for p in policies.values() for r in (p["heap"], p["wheel"])
-        ),
+        "peak_rss_bytes": max(p["peak_rss_bytes"] for p in policies.values()),
     }
     # Secondary record: idle-reclaim on.
-    reclaim_scenario = dict(_COLD_SCENARIO)
-    reclaim_scenario["pool_policy"] = "cold"
-    reclaim_scenario["keepalive_ns"] = _COLD_RECLAIM_KEEPALIVE_NS
-    if not quick:
-        reclaim_scenario["workers"] = 1 << 14
-    if overrides:
-        reclaim_scenario.update(overrides)
-        reclaim_scenario["keepalive_ns"] = _COLD_RECLAIM_KEEPALIVE_NS
-    reruns = _scale_two_way("coldstart[reclaim]", quick=quick, overrides=reclaim_scenario)
-    verdict = _versus_referee(reruns)
-    rfp = reruns["wheel"]["fingerprint"]
-    record["reclaim"] = {
+    reclaim_scenario = {
+        **scenario(pool_policy="cold"),
         "keepalive_ns": _COLD_RECLAIM_KEEPALIVE_NS,
-        "speedup": verdict["speedup"],
-        "bit_identical": verdict["bit_identical"],
-        "cold_starts": rfp["cold_starts"],
-        "cold_reclaimed": rfp["cold_reclaimed"],
-        "cold_retained": rfp["cold_retained"],
-        "wall_s": reruns["wheel"]["wall_s"],
     }
+    reclaim = _cold_two_way("coldstart[reclaim]", reclaim_scenario, quick)
+    reclaim["keepalive_ns"] = _COLD_RECLAIM_KEEPALIVE_NS
+    reclaim["wall_s"] = reclaim["wheel"]["wall_s"]
+    record["reclaim"] = reclaim
     return record
 
 
@@ -567,45 +560,11 @@ COLD_TEN_MILLION_KWARGS = {
 
 
 def bench_coldstart_ten_million(max_rss_growth: float = 0.20) -> dict[str, Any]:
-    """10^7 cold-start invocations, cold policy only: the stress run.
-
-    Same two-way shape as :func:`bench_coldstart` for the cold policy;
-    ``within_rss_guard`` asserts the default engine's peak RSS stays
-    within *max_rss_growth* of the per-event heap referee on the same
-    scenario.
-    """
-    from repro.experiments.coldstart import executor_seconds
-
-    scenario = dict(_COLD_SCENARIO)
-    scenario["pool_policy"] = "cold"
-    scenario.update(COLD_TEN_MILLION_KWARGS)
-    runs = _scale_two_way("coldstart10m", overrides=scenario)
-    heap, default = runs["heap"], runs["wheel"]
-    fp = default["fingerprint"]
-    rss_ratio = (
-        default["peak_rss_bytes"] / heap["peak_rss_bytes"] if heap["peak_rss_bytes"] else 0.0
-    )
-    record = _versus_referee(runs)
-    record.update(
-        {
-            "invocations": default["invocations"],
-            "cold_starts": fp["cold_starts"],
-            "cold_fraction": fp["cold_starts"] / max(1, fp["completed"]),
-            "p99_ns": fp["latency_p99_ns"],
-            "executor_seconds": executor_seconds(
-                default["workers"],
-                fp["final_now_ns"],
-                fp["cold_busy_ns"],
-                fp["cold_reclaimed"],
-                scenario["keepalive_ns"],
-            ),
-            "peak_rss_bytes": max(r["peak_rss_bytes"] for r in runs.values()),
-            "rss_ratio_vs_heap": rss_ratio,
-            "max_rss_growth": max_rss_growth,
-            "within_rss_guard": bool(rss_ratio <= 1.0 + max_rss_growth),
-        }
-    )
-    return record
+    """10^7 cold-start invocations, cold policy only: the stress run,
+    with the default engine's peak RSS held within *max_rss_growth* of
+    the heap referee's (``within_rss_guard``)."""
+    scenario = {**_COLD_SCENARIO, "pool_policy": "cold", **COLD_TEN_MILLION_KWARGS}
+    return _cold_two_way("coldstart10m", scenario, max_rss_growth=max_rss_growth)
 
 
 def _multitenant_once(
@@ -615,35 +574,24 @@ def _multitenant_once(
     overrides: Optional[dict[str, Any]] = None,
 ) -> dict[str, Any]:
     """One multi-tenant scale run (see :func:`repro.experiments.scale.
-    run_tenant_scale`).  Module-level so ``run_specs`` can fork it:
-    per-engine peak RSS must be attributable to that engine."""
+    run_tenant_scale`), a side of :func:`_two_way`."""
     from repro.experiments.multitenant import QUICK_KWARGS, run_multitenant_scale
 
     kwargs = dict(QUICK_KWARGS) if quick else {}
     if overrides:
         kwargs.update(overrides)
-    result, host = _host_cost(
+    result, record = _engine_run(
         lambda: run_multitenant_scale(
             admission=admission, partitioning=partitioning, **kwargs
-        )
+        ),
+        admission,
     )
-    return {
-        "wall_s": result.wall_s,
-        **host,
-        "invocations": result.invocations,
-        "workers": result.workers,
-        "events_processed": result.events_processed,
-        "events_per_sec": round(result.events_per_sec),
-        "peak_rss_bytes": result.peak_rss_bytes,
-        "stream_buckets": result.stream_buckets,
-        "partitioning": partitioning,
-        "admission": admission,
-        "miss_rates": {name: t.miss_rate for name, t in result.tenants.items()},
-        "congestion_rates": {
-            name: t.congestion_rate for name, t in result.tenants.items()
-        },
-        "fingerprint": result.fingerprint(),
+    record["partitioning"] = partitioning
+    record["miss_rates"] = {name: t.miss_rate for name, t in result.tenants.items()}
+    record["congestion_rates"] = {
+        name: t.congestion_rate for name, t in result.tenants.items()
     }
+    return record
 
 
 #: The isolation-spectrum scenario: a pool sized so the calm mix runs
@@ -743,37 +691,20 @@ def bench_multitenant(quick: bool = False) -> dict[str, Any]:
     ``speedup`` is the wall-clock ratio and ``bit_identical`` demands
     every per-tenant outcome count and sojourn fingerprint agree.
     """
-    runs: dict[str, dict[str, Any]] = {}
-    for key, admission in _ENGINES:
-        spec = RunSpec(
-            factory="repro.experiments.bench:_multitenant_once",
-            kwargs={"admission": admission, "quick": quick},
-            label=f"multitenant[{key}]",
-        )
-        (outcome,) = run_specs([spec], 2)
-        if isinstance(outcome, FailedPoint):
-            raise RuntimeError(f"multitenant bench failed: {outcome.summary()}")
-        runs[key] = outcome
-    heap, default = runs["heap"], runs["wheel"]
-    return {
-        "heap": heap,
-        "wheel": default,
-        "invocations": default["invocations"],
-        "workers": default["workers"],
-        "events_processed": default["events_processed"],
-        "events_per_sec": default["events_per_sec"],
-        "peak_rss_bytes": max(heap["peak_rss_bytes"], default["peak_rss_bytes"]),
-        "partitioning": default["partitioning"],
-        "miss_rates": default["miss_rates"],
-        "congestion_rates": default["congestion_rates"],
-        "speedup": heap["wall_s"] / default["wall_s"] if default["wall_s"] else 0.0,
-        "rss_ratio_vs_heap": (
-            default["peak_rss_bytes"] / heap["peak_rss_bytes"]
-            if heap["peak_rss_bytes"]
-            else 0.0
+    return _two_way(
+        "multitenant",
+        "_multitenant_once",
+        {"quick": quick},
+        lift=(
+            "invocations",
+            "workers",
+            "events_processed",
+            "events_per_sec",
+            "partitioning",
+            "miss_rates",
+            "congestion_rates",
         ),
-        "bit_identical": heap["fingerprint"] == default["fingerprint"],
-    }
+    )
 
 
 #: The 10^7-invocation stress scenario: arrivals come 2x
@@ -791,31 +722,40 @@ TEN_MILLION_KWARGS = {
 def bench_scale_ten_million(max_rss_growth: float = 0.20) -> dict[str, Any]:
     """10^7 invocations in one run: the acceptance stress run.
 
-    Same shape as :func:`bench_scale` (heap referee vs default engine;
-    forked processes, bit-identity required), an order of magnitude
-    more events.  ``within_rss_guard`` asserts the default engine's
-    peak RSS stays within the regression guard's RSS allowance
-    (*max_rss_growth*) of the per-event heap baseline on the *same*
-    scenario -- the fast engine must not buy speed with footprint.
+    Same shape as :func:`bench_scale`, an order of magnitude more
+    events, with the default engine's peak RSS held within
+    *max_rss_growth* of the heap referee's (``within_rss_guard``).
     """
-    runs = _scale_two_way("scale10m", overrides=TEN_MILLION_KWARGS)
-    heap, default = runs["heap"], runs["wheel"]
-    rss_ratio = (
-        default["peak_rss_bytes"] / heap["peak_rss_bytes"] if heap["peak_rss_bytes"] else 0.0
+    return _two_way(
+        "scale10m",
+        "_scale_once",
+        {"overrides": TEN_MILLION_KWARGS},
+        lift=_SCALE_FIELDS,
+        max_rss_growth=max_rss_growth,
     )
-    record = _versus_referee(runs)
-    record.update(
-        {
-            "invocations": default["invocations"],
-            "events_processed": default["events_processed"],
-            "events_per_sec": default["events_per_sec"],
-            "peak_rss_bytes": max(r["peak_rss_bytes"] for r in runs.values()),
-            "rss_ratio_vs_heap": rss_ratio,
-            "max_rss_growth": max_rss_growth,
-            "within_rss_guard": bool(rss_ratio <= 1.0 + max_rss_growth),
-        }
-    )
-    return record
+
+
+def _timed_batch(
+    experiments: tuple[str, ...], workers: int, cache: Any = None
+) -> tuple[float, list[Any]]:
+    """Run every quick experiment of *experiments* through ``run_specs``
+    on *workers*; return the batch's wall clock and its outcomes."""
+    specs = [
+        RunSpec(
+            factory="repro.experiments.registry:run_experiment",
+            kwargs={"experiment_id": experiment_id, "quick": True},
+            index=index,
+            label=experiment_id,
+        )
+        for index, experiment_id in enumerate(experiments)
+    ]
+    t0 = time.perf_counter()
+    outcomes = run_specs(specs, workers, cache=cache)
+    wall = time.perf_counter() - t0
+    failed = [o for o in outcomes if isinstance(o, FailedPoint)]
+    if failed:
+        raise RuntimeError(f"batch experiment failed: {failed[0].summary()}")
+    return wall, outcomes
 
 
 def bench_parallel_batch(parallel: int) -> dict[str, Any]:
@@ -824,27 +764,8 @@ def bench_parallel_batch(parallel: int) -> dict[str, Any]:
     This is the number the parallel engine exists for: the same
     independent experiment runs, serial vs. ``parallel`` workers.
     """
-    specs = [
-        RunSpec(
-            factory="repro.experiments.registry:run_experiment",
-            kwargs={"experiment_id": experiment_id, "quick": True},
-            index=index,
-            label=experiment_id,
-        )
-        for index, experiment_id in enumerate(BATCH_EXPERIMENTS)
-    ]
-
-    def timed(workers: int) -> float:
-        t0 = time.perf_counter()
-        outcomes = run_specs(specs, workers)
-        wall = time.perf_counter() - t0
-        failed = [o for o in outcomes if isinstance(o, FailedPoint)]
-        if failed:
-            raise RuntimeError(f"batch experiment failed: {failed[0].summary()}")
-        return wall
-
-    serial_s = timed(1)
-    parallel_s = timed(parallel)
+    serial_s, _ = _timed_batch(BATCH_EXPERIMENTS, 1)
+    parallel_s, _ = _timed_batch(BATCH_EXPERIMENTS, parallel)
     cpus = available_workers()
     record = {
         "experiments": list(BATCH_EXPERIMENTS),
@@ -883,32 +804,12 @@ def bench_cache_batch(
     from repro.cache import ResultCache
     from repro.experiments.io import to_jsonable
 
-    specs = [
-        RunSpec(
-            factory="repro.experiments.registry:run_experiment",
-            kwargs={"experiment_id": experiment_id, "quick": True},
-            index=index,
-            label=experiment_id,
-        )
-        for index, experiment_id in enumerate(experiments)
-    ]
-
     owns_dir = cache_dir is None
     root = cache_dir or tempfile.mkdtemp(prefix="repro-cache-bench-")
     try:
         cache = ResultCache(root)
-
-        def timed(label: str) -> tuple[float, list[Any]]:
-            t0 = time.perf_counter()
-            outcomes = run_specs(specs, 1, cache=cache)
-            wall = time.perf_counter() - t0
-            failed = [o for o in outcomes if isinstance(o, FailedPoint)]
-            if failed:
-                raise RuntimeError(f"{label} batch experiment failed: {failed[0].summary()}")
-            return wall, outcomes
-
-        cold_s, cold = timed("cold")
-        warm_s, warm = timed("warm")
+        cold_s, cold = _timed_batch(experiments, 1, cache)
+        warm_s, warm = _timed_batch(experiments, 1, cache)
         stats = cache.stats()
         return {
             "experiments": list(experiments),
@@ -996,6 +897,62 @@ def write_bench(path: str, results: dict[str, Any], label: Optional[str] = None)
     return str(target)
 
 
+#: The verdicts a run records, and what one that reads false means.
+#: Wherever one sits in the results, false fails the run outright, with
+#: no baseline needed: a wrong fast answer is not a perf win.
+_VERDICTS = {
+    "bit_identical": "the fast path diverged from its referee",
+    "within_rss_guard": "the default engine's peak RSS outgrew the per-event "
+    "referee's by more than the allowed growth (see rss_ratio_vs_heap)",
+    "isolated": "pinned partitioning no longer insulates the victim tenant "
+    "from a bursty co-tenant",
+}
+
+#: The baseline guards, as (record, figure, bound, what a breach means).
+#: "drop" fails a figure more than ``max_regression`` below the
+#: baseline; "growth" one more than ``max_rss_growth`` above it; "4x"
+#: one past four times it, for outputs that are deterministic on the
+#: quick scenario (a dict of figures, the per-tenant miss rates, is
+#: checked key by key).  A figure either side lacks, or a zero
+#: baseline, skips its guard, so entries recorded before a bench
+#: existed stay usable baselines.
+_BASELINE_GUARDS = (
+    ("kernel_event_throughput", "events_per_sec", "drop", ""),
+    ("scale_openloop", "peak_rss_bytes", "growth", ""),
+    ("control_plane", "grants_per_sec", "drop", ""),
+    ("multitenant", "events_per_sec", "drop", ""),
+    (
+        "coldstart",
+        "cold_fraction",
+        "4x",
+        "warm-pool accounting regressed (slots leaking or reclaim misfiring)",
+    ),
+    ("multitenant", "miss_rates", "4x", "per-tenant admission or pool accounting regressed"),
+)
+
+
+def _false_verdicts(node: Any, path: str = "") -> list[str]:
+    """Every verdict under *node* that reads false, named by its record path."""
+    if isinstance(node, dict):
+        items = [(f"{path}.{key}" if path else str(key), key, value) for key, value in node.items()]
+    elif isinstance(node, list):
+        items = [(f"{path}[{index}]", None, value) for index, value in enumerate(node)]
+    else:
+        return []
+    problems = []
+    for where, key, value in items:
+        if value is False and key in _VERDICTS:
+            problems.append(f"{where} is false: {_VERDICTS[key]}")
+        else:
+            problems.extend(_false_verdicts(value, where))
+    return problems
+
+
+def _figure(doc: dict[str, Any], record: str, figure: str) -> Any:
+    section = doc.get(record)
+    return section.get(figure) if isinstance(section, dict) else None
+
+
 def check_regression(
     results: dict[str, Any],
     baseline_path: str,
@@ -1005,18 +962,19 @@ def check_regression(
 ) -> list[str]:
     """Compare *results* against a committed trajectory entry.
 
-    Guards the DES kernel's ``events_per_sec`` (the one figure every
-    hot-path PR moves): a drop of more than *max_regression* versus the
-    baseline entry is reported as a failure string.  Also guards peak
-    RSS: growth beyond *max_rss_growth* versus the baseline fails --
-    the scale engine's whole point is bounded memory, so a quiet
-    footprint regression is as real as a throughput one.  Baselines
-    recorded before RSS tracking simply lack the key and skip that
-    check (old entries stay usable as throughput baselines).
+    One rule and one table.  The rule: any ``bit_identical``,
+    ``within_rss_guard`` or ``isolated`` that reads false anywhere in
+    *results* fails, named by its record path.  The table
+    (``_BASELINE_GUARDS``): the DES kernel's ``events_per_sec`` and the
+    control and multi-tenant throughputs may drop at most
+    *max_regression* below the baseline entry, the scale run's peak RSS
+    may grow at most *max_rss_growth* (the scale engine's whole point
+    is bounded memory), and the cold-start fraction and per-tenant
+    deadline-miss rates may not pass 4x the baseline.
 
     Returns a list of problems, empty when the run is clean; a missing
-    baseline file or entry is itself a problem (a silently absent guard
-    guards nothing).
+    baseline file or entry, or a kernel throughput either side lacks,
+    is itself a problem (a silently absent guard guards nothing).
     """
     try:
         doc = json.loads(Path(baseline_path).read_text())
@@ -1027,164 +985,86 @@ def check_regression(
     entry = entries.get(label) if label else None
     if not isinstance(entry, dict):
         return [f"no baseline entry {label!r} in {baseline_path}"]
-    problems = []
-    try:
-        base_rate = float(entry["kernel_event_throughput"]["events_per_sec"])
-        current_rate = float(results["kernel_event_throughput"]["events_per_sec"])
-    except (KeyError, TypeError, ValueError) as exc:
-        return [f"baseline/current entries missing kernel_event_throughput: {exc}"]
-    floor = base_rate * (1.0 - max_regression)
-    if current_rate < floor:
-        problems.append(
-            f"kernel_event_throughput.events_per_sec {current_rate:,.0f} is "
-            f"{1 - current_rate / base_rate:.1%} below baseline {label!r} "
-            f"({base_rate:,.0f}; allowed drop {max_regression:.0%})"
-        )
-    base_scale = entry.get("scale_openloop")
-    current_scale = results.get("scale_openloop")
-    if isinstance(base_scale, dict) and isinstance(current_scale, dict):
-        base_rss = base_scale.get("peak_rss_bytes")
-        current_rss = current_scale.get("peak_rss_bytes")
-        if base_rss and current_rss:
-            ceiling = float(base_rss) * (1.0 + max_rss_growth)
-            if float(current_rss) > ceiling:
+    problems = _false_verdicts(results)
+    if any(_figure(d, "kernel_event_throughput", "events_per_sec") is None for d in (entry, results)):
+        problems.append("baseline/current entries missing kernel_event_throughput.events_per_sec")
+    for record, figure, bound, breach in _BASELINE_GUARDS:
+        base, current = _figure(entry, record, figure), _figure(results, record, figure)
+        if isinstance(base, dict) and isinstance(current, dict):
+            pairs = [
+                (f"{record}.{figure}[{key!r}]", value, current.get(key))
+                for key, value in base.items()
+            ]
+        else:
+            pairs = [(f"{record}.{figure}", base, current)]
+        for name, base_value, value in pairs:
+            try:
+                base_value, value = float(base_value), float(value)
+            except (TypeError, ValueError):
+                continue  # absent on one side: nothing to compare
+            if not base_value:
+                continue
+            if bound == "drop" and value < base_value * (1.0 - max_regression):
                 problems.append(
-                    f"scale_openloop.peak_rss_bytes {current_rss:,} is "
-                    f"{current_rss / base_rss - 1:.1%} above baseline {label!r} "
-                    f"({base_rss:,}; allowed growth {max_rss_growth:.0%})"
+                    f"{name} {value:,.0f} is {1 - value / base_value:.1%} below "
+                    f"baseline {label!r} ({base_value:,.0f}; allowed drop {max_regression:.0%})"
                 )
-    # The 10^7 stress entry carries its own RSS verdict (default engine
-    # vs heap-per-event on the same scenario, same forked-process
-    # measurement); when the run recorded one, a breach fails here.
-    current_10m = results.get("scale_10m")
-    if isinstance(current_10m, dict) and current_10m.get("within_rss_guard") is False:
-        problems.append(
-            "scale_10m: default-engine peak RSS is "
-            f"{current_10m.get('rss_ratio_vs_heap', 0.0):.2f}x the per-event heap "
-            "baseline, beyond the allowed "
-            f"{1.0 + float(current_10m.get('max_rss_growth', 0.0)):.2f}x"
-        )
-    # The control-plane kernel's whole claim is brokering leases faster
-    # than the per-event referee: guard its grant throughput like the
-    # DES kernel's events/sec, and fail outright if the drivers stopped
-    # agreeing (a wrong fast answer is not a perf win).  Baselines
-    # recorded before the control bench existed lack the key and skip.
-    base_control = entry.get("control_plane")
-    current_control = results.get("control_plane")
-    if isinstance(current_control, dict) and current_control.get("bit_identical") is False:
-        problems.append(
-            "control_plane: kernel and reference driver fingerprints diverged"
-        )
-    if isinstance(base_control, dict) and isinstance(current_control, dict):
-        try:
-            base_rate = float(base_control["grants_per_sec"])
-            current_rate = float(current_control["grants_per_sec"])
-        except (KeyError, TypeError, ValueError):
-            base_rate = current_rate = 0.0
-        if base_rate and current_rate < base_rate * (1.0 - max_regression):
-            problems.append(
-                f"control_plane.grants_per_sec {current_rate:,.0f} is "
-                f"{1 - current_rate / base_rate:.1%} below baseline {label!r} "
-                f"({base_rate:,.0f}; allowed drop {max_regression:.0%})"
-            )
-    # The cold-start engine's correctness guard: a wrong fast answer is
-    # not a perf win, so fingerprint divergence between the default
-    # engine and the per-event referee fails outright.  The cold-start
-    # *fraction* is guarded too: on the pinned quick scenario it is a
-    # deterministic output, so a fraction ballooning past 4x the
-    # baseline means the warm-pool accounting broke (slots leaking,
-    # reclaim tearing down busy executors) even if every engine still
-    # agrees with every other.  Baselines recorded before the cold
-    # bench existed lack the key and skip both checks.
-    base_cold = entry.get("coldstart")
-    current_cold = results.get("coldstart")
-    if isinstance(current_cold, dict) and current_cold.get("bit_identical") is False:
-        problems.append(
-            "coldstart: default engine and per-event referee fingerprints diverged"
-        )
-    if isinstance(current_cold, dict):
-        reclaim = current_cold.get("reclaim")
-        if isinstance(reclaim, dict) and reclaim.get("bit_identical") is False:
-            problems.append(
-                "coldstart.reclaim: the default engine diverged from the "
-                "per-event referee under keepalive"
-            )
-    if isinstance(base_cold, dict) and isinstance(current_cold, dict):
-        base_cf = base_cold.get("cold_fraction")
-        current_cf = current_cold.get("cold_fraction")
-        if base_cf and current_cf is not None and float(current_cf) > 4.0 * float(base_cf):
-            problems.append(
-                f"coldstart.cold_fraction {float(current_cf):.4f} is more than 4x "
-                f"baseline {label!r} ({float(base_cf):.4f}) -- warm-pool "
-                "accounting regressed (slots leaking or reclaim misfiring)"
-            )
-    current_cold_10m = results.get("coldstart_10m")
-    if isinstance(current_cold_10m, dict):
-        if current_cold_10m.get("bit_identical") is False:
-            problems.append(
-                "coldstart_10m: default engine and per-event referee fingerprints diverged"
-            )
-        if current_cold_10m.get("within_rss_guard") is False:
-            problems.append(
-                "coldstart_10m: default-engine peak RSS is "
-                f"{current_cold_10m.get('rss_ratio_vs_heap', 0.0):.2f}x the per-event "
-                "heap referee, beyond the allowed "
-                f"{1.0 + float(current_cold_10m.get('max_rss_growth', 0.0)):.2f}x"
-            )
-    # Multi-tenant scale engine guards.  Correctness first: the default
-    # engine and the per-event heap referee must agree on every
-    # per-tenant outcome count and sojourn fingerprint -- a divergence
-    # is a wrong answer, not a slow one, and fails outright with no
-    # baseline needed.  Isolation is a
-    # structural property of `pinned` partitioning (private partition +
-    # independent per-tenant streams), so its collapse also fails
-    # outright.  The per-tenant deadline-miss rates on the pinned quick
-    # scenario are deterministic outputs: any tenant's rate ballooning
-    # past 4x the baseline means admission or pool accounting broke
-    # even if every engine still agrees with every other.  Baselines
-    # recorded before this bench existed lack the key and skip; tenants
-    # absent from the baseline mix are skipped too.
-    base_mt = entry.get("multitenant")
-    current_mt = results.get("multitenant")
-    if isinstance(current_mt, dict):
-        if current_mt.get("bit_identical") is False:
-            problems.append(
-                "multitenant: default engine and per-event heap referee "
-                "per-tenant fingerprints diverged"
-            )
-        isolation = current_mt.get("isolation")
-        if isinstance(isolation, dict) and isolation.get("isolated") is False:
-            problems.append(
-                "multitenant.isolation: pinned partitioning no longer "
-                "insulates the victim tenant from a bursty co-tenant"
-            )
-    if isinstance(base_mt, dict) and isinstance(current_mt, dict):
-        base_rates = base_mt.get("miss_rates")
-        current_rates = current_mt.get("miss_rates")
-        if isinstance(base_rates, dict) and isinstance(current_rates, dict):
-            for tenant, base_rate in base_rates.items():
-                current_rate = current_rates.get(tenant)
-                if current_rate is None:
-                    continue  # tenant absent from this run's mix: skip
-                if float(base_rate) and float(current_rate) > 4.0 * float(base_rate):
-                    problems.append(
-                        f"multitenant.miss_rates[{tenant!r}] "
-                        f"{float(current_rate):.4f} is more than 4x baseline "
-                        f"{label!r} ({float(base_rate):.4f}) -- per-tenant "
-                        "admission or pool accounting regressed"
-                    )
-        try:
-            base_rate = float(base_mt["events_per_sec"])
-            current_rate = float(current_mt["events_per_sec"])
-        except (KeyError, TypeError, ValueError):
-            base_rate = current_rate = 0.0
-        if base_rate and current_rate < base_rate * (1.0 - max_regression):
-            problems.append(
-                f"multitenant.events_per_sec {current_rate:,.0f} is "
-                f"{1 - current_rate / base_rate:.1%} below baseline {label!r} "
-                f"({base_rate:,.0f}; allowed drop {max_regression:.0%})"
-            )
+            elif bound == "growth" and value > base_value * (1.0 + max_rss_growth):
+                problems.append(
+                    f"{name} {value:,.0f} is {value / base_value - 1:.1%} above "
+                    f"baseline {label!r} ({base_value:,.0f}; allowed growth {max_rss_growth:.0%})"
+                )
+            elif bound == "4x" and value > 4.0 * base_value:
+                problems.append(
+                    f"{name} {value:.4f} is more than 4x baseline {label!r} "
+                    f"({base_value:.4f}) -- {breach}"
+                )
     return problems
+
+
+#: Headline figures a two-way line shows, where its record has them.
+_HEADLINES = (
+    ("invocations", "{:,} invocations"),
+    ("lease_events", "{:,} lease events"),
+    ("partitioning", "{} partitioning"),
+    ("keepalive_ns", "keepalive {:,} ns"),
+)
+
+#: Outcome figures a two-way line shows, where its record has them.
+_FIGURES = (
+    ("events_per_sec", "{:,} events/s"),
+    ("grants_per_sec", "{:,} grants/s"),
+    ("cold_fraction", "cold fraction {:.1%}"),
+    ("cold_reclaimed", "{:,} reclaimed"),
+)
+
+
+def _two_way_lines(node: Any, path: str = "") -> list[str]:
+    """Every engine-versus-referee record under *node*, one line each."""
+    if not isinstance(node, dict):
+        return []
+    sides = next((s for s in (_ENGINES, _DRIVERS) if s[0][0] in node), None)
+    if sides is None:
+        return [
+            line
+            for key, value in node.items()
+            for line in _two_way_lines(value, f"{path}.{key}" if path else key)
+        ]
+    (referee_key, _), (engine_key, _) = sides
+    referee, engine = node[referee_key], node[engine_key]
+    head = ", ".join(f.format(node[k]) for k, f in _HEADLINES if k in node)
+    figures = "".join(", " + f.format(node[k]) for k, f in _FIGURES if k in node)
+    guard = node.get("within_rss_guard")
+    if guard is not None:
+        figures += f" [RSS guard {'ok' if guard else 'BREACHED'}]"
+    if "minor_faults" in engine:
+        figures += f", {engine['minor_faults']:,} minor faults"
+    return [
+        f"{path}: {head}  {referee_key} {referee['wall_s']:.3f}s -> "
+        f"{'default' if engine_key == 'wheel' else engine_key} {engine['wall_s']:.3f}s  "
+        f"({node['speedup']:.2f}x{figures}, peak RSS {node['peak_rss_bytes'] / 2**20:.0f} MiB "
+        f"= {node['rss_ratio_vs_heap']:.2f}x {referee_key}, bit_identical={node['bit_identical']})"
+    ]
 
 
 def show(results: dict[str, Any]) -> None:
@@ -1220,139 +1100,24 @@ def show(results: dict[str, Any]) -> None:
             "({speedup:.1f}x, bit_identical={bit_identical}, "
             "{hits} hits/{misses} misses)".format(n=len(cached["experiments"]), **cached)
         )
-    scale = results.get("scale_openloop")
-    if scale:
-        line = (
-            "scale_openloop: {invocations:,} invocations  heap {heap_s:.1f}s -> "
-            "default {default_s:.1f}s  ({speedup:.2f}x, {events_per_sec:,} events/s, "
-            "peak RSS {rss_mib:.0f} MiB, {faults:,} minor faults, "
-            "bit_identical={bit_identical})".format(
-                invocations=scale["invocations"],
-                heap_s=scale["heap"]["wall_s"],
-                default_s=scale["wheel"]["wall_s"],
-                faults=scale["wheel"]["minor_faults"],
-                speedup=scale["speedup"],
-                events_per_sec=scale["events_per_sec"],
-                rss_mib=scale["peak_rss_bytes"] / 2**20,
-                bit_identical=scale["bit_identical"],
-            )
-        )
+    for line in _two_way_lines(results):
         print(line)
-    stress = results.get("scale_10m")
-    if stress:
+    spectrum = results.get("coldstart", {}).get("spectrum")
+    if spectrum:
+        verified = sum(1 for p in spectrum if p.get("bit_identical"))
         print(
-            "scale_10m: {invocations:,} invocations  heap {heap_s:.1f}s -> "
-            "default {default_s:.1f}s  ({speedup:.2f}x, {events_per_sec:,} events/s, "
-            "RSS {rss_ratio:.2f}x heap [guard {guard}], "
-            "bit_identical={bit_identical})".format(
-                invocations=stress["invocations"],
-                heap_s=stress["heap"]["wall_s"],
-                default_s=stress["wheel"]["wall_s"],
-                speedup=stress["speedup"],
-                events_per_sec=stress["events_per_sec"],
-                rss_ratio=stress["rss_ratio_vs_heap"],
-                guard="ok" if stress["within_rss_guard"] else "BREACHED",
-                bit_identical=stress["bit_identical"],
-            )
-        )
-    control = results.get("control_plane")
-    if control:
-        print(
-            "control_plane: {lease_events:,} lease events / {executors:,} executors  "
-            "reference {ref_s:.1f}s -> kernel {kernel_s:.1f}s  ({speedup:.2f}x, "
-            "{grants_per_sec:,} grants/s, peak {peak:,} active leases, "
-            "bit_identical={bit_identical}, rss_ok={rss_ok})".format(
-                lease_events=control["lease_events"],
-                executors=control["executors"],
-                ref_s=control["reference"]["wall_s"],
-                kernel_s=control["kernel"]["wall_s"],
-                speedup=control["speedup"],
-                grants_per_sec=control["grants_per_sec"],
-                peak=control["gauges"]["leases_active_peak"],
-                bit_identical=control["bit_identical"],
-                rss_ok=control["rss_ok"],
-            )
-        )
-    coldstart = results.get("coldstart")
-    if coldstart:
-        cold = coldstart["policies"]["cold"]
-        print(
-            "coldstart: {invocations:,} invocations (cold policy, {model})  "
-            "heap {heap_s:.1f}s -> default {default_s:.1f}s  ({speedup:.2f}x, "
-            "cold fraction {cold_fraction:.1%}, "
-            "RSS {rss_ratio:.2f}x heap, bit_identical={bit_identical})".format(
-                invocations=coldstart["invocations"],
-                model=coldstart["start_model"],
-                heap_s=cold["heap"]["wall_s"],
-                default_s=cold["wheel"]["wall_s"],
-                speedup=coldstart["speedup"],
-                cold_fraction=coldstart["cold_fraction"],
-                rss_ratio=coldstart["rss_ratio_vs_heap"],
-                bit_identical=coldstart["bit_identical"],
-            )
-        )
-        reclaim = coldstart.get("reclaim")
-        if reclaim:
-            print(
-                "  reclaim (keepalive {ka_ms:.0f} ms): {speedup:.2f}x vs heap, "
-                "{reclaimed:,} reclaimed / {retained:,} retained, "
-                "bit_identical={bit_identical}".format(
-                    ka_ms=reclaim["keepalive_ns"] / 1e6,
-                    speedup=reclaim["speedup"],
-                    reclaimed=reclaim["cold_reclaimed"],
-                    retained=reclaim["cold_retained"],
-                    bit_identical=reclaim["bit_identical"],
-                )
-            )
-        spectrum = coldstart.get("spectrum")
-        if spectrum:
-            verified = sum(1 for p in spectrum if p.get("bit_identical"))
-            print(
-                "  spectrum: {n} points (pool x start model x arrival shape), "
-                "{verified} heap-verified, {wall:.1f}s wall".format(
-                    n=len(spectrum),
-                    verified=verified,
-                    wall=coldstart.get("spectrum_wall_s", 0.0),
-                )
-            )
-    cold_stress = results.get("coldstart_10m")
-    if cold_stress:
-        print(
-            "coldstart_10m: {invocations:,} invocations  heap {heap_s:.1f}s -> "
-            "default {default_s:.1f}s  ({speedup:.2f}x, cold fraction "
-            "{cold_fraction:.1%}, RSS {rss_ratio:.2f}x heap [guard {guard}], "
-            "bit_identical={bit_identical})".format(
-                invocations=cold_stress["invocations"],
-                heap_s=cold_stress["heap"]["wall_s"],
-                default_s=cold_stress["wheel"]["wall_s"],
-                speedup=cold_stress["speedup"],
-                cold_fraction=cold_stress["cold_fraction"],
-                rss_ratio=cold_stress["rss_ratio_vs_heap"],
-                guard="ok" if cold_stress["within_rss_guard"] else "BREACHED",
-                bit_identical=cold_stress["bit_identical"],
+            "coldstart.spectrum: {n} points (pool x start model x arrival shape), "
+            "{verified} heap-verified, {wall:.1f}s wall".format(
+                n=len(spectrum),
+                verified=verified,
+                wall=results["coldstart"].get("spectrum_wall_s", 0.0),
             )
         )
     mt = results.get("multitenant")
     if mt:
-        print(
-            "multitenant: {invocations:,} invocations / {tenants} tenants "
-            "({partitioning})  heap {heap_s:.1f}s -> default {default_s:.1f}s  "
-            "({speedup:.2f}x, {events_per_sec:,} events/s, RSS "
-            "{rss_ratio:.2f}x heap, bit_identical={bit_identical})".format(
-                invocations=mt["invocations"],
-                tenants=len(mt.get("miss_rates", {})),
-                partitioning=mt["partitioning"],
-                heap_s=mt["heap"]["wall_s"],
-                default_s=mt["wheel"]["wall_s"],
-                speedup=mt["speedup"],
-                events_per_sec=mt["events_per_sec"],
-                rss_ratio=mt["rss_ratio_vs_heap"],
-                bit_identical=mt["bit_identical"],
-            )
-        )
-        for tenant, rate in mt.get("miss_rates", {}).items():
+        for tenant, rate in mt["miss_rates"].items():
             print(
-                "  {tenant:<18} miss {rate:.2%}  congestion {cong:.2%}".format(
+                "multitenant {tenant:<18} miss {rate:.2%}  congestion {cong:.2%}".format(
                     tenant=tenant,
                     rate=rate,
                     cong=mt.get("congestion_rates", {}).get(tenant, 0.0),
@@ -1361,7 +1126,7 @@ def show(results: dict[str, Any]) -> None:
         iso = mt.get("isolation")
         if iso:
             print(
-                "  isolation: pinned victim flat={flat}  shared victim p99 "
+                "multitenant.isolation: pinned victim flat={flat}  shared victim p99 "
                 "x{ratio:.1f} under bursty co-tenant  (isolated={isolated})".format(
                     flat=iso["pinned_victim_flat"],
                     ratio=iso["shared_victim_p99_ratio"],

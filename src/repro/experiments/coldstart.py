@@ -24,10 +24,9 @@ Engine notes: every point runs the scale experiment's default engine
 (batch admission): the reduced-event walk for the ``cold``/``hybrid``
 policies, the exact FIFO recurrence for ``queue`` (see
 :mod:`repro.experiments.scale`).  ``verify=True`` replays each point on
-the per-event heap referee and records bit-identity.  Profiling a
-sweep is refused with a pointer at the single-run path -- see
-``--profile`` on the ``scale`` experiment, which covers the walk
-(``scale --pool-policy cold --profile``).
+the per-event heap referee and records bit-identity.  To profile the
+walk, profile one run: ``--profile`` is accepted by the ``scale``
+experiment only (``scale --pool-policy cold --profile``).
 
 Run it::
 
@@ -40,7 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 from repro.analysis.reporting import Table, format_ns
 from repro.core.sandbox import SANDBOX_PROFILES
@@ -157,7 +156,6 @@ def run_coldstart(
     mean_arrival_gap_ns: int = 250,
     seed: int = 0x0C01D,
     verify: bool = False,
-    profile: Union[bool, str, None] = None,
 ) -> ColdstartResult:
     """Sweep the cold-start spectrum and fold the per-point economics.
 
@@ -172,12 +170,6 @@ def run_coldstart(
     default engine then fires reclaims in the referee's order and stays
     bit-identical to it (see ``scale``).
     """
-    if profile:
-        raise ValueError(
-            "coldstart sweeps many runs and cannot profile them as one; "
-            "profile the cold driver on a single run instead: "
-            "python -m repro.experiments scale --pool-policy cold --profile"
-        )
     unknown = [model for model in start_models if model not in SANDBOX_PROFILES]
     if unknown:
         raise ValueError(

@@ -194,7 +194,6 @@ class ScaleResult:
     final_now_ns: int
     max_backlog: int
     queued: int
-    timeout_pool_hits: int
     latency: SummaryStats
     #: Occupied streaming-histogram buckets -- the O(1)-memory evidence.
     stream_buckets: int
@@ -912,7 +911,7 @@ def _drive(
     engine,
     referee,
     profile: Union[bool, str, None] = None,
-) -> tuple[Any, float, int, int, int]:
+) -> tuple[Any, float, int, int]:
     """Build the driver *config* calls for and run it to completion.
 
     Batch admission (the default) builds *engine*, which needs no
@@ -921,13 +920,13 @@ def _drive(
     checked against.  Both run with glibc's malloc thresholds pinned
     (:mod:`repro.perf.malloc`), so a referee and the engine it checks
     share one allocator.  Returns the driver, the drive's wall time,
-    and the events, final clock and timeout-pool hits of the run.
+    and the events and final clock of the run.
     """
     pin_thresholds()
     if config.admission == "batch":
         driver = engine(config)
         wall_s = _timed_drive(driver.drive, profile)
-        return driver, wall_s, driver.events_processed, driver.final_now_ns, 0
+        return driver, wall_s, driver.events_processed, driver.final_now_ns
     env = Environment()
     driver = referee(env, config)
     driver.start()
@@ -943,7 +942,7 @@ def _drive(
         if gc_was_enabled:
             gc.enable()
     driver.finish()
-    return driver, wall_s, env.events_processed, env.now, env.timeout_pool_hits
+    return driver, wall_s, env.events_processed, env.now
 
 
 def _simulate(config: ScaleConfig, profile: Union[bool, str, None] = None) -> ScaleResult:
@@ -954,7 +953,7 @@ def _simulate(config: ScaleConfig, profile: Union[bool, str, None] = None) -> Sc
     ``cold``/``hybrid``; per-event admission runs :class:`_ShardDriver`.
     """
     engine = _FifoDriver if config.pool_policy == "queue" else _PoolWalk
-    driver, wall_s, events, now, pool_hits = _drive(config, engine, _ShardDriver, profile)
+    driver, wall_s, events, now = _drive(config, engine, _ShardDriver, profile)
     if driver.completed != config.invocations:
         raise RuntimeError(
             f"scale run lost invocations: {driver.completed} of {config.invocations}"
@@ -974,7 +973,6 @@ def _simulate(config: ScaleConfig, profile: Union[bool, str, None] = None) -> Sc
         final_now_ns=now,
         max_backlog=driver.max_backlog,
         queued=driver.queued,
-        timeout_pool_hits=pool_hits,
         latency=driver.stream.summarize(),
         stream_buckets=len(driver.stream.histogram),
         cold_starts=driver.cold_starts,
@@ -1797,7 +1795,7 @@ def run_tenant_scale(
     # Under the queue policy only an overflow plan, which mixes pinned
     # and shared slots, needs the walk's event order.
     fifo = pool_policy == "queue" and partitioning != "overflow"
-    driver, wall_s, events, now, _ = _drive(
+    driver, wall_s, events, now = _drive(
         config, _TenantFifo if fifo else _TenantWalk, _TenantDriver
     )
     congested = sum(driver.congested_by)

@@ -52,6 +52,15 @@ _NEEDED_ACCESS = {
     Opcode.ATOMIC_CMP_SWP: Access.REMOTE_ATOMIC,
 }
 
+#: The QP states each state may move to (a simplified legal-path check).
+_LEGAL_TRANSITIONS = {
+    QPState.RESET: {QPState.INIT, QPState.ERR},
+    QPState.INIT: {QPState.RTR, QPState.ERR, QPState.RESET},
+    QPState.RTR: {QPState.RTS, QPState.ERR, QPState.RESET},
+    QPState.RTS: {QPState.ERR, QPState.RESET},
+    QPState.ERR: {QPState.RESET},
+}
+
 
 class _WireOp(Step):
     """One work request after initiation: what crosses the fabric, and
@@ -351,14 +360,7 @@ class QueuePair:
 
     def modify(self, state: QPState) -> None:
         """Transition the QP (simplified legal-path check)."""
-        legal = {
-            QPState.RESET: {QPState.INIT, QPState.ERR},
-            QPState.INIT: {QPState.RTR, QPState.ERR, QPState.RESET},
-            QPState.RTR: {QPState.RTS, QPState.ERR, QPState.RESET},
-            QPState.RTS: {QPState.ERR, QPState.RESET},
-            QPState.ERR: {QPState.RESET},
-        }
-        if state not in legal[self.state]:
+        if state not in _LEGAL_TRANSITIONS[self.state]:
             raise QPStateError(f"illegal transition {self.state} -> {state}")
         self.state = state
         if state is QPState.ERR:

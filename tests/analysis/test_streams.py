@@ -290,7 +290,7 @@ def test_streaming_summary_scalar_vector_merge_agree():
     values = [int(rng.expovariate(1e-4)) for _ in range(3_000)]
     scalar = StreamingSummary()
     for value in values:
-        scalar.observe(value)
+        scalar.observe_many([value])
     vector = StreamingSummary()
     vector.observe_many(values)
     sharded = StreamingSummary()
@@ -406,7 +406,7 @@ def test_streaming_summary_empty_cases():
     stream.observe_many([])  # no-op
     stream.merge(StreamingSummary())  # merging empty is a no-op
     assert stream.count == 0
-    stream.observe(5.0)
+    stream.observe_many([5.0])
     summary = stream.summarize()
     assert summary.count == 1
     assert summary.minimum == summary.maximum == 5.0
@@ -419,7 +419,7 @@ def test_streaming_summary_rejects_non_finite_before_moving():
     before = (stream.count, stream.total, stream.minimum, stream.maximum)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            stream.observe(bad)
+            stream.observe_many([bad])
         with pytest.raises(ValueError):
             stream.observe_many([1.0, bad, 3.0])
         after = (stream.count, stream.total, stream.minimum, stream.maximum)
@@ -457,7 +457,7 @@ def test_keyed_parts_summarize_their_own_samples():
     for key, values in samples.items():
         keyed.observe_many(key, values[: len(values) // 2])
         for value in values[len(values) // 2 :]:
-            keyed.observe(key, value)
+            keyed.observe_many(key, [value])
     assert keyed.keys() == ["batch", "bursty", "hot"]
     for key, values in samples.items():
         alone = StreamingSummary()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, run_experiment
+from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.experiments.__main__ import main as cli_main
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments import run_experiment
+from repro.experiments.registry import run_experiment
 from repro.experiments.__main__ import main as cli_main
 from repro.experiments.io import save_result, to_jsonable
 

@@ -31,7 +31,7 @@ def test_cli_report(tmp_path, capsys):
     assert cli_main(["report", "--quick", "--out", str(out)]) == 0
     text = out.read_text()
     # Every registered experiment appears.
-    from repro.experiments import EXPERIMENTS
+    from repro.experiments.registry import EXPERIMENTS
 
     for key in EXPERIMENTS:
         assert f"## {key}" in text

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.experiments.__main__ import main as cli_main
 from repro.experiments.bench import check_regression
 from repro.experiments.coldstart import QUICK_KWARGS, executor_seconds, run_coldstart
 from repro.experiments.scale import run_scale
@@ -138,8 +139,13 @@ def test_run_coldstart_quick_spectrum():
     assert rendered.count("\n") >= 5
 
 
-def test_run_coldstart_profile_refused():
-    with pytest.raises(ValueError, match="--pool-policy cold --profile"):
+@pytest.mark.parametrize("experiment", ["coldstart", "table1", "all", "bench"])
+def test_cli_refuses_profile_outside_scale(experiment, capsys):
+    """Only one scale run can be profiled: anything else exits 2 with a
+    pointer at the single-run path, before running a thing."""
+    assert cli_main([experiment, "--quick", "--profile"]) == 2
+    assert "scale --pool-policy cold --profile" in capsys.readouterr().err
+    with pytest.raises(TypeError, match="profile"):
         run_coldstart(profile=True)
 
 

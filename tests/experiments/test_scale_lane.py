@@ -41,10 +41,9 @@ def test_lane_identity_across_shapes(shape, load):
 def test_default_engine_walks_no_events():
     result = run_scale(**SATURATED)
     referee = run_scale(admission="per-event", **SATURATED)
-    # No environment: no pooled timers -- yet the closed-form event
-    # count is the event engine's.
+    # No environment -- yet the closed-form event count is the event
+    # engine's.
     assert result.occupancy == {}
-    assert result.timeout_pool_hits == 0
     assert result.events_processed == referee.events_processed
 
 
