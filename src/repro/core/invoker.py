@@ -31,7 +31,7 @@ from repro.core.functions import CodePackage
 from repro.core.leases import Lease, LeaseState
 from repro.core.rpc import RpcConnection, rpc_connect
 from repro.rdma.cm import install_cm
-from repro.rdma.constants import Access, Opcode
+from repro.rdma.constants import Access, Opcode, WCStatus
 from repro.rdma.verbs import RecvWR, SendWR, sge
 from repro.sim.events import SKIP, URGENT, BatchEvent, Step
 
@@ -114,7 +114,7 @@ class RemoteFuture:
         self.size = size
         self.out_buf = out_buf
         self.event = invoker.env.event()
-        self.submitted_ns = invoker.env.now
+        self.submitted_ns = invoker.env._now
         self.tried_workers: list[int] = []
         self.redirects = 0
         #: Set when a wait_for deadline fired; late results/failures
@@ -188,6 +188,9 @@ class WorkerConnection:
         #: Packed 12-byte result headers, keyed by output MR: an output
         #: buffer's (addr, rkey) never changes, so pack once.
         self._header_cache: dict[Any, bytes] = {}
+        #: Function name -> index in ``package``, resolved once per name
+        #: (a package only ever gains functions, so an index holds).
+        self._fn_indices: dict[str, int] = {}
 
     @property
     def worker_id(self) -> int:
@@ -199,15 +202,22 @@ class WorkerConnection:
 
     def serves(self, fn: "str | int") -> bool:
         """Can this connection's package execute *fn*?"""
-        if isinstance(fn, int):
-            return True
-        if self.package is None:
-            return False
         try:
-            self.package.index_of(fn)
-            return True
+            self._index_of(fn)
         except KeyError:
             return False
+        return True
+
+    def _index_of(self, fn: "str | int") -> int:
+        """*fn*'s index in this connection's package (KeyError if absent)."""
+        if isinstance(fn, int):
+            return fn
+        index = self._fn_indices.get(fn)
+        if index is None:
+            if self.package is None:
+                raise KeyError(f"no package to run {fn!r}")
+            index = self._fn_indices[fn] = self.package.index_of(fn)
+        return index
 
     def submit(self, future: RemoteFuture) -> None:
         """Enqueue; dispatches immediately while input slots are free."""
@@ -219,9 +229,7 @@ class WorkerConnection:
 
     def _dispatch(self, future: RemoteFuture) -> None:
         self._active += 1
-        fn_index = (
-            future.fn if isinstance(future.fn, int) else self.package.index_of(future.fn)
-        )
+        fn_index = self._index_of(future.fn)
         invocation_id = next(self._inv_ids) % 65_536
         self.futures[invocation_id] = future
         future.tried_workers.append(self._worker_id)
@@ -280,7 +288,7 @@ class _CompletionLoop(Step):
     generator process running that loop would schedule.
     """
 
-    __slots__ = ("invoker", "connection", "cq", "detect_ns", "wcs", "index")
+    __slots__ = ("invoker", "connection", "cq", "detect_ns", "complete_ns", "wcs", "index")
 
     def __init__(self, invoker: "Invoker", connection: WorkerConnection) -> None:
         super().__init__(invoker.env, self._top)
@@ -289,6 +297,8 @@ class _CompletionLoop(Step):
         self.cq = connection.qp.recv_cq
         #: Wake-up cost of the current consumer style.
         self.detect_ns = 0
+        #: Client-side cost of one response (the config is frozen).
+        self.complete_ns = invoker.config.timings.client_complete_ns
         #: The CQEs of the last poll and the next one to complete.
         self.wcs: list = []
         self.index = 0
@@ -331,9 +341,9 @@ class _CompletionLoop(Step):
     def _next_wc(self) -> None:
         wcs = self.wcs
         while self.index < len(wcs):
-            if wcs[self.index].ok:
+            if wcs[self.index].status is WCStatus.SUCCESS:
                 self.step = self._complete
-                self.env.schedule_timeout(self, self.invoker.config.timings.client_complete_ns)
+                self.env.schedule_timeout(self, self.complete_ns)
                 return
             self.index += 1
         self._top()
@@ -595,14 +605,16 @@ class Invoker:
         if worker is not None:
             return self.connections[worker]
         # The least-loaded live connection serving fn; the first one
-        # wins ties.
+        # wins ties.  The load comparison goes first: it is the
+        # cheapest test, and the order of these pure tests does not
+        # change which connection wins.
         best = None
         for c in self.connections:
             if (
-                c.alive
-                and c.worker_id not in exclude
+                (best is None or c.inflight < best.inflight)
+                and c.alive
+                and c._worker_id not in exclude
                 and (fn is None or c.serves(fn))
-                and (best is None or c.inflight < best.inflight)
             ):
                 best = c
         return best
@@ -627,7 +639,7 @@ class Invoker:
             output_size=wc.byte_len,
             output_buffer=future.out_buf,
             submitted_ns=future.submitted_ns,
-            completed_ns=self.env.now,
+            completed_ns=self.env._now,
         )
         if status == protocol.STATUS_OK:
             future.event.succeed(result)

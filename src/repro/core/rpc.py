@@ -13,6 +13,7 @@ objects; sends are unsignaled (errors surface as QP state changes).
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.core.protocol import decode_control, encode_control
@@ -20,53 +21,46 @@ from repro.rdma.cm import install_cm
 from repro.rdma.constants import Access, Opcode
 from repro.rdma.device import NIC
 from repro.rdma.errors import RdmaError
-from repro.rdma.memory import MemoryRegion, ProtectionDomain
 from repro.rdma.verbs import RecvWR, SendWR, sge
 
 RPC_BUFFER_BYTES = 64 * 1024
 RPC_RING_DEPTH = 8
 
 
-def _register_ring(nic: NIC, pd: ProtectionDomain, depth: int) -> list[MemoryRegion]:
-    """*depth* per-slot MRs over one block of ``depth`` buffers.
-
-    One block rather than one per slot: the slots are page-aligned and
-    the allocator bumps contiguously, so every slot keeps the address
-    and the lkey/rkey it had as a block of its own, while the ring costs
-    one allocation (large enough to be demand-zero mapped).
-    """
-    block = nic.alloc(RPC_BUFFER_BYTES * depth)
-    return [
-        pd.register(
-            block,
-            Access.LOCAL_WRITE,
-            addr=block.base + slot * RPC_BUFFER_BYTES,
-            length=RPC_BUFFER_BYTES,
-        )
-        for slot in range(depth)
-    ]
-
-
 class RpcConnection:
-    """One side of an established RPC connection."""
+    """One side of an established RPC connection.
+
+    Both rings share one block of ``2 * ring_depth`` page-aligned
+    64 KiB slots, send ring first, and each ring is one MR over its
+    half: slot *i* of a ring sits at offset ``i * RPC_BUFFER_BYTES``
+    of its MR.  The receive ring's work requests are built once and
+    re-posted in ring order as each message is consumed.
+    """
 
     def __init__(self, nic: NIC, qp, *, ring_depth: int = RPC_RING_DEPTH) -> None:
         self.nic = nic
         self.env = nic.env
         self.qp = qp
         pd = qp.pd
+        ring_bytes = RPC_BUFFER_BYTES * ring_depth
+        block = nic.alloc(2 * ring_bytes)
         # A ring of send buffers: the NIC DMA-reads the payload only
         # after its processing delay, so reusing one buffer for two
         # back-to-back messages would corrupt the first (classic verbs
         # bug -- the buffer must stay stable until send completion).
-        self._send_mrs = _register_ring(nic, pd, ring_depth)
+        self._send_mr = pd.register(block, Access.LOCAL_WRITE, addr=block.base, length=ring_bytes)
+        self._send_slots = ring_depth
         self._send_index = 0
-        self._recv_mrs = _register_ring(nic, pd, ring_depth)
-        for mr in self._recv_mrs:
-            qp.post_recv(RecvWR(local=sge(mr)))
-        self._recv_index = {mr.lkey: mr for mr in self._recv_mrs}
-        self._wr_to_mr: dict[int, Any] = {}
-        self._repost_order: list = list(self._recv_mrs)
+        self._recv_mr = pd.register(
+            block, Access.LOCAL_WRITE, addr=block.base + ring_bytes, length=ring_bytes
+        )
+        #: Posted receives in the order the QP consumes them.
+        self._recv_ring: deque[RecvWR] = deque(
+            RecvWR(local=sge(self._recv_mr, slot * RPC_BUFFER_BYTES, RPC_BUFFER_BYTES))
+            for slot in range(ring_depth)
+        )
+        for wr in self._recv_ring:
+            qp.post_recv(wr)
 
     @property
     def alive(self) -> bool:
@@ -76,11 +70,11 @@ class RpcConnection:
         data = encode_control(message)
         if len(data) > RPC_BUFFER_BYTES:
             raise RdmaError(f"control message of {len(data)} B exceeds RPC buffer")
-        send_mr = self._send_mrs[self._send_index]
-        self._send_index = (self._send_index + 1) % len(self._send_mrs)
-        send_mr.write(0, data)
+        offset = self._send_index * RPC_BUFFER_BYTES
+        self._send_index = (self._send_index + 1) % self._send_slots
+        self._send_mr.write(offset, data)
         self.qp.post_send(
-            SendWR(opcode=Opcode.SEND, local=sge(send_mr, 0, len(data)), signaled=False)
+            SendWR(opcode=Opcode.SEND, local=sge(self._send_mr, offset, len(data)), signaled=False)
         )
 
     def _receive(self, blocking: bool = True):
@@ -93,10 +87,11 @@ class RpcConnection:
         wc = wcs[0]
         if not wc.ok:
             return None
-        mr = self._repost_order.pop(0)
-        message = decode_control(mr.read(0, wc.byte_len))
-        self.qp.post_recv(RecvWR(local=sge(mr)))
-        self._repost_order.append(mr)
+        ring = self._recv_ring
+        wr = ring.popleft()
+        message = decode_control(self._recv_mr.read(wr.local.offset, wc.byte_len))
+        self.qp.post_recv(wr)
+        ring.append(wr)
         return message
 
     def call(self, request: Any, blocking: bool = True):

@@ -30,7 +30,7 @@ from repro.core import protocol
 from repro.core.config import RFaaSConfig
 from repro.core.functions import CodePackage
 from repro.core.sandbox import SandboxProfile
-from repro.rdma.constants import Access, Opcode
+from repro.rdma.constants import Access, Opcode, WCStatus
 from repro.rdma.verbs import RecvWR, SendWR, sge
 from repro.sim.events import SKIP, URGENT, AnyOf, BatchEvent, Step
 
@@ -106,6 +106,13 @@ class Worker:
         self.recv_cq = self.nic.create_cq(name=f"{executor.name}.w{worker_id}.recv")
         self.send_cq = self.nic.create_cq(name=f"{executor.name}.w{worker_id}.send")
         self.qp = self.nic.create_qp(pd, self.send_cq, self.recv_cq)
+        #: What every invocation reads of the (frozen) latency model and
+        #: config and of the buffer layout, resolved once per worker.
+        self._poll_ns = self.nic.model.poll_detect_ns
+        self._notify_ns = self.nic.model.blocking_notify_ns
+        self._dispatch_ns = config.timings.worker_dispatch_ns
+        self._input_stride = self.input_mr.length // self.pipeline_depth
+        self._output_stride = self.output_mr.length // self.pipeline_depth
         #: The loop's event; ``step`` points at what it waits to do next.
         self._step = Step(self.env, self._next)
         #: The loop has started and not yet ended: only then does a
@@ -116,7 +123,6 @@ class Worker:
 
     def connection_settings(self) -> dict:
         """What the client needs to invoke this worker remotely."""
-        depth = self.pipeline_depth
         return {
             "worker_id": self.worker_id,
             "input_addr": self.input_mr.addr,
@@ -124,8 +130,8 @@ class Worker:
             "input_capacity": self.input_mr.length,
             # Pipelining: the input buffer is sliced into `slots`
             # independent regions; slot = invocation_id % slots.
-            "slots": depth,
-            "slot_stride": self.input_mr.length // depth,
+            "slots": self.pipeline_depth,
+            "slot_stride": self._input_stride,
         }
 
     # -- lifecycle ----------------------------------------------------------
@@ -178,7 +184,7 @@ class Worker:
             self._warm_wait()
             return
         env = self.env
-        self._entered_hot = env.now
+        self._entered_hot = env._now
         if self.hot_timeout_ns is None:
             self._step.step = self._hot_arrived
             self.recv_cq.arm(self._step)
@@ -207,9 +213,9 @@ class Worker:
     def _hot_arrived(self) -> None:
         # Request arrived; everything since entering hot mode except
         # this detection was polling.
-        self.stats.hotpoll_ns += self.env.now - self._entered_hot
+        self.stats.hotpoll_ns += self.env._now - self._entered_hot
         self._step.step = self._hot_polled
-        self.env.schedule_timeout(self._step, self.nic.model.poll_detect_ns)
+        self.env.schedule_timeout(self._step, self._poll_ns)
 
     def _hot_polled(self) -> None:
         wcs = self.recv_cq.poll(max_entries=1)
@@ -228,7 +234,7 @@ class Worker:
 
     def _warm_notified(self) -> None:
         self._step.step = self._warm_polled
-        self.env.schedule_timeout(self._step, self.nic.model.blocking_notify_ns)
+        self.env.schedule_timeout(self._step, self._notify_ns)
 
     def _warm_polled(self) -> None:
         wcs = self.recv_cq.poll(max_entries=1)
@@ -240,11 +246,11 @@ class Worker:
     def _handle(self, wc, hot: bool) -> None:
         """Serve one request CQE; the loop resumes in :meth:`_handled`."""
         self._hot = hot
-        if not wc.ok:
+        if wc.status is not WCStatus.SUCCESS:
             self._handled()
             return
         env = self.env
-        self.stats.last_activity_ns = env.now
+        self.stats.last_activity_ns = env._now
         self._invocation_id, self._fn_index = protocol.unpack_request_imm(wc.imm_data or 0)
         self._byte_len = wc.byte_len
         # SR-IOV virtual-function data-path penalty (Fig. 8, Docker).
@@ -258,8 +264,9 @@ class Worker:
     def _parse(self) -> None:
         # Locate this invocation's input slot (slot 0 when unpipelined)
         # and parse its 12-byte header: where the result goes.
-        depth = self.pipeline_depth
-        self._slot_offset = slot_offset = (self._invocation_id % depth) * (self.input_mr.length // depth)
+        self._slot_offset = slot_offset = (
+            self._invocation_id % self.pipeline_depth
+        ) * self._input_stride
         header = self.input_mr.read(slot_offset, protocol.HEADER_BYTES)
         self._result_addr, self._result_rkey = protocol.unpack_header(header)
         self._payload_size = max(0, self._byte_len - protocol.HEADER_BYTES)
@@ -288,7 +295,7 @@ class Worker:
 
     def _dispatch(self) -> None:
         self._step.step = self._execute
-        self.env.schedule_timeout(self._step, self.config.timings.worker_dispatch_ns)
+        self.env.schedule_timeout(self._step, self._dispatch_ns)
 
     def _execute(self) -> None:
         spec = self.package.by_index(self._fn_index)
@@ -298,13 +305,13 @@ class Worker:
 
         payload: Optional[bytes]
         payload_size = self._payload_size
-        if self._input_block.is_virtual:
+        if self._input_block.data is None:  # virtual
             payload = None
         else:
             payload = self.input_mr.read(self._slot_offset + protocol.HEADER_BYTES, payload_size)
 
         env = self.env
-        self._started = env.now
+        self._started = env._now
         try:
             self._output, self._out_size = spec.execute(payload, payload_size)
         except Exception:
@@ -322,7 +329,7 @@ class Worker:
         self._reply(protocol.STATUS_FAILED)
 
     def _executed(self) -> None:
-        now = self.env.now
+        now = self.env._now
         self.stats.busy_ns += now - self._started
         self.stats.invocations += 1
         self.stats.last_activity_ns = now
@@ -367,21 +374,23 @@ class Worker:
         depth = self.pipeline_depth
         offset = 0
         if depth > 1:
-            stride = self.output_mr.length // depth
+            stride = self._output_stride
             if out_size <= stride:
                 offset = (invocation_id % depth) * stride
         if output is not None:
             self.output_mr.write(offset, output)
-        inline = out_size <= self.qp.max_inline_data
-        self.qp.post_send(
+        qp = self.qp
+        # Positional: SendWR(opcode, local, remote_addr, rkey, imm_data,
+        # signaled, inline).
+        qp.post_send(
             SendWR(
-                opcode=Opcode.RDMA_WRITE_WITH_IMM,
-                local=sge(self.output_mr, offset, out_size),
-                remote_addr=result_addr,
-                rkey=result_rkey,
-                imm_data=protocol.pack_response_imm(invocation_id, status),
-                inline=inline,
-                signaled=False,
+                Opcode.RDMA_WRITE_WITH_IMM,
+                sge(self.output_mr, offset, out_size),
+                result_addr,
+                result_rkey,
+                protocol.pack_response_imm(invocation_id, status),
+                False,
+                out_size <= qp.max_inline_data,
             )
         )
 

@@ -61,11 +61,14 @@ class CompletionQueue:
 
     def push(self, wc: WorkCompletion) -> None:
         """NIC-side: deposit a completion and wake any waiter."""
-        if len(self._entries) >= self.depth:
+        entries = self._entries
+        if len(entries) >= self.depth:
             raise CQOverflow(f"{self.name}: CQ depth {self.depth} exceeded")
-        wc.timestamp = self.env.now
-        self._entries.append(wc)
+        wc.timestamp = self.env._now
+        entries.append(wc)
         self.completions_pushed += 1
+        if not self._waiters:
+            return
         waiters, self._waiters = self._waiters, []
         for event in waiters:
             if isinstance(event, Step):
@@ -77,10 +80,13 @@ class CompletionQueue:
 
     def poll(self, max_entries: int = 16) -> list[WorkCompletion]:
         """Non-blocking: drain up to *max_entries* CQEs (may be empty)."""
-        out: list[WorkCompletion] = []
-        while self._entries and len(out) < max_entries:
-            out.append(self._entries.popleft())
-        return out
+        entries = self._entries
+        if len(entries) <= max_entries:
+            out = list(entries)
+            entries.clear()
+            return out
+        popleft = entries.popleft
+        return [popleft() for _ in range(max_entries)]
 
     def arrival_event(self) -> "Event":
         """Event fired at the next push (or immediately if non-empty).

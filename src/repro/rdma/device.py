@@ -94,7 +94,7 @@ class NIC:
     def lookup_rkey(self, rkey: int) -> Optional[MemoryRegion]:
         """Responder-side rkey validation (None = unknown key)."""
         mr = self._mrs_by_rkey.get(rkey)
-        if mr is not None and not mr.valid:
+        if mr is not None and mr._revoked:
             return None
         return mr
 

@@ -57,6 +57,11 @@ class FaultModel:
         return retries * self.retransmit_delay_ns
 
 
+#: Distinct message sizes a :class:`LinkQueue` keeps serialization
+#: times for; a hot invocation loop sends a handful.
+SERIALIZATION_MEMO_SIZES = 64
+
+
 class LinkQueue:
     """One direction of one host link: an analytic FCFS queue.
 
@@ -67,7 +72,10 @@ class LinkQueue:
 
     The queue keeps three running counters -- when the link frees,
     bytes carried and cumulative busy time -- and no per-reservation
-    history, so its memory does not grow with traffic.
+    history.  A link carries few distinct message sizes, so it
+    memoizes each one's serialization time, in a table of at most
+    :data:`SERIALIZATION_MEMO_SIZES` sizes that starts over once full:
+    its memory does not grow with traffic either.
     """
 
     def __init__(self, env: "Environment", model: LatencyModel, name: str) -> None:
@@ -77,11 +85,21 @@ class LinkQueue:
         self._busy_until = 0
         self.bytes_carried = 0
         self.busy_time = 0
+        #: size -> ``model.serialization_ns(size)``.
+        self._serialization: dict[int, int] = {}
 
     def reserve(self, size: int) -> tuple[int, int]:
         """Book *size* bytes of serialization starting no earlier than now."""
-        start = max(self.env.now, self._busy_until)
-        duration = self.model.serialization_ns(size)
+        memo = self._serialization
+        duration = memo.get(size)
+        if duration is None:
+            if len(memo) >= SERIALIZATION_MEMO_SIZES:
+                memo.clear()
+            duration = memo[size] = self.model.serialization_ns(size)
+        now = self.env._now
+        start = self._busy_until
+        if start < now:
+            start = now
         finish = start + duration
         self._busy_until = finish
         self.bytes_carried += size
@@ -235,5 +253,5 @@ class Fabric:
         links has clocked all bytes through, which the caller books on
         ``path.ingress`` once the head is there.
         """
-        _, egress_done = path.egress.reserve(size)
-        return egress_done - self.model.serialization_ns(size) + path.propagation_ns
+        egress_start, _ = path.egress.reserve(size)
+        return egress_start + path.propagation_ns

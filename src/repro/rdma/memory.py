@@ -53,11 +53,12 @@ SHADOW_BYTES = 256
 class MemoryBlock:
     """A contiguous allocation inside a :class:`HostMemory`."""
 
-    __slots__ = ("base", "size", "data", "owner", "shadow")
+    __slots__ = ("base", "size", "end", "data", "owner", "shadow")
 
     def __init__(self, base: int, size: int, data: Optional[Backing], owner: "HostMemory") -> None:
         self.base = base
         self.size = size
+        self.end = base + size
         #: Real backing bytes, or None for a virtual or freed (size-only) block.
         self.data = data
         #: Real prefix of a virtual block (None for real blocks).
@@ -70,10 +71,6 @@ class MemoryBlock:
     def is_virtual(self) -> bool:
         return self.data is None
 
-    @property
-    def end(self) -> int:
-        return self.base + self.size
-
     def contains(self, addr: int, length: int) -> bool:
         return self.base <= addr and addr + length <= self.end
 
@@ -84,19 +81,20 @@ class MemoryBlock:
         prefix; the rest is accounted but not stored.
         """
         length = len(payload)
-        if not self.contains(addr, length):
+        offset = addr - self.base
+        if offset < 0 or addr + length > self.end:
             raise MemoryRegistrationError(
                 f"write [{addr}, {addr + length}) outside block [{self.base}, {self.end})"
             )
-        offset = addr - self.base
-        if self.data is not None:
-            if type(payload) is memoryview and payload.obj is self.data:
+        data = self.data
+        if data is not None:
+            if type(payload) is memoryview and payload.obj is data:
                 # Self-copy within one block (e.g. loopback RDMA between
                 # two windows of the same allocation): slice assignment
                 # over overlapping ranges of the same backing is not
                 # well-defined, so materialize the source first.
                 payload = bytes(payload)
-            self.data[offset : offset + length] = payload
+            data[offset : offset + length] = payload
             if perf.enabled:
                 perf.counters.bytes_copied += length
         elif self.shadow is not None and offset < len(self.shadow):
@@ -108,18 +106,19 @@ class MemoryBlock:
 
         Virtual blocks return their shadow prefix followed by zeros.
         """
-        if not self.contains(addr, length):
+        offset = addr - self.base
+        if offset < 0 or addr + length > self.end:
             raise MemoryRegistrationError(
                 f"read [{addr}, {addr + length}) outside block [{self.base}, {self.end})"
             )
-        offset = addr - self.base
-        if self.data is None:
+        data = self.data
+        if data is None:
             out = bytearray(length)
             if self.shadow is not None and offset < len(self.shadow):
                 keep = min(length, len(self.shadow) - offset)
                 out[:keep] = self.shadow[offset : offset + keep]
             return bytes(out)
-        return bytes(self.data[offset : offset + length])
+        return bytes(data[offset : offset + length])
 
     def view(self, addr: int, length: int) -> memoryview:
         """Zero-copy read-only view of *length* bytes at *addr*.
@@ -130,16 +129,17 @@ class MemoryBlock:
         exactly the verbs contract -- a posted buffer must stay stable
         until the send completes.
         """
-        if self.data is None:
+        data = self.data
+        if data is None:
             raise MemoryRegistrationError("cannot take a view of a virtual block")
-        if not self.contains(addr, length):
+        offset = addr - self.base
+        if offset < 0 or addr + length > self.end:
             raise MemoryRegistrationError(
                 f"view [{addr}, {addr + length}) outside block [{self.base}, {self.end})"
             )
-        offset = addr - self.base
         if perf.enabled:
             perf.counters.bytes_referenced += length
-        return memoryview(self.data)[offset : offset + length].toreadonly()
+        return memoryview(data)[offset : offset + length].toreadonly()
 
     def read_u64(self, addr: int) -> int:
         return int.from_bytes(self.read(addr, 8), "little")
@@ -223,9 +223,15 @@ class HostMemory:
 
 
 class MemoryRegion:
-    """A registered window over a block, addressable via lkey/rkey."""
+    """A registered window over a block, addressable via lkey/rkey.
 
-    __slots__ = ("pd", "block", "addr", "length", "access", "lkey", "rkey", "_revoked")
+    The responder checks an MR on every remote operation, so what those
+    checks read is resolved at registration: the window's ``end`` and
+    the access flags as a plain int mask, which :meth:`deregister`
+    zeroes.
+    """
+
+    __slots__ = ("pd", "block", "addr", "length", "end", "access", "_mask", "lkey", "rkey", "_revoked")
 
     def __init__(
         self,
@@ -241,21 +247,21 @@ class MemoryRegion:
         self.block = block
         self.addr = addr
         self.length = length
+        self.end = addr + length
         self.access = access
+        #: ``access`` as an int; 0 once deregistered.
+        self._mask = access._value_
         self.lkey = lkey
         self.rkey = rkey
         self._revoked = False
-
-    @property
-    def end(self) -> int:
-        return self.addr + self.length
 
     @property
     def valid(self) -> bool:
         return not self._revoked
 
     def allows(self, access: Access) -> bool:
-        return bool(self.access & access) and not self._revoked
+        """Does this (still registered) MR grant any of *access*?"""
+        return self._mask & access._value_ != 0
 
     def in_bounds(self, addr: int, length: int) -> bool:
         return self.addr <= addr and addr + length <= self.end
@@ -274,6 +280,7 @@ class MemoryRegion:
 
     def deregister(self) -> None:
         self._revoked = True
+        self._mask = 0
         self.pd.nic._drop_mr(self)
 
     def __repr__(self) -> str:

@@ -13,6 +13,11 @@ request's delivery is its own :class:`_WireOp`.  They schedule the
 events a process per pump and per delivery would -- same instants,
 priorities and order -- keeping the events nobody waits on (a
 send-queue put, the end of a delivery) as no-op slots.
+
+What the data path would otherwise re-derive per work request is
+resolved once: the fabric and the frozen latency terms per QP, a WR's
+byte count when it is validated at post time, and the responder's MR
+when the request arrives.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from repro.sim.events import SKIP, URGENT, BatchEvent, Step
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rdma.device import NIC
     from repro.rdma.fabric import _Path
-    from repro.rdma.memory import ProtectionDomain
+    from repro.rdma.memory import MemoryRegion, ProtectionDomain
 
 
 _SEND_OPCODE_TO_WC = {
@@ -70,27 +75,26 @@ class _WireOp(Step):
     at the next one and re-schedules this same event.
     """
 
-    __slots__ = ("qp", "wr", "payload", "nbytes", "prefix", "remote", "path", "size", "landed", "retries")
+    __slots__ = ("qp", "wr", "data", "nbytes", "remote", "mr", "path", "size", "landed", "retries")
 
     def __init__(
         self,
         qp: "QueuePair",
         wr: SendWR,
-        payload: Optional[Union[bytes, memoryview]],
+        data: Optional[Union[bytes, memoryview]],
         nbytes: int,
-        prefix: Optional[bytes],
     ) -> None:
         super().__init__(qp.env, self._start)
         self.qp = qp
         self.wr = wr
-        #: Payload bytes -- a zero-copy memoryview over the (stable, per
-        #: the verbs contract) source buffer -- or None when the source
-        #: is virtual.
-        self.payload = payload
+        #: What lands at the responder: a zero-copy memoryview over the
+        #: (stable, per the verbs contract) source buffer, the shadow
+        #: prefix of a virtual source (control headers survive), or None.
+        self.data = data
         self.nbytes = nbytes
-        #: Shadow prefix of a virtual source (control headers survive).
-        self.prefix = prefix
         self.remote: Optional["QueuePair"] = None
+        #: The responder's MR, looked up once when the request arrives.
+        self.mr: Optional["MemoryRegion"] = None
         #: The transfer in progress and the step to run once it landed.
         self.path: Optional["_Path"] = None
         self.size = 0
@@ -110,7 +114,7 @@ class _WireOp(Step):
         if remote is not qp._cached_remote:
             # Resolve both directions once per peer; reconnecting to a
             # different QP (identity check) re-resolves.
-            fabric = qp.nic.fabric
+            fabric = qp._fabric
             qp._path_fwd = fabric.path(qp.nic.name, remote.nic.name)
             qp._path_rev = fabric.path(remote.nic.name, qp.nic.name)
             qp._cached_remote = remote
@@ -123,40 +127,43 @@ class _WireOp(Step):
         self.path = path
         self.size = size
         self.landed = landed
-        penalty = self.qp.nic.fabric.penalty_ns()
-        if penalty:
-            self.step = self._wire
-            self.env.schedule(self, penalty)
-            return
+        fabric = self.qp._fabric
+        if fabric.faults is not None:
+            penalty = fabric.penalty_ns()
+            if penalty:
+                self.step = self._wire
+                self.env.schedule(self, penalty)
+                return
         self._wire()
 
     def _wire(self) -> None:
-        fabric = self.qp.nic.fabric
         path = self.path
+        env = self.env
         if path.loopback:
             self.step = self._rx
-            self.env.schedule_timeout(self, fabric.loopback_ns(self.size))
+            env.schedule_timeout(self, self.qp._fabric.loopback_ns(self.size))
             return
-        head = fabric.head_arrival(path, self.size)
-        now = self.env.now
+        head = self.qp._fabric.head_arrival(path, self.size)
+        now = env._now
         if head > now:
             self.step = self._tail
-            self.env.schedule_timeout(self, head - now)
+            env.schedule_timeout(self, head - now)
             return
         self._tail()
 
     def _tail(self) -> None:
         _, tail = self.path.ingress.reserve(self.size)
-        now = self.env.now
+        env = self.env
+        now = env._now
         if tail > now:
             self.step = self._rx
-            self.env.schedule_timeout(self, tail - now)
+            env.schedule_timeout(self, tail - now)
             return
         self._rx()
 
     def _rx(self) -> None:
         self.step = self.landed
-        self.env.schedule_timeout(self, self.qp.nic.model.nic_rx_ns)
+        self.env.schedule_timeout(self, self.qp._rx_ns)
 
     # -- responder ------------------------------------------------------------
 
@@ -169,9 +176,12 @@ class _WireOp(Step):
         wr = self.wr
         opcode = wr.opcode
         if opcode.needs_remote_key:
-            mr = remote.nic.lookup_rkey(wr.rkey)
-            needed = _NEEDED_ACCESS[opcode]
-            if mr is None or not mr.allows(needed) or not mr.in_bounds(wr.remote_addr, self.nbytes):
+            self.mr = mr = remote.nic.lookup_rkey(wr.rkey)
+            if (
+                mr is None
+                or not mr.allows(_NEEDED_ACCESS[opcode])
+                or not mr.in_bounds(wr.remote_addr, self.nbytes)
+            ):
                 remote.modify(QPState.ERR)
                 self._responded(WCStatus.REM_ACCESS_ERR)
                 return
@@ -187,19 +197,19 @@ class _WireOp(Step):
             return
 
         if opcode is Opcode.RDMA_READ:
-            mr = remote.nic.lookup_rkey(wr.rkey)
-            assert mr is not None  # validated above
-            if not mr.block.is_virtual and wr.local is not None and not wr.local.mr.block.is_virtual:
+            block = self.mr.block
+            local = wr.local
+            if block.data is not None and local is not None and local.mr.block.data is not None:
                 # Zero-copy: the write happens at the same instant the
                 # view is taken, so aliasing is safe (and a same-block
                 # overlap is handled inside MemoryBlock.write).
-                wr.local.mr.write(wr.local.offset, mr.block.view(wr.remote_addr, self.nbytes))
+                local.mr.write(local.offset, block.view(wr.remote_addr, self.nbytes))
             self._responded(WCStatus.SUCCESS)
             return
 
         if opcode.is_atomic:
             self.step = self._atomic
-            self.env.schedule_timeout(self, self.qp.nic.model.atomic_exec_ns)
+            self.env.schedule_timeout(self, self.qp._atomic_ns)
             return
 
         raise RdmaError(f"unhandled opcode {opcode}")  # pragma: no cover
@@ -208,20 +218,21 @@ class _WireOp(Step):
         """Pop a posted receive, honoring RNR retry semantics."""
         remote = self.remote
         if remote._recv_queue:
-            self._consume(remote._recv_queue.pop(0))
+            self._consume(remote._recv_queue.popleft())
             return
         if self.retries:
             self.retries -= 1
             self.step = self._claim_recv_wr
-            self.env.schedule_timeout(self, remote.nic.model.rnr_timer_ns)
+            self.env.schedule_timeout(self, remote._rnr_ns)
             return
         self._responded(WCStatus.RNR_RETRY_EXC_ERR)
 
     def _consume(self, recv_wr: RecvWR) -> None:
         wr = self.wr
         remote = self.remote
-        if wr.opcode in (Opcode.SEND, Opcode.SEND_WITH_IMM):
-            if self.nbytes > recv_wr.local.nbytes:
+        if wr.opcode is not Opcode.RDMA_WRITE_WITH_IMM:  # a SEND
+            local = recv_wr.local
+            if self.nbytes > local.nbytes:
                 remote.recv_cq.push(
                     WorkCompletion(
                         wr_id=recv_wr.wr_id,
@@ -233,46 +244,38 @@ class _WireOp(Step):
                 remote.modify(QPState.ERR)
                 self._responded(WCStatus.REM_INV_REQ_ERR)
                 return
-            data = self.payload if self.payload is not None else self.prefix
-            if data is not None:
-                recv_wr.local.mr.write(recv_wr.local.offset, data)
+            if self.data is not None:
+                local.mr.write(local.offset, self.data)
             wc_opcode = WCOpcode.RECV
-        else:  # RDMA_WRITE_WITH_IMM: data goes to the rkey target
+        else:  # the data goes to the rkey target
             self._store_remote()
             wc_opcode = WCOpcode.RECV_RDMA_WITH_IMM
+        # Positional: WorkCompletion(wr_id, opcode, status, byte_len,
+        # imm_data, qp_num).
         remote.recv_cq.push(
             WorkCompletion(
-                wr_id=recv_wr.wr_id,
-                opcode=wc_opcode,
-                byte_len=self.nbytes,
-                imm_data=wr.imm_data,
-                qp_num=remote.qpn,
+                recv_wr.wr_id, wc_opcode, WCStatus.SUCCESS, self.nbytes, wr.imm_data, remote.qpn
             )
         )
         self._responded(WCStatus.SUCCESS)
 
     def _store_remote(self) -> None:
-        mr = self.remote.nic.lookup_rkey(self.wr.rkey)
-        assert mr is not None
-        data = self.payload if self.payload is not None else self.prefix
-        if data is not None:
-            mr.block.write(self.wr.remote_addr, data)
+        if self.data is not None:
+            self.mr.block.write(self.wr.remote_addr, self.data)
 
     def _atomic(self) -> None:
         wr = self.wr
-        remote = self.remote
-        mr = remote.nic.lookup_rkey(wr.rkey)
-        assert mr is not None
-        if mr.block.is_virtual:
-            remote.modify(QPState.ERR)
+        block = self.mr.block
+        if block.data is None:
+            self.remote.modify(QPState.ERR)
             self._responded(WCStatus.REM_ACCESS_ERR)
             return
-        old = mr.block.read_u64(wr.remote_addr)
+        old = block.read_u64(wr.remote_addr)
         if wr.opcode is Opcode.ATOMIC_FETCH_ADD:
-            mr.block.write_u64(wr.remote_addr, old + wr.compare_add)
+            block.write_u64(wr.remote_addr, old + wr.compare_add)
         else:  # compare-and-swap
             if old == wr.compare_add:
-                mr.block.write_u64(wr.remote_addr, wr.swap)
+                block.write_u64(wr.remote_addr, wr.swap)
         if wr.local is not None:
             wr.local.mr.write(wr.local.offset, old.to_bytes(8, "little"))
         self._responded(WCStatus.SUCCESS)
@@ -291,7 +294,7 @@ class _WireOp(Step):
         else:
             # Transport ACK (does not occupy data links).
             self.step = self._done
-            self.env.schedule_timeout(self, self.qp.nic.model.ack_delay_ns)
+            self.env.schedule_timeout(self, self.qp._ack_ns)
 
     def _done(self) -> None:
         self.qp._complete_send(self.wr, WCStatus.SUCCESS)
@@ -337,18 +340,30 @@ class QueuePair:
         self.rnr_retry = rnr_retry
         self.max_send_wr = max_send_wr
         self.remote: Optional["QueuePair"] = None
+        #: The fabric and the (frozen) latency terms every work request
+        #: reads, resolved once per QP.
+        model = nic.model
+        self._fabric = nic.fabric
+        self._tx_ns = model.nic_tx_ns
+        self._dma_ns = model.pcie_dma_fetch_ns
+        self._rx_ns = model.nic_rx_ns
+        self._ack_ns = model.ack_delay_ns
+        self._atomic_ns = model.atomic_exec_ns
+        self._rnr_ns = model.rnr_timer_ns
         #: Cached fabric routes, resolved per connected peer.
         self._cached_remote: Optional["QueuePair"] = None
         self._path_fwd: Optional["_Path"] = None
         self._path_rev: Optional["_Path"] = None
-        self._recv_queue: list[RecvWR] = []
-        #: Posted WRs the send pump has not taken yet.
-        self._send_queue: deque[SendWR] = deque()
+        self._recv_queue: deque[RecvWR] = deque()
+        #: Posted WRs the send pump has not taken yet, each with the
+        #: byte count validated when it was posted.
+        self._send_queue: deque[tuple[SendWR, int]] = deque()
         #: The send pump: idle means waiting on an empty send queue;
-        #: _pump_wr is the WR it took last.
+        #: _pump_wr is the WR it took last, _pump_nbytes its size.
         self._pump = Step(self.env, self._pump_get)
         self._pump_idle = False
         self._pump_wr: Optional[SendWR] = None
+        self._pump_nbytes = 0
         #: Pre-triggered no-op for the pipeline's unobserved events.
         self._noop = BatchEvent(self.env, SKIP)
         self.env.schedule(self._pump, priority=URGENT)
@@ -386,7 +401,7 @@ class QueuePair:
 
     def _flush(self) -> None:
         """Flush posted receives with WR_FLUSH_ERR, as hardware does."""
-        flushed, self._recv_queue = self._recv_queue, []
+        flushed, self._recv_queue = self._recv_queue, deque()
         for wr in flushed:
             self.recv_cq.push(
                 WorkCompletion(
@@ -414,8 +429,8 @@ class QueuePair:
             raise QPStateError(f"cannot post send in state {self.state}")
         if self.remote is None:
             raise QPStateError("QP has no connected peer")
-        wr.validate(self.max_inline_data)
-        if wr.opcode.is_atomic and wr.local is not None and wr.local.mr.block.is_virtual:
+        nbytes = wr.validate(self.max_inline_data)
+        if wr.opcode.is_atomic and wr.local is not None and wr.local.mr.block.data is None:
             raise RdmaError("atomic result buffers must be real memory")
         if len(self._send_queue) >= self.max_send_wr:
             # ibv_post_send returns ENOMEM when the SQ is full.
@@ -426,10 +441,11 @@ class QueuePair:
         if self._pump_idle:
             self._pump_idle = False
             self._pump_wr = wr
+            self._pump_nbytes = nbytes
             self._pump.step = self._pump_took
             env.schedule_timeout(self._pump, 0)
         else:
-            self._send_queue.append(wr)
+            self._send_queue.append((wr, nbytes))
 
     # -- requester pipeline --------------------------------------------------
 
@@ -437,7 +453,7 @@ class QueuePair:
         """Take the next posted WR, or idle until one is posted."""
         queue = self._send_queue
         if queue:
-            self._pump_wr = queue.popleft()
+            self._pump_wr, self._pump_nbytes = queue.popleft()
             self._pump.step = self._pump_took
             self.env.schedule_timeout(self._pump, 0)
         else:
@@ -450,34 +466,37 @@ class QueuePair:
             self._complete_send(wr, WCStatus.WR_FLUSH_ERR)
             self._pump_get()
             return
-        inline = wr.inline and wr.nbytes <= self.max_inline_data
+        nbytes = self._pump_nbytes
+        cost = self._tx_ns
         # Non-inline payloads need a PCIe DMA fetch.
-        model = self.nic.model
-        cost = model.nic_tx_ns
-        if not inline and wr.nbytes > 0 and wr.opcode is not Opcode.RDMA_READ:
-            cost += model.pcie_dma_fetch_ns
+        if (
+            nbytes > 0
+            and not (wr.inline and nbytes <= self.max_inline_data)
+            and wr.opcode is not Opcode.RDMA_READ
+        ):
+            cost += self._dma_ns
         self._pump.step = self._pump_sent
         self.env.schedule_timeout(self._pump, cost)
 
     def _pump_sent(self) -> None:
         """Hand the WR to its own delivery; deliveries run concurrently."""
         wr = self._pump_wr
-        payload: Optional[memoryview] = None
-        prefix: Optional[bytes] = None
-        nbytes = wr.nbytes
-        if wr.opcode.is_atomic:
-            nbytes = ATOMIC_SIZE
-        elif wr.opcode is not Opcode.RDMA_READ and wr.local is not None and nbytes > 0:
-            if not wr.local.mr.block.is_virtual:
+        nbytes = self._pump_nbytes
+        local = wr.local
+        data: Optional[Union[bytes, memoryview]] = None
+        if not wr.opcode.has_response_data and local is not None and nbytes > 0:
+            mr = local.mr
+            if mr.block.data is not None:
                 # Zero-copy: reference the source buffer instead of
                 # materializing it.  The verbs contract (the buffer
                 # is stable until the send completes) makes this
                 # equivalent to the DMA-fetch-time copy it replaces.
-                payload = wr.local.mr.view(wr.local.offset, nbytes)
+                data = mr.view(local.offset, nbytes)
             else:
-                prefix = wr.local.mr.read(wr.local.offset, min(nbytes, SHADOW_BYTES))
+                # A virtual source keeps only its shadow prefix.
+                data = mr.read(local.offset, min(nbytes, SHADOW_BYTES))
         self.bytes_sent += nbytes
-        self.env.schedule(_WireOp(self, wr, payload, nbytes, prefix), priority=URGENT)
+        self.env.schedule(_WireOp(self, wr, data, nbytes), priority=URGENT)
         self._pump_get()
 
     # -- completions -----------------------------------------------------------

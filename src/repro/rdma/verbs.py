@@ -43,15 +43,20 @@ class sge:
     def addr(self) -> int:
         return self.mr.addr + self.offset
 
-    def validate(self) -> None:
-        if self.offset < 0 or self.nbytes < 0:
+    def validate(self) -> int:
+        """Check the element against its MR; returns its byte count."""
+        mr = self.mr
+        offset = self.offset
+        length = self.length
+        limit = mr.length
+        nbytes = limit - offset if length is None else length
+        if offset < 0 or nbytes < 0:
             raise RdmaError(f"negative offset/length in {self!r}")
-        if self.offset + self.nbytes > self.mr.length:
-            raise RdmaError(
-                f"sge [{self.offset}, +{self.nbytes}) exceeds MR length {self.mr.length}"
-            )
-        if not self.mr.valid:
+        if offset + nbytes > limit:
+            raise RdmaError(f"sge [{offset}, +{nbytes}) exceeds MR length {limit}")
+        if mr._revoked:
             raise RdmaError("sge references a deregistered MR")
+        return nbytes
 
 
 @dataclass(slots=True, eq=False)
@@ -78,25 +83,30 @@ class SendWR:
             return ATOMIC_SIZE
         return self.local.nbytes if self.local is not None else 0
 
-    def validate(self, max_inline: int) -> None:
-        if self.opcode.carries_immediate and self.imm_data is None:
-            raise RdmaError(f"{self.opcode} requires imm_data")
-        if self.opcode.needs_remote_key and self.remote_addr == 0:
-            raise RdmaError(f"{self.opcode} requires remote_addr")
-        if self.opcode.is_atomic:
-            if self.local is None or self.local.nbytes < ATOMIC_SIZE:
+    def validate(self, max_inline: int) -> int:
+        """Check the request as ``ibv_post_send`` would; returns :attr:`nbytes`."""
+        opcode = self.opcode
+        local = self.local
+        if opcode.carries_immediate and self.imm_data is None:
+            raise RdmaError(f"{opcode} requires imm_data")
+        if opcode.needs_remote_key and self.remote_addr == 0:
+            raise RdmaError(f"{opcode} requires remote_addr")
+        if opcode.is_atomic:
+            if local is None or local.nbytes < ATOMIC_SIZE:
                 raise RdmaError("atomics require an 8-byte local result buffer")
             if self.remote_addr % ATOMIC_SIZE:
                 raise RdmaError("atomic target must be 8-byte aligned")
-        elif self.local is not None:
-            self.local.validate()
+            nbytes = ATOMIC_SIZE
+        else:
+            nbytes = 0 if local is None else local.validate()
         if self.inline:
-            if self.opcode.is_atomic or self.opcode is Opcode.RDMA_READ:
-                raise RdmaError(f"{self.opcode} cannot be inlined")
-            if self.nbytes > max_inline:
+            if opcode.is_atomic or opcode is Opcode.RDMA_READ:
+                raise RdmaError(f"{opcode} cannot be inlined")
+            if nbytes > max_inline:
                 raise RdmaError(
-                    f"inline payload of {self.nbytes} B exceeds max_inline_data={max_inline}"
+                    f"inline payload of {nbytes} B exceeds max_inline_data={max_inline}"
                 )
+        return nbytes
 
 
 @dataclass(slots=True, eq=False)
@@ -106,5 +116,5 @@ class RecvWR:
     local: sge
     wr_id: int = field(default_factory=next_wr_id)
 
-    def validate(self) -> None:
-        self.local.validate()
+    def validate(self) -> int:
+        return self.local.validate()

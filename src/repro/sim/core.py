@@ -18,6 +18,10 @@ it trades a little generality for per-event cost:
   callback; the abandoned timeout stays in the heap, is processed as a
   no-op at its original deadline, and is then recycled.  No heap
   surgery, O(1) per cancellation.
+* ``run()`` recognises a :class:`~repro.sim.events.Step` and a no-op
+  slot by their shared dispatch descriptors and calls the step (or
+  nothing) directly: both are pre-triggered and never Timeouts, so the
+  failure and recycle checks every other event gets cannot apply.
 
 None of this changes simulated results: scheduling order, tie-breaking
 and virtual timestamps are bit-identical to the straightforward loop.
@@ -30,7 +34,7 @@ from heapq import heappop, heappush
 from itertools import count, islice, repeat
 from typing import Any, Iterable, Optional, Union
 
-from repro.sim.events import NORMAL, AllOf, AnyOf, BatchEvent, Event, Timeout
+from repro.sim.events import NORMAL, SKIP, STEP, AllOf, AnyOf, BatchEvent, Event, Timeout
 from repro.sim.process import Process, ProcessGenerator
 
 #: Upper bound on the Timeout free list; beyond this, processed
@@ -239,6 +243,8 @@ class Environment:
         pop = heappop
         getrefcount = sys.getrefcount
         timeout_cls = Timeout
+        step_desc = STEP
+        skip_desc = SKIP
         processed = 0
         pooled = 0
         try:
@@ -259,6 +265,14 @@ class Environment:
                     # Persistent dispatch descriptor (see BatchEvent):
                     # exactly one callback, never detached -- a re-armed
                     # event keeps its descriptor across schedulings.
+                    # A Step or a no-op slot is a pre-triggered
+                    # BatchEvent: it cannot fail and is no Timeout, so
+                    # neither the failure nor the recycle check applies.
+                    if callbacks is step_desc:
+                        event.step()
+                        continue
+                    if callbacks is skip_desc:
+                        continue
                     callbacks[0](event)
                 else:
                     event.callbacks = None

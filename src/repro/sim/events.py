@@ -186,8 +186,9 @@ def _skip(event: Event) -> None:
     pass
 
 
-#: Dispatch descriptors shared by every :class:`Step` / no-op event.
-_STEP = (_run_step,)
+#: Dispatch descriptors shared by every :class:`Step` / no-op event;
+#: ``Environment.run`` recognises both by identity.
+STEP = (_run_step,)
 SKIP = (_skip,)
 
 
@@ -210,7 +211,7 @@ class Step(BatchEvent):
     __slots__ = ("step",)
 
     def __init__(self, env: "Environment", step: Optional[Callable[[], None]] = None) -> None:
-        super().__init__(env, _STEP)
+        super().__init__(env, STEP)
         self.step = step
 
 

@@ -155,27 +155,40 @@ def test_two_clients_independent_connections():
 
 
 def test_rings_keep_the_per_slot_block_layout():
-    """Each ring is one block, but its slot MRs keep the addresses
-    (base + i * 64 KiB) and the consecutive lkey/rkey pairs they had when
-    every slot was a page-aligned block of its own."""
+    """Both rings share one block and each ring is one MR, yet every
+    slot keeps the address it had as a page-aligned block of its own:
+    send slot i at base + i * 64 KiB, receive slot i at
+    base + (depth + i) * 64 KiB.  The receive ring's work requests are
+    built once and re-posted: after more calls than the ring is deep,
+    the same WR objects cover the same slots."""
     env, server, client = setup()
-    rpc_listen(server, 9000, lambda message, conn: None)
+    rpc_listen(server, 9000, lambda message, conn: {"echo": message})
+    ring_bytes = RPC_RING_DEPTH * RPC_BUFFER_BYTES
+    replies = []
 
     def client_proc():
-        return (yield from rpc_connect(client, "server", 9000))
+        conn = yield from rpc_connect(client, "server", 9000)
+        posted = list(conn._recv_ring)
+        for i in range(RPC_RING_DEPTH + 3):
+            replies.append((yield from conn.call(i)))
+        return conn, posted
 
     proc = env.process(client_proc())
     env.run()
-    conn = proc.value
-    send, recv = conn._send_mrs, conn._recv_mrs
-    assert len(send) == len(recv) == RPC_RING_DEPTH
-    assert len({id(mr.block) for mr in send}) == len({id(mr.block) for mr in recv}) == 1
-    slots = send + recv
-    first = slots[0]
-    assert first.addr % PAGE_SIZE == 0
-    assert [mr.addr for mr in slots] == [
-        first.addr + i * RPC_BUFFER_BYTES for i in range(2 * RPC_RING_DEPTH)
+    conn, posted = proc.value
+    assert replies == [{"echo": i} for i in range(RPC_RING_DEPTH + 3)]
+    send, recv = conn._send_mr, conn._recv_mr
+    base = send.block.base
+    assert recv.block is send.block and send.block.size == 2 * ring_bytes
+    assert base % PAGE_SIZE == 0
+    assert (send.addr, send.length) == (base, ring_bytes)
+    assert (recv.addr, recv.length) == (base + ring_bytes, ring_bytes)
+    # Two registrations, so two consecutive lkey/rkey pairs.
+    assert (recv.lkey, recv.rkey) == (send.lkey + 2, send.rkey + 2)
+    assert [wr.local.addr for wr in posted] == [
+        recv.addr + i * RPC_BUFFER_BYTES for i in range(RPC_RING_DEPTH)
     ]
-    assert all(mr.length == RPC_BUFFER_BYTES for mr in slots)
-    keys = [key for mr in slots for key in (mr.lkey, mr.rkey)]
-    assert keys == list(range(first.lkey, first.lkey + 4 * RPC_RING_DEPTH))
+    assert all(wr.local.mr is recv and wr.local.nbytes == RPC_BUFFER_BYTES for wr in posted)
+    # 11 messages consumed: the ring has rotated by 3 over the same WRs.
+    assert list(conn._recv_ring) == posted[3:] + posted[:3]
+    assert conn._send_index == 3

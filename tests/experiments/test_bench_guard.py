@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.experiments import bench
 from repro.experiments.bench import bench_cache_batch, check_regression
 
 
@@ -14,6 +15,19 @@ def test_cache_batch_cold_warm_bit_identical():
     assert record["hits"] == 2  # warm pass ran nothing
     assert record["warm_s"] < record["cold_s"]
     assert record["speedup"] > 1.0
+    # Both passes run in the bench process: a peak RSS of the batch's
+    # own would only repeat the entry's lifetime peak.
+    assert "peak_rss_bytes" not in record
+
+
+def test_parallel_batch_records_no_process_peak_rss(monkeypatch):
+    """Like the cache batch, the serial pass runs in the bench process,
+    so the record carries timings only."""
+    monkeypatch.setattr(bench, "BATCH_EXPERIMENTS", ("table1",))
+    record = bench.bench_parallel_batch(2)
+    assert record["experiments"] == ["table1"]
+    assert record["serial_s"] > 0 and record["parallel_s"] > 0
+    assert "peak_rss_bytes" not in record
 
 
 def test_cache_batch_uses_given_dir_and_keeps_it(tmp_path):

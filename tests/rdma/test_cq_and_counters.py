@@ -140,10 +140,10 @@ def test_send_queue_depth_enforced():
 
 
 class _FakeEnv:
-    """Just a clock: LinkQueue only ever reads ``env.now``."""
+    """Just a clock: LinkQueue only ever reads the environment's ``_now``."""
 
     def __init__(self) -> None:
-        self.now = 0
+        self._now = 0
 
 
 def _fresh_link():
@@ -155,22 +155,30 @@ def _fresh_link():
 
 
 def test_link_queue_memory_stays_flat():
-    """A LinkQueue keeps running counters, not a per-reservation log:
-    10,000 reservations leave under 1 KiB allocated in its module."""
+    """A LinkQueue keeps running counters, not a per-reservation log,
+    and a bounded serialization memo, not one entry per size ever
+    seen: 10,000 reservations over 5,000 distinct sizes leave under
+    16 KiB allocated in its module (a memo of all 5,000 sizes would
+    take over 100 KiB)."""
     import tracemalloc
+
+    from repro.rdma.latency import LatencyModel
 
     env, link = _fresh_link()
     only_fabric = [tracemalloc.Filter(True, "*/repro/rdma/fabric.py")]
+    sizes = [64 + 3 * (i % 5_000) for i in range(10_000)]
     tracemalloc.start()
     try:
         before = tracemalloc.take_snapshot().filter_traces(only_fabric)
-        for _ in range(10_000):
-            env.now += 7
-            link.reserve(64)
+        for size in sizes:
+            env._now += 7
+            link.reserve(size)
         after = tracemalloc.take_snapshot().filter_traces(only_fabric)
     finally:
         tracemalloc.stop()
     growth = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
-    assert growth < 1024
-    assert link.bytes_carried == 64 * 10_000
+    assert growth < 16 * 1024
+    assert link.bytes_carried == sum(sizes)
+    model = LatencyModel()
+    assert link.busy_time == sum(model.serialization_ns(size) for size in sizes)
     assert 0 < link.busy_time <= link.busy_until

@@ -147,6 +147,47 @@ def test_deregister_invalidates_rkey(hosts):
     assert not mr.valid
 
 
+def _flag_combinations():
+    flags = [Access.LOCAL_WRITE, Access.REMOTE_WRITE, Access.REMOTE_READ, Access.REMOTE_ATOMIC]
+    combos = []
+    for bits in range(1 << len(flags)):
+        combo = Access.NONE
+        for i, flag in enumerate(flags):
+            if bits >> i & 1:
+                combo |= flag
+        combos.append(combo)
+    return combos
+
+
+def test_mr_checks_match_access_flag_semantics(hosts):
+    """``allows`` is ``Access`` flag intersection while registered and
+    False once deregistered; ``in_bounds`` is the registered window,
+    both times.  Checked for every registered/needed flag combination."""
+    nic = hosts.nic_a
+    pd = nic.create_pd()
+    block = nic.alloc(4096)
+    combos = _flag_combinations()
+    assert len(set(combos)) == 16
+    probes = [
+        (addr, length)
+        for addr in (block.base + 1023, block.base + 1024, block.base + 1300, block.base + 1535)
+        for length in (0, 1, 8, 211, 212, 512, 513)
+    ]
+    for registered in combos:
+        mr = pd.register(block, registered, addr=block.base + 1024, length=512)
+        assert mr.end == mr.addr + mr.length
+        for deregistered in (False, True):
+            if deregistered:
+                mr.deregister()
+            for needed in combos:
+                expected = bool(registered & needed) and not deregistered
+                assert mr.allows(needed) is expected, (registered, needed, deregistered)
+            for addr, length in probes:
+                expected = mr.addr <= addr and addr + length <= mr.addr + mr.length
+                assert mr.in_bounds(addr, length) is expected, (addr, length)
+        assert mr.access is registered
+
+
 def test_mr_local_io(hosts):
     mr = hosts.mr_a
     mr.write(10, b"abc")
