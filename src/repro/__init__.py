@@ -21,7 +21,7 @@ Subpackages
 ``repro.baselines``  AWS Lambda / OpenWhisk / Nightcore / FuncX models
 ``repro.workloads``  echo, thumbnailer, ResNet-style inference, HPC kernels
 ``repro.hpc``        mini-MPI and OpenMP fork-join models
-``repro.analysis``   medians, nonparametric CIs, sweeps, reporting
+``repro.analysis``   medians, nonparametric CIs, reporting
 """
 
 __version__ = "1.0.0"

@@ -18,15 +18,11 @@ from repro.analysis.stats import (
 from repro.analysis.plotting import bar_chart, cdf_points, sparkline
 from repro.analysis.reporting import Table, format_ns, format_bytes
 from repro.analysis.streams import LogHistogram, StreamingSummary
-from repro.analysis.sweep import ParallelSweep, Sweep, SweepPoint
 
 __all__ = [
     "LogHistogram",
-    "ParallelSweep",
     "StreamingSummary",
     "SummaryStats",
-    "Sweep",
-    "SweepPoint",
     "Table",
     "bar_chart",
     "cdf_points",

@@ -16,9 +16,9 @@ evaluation".
   the store to prove bit-identical determinism.
 
 The engine integration lives in :func:`repro.parallel.run_specs`
-(``cache=`` parameter) and :class:`repro.analysis.sweep.Sweep`
-(``cache`` field); the CLI surface is ``python -m repro.experiments
-... --cache`` and the ``cache stats|clear|verify`` subcommands.
+(``cache=`` parameter); the CLI surface is ``python -m
+repro.experiments ... --cache`` and the ``cache stats|clear|verify``
+subcommands.
 """
 
 from repro.cache.fingerprint import (

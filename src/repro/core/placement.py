@@ -3,7 +3,7 @@
 The resource manager's only placement decision is "which spot executor
 serves this lease?".  The paper's answer is round-robin first-fit over
 the executors with capacity; this module makes that policy a
-first-class object with two interchangeable implementations:
+first-class object with two implementations of the same scan:
 
 * :class:`RoundRobinFirstFit` -- the scalar reference used by the RPC
   manager (:class:`repro.core.resource_manager.ResourceManager`).  It
@@ -12,27 +12,26 @@ first-class object with two interchangeable implementations:
   scan step but are skipped before any capacity math -- while caching
   the sorted name list (the old code re-sorted every grant, which is
   O(E log E) per lease at cluster scale).
-* :class:`SoACapacity` -- the struct-of-arrays twin used by the
-  control-plane scale kernel (:mod:`repro.experiments.control`): free
-  cores / free memory / liveness as parallel numpy arrays, placement by
-  a masked ``argmax`` over the eligibility vector split at the
-  round-robin cursor.  Pick order and cursor movement are contractually
-  identical to the scalar policy; ``tests/core/test_placement.py`` pins
-  the contract on randomized sequences.
+* :class:`BitmaskFirstFit` -- the control-plane kernel's placement
+  (:mod:`repro.experiments.control`): uniform executors and requests
+  sized in whole cores with memory in proportion, so eligibility is one
+  Python-int bitmask per request size and a pick is a lowest-set-bit
+  query from the cursor.  Picks, cursor movement and free capacity are
+  contractually identical to the scalar policy;
+  ``tests/core/test_placement.py`` pins the contract on randomized
+  sequences.
 
-Both implementations answer the same question with the same cursor
-rule: scan ``sorted(names)`` cyclically starting at ``rr_index``; the
-first *alive* record satisfying ``(allow_oversubscription or
-free_cores >= cores) and free_memory >= memory_bytes`` wins, and the
-cursor moves to the winner's successor.  A full fruitless cycle leaves
-the cursor untouched.
+Both answer the same question with the same cursor rule: scan
+``sorted(names)`` cyclically starting at ``rr_index``; the first
+*alive* record satisfying ``(allow_oversubscription or free_cores >=
+cores) and free_memory >= memory_bytes`` wins, and the cursor moves to
+the winner's successor.  A full fruitless cycle leaves the cursor
+untouched.  (:class:`BitmaskFirstFit` never oversubscribes.)
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
-
-import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.resource_manager import ExecutorRecord
@@ -83,90 +82,96 @@ class RoundRobinFirstFit:
         return None
 
 
-class SoACapacity:
-    """Struct-of-arrays executor capacity with vectorized placement.
+class BitmaskFirstFit:
+    """Round-robin first-fit over uniform executors, one bitmask per size.
 
-    Index ``i`` is the rank of the executor's name in sorted order, so
-    the masked-argmax scan below visits candidates in exactly the order
-    :class:`RoundRobinFirstFit` iterates its sorted name list.
+    Every request asks for ``c`` cores and ``c * memory_per_core``
+    bytes, so an alive executor fits every size up to its *level*,
+    ``min(free cores, free memory // memory_per_core)``.  Bit ``i`` of
+    ``masks[c]`` (``c >= 1``) is set while executor ``i`` -- the rank of
+    its name in sorted order -- fits size ``c``.  A pick is the lowest
+    set bit at or after the cursor, else the lowest overall: the order
+    in which :class:`RoundRobinFirstFit` scans its sorted name list,
+    with dead executors at level 0.
     """
 
-    __slots__ = ("size", "cores", "memory", "free_cores", "free_memory", "alive", "rr_index")
+    __slots__ = ("size", "cores", "memory", "memory_per_core", "max_cores", "free_cores",
+                 "free_memory", "alive", "masks", "rr_index", "_level")
 
-    def __init__(self, cores_per_executor: np.ndarray, memory_per_executor: np.ndarray) -> None:
-        self.cores = np.asarray(cores_per_executor, dtype=np.int64)
-        self.memory = np.asarray(memory_per_executor, dtype=np.int64)
-        if self.cores.shape != self.memory.shape or self.cores.ndim != 1:
-            raise ValueError("cores and memory must be equal-length 1-D arrays")
-        self.size = int(self.cores.size)
-        self.free_cores = self.cores.copy()
-        self.free_memory = self.memory.copy()
-        self.alive = np.ones(self.size, dtype=bool)
+    def __init__(
+        self, executors: int, cores: int, memory_bytes: int, memory_per_core: int, max_cores: int
+    ) -> None:
+        self.size = executors
+        self.cores = cores
+        self.memory = memory_bytes
+        self.memory_per_core = memory_per_core
+        self.max_cores = max_cores
+        self.free_cores = [cores] * executors
+        self.free_memory = [memory_bytes] * executors
+        self.alive = [True] * executors
+        self._level = [0] * executors
+        self.masks = [0] * (max_cores + 1)
         self.rr_index = 0
+        for index in range(executors):
+            self._refit(index)
 
-    @classmethod
-    def uniform(cls, executors: int, cores: int, memory_bytes: int) -> "SoACapacity":
-        return cls(
-            np.full(executors, cores, dtype=np.int64),
-            np.full(executors, memory_bytes, dtype=np.int64),
-        )
+    def _refit(self, index: int) -> None:
+        """Move executor *index* to the masks of the sizes it now fits."""
+        level = 0
+        if self.alive[index]:
+            level = self.free_memory[index] // self.memory_per_core
+            cores = self.free_cores[index]
+            if cores < level:
+                level = cores
+            if level > self.max_cores:
+                level = self.max_cores
+        old = self._level[index]
+        if level == old:
+            return
+        self._level[index] = level
+        bit = 1 << index
+        masks = self.masks
+        low, high = (old, level) if old < level else (level, old)
+        for size in range(low + 1, high + 1):
+            masks[size] ^= bit
 
-    def pick(
-        self, cores: int, memory_bytes: int, allow_oversubscription: bool = False
-    ) -> int:
-        """Index of the first fitting alive executor from the cursor, or -1.
+    def place(self, cores: int) -> int:
+        """Grant *cores* on the first fitting executor from the cursor.
 
-        Fast path: the record *at* the cursor usually fits (round robin
-        on an unsaturated pool), three scalar loads decide.  General
-        path: one boolean eligibility vector, then ``argmax`` on the
-        ``[rr:]`` and ``[:rr]`` halves -- numpy's argmax on bools stops
-        at the first True, so this is the vectorized first-fit.
+        Returns its index, or -1 (cursor untouched) when none fits.
         """
+        fits = self.masks[cores]
         rr = self.rr_index
-        free_cores = self.free_cores
-        free_memory = self.free_memory
-        alive = self.alive
-        if (
-            alive[rr]
-            and free_memory[rr] >= memory_bytes
-            and (allow_oversubscription or free_cores[rr] >= cores)
-        ):
-            self.rr_index = (rr + 1) % self.size
-            return rr
-        ok = alive & (free_memory >= memory_bytes)
-        if not allow_oversubscription:
-            ok &= free_cores >= cores
-        tail = ok[rr:]
-        j = int(np.argmax(tail))
-        if tail[j]:
-            picked = rr + j
+        ahead = fits >> rr
+        if ahead:
+            index = rr + (ahead & -ahead).bit_length() - 1
+        elif fits:
+            index = (fits & -fits).bit_length() - 1
         else:
-            head = ok[:rr]
-            j = int(np.argmax(head)) if rr else 0
-            if not (rr and head[j]):
-                return -1
-            picked = j
-        self.rr_index = (picked + 1) % self.size
-        return picked
+            return -1
+        self.rr_index = (index + 1) % self.size
+        self.free_cores[index] -= cores
+        self.free_memory[index] -= cores * self.memory_per_core
+        self._refit(index)
+        return index
 
     # -- state transitions mirrored from the RPC manager ------------------
 
-    def grant(self, index: int, cores: int, memory_bytes: int) -> None:
-        self.free_cores[index] -= cores
-        self.free_memory[index] -= memory_bytes
-
-    def reclaim(self, index: int, cores: int, memory_bytes: int) -> None:
+    def reclaim(self, index: int, cores: int) -> None:
         self.free_cores[index] += cores
-        self.free_memory[index] += memory_bytes
+        self.free_memory[index] += cores * self.memory_per_core
+        self._refit(index)
 
     def kill(self, index: int) -> None:
         """Mark dead.  Capacity stays decremented, exactly like
         ``ResourceManager._declare_dead`` (which clears the lease list
         without returning capacity -- the node is gone)."""
         self.alive[index] = False
+        self._refit(index)
 
     def revive(self, index: int) -> None:
         """Node back with full capacity (its leases all terminated)."""
         self.alive[index] = True
-        self.free_cores[index] = self.cores[index]
-        self.free_memory[index] = self.memory[index]
+        self.free_cores[index] = self.cores
+        self.free_memory[index] = self.memory
+        self._refit(index)

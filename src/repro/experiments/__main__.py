@@ -239,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=("kernel", "reference"),
         default="kernel",
         help="for 'control': lease-brokering driver -- 'kernel' (default) "
-        "is the vectorized struct-of-arrays fast path, 'reference' the "
+        "is the merged-stream replay with no event queue, 'reference' the "
         "per-event ResourceManager RPC replay",
     )
     parser.add_argument(

@@ -312,7 +312,7 @@ def bench_control(
     """Both control-plane drivers on the same calendar, forked apart.
 
     The per-event ResourceManager replay is the referee; the
-    struct-of-arrays kernel is the engine under test.  Fingerprints
+    merged-stream kernel is the engine under test.  Fingerprints
     must agree (``bit_identical``, churn included unless overridden
     off); the headline is ``speedup`` (reference wall / kernel wall)
     and ``grants_per_sec``, with ``rss_ok`` guarding that the kernel's

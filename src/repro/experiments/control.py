@@ -11,29 +11,30 @@ and the node later revives at full capacity.
 
 Two drivers replay the *same* deterministic calendar:
 
-* ``reference`` -- per-event, through the real
+* ``reference`` -- per-event on the heap
+  :class:`~repro.sim.core.Environment`, through the real
   :class:`~repro.core.resource_manager.ResourceManager` RPC path: every
   request is an ``env.process`` yielding the manager's decision delay,
   every renewal a chained timeout feeding ``lease_renew``, every expiry
   the manager's own ``_expire_later`` process, churn a
   ``deregister_executor`` RPC whose termination announcements fan out
   to the clients.  This is the bit-identity referee.
-* ``kernel`` -- the struct-of-arrays fast path: executor capacity as
-  parallel numpy arrays with masked-argmax placement
-  (:class:`repro.core.placement.SoACapacity`), the whole lease calendar
-  (placements, lease ends, deaths) admitted in sorted cohorts through
-  ``schedule_batch``, churn applied as vectorized masks over the lease
-  table, and renewals never entering the event queue at all -- their
-  count and timestamps are closed-form per lease, emitted vectorized
-  after the run.
+* ``kernel`` -- no event queue: one loop over a merge of the
+  calendar's three pre-sorted streams (grant decisions, planned lease
+  ends, deaths), with what a death causes in one small heap, the lease
+  table in plain lists and round-robin first-fit on one eligibility
+  bitmask per request size
+  (:class:`repro.core.placement.BitmaskFirstFit`).  Renewals never
+  enter the replay at all -- their count and timestamps are
+  closed-form per lease, emitted vectorized after the run.
 
-Both run on the heap :class:`~repro.sim.core.Environment` and produce
-identical fingerprints, including runs with churn enabled.
+Both produce identical fingerprints, including runs with churn enabled.
 
 Determinism without tie-break coupling
 --------------------------------------
-The drivers schedule different events, so their entry ids differ and
-equal-timestamp ordering must never matter.  The calendar
+The drivers process different events in different structures (the
+kernel has no event ids at all), so equal-timestamp ordering must
+never matter.  The calendar
 guarantees that with a residue grid (mod ``QUANT`` = 16): every event
 class that mutates shared state lands on its own residue --
 
@@ -68,10 +69,11 @@ from __future__ import annotations
 import gc
 import resource
 import time
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Optional
+from heapq import heappop, heappush, merge
+from itertools import chain, count, repeat
+from typing import Any, Iterator, Optional
 
 import numpy as np
 
@@ -83,11 +85,12 @@ from repro.analysis.streams import StreamingSummary
 from repro.cluster.churn import ChurnStream, churn_stream
 from repro.cluster.node import NodeSpec
 from repro.core.config import RFaaSConfig, RFaaSTimings
-from repro.core.placement import SoACapacity
+from repro.core.placement import BitmaskFirstFit
 from repro.core.resource_manager import ResourceManager
 from repro.rdma.fabric import Fabric
 from repro.sim.clock import ms, us
 from repro.sim.core import Environment
+from repro.sim.events import BatchEvent
 
 #: Residue grid modulus (see the module docstring).
 QUANT = 16
@@ -101,14 +104,11 @@ KIND_COUNT = 6
 #: lookups.
 SERVICE_NS = np.array([2_000, 2_000, 300, 250, 2_000, 2_000], dtype=np.int64)
 
-#: Cohort size for batch admission of the setup calendars.
-_ADMIT_CHUNK = 1 << 16
-
 _SPEC = NodeSpec()
 
 
 def _exec_name(index: int) -> str:
-    # Zero-padded so sorted(name) order == numeric order == SoA index.
+    # Zero-padded so sorted(name) order == numeric order == kernel index.
     return f"x{index:06d}"
 
 
@@ -156,6 +156,14 @@ class ControlConfig:
     def __post_init__(self) -> None:
         if self.executors < 1 or self.requests < 1:
             raise ValueError("executors and requests must be >= 1")
+        for name in ("clients", "max_request_cores", "memory_per_core", "mean_arrival_gap_ns"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.max_abandon_renewals < 0:
+            raise ValueError(
+                f"max_abandon_renewals must be >= 0, got {self.max_abandon_renewals}"
+            )
         grid = {
             "renew_period_ns": (self.renew_period_ns, 0),
             "lease_timeout_ns": (self.lease_timeout_ns, 2),
@@ -164,9 +172,9 @@ class ControlConfig:
             "downtime_ns": (self.downtime_ns, 4),
         }
         for name, (value, residue) in grid.items():
-            if value % QUANT != residue:
+            if value < 0 or value % QUANT != residue:
                 raise ValueError(
-                    f"{name}={value} must be == {residue} (mod {QUANT}); "
+                    f"{name}={value} must be >= 0 and == {residue} (mod {QUANT}); "
                     "the residue grid is what makes the two drivers "
                     "order-independent"
                 )
@@ -473,6 +481,8 @@ class _ReferenceDriver:
         self.planned_renewals = streams.planned_renewals.tolist()
         self.end_planned = streams.end_planned.tolist()
         self.clients = streams.clients.tolist()
+        self.deaths = streams.churn.death_times_ns.tolist()
+        self.victims = streams.churn.victims.tolist()
         # Per-lease state, indexed by the manager's sequential lease id.
         cap = 2 * config.requests + 2
         self.lease_end = [0] * cap
@@ -495,9 +505,12 @@ class _ReferenceDriver:
 
     # -- client-side event handlers ------------------------------------
 
-    def _arrival_cb(self, _event: Any) -> None:
+    def _arrival_cb(self, event: Any) -> None:
         i = self._arrival_index
         self._arrival_index = i + 1
+        if i + 1 < len(self.times):
+            # One chained arrival event, as the scale referees chain theirs.
+            self.env.schedule(event, self.times[i + 1] - self.times[i])
         self.env.process(self._request_proc(i))
 
     def _request_proc(self, i: int):
@@ -582,10 +595,12 @@ class _ReferenceDriver:
         else:
             self.counts["steal_skipped"] += 1
 
-    def _death_cb(self, _event: Any) -> None:
+    def _death_cb(self, event: Any) -> None:
         j = self._death_index
         self._death_index = j + 1
-        name = _exec_name(int(self.streams.churn.victims[j]))
+        if j + 1 < len(self.deaths):
+            self.env.schedule(event, self.deaths[j + 1] - self.deaths[j])
+        name = _exec_name(self.victims[j])
         if not self.manager.executors[name].alive:
             self.counts["churn_noops"] += 1
             return
@@ -654,15 +669,14 @@ class _ReferenceDriver:
 
     def run(self) -> ControlResult:
         env = self.env
-        streams = self.streams
-        env.schedule_batch(streams.times, self._arrival_cb)
-        if len(streams.churn):
-            env.schedule_batch(streams.churn.death_times_ns, self._death_cb)
+        env.schedule(BatchEvent(env, (self._arrival_cb,)), self.times[0])
+        if self.deaths:
+            env.schedule(BatchEvent(env, (self._death_cb,)), self.deaths[0])
         gc_was_enabled = gc.isenabled()
         gc.disable()
         started = time.perf_counter()
         try:
-            env.run(until=streams.horizon_ns)
+            env.run(until=self.streams.horizon_ns)
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -686,194 +700,170 @@ class _ReferenceDriver:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized kernel driver: struct-of-arrays manager state.
+# Kernel driver: the calendar as one merge of its sorted streams.
 # ---------------------------------------------------------------------------
+
+#: Kernel event classes, indexing ``_KernelDriver``'s handler tuple.
+_GRANT, _END, _DEATH, _REVIVE, _REACQUIRE, _REACQUIRE_END = range(6)
 
 
 class _KernelDriver:
-    """Struct-of-arrays replay: cohort admission, masked churn,
-    closed-form renewals."""
+    """Merged-stream replay (see the module docstring).  The residue
+    grid keeps event classes apart in time, and within a class the
+    index -- request, victim or lease id -- is the reference's order, so
+    ``(time, class, index)`` order is the reference's wherever it
+    matters."""
 
     def __init__(self, config: ControlConfig, streams: ControlStreams) -> None:
         self.config = config
         self.streams = streams
-        self.env = Environment()
-        self.soa = SoACapacity.uniform(
-            config.executors, config.cores_per_executor, config.memory_per_executor
+        self.capacity = BitmaskFirstFit(
+            config.executors,
+            config.cores_per_executor,
+            config.memory_per_executor,
+            config.memory_per_core,
+            config.max_request_cores,
         )
-        # Scalar-access calendar copies for the per-grant loop.
         self.times = streams.times.tolist()
         self.cores = streams.cores.tolist()
-        self.memory = streams.memory.tolist()
         self.abandon = streams.abandon.tolist()
         self.end_planned = streams.end_planned.tolist()
-        # Lease table (struct of arrays), indexed by lease id.
-        cap = 2 * config.requests + 2
-        self.l_exec = np.zeros(cap, dtype=np.int64)
-        self.l_end = np.zeros(cap, dtype=np.int64)
-        self.l_cut = np.zeros(cap, dtype=np.int64)  # renewal cutoff
-        self.l_cores = np.zeros(cap, dtype=np.int64)
-        self.l_memory = np.zeros(cap, dtype=np.int64)
-        self.l_active = np.zeros(cap, dtype=bool)
-        self.l_retry = np.zeros(cap, dtype=bool)
-        self.request_lease = [0] * config.requests  # request -> lease id (0 = denied)
-        self.next_lid = 1
+        # Lease table, indexed by lease id; id 0 is "no lease".  A lease
+        # that ended (or never was) has executor -1.
+        self.lease_executor = [-1]
+        self.lease_end = [0]
+        self.lease_cut = [0]  # renewal cutoff: planned end, or the death
+        self.lease_cores = [0]
+        self.lease_retry = [False]
+        # Per executor, the leases placed on it since its last death,
+        # ended ones included: a death walks its victim's list.
+        self.hosted: list[list[int]] = [[] for _ in range(config.executors)]
+        self.request_lease = [0] * config.requests
+        # What deaths cause, as a (time, class, index) heap.
+        self.pending: list[tuple[int, int, int]] = []
         self.counts = dict.fromkeys(_COUNT_KEYS, 0)
         self.checksum = 0
         self.active_now = 0
         self.active_peak = 0
-        # Live log (grants/denies/releases/steal rows); renewals are
-        # emitted vectorized after the run.
-        log_cap = 4 * config.requests + 64
-        self.log_times = np.zeros(log_cap, dtype=np.int64)
-        self.log_kinds = np.zeros(log_cap, dtype=np.int64)
-        self.log_keys = np.zeros(log_cap, dtype=np.int64)
-        self.log_cursor = 0
-        self._grant_index = 0
-        self._end_index = 0
-        self._death_index = 0
-        self._end_order = np.argsort(streams.end_planned, kind="stable")
-        self._end_order_list = self._end_order.tolist()
-        self._pending_reacq: deque = deque()
+        # Grants/denies/releases/steal rows; renewals are emitted
+        # vectorized after the run.
+        self.log: list[tuple[int, int, int]] = []
 
-    def _log(self, when: int, kind: int, key: int) -> None:
-        cursor = self.log_cursor
-        self.log_times[cursor] = when
-        self.log_kinds[cursor] = kind
-        self.log_keys[cursor] = key
-        self.log_cursor = cursor + 1
-
-    def _grant_cb(self, _event: Any) -> None:
-        i = self._grant_index
-        self._grant_index = i + 1
-        cores = self.cores[i]
-        memory = self.memory[i]
-        index = self.soa.pick(cores, memory)
-        t = self.times[i]
-        if index < 0:
-            self.counts["denials"] += 1
-            self._log(t, KIND_DENY, i)
-            return
-        self.soa.grant(index, cores, memory)
-        lid = self.next_lid
-        self.next_lid = lid + 1
-        self.request_lease[i] = lid
-        end = self.end_planned[i]
-        self.l_exec[lid] = index
-        self.l_end[lid] = end
-        self.l_cut[lid] = end
-        self.l_cores[lid] = cores
-        self.l_memory[lid] = memory
-        self.l_active[lid] = True
-        self.counts["grants"] += 1
-        self.checksum += lid * (index + 1)
-        self._log(t, KIND_GRANT, lid)
+    def _open_lease(self, executor: int, end: int, cores: int, retry: bool) -> int:
+        lid = len(self.lease_executor)
+        self.lease_executor.append(executor)
+        self.lease_end.append(end)
+        self.lease_cut.append(end)
+        self.lease_cores.append(cores)
+        self.lease_retry.append(retry)
+        self.hosted[executor].append(lid)
+        self.checksum += lid * (executor + 1)
         self.active_now += 1
         if self.active_now > self.active_peak:
             self.active_peak = self.active_now
+        return lid
 
-    def _end_cb(self, _event: Any) -> None:
-        k = self._end_index
-        self._end_index = k + 1
-        i = self._end_order_list[k]
-        lid = self.request_lease[i]
-        if lid == 0 or not self.l_active[lid]:
+    def _close_lease(self, when: int, lid: int, expired: bool = False) -> None:
+        executor = self.lease_executor[lid]
+        if executor < 0:
             return
-        self.l_active[lid] = False
-        self.soa.reclaim(int(self.l_exec[lid]), self.cores[i], self.memory[i])
+        self.lease_executor[lid] = -1
+        self.capacity.reclaim(executor, self.lease_cores[lid])
         self.active_now -= 1
-        if self.abandon[i]:
+        if expired:
             self.counts["expiries"] += 1
         else:
             self.counts["releases"] += 1
-            self._log(self.end_planned[i], KIND_RELEASE, lid)
+            self.log.append((when, KIND_RELEASE, lid))
 
-    def _death_cb(self, _event: Any) -> None:
-        j = self._death_index
-        self._death_index = j + 1
-        victim = int(self.streams.churn.victims[j])
-        soa = self.soa
-        if not soa.alive[victim]:
-            self.counts["churn_noops"] += 1
+    def _grant(self, _when: int, i: int) -> None:
+        cores = self.cores[i]
+        index = self.capacity.place(cores)
+        if index < 0:
+            self.counts["denials"] += 1
+            self.log.append((self.times[i], KIND_DENY, i))
             return
-        soa.kill(victim)
-        self.counts["dead_nodes"] += 1
-        death_ns = self.env.now
-        high = self.next_lid
-        # Mass reclamation as one vectorized mask over the lease table.
-        stolen = np.flatnonzero(self.l_active[:high] & (self.l_exec[:high] == victim))
-        if stolen.size:
-            self.l_active[stolen] = False
-            self.l_cut[stolen] = death_ns
-            self.counts["steals"] += int(stolen.size)
-            self.active_now -= int(stolen.size)
-            reacquire_ns = death_ns + self.config.reacquire_delay_ns
-            remaining = self.l_end[stolen] - reacquire_ns
-            fresh = ~self.l_retry[stolen]
-            retryable = fresh & (remaining >= self.config.min_relifetime_ns)
-            self.counts["steal_skipped"] += int(np.count_nonzero(fresh & ~retryable))
-            candidates = stolen[retryable]
-            if candidates.size:
-                for lid in candidates.tolist():
-                    self._pending_reacq.append((lid, death_ns))
-                self.env.schedule_batch(
-                    np.full(
-                        candidates.size,
-                        reacquire_ns + self.config.decision_ns,
-                        dtype=np.int64,
-                    ),
-                    self._reacq_cb,
-                )
-        revive = self.env.timeout(self.config.downtime_ns)
-        revive.callbacks.append(partial(self._revive_cb, victim))
+        lid = self._open_lease(index, self.end_planned[i], cores, False)
+        self.request_lease[i] = lid
+        self.counts["grants"] += 1
+        self.log.append((self.times[i], KIND_GRANT, lid))
 
-    def _revive_cb(self, victim: int, _event: Any) -> None:
-        self.soa.revive(victim)
+    def _end(self, when: int, i: int) -> None:
+        self._close_lease(when, self.request_lease[i], self.abandon[i])
+
+    def _death(self, when: int, victim: int) -> None:
+        config = self.config
+        counts = self.counts
+        if not self.capacity.alive[victim]:
+            counts["churn_noops"] += 1
+            return
+        self.capacity.kill(victim)
+        counts["dead_nodes"] += 1
+        reacquire_ns = when + config.reacquire_delay_ns
+        hosted, self.hosted[victim] = self.hosted[victim], []
+        for lid in hosted:
+            if self.lease_executor[lid] < 0:
+                continue
+            self.lease_executor[lid] = -1
+            self.lease_cut[lid] = when
+            self.active_now -= 1
+            counts["steals"] += 1
+            if self.lease_retry[lid]:
+                continue
+            if self.lease_end[lid] - reacquire_ns >= config.min_relifetime_ns:
+                heappush(self.pending, (reacquire_ns + config.decision_ns, _REACQUIRE, lid))
+            else:
+                counts["steal_skipped"] += 1
+        heappush(self.pending, (when + config.downtime_ns, _REVIVE, victim))
+
+    def _revive(self, _when: int, victim: int) -> None:
+        self.capacity.revive(victim)
         self.counts["revives"] += 1
 
-    def _reacq_cb(self, _event: Any) -> None:
-        lid, death_ns = self._pending_reacq.popleft()
-        reacquire_ns = death_ns + self.config.reacquire_delay_ns
-        cores = int(self.l_cores[lid])
-        memory = int(self.l_memory[lid])
-        index = self.soa.pick(cores, memory)
+    def _reacquire(self, when: int, lid: int) -> None:
+        reacquire_ns = when - self.config.decision_ns
+        cores = self.lease_cores[lid]
+        index = self.capacity.place(cores)
         if index < 0:
             self.counts["steal_denials"] += 1
-            self._log(reacquire_ns, KIND_STEAL_DENY, lid)
+            self.log.append((reacquire_ns, KIND_STEAL_DENY, lid))
             return
-        self.soa.grant(index, cores, memory)
-        relifetime = ((int(self.l_end[lid]) - reacquire_ns) // QUANT) * QUANT + 1
-        new_lid = self.next_lid
-        self.next_lid = new_lid + 1
-        end = reacquire_ns + relifetime
-        self.l_exec[new_lid] = index
-        self.l_end[new_lid] = end
-        self.l_cut[new_lid] = end
-        self.l_cores[new_lid] = cores
-        self.l_memory[new_lid] = memory
-        self.l_active[new_lid] = True
-        self.l_retry[new_lid] = True
+        relifetime = ((self.lease_end[lid] - reacquire_ns) // QUANT) * QUANT + 1
+        new_lid = self._open_lease(index, reacquire_ns + relifetime, cores, True)
         self.counts["steal_grants"] += 1
-        self.checksum += new_lid * (index + 1)
-        self._log(reacquire_ns, KIND_STEAL_GRANT, lid)
-        self.active_now += 1
-        if self.active_now > self.active_peak:
-            self.active_peak = self.active_now
-        release = self.env.timeout(relifetime - self.config.decision_ns)
-        release.callbacks.append(partial(self._reacq_end_cb, new_lid))
+        self.log.append((reacquire_ns, KIND_STEAL_GRANT, lid))
+        heappush(self.pending, (reacquire_ns + relifetime, _REACQUIRE_END, new_lid))
 
-    def _reacq_end_cb(self, lid: int, _event: Any) -> None:
-        if not self.l_active[lid]:
-            return
-        self.l_active[lid] = False
-        self.soa.reclaim(int(self.l_exec[lid]), int(self.l_cores[lid]), int(self.l_memory[lid]))
-        self.counts["releases"] += 1
-        self.active_now -= 1
-        self._log(int(self.l_end[lid]), KIND_RELEASE, lid)
+    def _timeline(self) -> Iterator[tuple[int, int, int]]:
+        """Every event in time order: the merged calendar, with each
+        pending entry slotted in before the first later calendar event."""
+        streams = self.streams
+        churn = streams.churn
+        end_order = np.argsort(streams.end_planned, kind="stable")
+        calendar = merge(
+            zip((streams.times + self.config.decision_ns).tolist(), repeat(_GRANT), count()),
+            zip(streams.end_planned[end_order].tolist(), repeat(_END), end_order.tolist()),
+            zip(churn.death_times_ns.tolist(), repeat(_DEATH), churn.victims.tolist()),
+        )
+        pending = self.pending
+        for event in calendar:
+            while pending and pending[0] < event:
+                yield heappop(pending)
+            yield event
+        while pending:
+            yield heappop(pending)
 
-    def _admit(self, times: np.ndarray, callback: Any) -> None:
-        for start in range(0, times.size, _ADMIT_CHUNK):
-            self.env.schedule_batch(times[start : start + _ADMIT_CHUNK], callback)
+    def _replay(self) -> int:
+        """Run the calendar to its end; returns the events replayed."""
+        # A re-acquired lease is never renewed or abandoned: its end is a
+        # plain release.
+        handlers = (self._grant, self._end, self._death, self._revive, self._reacquire,
+                    self._close_lease)
+        replayed = 0
+        for when, kind, index in self._timeline():
+            handlers[kind](when, index)
+            replayed += 1
+        return replayed
 
     def _emit_renewals(self) -> tuple[np.ndarray, np.ndarray]:
         """Closed-form renewal log: per granted primary lease, the
@@ -886,7 +876,7 @@ class _KernelDriver:
         starts = streams.times[granted]
         period = self.config.renew_period_ns
         planned = streams.planned_renewals[granted]
-        cut = self.l_cut[lids]
+        cut = np.asarray(self.lease_cut, dtype=np.int64)[lids]
         sent = np.minimum(planned, (cut - starts - 1) // period)
         sent = np.maximum(sent, 0)
         total = int(sent.sum())
@@ -901,44 +891,30 @@ class _KernelDriver:
         return renew_times, renew_keys
 
     def run(self) -> ControlResult:
-        env = self.env
-        streams = self.streams
-        config = self.config
-        # The whole static calendar goes in as sorted cohorts: grant
-        # decisions at arrival + decision delay, lease ends in end
-        # order, deaths in death order.
-        self._admit(streams.times + config.decision_ns, self._grant_cb)
-        self._admit(streams.end_planned[self._end_order], self._end_cb)
-        if len(streams.churn):
-            self._admit(streams.churn.death_times_ns, self._death_cb)
         gc_was_enabled = gc.isenabled()
         gc.disable()
         started = time.perf_counter()
         try:
-            env.run(until=streams.horizon_ns)
+            replayed = self._replay()
         finally:
             if gc_was_enabled:
                 gc.enable()
         wall_s = time.perf_counter() - started
         renew_times, renew_keys = self._emit_renewals()
-        cursor = self.log_cursor
-        log_times = np.concatenate([self.log_times[:cursor], renew_times])
-        log_kinds = np.concatenate(
-            [self.log_kinds[:cursor], np.full(renew_times.size, KIND_RENEW, dtype=np.int64)]
-        )
-        log_keys = np.concatenate([self.log_keys[:cursor], renew_keys])
+        # fromiter on the flattened rows: ~2x faster than asarray on tuples.
+        log = np.fromiter(chain.from_iterable(self.log), dtype=np.int64).reshape(-1, 3)
         return _finish(
-            config,
+            self.config,
             "kernel",
             self.counts,
             self.checksum,
-            log_times,
-            log_kinds,
-            log_keys,
+            np.concatenate([log[:, 0], renew_times]),
+            np.concatenate([log[:, 1], np.full(renew_times.size, KIND_RENEW, dtype=np.int64)]),
+            np.concatenate([log[:, 2], renew_keys]),
             self.active_peak,
-            int(self.soa.free_cores.sum()),
-            int(self.soa.free_memory.sum()),
-            env.events_processed,
+            sum(self.capacity.free_cores),
+            sum(self.capacity.free_memory),
+            replayed,
             wall_s,
         )
 
@@ -956,9 +932,9 @@ def run_control(
 ) -> ControlResult:
     """Run the control-plane scenario with one driver.
 
-    ``driver`` is ``"kernel"`` (struct-of-arrays fast path, default) or
-    ``"reference"`` (per-event ResourceManager RPC replay); both run on
-    the heap environment and produce identical simulated results.
+    ``driver`` is ``"kernel"`` (merged-stream replay, default) or
+    ``"reference"`` (per-event ResourceManager RPC replay on the heap
+    environment); both produce identical simulated results.
     ``verify=True`` additionally runs the *other* driver and raises if
     the fingerprints differ.
     """

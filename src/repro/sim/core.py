@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import sys
 from heapq import heappop, heappush
-from itertools import count, islice, repeat
+from itertools import count
 from typing import Any, Iterable, Optional, Union
 
-from repro.sim.events import NORMAL, SKIP, STEP, AllOf, AnyOf, BatchEvent, Event, Timeout
+from repro.sim.events import NORMAL, SKIP, STEP, AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process, ProcessGenerator
 
 #: Upper bound on the Timeout free list; beyond this, processed
@@ -124,43 +124,6 @@ class Environment:
         Scheduling order is identical to :meth:`schedule`.
         """
         heappush(self._queue, (self._now + delay, NORMAL, next(self._eid), event))
-
-    def schedule_batch(self, times: Any, callback: Any, priority: int = NORMAL) -> list[Event]:
-        """Admit a whole chunk of events at *priority* in one call.
-
-        *times* is a non-decreasing sequence of absolute deadlines (a
-        ``numpy.int64`` array straight from :mod:`repro.sim.arrivals`,
-        or any int sequence), each ``>= now``.  One :class:`BatchEvent`
-        is created per deadline, all sharing a single ``(callback,)``
-        tuple, and entry ids are allocated in sequence order -- so the
-        resulting pop order is exactly what per-event
-        ``schedule_timeout`` calls in the same order would produce.
-        Returns the admitted events, in deadline order.
-        """
-        if getattr(times, "ndim", 1) != 1:
-            raise ValueError(f"batch times must be 1-D, got shape {times.shape}")
-        whens = times.tolist() if hasattr(times, "tolist") else [int(t) for t in times]
-        if not whens:
-            return []
-        now = self._now
-        if whens[0] < now:
-            raise ValueError(f"batch deadline {whens[0]} is in the past (now={now})")
-        if any(b < a for a, b in zip(whens, whens[1:])):
-            raise ValueError("batch deadlines must be non-decreasing")
-        shared = (callback,)
-        events = [BatchEvent(self, shared) for _ in whens]
-        eids = islice(self._eid, len(whens))
-        queue = self._queue
-        if queue:
-            push = heappush
-            for entry in zip(whens, repeat(priority), eids, events):
-                push(queue, entry)
-        else:
-            # A list sorted ascending satisfies the heap invariant
-            # directly (parent index < child index), so an empty queue
-            # takes the whole chunk as one extend.
-            queue.extend(zip(whens, repeat(priority), eids, events))
-        return events
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or ``None`` if none."""

@@ -151,12 +151,10 @@ class Timeout(Event):
 
 
 class BatchEvent(Event):
-    """A pre-triggered event admitted via ``Environment.schedule_batch``.
+    """A pre-triggered event: the cheapest schedulable event.
 
-    The batch-admission path creates one of these per arrival in a
-    vectorized pass; keeping the constructor to five slot stores (and
-    sharing one callbacks tuple across the whole batch) is what makes
-    admitting 2^16 events at once cheap.
+    The constructor is five slot stores, and many events can share one
+    callbacks tuple.
 
     A *tuple* in ``callbacks`` is a persistent dispatch descriptor: it
     must hold exactly one callable, and the event loop invokes it

@@ -147,17 +147,3 @@ def test_table_render_and_validation():
     with pytest.raises(ValueError):
         table.add_row(1)
 
-
-def test_sweep_grid_and_filters():
-    from repro.analysis import Sweep
-
-    calls = []
-
-    def fn(x, y):
-        calls.append((x, y))
-        return x * 10 + y
-
-    sweep = Sweep(fn).run(x=[1, 2], y=[3, 4])
-    assert calls == [(1, 3), (1, 4), (2, 3), (2, 4)]
-    assert sweep.column(lambda p: p.result) == [13, 14, 23, 24]
-    assert [p.result for p in sweep.where(x=2)] == [23, 24]

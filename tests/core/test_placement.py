@@ -1,16 +1,15 @@
 """Placement-policy contract tests.
 
 ``RoundRobinFirstFit`` must preserve the manager's historical scan
-semantics exactly (these tests pin them), and ``SoACapacity`` must make
-identical decisions on identical state -- the control-plane kernel
+semantics exactly (these tests pin them), and ``BitmaskFirstFit`` must
+make identical decisions on identical state -- the control-plane kernel
 (:mod:`repro.experiments.control`) depends on that equivalence for its
 bit-identity guarantee.
 """
 
 import numpy as np
-import pytest
 
-from repro.core.placement import RoundRobinFirstFit, SoACapacity
+from repro.core.placement import BitmaskFirstFit, RoundRobinFirstFit
 from repro.core.resource_manager import ExecutorRecord
 
 
@@ -94,78 +93,55 @@ class TestRoundRobinFirstFit:
 
 
 class TestSoAEquivalence:
-    """SoACapacity must mirror RoundRobinFirstFit decision for decision."""
+    """BitmaskFirstFit must mirror RoundRobinFirstFit decision for decision."""
 
     def test_randomized_lockstep(self):
         rng = np.random.default_rng(7)
-        size = 12
+        size, per_core, max_cores = 12, 100, 8
         names = [f"x{i:02d}" for i in range(size)]
-        executors = {name: record(name, cores=8, memory=800) for name in names}
-        scalar = RoundRobinFirstFit()
-        soa = SoACapacity.uniform(size, 8, 800)
-        held: list[tuple[int, int, int]] = []  # (index, cores, memory)
+        # 1,000 bytes is 10 cores' worth: memory binds on 12-core
+        # executors, cores bind on 6-core ones.
+        for cores, memory in ((12, 1000), (6, 1000)):
+            executors = {name: record(name, cores=cores, memory=memory) for name in names}
+            scalar = RoundRobinFirstFit()
+            masks = BitmaskFirstFit(size, cores, memory, per_core, max_cores)
+            held: list[tuple[int, int]] = []  # (index, cores)
 
-        for step in range(2000):
-            action = rng.integers(0, 10)
-            if action < 6:  # pick + grant
-                cores = int(rng.integers(1, 5))
-                memory = int(rng.integers(1, 400))
-                want = scalar.pick(executors, cores, memory)
-                got = soa.pick(cores, memory)
-                if want is None:
-                    assert got == -1, f"step {step}: scalar missed, soa picked {got}"
-                else:
-                    assert names[got] == want.name, f"step {step}"
-                    want.free_cores -= cores
-                    want.free_memory -= memory
-                    soa.grant(got, cores, memory)
-                    held.append((got, cores, memory))
-                assert scalar.rr_index == soa.rr_index, f"step {step}"
-            elif action < 8 and held:  # reclaim a random holding
-                index, cores, memory = held.pop(int(rng.integers(0, len(held))))
-                if executors[names[index]].alive:
-                    executors[names[index]].free_cores += cores
-                    executors[names[index]].free_memory += memory
-                    soa.reclaim(index, cores, memory)
-            elif action == 8:  # kill a random alive node
-                index = int(rng.integers(0, size))
-                if executors[names[index]].alive:
-                    executors[names[index]].alive = False
-                    soa.kill(index)
-                    held = [h for h in held if h[0] != index]
-            else:  # revive a random dead node at full capacity
-                index = int(rng.integers(0, size))
-                if not executors[names[index]].alive:
-                    executors[names[index]].alive = True
-                    executors[names[index]].free_cores = 8
-                    executors[names[index]].free_memory = 800
-                    soa.revive(index)
-
-        assert np.array_equal(
-            soa.free_cores, [executors[n].free_cores for n in names]
-        )
-        assert np.array_equal(
-            soa.free_memory, [executors[n].free_memory for n in names]
-        )
-
-    def test_oversubscription_parity(self):
-        executors = pool(record("a", cores=1, memory=100), record("b", cores=1, memory=100))
-        scalar = RoundRobinFirstFit()
-        soa = SoACapacity.uniform(2, 1, 100)
-        for cores, memory, oversub in [(4, 50, True), (4, 50, False), (1, 50, False)]:
-            want = scalar.pick(executors, cores, memory, oversub)
-            got = soa.pick(cores, memory, oversub)
-            if want is None:
-                assert got == -1
-            else:
-                assert ["a", "b"][got] == want.name
-                want.free_cores -= cores
-                want.free_memory -= memory
-                soa.grant(got, cores, memory)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            SoACapacity(np.array([1, 2]), np.array([1]))
+            for step in range(3000):
+                action = rng.integers(0, 10)
+                if action < 6:  # place a request drawn as the kernel draws it
+                    want_cores = int(rng.integers(1, max_cores + 1))
+                    want = scalar.pick(executors, want_cores, want_cores * per_core)
+                    got = masks.place(want_cores)
+                    if want is None:
+                        assert got == -1, f"step {step}: scalar missed, masks picked {got}"
+                    else:
+                        assert names[got] == want.name, f"step {step}"
+                        want.free_cores -= want_cores
+                        want.free_memory -= want_cores * per_core
+                        held.append((got, want_cores))
+                elif action < 8 and held:  # reclaim a random holding
+                    index, held_cores = held.pop(int(rng.integers(0, len(held))))
+                    executors[names[index]].free_cores += held_cores
+                    executors[names[index]].free_memory += held_cores * per_core
+                    masks.reclaim(index, held_cores)
+                elif action == 8:  # kill a random alive node
+                    index = int(rng.integers(0, size))
+                    if executors[names[index]].alive:
+                        executors[names[index]].alive = False
+                        masks.kill(index)
+                        held = [h for h in held if h[0] != index]
+                else:  # revive a random dead node at full capacity
+                    index = int(rng.integers(0, size))
+                    if not executors[names[index]].alive:
+                        executors[names[index]].alive = True
+                        executors[names[index]].free_cores = cores
+                        executors[names[index]].free_memory = memory
+                        masks.revive(index)
+                assert scalar.rr_index == masks.rr_index, f"step {step}"
+                assert masks.free_cores == [executors[n].free_cores for n in names]
+                assert masks.free_memory == [executors[n].free_memory for n in names]
+                assert masks.alive == [executors[n].alive for n in names]
 
 
 class TestManagerPickExecutor:

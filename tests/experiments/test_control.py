@@ -17,6 +17,16 @@ from repro.sim.core import Environment
 #: Small enough that the per-event reference driver stays fast in CI.
 TINY = dict(executors=32, requests=400, deaths=6)
 
+#: Saturated calendars that, with TINY, reach every rare path: deaths
+#: that draw an already-dead node (churn no-ops), denied and skipped
+#: re-acquisitions, and a re-acquired lease stolen again.
+SATURATED = {
+    "churn-noops": dict(executors=16, requests=3000, deaths=40, seed=5),
+    "steal-skipped": dict(
+        executors=32, requests=800, deaths=12, seed=7, min_relifetime_ns=400_000_000
+    ),
+}
+
 
 def fingerprints(**kwargs):
     merged = dict(TINY)
@@ -38,6 +48,24 @@ class TestDriverAgreement:
         assert kernel.fingerprint() == reference.fingerprint()
         assert kernel.counts["steals"] == 0
         assert kernel.counts["revives"] == 0
+
+    @pytest.mark.parametrize("config", SATURATED.values(), ids=SATURATED.keys())
+    def test_bit_identical_on_saturated_pools(self, config):
+        kernel, reference = fingerprints(**config)
+        assert kernel.fingerprint() == reference.fingerprint()
+
+    def test_saturated_configs_reach_every_rare_path(self):
+        totals = dict.fromkeys(("churn_noops", "steal_denials", "steal_skipped", "restolen"), 0)
+        for config in (TINY, *SATURATED.values()):
+            counts = run_control(driver="kernel", **config).counts
+            for key in ("churn_noops", "steal_denials", "steal_skipped"):
+                totals[key] += counts[key]
+            # A stolen lease is skipped, re-acquired (granted or denied),
+            # or was itself a re-acquired lease and is not retried.
+            totals["restolen"] += counts["steals"] - (
+                counts["steal_skipped"] + counts["steal_grants"] + counts["steal_denials"]
+            )
+        assert all(totals.values()), totals
 
     def test_verify_flag_runs_referee(self):
         result = run_control(driver="kernel", verify=True, **TINY)
@@ -81,6 +109,17 @@ class TestConfigValidation:
     def test_timeout_must_exceed_period(self):
         with pytest.raises(ValueError, match="exceed"):
             ControlConfig(renew_period_ns=100_000_000, lease_timeout_ns=80_000_002)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("clients", 0), ("max_request_cores", 0), ("memory_per_core", 0),
+         ("max_abandon_renewals", -1), ("mean_arrival_gap_ns", -5),
+         # Negative delays sit on the residue grid (-12 % 16 == 4).
+         ("downtime_ns", -12), ("reacquire_delay_ns", -15), ("decision_ns", -16)],
+    )
+    def test_out_of_range_knob_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ControlConfig(**{field: value})
 
     def test_streams_deterministic(self):
         config = ControlConfig(**TINY)

@@ -56,16 +56,6 @@ def count_pooled_timeouts():
     return hits
 
 
-#: In-process call counter for cache-resume tests (serial execution
-#: only: worker processes would increment their own copy).
-CALLS = {"counted_double": 0}
-
-
-def counted_double(x):
-    CALLS["counted_double"] += 1
-    return x * 2
-
-
 def faulty_rtts(probability, seed, invocations=40):
     """Echo invocations over a flaky fabric; returns (rtts, faults).
 

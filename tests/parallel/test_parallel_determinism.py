@@ -9,11 +9,10 @@ fields are the only thing allowed to differ.
 
 import pytest
 
-from repro.analysis.sweep import ParallelSweep, Sweep
 from repro.experiments.bench import bench_invocation, bench_pingpong
 from repro.experiments.common import measure_rfaas_rtts
 from repro.experiments.registry import run_experiment
-from repro.parallel import RunSpec, fork_available, run_specs
+from repro.parallel import RunSpec, fork_available, run_specs, spec_for_callable
 
 FIG8_KWARGS = {"sizes": (64, 1024), "repetitions": 4}
 
@@ -42,16 +41,20 @@ def test_fig8_parallel_matches_serial():
 
 @needs_fork
 def test_sweep_parallel_matches_serial():
-    """ParallelSweep over payload sizes == serial Sweep, point for point."""
-    axes = {"payload_size": [64, 1024, 16384], "repetitions": [3]}
-    serial = Sweep(measure_rfaas_rtts).run(**axes)
-    fanned = ParallelSweep(measure_rfaas_rtts, parallel=2).run(**axes)
-    assert not fanned.failures()
-    assert len(serial.points) == len(fanned.points) == 3
-    for ours, theirs in zip(serial.points, fanned.points):
-        assert ours.params == theirs.params
-        assert ours.index == theirs.index
-        assert ours.result.stats == theirs.result.stats  # medians, p99, CIs in ns
+    """A payload-size sweep through 2 workers == the same sweep inline."""
+    sizes = (64, 1024, 16384)
+    serial = [measure_rfaas_rtts(payload_size=size, repetitions=3) for size in sizes]
+    fanned = run_specs(
+        [
+            spec_for_callable(
+                measure_rfaas_rtts, {"payload_size": size, "repetitions": 3}, index=index
+            )
+            for index, size in enumerate(sizes)
+        ],
+        2,
+    )
+    for ours, theirs in zip(serial, fanned, strict=True):
+        assert ours.stats == theirs.stats  # medians, p99, CIs in ns
 
 
 @needs_fork
