@@ -296,6 +296,33 @@ def lease_cycle():
     return _summary(dep, outputs)
 
 
+def lease_round():
+    """perfbench's ``lease_cycle`` round: four executors, six cycles of
+    allocate 2 workers, one 1 KiB echo, deallocate (default hot timeout)."""
+    from repro.workloads.noop import noop_package
+
+    dep = Deployment.build(executors=4, clients=1)
+    dep.settle()
+    inv = dep.new_invoker()
+    package = noop_package()
+    payload = bytes(range(256)) * 4
+    in_buf = inv.alloc_input(len(payload))
+    out_buf = inv.alloc_output(len(payload))
+    in_buf.write(payload)
+    outputs = []
+
+    def cycle():
+        breakdown = yield from inv.allocate(package, workers=2)
+        result = yield inv.submit("echo", in_buf, len(payload), out_buf).wait()
+        yield from inv.deallocate()
+        return breakdown, result
+
+    for _ in range(6):
+        breakdown, result = dep.run(cycle())
+        outputs.append([breakdown.as_dict(), result.status, result.rtt_ns, result.output() == payload])
+    return _summary(dep, outputs)
+
+
 def fault_injection():
     dep = _deployment(faults=FaultModel(probability=0.2, seed=3, retransmit_delay_ns=us(7)))
     inv = dep.new_invoker()
@@ -565,6 +592,7 @@ SCENARIOS = {
         docker_penalty,
         pipelining_depth4,
         lease_cycle,
+        lease_round,
         fault_injection,
         worker_killed_while_waiting,
         rpc_send_recv,
