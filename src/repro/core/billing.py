@@ -34,6 +34,9 @@ SLOT_HOTPOLL = 2
 SLOTS_PER_ACCOUNT = 3
 ACCOUNT_BYTES = 8 * SLOTS_PER_ACCOUNT
 
+#: Executors bump the counters with remote atomics; the manager reads them.
+_ACCOUNT_ACCESS = Access.LOCAL_WRITE | Access.REMOTE_ATOMIC | Access.REMOTE_READ
+
 
 @dataclass(frozen=True)
 class BillingRates:
@@ -85,9 +88,7 @@ class BillingDatabase:
         self.nic = nic
         pd = nic.create_pd()
         self._block = nic.alloc(capacity_accounts * ACCOUNT_BYTES)
-        self.mr: "MemoryRegion" = pd.register(
-            self._block, Access.LOCAL_WRITE | Access.REMOTE_ATOMIC | Access.REMOTE_READ
-        )
+        self.mr: "MemoryRegion" = pd.register(self._block, _ACCOUNT_ACCESS)
         self.capacity = capacity_accounts
         self._accounts: dict[str, int] = {}  # tenant -> account index
 

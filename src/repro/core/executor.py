@@ -16,6 +16,7 @@ from repro.cluster.node import Node, NodeClaim
 from repro.core import billing as billing_mod
 from repro.core.config import RFaaSConfig
 from repro.core.functions import CodePackage
+from repro.core.leases import verify_lease_token
 from repro.core.rpc import RpcConnection, rpc_connect, rpc_listen
 from repro.core.sandbox import SANDBOX_PROFILES, SandboxProfile
 from repro.core.worker import Worker
@@ -23,6 +24,7 @@ from repro.rdma.cm import install_cm
 from repro.rdma.constants import Access, Opcode
 from repro.rdma.verbs import SendWR, sge
 from repro.sim.clock import secs
+from repro.sim.events import SKIP, URGENT, BatchEvent, Step
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
@@ -78,7 +80,7 @@ class SpotExecutor:
         #: Plain-dict "Docker registry" of deployable packages.
         self.package_registry: dict[str, CodePackage] = {}
         install_cm(self.nic)
-        self._listener = rpc_listen(self.nic, port, self._handle_rpc, name=f"{self.name}-allocator")
+        self._listener = rpc_listen(self.nic, port, self._handle_rpc)
         self._reaper = self.env.process(self._idle_reaper(), name=f"{self.name}-reaper")
         #: Ready generic sandboxes (Sec. V-B warm pool).
         self.warm_pool = 0
@@ -164,8 +166,6 @@ class SpotExecutor:
         # Lease authentication (Sec. III-E): the manager MAC-signed the
         # lease over exactly these parameters; forged or inflated
         # leases fail verification against the cluster secret.
-        from repro.core.leases import verify_lease_token
-
         if not verify_lease_token(
             cfg.cluster_secret,
             message.get("token", ""),
@@ -260,14 +260,7 @@ class SpotExecutor:
 
     def _listen_for_worker(self, worker: Worker) -> None:
         """CM listener handing the worker's QP to the connecting client."""
-        listener = self.nic.cm.listen(worker.worker_id)
-
-        def acceptor():
-            request = yield listener.get_request()
-            listener.accept(request, worker.qp, private_data=worker.connection_settings())
-            listener.close()
-
-        self.env.process(acceptor(), name=f"{self.name}-w{worker.worker_id}-accept")
+        _WorkerAcceptor(self.nic.cm.listen(worker.worker_id), worker)
 
     def _do_lease_expired(self, message: Any):
         """Manager-driven reclamation of an expired lease (one-way)."""
@@ -408,6 +401,30 @@ class SpotExecutor:
         if self._reaper.is_alive:
             self._reaper.interrupt("executor killed")
         self._listener.close()
+
+
+class _WorkerAcceptor(Step):
+    """Accepts one connection on a worker's port with the worker's QP,
+    then closes the port: the events of a one-shot acceptor process."""
+
+    __slots__ = ("listener", "worker")
+
+    def __init__(self, listener: Any, worker: Worker) -> None:
+        super().__init__(worker.env, self._listen)
+        self.listener = listener
+        self.worker = worker
+        self.env.schedule(self, priority=URGENT)  # the acceptor's start
+
+    def _listen(self) -> None:
+        self.step = None
+        self.listener.get_request().callbacks.append(self._accept)
+
+    def _accept(self, event: Any) -> None:
+        listener = self.listener
+        worker = self.worker
+        listener.accept(event._value, worker.qp, private_data=worker.connection_settings())
+        listener.close()
+        self.env.schedule_timeout(BatchEvent(self.env, SKIP), 0)  # the acceptor's end
 
 
 def iter_return(value):

@@ -40,7 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rdma.memory import MemoryRegion
     from repro.sim.core import Environment
 
-_rpc_ids = count(1)
+#: MR access of output buffers (workers write results into them).
+_OUTPUT_ACCESS = Access.LOCAL_WRITE | Access.REMOTE_WRITE
 
 
 class ClientBuffer:
@@ -356,17 +357,27 @@ class _CompletionLoop(Step):
 
 
 class _ManagerClient:
-    """Demuxed RPC client: responses by id, notifications to the invoker."""
+    """Demuxed RPC client: responses by id, notifications to the invoker.
+
+    The demux loop is a callback chain on the connection's receive
+    (:meth:`RpcConnection.receive`), scheduling the events a demux
+    process would: its start, every blocking wait, its end.
+    """
 
     def __init__(self, invoker: "Invoker", conn: RpcConnection) -> None:
         self.invoker = invoker
         self.conn = conn
         self._pending: dict[int, Any] = {}
-        invoker.env.process(self._demux(), name=f"{invoker.name}-mgr-demux")
+        #: Request ids, drawn per client: each id is pickled into its
+        #: request, so a process-wide stream would make message sizes
+        #: (and simulated times) depend on what earlier runs issued.
+        self._rpc_ids = count(1)
+        env = invoker.env
+        env.schedule(Step(env, self._demux), priority=URGENT)  # the loop's start
 
     def request(self, message: dict):
         """Generator: RPC call routed through the demux loop."""
-        rpc_id = next(_rpc_ids)
+        rpc_id = next(self._rpc_ids)
         message = dict(message)
         message["_rpc_id"] = rpc_id
         event = self.invoker.env.event()
@@ -375,17 +386,27 @@ class _ManagerClient:
         response = yield event
         return response
 
-    def _demux(self):
-        while self.conn.alive:
-            message = yield from self.conn._receive(blocking=True)
-            if message is None:
-                return
-            rpc_id = message.get("_rpc_id") if isinstance(message, dict) else None
-            event = self._pending.pop(rpc_id, None) if rpc_id is not None else None
-            if event is not None:
-                event.succeed(message)
-            else:
-                self.invoker._on_notification(message)
+    def _demux(self) -> None:
+        if self.conn.alive:
+            self.conn.receive(self._dispatch)
+        else:
+            self._end()
+
+    def _dispatch(self, message: Any) -> None:
+        if message is None:
+            self._end()
+            return
+        rpc_id = message.get("_rpc_id") if isinstance(message, dict) else None
+        event = self._pending.pop(rpc_id, None) if rpc_id is not None else None
+        if event is not None:
+            event.succeed(message)
+        else:
+            self.invoker._on_notification(message)
+        self._demux()
+
+    def _end(self) -> None:
+        env = self.invoker.env
+        env.schedule_timeout(BatchEvent(env, SKIP), 0)  # the loop's end
 
 
 class Invoker:
@@ -428,7 +449,7 @@ class Invoker:
     def alloc_output(self, capacity: int, *, virtual: bool = False) -> ClientBuffer:
         """An output buffer the remote worker writes results into."""
         block = self.nic.alloc(max(capacity, 1), virtual=virtual)
-        mr = self.nic.create_pd().register(block, Access.LOCAL_WRITE | Access.REMOTE_WRITE)
+        mr = self.nic.create_pd().register(block, _OUTPUT_ACCESS)
         return ClientBuffer(mr, is_input=False)
 
     # -- allocation (cold path) --------------------------------------------------
@@ -516,7 +537,7 @@ class Invoker:
         t4 = env.now
         for worker_port in response["worker_ports"]:
             pd = self.nic.create_pd()
-            cq = self.nic.create_cq(name=f"{self.name}.w{worker_port}")
+            cq = self.nic.create_cq(name="client.worker")
             qp = self.nic.create_qp(pd, cq)
             result = yield from self.nic.cm.connect(
                 lease.executor_host, worker_port, qp, private_data={"client": self.name}

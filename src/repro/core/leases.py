@@ -33,12 +33,24 @@ from typing import Optional
 _fallback_lease_ids = count(1)
 
 
+#: secret -> an HMAC-SHA256 object keyed with it and fed nothing yet.
+_keyed: dict[bytes, "hmac.HMAC"] = {}
+
+
 def sign_lease(
     secret: bytes, lease_id: int, client: str, cores: int, memory_bytes: int
 ) -> str:
-    """The lease authentication token (keyed MAC, hex)."""
-    message = f"{lease_id}|{client}|{cores}|{memory_bytes}".encode()
-    return hmac.new(secret, message, hashlib.sha256).hexdigest()
+    """The lease authentication token (HMAC-SHA256, hex).
+
+    Each token continues a copy of one keyed HMAC per secret, so the key
+    schedule runs once per secret instead of once per sign or verify.
+    """
+    base = _keyed.get(secret)
+    if base is None:
+        base = _keyed[secret] = hmac.new(secret, digestmod=hashlib.sha256)
+    mac = base.copy()
+    mac.update(f"{lease_id}|{client}|{cores}|{memory_bytes}".encode())
+    return mac.hexdigest()
 
 
 def verify_lease_token(

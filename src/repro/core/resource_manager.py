@@ -17,10 +17,10 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.billing import BillingDatabase
 from repro.core.config import RFaaSConfig
-from repro.core.leases import Lease, LeaseState
+from repro.core.leases import Lease, LeaseState, sign_lease
 from repro.core.placement import RoundRobinFirstFit
 from repro.core.rpc import RpcConnection, rpc_connect, rpc_listen
-from repro.sim.events import AnyOf
+from repro.sim.events import SKIP, URGENT, AnyOf, BatchEvent, Step
 
 #: Lease-id namespaces of replicated managers are spaced this far
 #: apart, so ids stay unique across a deployment without any shared
@@ -82,7 +82,7 @@ class ResourceManager:
         #: client name -> RpcConnection, for termination announcements.
         self._client_conns: dict[str, RpcConnection] = {}
         self.alive = True
-        self._listener = rpc_listen(nic, port, self._handle_rpc, name=f"{self.name}-rpc")
+        self._listener = rpc_listen(nic, port, self._handle_rpc)
         self._heartbeater = self.env.process(self._heartbeat_loop(), name=f"{self.name}-hb")
 
     # -- RPC dispatch -------------------------------------------------------
@@ -273,9 +273,7 @@ class ResourceManager:
         record.leases.append(lease)
         self.leases[lease.lease_id] = lease
         self._lease_records[lease.lease_id] = record
-        env.process(self._expire_later(lease, record), name=f"lease{lease.lease_id}-expiry")
-        from repro.core.leases import sign_lease
-
+        _LeaseExpiry(self, lease, record)
         return {
             "type": "lease_granted",
             "token": sign_lease(
@@ -303,17 +301,8 @@ class ResourceManager:
             self.executors, cores, memory_bytes, self.config.allow_oversubscription
         )
 
-    def _expire_later(self, lease: Lease, record: ExecutorRecord):
-        # Renewals push expiry_ns forward; keep sleeping until a check
-        # finds the lease actually past its (possibly renewed) expiry.
-        while True:
-            remaining = lease.expiry_ns - self.env.now
-            if remaining > 0:
-                yield self.env.timeout(remaining)
-            if lease.state is not LeaseState.ACTIVE:
-                return
-            if self.env.now >= lease.expiry_ns:
-                break
+    def _expire(self, lease: Lease, record: ExecutorRecord) -> None:
+        """*lease* ran past its (possibly renewed) expiry: reclaim it."""
         lease.expire()
         self._return_capacity(record, lease)
         client_conn = self._client_conns.get(lease.client)
@@ -372,3 +361,44 @@ class ResourceManager:
         if self._heartbeater.is_alive:
             self._heartbeater.interrupt("manager killed")
         self._listener.close()
+
+
+class _LeaseExpiry(Step):
+    """Sleeps until a lease's expiry and reclaims it if still active.
+
+    Renewals push ``expiry_ns`` forward, so a wake-up that finds the
+    lease renewed sleeps again.  It schedules the events of the
+    expiry process it replaces: its start, each sleep, its end.
+    """
+
+    __slots__ = ("manager", "lease", "record")
+
+    def __init__(self, manager: ResourceManager, lease: Lease, record: ExecutorRecord) -> None:
+        super().__init__(manager.env, self._sleep)
+        self.manager = manager
+        self.lease = lease
+        self.record = record
+        self.env.schedule(self, priority=URGENT)  # the expiry's start
+
+    def _sleep(self) -> None:
+        remaining = self.lease.expiry_ns - self.env._now
+        if remaining > 0:
+            self.step = self._woke
+            self.env.schedule_timeout(self, remaining)
+            return
+        self._woke()
+
+    def _woke(self) -> None:
+        lease = self.lease
+        if lease.state is not LeaseState.ACTIVE:
+            self._end()
+            return
+        if self.env._now < lease.expiry_ns:
+            self._sleep()
+            return
+        self.manager._expire(lease, self.record)
+        self._end()
+
+    def _end(self) -> None:
+        self.step = None
+        self.env.schedule_timeout(BatchEvent(self.env, SKIP), 0)  # the expiry's end

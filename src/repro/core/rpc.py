@@ -13,18 +13,21 @@ objects; sends are unsignaled (errors surface as QP state changes).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.core.protocol import decode_control, encode_control
 from repro.rdma.cm import install_cm
+from repro.rdma.completion import CQWait
 from repro.rdma.constants import Access, Opcode
 from repro.rdma.device import NIC
 from repro.rdma.errors import RdmaError
 from repro.rdma.verbs import RecvWR, SendWR, sge
+from repro.sim.events import SKIP, URGENT, BatchEvent, Event, Step
 
 RPC_BUFFER_BYTES = 64 * 1024
 RPC_RING_DEPTH = 8
+
+_LOCAL_WRITE = Access.LOCAL_WRITE
 
 
 class RpcConnection:
@@ -35,6 +38,11 @@ class RpcConnection:
     half: slot *i* of a ring sits at offset ``i * RPC_BUFFER_BYTES``
     of its MR.  The receive ring's work requests are built once and
     re-posted in ring order as each message is consumed.
+
+    Receiving is one re-armed :class:`~repro.rdma.completion.CQWait`
+    per connection: :meth:`receive` hands the next message to a
+    callback, and the generator :meth:`_receive` (behind :meth:`call`)
+    is a thin wrapper over it.
     """
 
     def __init__(self, nic: NIC, qp, *, ring_depth: int = RPC_RING_DEPTH) -> None:
@@ -48,19 +56,27 @@ class RpcConnection:
         # after its processing delay, so reusing one buffer for two
         # back-to-back messages would corrupt the first (classic verbs
         # bug -- the buffer must stay stable until send completion).
-        self._send_mr = pd.register(block, Access.LOCAL_WRITE, addr=block.base, length=ring_bytes)
+        self._send_mr = pd.register(block, _LOCAL_WRITE, addr=block.base, length=ring_bytes)
         self._send_slots = ring_depth
         self._send_index = 0
-        self._recv_mr = pd.register(
-            block, Access.LOCAL_WRITE, addr=block.base + ring_bytes, length=ring_bytes
+        self._recv_mr = recv_mr = pd.register(
+            block, _LOCAL_WRITE, addr=block.base + ring_bytes, length=ring_bytes
         )
-        #: Posted receives in the order the QP consumes them.
-        self._recv_ring: deque[RecvWR] = deque(
-            RecvWR(local=sge(self._recv_mr, slot * RPC_BUFFER_BYTES, RPC_BUFFER_BYTES))
-            for slot in range(ring_depth)
-        )
-        for wr in self._recv_ring:
-            qp.post_recv(wr)
+        #: The ring's receives, posted in slot order: the QP consumes
+        #: them in that order, and each is re-posted once read, so the
+        #: next message always lands in slot ``_recv_next``.
+        self._recv_ring = [
+            RecvWR(sge(recv_mr, offset, RPC_BUFFER_BYTES))
+            for offset in range(0, ring_bytes, RPC_BUFFER_BYTES)
+        ]
+        self._recv_next = 0
+        qp.post_recvs(self._recv_ring)
+        model = nic.model
+        self._poll_ns = model.poll_detect_ns
+        self._notify_ns = model.blocking_notify_ns
+        #: The receive wait, and who gets the message it finds.
+        self._rx = CQWait(qp.recv_cq, self._received, 0, 1)
+        self._deliver: Optional[Callable[[Any], None]] = None
 
     @property
     def alive(self) -> bool:
@@ -73,32 +89,46 @@ class RpcConnection:
         offset = self._send_index * RPC_BUFFER_BYTES
         self._send_index = (self._send_index + 1) % self._send_slots
         self._send_mr.write(offset, data)
-        self.qp.post_send(
-            SendWR(opcode=Opcode.SEND, local=sge(self._send_mr, offset, len(data)), signaled=False)
-        )
+        self.qp.post_send(SendWR(Opcode.SEND, sge(self._send_mr, offset, len(data)), signaled=False))
+
+    def receive(self, deliver: Callable[[Any], None], blocking: bool = True) -> None:
+        """Callback form of :meth:`_receive`: ``deliver(message)`` runs
+        inside the detect timeout (blocking notify or busy poll) that
+        would resume a :meth:`_receive` caller; None on flush/teardown."""
+        rx = self._rx
+        rx.detect_ns = self._notify_ns if blocking else self._poll_ns
+        self._deliver = deliver
+        rx.wait()
+
+    def _received(self, wcs: list) -> None:
+        deliver, self._deliver = self._deliver, None
+        wc = wcs[0]
+        if not wc.ok:
+            deliver(None)
+            return
+        ring = self._recv_ring
+        wr = ring[self._recv_next]
+        self._recv_next = (self._recv_next + 1) % len(ring)
+        message = decode_control(self._recv_mr.read(wr.local.offset, wc.byte_len))
+        self.qp.post_recv(wr)
+        deliver(message)
 
     def _receive(self, blocking: bool = True):
         """Generator: next decoded message (None on flush/teardown)."""
-        cq = self.qp.recv_cq
-        if blocking:
-            wcs = yield from cq.blocking_wait(max_entries=1)
-        else:
-            wcs = yield from cq.busy_poll(max_entries=1)
-        wc = wcs[0]
-        if not wc.ok:
-            return None
-        ring = self._recv_ring
-        wr = ring.popleft()
-        message = decode_control(self._recv_mr.read(wr.local.offset, wc.byte_len))
-        self.qp.post_recv(wr)
-        ring.append(wr)
-        return message
+        done = Event(self.env)
+        self.receive(done.fire, blocking)
+        try:
+            return (yield done)
+        except BaseException:  # interrupted or closed: cancel lazily
+            self._rx.abandon()
+            self._rx = CQWait(self.qp.recv_cq, self._received, 0, 1)
+            self._deliver = None
+            raise
 
     def call(self, request: Any, blocking: bool = True):
         """Generator: send *request*, return the peer's response."""
         self._post_message(request)
-        response = yield from self._receive(blocking=blocking)
-        return response
+        return (yield from self._receive(blocking=blocking))
 
     def notify(self, message: Any) -> None:
         """One-way message, no response expected."""
@@ -112,49 +142,138 @@ RpcHandler = Callable[[Any, RpcConnection], Any]
 def rpc_listen(nic: NIC, port: int, handler: RpcHandler, *, name: Optional[str] = None):
     """Start an RPC server on *nic:port*; returns the listener.
 
-    For every accepted connection a serving process runs *handler* on
-    each incoming request (the handler is a generator so it may perform
+    For every accepted connection a serve loop runs *handler* on each
+    incoming request (the handler is a generator so it may perform
     further simulated work) and sends back its return value.  A handler
-    returning ``None`` sends no response (one-way messages).
+    returning ``None`` sends no response (one-way messages).  The
+    acceptor and each serve loop are callback state machines
+    (:class:`_Acceptor`, :class:`_Server`) scheduling the events their
+    generator processes did; *name* is accepted for compatibility and
+    unused.
     """
     cm = install_cm(nic)
     listener = cm.listen(port)
-    env = nic.env
-
-    def acceptor():
-        while not listener.closed:
-            request = yield listener.get_request()
-            pd = nic.create_pd()
-            cq = nic.create_cq(name=f"{nic.name}.rpc{port}")
-            qp = nic.create_qp(pd, cq)
-            listener.accept(request, qp, private_data={"rpc": True})
-            connection = RpcConnection(nic, qp)
-            env.process(server_loop(connection), name=f"rpc-serve-{nic.name}:{port}")
-
-    def server_loop(connection: RpcConnection):
-        while connection.alive:
-            message = yield from connection._receive(blocking=True)
-            if message is None:
-                return
-            result = handler(message, connection)
-            if hasattr(result, "send"):  # generator handler
-                result = yield from result
-            if result is not None:
-                # Echo the request id so demuxing clients can match
-                # responses to calls among async notifications.
-                if isinstance(message, dict) and isinstance(result, dict) and "_rpc_id" in message:
-                    result = {**result, "_rpc_id": message["_rpc_id"]}
-                connection._post_message(result)
-
-    env.process(acceptor(), name=name or f"rpc-accept-{nic.name}:{port}")
+    _Acceptor(nic, listener, handler)
     return listener
+
+
+class _Acceptor(Step):
+    """The RPC acceptor: one verbs endpoint and serve loop per request."""
+
+    __slots__ = ("nic", "listener", "handler")
+
+    def __init__(self, nic: NIC, listener, handler: RpcHandler) -> None:
+        super().__init__(nic.env, self._next)
+        self.nic = nic
+        self.listener = listener
+        self.handler = handler
+        self.env.schedule(self, priority=URGENT)  # the acceptor's start
+
+    def _next(self) -> None:
+        if self.listener.closed:
+            self.step = None
+            self.env.schedule_timeout(BatchEvent(self.env, SKIP), 0)  # the acceptor's end
+            return
+        self.listener.get_request().callbacks.append(self._accept)
+
+    def _accept(self, event: Event) -> None:
+        nic = self.nic
+        pd = nic.create_pd()
+        cq = nic.create_cq(name="rpc")
+        qp = nic.create_qp(pd, cq)
+        self.listener.accept(event._value, qp, private_data={"rpc": True})
+        _Server(RpcConnection(nic, qp), self.handler)
+        self._next()
+
+
+class _Server(Step):
+    """One accepted connection's serve loop.
+
+    Receives block on the completion channel; a generator handler is
+    driven here, waiting on the events it yields, and its return value
+    is the response.
+    """
+
+    __slots__ = ("connection", "handler", "message", "gen")
+
+    def __init__(self, connection: RpcConnection, handler: RpcHandler) -> None:
+        super().__init__(connection.env, self._next)
+        self.connection = connection
+        self.handler = handler
+        self.message: Any = None
+        self.gen: Any = None
+        self.env.schedule(self, priority=URGENT)  # the serve loop's start
+
+    def _next(self) -> None:
+        if not self.connection.alive:
+            self._end()
+            return
+        self.connection.receive(self._serve)
+
+    def _serve(self, message: Any) -> None:
+        if message is None:
+            self._end()
+            return
+        result = self.handler(message, self.connection)
+        if hasattr(result, "send"):  # generator handler
+            self.message = message
+            self.gen = result
+            self._drive(True, None)
+            return
+        self._respond(message, result)
+
+    def _drive(self, ok: bool, value: Any) -> None:
+        """Run the handler generator to its next wait (or its end)."""
+        gen = self.gen
+        while True:
+            try:
+                target = gen.send(value) if ok else gen.throw(value)
+            except StopIteration as stop:
+                self.gen = None
+                message, self.message = self.message, None
+                self._respond(message, stop.value)
+                return
+            except BaseException as error:
+                # The serve loop dies with the handler: its end event
+                # carries the error out of Environment.run.
+                self.gen = self.message = None
+                self.step = None
+                failed = Event(self.env)
+                failed._ok = False
+                failed._value = error
+                self.env.schedule(failed)
+                return
+            if target.callbacks is not None:
+                target.callbacks.append(self._resume)
+                return
+            ok, value = target._ok, target._value
+            if not ok:
+                target._defused = True
+
+    def _resume(self, event: Event) -> None:
+        if not event._ok:
+            event._defused = True
+        self._drive(event._ok, event._value)
+
+    def _respond(self, message: Any, result: Any) -> None:
+        if result is not None:
+            # Echo the request id so demuxing clients can match
+            # responses to calls among async notifications.
+            if isinstance(message, dict) and isinstance(result, dict) and "_rpc_id" in message:
+                result = {**result, "_rpc_id": message["_rpc_id"]}
+            self.connection._post_message(result)
+        self._next()
+
+    def _end(self) -> None:
+        self.step = None
+        self.env.schedule_timeout(BatchEvent(self.env, SKIP), 0)  # the serve loop's end
 
 
 def rpc_connect(nic: NIC, host: str, port: int):
     """Generator: connect to an RPC server, returns an RpcConnection."""
     cm = install_cm(nic)
     pd = nic.create_pd()
-    cq = nic.create_cq(name=f"{nic.name}.rpc-client")
+    cq = nic.create_cq(name="rpc-client")
     qp = nic.create_qp(pd, cq)
     yield from cm.connect(host, port, qp, private_data={"rpc": True})
     return RpcConnection(nic, qp)

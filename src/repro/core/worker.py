@@ -38,6 +38,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executor import Allocation, SpotExecutor
     from repro.rdma.device import NIC
 
+#: MR access of the input buffer (clients write into it) and of the
+#: worker's local-only buffers; Flag unions are slow, so combine once.
+_INPUT_ACCESS = Access.LOCAL_WRITE | Access.REMOTE_WRITE
+_LOCAL_WRITE = Access.LOCAL_WRITE
+
 
 @dataclass
 class WorkerStats:
@@ -93,18 +98,16 @@ class Worker:
         self.pipeline_depth = 1 if virtual else max(1, config.worker_pipeline_depth)
         # Input buffer the client writes [header | payload] into.
         self._input_block = self.nic.alloc(size, virtual=virtual)
-        self.input_mr = pd.register(
-            self._input_block, Access.LOCAL_WRITE | Access.REMOTE_WRITE
-        )
+        self.input_mr = pd.register(self._input_block, _INPUT_ACCESS)
         # Staging buffer for function output before the response write.
         self._output_block = self.nic.alloc(size, virtual=virtual)
-        self.output_mr = pd.register(self._output_block, Access.LOCAL_WRITE)
+        self.output_mr = pd.register(self._output_block, _LOCAL_WRITE)
         # Tiny landing zone for the zero-byte parts of WRITE_WITH_IMM.
-        self._scratch_mr = pd.register(self.nic.alloc(64), Access.LOCAL_WRITE)
+        self._scratch_mr = pd.register(self.nic.alloc(64), _LOCAL_WRITE)
         # Stateless zero-byte landing WR, re-posted for every receive.
-        self._recv_wr = RecvWR(local=sge(self._scratch_mr, 0, 0))
-        self.recv_cq = self.nic.create_cq(name=f"{executor.name}.w{worker_id}.recv")
-        self.send_cq = self.nic.create_cq(name=f"{executor.name}.w{worker_id}.send")
+        self._recv_wr = RecvWR(sge(self._scratch_mr, 0, 0))
+        self.recv_cq = self.nic.create_cq(name="worker.recv")
+        self.send_cq = self.nic.create_cq(name="worker.send")
         self.qp = self.nic.create_qp(pd, self.send_cq, self.recv_cq)
         #: What every invocation reads of the (frozen) latency model and
         #: config and of the buffer layout, resolved once per worker.
@@ -137,8 +140,7 @@ class Worker:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        for _ in range(self.config.recv_ring_depth):
-            self.qp.post_recv(self._recv_wr)
+        self.qp.post_recvs([self._recv_wr] * self.config.recv_ring_depth)
         self.stats.last_activity_ns = self.env.now
         self._running = True
         self.env.schedule(self._step, priority=URGENT)
@@ -154,7 +156,7 @@ class Worker:
             return  # the loop ended in the meantime; drop the interrupt
         # Whatever the loop waits on stays scheduled (or armed on the
         # CQ) and fires as a no-op, like a lazily cancelled timeout.
-        self._step.step = _idle
+        self._step.abandon()
         self._end()
 
     def _end(self) -> None:
@@ -401,6 +403,3 @@ class Worker:
     def idle_ns(self) -> int:
         return self.env.now - self.stats.last_activity_ns
 
-
-def _idle() -> None:
-    """A killed worker's pending step."""

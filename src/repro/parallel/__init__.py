@@ -17,7 +17,6 @@ from repro.parallel.runspec import (
     FailedPoint,
     RunSpec,
     failure_from_exception,
-    spec_for_callable,
 )
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "fork_available",
     "resolve_workers",
     "run_specs",
-    "spec_for_callable",
 ]

@@ -93,39 +93,3 @@ def failure_from_exception(spec: RunSpec, exc: BaseException, tb: str | None = N
         message=str(exc),
         traceback=tb if tb is not None else traceback.format_exc(),
     )
-
-
-def spec_for_callable(
-    fn: Callable[..., Any],
-    kwargs: dict[str, Any] | None = None,
-    *,
-    seed: int | None = None,
-    seed_arg: str | None = None,
-    index: int = 0,
-    label: str = "",
-) -> RunSpec:
-    """Build a RunSpec from a module-level callable.
-
-    Raises ``ValueError`` when *fn* cannot be named by import path
-    (lambdas, closures, instance methods) -- callers treat that as the
-    signal to fall back to serial in-process execution.
-    """
-    module = getattr(fn, "__module__", None)
-    qualname = getattr(fn, "__qualname__", None)
-    if not module or not qualname or "<" in qualname:
-        raise ValueError(f"{fn!r} is not addressable by import path")
-    spec = RunSpec(
-        factory=f"{module}:{qualname}",
-        kwargs=dict(kwargs or {}),
-        seed=seed,
-        seed_arg=seed_arg,
-        index=index,
-        label=label,
-    )
-    try:
-        resolved = spec.resolve()
-    except (ImportError, AttributeError) as exc:
-        raise ValueError(f"cannot re-import {spec.factory}: {exc}") from exc
-    if resolved is not fn:
-        raise ValueError(f"{spec.factory} does not round-trip to {fn!r}")
-    return spec

@@ -19,6 +19,7 @@ from repro.rdma.device import NIC
 from repro.rdma.errors import ConnectionRefused
 from repro.rdma.queue_pair import QueuePair
 from repro.sim.clock import us
+from repro.sim.events import Event, Step
 from repro.sim.resources import Store
 
 #: Per-hop CM processing (kernel cm daemon, event channel wakeups).
@@ -98,38 +99,158 @@ class ConnectionManager:
 
         Usage: ``result = yield from cm.connect("server", 9000, qp)``.
         Raises :class:`ConnectionRefused` if nobody listens or the
-        listener rejects.
+        listener rejects.  A thin wrapper over :class:`_Handshake`: the
+        caller resumes once, inside the handshake's last transfer.
         """
+        handshake = _Handshake(self, dst_host, port, qp, private_data)
+        try:
+            return (yield handshake.done)
+        except BaseException:  # refused, interrupted or closed
+            handshake.abandon()
+            raise
+
+
+class _Handshake(Step):
+    """The active side of one CM handshake, as a callback state machine.
+
+    Each method is one step; a wait points ``step`` at the next one and
+    re-schedules this event (a transfer is ``Fabric.transfer_path``'s
+    steps: fault penalty, head arrival, ingress tail).  It schedules
+    the events the generator handshake did, at the same instants, and
+    resolves :attr:`done` with :meth:`Event.fire` inside the last one.
+    """
+
+    __slots__ = (
+        "cm", "dst_host", "port", "qp", "private_data", "done",
+        "listener", "request", "path", "size", "landed",
+    )
+
+    def __init__(
+        self, cm: ConnectionManager, dst_host: str, port: int, qp: QueuePair, private_data: Any
+    ) -> None:
+        super().__init__(cm.env, self._send_req)
+        self.cm = cm
+        self.dst_host = dst_host
+        self.port = port
+        self.qp = qp
+        self.private_data = private_data
+        #: What ``connect``'s caller waits on.
+        self.done = Event(cm.env)
+        self.listener: Optional[ConnectionListener] = None
+        self.request: Optional[ConnectionRequest] = None
+        #: The transfer in progress and the step to run once it landed.
+        self.path: Any = None
+        self.size = 0
+        self.landed: Any = None
+        cm.env.schedule_timeout(self, CM_PROCESSING_NS)
+
+    # -- one fabric transfer --------------------------------------------------
+
+    def _transfer(self, src: str, dst: str, landed: Any) -> None:
+        fabric = self.cm.nic.fabric
+        self.path = fabric.path(src, dst)
+        self.size = CM_MESSAGE_BYTES
+        self.landed = landed
+        penalty = fabric.penalty_ns()
+        if penalty:
+            # The requester sits out the retransmission timeout.
+            self.step = self._wire
+            self.env.schedule(self, penalty)
+            return
+        self._wire()
+
+    def _wire(self) -> None:
+        path = self.path
         env = self.env
-        fabric = self.nic.fabric
+        fabric = self.cm.nic.fabric
+        if path.loopback:
+            self.step = self.landed
+            env.schedule_timeout(self, fabric.loopback_ns(self.size))
+            return
+        head = fabric.head_arrival(path, self.size)
+        if head > env._now:
+            self.step = self._tail
+            env.schedule_timeout(self, head - env._now)
+            return
+        self._tail()
 
-        # --- REQ: route the request to the destination CM.
-        yield env.timeout(CM_PROCESSING_NS)
-        yield from fabric.transfer(self.nic.name, dst_host, CM_MESSAGE_BYTES)
+    def _tail(self) -> None:
+        _, tail = self.path.ingress.reserve(self.size)
+        env = self.env
+        if tail > env._now:
+            self.step = self.landed
+            env.schedule_timeout(self, tail - env._now)
+            return
+        self.landed()
 
-        dst_nic = fabric.nic(dst_host)
-        dst_cm: Optional[ConnectionManager] = dst_nic.cm
-        listener = dst_cm._listeners.get(port) if dst_cm is not None else None
+    # -- the handshake ------------------------------------------------------------
+
+    def _send_req(self) -> None:
+        """REQ: route the request to the destination CM."""
+        self._transfer(self.cm.nic.name, self.dst_host, self._req_arrived)
+
+    def _req_arrived(self) -> None:
+        dst_cm: Optional[ConnectionManager] = self.cm.nic.fabric.nic(self.dst_host).cm
+        listener = dst_cm._listeners.get(self.port) if dst_cm is not None else None
         if listener is None or listener.closed:
-            # REJ travels back before we can raise.
-            yield from fabric.transfer(dst_host, self.nic.name, CM_MESSAGE_BYTES)
-            raise ConnectionRefused(f"{dst_host}:{port} is not listening")
+            # REJ travels back before the caller sees the refusal.
+            self._transfer(self.dst_host, self.cm.nic.name, self._refused)
+            return
+        request = ConnectionRequest(
+            src_nic=self.cm.nic, src_qp=self.qp, private_data=self.private_data
+        )
+        request._decided = Event(self.env)
+        self.listener = listener
+        self.request = request
+        self.step = self._queue_request
+        self.env.schedule_timeout(self, CM_PROCESSING_NS)
 
-        request = ConnectionRequest(src_nic=self.nic, src_qp=qp, private_data=private_data)
-        request._decided = env.event()
-        yield env.timeout(CM_PROCESSING_NS)
-        yield listener.incoming.put(request)
+    def _refused(self) -> None:
+        self._finish(ConnectionRefused(f"{self.dst_host}:{self.port} is not listening"), False)
 
-        # --- REP: wait for the passive side to accept/reject.
-        accepted = yield request._decided
-        yield env.timeout(CM_PROCESSING_NS)
-        yield from fabric.transfer(dst_host, self.nic.name, CM_MESSAGE_BYTES)
-        if not accepted:
-            raise ConnectionRefused(f"{dst_host}:{port} rejected: {request._response}")
+    def _queue_request(self) -> None:
+        self.step = self._queued
+        self.listener.incoming.put(self.request).callbacks.append(self._resume)
 
-        # --- RTU: ready-to-use back to the passive side (not awaited there).
-        yield from fabric.transfer(self.nic.name, dst_host, CM_MESSAGE_BYTES)
-        return request._response
+    def _resume(self, _event: Event) -> None:
+        """Callback for an event waited on directly (not re-scheduled)."""
+        self.step()
+
+    def _queued(self) -> None:
+        """REP: wait for the passive side to accept or reject."""
+        decided = self.request._decided
+        self.step = self._decided
+        if decided.callbacks is None:  # accepted before the put was processed
+            self._decided()
+        else:
+            decided.callbacks.append(self._resume)
+
+    def _decided(self) -> None:
+        self.step = self._send_rep
+        self.env.schedule_timeout(self, CM_PROCESSING_NS)
+
+    def _send_rep(self) -> None:
+        self._transfer(self.dst_host, self.cm.nic.name, self._rep_arrived)
+
+    def _rep_arrived(self) -> None:
+        request = self.request
+        if not request._decided._value:
+            self._finish(
+                ConnectionRefused(f"{self.dst_host}:{self.port} rejected: {request._response}"),
+                False,
+            )
+            return
+        # RTU: ready-to-use back to the passive side (not awaited there).
+        self._transfer(self.cm.nic.name, self.dst_host, self._rtu_arrived)
+
+    def _rtu_arrived(self) -> None:
+        self._finish(self.request._response, True)
+
+    def _finish(self, value: Any, ok: bool) -> None:
+        # Drop the bound-method self-references before the caller
+        # resumes, so refcounting frees the finished handshake.
+        self.step = self.landed = None
+        self.done.fire(value, ok)
 
 
 def install_cm(nic: NIC) -> ConnectionManager:

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.rdma.constants import WCOpcode, WCStatus
-from repro.sim.events import Step
+from repro.sim.events import Event, Step
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
-    from repro.sim.events import Event
 
 
 @dataclass(slots=True)
@@ -101,9 +100,6 @@ class CompletionQueue:
             self._waiters.append(event)
         return event
 
-    # Backwards-compatible private alias.
-    _arrival_event = arrival_event
-
     def arm(self, step: Step) -> None:
         """Callback form of :meth:`arrival_event` for a state machine.
 
@@ -122,33 +118,28 @@ class CompletionQueue:
         """Generator: spin until at least one CQE is available.
 
         Usage inside a process: ``wcs = yield from cq.busy_poll()``.
-        Latency: poll_detect_ns after the CQE lands.
+        Latency: poll_detect_ns after the CQE lands.  A thin wrapper
+        over :class:`CQWait`: the caller resumes once, at the poll that
+        finds the CQEs.
         """
-        while True:
-            if not self._entries:
-                # Only allocate + schedule a wakeup event when the CQ is
-                # actually empty; same-tick batches of completions are
-                # drained in one poll with no event per CQE.
-                yield self._arrival_event()
-            yield self.env.timeout(self.nic.model.poll_detect_ns)
-            wcs = self.poll(max_entries)
-            if wcs:
-                return wcs
-            # A competing consumer drained the CQ between the event and
-            # our poll; spin again.
+        return (yield from self._wait(self.nic.model.poll_detect_ns, max_entries))
 
     def blocking_wait(self, max_entries: int = 16):
         """Generator: sleep on the completion channel until a CQE lands.
 
         Latency: blocking_notify_ns (interrupt + wakeup) after the CQE.
         """
-        while True:
-            if not self._entries:
-                yield self._arrival_event()
-            yield self.env.timeout(self.nic.model.blocking_notify_ns)
-            wcs = self.poll(max_entries)
-            if wcs:
-                return wcs
+        return (yield from self._wait(self.nic.model.blocking_notify_ns, max_entries))
+
+    def _wait(self, detect_ns: int, max_entries: int):
+        done = Event(self.env)
+        wait = CQWait(self, done.fire, detect_ns, max_entries)
+        wait.wait()
+        try:
+            return (yield done)
+        except BaseException:  # interrupted or closed: cancel lazily
+            wait.abandon()
+            raise
 
     # The owning NIC injects itself here at creation so the consumer
     # helpers can reach the latency model.
@@ -156,3 +147,51 @@ class CompletionQueue:
 
     def __repr__(self) -> str:
         return f"<CompletionQueue {self.name} pending={len(self._entries)}>"
+
+
+class CQWait(Step):
+    """``busy_poll``/``blocking_wait`` as a re-armable callback wait.
+
+    :meth:`wait` waits for the CQ to be non-empty (:meth:`CompletionQueue.arm`),
+    charges ``detect_ns`` (the poll-detect or blocking-notify latency),
+    polls, and hands the CQEs to ``deliver`` -- or waits again if a
+    competing consumer drained the CQ first.  It schedules exactly the
+    events the generator loop schedules, and ``deliver`` runs inside
+    the detect timeout that would resume that generator.
+    """
+
+    __slots__ = ("cq", "deliver", "detect_ns", "max_entries")
+
+    def __init__(
+        self,
+        cq: CompletionQueue,
+        deliver: Callable[[list[WorkCompletion]], None],
+        detect_ns: int,
+        max_entries: int = 16,
+    ) -> None:
+        super().__init__(cq.env)
+        self.cq = cq
+        self.deliver = deliver
+        self.detect_ns = detect_ns
+        self.max_entries = max_entries
+
+    def wait(self) -> None:
+        if self.cq._entries:
+            self._detect()
+            return
+        self.step = self._detect
+        self.cq.arm(self)
+
+    def _detect(self) -> None:
+        self.step = self._polled
+        self.env.schedule_timeout(self, self.detect_ns)
+
+    def _polled(self) -> None:
+        wcs = self.cq.poll(self.max_entries)
+        if wcs:
+            # Drop the bound-method self-reference: a finished one-shot
+            # wait is then freed by refcounting, not by the collector.
+            self.step = None
+            self.deliver(wcs)
+        else:
+            self.wait()

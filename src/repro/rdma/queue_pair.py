@@ -57,14 +57,18 @@ _NEEDED_ACCESS = {
     Opcode.ATOMIC_CMP_SWP: Access.REMOTE_ATOMIC,
 }
 
-#: The QP states each state may move to (a simplified legal-path check).
+#: The QP states each state may move to (a simplified legal-path check),
+#: as tuples: membership tests by identity, where a set of enum members
+#: would call ``Enum.__hash__`` (Python code) per lookup.
 _LEGAL_TRANSITIONS = {
-    QPState.RESET: {QPState.INIT, QPState.ERR},
-    QPState.INIT: {QPState.RTR, QPState.ERR, QPState.RESET},
-    QPState.RTR: {QPState.RTS, QPState.ERR, QPState.RESET},
-    QPState.RTS: {QPState.ERR, QPState.RESET},
-    QPState.ERR: {QPState.RESET},
+    QPState.RESET: (QPState.INIT, QPState.ERR),
+    QPState.INIT: (QPState.RTR, QPState.ERR, QPState.RESET),
+    QPState.RTR: (QPState.RTS, QPState.ERR, QPState.RESET),
+    QPState.RTS: (QPState.ERR, QPState.RESET),
+    QPState.ERR: (QPState.RESET,),
 }
+#: The same table by state value: the lookup hashes a str, not an enum.
+_LEGAL_BY_VALUE = {state.value: legal for state, legal in _LEGAL_TRANSITIONS.items()}
 
 
 class _WireOp(Step):
@@ -375,7 +379,7 @@ class QueuePair:
 
     def modify(self, state: QPState) -> None:
         """Transition the QP (simplified legal-path check)."""
-        if state not in _LEGAL_TRANSITIONS[self.state]:
+        if state not in _LEGAL_BY_VALUE[self.state._value_]:
             raise QPStateError(f"illegal transition {self.state} -> {state}")
         self.state = state
         if state is QPState.ERR:
@@ -422,6 +426,17 @@ class QueuePair:
             raise QPStateError(f"cannot post receive in state {self.state}")
         wr.validate()
         self._recv_queue.append(wr)
+
+    def post_recvs(self, wrs) -> None:
+        """Post a list of receives in order (``ibv_post_recv`` with a WR
+        chain): each is validated before it is queued, and one that
+        fails stops the chain, leaving the ones before it posted."""
+        if self.state is QPState.ERR:
+            raise QPStateError(f"cannot post receive in state {self.state}")
+        append = self._recv_queue.append
+        for wr in wrs:
+            wr.validate()
+            append(wr)
 
     def post_send(self, wr: SendWR) -> None:
         """Queue a work request on the NIC's per-QP send pipeline."""

@@ -96,6 +96,23 @@ class Event:
         self.env.schedule(self)
         return self
 
+    def fire(self, value: Any = None, ok: bool = True) -> None:
+        """Trigger *and process* the event now, without scheduling it.
+
+        For a state machine that finishes at one of its own events:
+        whoever waits on this event resumes inside that event's
+        processing, exactly as if it had waited on it directly, so the
+        schedule gains no event.  ``ok=False`` delivers *value* (an
+        exception) as a failure.
+        """
+        if self.triggered:
+            raise RuntimeError(f"{self!r} has already been triggered")
+        self._ok = ok
+        self._value = value
+        callbacks, self.callbacks = self.callbacks, None
+        for callback in callbacks:
+            callback(self)
+
     def trigger(self, event: "Event") -> None:
         """Trigger this event with the state (ok/value) of *event*.
 
@@ -211,6 +228,18 @@ class Step(BatchEvent):
     def __init__(self, env: "Environment", step: Optional[Callable[[], None]] = None) -> None:
         super().__init__(env, STEP)
         self.step = step
+
+    def abandon(self) -> None:
+        """Cancel the state machine lazily, as an interrupt cancels a wait.
+
+        Whatever it waits on stays scheduled (or armed) and fires as a
+        no-op, like the abandoned timeout of an interrupted process.
+        """
+        self.step = _abandoned
+
+
+def _abandoned() -> None:
+    """The pending step of an abandoned state machine."""
 
 
 class ConditionValue:

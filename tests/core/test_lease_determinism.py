@@ -89,3 +89,28 @@ def test_adhoc_lease_falls_back_to_global_stream():
         memory_bytes=1, issued_ns=0, timeout_ns=1, lease_id=777,
     )
     assert explicit.lease_id == 777
+
+
+def test_manager_request_ids_do_not_leak_across_runs(monkeypatch):
+    """A cold start's simulated times do not depend on how many manager
+    requests earlier runs in the same process issued: request ids are
+    drawn per manager client, so the pickled id keeps its length."""
+    import itertools
+
+    import repro.core.invoker as invoker_mod
+    from repro.core.deployment import Deployment
+    from repro.workloads.noop import noop_package
+
+    def cold_start():
+        dep = Deployment.build(executors=1, clients=1)
+        dep.settle()
+        invoker = dep.new_invoker()
+        breakdown = dep.run(invoker.allocate(noop_package(), workers=1))
+        dep.run(invoker.deallocate())
+        return breakdown.as_dict(), dep.env.now
+
+    first = cold_start()
+    # What a process-wide counter would read after ~70k earlier requests.
+    monkeypatch.setattr(invoker_mod, "_rpc_ids", itertools.count(70_000), raising=False)
+    assert cold_start() == first
+    assert first[0]["lease_grant"] == 28_020

@@ -189,6 +189,8 @@ def test_rings_keep_the_per_slot_block_layout():
         recv.addr + i * RPC_BUFFER_BYTES for i in range(RPC_RING_DEPTH)
     ]
     assert all(wr.local.mr is recv and wr.local.nbytes == RPC_BUFFER_BYTES for wr in posted)
-    # 11 messages consumed: the ring has rotated by 3 over the same WRs.
-    assert list(conn._recv_ring) == posted[3:] + posted[:3]
+    # 11 messages consumed: the ring has rotated by 3 over the same WRs,
+    # and the QP holds them in the order the next messages land in.
+    assert conn._recv_ring == posted and conn._recv_next == 3
+    assert list(conn.qp._recv_queue) == posted[3:] + posted[:3]
     assert conn._send_index == 3

@@ -12,7 +12,7 @@ import pytest
 from repro.experiments.bench import bench_invocation, bench_pingpong
 from repro.experiments.common import measure_rfaas_rtts
 from repro.experiments.registry import run_experiment
-from repro.parallel import RunSpec, fork_available, run_specs, spec_for_callable
+from repro.parallel import RunSpec, fork_available, run_specs
 
 FIG8_KWARGS = {"sizes": (64, 1024), "repetitions": 4}
 
@@ -46,8 +46,10 @@ def test_sweep_parallel_matches_serial():
     serial = [measure_rfaas_rtts(payload_size=size, repetitions=3) for size in sizes]
     fanned = run_specs(
         [
-            spec_for_callable(
-                measure_rfaas_rtts, {"payload_size": size, "repetitions": 3}, index=index
+            RunSpec(
+                "repro.experiments.common:measure_rfaas_rtts",
+                {"payload_size": size, "repetitions": 3},
+                index=index,
             )
             for index, size in enumerate(sizes)
         ],

@@ -13,7 +13,6 @@ from repro.parallel import (
     available_workers,
     resolve_workers,
     run_specs,
-    spec_for_callable,
 )
 from repro.sim.rng import RngStreams, derive_seed
 from tests.parallel import factories
@@ -47,24 +46,6 @@ def test_runspec_bad_path_rejected():
         RunSpec("no-colon-here", {}).resolve()
     with pytest.raises(ModuleNotFoundError):
         RunSpec("no.such.module:fn", {}).resolve()
-
-
-def test_spec_for_callable_round_trip():
-    spec = spec_for_callable(factories.double, {"x": 3}, index=5, label="pt")
-    assert spec.factory == "tests.parallel.factories:double"
-    assert spec.index == 5
-    assert spec.call() == 6
-
-
-def test_spec_for_callable_rejects_lambdas_and_closures():
-    with pytest.raises(ValueError):
-        spec_for_callable(lambda x: x, {"x": 1})
-
-    def local(x):
-        return x
-
-    with pytest.raises(ValueError):
-        spec_for_callable(local, {"x": 1})
 
 
 def test_derive_seed_matches_spawn_chain():

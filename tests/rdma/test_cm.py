@@ -127,3 +127,51 @@ def test_install_cm_idempotent():
     cm1 = install_cm(nic)
     cm2 = install_cm(nic)
     assert cm1 is cm2
+
+
+@pytest.mark.parametrize(
+    "interrupt_us, expected",
+    [
+        (50, (["interrupted"], 9, 150_000)),  # during the REQ's CM processing
+        (200, (["interrupted"], 12, 300_821)),  # request queued, not yet accepted
+        (400, (["interrupted"], 18, 400_821)),  # accepted, REP in flight
+        (470, (["interrupted"], 19, 550_821)),  # RTU in flight
+        (700, (["connected"], 22, 700_000)),  # already connected
+    ],
+)
+def test_interrupted_connect_is_cancelled_lazily(interrupt_us, expected):
+    """An interrupt ends the caller's connect at its current wait: that
+    wait still fires (as a no-op), the handshake goes no further, and a
+    later accept completes nothing -- the events and end instant the
+    generator handshake produced (pinned from it)."""
+    from repro.sim import Interrupt, us
+
+    env = Environment()
+    fabric, client, server = build(env)
+    listener = server.cm.listen(9000)
+    outcome = []
+
+    def server_proc():
+        request = yield listener.get_request()
+        yield env.timeout(us(100))
+        listener.accept(request, server.create_qp(server.create_pd(), server.create_cq()))
+
+    def client_proc():
+        qp = client.create_qp(client.create_pd(), client.create_cq())
+        try:
+            yield from client.cm.connect("server", 9000, qp)
+            outcome.append("connected")
+        except Interrupt:
+            outcome.append("interrupted")
+
+    env.process(server_proc())
+    proc = env.process(client_proc())
+
+    def interrupter():
+        yield env.timeout(us(interrupt_us))
+        if proc.is_alive:
+            proc.interrupt("stop")
+
+    env.process(interrupter())
+    env.run()
+    assert (outcome, env.events_processed, env.now) == expected

@@ -182,3 +182,43 @@ def test_link_queue_memory_stays_flat():
     model = LatencyModel()
     assert link.busy_time == sum(model.serialization_ns(size) for size in sizes)
     assert 0 < link.busy_time <= link.busy_until
+
+
+@pytest.mark.parametrize("consumer", ["busy_poll", "blocking_wait"])
+@pytest.mark.parametrize("interrupt_at", [50, 120])
+def test_interrupted_cq_wait_is_cancelled_lazily(consumer, interrupt_at):
+    """An interrupted consumer stops waiting: whatever it waited on (the
+    CQ arrival, or the detect delay once a CQE landed) still fires, as a
+    no-op, and no later poll takes a CQE from the next consumer."""
+    from repro.sim import Interrupt
+
+    env = Environment()
+    nic = Fabric(env).attach("a")
+    cq = nic.create_cq()
+    outcome = []
+
+    def waiter():
+        try:
+            outcome.append((yield from getattr(cq, consumer)()))
+        except Interrupt:
+            outcome.append("interrupted")
+
+    proc = env.process(waiter())
+
+    def driver():
+        yield env.timeout(100)
+        cq.push(WorkCompletion(wr_id=7, opcode=WCOpcode.RECV))
+
+    def interrupter():
+        yield env.timeout(interrupt_at)
+        proc.interrupt("stop")
+
+    env.process(driver())
+    env.process(interrupter())
+    env.run()
+    assert outcome == ["interrupted"]
+    assert [wc.wr_id for wc in cq.poll()] == [7]
+    # Three processes (start + end each), two sleeps, the interrupt, the
+    # wake-up the CQE still delivers to the abandoned wait and, when the
+    # wait was already in its detect delay, that delay.
+    assert env.events_processed == (11 if interrupt_at > 100 else 10)
