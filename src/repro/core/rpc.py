@@ -170,8 +170,8 @@ class _Acceptor(Step):
         self.env.schedule(self, priority=URGENT)  # the acceptor's start
 
     def _next(self) -> None:
+        self.step = None  # scheduled once, as the acceptor's start
         if self.listener.closed:
-            self.step = None
             self.env.schedule_timeout(BatchEvent(self.env, SKIP), 0)  # the acceptor's end
             return
         self.listener.get_request().callbacks.append(self._accept)
@@ -205,6 +205,9 @@ class _Server(Step):
         self.env.schedule(self, priority=URGENT)  # the serve loop's start
 
     def _next(self) -> None:
+        # Scheduled once, as the loop's start: from here on the loop is
+        # driven by receive and handler callbacks.
+        self.step = None
         if not self.connection.alive:
             self._end()
             return
@@ -237,7 +240,6 @@ class _Server(Step):
                 # The serve loop dies with the handler: its end event
                 # carries the error out of Environment.run.
                 self.gen = self.message = None
-                self.step = None
                 failed = Event(self.env)
                 failed._ok = False
                 failed._value = error
@@ -265,7 +267,6 @@ class _Server(Step):
         self._next()
 
     def _end(self) -> None:
-        self.step = None
         self.env.schedule_timeout(BatchEvent(self.env, SKIP), 0)  # the serve loop's end
 
 
