@@ -27,8 +27,6 @@ from repro.sim.events import SKIP, URGENT, BatchEvent, Event, Step
 RPC_BUFFER_BYTES = 64 * 1024
 RPC_RING_DEPTH = 8
 
-_LOCAL_WRITE = Access.LOCAL_WRITE
-
 
 class RpcConnection:
     """One side of an established RPC connection.
@@ -56,11 +54,11 @@ class RpcConnection:
         # after its processing delay, so reusing one buffer for two
         # back-to-back messages would corrupt the first (classic verbs
         # bug -- the buffer must stay stable until send completion).
-        self._send_mr = pd.register(block, _LOCAL_WRITE, addr=block.base, length=ring_bytes)
+        self._send_mr = pd.register(block, Access.LOCAL_WRITE, addr=block.base, length=ring_bytes)
         self._send_slots = ring_depth
         self._send_index = 0
         self._recv_mr = recv_mr = pd.register(
-            block, _LOCAL_WRITE, addr=block.base + ring_bytes, length=ring_bytes
+            block, Access.LOCAL_WRITE, addr=block.base + ring_bytes, length=ring_bytes
         )
         #: The ring's receives, posted in slot order: the QP consumes
         #: them in that order, and each is re-posted once read, so the
@@ -139,7 +137,7 @@ class RpcConnection:
 RpcHandler = Callable[[Any, RpcConnection], Any]
 
 
-def rpc_listen(nic: NIC, port: int, handler: RpcHandler, *, name: Optional[str] = None):
+def rpc_listen(nic: NIC, port: int, handler: RpcHandler):
     """Start an RPC server on *nic:port*; returns the listener.
 
     For every accepted connection a serve loop runs *handler* on each
@@ -148,8 +146,7 @@ def rpc_listen(nic: NIC, port: int, handler: RpcHandler, *, name: Optional[str] 
     returning ``None`` sends no response (one-way messages).  The
     acceptor and each serve loop are callback state machines
     (:class:`_Acceptor`, :class:`_Server`) scheduling the events their
-    generator processes did; *name* is accepted for compatibility and
-    unused.
+    generator processes did.
     """
     cm = install_cm(nic)
     listener = cm.listen(port)
@@ -191,7 +188,9 @@ class _Server(Step):
 
     Receives block on the completion channel; a generator handler is
     driven here, waiting on the events it yields, and its return value
-    is the response.
+    is the response.  A ``Process`` per request would schedule a start
+    and an end event of its own; the serve loop's generator ran its
+    handlers inline, and so does this.
     """
 
     __slots__ = ("connection", "handler", "message", "gen")

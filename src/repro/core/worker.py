@@ -38,10 +38,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executor import Allocation, SpotExecutor
     from repro.rdma.device import NIC
 
-#: MR access of the input buffer (clients write into it) and of the
-#: worker's local-only buffers; Flag unions are slow, so combine once.
+#: MR access of the input buffer (clients write into it); Flag unions
+#: are slow, so combine once.
 _INPUT_ACCESS = Access.LOCAL_WRITE | Access.REMOTE_WRITE
-_LOCAL_WRITE = Access.LOCAL_WRITE
 
 
 @dataclass
@@ -101,9 +100,9 @@ class Worker:
         self.input_mr = pd.register(self._input_block, _INPUT_ACCESS)
         # Staging buffer for function output before the response write.
         self._output_block = self.nic.alloc(size, virtual=virtual)
-        self.output_mr = pd.register(self._output_block, _LOCAL_WRITE)
+        self.output_mr = pd.register(self._output_block, Access.LOCAL_WRITE)
         # Tiny landing zone for the zero-byte parts of WRITE_WITH_IMM.
-        self._scratch_mr = pd.register(self.nic.alloc(64), _LOCAL_WRITE)
+        self._scratch_mr = pd.register(self.nic.alloc(64), Access.LOCAL_WRITE)
         # Stateless zero-byte landing WR, re-posted for every receive.
         self._recv_wr = RecvWR(sge(self._scratch_mr, 0, 0))
         self.recv_cq = self.nic.create_cq(name="worker.recv")

@@ -16,7 +16,7 @@ Two drivers replay the *same* deterministic calendar:
   :class:`~repro.core.resource_manager.ResourceManager` RPC path: every
   request is an ``env.process`` yielding the manager's decision delay,
   every renewal a chained timeout feeding ``lease_renew``, every expiry
-  the manager's own ``_expire_later`` process, churn a
+  the manager's own lease-expiry sleeper (``_LeaseExpiry``), churn a
   ``deregister_executor`` RPC whose termination announcements fan out
   to the clients.  This is the bit-identity referee.
 * ``kernel`` -- no event queue: one loop over a merge of the

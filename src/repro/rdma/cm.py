@@ -122,7 +122,7 @@ class _Handshake(Step):
 
     __slots__ = (
         "cm", "dst_host", "port", "qp", "private_data", "done",
-        "listener", "request", "path", "size", "landed",
+        "listener", "request", "path", "landed",
     )
 
     def __init__(
@@ -140,16 +140,15 @@ class _Handshake(Step):
         self.request: Optional[ConnectionRequest] = None
         #: The transfer in progress and the step to run once it landed.
         self.path: Any = None
-        self.size = 0
         self.landed: Any = None
         cm.env.schedule_timeout(self, CM_PROCESSING_NS)
 
     # -- one fabric transfer --------------------------------------------------
 
     def _transfer(self, src: str, dst: str, landed: Any) -> None:
+        """One CM message from *src* to *dst*, then *landed*."""
         fabric = self.cm.nic.fabric
         self.path = fabric.path(src, dst)
-        self.size = CM_MESSAGE_BYTES
         self.landed = landed
         penalty = fabric.penalty_ns()
         if penalty:
@@ -165,9 +164,9 @@ class _Handshake(Step):
         fabric = self.cm.nic.fabric
         if path.loopback:
             self.step = self.landed
-            env.schedule_timeout(self, fabric.loopback_ns(self.size))
+            env.schedule_timeout(self, fabric.loopback_ns(CM_MESSAGE_BYTES))
             return
-        head = fabric.head_arrival(path, self.size)
+        head = fabric.head_arrival(path, CM_MESSAGE_BYTES)
         if head > env._now:
             self.step = self._tail
             env.schedule_timeout(self, head - env._now)
@@ -175,7 +174,7 @@ class _Handshake(Step):
         self._tail()
 
     def _tail(self) -> None:
-        _, tail = self.path.ingress.reserve(self.size)
+        _, tail = self.path.ingress.reserve(CM_MESSAGE_BYTES)
         env = self.env
         if tail > env._now:
             self.step = self.landed
@@ -187,7 +186,10 @@ class _Handshake(Step):
 
     def _send_req(self) -> None:
         """REQ: route the request to the destination CM."""
-        self._transfer(self.cm.nic.name, self.dst_host, self._req_arrived)
+        try:
+            self._transfer(self.cm.nic.name, self.dst_host, self._req_arrived)
+        except KeyError as error:  # no such host: the caller sees it here
+            self._finish(error, False)
 
     def _req_arrived(self) -> None:
         dst_cm: Optional[ConnectionManager] = self.cm.nic.fabric.nic(self.dst_host).cm
