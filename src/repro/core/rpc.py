@@ -13,7 +13,7 @@ objects; sends are unsignaled (errors surface as QP state changes).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.core.protocol import decode_control, encode_control
 from repro.rdma.cm import install_cm
@@ -37,10 +37,11 @@ class RpcConnection:
     of its MR.  The receive ring's work requests are built once and
     re-posted in ring order as each message is consumed.
 
-    Receiving is one re-armed :class:`~repro.rdma.completion.CQWait`
-    per connection: :meth:`receive` hands the next message to a
-    callback, and the generator :meth:`_receive` (behind :meth:`call`)
-    is a thin wrapper over it.
+    Receiving is a :class:`~repro.rdma.completion.CQWait` per receive:
+    :meth:`receive` hands the next message to a callback, and the
+    generator :meth:`_receive` (behind :meth:`call`) is a thin wrapper
+    over it.  Concurrent receives on one connection each wait and poll
+    on their own, as concurrent generator receives did.
     """
 
     def __init__(self, nic: NIC, qp, *, ring_depth: int = RPC_RING_DEPTH) -> None:
@@ -72,9 +73,6 @@ class RpcConnection:
         model = nic.model
         self._poll_ns = model.poll_detect_ns
         self._notify_ns = model.blocking_notify_ns
-        #: The receive wait, and who gets the message it finds.
-        self._rx = CQWait(qp.recv_cq, self._received, 0, 1)
-        self._deliver: Optional[Callable[[Any], None]] = None
 
     @property
     def alive(self) -> bool:
@@ -89,38 +87,39 @@ class RpcConnection:
         self._send_mr.write(offset, data)
         self.qp.post_send(SendWR(Opcode.SEND, sge(self._send_mr, offset, len(data)), signaled=False))
 
-    def receive(self, deliver: Callable[[Any], None], blocking: bool = True) -> None:
+    def receive(self, deliver: Callable[[Any], None], blocking: bool = True) -> CQWait:
         """Callback form of :meth:`_receive`: ``deliver(message)`` runs
         inside the detect timeout (blocking notify or busy poll) that
-        would resume a :meth:`_receive` caller; None on flush/teardown."""
-        rx = self._rx
-        rx.detect_ns = self._notify_ns if blocking else self._poll_ns
-        self._deliver = deliver
-        rx.wait()
+        would resume a :meth:`_receive` caller; None on flush/teardown.
+        Returns the wait, which the caller may abandon."""
+        wait = CQWait(
+            self.qp.recv_cq,
+            lambda wcs: deliver(self._message(wcs[0])),
+            self._notify_ns if blocking else self._poll_ns,
+            1,
+        )
+        wait.wait()
+        return wait
 
-    def _received(self, wcs: list) -> None:
-        deliver, self._deliver = self._deliver, None
-        wc = wcs[0]
+    def _message(self, wc) -> Any:
+        """Decode the message *wc* completed and re-post its ring slot."""
         if not wc.ok:
-            deliver(None)
-            return
+            return None
         ring = self._recv_ring
         wr = ring[self._recv_next]
         self._recv_next = (self._recv_next + 1) % len(ring)
         message = decode_control(self._recv_mr.read(wr.local.offset, wc.byte_len))
         self.qp.post_recv(wr)
-        deliver(message)
+        return message
 
     def _receive(self, blocking: bool = True):
         """Generator: next decoded message (None on flush/teardown)."""
         done = Event(self.env)
-        self.receive(done.fire, blocking)
+        wait = self.receive(done.fire, blocking)
         try:
             return (yield done)
         except BaseException:  # interrupted or closed: cancel lazily
-            self._rx.abandon()
-            self._rx = CQWait(self.qp.recv_cq, self._received, 0, 1)
-            self._deliver = None
+            wait.abandon()
             raise
 
     def call(self, request: Any, blocking: bool = True):

@@ -194,3 +194,36 @@ def test_rings_keep_the_per_slot_block_layout():
     assert conn._recv_ring == posted and conn._recv_next == 3
     assert list(conn.qp._recv_queue) == posted[3:] + posted[:3]
     assert conn._send_index == 3
+
+
+def test_concurrent_calls_on_one_connection():
+    """Two processes calling over one connection each wait and poll on
+    their own: whichever poll comes first after a reply takes it (with no
+    demux, the busy poller gets the reply to the other's request), and
+    the other waits on.  Events and instants are those of two generator
+    receives (pinned from them)."""
+    env, server, client = setup()
+
+    def handler(message, conn):
+        yield env.timeout(1_000 * (3 - message))
+        return {"n": message}
+
+    rpc_listen(server, 9000, handler)
+    replies = []
+    box = []
+
+    def opener():
+        box.append((yield from rpc_connect(client, "server", 9000)))
+
+    env.process(opener())
+    env.run()
+    conn = box[0]
+
+    def caller(n, blocking):
+        replies.append((n, (yield from conn.call(n, blocking=blocking)), env.now))
+
+    env.process(caller(1, True))
+    env.process(caller(2, False))
+    env.run()
+    assert replies == [(2, {"n": 1}, 463_107), (1, {"n": 2}, 472_840)]
+    assert env.events_processed == 67
