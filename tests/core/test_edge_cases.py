@@ -5,6 +5,7 @@ import pytest
 from repro.core import AllocationError, CodePackage, Deployment, FunctionSpec, RFaaSConfig
 from repro.core.functions import echo_function
 from repro.rdma import QPState
+from repro.rdma.cm import install_cm
 from repro.sim import GiB, ms, secs
 
 from tests.core.conftest import make_package
@@ -211,3 +212,52 @@ def test_executor_kill_mid_execution_fails_future_via_heartbeat():
             return "failed-as-expected"
 
     assert dep.run(driver()) == "failed-as-expected"
+
+
+def _connect_refused(dep, host, port):
+    """Whether a fresh client QP's CM connect to *host:port* is refused
+    within 10 ms (a handshake takes ~0.5 ms)."""
+    from repro.rdma import ConnectionRefused
+
+    nic = dep.add_client_node().nic
+    install_cm(nic)
+    qp = nic.create_qp(nic.create_pd(), nic.create_cq())
+    outcome = []
+
+    def driver():
+        try:
+            yield from nic.cm.connect(host, port, qp)
+            outcome.append("connected")
+        except ConnectionRefused:
+            outcome.append("refused")
+
+    dep.env.process(driver())
+    dep.env.run(until=dep.env.now + ms(10))
+    return outcome == ["refused"]
+
+
+def test_worker_port_serves_only_the_lease_connection():
+    """A worker's port accepts the lease's own connection, then closes:
+    a second client connecting to it is refused."""
+    dep = build()
+    inv = dep.new_invoker()
+    dep.run(inv.allocate(make_package(), workers=1))
+    worker = dep.executors[0].allocations[inv.connections[0].lease.lease_id].workers[0]
+    assert inv.connections[0].qp.remote is worker.qp
+    assert _connect_refused(dep, dep.executors[0].nic.name, worker.worker_id)
+    # The lease's connection is unaffected.
+    in_buf, out_buf = inv.alloc_input(8), inv.alloc_output(8)
+    in_buf.write(b"still-up")
+    result = dep.run(_wait(inv.submit("echo", in_buf, 8, out_buf)))
+    assert result.output() == b"still-up"
+
+
+def test_killed_executor_refuses_allocator_connections():
+    dep = build()
+    executor = dep.executors[0]
+    executor.kill()
+    assert _connect_refused(dep, executor.nic.name, executor.port)
+
+
+def _wait(future):
+    return (yield future.wait())

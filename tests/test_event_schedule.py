@@ -33,9 +33,10 @@ from repro.cluster.node import NodeSpec
 from repro.core import CodePackage, Deployment, FunctionSpec, RFaaSConfig
 from repro.core.errors import RFaaSError
 from repro.core.functions import echo_function
-from repro.rdma import Access, Fabric, Opcode, QPState, QueuePair, RecvWR, SendWR, sge
+from repro.rdma import Access, ConnectionRefused, Fabric, Opcode, QPState, QueuePair, RecvWR, SendWR, sge
+from repro.rdma.cm import install_cm
 from repro.rdma.fabric import FaultModel
-from repro.sim import Environment, GiB, ms, us
+from repro.sim import Environment, GiB, Interrupt, ms, us
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "event_schedule_golden.json")
 
@@ -578,6 +579,105 @@ def peer_torn_down_mid_flight():
     return {"responder_err": first, "requester_reset": pair.completions()}
 
 
+# -- generator transfers and CM handshakes ------------------------------------------
+
+
+def _links(fabric) -> dict:
+    return {
+        name: [a.egress.busy_until, a.egress.bytes_carried, a.ingress.busy_until, a.ingress.bytes_carried]
+        for name, a in sorted(fabric._attachments.items())
+    }
+
+
+def fabric_transfers():
+    """Generator ``Fabric.transfer`` traffic, the path TCP and MPI use:
+    concurrent transfers under seeded faults, a loopback transfer, and
+    transfers interrupted during a fault penalty, the head wait and the
+    tail wait."""
+    env = Environment()
+    fabric = Fabric(env, faults=FaultModel(probability=0.3, seed=7, retransmit_delay_ns=us(3)))
+    for name in ("a", "b", "c"):
+        fabric.attach(name)
+    finished = []
+
+    def send(tag, src, dst, size, delay=0):
+        if delay:
+            yield env.timeout(delay)
+        try:
+            yield from fabric.transfer(src, dst, size)
+            finished.append([tag, "done", env.now])
+        except Interrupt as interrupt:
+            finished.append([tag, interrupt.cause, env.now])
+
+    for i in range(10):
+        env.process(send(i, "ac"[i % 2], "b", 700 * (i + 1), delay=150 * (i % 3)))
+    env.process(send("loop", "c", "c", 5000))
+
+    def interrupter(victim, at, cause):
+        yield env.timeout(at)
+        if victim.is_alive:
+            victim.interrupt(cause)
+
+    for i, offset in enumerate((60, 2_500, 60, 2_500, 60, 2_500)):
+        start = 9_000 * i
+        victim = env.process(send(f"cut{i}", "b", "a", 1 << 16, delay=start))
+        env.process(interrupter(victim, start + offset, f"stop{i}"))
+    env.run()
+    return {
+        "finished": finished,
+        "links": _links(fabric),
+        "faults": fabric.faults.faults_injected,
+        "now": env.now,
+        "events_processed": env.events_processed,
+    }
+
+
+def cm_handshakes():
+    """CM handshakes over loopback, accepted and rejected by a listener,
+    refused (nobody listening) and to an unknown host (``KeyError``)."""
+    env = Environment()
+    fabric = Fabric(env)
+    a, b = fabric.attach("a"), fabric.attach("b")
+    for nic in (a, b):
+        install_cm(nic)
+    outcomes = []
+
+    def serve(nic, port, accept):
+        listener = nic.cm.listen(port)
+        request = yield listener.get_request()
+        yield env.timeout(us(20))
+        if accept:
+            qp = nic.create_qp(nic.create_pd(), nic.create_cq())
+            listener.accept(request, qp, private_data={"port": port})
+        else:
+            listener.reject(request, reason="full")
+
+    def connect(tag, host, port, delay=0):
+        yield env.timeout(delay)
+        qp = a.create_qp(a.create_pd(), a.create_cq())
+        try:
+            result = yield from a.cm.connect(host, port, qp, private_data=tag)
+            outcomes.append([tag, "connected", result.private_data, qp.state.value, env.now])
+        except (ConnectionRefused, KeyError) as error:
+            outcomes.append([tag, type(error).__name__, str(error), qp.state.value, env.now])
+
+    env.process(serve(a, 1, True))
+    env.process(serve(b, 2, True))
+    env.process(serve(b, 3, False))
+    env.process(connect("loopback", "a", 1))
+    env.process(connect("remote", "b", 2, delay=us(5)))
+    env.process(connect("rejected", "b", 3, delay=us(5)))
+    env.process(connect("refused", "b", 4))
+    env.process(connect("unknown", "nowhere", 1, delay=us(1)))
+    env.run()
+    return {
+        "outcomes": outcomes,
+        "links": _links(fabric),
+        "now": env.now,
+        "events_processed": env.events_processed,
+    }
+
+
 SCENARIOS = {
     fn.__name__: fn
     for fn in (
@@ -604,6 +704,8 @@ SCENARIOS = {
         fault_injection_verbs,
         qp_err_mid_flight,
         peer_torn_down_mid_flight,
+        fabric_transfers,
+        cm_handshakes,
     )
 }
 
