@@ -24,7 +24,6 @@ from repro.rdma.cm import install_cm
 from repro.rdma.constants import Access, Opcode
 from repro.rdma.verbs import SendWR, sge
 from repro.sim.clock import secs
-from repro.sim.events import SKIP, URGENT, BatchEvent, Step
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
@@ -147,7 +146,7 @@ class SpotExecutor:
             return self._do_lease_expired(message)
         if kind == "ping":
             return self._do_ping(message)
-        return iter_return({"error": f"unknown message type {kind!r}"})
+        return {"error": f"unknown message type {kind!r}"}
 
     def _do_ping(self, message: Any):
         yield self.env.timeout(0)
@@ -259,8 +258,14 @@ class SpotExecutor:
         }
 
     def _listen_for_worker(self, worker: Worker) -> None:
-        """CM listener handing the worker's QP to the connecting client."""
-        _WorkerAcceptor(self.nic.cm.listen(worker.worker_id), worker)
+        """A one-shot CM port handing the worker's QP to the client."""
+        listener = self.nic.cm.listen(worker.worker_id)
+
+        def accept(request) -> None:
+            listener.accept(request, worker.qp, private_data=worker.connection_settings())
+            listener.close()
+
+        listener.serve(accept)
 
     def _do_lease_expired(self, message: Any):
         """Manager-driven reclamation of an expired lease (one-way)."""
@@ -401,33 +406,3 @@ class SpotExecutor:
         if self._reaper.is_alive:
             self._reaper.interrupt("executor killed")
         self._listener.close()
-
-
-class _WorkerAcceptor(Step):
-    """Accepts one connection on a worker's port with the worker's QP,
-    then closes the port: the events of a one-shot acceptor process."""
-
-    __slots__ = ("listener", "worker")
-
-    def __init__(self, listener: Any, worker: Worker) -> None:
-        super().__init__(worker.env, self._listen)
-        self.listener = listener
-        self.worker = worker
-        self.env.schedule(self, priority=URGENT)  # the acceptor's start
-
-    def _listen(self) -> None:
-        self.step = None
-        self.listener.get_request().callbacks.append(self._accept)
-
-    def _accept(self, event: Any) -> None:
-        listener = self.listener
-        worker = self.worker
-        listener.accept(event._value, worker.qp, private_data=worker.connection_settings())
-        listener.close()
-        self.env.schedule_timeout(BatchEvent(self.env, SKIP), 0)  # the acceptor's end
-
-
-def iter_return(value):
-    """A generator that immediately returns *value* (handler helper)."""
-    return value
-    yield  # pragma: no cover - makes this a generator

@@ -31,9 +31,10 @@ from repro.core.functions import CodePackage
 from repro.core.leases import Lease, LeaseState
 from repro.core.rpc import RpcConnection, rpc_connect
 from repro.rdma.cm import install_cm
+from repro.rdma.completion import CQWait
 from repro.rdma.constants import Access, Opcode, WCStatus
 from repro.rdma.verbs import RecvWR, SendWR, sge
-from repro.sim.events import SKIP, URGENT, BatchEvent, Step
+from repro.sim.events import Step
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rdma.device import NIC
@@ -282,59 +283,42 @@ class WorkerConnection:
 class _CompletionLoop(Step):
     """Per-connection consumer of response CQEs.
 
-    A callback state machine on this one re-armed event: it polls
-    (``CompletionQueue.busy_poll``) or blocks (``blocking_wait``) per
-    the invoker's completion mode, then charges ``client_complete_ns``
-    per successful CQE before fulfilling its future -- the events a
-    generator process running that loop would schedule.
+    Polls (``CompletionQueue.busy_poll``) or blocks (``blocking_wait``)
+    per the invoker's completion mode through one re-armed
+    :class:`~repro.rdma.completion.CQWait`, then charges
+    ``client_complete_ns`` per successful CQE on this Step before
+    fulfilling its future -- the events a generator process running
+    that loop would schedule.
     """
 
-    __slots__ = ("invoker", "connection", "cq", "detect_ns", "complete_ns", "wcs", "index")
+    __slots__ = ("invoker", "connection", "wait", "complete_ns", "wcs", "index")
 
     def __init__(self, invoker: "Invoker", connection: WorkerConnection) -> None:
         super().__init__(invoker.env, self._top)
         self.invoker = invoker
         self.connection = connection
-        self.cq = connection.qp.recv_cq
-        #: Wake-up cost of the current consumer style.
-        self.detect_ns = 0
+        self.wait = CQWait(connection.qp.recv_cq, self._polled, 0, 16)
         #: Client-side cost of one response (the config is frozen).
         self.complete_ns = invoker.config.timings.client_complete_ns
         #: The CQEs of the last poll and the next one to complete.
         self.wcs: list = []
         self.index = 0
-        self.env.schedule(self, priority=URGENT)
+        self.start()
 
     def _top(self) -> None:
         if not self.connection.alive:
-            self.step = None
-            self.env.schedule_timeout(BatchEvent(self.env, SKIP), 0)  # the loop's end
+            self.step = self.wait = None
+            self.end()
             return
-        model = self.cq.nic.model
+        wait = self.wait
+        model = wait.cq.nic.model
         if self.invoker.completion_mode == "polling":
-            self.detect_ns = model.poll_detect_ns
+            wait.detect_ns = model.poll_detect_ns
         else:
-            self.detect_ns = model.blocking_notify_ns
-        self._wait()
+            wait.detect_ns = model.blocking_notify_ns
+        wait.wait()
 
-    def _wait(self) -> None:
-        if len(self.cq) == 0:
-            self.step = self._detect
-            self.cq.arm(self)
-            return
-        self._detect()
-
-    def _detect(self) -> None:
-        self.step = self._polled
-        self.env.schedule_timeout(self, self.detect_ns)
-
-    def _polled(self) -> None:
-        wcs = self.cq.poll(max_entries=16)
-        if not wcs:
-            # A competing consumer drained the CQ between the wake-up
-            # and our poll; wait again.
-            self._wait()
-            return
+    def _polled(self, wcs: list) -> None:
         self.wcs = wcs
         self.index = 0
         self._next_wc()
@@ -359,9 +343,8 @@ class _CompletionLoop(Step):
 class _ManagerClient:
     """Demuxed RPC client: responses by id, notifications to the invoker.
 
-    The demux loop is a callback chain on the connection's receive
-    (:meth:`RpcConnection.receive`), scheduling the events a demux
-    process would: its start, every blocking wait, its end.
+    The demux is the connection's serve loop
+    (:meth:`RpcConnection.serve`) with a handler that answers nothing.
     """
 
     def __init__(self, invoker: "Invoker", conn: RpcConnection) -> None:
@@ -372,8 +355,7 @@ class _ManagerClient:
         #: request, so a process-wide stream would make message sizes
         #: (and simulated times) depend on what earlier runs issued.
         self._rpc_ids = count(1)
-        env = invoker.env
-        env.schedule(Step(env, self._demux), priority=URGENT)  # the loop's start
+        conn.serve(self._dispatch)
 
     def request(self, message: dict):
         """Generator: RPC call routed through the demux loop."""
@@ -386,27 +368,13 @@ class _ManagerClient:
         response = yield event
         return response
 
-    def _demux(self) -> None:
-        if self.conn.alive:
-            self.conn.receive(self._dispatch)
-        else:
-            self._end()
-
-    def _dispatch(self, message: Any) -> None:
-        if message is None:
-            self._end()
-            return
+    def _dispatch(self, message: Any, _conn: RpcConnection) -> None:
         rpc_id = message.get("_rpc_id") if isinstance(message, dict) else None
         event = self._pending.pop(rpc_id, None) if rpc_id is not None else None
         if event is not None:
             event.succeed(message)
         else:
             self.invoker._on_notification(message)
-        self._demux()
-
-    def _end(self) -> None:
-        env = self.invoker.env
-        env.schedule_timeout(BatchEvent(env, SKIP), 0)  # the loop's end
 
 
 class Invoker:

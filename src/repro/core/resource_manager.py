@@ -20,7 +20,7 @@ from repro.core.config import RFaaSConfig
 from repro.core.leases import Lease, LeaseState, sign_lease
 from repro.core.placement import RoundRobinFirstFit
 from repro.core.rpc import RpcConnection, rpc_connect, rpc_listen
-from repro.sim.events import SKIP, URGENT, AnyOf, BatchEvent, Step
+from repro.sim.events import AnyOf, Step
 
 #: Lease-id namespaces of replicated managers are spaced this far
 #: apart, so ids stay unique across a deployment without any shared
@@ -378,7 +378,7 @@ class _LeaseExpiry(Step):
         self.manager = manager
         self.lease = lease
         self.record = record
-        self.env.schedule(self, priority=URGENT)  # the expiry's start
+        self.start()
 
     def _sleep(self) -> None:
         remaining = self.lease.expiry_ns - self.env._now
@@ -401,4 +401,4 @@ class _LeaseExpiry(Step):
 
     def _end(self) -> None:
         self.step = None
-        self.env.schedule_timeout(BatchEvent(self.env, SKIP), 0)  # the expiry's end
+        self.end()

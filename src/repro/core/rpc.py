@@ -22,9 +22,12 @@ from repro.rdma.constants import Access, Opcode
 from repro.rdma.device import NIC
 from repro.rdma.errors import RdmaError
 from repro.rdma.verbs import RecvWR, SendWR, sge
-from repro.sim.events import SKIP, URGENT, BatchEvent, Event, Step
+from repro.sim.events import Event, Step
 
 RPC_BUFFER_BYTES = 64 * 1024
+#: Messages a connection may have in flight: sends are unsignaled and
+#: the NIC reads a slot only at delivery, so a 9th message posted in
+#: one burst overwrites the 1st (docs/protocol.md).
 RPC_RING_DEPTH = 8
 
 
@@ -115,12 +118,7 @@ class RpcConnection:
     def _receive(self, blocking: bool = True):
         """Generator: next decoded message (None on flush/teardown)."""
         done = Event(self.env)
-        wait = self.receive(done.fire, blocking)
-        try:
-            return (yield done)
-        except BaseException:  # interrupted or closed: cancel lazily
-            wait.abandon()
-            raise
+        return (yield from self.receive(done.fire, blocking).join(done))
 
     def call(self, request: Any, blocking: bool = True):
         """Generator: send *request*, return the peer's response."""
@@ -131,6 +129,12 @@ class RpcConnection:
         """One-way message, no response expected."""
         self._post_message(message)
 
+    def serve(self, handler: "RpcHandler") -> None:
+        """Run *handler* on every message this side receives until the
+        connection fails, sending back each non-None result
+        (:class:`_Server`)."""
+        _Server(self, handler)
+
 
 #: A server handler: (request, connection) -> generator returning response.
 RpcHandler = Callable[[Any, RpcConnection], Any]
@@ -139,57 +143,32 @@ RpcHandler = Callable[[Any, RpcConnection], Any]
 def rpc_listen(nic: NIC, port: int, handler: RpcHandler):
     """Start an RPC server on *nic:port*; returns the listener.
 
-    For every accepted connection a serve loop runs *handler* on each
-    incoming request (the handler is a generator so it may perform
-    further simulated work) and sends back its return value.  A handler
-    returning ``None`` sends no response (one-way messages).  The
-    acceptor and each serve loop are callback state machines
-    (:class:`_Acceptor`, :class:`_Server`) scheduling the events their
-    generator processes did.
+    For every accepted connection a serve loop
+    (:meth:`RpcConnection.serve`) runs *handler* on each incoming
+    request (the handler is a generator so it may perform further
+    simulated work) and sends back its return value.  A handler
+    returning ``None`` sends no response (one-way messages).
     """
-    cm = install_cm(nic)
-    listener = cm.listen(port)
-    _Acceptor(nic, listener, handler)
-    return listener
+    listener = install_cm(nic).listen(port)
 
-
-class _Acceptor(Step):
-    """The RPC acceptor: one verbs endpoint and serve loop per request."""
-
-    __slots__ = ("nic", "listener", "handler")
-
-    def __init__(self, nic: NIC, listener, handler: RpcHandler) -> None:
-        super().__init__(nic.env, self._next)
-        self.nic = nic
-        self.listener = listener
-        self.handler = handler
-        self.env.schedule(self, priority=URGENT)  # the acceptor's start
-
-    def _next(self) -> None:
-        self.step = None  # scheduled once, as the acceptor's start
-        if self.listener.closed:
-            self.env.schedule_timeout(BatchEvent(self.env, SKIP), 0)  # the acceptor's end
-            return
-        self.listener.get_request().callbacks.append(self._accept)
-
-    def _accept(self, event: Event) -> None:
-        nic = self.nic
+    def accept(request) -> None:
         pd = nic.create_pd()
         cq = nic.create_cq(name="rpc")
         qp = nic.create_qp(pd, cq)
-        self.listener.accept(event._value, qp, private_data={"rpc": True})
-        _Server(RpcConnection(nic, qp), self.handler)
-        self._next()
+        listener.accept(request, qp, private_data={"rpc": True})
+        RpcConnection(nic, qp).serve(handler)
+
+    listener.serve(accept)
+    return listener
 
 
 class _Server(Step):
-    """One accepted connection's serve loop.
+    """A connection's serve loop: an accepted RPC connection's, and the
+    invoker's manager-client demux (a handler that answers nothing).
 
     Receives block on the completion channel; a generator handler is
     driven here, waiting on the events it yields, and its return value
-    is the response.  A ``Process`` per request would schedule a start
-    and an end event of its own; the serve loop's generator ran its
-    handlers inline, and so does this.
+    is the response.
     """
 
     __slots__ = ("connection", "handler", "message", "gen")
@@ -200,23 +179,25 @@ class _Server(Step):
         self.handler = handler
         self.message: Any = None
         self.gen: Any = None
-        self.env.schedule(self, priority=URGENT)  # the serve loop's start
+        self.start()
 
     def _next(self) -> None:
         # Scheduled once, as the loop's start: from here on the loop is
         # driven by receive and handler callbacks.
         self.step = None
         if not self.connection.alive:
-            self._end()
+            self.end()
             return
         self.connection.receive(self._serve)
 
     def _serve(self, message: Any) -> None:
         if message is None:
-            self._end()
+            self.end()
             return
         result = self.handler(message, self.connection)
         if hasattr(result, "send"):  # generator handler
+            # Driven inline, as the generator serve loop ran it: a
+            # Process per request would add a start and an end event.
             self.message = message
             self.gen = result
             self._drive(True, None)
@@ -263,9 +244,6 @@ class _Server(Step):
                 result = {**result, "_rpc_id": message["_rpc_id"]}
             self.connection._post_message(result)
         self._next()
-
-    def _end(self) -> None:
-        self.env.schedule_timeout(BatchEvent(self.env, SKIP), 0)  # the serve loop's end
 
 
 def rpc_connect(nic: NIC, host: str, port: int):

@@ -16,9 +16,10 @@ function handler, charges the cost model's virtual time, and answers
 with a single WRITE_WITH_IMM into the client's result buffer.
 
 The loop is a callback state machine on one re-armed
-:class:`~repro.sim.events.Step`: each method below is one step, and it
-schedules exactly the events a generator process running the same loop
-would (its start, every wait, and its end).
+:class:`~repro.sim.events.Step` (the warm wait is a
+:class:`~repro.rdma.completion.CQWait`): each method below is one step,
+and it schedules exactly the events a generator process running the
+same loop would (its start, every wait, and its end).
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from repro.core import protocol
 from repro.core.config import RFaaSConfig
 from repro.core.functions import CodePackage
 from repro.core.sandbox import SandboxProfile
+from repro.rdma.completion import CQWait
 from repro.rdma.constants import Access, Opcode, WCStatus
 from repro.rdma.verbs import RecvWR, SendWR, sge
-from repro.sim.events import SKIP, URGENT, AnyOf, BatchEvent, Step
+from repro.sim.events import AnyOf, Step
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executor import Allocation, SpotExecutor
@@ -117,6 +119,8 @@ class Worker:
         self._output_stride = self.output_mr.length // self.pipeline_depth
         #: The loop's event; ``step`` points at what it waits to do next.
         self._step = Step(self.env, self._next)
+        #: The warm wait: sleep on the completion channel.
+        self._warm = CQWait(self.recv_cq, self._warm_polled, self._notify_ns, 1)
         #: The loop has started and not yet ended: only then does a
         #: kill schedule an interruption.
         self._running = False
@@ -142,13 +146,13 @@ class Worker:
         self.qp.post_recvs([self._recv_wr] * self.config.recv_ring_depth)
         self.stats.last_activity_ns = self.env.now
         self._running = True
-        self.env.schedule(self._step, priority=URGENT)
+        self._step.start()
 
     def kill(self) -> None:
         """Hard stop (executor teardown or failure injection)."""
         self.alive = False
         if self._running:
-            self.env.schedule(Step(self.env, self._interrupted), priority=URGENT)
+            Step(self.env, self._interrupted).start()
 
     def _interrupted(self) -> None:
         if not self._running:
@@ -156,11 +160,12 @@ class Worker:
         # Whatever the loop waits on stays scheduled (or armed on the
         # CQ) and fires as a no-op, like a lazily cancelled timeout.
         self._step.abandon()
+        self._warm.abandon()
         self._end()
 
     def _end(self) -> None:
         self._running = False
-        self.env.schedule_timeout(BatchEvent(self.env, SKIP), 0)
+        self._step.end()
 
     def release_buffers(self) -> None:
         """Free the input, output and scratch blocks (executor teardown).
@@ -182,11 +187,13 @@ class Worker:
             self._end()
             return
         if self.mode != "hot":
-            self._warm_wait()
+            self._warm.wait()
             return
         env = self.env
         self._entered_hot = env._now
         if self.hot_timeout_ns is None:
+            # Not a CQWait: with entries already waiting, arm schedules
+            # a zero-delay event that CQWait.wait skips.
             self._step.step = self._hot_arrived
             self.recv_cq.arm(self._step)
             return
@@ -225,23 +232,7 @@ class Worker:
             return
         self._handle(wcs[0], hot=True)
 
-    def _warm_wait(self) -> None:
-        """Sleep on the completion channel (``CompletionQueue.blocking_wait``)."""
-        if len(self.recv_cq) == 0:
-            self._step.step = self._warm_notified
-            self.recv_cq.arm(self._step)
-            return
-        self._warm_notified()
-
-    def _warm_notified(self) -> None:
-        self._step.step = self._warm_polled
-        self.env.schedule_timeout(self._step, self._notify_ns)
-
-    def _warm_polled(self) -> None:
-        wcs = self.recv_cq.poll(max_entries=1)
-        if not wcs:
-            self._warm_wait()
-            return
+    def _warm_polled(self, wcs: list) -> None:
         self._handle(wcs[0], hot=False)
 
     def _handle(self, wc, hot: bool) -> None:

@@ -11,12 +11,12 @@ why leases beat per-invocation central scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import count
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 from repro.rdma.device import NIC
 from repro.rdma.errors import ConnectionRefused
+from repro.rdma.fabric import Transfer
 from repro.rdma.queue_pair import QueuePair
 from repro.sim.clock import us
 from repro.sim.events import Event, Step
@@ -27,8 +27,6 @@ CM_PROCESSING_NS = us(150)
 #: CM control messages ride a small-message datagram path.
 CM_MESSAGE_BYTES = 256
 
-_request_ids = count(1)
-
 
 @dataclass
 class ConnectionRequest:
@@ -37,7 +35,6 @@ class ConnectionRequest:
     src_nic: NIC
     src_qp: QueuePair
     private_data: Any
-    request_id: int = field(default_factory=lambda: next(_request_ids))
     _response: Optional[Any] = None
     _decided: Any = None  # Event set by accept/reject
 
@@ -73,6 +70,29 @@ class ConnectionListener:
         request._response = reason
         request._decided.succeed(False)
 
+    def serve(self, on_request: Callable[[ConnectionRequest], None]) -> None:
+        """Hand every incoming request to *on_request* until the
+        listener closes (*on_request* may close it: a one-shot port).
+
+        A callback loop scheduling an acceptor process's events: its
+        start, one :meth:`get_request` per request, and its end once it
+        finds the listener closed.
+        """
+        self._on_request = on_request
+        self._acceptor = Step(self.manager.env, self._next_request)
+        self._acceptor.start()
+
+    def _next_request(self) -> None:
+        self._acceptor.step = None  # scheduled once, as the loop's start
+        if self.closed:
+            self._acceptor.end()
+            return
+        self.get_request().callbacks.append(self._accepted)
+
+    def _accepted(self, event: Event) -> None:
+        self._on_request(event._value)
+        self._next_request()
+
     def close(self) -> None:
         self.closed = True
         self.manager._listeners.pop(self.port, None)
@@ -103,32 +123,25 @@ class ConnectionManager:
         caller resumes once, inside the handshake's last transfer.
         """
         handshake = _Handshake(self, dst_host, port, qp, private_data)
-        try:
-            return (yield handshake.done)
-        except BaseException:  # refused, interrupted or closed
-            handshake.abandon()
-            raise
+        return (yield from handshake.join(handshake.done))
 
 
-class _Handshake(Step):
+class _Handshake(Transfer):
     """The active side of one CM handshake, as a callback state machine.
 
     Each method is one step; a wait points ``step`` at the next one and
-    re-schedules this event (a transfer is ``Fabric.transfer_path``'s
-    steps: fault penalty, head arrival, ingress tail).  It schedules
-    the events the generator handshake did, at the same instants, and
-    resolves :attr:`done` with :meth:`Event.fire` inside the last one.
+    re-schedules this event, and each CM message is a :class:`Transfer`
+    of this same event.  It schedules the events the generator
+    handshake did, at the same instants, and resolves :attr:`done`
+    with :meth:`Event.fire` inside the last one.
     """
 
-    __slots__ = (
-        "cm", "dst_host", "port", "qp", "private_data", "done",
-        "listener", "request", "path", "landed",
-    )
+    __slots__ = ("cm", "dst_host", "port", "qp", "private_data", "done", "listener", "request")
 
     def __init__(
         self, cm: ConnectionManager, dst_host: str, port: int, qp: QueuePair, private_data: Any
     ) -> None:
-        super().__init__(cm.env, self._send_req)
+        super().__init__(cm.nic.fabric, self._send_req)
         self.cm = cm
         self.dst_host = dst_host
         self.port = port
@@ -138,65 +151,27 @@ class _Handshake(Step):
         self.done = Event(cm.env)
         self.listener: Optional[ConnectionListener] = None
         self.request: Optional[ConnectionRequest] = None
-        #: The transfer in progress and the step to run once it landed.
-        self.path: Any = None
-        self.landed: Any = None
         cm.env.schedule_timeout(self, CM_PROCESSING_NS)
 
-    # -- one fabric transfer --------------------------------------------------
-
-    def _transfer(self, src: str, dst: str, landed: Any) -> None:
-        """One CM message from *src* to *dst*, then *landed*."""
-        fabric = self.cm.nic.fabric
-        self.path = fabric.path(src, dst)
-        self.landed = landed
-        penalty = fabric.penalty_ns()
-        if penalty:
-            # The requester sits out the retransmission timeout.
-            self.step = self._wire
-            self.env.schedule(self, penalty)
-            return
-        self._wire()
-
-    def _wire(self) -> None:
-        path = self.path
-        env = self.env
-        fabric = self.cm.nic.fabric
-        if path.loopback:
-            self.step = self.landed
-            env.schedule_timeout(self, fabric.loopback_ns(CM_MESSAGE_BYTES))
-            return
-        head = fabric.head_arrival(path, CM_MESSAGE_BYTES)
-        if head > env._now:
-            self.step = self._tail
-            env.schedule_timeout(self, head - env._now)
-            return
-        self._tail()
-
-    def _tail(self) -> None:
-        _, tail = self.path.ingress.reserve(CM_MESSAGE_BYTES)
-        env = self.env
-        if tail > env._now:
-            self.step = self.landed
-            env.schedule_timeout(self, tail - env._now)
-            return
-        self.landed()
+    def _message(self, src: str, dst: str, arrived: Callable[[], None]) -> None:
+        """One CM message from *src* to *dst*, then *arrived*."""
+        self.send(self.fabric.path(src, dst), CM_MESSAGE_BYTES, arrived)
 
     # -- the handshake ------------------------------------------------------------
 
     def _send_req(self) -> None:
         """REQ: route the request to the destination CM."""
         try:
-            self._transfer(self.cm.nic.name, self.dst_host, self._req_arrived)
+            self._message(self.cm.nic.name, self.dst_host, self._req_arrived)
         except KeyError as error:  # no such host: the caller sees it here
             self._finish(error, False)
 
     def _req_arrived(self) -> None:
-        dst_cm: Optional[ConnectionManager] = self.cm.nic.fabric.nic(self.dst_host).cm
+        dst_cm: Optional[ConnectionManager] = self.fabric.nic(self.dst_host).cm
         listener = dst_cm._listeners.get(self.port) if dst_cm is not None else None
         if listener is None or listener.closed:
             # REJ travels back before the caller sees the refusal.
-            self._transfer(self.dst_host, self.cm.nic.name, self._refused)
+            self._message(self.dst_host, self.cm.nic.name, self._refused)
             return
         request = ConnectionRequest(
             src_nic=self.cm.nic, src_qp=self.qp, private_data=self.private_data
@@ -232,7 +207,7 @@ class _Handshake(Step):
         self.env.schedule_timeout(self, CM_PROCESSING_NS)
 
     def _send_rep(self) -> None:
-        self._transfer(self.dst_host, self.cm.nic.name, self._rep_arrived)
+        self._message(self.dst_host, self.cm.nic.name, self._rep_arrived)
 
     def _rep_arrived(self) -> None:
         request = self.request
@@ -243,7 +218,7 @@ class _Handshake(Step):
             )
             return
         # RTU: ready-to-use back to the passive side (not awaited there).
-        self._transfer(self.cm.nic.name, self.dst_host, self._rtu_arrived)
+        self._message(self.cm.nic.name, self.dst_host, self._rtu_arrived)
 
     def _rtu_arrived(self) -> None:
         self._finish(self.request._response, True)
@@ -251,7 +226,7 @@ class _Handshake(Step):
     def _finish(self, value: Any, ok: bool) -> None:
         # Drop the bound-method self-references before the caller
         # resumes, so refcounting frees the finished handshake.
-        self.step = self.landed = None
+        self.step = self.arrived = None
         self.done.fire(value, ok)
 
 

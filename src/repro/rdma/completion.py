@@ -135,11 +135,7 @@ class CompletionQueue:
         done = Event(self.env)
         wait = CQWait(self, done.fire, detect_ns, max_entries)
         wait.wait()
-        try:
-            return (yield done)
-        except BaseException:  # interrupted or closed: cancel lazily
-            wait.abandon()
-            raise
+        return (yield from wait.join(done))
 
     # The owning NIC injects itself here at creation so the consumer
     # helpers can reach the latency model.
@@ -157,7 +153,9 @@ class CQWait(Step):
     polls, and hands the CQEs to ``deliver`` -- or waits again if a
     competing consumer drained the CQ first.  It schedules exactly the
     events the generator loop schedules, and ``deliver`` runs inside
-    the detect timeout that would resume that generator.
+    the detect timeout that would resume that generator.  Besides the
+    generators above it serves every RPC receive, the invoker's
+    completion loop and the worker's warm wait.
     """
 
     __slots__ = ("cq", "deliver", "detect_ns", "max_entries")

@@ -13,11 +13,12 @@ bandwidth, exactly as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from repro.rdma.latency import LatencyModel
+from repro.sim.events import Event, Step
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
@@ -209,49 +210,77 @@ class Fabric:
         return self.transfer_path(self.path(src, dst), size)
 
     def transfer_path(self, path: _Path, size: int):
-        """Like :meth:`transfer` but over a pre-resolved :class:`_Path`.
+        """Like :meth:`transfer` but over a pre-resolved :class:`_Path`:
+        a :class:`Transfer` the caller waits on."""
+        done = Event(self.env)
+        transfer = Transfer(self)
+        transfer.send(path, size, done.fire)
+        return (yield from transfer.join(done))
 
-        The queue pairs' callback data path runs the same steps --
-        :meth:`penalty_ns`, then :meth:`loopback_ns` or
-        :meth:`head_arrival` and the ingress reservation -- without a
-        generator; both share these helpers, so the fault draws and the
-        link arithmetic exist once.
-        """
+
+class Transfer(Step):
+    """One message across the fabric, as a callback state machine.
+
+    :meth:`send` draws the fault penalty, during which the requester
+    sits out a retransmission timeout, then waits for the NIC-internal
+    loopback, or for the head to land and the tail to clock through the
+    destination's ingress link, and calls ``arrived()`` inside the last
+    wait's event (at once if nothing waits).  Each wait re-schedules
+    this same Step.  The queue pairs' deliveries and the CM handshake
+    are Transfers; :meth:`Fabric.transfer` runs one for its caller.
+    """
+
+    __slots__ = ("fabric", "path", "size", "arrived")
+
+    def __init__(self, fabric: Fabric, step: Optional[Callable[[], None]] = None) -> None:
+        super().__init__(fabric.env, step)
+        self.fabric = fabric
+        self.path: Optional[_Path] = None
+        self.size = 0
+        #: The continuation; ``step`` points at it once the message is in.
+        self.arrived: Optional[Callable[[], None]] = None
+
+    def send(self, path: _Path, size: int, arrived: Callable[[], None]) -> None:
+        """Move *size* bytes along *path*, then run *arrived*."""
+        self.path = path
+        self.size = size
+        self.arrived = arrived
+        faults = self.fabric.faults
+        if faults is not None:
+            # Drawn first thing, so fault-RNG consumption follows
+            # transfer-start order.
+            penalty = faults.penalty_ns()
+            if penalty:
+                self.step = self._wire
+                self.env.schedule(self, penalty)
+                return
+        self._wire()
+
+    def _wire(self) -> None:
+        path = self.path
         env = self.env
-        penalty = self.penalty_ns()
-        if penalty:
-            # The requester sits out the retransmission timeout.
-            yield env.timeout(penalty)
         if path.loopback:
-            yield env.timeout(self.loopback_ns(size))
+            # NIC-internal loopback: serialization only, no propagation.
+            self.step = self.arrived
+            env.schedule_timeout(self, self.fabric.model.serialization_ns(self.size) // 2)
             return
-        head = self.head_arrival(path, size)
-        if head > env.now:
-            yield env.timeout(head - env.now)
-        _, tail = path.ingress.reserve(size)
-        if tail > env.now:
-            yield env.timeout(tail - env.now)
+        # Cut-through: the head lands after propagation; the tail when
+        # the slower of the two links has clocked all bytes through.
+        egress_start, _ = path.egress.reserve(self.size)
+        head = egress_start + path.propagation_ns
+        now = env._now
+        if head > now:
+            self.step = self._tail
+            env.schedule_timeout(self, head - now)
+            return
+        self._tail()
 
-    def penalty_ns(self) -> int:
-        """Retransmission delay of one transfer (0 without faults).
-
-        Drawn first thing in every transfer, so fault-RNG consumption
-        follows transfer-start order.
-        """
-        faults = self.faults
-        return 0 if faults is None else faults.penalty_ns()
-
-    def loopback_ns(self, size: int) -> int:
-        """NIC-internal loopback: serialization only, no propagation."""
-        return self.model.serialization_ns(size) // 2
-
-    def head_arrival(self, path: _Path, size: int) -> int:
-        """Book *size* bytes on the source link; when the head lands.
-
-        Cut-through: the head of the message reaches the destination
-        after propagation; the tail arrives when the slower of the two
-        links has clocked all bytes through, which the caller books on
-        ``path.ingress`` once the head is there.
-        """
-        egress_start, _ = path.egress.reserve(size)
-        return egress_start + path.propagation_ns
+    def _tail(self) -> None:
+        _, tail = self.path.ingress.reserve(self.size)
+        env = self.env
+        now = env._now
+        self.step = self.arrived
+        if tail > now:
+            env.schedule_timeout(self, tail - now)
+        else:
+            self.arrived()

@@ -28,9 +28,10 @@ from typing import TYPE_CHECKING, Callable, Optional, Union
 from repro.rdma.constants import ATOMIC_SIZE, Access, Opcode, QPState, WCOpcode, WCStatus
 from repro.rdma.completion import CompletionQueue, WorkCompletion
 from repro.rdma.errors import QPStateError, RdmaError
+from repro.rdma.fabric import Transfer
 from repro.rdma.memory import SHADOW_BYTES
 from repro.rdma.verbs import RecvWR, SendWR
-from repro.sim.events import SKIP, URGENT, BatchEvent, Step
+from repro.sim.events import Step
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rdma.device import NIC
@@ -71,15 +72,17 @@ _LEGAL_TRANSITIONS = {
 _LEGAL_BY_VALUE = {state.value: legal for state, legal in _LEGAL_TRANSITIONS.items()}
 
 
-class _WireOp(Step):
+class _WireOp(Transfer):
     """One work request after initiation: what crosses the fabric, and
     the state of its delivery (wire, responder, completion).
 
     Each method below is one step; a step that waits points ``step``
-    at the next one and re-schedules this same event.
+    at the next one and re-schedules this same event.  The wire is the
+    :class:`~repro.rdma.fabric.Transfer` this op is, followed by the
+    receiving NIC's processing.
     """
 
-    __slots__ = ("qp", "wr", "data", "nbytes", "remote", "mr", "path", "size", "landed", "retries")
+    __slots__ = ("qp", "wr", "data", "nbytes", "remote", "mr", "landed", "retries")
 
     def __init__(
         self,
@@ -88,7 +91,7 @@ class _WireOp(Step):
         data: Optional[Union[bytes, memoryview]],
         nbytes: int,
     ) -> None:
-        super().__init__(qp.env, self._start)
+        super().__init__(qp._fabric, self._start)
         self.qp = qp
         self.wr = wr
         #: What lands at the responder: a zero-copy memoryview over the
@@ -99,9 +102,7 @@ class _WireOp(Step):
         self.remote: Optional["QueuePair"] = None
         #: The responder's MR, looked up once when the request arrives.
         self.mr: Optional["MemoryRegion"] = None
-        #: The transfer in progress and the step to run once it landed.
-        self.path: Optional["_Path"] = None
-        self.size = 0
+        #: The step to run once a message and its rx processing are in.
         self.landed: Optional[Callable[[], None]] = None
         #: RNR retries left.
         self.retries = 0
@@ -127,43 +128,9 @@ class _WireOp(Step):
         self._transfer(qp._path_fwd, wire_size, self._arrived)
 
     def _transfer(self, path: "_Path", size: int, landed: Callable[[], None]) -> None:
-        """``Fabric.transfer_path`` then the receiving NIC, as steps."""
-        self.path = path
-        self.size = size
+        """The fabric transfer, then the receiving NIC, then *landed*."""
         self.landed = landed
-        fabric = self.qp._fabric
-        if fabric.faults is not None:
-            penalty = fabric.penalty_ns()
-            if penalty:
-                self.step = self._wire
-                self.env.schedule(self, penalty)
-                return
-        self._wire()
-
-    def _wire(self) -> None:
-        path = self.path
-        env = self.env
-        if path.loopback:
-            self.step = self._rx
-            env.schedule_timeout(self, self.qp._fabric.loopback_ns(self.size))
-            return
-        head = self.qp._fabric.head_arrival(path, self.size)
-        now = env._now
-        if head > now:
-            self.step = self._tail
-            env.schedule_timeout(self, head - now)
-            return
-        self._tail()
-
-    def _tail(self) -> None:
-        _, tail = self.path.ingress.reserve(self.size)
-        env = self.env
-        now = env._now
-        if tail > now:
-            self.step = self._rx
-            env.schedule_timeout(self, tail - now)
-            return
-        self._rx()
+        self.send(path, size, self._rx)
 
     def _rx(self) -> None:
         self.step = self.landed
@@ -312,8 +279,8 @@ class _WireOp(Step):
         """Schedule the delivery's end event: a no-op nobody waits on."""
         # Drop the bound-method self-references so refcounting frees
         # the op (a cycle would leave it to the garbage collector).
-        self.step = self.landed = None
-        self.env.schedule_timeout(self.qp._noop, 0)
+        self.step = self.arrived = self.landed = None
+        self.end()
 
 
 class QueuePair:
@@ -368,9 +335,7 @@ class QueuePair:
         self._pump_idle = False
         self._pump_wr: Optional[SendWR] = None
         self._pump_nbytes = 0
-        #: Pre-triggered no-op for the pipeline's unobserved events.
-        self._noop = BatchEvent(self.env, SKIP)
-        self.env.schedule(self._pump, priority=URGENT)
+        self._pump.start()
         #: Statistics.
         self.bytes_sent = 0
         self.ops_posted = 0
@@ -452,7 +417,7 @@ class QueuePair:
             raise RdmaError(f"send queue full (max_send_wr={self.max_send_wr})")
         self.ops_posted += 1
         env = self.env
-        env.schedule_timeout(self._noop, 0)  # the send-queue put
+        env.schedule_timeout(env.noop, 0)  # the send-queue put
         if self._pump_idle:
             self._pump_idle = False
             self._pump_wr = wr
@@ -511,7 +476,7 @@ class QueuePair:
                 # A virtual source keeps only its shadow prefix.
                 data = mr.read(local.offset, min(nbytes, SHADOW_BYTES))
         self.bytes_sent += nbytes
-        self.env.schedule(_WireOp(self, wr, data, nbytes), priority=URGENT)
+        _WireOp(self, wr, data, nbytes).start()
         self._pump_get()
 
     # -- completions -----------------------------------------------------------

@@ -34,7 +34,7 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Iterable, Optional, Union
 
-from repro.sim.events import NORMAL, SKIP, STEP, AllOf, AnyOf, Event, Timeout
+from repro.sim.events import NORMAL, SKIP, STEP, AllOf, AnyOf, BatchEvent, Event, Timeout
 from repro.sim.process import Process, ProcessGenerator
 
 #: Upper bound on the Timeout free list; beyond this, processed
@@ -75,6 +75,7 @@ class Environment:
         "events_processed",
         "_timeout_pool",
         "_timeout_pool_appends",
+        "noop",
     )
 
     def __init__(self, initial_time: int = 0) -> None:
@@ -88,6 +89,10 @@ class Environment:
         self._timeout_pool: list[Timeout] = []
         #: Total timeouts ever recycled into the pool.
         self._timeout_pool_appends = 0
+        #: A pre-triggered no-op: scheduled wherever a process scheduled
+        #: an event nobody waits on (its end, a put nobody gets), it
+        #: keeps that event's queue slot.
+        self.noop = BatchEvent(self, SKIP)
 
     @property
     def now(self) -> int:

@@ -218,9 +218,9 @@ class Step(BatchEvent):
     :class:`Process`, generator resume or per-wait allocation.
 
     A Step sits in the queue at most once at a time, which a state
-    machine guarantees by waiting on one thing at a time.
-    ``BatchEvent(env, SKIP)`` is the matching pre-triggered no-op: it
-    keeps the queue slot of an event nobody waits on.
+    machine guarantees by waiting on one thing at a time.  A machine
+    that replaces a process schedules that process's start and end
+    events with :meth:`start` and :meth:`end`.
     """
 
     __slots__ = ("step",)
@@ -229,6 +229,14 @@ class Step(BatchEvent):
         super().__init__(env, STEP)
         self.step = step
 
+    def start(self) -> None:
+        """Schedule this Step now as a process's start: an URGENT event."""
+        self.env.schedule(self, priority=URGENT)
+
+    def end(self) -> None:
+        """Schedule a process's end: the environment's no-op, now."""
+        self.env.schedule_timeout(self.env.noop, 0)
+
     def abandon(self) -> None:
         """Cancel the state machine lazily, as an interrupt cancels a wait.
 
@@ -236,6 +244,20 @@ class Step(BatchEvent):
         no-op, like the abandoned timeout of an interrupted process.
         """
         self.step = _abandoned
+
+    def join(self, done: Event):
+        """Generator: the value this machine resolves *done* with.
+
+        How a generator caller waits on a state machine: it resumes
+        inside the event that fires *done* (:meth:`Event.fire`), and a
+        wait that ends early -- an interrupt, or the caller closed --
+        abandons the machine.
+        """
+        try:
+            return (yield done)
+        except BaseException:
+            self.abandon()
+            raise
 
 
 def _abandoned() -> None:
