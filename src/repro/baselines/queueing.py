@@ -20,7 +20,7 @@ latency matches the analytic models:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.baselines.http import base64_codec_ns, base64_size
@@ -62,10 +62,6 @@ class Stage:
             yield self.env.timeout(service)
             self.busy_ns += service
             self.jobs_served += 1
-
-    @property
-    def queue_length(self) -> int:
-        return len(self.resource.queue)
 
 
 class QueuedPlatform:
@@ -115,9 +111,6 @@ class QueuedPlatform:
             yield env.timeout(base64_codec_ns(payload_size))
         self.invocations += 1
         return env.now - start
-
-    def stage_stats(self) -> dict[str, int]:
-        return {stage.spec.name: stage.jobs_served for stage in self.request_path}
 
 
 # -- fitted layouts -------------------------------------------------------------

@@ -12,7 +12,7 @@ batch system can schedule them immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import TYPE_CHECKING, Optional
 
@@ -36,9 +36,6 @@ class HarvestStats:
     retirements: int = 0
     #: Integrated donated capacity.
     node_ns_donated: int = 0
-
-    def node_hours(self) -> float:
-        return self.node_ns_donated / secs(3600)
 
 
 @dataclass

@@ -63,18 +63,8 @@ class BatchScheduler:
         return self.total_nodes - self.free_nodes
 
     @property
-    def batch_busy_nodes(self) -> int:
-        """Nodes running batch jobs only."""
-        return self.total_nodes - self.free_nodes - self.borrowed_nodes
-
-    @property
     def node_utilization(self) -> float:
         return self.busy_nodes / self.total_nodes
-
-    @property
-    def queued_demand(self) -> int:
-        """Nodes the waiting queue wants right now."""
-        return sum(job.nodes for job in self.queue)
 
     # -- node lending (opportunistic harvesting, Sec. II-A) ----------------
 

@@ -102,10 +102,6 @@ class BillingDatabase:
             self._accounts[tenant] = index
         return self.mr.addr + index * ACCOUNT_BYTES, self.mr.rkey
 
-    def slot_addr(self, tenant: str, slot: int) -> int:
-        base, _ = self.open_account(tenant)
-        return base + 8 * slot
-
     def read_account(self, tenant: str) -> BillingAccount:
         """Manager-local read of a tenant's counters."""
         base, _ = self.open_account(tenant)

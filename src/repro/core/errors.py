@@ -23,10 +23,6 @@ class InvocationRejected(RFaaSError):
     """
 
 
-class FunctionNotFound(RFaaSError):
-    """The invoked function index/name is not in the deployed package."""
-
-
 class InvocationTimeout(RFaaSError):
     """A future's wait_for deadline elapsed before the result arrived.
 

@@ -122,21 +122,3 @@ class Lease:
     def terminate(self) -> None:
         if self.state is LeaseState.ACTIVE:
             self.state = LeaseState.TERMINATED
-
-
-@dataclass
-class LeaseRequest:
-    """What a client asks the resource manager for (Sec. III-C, cold)."""
-
-    client: str
-    cores: int
-    memory_bytes: int
-    timeout_ns: Optional[int] = None
-
-
-@dataclass
-class LeaseGrant:
-    """Manager -> client response."""
-
-    lease: Optional[Lease]
-    error: Optional[str] = None

@@ -25,7 +25,7 @@ Public surface
 
 from repro.sim.clock import KB, KiB, MB, MiB, GB, GiB, ns_to_s, ns_to_us, ns_to_ms, secs, ms, us
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.process import Interrupt, InterruptedError_, Process
+from repro.sim.process import Interrupt, Process
 from repro.sim.core import Environment, StopSimulation
 from repro.sim.resources import Container, FilterStore, Resource, Store
 from repro.sim.rng import RngStreams
@@ -40,7 +40,6 @@ __all__ = [
     "GB",
     "GiB",
     "Interrupt",
-    "InterruptedError_",
     "KB",
     "KiB",
     "MB",

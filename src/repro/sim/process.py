@@ -28,11 +28,6 @@ class Interrupt(Exception):
         return self.args[0]
 
 
-# Alias kept for call sites that want to make "this is the sim-level
-# interrupt, not the builtin" explicit.
-InterruptedError_ = Interrupt
-
-
 class _Initialize(Event):
     """Immediate, urgent event used to start a freshly created process."""
 
