@@ -108,3 +108,28 @@ def test_transfer_path_draw_order_unchanged_by_cache_layer(tmp_path):
     cold = run_specs(spec, 1, cache=cache)
     warm = run_specs(spec, 1, cache=cache)
     assert uncached == cold == warm
+
+
+def test_unknown_host_raises_at_the_req_before_any_fault_draw():
+    """A connect to an unknown host fails in the caller at the REQ,
+    before the REQ's transfer draws a fault penalty."""
+    from repro.rdma.cm import CM_PROCESSING_NS, install_cm
+
+    env = Environment()
+    fabric = Fabric(env, faults=FaultModel(probability=0.5, seed=4))
+    nic = fabric.attach("a")
+    install_cm(nic)
+    outcome = []
+
+    def client():
+        qp = nic.create_qp(nic.create_pd(), nic.create_cq())
+        try:
+            yield from nic.cm.connect("nowhere", 1, qp)
+        except KeyError:
+            outcome.append(env.now)
+
+    env.process(client())
+    env.run()
+    assert outcome == [CM_PROCESSING_NS]
+    untouched = FaultModel(probability=0.5, seed=4)
+    assert fabric.faults._rng.random() == untouched._rng.random()

@@ -187,3 +187,50 @@ def test_blocking_wait_slower_than_busy_poll():
     env.run()
     model = fabric.model
     assert times["block"] - base - times["poll"] == model.blocking_notify_ns - model.poll_detect_ns
+
+
+def test_finished_machines_are_freed_by_refcounting():
+    """Finished transfers, deliveries and handshakes drop their
+    bound-method self-references: none is left for the collector."""
+    import gc
+
+    from repro.rdma import Access
+    from repro.rdma.cm import install_cm
+    from repro.rdma.fabric import FaultModel, Transfer
+
+    env = Environment()
+    fabric = Fabric(env, faults=FaultModel(probability=0.3, seed=2, retransmit_delay_ns=us(2)))
+    a, b = fabric.attach("a"), fabric.attach("b")
+    for nic in (a, b):
+        install_cm(nic)
+    listener = b.cm.listen(7)
+    mr_b = b.create_pd().register(b.alloc(4096), Access.all())
+    connected = []
+
+    def server():
+        request = yield listener.get_request()
+        listener.accept(request, b.create_qp(mr_b.pd, b.create_cq()))
+
+    def client():
+        for size in (64, 4096, 64):
+            yield from fabric.transfer("a", "b", size)
+        yield from fabric.transfer("a", "a", 64)
+        pd = a.create_pd()
+        mr_a = pd.register(a.alloc(4096), Access.all())
+        qp = a.create_qp(pd, a.create_cq())
+        yield from a.cm.connect("b", 7, qp)
+        for opcode in (Opcode.RDMA_WRITE, Opcode.RDMA_READ, Opcode.RDMA_WRITE):
+            qp.post_send(SendWR(opcode=opcode, local=sge(mr_a, 0, 512), remote_addr=mr_b.addr, rkey=mr_b.rkey))
+        connected.append(qp)
+
+    gc.collect()
+    gc.disable()
+    try:
+        env.process(server())
+        env.process(client())
+        env.run()
+        left = [obj for obj in gc.get_objects() if isinstance(obj, Transfer)]
+    finally:
+        gc.enable()
+    assert connected and fabric.faults.faults_injected > 0
+    assert left == []
