@@ -196,8 +196,8 @@ class _Server(Step):
             return
         result = self.handler(message, self.connection)
         if hasattr(result, "send"):  # generator handler
-            # Driven inline, as the generator serve loop ran it: a
-            # Process per request would add a start and an end event.
+            # Driven inline: a Process per request would add its own
+            # start and end events to the schedule.
             self.message = message
             self.gen = result
             self._drive(True, None)
