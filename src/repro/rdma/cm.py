@@ -94,8 +94,13 @@ class ConnectionListener:
         self._next_request()
 
     def close(self) -> None:
+        """Stop listening and reject every request still queued: each
+        waiting ``connect`` is refused once its REJ arrives."""
         self.closed = True
         self.manager._listeners.pop(self.port, None)
+        queued, self.incoming.items = self.incoming.items, []
+        for request in queued:
+            self.reject(request, "listener closed")
 
 
 class ConnectionManager:
@@ -187,7 +192,12 @@ class _Handshake(Transfer):
 
     def _queue_request(self) -> None:
         self.step = self._queued
-        self.listener.incoming.put(self.request).callbacks.append(self._resume)
+        listener = self.listener
+        if listener.closed:  # closed while the REQ was being processed
+            listener.reject(self.request, "listener closed")
+            self._queued()
+            return
+        listener.incoming.put(self.request).callbacks.append(self._resume)
 
     def _resume(self, _event: Event) -> None:
         """Callback for an event waited on directly (not re-scheduled)."""

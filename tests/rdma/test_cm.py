@@ -4,7 +4,7 @@ import pytest
 
 from repro.rdma import Access, ConnectionRefused, Fabric, Opcode, SendWR, sge
 from repro.rdma.cm import install_cm
-from repro.sim import Environment, ms
+from repro.sim import Environment, ms, us
 
 
 def build(env):
@@ -110,6 +110,47 @@ def test_closed_listener_refuses():
 
     env.process(client_proc())
     env.run()
+
+
+@pytest.mark.parametrize("lag_ns", [0, us(100)], ids=["queued", "in-processing"])
+def test_closing_listener_refuses_the_requests_it_holds(lag_ns):
+    """A one-shot port (accept, then close) answers every other request:
+    one queued when it closes, or one whose REQ is still being processed
+    then.  Each such ``connect`` is refused once its REJ arrives rather
+    than waiting forever; the accepted one is untouched."""
+    env = Environment()
+    fabric = Fabric(env)
+    server = fabric.attach("server")
+    install_cm(server)
+    listener = server.cm.listen(9000)
+    pd, cq = server.create_pd(), server.create_cq()
+
+    def accept(request):
+        listener.accept(request, server.create_qp(pd, cq))
+        listener.close()
+
+    listener.serve(accept)
+    outcomes = []
+
+    def client_proc(nic, lag):
+        install_cm(nic)
+        yield env.timeout(lag)
+        qp = nic.create_qp(nic.create_pd(), nic.create_cq())
+        try:
+            yield from nic.cm.connect("server", 9000, qp)
+            outcomes.append((nic.name, "connected", env.now))
+        except ConnectionRefused as error:
+            outcomes.append((nic.name, str(error), env.now))
+
+    env.process(client_proc(fabric.attach("first"), 0))
+    env.process(client_proc(fabric.attach("second"), lag_ns))
+    env.run(until=ms(100))
+    assert sorted(outcomes)[0] == ("first", "connected", 452_463)
+    second = sorted(outcomes)[1:]
+    assert [(name, why) for name, why, _ in second] == [
+        ("second", "server:9000 rejected: listener closed")
+    ]
+    assert not listener.incoming.items
 
 
 def test_duplicate_listen_rejected():
