@@ -13,21 +13,22 @@ objects; sends are unsignaled (errors surface as QP state changes).
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Callable
 
 from repro.core.protocol import decode_control, encode_control
 from repro.rdma.cm import install_cm
 from repro.rdma.completion import CQWait
-from repro.rdma.constants import Access, Opcode
+from repro.rdma.constants import Access, Opcode, WCStatus
 from repro.rdma.device import NIC
 from repro.rdma.errors import RdmaError
 from repro.rdma.verbs import RecvWR, SendWR, sge
 from repro.sim.events import Event, Step
 
 RPC_BUFFER_BYTES = 64 * 1024
-#: Messages a connection may have in flight: sends are unsignaled and
-#: the NIC reads a slot only at delivery, so a 9th message posted in
-#: one burst overwrites the 1st (docs/protocol.md).
+#: Messages a connection keeps in flight: the NIC reads a send slot
+#: only at delivery, so a 9th message posted in one burst waits until
+#: the 1st one's SEND completes (docs/protocol.md).
 RPC_RING_DEPTH = 8
 
 
@@ -39,6 +40,10 @@ class RpcConnection:
     half: slot *i* of a ring sits at offset ``i * RPC_BUFFER_BYTES``
     of its MR.  The receive ring's work requests are built once and
     re-posted in ring order as each message is consumed.
+
+    Sends stay unsignaled: a SEND's completion hook (no CQE) gives its
+    slot back, and a message posted while every slot is in flight is
+    held until one returns.
 
     Receiving is a :class:`~repro.rdma.completion.CQWait` per receive:
     :meth:`receive` hands the next message to a callback, and the
@@ -59,8 +64,10 @@ class RpcConnection:
         # back-to-back messages would corrupt the first (classic verbs
         # bug -- the buffer must stay stable until send completion).
         self._send_mr = pd.register(block, Access.LOCAL_WRITE, addr=block.base, length=ring_bytes)
-        self._send_slots = ring_depth
-        self._send_index = 0
+        #: Offsets of the send slots no SEND is reading, in ring order.
+        self._free_slots = deque(range(0, ring_bytes, RPC_BUFFER_BYTES))
+        #: Encoded messages waiting for a free send slot.
+        self._held: deque[bytes] = deque()
         self._recv_mr = recv_mr = pd.register(
             block, Access.LOCAL_WRITE, addr=block.base + ring_bytes, length=ring_bytes
         )
@@ -85,10 +92,35 @@ class RpcConnection:
         data = encode_control(message)
         if len(data) > RPC_BUFFER_BYTES:
             raise RdmaError(f"control message of {len(data)} B exceeds RPC buffer")
-        offset = self._send_index * RPC_BUFFER_BYTES
-        self._send_index = (self._send_index + 1) % self._send_slots
+        if self._free_slots:
+            self._send(data)
+        else:
+            self._held.append(data)
+
+    def _send(self, data: bytes) -> None:
+        offset = self._free_slots.popleft()
         self._send_mr.write(offset, data)
-        self.qp.post_send(SendWR(Opcode.SEND, sge(self._send_mr, offset, len(data)), signaled=False))
+        self.qp.post_send(
+            SendWR(
+                Opcode.SEND,
+                sge(self._send_mr, offset, len(data)),
+                signaled=False,
+                on_complete=self._sent,
+            )
+        )
+
+    def _sent(self, wr: SendWR, status: WCStatus) -> None:
+        """A SEND completed: its slot is free for the next held message.
+        Once a SEND fails the connection is dead, and what it held is
+        dropped, as the QP would have flushed it."""
+        wr.on_complete = None  # drop the WR's reference to this connection
+        self._free_slots.append(wr.local.offset)
+        if not self._held:
+            return
+        if status is not WCStatus.SUCCESS or not self.qp.connected:
+            self._held.clear()
+            return
+        self._send(self._held.popleft())
 
     def receive(self, deliver: Callable[[Any], None], blocking: bool = True) -> CQWait:
         """Callback form of :meth:`_receive`: ``deliver(message)`` runs

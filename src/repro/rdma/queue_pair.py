@@ -482,17 +482,18 @@ class QueuePair:
     # -- completions -----------------------------------------------------------
 
     def _complete_send(self, wr: SendWR, status: WCStatus) -> None:
-        if not wr.signaled and status is WCStatus.SUCCESS:
-            return
-        self.send_cq.push(
-            WorkCompletion(
-                wr_id=wr.wr_id,
-                opcode=_SEND_OPCODE_TO_WC[wr.opcode],
-                status=status,
-                byte_len=wr.nbytes,
-                qp_num=self.qpn,
+        if wr.signaled or status is not WCStatus.SUCCESS:
+            self.send_cq.push(
+                WorkCompletion(
+                    wr_id=wr.wr_id,
+                    opcode=_SEND_OPCODE_TO_WC[wr.opcode],
+                    status=status,
+                    byte_len=wr.nbytes,
+                    qp_num=self.qpn,
+                )
             )
-        )
+        if wr.on_complete is not None:
+            wr.on_complete(wr, status)
 
     def _fail_send(self, wr: SendWR, status: WCStatus) -> None:
         """Error completion + requester QP to ERR (flushing receives)."""

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.rdma.constants import ATOMIC_SIZE, Opcode
+from repro.rdma.constants import ATOMIC_SIZE, Opcode, WCStatus
 from repro.rdma.errors import RdmaError
 from repro.rdma.memory import MemoryRegion
 
@@ -76,6 +76,9 @@ class SendWR:
     compare_add: int = 0
     swap: int = 0
     wr_id: int = field(default_factory=next_wr_id)
+    #: Called as ``on_complete(wr, status)`` when the WR completes,
+    #: signaled or not: the poster's own bookkeeping, which adds no CQE.
+    on_complete: Optional[Callable[[SendWR, WCStatus], None]] = None
 
     @property
     def nbytes(self) -> int:

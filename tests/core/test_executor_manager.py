@@ -184,6 +184,25 @@ def test_executor_failure_detected_by_heartbeats():
     assert len(terminated) == 1
 
 
+def test_mass_termination_announces_every_lease_once():
+    """Ten leases die with their executor, so the manager announces ten
+    terminations to one client at once: more messages than the RPC send
+    ring has slots.  The two beyond the ring wait for a slot instead of
+    overwriting the first two, so each lease is announced exactly once."""
+    dep = build(executors=1)
+    inv = dep.new_invoker()
+    package = make_package()
+
+    def driver():
+        for _ in range(10):
+            yield from inv.allocate(package, workers=1)
+        dep.executors[0].kill()
+        yield dep.env.timeout(secs(10))
+
+    dep.run(driver())
+    assert sorted(inv.terminated_leases) == list(range(1, 11))
+
+
 def test_outstanding_future_fails_when_executor_dies():
     config = RFaaSConfig(heartbeat_interval_ns=ms(100), heartbeat_misses=2)
     dep = build(executors=1, config=config)

@@ -193,7 +193,11 @@ def test_rings_keep_the_per_slot_block_layout():
     # and the QP holds them in the order the next messages land in.
     assert conn._recv_ring == posted and conn._recv_next == 3
     assert list(conn.qp._recv_queue) == posted[3:] + posted[:3]
-    assert conn._send_index == 3
+    # The send ring rotated by 3 too: every slot is free again, and
+    # the next message takes slot 3.
+    assert list(conn._free_slots) == [
+        (i + 3) % RPC_RING_DEPTH * RPC_BUFFER_BYTES for i in range(RPC_RING_DEPTH)
+    ]
 
 
 def test_concurrent_calls_on_one_connection():
