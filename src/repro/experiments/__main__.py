@@ -13,10 +13,10 @@ Usage::
     python -m repro.experiments bench --json BENCH_PR1.json --label pr1
     python -m repro.experiments bench --quick --parallel 2
     python -m repro.experiments scale --arrival-shape diurnal --quick
-    python -m repro.experiments scale --quick --admission per-event
+    python -m repro.experiments scale --quick --pool-policy cold --profile
     python -m repro.experiments bench --ten-million --json BENCH_PR6.json --label pr6
     python -m repro.experiments control --quick --verify
-    python -m repro.experiments control --driver reference --no-churn
+    python -m repro.experiments control --verify --no-churn
     python -m repro.experiments multitenant --quick --partitioning shared
 
 ``--parallel N`` fans independent work out across N worker processes
@@ -44,7 +44,11 @@ cache's own cold-vs-warm speedup as ``cache_batch``.
 ``--arrival-shape`` picks the ``scale`` arrival process (``poisson``,
 ``bursty``, ``diurnal``; see :mod:`repro.experiments.scale`).  Every
 ``scale`` and ``multitenant`` run is one scenario driven in one
-process; ``--parallel`` fans out whole experiments, never parts of one.
+process on the engine its policy calls for; ``--parallel`` fans out
+whole experiments, never parts of one.  The per-event referees are
+checks, not options: ``control --verify`` and ``coldstart --quick``
+replay their runs on them, and ``bench`` records every engine against
+its referee.
 """
 
 from __future__ import annotations
@@ -171,17 +175,6 @@ def main(argv: list[str] | None = None) -> int:
         help="for 'scale': arrival process shape (default poisson)",
     )
     parser.add_argument(
-        "--admission",
-        choices=("batch", "per-event"),
-        default="batch",
-        help="for 'scale'/'multitenant': the engine -- 'batch' (default) "
-        "builds no event calendar: the exact FIFO recurrence under "
-        "--pool-policy queue (for 'multitenant' on a pinned or shared "
-        "plan), the reduced-event walk for everything else; 'per-event' "
-        "walks every event through the heap event calendar (the "
-        "referee engine)",
-    )
-    parser.add_argument(
         "--profile",
         nargs="?",
         const=True,
@@ -235,14 +228,6 @@ def main(argv: list[str] | None = None) -> int:
         "'hybrid' policy stops queueing and goes cold (default 64)",
     )
     parser.add_argument(
-        "--driver",
-        choices=("kernel", "reference"),
-        default="kernel",
-        help="for 'control': lease-brokering driver -- 'kernel' (default) "
-        "is the merged-stream replay with no event queue, 'reference' the "
-        "per-event ResourceManager RPC replay",
-    )
-    parser.add_argument(
         "--churn",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -252,8 +237,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--verify",
         action="store_true",
-        help="for 'control': also run the other driver and fail unless "
-        "the fingerprints agree (implied by --quick)",
+        help="for 'control': also replay the calendar on the per-event "
+        "ResourceManager reference and fail unless the fingerprints "
+        "agree (implied by --quick)",
     )
     parser.add_argument(
         "--ten-million",
@@ -304,20 +290,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="for 'bench': baseline entry name inside --baseline",
     )
-    parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.30,
-        help="for 'bench': allowed fractional events/s drop vs the "
-        "baseline before failing (default 0.30)",
-    )
-    parser.add_argument(
-        "--max-rss-growth",
-        type=float,
-        default=0.20,
-        help="for 'bench': allowed fractional peak-RSS growth of the "
-        "scale run vs the baseline before failing (default 0.20)",
-    )
     args = parser.parse_args(argv)
 
     if args.profile is not None and args.experiment != "scale":
@@ -350,13 +322,7 @@ def main(argv: list[str] | None = None) -> int:
             written = write_bench(args.json, results, label=args.label)
             print(f"[wrote {written}]")
         if args.baseline:
-            problems = check_regression(
-                results,
-                args.baseline,
-                args.baseline_label,
-                max_regression=args.max_regression,
-                max_rss_growth=args.max_rss_growth,
-            )
+            problems = check_regression(results, args.baseline, args.baseline_label)
             if problems:
                 for problem in problems:
                     print(f"PERF REGRESSION: {problem}", file=sys.stderr)
@@ -382,8 +348,6 @@ def main(argv: list[str] | None = None) -> int:
     scale_overrides: dict = {}
     if args.arrival_shape != "poisson":
         scale_overrides["arrival_shape"] = args.arrival_shape
-    if args.admission != "batch":
-        scale_overrides["admission"] = args.admission
     if args.profile is not None:
         scale_overrides["profile"] = args.profile
     if args.pool_policy is not None:
@@ -408,8 +372,6 @@ def main(argv: list[str] | None = None) -> int:
         coldstart_overrides["arrival_shapes"] = (args.arrival_shape,)
 
     control_overrides: dict = {}
-    if args.driver != "kernel":
-        control_overrides["driver"] = args.driver
     if not args.churn:
         control_overrides["churn"] = False
     if args.verify:
@@ -418,8 +380,6 @@ def main(argv: list[str] | None = None) -> int:
     multitenant_overrides: dict = {}
     if args.partitioning is not None:
         multitenant_overrides["partitioning"] = args.partitioning
-    if args.admission != "batch":
-        multitenant_overrides["admission"] = args.admission
     if args.pool_policy is not None:
         multitenant_overrides["pool_policy"] = args.pool_policy
     if args.start_model is not None:

@@ -65,7 +65,7 @@ def _rss_tree() -> int:
     return max(_rss_self(), children)
 
 
-def _engine_run(run: Callable[[], Any], admission: str) -> tuple[Any, dict[str, Any]]:
+def _engine_run(run: Callable[[], Any]) -> tuple[Any, dict[str, Any]]:
     """Call *run*, one scale-engine run; return its result and the
     record every engine run carries.  ``minor_faults`` and ``sys_s``
     are what the run cost this process in the kernel (``getrusage``
@@ -84,7 +84,6 @@ def _engine_run(run: Callable[[], Any], admission: str) -> tuple[Any, dict[str, 
         "events_per_sec": round(result.events_per_sec),
         "peak_rss_bytes": result.peak_rss_bytes,
         "stream_buckets": result.stream_buckets,
-        "admission": admission,
         "fingerprint": result.fingerprint(),
     }
 
@@ -178,31 +177,36 @@ def _invocation_once() -> dict[str, Any]:
 
 
 def _scale_once(
-    admission: str = "batch",
+    referee: bool = False,
     quick: bool = False,
     overrides: Optional[dict[str, Any]] = None,
 ) -> dict[str, Any]:
-    """One open-loop scale run (see :mod:`repro.experiments.scale`), a
-    side of :func:`_two_way`.  *overrides* merges extra ``run_scale``
-    kwargs (the cold-start and 10^7 stress scenarios)."""
-    from repro.experiments.scale import QUICK_KWARGS, run_scale
+    """One open-loop scale run (see :mod:`repro.experiments.scale`) on
+    the default engine or, with *referee*, the per-event referee: a side
+    of :func:`_two_way`.  *overrides* merges extra ``run_scale`` kwargs
+    (the cold-start and 10^7 stress scenarios)."""
+    from repro.experiments.scale import QUICK_KWARGS, run_scale, run_scale_referee
 
     kwargs = dict(QUICK_KWARGS) if quick else {}
     if overrides:
         kwargs.update(overrides)
-    _, record = _engine_run(lambda: run_scale(admission=admission, **kwargs), admission)
+    run = run_scale_referee if referee else run_scale
+    _, record = _engine_run(lambda: run(**kwargs))
     return record
 
 
-def _control_once(driver: str, quick: bool = False, overrides: Optional[dict[str, Any]] = None) -> dict[str, Any]:
-    """One control-plane run (see :mod:`repro.experiments.control`), a
-    side of :func:`_two_way`.  The manager gauges (grants, renewals,
+def _control_once(
+    referee: bool = False, quick: bool = False, overrides: Optional[dict[str, Any]] = None
+) -> dict[str, Any]:
+    """One control-plane run (see :mod:`repro.experiments.control`) on
+    the kernel or, with *referee*, the per-event reference: a side of
+    :func:`_two_way`.  The manager gauges (grants, renewals,
     steals, dead nodes, peak active leases) ride along via
     :mod:`repro.perf` so every control BENCH entry records them, as
     this run's counter deltas: the counters keep running for whatever
     counts around the call.
     """
-    from repro.experiments.control import QUICK_KWARGS, run_control
+    from repro.experiments.control import QUICK_KWARGS, run_control, run_control_referee
 
     kwargs: dict[str, Any] = {}
     if quick:
@@ -214,7 +218,7 @@ def _control_once(driver: str, quick: bool = False, overrides: Optional[dict[str
     was_enabled = perf.enabled
     perf.enable()
     try:
-        result = run_control(driver=driver, **kwargs)
+        result = (run_control_referee if referee else run_control)(**kwargs)
     finally:
         if not was_enabled:
             perf.disable()
@@ -240,16 +244,23 @@ def _control_once(driver: str, quick: bool = False, overrides: Optional[dict[str
     }
 
 
-#: The two sides of every engine comparison, referee first, as (record
-#: key, admission): the per-event heap referee and the default engine
-#: (batch admission), which is the exact FIFO recurrence under the
-#: "queue" policy and the reduced-event walk under "cold"/"hybrid".
-#: The record keys stay "heap"/"wheel" so older BENCH entries remain
-#: comparable.
-_ENGINES = (("heap", "per-event"), ("wheel", "batch"))
+#: The record keys of every engine comparison's two sides, referee
+#: first: the per-event heap referee and the default engine, which is
+#: the exact FIFO recurrence under the "queue" policy and the
+#: reduced-event walk under "cold"/"hybrid".  The keys stay
+#: "heap"/"wheel" so older BENCH entries remain comparable.
+_ENGINES = ("heap", "wheel")
 
-#: The control plane's two drivers, referee first, as (record key, driver).
-_DRIVERS = (("reference", "reference"), ("kernel", "kernel"))
+#: The control plane's two drivers, referee first.
+_DRIVERS = ("reference", "kernel")
+
+#: How far ``check_regression`` lets a guarded throughput drop below
+#: its baseline.
+MAX_REGRESSION = 0.30
+#: How far a peak RSS may grow over what it is held against: the
+#: baseline entry's scale run in ``check_regression``, the per-event
+#: referee's in a 10^7 record's ``within_rss_guard``.
+MAX_RSS_GROWTH = 0.20
 
 
 def _two_way(
@@ -257,30 +268,30 @@ def _two_way(
     factory: str,
     kwargs: dict[str, Any],
     lift: tuple[str, ...] = (),
-    sides: tuple[tuple[str, str], ...] = _ENGINES,
-    side_kwarg: str = "admission",
-    max_rss_growth: Optional[float] = None,
+    keys: tuple[str, str] = _ENGINES,
+    rss_guard: bool = False,
 ) -> dict[str, Any]:
     """One engine-versus-referee record.
 
-    Runs *factory* once per side, each in its own forked process (peak
-    RSS is a process-lifetime high-water mark, so sharing a process
-    would let one run's footprint mask the other's), and keeps both
-    runs under their *sides* keys.  Builds the verdicts every two-way
-    record carries: ``speedup`` (referee wall clock / engine wall
-    clock), ``bit_identical`` (the fingerprints agree),
-    ``rss_ratio_vs_heap`` (engine peak RSS / referee peak RSS) and
-    ``peak_rss_bytes`` (the larger).  The engine run's *lift* fields
-    are copied into the record.  With *max_rss_growth* set,
+    Runs *factory* once per side -- ``referee=True`` then
+    ``referee=False`` -- each in its own forked process (peak RSS is a
+    process-lifetime high-water mark, so sharing a process would let
+    one run's footprint mask the other's), and keeps both runs under
+    their *keys*.  Builds the verdicts every two-way record carries:
+    ``speedup`` (referee wall clock / engine wall clock),
+    ``bit_identical`` (the fingerprints agree), ``rss_ratio_vs_heap``
+    (engine peak RSS / referee peak RSS) and ``peak_rss_bytes`` (the
+    larger).  The engine run's *lift* fields
+    are copied into the record.  With *rss_guard* set,
     ``within_rss_guard`` asserts the engine's peak RSS stays within
-    that fraction of the referee's on the same scenario: the fast
-    engine must not buy speed with footprint.
+    :data:`MAX_RSS_GROWTH` of the referee's on the same scenario: the
+    fast engine must not buy speed with footprint.
     """
     runs: dict[str, dict[str, Any]] = {}
-    for key, side in sides:
+    for key, is_referee in zip(keys, (True, False)):
         spec = RunSpec(
             factory=f"repro.experiments.bench:{factory}",
-            kwargs={side_kwarg: side, **kwargs},
+            kwargs={"referee": is_referee, **kwargs},
             label=f"{label}[{key}]",
         )
         (outcome,) = run_specs([spec], 2)
@@ -300,9 +311,9 @@ def _two_way(
         ),
         "peak_rss_bytes": max(referee["peak_rss_bytes"], engine["peak_rss_bytes"]),
     }
-    if max_rss_growth is not None:
-        record["max_rss_growth"] = max_rss_growth
-        record["within_rss_guard"] = bool(record["rss_ratio_vs_heap"] <= 1.0 + max_rss_growth)
+    if rss_guard:
+        record["max_rss_growth"] = MAX_RSS_GROWTH
+        record["within_rss_guard"] = bool(record["rss_ratio_vs_heap"] <= 1.0 + MAX_RSS_GROWTH)
     return record
 
 
@@ -330,8 +341,7 @@ def bench_control(
             "grants_per_sec",
             "gauges",
         ),
-        sides=_DRIVERS,
-        side_kwarg="driver",
+        keys=_DRIVERS,
     )
     record["rss_ok"] = record["kernel"]["peak_rss_bytes"] <= record["reference"]["peak_rss_bytes"]
     return record
@@ -431,7 +441,7 @@ def _cold_two_way(
     label: str,
     scenario: dict[str, Any],
     quick: bool = False,
-    max_rss_growth: Optional[float] = None,
+    rss_guard: bool = False,
 ) -> dict[str, Any]:
     """:func:`_two_way` on a cold-start *scenario*, plus its cold-start
     economics read from the default engine's fingerprint."""
@@ -442,7 +452,7 @@ def _cold_two_way(
         "_scale_once",
         {"quick": quick, "overrides": scenario},
         lift=("invocations",),
-        max_rss_growth=max_rss_growth,
+        rss_guard=rss_guard,
     )
     fp = record["wheel"]["fingerprint"]
     record.update(
@@ -565,33 +575,31 @@ COLD_TEN_MILLION_KWARGS = {
 }
 
 
-def bench_coldstart_ten_million(max_rss_growth: float = 0.20) -> dict[str, Any]:
+def bench_coldstart_ten_million() -> dict[str, Any]:
     """10^7 cold-start invocations, cold policy only: the stress run,
-    with the default engine's peak RSS held within *max_rss_growth* of
-    the heap referee's (``within_rss_guard``)."""
+    with the default engine's peak RSS held within
+    :data:`MAX_RSS_GROWTH` of the heap referee's (``within_rss_guard``)."""
     scenario = {**_COLD_SCENARIO, "pool_policy": "cold", **COLD_TEN_MILLION_KWARGS}
-    return _cold_two_way("coldstart10m", scenario, max_rss_growth=max_rss_growth)
+    return _cold_two_way("coldstart10m", scenario, rss_guard=True)
 
 
 def _multitenant_once(
-    admission: str,
+    referee: bool = False,
     quick: bool = False,
     partitioning: str = "pinned",
     overrides: Optional[dict[str, Any]] = None,
 ) -> dict[str, Any]:
     """One multi-tenant scale run (see :func:`repro.experiments.scale.
-    run_tenant_scale`), a side of :func:`_two_way`."""
-    from repro.experiments.multitenant import QUICK_KWARGS, run_multitenant_scale
+    run_tenant_scale`) on the default engine or, with *referee*, the
+    per-event referee: a side of :func:`_two_way`."""
+    from repro.experiments.multitenant import QUICK_KWARGS, SCALE_KWARGS
+    from repro.experiments.scale import run_tenant_scale, run_tenant_scale_referee
 
-    kwargs = dict(QUICK_KWARGS) if quick else {}
+    kwargs = dict(QUICK_KWARGS if quick else SCALE_KWARGS)
     if overrides:
         kwargs.update(overrides)
-    result, record = _engine_run(
-        lambda: run_multitenant_scale(
-            admission=admission, partitioning=partitioning, **kwargs
-        ),
-        admission,
-    )
+    run = run_tenant_scale_referee if referee else run_tenant_scale
+    result, record = _engine_run(lambda: run(partitioning=partitioning, **kwargs))
     record["partitioning"] = partitioning
     record["miss_rates"] = {name: t.miss_rate for name, t in result.tenants.items()}
     record["congestion_rates"] = {
@@ -725,19 +733,19 @@ TEN_MILLION_KWARGS = {
 }
 
 
-def bench_scale_ten_million(max_rss_growth: float = 0.20) -> dict[str, Any]:
+def bench_scale_ten_million() -> dict[str, Any]:
     """10^7 invocations in one run: the acceptance stress run.
 
     Same shape as :func:`bench_scale`, an order of magnitude more
     events, with the default engine's peak RSS held within
-    *max_rss_growth* of the heap referee's (``within_rss_guard``).
+    :data:`MAX_RSS_GROWTH` of the heap referee's (``within_rss_guard``).
     """
     return _two_way(
         "scale10m",
         "_scale_once",
         {"overrides": TEN_MILLION_KWARGS},
         lift=_SCALE_FIELDS,
-        max_rss_growth=max_rss_growth,
+        rss_guard=True,
     )
 
 
@@ -918,8 +926,8 @@ _VERDICTS = {
 }
 
 #: The baseline guards, as (record, figure, bound, what a breach means).
-#: "drop" fails a figure more than ``max_regression`` below the
-#: baseline; "growth" one more than ``max_rss_growth`` above it; "4x"
+#: "drop" fails a figure more than :data:`MAX_REGRESSION` below the
+#: baseline; "growth" one more than :data:`MAX_RSS_GROWTH` above it; "4x"
 #: one past four times it, for outputs that are deterministic on the
 #: quick scenario (a dict of figures, the per-tenant miss rates, is
 #: checked key by key).  A figure either side lacks, or a zero
@@ -963,11 +971,7 @@ def _figure(doc: dict[str, Any], record: str, figure: str) -> Any:
 
 
 def check_regression(
-    results: dict[str, Any],
-    baseline_path: str,
-    baseline_label: Optional[str],
-    max_regression: float = 0.30,
-    max_rss_growth: float = 0.20,
+    results: dict[str, Any], baseline_path: str, baseline_label: Optional[str]
 ) -> list[str]:
     """Compare *results* against a committed trajectory entry.
 
@@ -976,10 +980,11 @@ def check_regression(
     *results* fails, named by its record path.  The table
     (``_BASELINE_GUARDS``): the DES kernel's ``events_per_sec`` and the
     control and multi-tenant throughputs may drop at most
-    *max_regression* below the baseline entry, the scale run's peak RSS
-    may grow at most *max_rss_growth* (the scale engine's whole point
-    is bounded memory), and the cold-start fraction and per-tenant
-    deadline-miss rates may not pass 4x the baseline.
+    :data:`MAX_REGRESSION` below the baseline entry, the scale run's
+    peak RSS may grow at most :data:`MAX_RSS_GROWTH` (the scale
+    engine's whole point is bounded memory), and the cold-start
+    fraction and per-tenant deadline-miss rates may not pass 4x the
+    baseline.
 
     Returns a list of problems, empty when the run is clean; a missing
     baseline file or entry, or a kernel throughput either side lacks,
@@ -1013,15 +1018,15 @@ def check_regression(
                 continue  # absent on one side: nothing to compare
             if not base_value:
                 continue
-            if bound == "drop" and value < base_value * (1.0 - max_regression):
+            if bound == "drop" and value < base_value * (1.0 - MAX_REGRESSION):
                 problems.append(
                     f"{name} {value:,.0f} is {1 - value / base_value:.1%} below "
-                    f"baseline {label!r} ({base_value:,.0f}; allowed drop {max_regression:.0%})"
+                    f"baseline {label!r} ({base_value:,.0f}; allowed drop {MAX_REGRESSION:.0%})"
                 )
-            elif bound == "growth" and value > base_value * (1.0 + max_rss_growth):
+            elif bound == "growth" and value > base_value * (1.0 + MAX_RSS_GROWTH):
                 problems.append(
                     f"{name} {value:,.0f} is {value / base_value - 1:.1%} above "
-                    f"baseline {label!r} ({base_value:,.0f}; allowed growth {max_rss_growth:.0%})"
+                    f"baseline {label!r} ({base_value:,.0f}; allowed growth {MAX_RSS_GROWTH:.0%})"
                 )
             elif bound == "4x" and value > 4.0 * base_value:
                 problems.append(
@@ -1052,14 +1057,14 @@ def _two_way_lines(node: Any, path: str = "") -> list[str]:
     """Every engine-versus-referee record under *node*, one line each."""
     if not isinstance(node, dict):
         return []
-    sides = next((s for s in (_ENGINES, _DRIVERS) if s[0][0] in node), None)
-    if sides is None:
+    keys = next((k for k in (_ENGINES, _DRIVERS) if k[0] in node), None)
+    if keys is None:
         return [
             line
             for key, value in node.items()
             for line in _two_way_lines(value, f"{path}.{key}" if path else key)
         ]
-    (referee_key, _), (engine_key, _) = sides
+    referee_key, engine_key = keys
     referee, engine = node[referee_key], node[engine_key]
     head = ", ".join(f.format(node[k]) for k, f in _HEADLINES if k in node)
     figures = "".join(", " + f.format(node[k]) for k, f in _FIGURES if k in node)

@@ -20,11 +20,12 @@ small pool + remote-fork buys Docker-pool tail latency at a fraction
 of the executor-seconds, while a Docker cold path needs a pool ~the
 full concurrency to hide its 2.7 s spawns.
 
-Engine notes: every point runs the scale experiment's default engine
-(batch admission): the reduced-event walk for the ``cold``/``hybrid``
-policies, the exact FIFO recurrence for ``queue`` (see
-:mod:`repro.experiments.scale`).  ``verify=True`` replays each point on
-the per-event heap referee and records bit-identity.  To profile the
+Engine notes: every point runs the scale experiment's default engine:
+the reduced-event walk for the ``cold``/``hybrid`` policies, the exact
+FIFO recurrence for ``queue`` (see :mod:`repro.experiments.scale`).
+``verify=True`` replays each point on the per-event heap referee
+(:func:`~repro.experiments.scale.run_scale_referee`) and records
+bit-identity.  To profile the
 walk, profile one run: ``--profile`` is accepted by the ``scale``
 experiment only (``scale --pool-policy cold --profile``).
 
@@ -43,7 +44,7 @@ from typing import Any, Optional
 
 from repro.analysis.reporting import Table, format_ns
 from repro.core.sandbox import SANDBOX_PROFILES
-from repro.experiments.scale import run_scale
+from repro.experiments.scale import run_scale, run_scale_referee
 from repro.sim.clock import us
 
 
@@ -84,7 +85,7 @@ class ColdstartResult:
     wall_s: float = 0.0
 
     def fingerprint(self) -> dict[str, Any]:
-        """Simulated-domain outputs per point -- admission-independent."""
+        """Simulated-domain outputs per point -- engine-independent."""
         out: dict[str, Any] = {}
         for p in self.points:
             key = f"pool={p.pool_size}|model={p.start_model}|shape={p.arrival_shape}"
@@ -194,7 +195,7 @@ def run_coldstart(
                 result = run_scale(**kwargs)
                 bit_identical: Optional[bool] = None
                 if verify:
-                    referee = run_scale(**kwargs, admission="per-event")
+                    referee = run_scale_referee(**kwargs)
                     bit_identical = referee.fingerprint() == result.fingerprint()
                     if not bit_identical:
                         raise RuntimeError(

@@ -11,7 +11,7 @@ and the node later revives at full capacity.
 
 Two drivers replay the *same* deterministic calendar:
 
-* ``reference`` -- per-event on the heap
+* ``reference`` (:func:`run_control_referee`) -- per-event on the heap
   :class:`~repro.sim.core.Environment`, through the real
   :class:`~repro.core.resource_manager.ResourceManager` RPC path: every
   request is an ``env.process`` yielding the manager's decision delay,
@@ -19,11 +19,11 @@ Two drivers replay the *same* deterministic calendar:
   the manager's own lease-expiry sleeper (``_LeaseExpiry``), churn a
   ``deregister_executor`` RPC whose termination announcements fan out
   to the clients.  This is the bit-identity referee.
-* ``kernel`` -- no event queue: one loop over a merge of the
-  calendar's three pre-sorted streams (grant decisions, planned lease
-  ends, deaths), with what a death causes in one small heap, the lease
-  table in plain lists and round-robin first-fit on one eligibility
-  bitmask per request size
+* ``kernel`` (:func:`run_control`) -- no event queue: one loop over a
+  merge of the calendar's three pre-sorted streams (grant decisions,
+  planned lease ends, deaths), with what a death causes in one small
+  heap, the lease table in plain lists and round-robin first-fit on
+  one eligibility bitmask per request size
   (:class:`repro.core.placement.BitmaskFirstFit`).  Renewals never
   enter the replay at all -- their count and timestamps are
   closed-form per lease, emitted vectorized after the run.
@@ -151,7 +151,6 @@ class ControlConfig:
     downtime_ns: int = ms(50) + 4
     #: Remaining lifetime below which a stolen lease is not re-acquired.
     min_relifetime_ns: int = ms(1)
-    subbits: int = 8
 
     def __post_init__(self) -> None:
         if self.executors < 1 or self.requests < 1:
@@ -262,7 +261,6 @@ def control_streams(config: ControlConfig) -> ControlStreams:
 class ControlResult:
     """One control-plane run: counts, latencies, throughput."""
 
-    driver: str
     executors: int
     requests: int
     lease_events: int
@@ -309,7 +307,7 @@ class ControlResult:
         counts = self.counts
         table = Table(
             f"Control plane -- {self.lease_events:,} lease events over "
-            f"{self.executors:,} executors ({self.driver} driver)",
+            f"{self.executors:,} executors",
             ["metric", "value"],
         )
         table.add_row("requests", f"{self.requests:,}")
@@ -366,7 +364,6 @@ def _peak_rss_bytes() -> int:
 
 def _finish(
     config: ControlConfig,
-    driver: str,
     counts: dict[str, int],
     checksum: int,
     log_times: np.ndarray,
@@ -384,7 +381,7 @@ def _finish(
     def summarize(values: np.ndarray) -> Optional[SummaryStats]:
         if values.size == 0:
             return None
-        stream = StreamingSummary(config.subbits)
+        stream = StreamingSummary()
         stream.observe_many(values)
         return stream.summarize()
 
@@ -403,7 +400,6 @@ def _finish(
         if leases_active_peak > perf.counters.leases_active_peak:
             perf.counters.leases_active_peak = leases_active_peak
     return ControlResult(
-        driver=driver,
         executors=config.executors,
         requests=config.requests,
         lease_events=lease_events,
@@ -685,7 +681,6 @@ class _ReferenceDriver:
         records = self.manager.executors.values()
         return _finish(
             self.config,
-            "reference",
             self.counts,
             self.checksum,
             np.asarray(self.log_times, dtype=np.int64),
@@ -905,7 +900,6 @@ class _KernelDriver:
         log = np.fromiter(chain.from_iterable(self.log), dtype=np.int64).reshape(-1, 3)
         return _finish(
             self.config,
-            "kernel",
             self.counts,
             self.checksum,
             np.concatenate([log[:, 0], renew_times]),
@@ -919,42 +913,33 @@ class _KernelDriver:
         )
 
 
-DRIVERS = ("kernel", "reference")
-
 #: CI-sized scenario (registry --quick and CI's engine-smoke job).
 QUICK_KWARGS = {"executors": 256, "requests": 6_000, "deaths": 24, "verify": True}
 
 
-def run_control(
-    driver: str = "kernel",
-    verify: bool = False,
-    **overrides: Any,
-) -> ControlResult:
-    """Run the control-plane scenario with one driver.
+def run_control(verify: bool = False, **overrides: Any) -> ControlResult:
+    """Run the control-plane scenario on the kernel (merged-stream replay).
 
-    ``driver`` is ``"kernel"`` (merged-stream replay, default) or
-    ``"reference"`` (per-event ResourceManager RPC replay on the heap
-    environment); both produce identical simulated results.
-    ``verify=True`` additionally runs the *other* driver and raises if
-    the fingerprints differ.
+    *overrides* are :class:`ControlConfig` fields.  ``verify=True``
+    also replays the same calendar on the per-event reference (see
+    :func:`run_control_referee`) and raises if the fingerprints differ.
     """
-    if driver not in DRIVERS:
-        raise ValueError(f"driver must be one of {DRIVERS}, got {driver!r}")
     config = ControlConfig(**overrides)
     streams = control_streams(config)
-    result = _run_one(driver, config, streams)
+    result = _KernelDriver(config, streams).run()
     if verify:
-        other = DRIVERS[1 - DRIVERS.index(driver)]
-        referee = _run_one(other, config, streams)
+        referee = _ReferenceDriver(config, streams).run()
         if referee.fingerprint() != result.fingerprint():
             raise AssertionError(
-                f"control drivers diverged: {driver} vs {other}\n"
+                "control drivers diverged: kernel vs reference\n"
                 f"{result.fingerprint()}\n{referee.fingerprint()}"
             )
     return result
 
 
-def _run_one(driver: str, config: ControlConfig, streams: ControlStreams) -> ControlResult:
-    if driver == "kernel":
-        return _KernelDriver(config, streams).run()
-    return _ReferenceDriver(config, streams).run()
+def run_control_referee(**overrides: Any) -> ControlResult:
+    """:func:`run_control` on the per-event reference: the same
+    *overrides* build the same config and calendar, replayed through
+    the real ResourceManager RPC path on the heap environment."""
+    config = ControlConfig(**overrides)
+    return _ReferenceDriver(config, control_streams(config)).run()

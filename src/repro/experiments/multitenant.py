@@ -144,27 +144,20 @@ QUICK_KWARGS = {
 }
 
 
-def run_multitenant_scale(
-    invocations: int = 1_000_000,
-    rate_scale: float = 17_500.0,
-    compute_scale: float = 1_000.0,
-    workers: int = 1 << 21,
-    **kwargs,
-) -> TenantScaleResult:
+#: The paper-scale mix: :func:`standard_mix` rescaled to 10^6
+#: invocations, with arrival rates high enough that the bursty
+#: profile's burst epochs stress its partition while the mix stays
+#: unsaturated overall on the default 2^21-slot warm pool.
+SCALE_KWARGS = {"invocations": 1_000_000, "rate_scale": 17_500.0, "compute_scale": 1_000.0}
+
+
+def run_multitenant_scale(**kwargs) -> TenantScaleResult:
     """Million-invocation multi-tenant isolation run (the scale engine).
 
     Thin registry/CLI entry over :func:`repro.experiments.scale.
-    run_tenant_scale`: the defaults rescale :func:`standard_mix` to
-    10^6 invocations over a 2^21-slot warm pool -- arrival rates high
-    enough that the bursty profile's burst epochs stress its partition
-    while the mix stays unsaturated overall -- and every engine knob
-    (``partitioning``, ``admission``, ``pool_policy``, ...) passes
-    straight through.
+    run_tenant_scale` at :data:`SCALE_KWARGS`: those and every
+    :class:`~repro.experiments.scale.MultiTenantConfig` knob
+    (``workers``, ``partitioning``, ``pool_policy``, ...) pass straight
+    through.
     """
-    return run_tenant_scale(
-        invocations=invocations,
-        rate_scale=rate_scale,
-        compute_scale=compute_scale,
-        workers=workers,
-        **kwargs,
-    )
+    return run_tenant_scale(**{**SCALE_KWARGS, **kwargs})

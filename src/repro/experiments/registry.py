@@ -143,7 +143,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         Experiment(
             "control",
             "Cluster-scale lease brokering under executor churn "
-            "(--driver kernel|reference)",
+            "(--no-churn, --verify against the per-event reference)",
             run_control,
             dict(CONTROL_QUICK_KWARGS),
         ),

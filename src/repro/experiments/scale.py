@@ -32,9 +32,9 @@ Model -- an open-loop generator over a warm executor pool:
   re-arm lands exactly on the finish time, so sojourn times are exact,
   not quantized to the check interval.
 
-Engines -- which one runs is fixed by the knobs the caller already
-passes (see ``_simulate``); no engine builds an environment under batch
-admission, the default:
+Engines -- which one runs is fixed by the policy (and, for tenants,
+the partition plan) the caller passes; no default engine builds an
+environment:
 
 * ``pool_policy="queue"`` walks no events at all.  Under a FIFO backlog
   no output depends on event interleaving, so :class:`_FifoDriver`
@@ -51,9 +51,10 @@ admission, the default:
   under any (a pinned completion serves its own tenant ahead of older
   shared waiters), take :class:`_TenantWalk`, the same walk over
   per-tenant pools.
-* ``admission="per-event"`` walks every event on the heap
-  :class:`~repro.sim.core.Environment`: the referees the fast engines
-  are checked against, fingerprint for fingerprint.
+* :func:`run_scale_referee` and :func:`run_tenant_scale_referee` take
+  the same knobs, build the same config and walk every event on the
+  heap :class:`~repro.sim.core.Environment`: the referees the fast
+  engines are checked against, fingerprint for fingerprint.
 
 Implementation notes for the per-event referees (hot loops):
 
@@ -69,7 +70,8 @@ Implementation notes for the per-event referees (hot loops):
   scans over ~10^6 live timers otherwise cost ~15% of the run.
 
 Every run is one scenario on one pool in one process: ``run_scale``
-and ``run_tenant_scale`` build one config, drive one engine in-process
+and ``run_tenant_scale`` build one config -- the only place a knob and
+its default are declared and checked -- drive one engine in-process
 and build their result from it.
 
 Run it::
@@ -117,6 +119,9 @@ _RNG_CHUNK = 1 << 16
 #: the arrival, however early the arrival's eid was drawn.  The FIFO
 #: recurrence and the walks follow the same rule.
 _ARRIVAL_PRIO = 2
+#: Clip bounds of the log-normal service draws.
+MIN_SERVICE_NS = ms(1)
+MAX_SERVICE_NS = int(3e9)
 
 
 @dataclass(frozen=True)
@@ -136,19 +141,9 @@ class ScaleConfig:
     #: chosen so in-flight invocations pile up to pool capacity.
     service_log_mean: float = 19.8
     service_log_sigma: float = 0.6
-    min_service_ns: int = ms(1)
-    max_service_ns: int = int(3e9)
     #: Period of the in-flight lease re-validation timer.
     lease_check_interval_ns: int = ms(64)
     seed: int = 0x5CA1E
-    #: The engine choice: "batch" (default) runs the FIFO recurrence or
-    #: the reduced-event walk on whole numpy arrival chunks and builds
-    #: no environment; "per-event" drives one arrival event at a time
-    #: through the heap environment (the referee the bit-identity
-    #: contract is checked against).  See ``_simulate``.
-    admission: str = "batch"
-    #: Streaming-histogram resolution (quantile error <= 2**-subbits).
-    subbits: int = 8
     #: Arrival process: "poisson", "bursty", or "diurnal"
     #: (see :mod:`repro.sim.arrivals`).
     arrival_shape: str = "poisson"
@@ -178,12 +173,21 @@ class ScaleConfig:
     #: start ("hybrid" only).
     hybrid_threshold: int = 64
 
+    def __post_init__(self) -> None:
+        _validate_pool_policy(
+            self.pool_policy, self.start_model, self.keepalive_ns, self.hybrid_threshold
+        )
+        if self.invocations < 1:
+            raise ValueError(f"scale run needs at least one invocation, got {self.invocations}")
+        if self.workers < 1:
+            raise ValueError(f"scale run needs at least one warm slot, got {self.workers}")
+        object.__setattr__(self, "diurnal_multipliers", tuple(self.diurnal_multipliers))
+
 
 @dataclass
 class ScaleResult:
     """One open-loop run: throughput, memory, and tail latency."""
 
-    admission: str
     invocations: int
     workers: int
     completed: int
@@ -213,7 +217,7 @@ class ScaleResult:
     arrival_shape: str = "poisson"
 
     def fingerprint(self) -> dict[str, Any]:
-        """The simulated-domain outputs -- identical across admissions.
+        """The simulated-domain outputs -- identical across engines.
 
         Wall-clock and RSS are measurement artifacts and excluded;
         everything here must match bit-for-bit between the default
@@ -239,10 +243,9 @@ class ScaleResult:
         }
 
     def table(self) -> Table:
-        shape = "" if self.arrival_shape == "poisson" else f", {self.arrival_shape} arrivals"
+        shape = "" if self.arrival_shape == "poisson" else f" ({self.arrival_shape} arrivals)"
         table = Table(
-            f"Open-loop scale run -- {self.invocations:,} invocations "
-            f"({self.admission} admission{shape})",
+            f"Open-loop scale run -- {self.invocations:,} invocations{shape}",
             ["metric", "value"],
         )
         table.add_row("completed", f"{self.completed:,}")
@@ -274,16 +277,10 @@ def _peak_rss_bytes() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
-def _validate_admission(admission: str) -> None:
-    """Reject unknown admission modes before any environment is built."""
-    if admission not in ("batch", "per-event"):
-        raise ValueError(f"admission must be 'batch' or 'per-event', got {admission!r}")
-
-
 def _validate_pool_policy(
     pool_policy: str, start_model: str, keepalive_ns: int, hybrid_threshold: int
 ) -> None:
-    """Reject unknown cold-start knobs before any environment is built."""
+    """Reject unknown cold-start knobs when their config is built."""
     if pool_policy not in ("queue", "cold", "hybrid"):
         raise ValueError(
             f"pool_policy must be 'queue', 'cold' or 'hybrid', got {pool_policy!r}"
@@ -315,71 +312,39 @@ def _report_profile(profiler, destination: Union[bool, str]) -> None:
         print(f"profile archived to {destination} (+ .txt)")
 
 
-def run_scale(
-    invocations: int = 1_000_000,
-    workers: int = 1 << 20,
-    seed: int = 0x5CA1E,
-    mean_arrival_gap_ns: int = 250,
-    service_log_mean: float = 19.8,
-    service_log_sigma: float = 0.6,
-    lease_check_interval_ns: int = ms(64),
-    admission: str = "batch",
-    subbits: int = 8,
-    arrival_shape: str = "poisson",
-    burst_len: int = 64,
-    burst_intra_gap_ns: int = 1,
-    diurnal_period_ns: int = 0,
-    diurnal_multipliers: tuple = DIURNAL_DAY,
-    pool_policy: str = "queue",
-    start_model: str = "remote-fork",
-    keepalive_ns: int = 0,
-    hybrid_threshold: int = 64,
-    profile: Union[bool, str, None] = None,
-) -> ScaleResult:
+def run_scale(profile: Union[bool, str, None] = None, **knobs: Any) -> ScaleResult:
     """Drive the open-loop scale scenario once, in-process, and measure it.
 
-    The quick (CI) configuration shrinks ``invocations`` and
-    ``workers`` so the pool saturates and the FIFO backlog path is
-    exercised; the paper-scale default instead keeps ~10^6 invocations
-    in flight at once.  The run takes the engine :func:`_simulate`
-    picks for the admission and policy, whatever the arrival shape; a
-    bad arrival knob fails as ``ValueError`` when its stream is first
-    drawn, before any arrival is served.
+    *knobs* are :class:`ScaleConfig` fields; a bad one fails as
+    ``ValueError`` when the config is built, and a bad arrival knob
+    when its stream is first drawn, before any arrival is served.  The
+    quick (CI) configuration shrinks ``invocations`` and ``workers`` so
+    the pool saturates and the FIFO backlog path is exercised; the
+    paper-scale default instead keeps ~10^6 invocations in flight at
+    once.  The run takes the engine its policy calls for, whatever the
+    arrival shape: :class:`_FifoDriver`'s exact FIFO recurrence under
+    ``queue``, :class:`_PoolWalk` under ``cold``/``hybrid``.  *profile*
+    runs the drive under cProfile (see :func:`_timed_drive`).
     """
-    _validate_admission(admission)
-    _validate_pool_policy(pool_policy, start_model, keepalive_ns, hybrid_threshold)
-    if invocations < 1:
-        raise ValueError(f"scale run needs at least one invocation, got {invocations}")
-    if workers < 1:
-        raise ValueError(f"scale run needs at least one warm slot, got {workers}")
-    config = ScaleConfig(
-        invocations=invocations,
-        workers=workers,
-        mean_arrival_gap_ns=mean_arrival_gap_ns,
-        service_log_mean=service_log_mean,
-        service_log_sigma=service_log_sigma,
-        lease_check_interval_ns=lease_check_interval_ns,
-        seed=seed,
-        admission=admission,
-        subbits=subbits,
-        arrival_shape=arrival_shape,
-        burst_len=burst_len,
-        burst_intra_gap_ns=burst_intra_gap_ns,
-        diurnal_period_ns=diurnal_period_ns,
-        diurnal_multipliers=tuple(diurnal_multipliers),
-        pool_policy=pool_policy,
-        start_model=start_model,
-        keepalive_ns=keepalive_ns,
-        hybrid_threshold=hybrid_threshold,
-    )
-    return _simulate(config, profile)
+    config = ScaleConfig(**knobs)
+    engine = _FifoDriver if config.pool_policy == "queue" else _PoolWalk
+    return _scale_result(config, *_drive(engine, config, profile))
+
+
+def run_scale_referee(**knobs: Any) -> ScaleResult:
+    """:func:`run_scale` on the per-event referee: the same knobs build
+    the same config, and :class:`_ShardDriver` walks every event of it
+    on the heap environment.  Its fingerprint is the one the default
+    engines must match."""
+    config = ScaleConfig(**knobs)
+    return _scale_result(config, *_drive_referee(_ShardDriver, config))
 
 
 def _draw_services(rng, size: int, config: ScaleConfig):
     """*size* clipped log-normal service times -- the PR 4 recipe."""
     draws = rng.lognormal(config.service_log_mean, config.service_log_sigma, size=size)
     services = draws.astype(np.int64)
-    return np.clip(services, config.min_service_ns, config.max_service_ns, out=services)
+    return np.clip(services, MIN_SERVICE_NS, MAX_SERVICE_NS, out=services)
 
 
 def _scale_chunks(config: ScaleConfig, lists: bool = True):
@@ -437,7 +402,7 @@ class _FifoDriver:
 
     def __init__(self, config: ScaleConfig) -> None:
         self.config = config
-        self.stream = StreamingSummary(config.subbits)
+        self.stream = StreamingSummary()
         self.pool = FifoServers(config.workers)
         self.completed = 0
         self.events_processed = 0
@@ -518,7 +483,7 @@ class _PoolWalk:
 
     def __init__(self, config: ScaleConfig) -> None:
         self.config = config
-        self.stream = StreamingSummary(config.subbits)
+        self.stream = StreamingSummary()
         self.free_slots = config.workers
         self.count = config.invocations
         self.completed = 0
@@ -688,7 +653,7 @@ class _ShardDriver:
     lease timer re-armed each interval until it finishes; a dry pool
     queues FIFO or, under the cold policies, spins a sandbox up.
 
-    Only ``admission="per-event"`` builds this driver; batch admission
+    Only :func:`run_scale_referee` builds this driver; :func:`run_scale`
     runs :class:`_FifoDriver`'s recurrence (``queue``) or
     :class:`_PoolWalk` (``cold``/``hybrid``).
     """
@@ -729,7 +694,7 @@ class _ShardDriver:
     def __init__(self, env, config: ScaleConfig) -> None:
         self.env = env
         self.config = config
-        self.stream = StreamingSummary(config.subbits)
+        self.stream = StreamingSummary()
         self.backlog: deque[tuple[int, int]] = deque()
         self.free_slots = config.workers
         self.count = config.invocations
@@ -907,26 +872,28 @@ def _timed_drive(drive, profile: Union[bool, str, None]) -> float:
 
 
 def _drive(
-    config: Union[ScaleConfig, MultiTenantConfig],
-    engine,
-    referee,
-    profile: Union[bool, str, None] = None,
+    engine, config: Union[ScaleConfig, MultiTenantConfig], profile: Union[bool, str, None] = None
 ) -> tuple[Any, float, int, int]:
-    """Build the driver *config* calls for and run it to completion.
+    """Build the default *engine* on *config* and run it to completion.
 
-    Batch admission (the default) builds *engine*, which needs no
-    environment.  Per-event admission walks every event through
-    *referee* on the heap environment: the referee the fast engines are
-    checked against.  Both run with glibc's malloc thresholds pinned
-    (:mod:`repro.perf.malloc`), so a referee and the engine it checks
-    share one allocator.  Returns the driver, the drive's wall time,
-    and the events and final clock of the run.
+    The engine needs no environment.  It runs with glibc's malloc
+    thresholds pinned (:mod:`repro.perf.malloc`), as its referee does
+    (:func:`_drive_referee`), so the two share one allocator.  Returns
+    the driver, the drive's wall time, and the events and final clock
+    of the run.
     """
     pin_thresholds()
-    if config.admission == "batch":
-        driver = engine(config)
-        wall_s = _timed_drive(driver.drive, profile)
-        return driver, wall_s, driver.events_processed, driver.final_now_ns
+    driver = engine(config)
+    wall_s = _timed_drive(driver.drive, profile)
+    return driver, wall_s, driver.events_processed, driver.final_now_ns
+
+
+def _drive_referee(
+    referee, config: Union[ScaleConfig, MultiTenantConfig]
+) -> tuple[Any, float, int, int]:
+    """:func:`_drive` for a per-event *referee*: it walks every event of
+    *config* through the heap environment."""
+    pin_thresholds()
     env = Environment()
     driver = referee(env, config)
     driver.start()
@@ -937,7 +904,7 @@ def _drive(
     gc.collect()
     gc.disable()
     try:
-        wall_s = _timed_drive(driver.drive, profile)
+        wall_s = _timed_drive(driver.drive, None)
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -945,15 +912,10 @@ def _drive(
     return driver, wall_s, env.events_processed, env.now
 
 
-def _simulate(config: ScaleConfig, profile: Union[bool, str, None] = None) -> ScaleResult:
-    """Run *config* on the engine its knobs call for and measure it.
-
-    Batch admission runs :class:`_FifoDriver`'s exact FIFO recurrence
-    under the ``queue`` policy and :class:`_PoolWalk` under
-    ``cold``/``hybrid``; per-event admission runs :class:`_ShardDriver`.
-    """
-    engine = _FifoDriver if config.pool_policy == "queue" else _PoolWalk
-    driver, wall_s, events, now = _drive(config, engine, _ShardDriver, profile)
+def _scale_result(
+    config: ScaleConfig, driver, wall_s: float, events: int, now: int
+) -> ScaleResult:
+    """Measure one drive of *config*, by either engine."""
     if driver.completed != config.invocations:
         raise RuntimeError(
             f"scale run lost invocations: {driver.completed} of {config.invocations}"
@@ -962,7 +924,6 @@ def _simulate(config: ScaleConfig, profile: Union[bool, str, None] = None) -> Sc
         perf.counters.cold_spinups += driver.cold_starts
         perf.counters.cold_reclaims += driver.cold_reclaimed
     return ScaleResult(
-        admission=config.admission,
         invocations=config.invocations,
         workers=config.workers,
         completed=driver.completed,
@@ -1007,13 +968,6 @@ QUICK_KWARGS = {"invocations": 10_000, "workers": 2_048, "mean_arrival_gap_ns": 
 PARTITIONINGS = ("pinned", "shared", "overflow")
 
 
-def _validate_partitioning(partitioning: str) -> None:
-    if partitioning not in PARTITIONINGS:
-        raise ValueError(
-            f"partitioning must be one of {PARTITIONINGS}, got {partitioning!r}"
-        )
-
-
 @dataclass(frozen=True)
 class MultiTenantConfig:
     """Knobs of the multi-tenant open-loop scenario."""
@@ -1029,10 +983,6 @@ class MultiTenantConfig:
     partitioning: str = "pinned"
     lease_check_interval_ns: int = ms(64)
     seed: int = 0x7E7A77
-    #: "batch" (the FIFO recurrence or the reduced-event walk) or
-    #: "per-event" (the referee on the heap environment).
-    admission: str = "batch"
-    subbits: int = 8
     #: Dry-pool arrival policy, per-tenant thresholds: "queue" (FIFO up
     #: to ``spec.queue_cap``, then CONGESTION), "cold" (every dry
     #: arrival spins a sandbox up; it joins the *shared* tier), or
@@ -1041,15 +991,29 @@ class MultiTenantConfig:
     start_model: str = "remote-fork"
     hybrid_threshold: int = 64
 
+    def __post_init__(self) -> None:
+        specs = tuple(self.specs)
+        object.__setattr__(self, "specs", specs)
+        if not specs:
+            raise ValueError("multi-tenant run needs at least one tenant spec")
+        names = [spec.name for spec in specs]
+        if len(set(names)) != len(names):
+            raise ValueError(f"tenant names must be unique, got {names}")
+        if self.partitioning not in PARTITIONINGS:
+            raise ValueError(
+                f"partitioning must be one of {PARTITIONINGS}, got {self.partitioning!r}"
+            )
+        _validate_pool_policy(self.pool_policy, self.start_model, 0, self.hybrid_threshold)
+
 
 def _tenant_pool_plan(specs: tuple, workers: int, partitioning: str) -> tuple[list[int], int]:
     """Split *workers* into per-tenant pinned partitions + a shared tier.
 
     Every tenant must reach a slot, through its pinned partition or the
     shared tier: a tenant that reaches none would leave its waiters
-    queued forever.
+    queued forever.  *partitioning* is one of :data:`PARTITIONINGS`, as
+    :class:`MultiTenantConfig` checks.
     """
-    _validate_partitioning(partitioning)
     weights = [max(1, spec.workers) for spec in specs]
     if partitioning == "shared":
         pinned, shared = [0] * len(specs), workers
@@ -1169,7 +1133,7 @@ class _TenantBook:
         specs = config.specs
         n = len(specs)
         self.names = [spec.name for spec in specs]
-        self.keyed = KeyedStreamingSummary(config.subbits)
+        self.keyed = KeyedStreamingSummary()
         self.backlogs = [deque() for _ in range(n)]
         self.pinned, self.shared_free = _tenant_pool_plan(
             specs, config.workers, config.partitioning
@@ -1644,7 +1608,6 @@ class TenantStats:
 class TenantScaleResult:
     """A multi-tenant open-loop run."""
 
-    admission: str
     partitioning: str
     pool_policy: str
     invocations: int
@@ -1666,7 +1629,7 @@ class TenantScaleResult:
     occupancy: dict[str, int] = field(default_factory=dict)
 
     def fingerprint(self) -> dict[str, Any]:
-        """Simulated-domain outputs: identical across admissions."""
+        """Simulated-domain outputs: identical across engines."""
         per_tenant = {}
         for name, t in self.tenants.items():
             stats = {
@@ -1704,7 +1667,7 @@ class TenantScaleResult:
     def table(self) -> Table:
         table = Table(
             f"Multi-tenant scale run -- {self.invocations:,} invocations, "
-            f"{self.partitioning} partitioning ({self.admission} admission)",
+            f"{self.partitioning} partitioning",
             [
                 "tenant",
                 "arrived",
@@ -1745,59 +1708,57 @@ def run_tenant_scale(
     invocations: Optional[int] = None,
     rate_scale: float = 1.0,
     compute_scale: float = 1.0,
-    workers: int = 1 << 21,
-    partitioning: str = "pinned",
-    admission: str = "batch",
-    pool_policy: str = "queue",
-    start_model: str = "remote-fork",
-    hybrid_threshold: int = 64,
-    lease_check_interval_ns: int = ms(64),
-    seed: int = 0x7E7A77,
-    subbits: int = 8,
+    **knobs: Any,
 ) -> TenantScaleResult:
     """Drive the multi-tenant open-loop scenario once, in-process, and measure it.
 
     *specs* defaults to :func:`repro.workloads.tenants.standard_mix`
     rescaled by (*invocations*, *rate_scale*, *compute_scale*); pass an
-    explicit mix to override.  Batch admission runs the tenant FIFO
-    recurrence (:class:`_TenantFifo`) for ``queue`` runs on a pinned or
-    shared plan and the tenant walk (:class:`_TenantWalk`) otherwise;
-    per-event admission runs the referee (:class:`_TenantDriver`).
+    explicit mix to override.  *knobs* are the other
+    :class:`MultiTenantConfig` fields, checked when it is built.  A
+    ``queue`` run on a pinned or shared plan takes the tenant FIFO
+    recurrence (:class:`_TenantFifo`), any other run the tenant walk
+    (:class:`_TenantWalk`).
 
     Per-tenant summaries and sojourn totals come straight from the
     driver's keyed accumulators, whose means divide exact integer
     totals.  The all-tenant summary merges the tenants' parts, and
     every part of that merge is exact.
     """
-    if specs is None:
-        specs = standard_mix(invocations, rate_scale, compute_scale)
-    specs = tuple(specs)
-    if not specs:
-        raise ValueError("multi-tenant run needs at least one tenant spec")
-    names = [spec.name for spec in specs]
-    if len(set(names)) != len(names):
-        raise ValueError(f"tenant names must be unique, got {names}")
-    _validate_admission(admission)
-    _validate_partitioning(partitioning)
-    _validate_pool_policy(pool_policy, start_model, 0, hybrid_threshold)
-    config = MultiTenantConfig(
-        specs=specs,
-        workers=workers,
-        partitioning=partitioning,
-        lease_check_interval_ns=lease_check_interval_ns,
-        seed=seed,
-        admission=admission,
-        subbits=subbits,
-        pool_policy=pool_policy,
-        start_model=start_model,
-        hybrid_threshold=hybrid_threshold,
-    )
+    config = _tenant_config(specs, invocations, rate_scale, compute_scale, knobs)
     # Under the queue policy only an overflow plan, which mixes pinned
     # and shared slots, needs the walk's event order.
-    fifo = pool_policy == "queue" and partitioning != "overflow"
-    driver, wall_s, events, now = _drive(
-        config, _TenantFifo if fifo else _TenantWalk, _TenantDriver
-    )
+    fifo = config.pool_policy == "queue" and config.partitioning != "overflow"
+    return _tenant_result(config, *_drive(_TenantFifo if fifo else _TenantWalk, config))
+
+
+def run_tenant_scale_referee(
+    specs=None,
+    invocations: Optional[int] = None,
+    rate_scale: float = 1.0,
+    compute_scale: float = 1.0,
+    **knobs: Any,
+) -> TenantScaleResult:
+    """:func:`run_tenant_scale` on the per-event referee
+    (:class:`_TenantDriver` on the heap environment), from the same
+    arguments and so the same config."""
+    config = _tenant_config(specs, invocations, rate_scale, compute_scale, knobs)
+    return _tenant_result(config, *_drive_referee(_TenantDriver, config))
+
+
+def _tenant_config(
+    specs, invocations: Optional[int], rate_scale: float, compute_scale: float, knobs: dict
+) -> MultiTenantConfig:
+    """The scenario's config: *specs*, else the standard mix rescaled."""
+    if specs is None:
+        specs = standard_mix(invocations, rate_scale, compute_scale)
+    return MultiTenantConfig(specs=specs, **knobs)
+
+
+def _tenant_result(
+    config: MultiTenantConfig, driver, wall_s: float, events: int, now: int
+) -> TenantScaleResult:
+    """Measure one drive of *config*, by either engine."""
     congested = sum(driver.congested_by)
     if driver.completed + congested != driver.count:
         raise RuntimeError(
@@ -1806,7 +1767,7 @@ def run_tenant_scale(
         )
     keyed = driver.keyed
     tenants: dict[str, TenantStats] = {}
-    for t, name in enumerate(names):
+    for t, name in enumerate(driver.names):
         dispatched = driver.dispatched_by[t]
         tenants[name] = TenantStats(
             name=name,
@@ -1822,11 +1783,10 @@ def run_tenant_scale(
         )
     stream = StreamingSummary.merged(keyed.parts[k] for k in keyed.keys())
     return TenantScaleResult(
-        admission=admission,
-        partitioning=partitioning,
-        pool_policy=pool_policy,
+        partitioning=config.partitioning,
+        pool_policy=config.pool_policy,
         invocations=driver.count,
-        workers=workers,
+        workers=config.workers,
         completed=driver.completed,
         events_processed=events,
         wall_s=wall_s,

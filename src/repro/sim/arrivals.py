@@ -48,11 +48,11 @@ import numpy as np
 #: streams with the same chunk, ``_RNG_CHUNK``).
 ARRIVAL_CHUNK = 1 << 16
 
-#: The dtype every generator yields (and batch admission expects):
+#: The dtype every generator yields (and the scale engines expect):
 #: absolute nanosecond deadlines as signed 64-bit ints.  Using one
 #: named dtype everywhere keeps the float->int truncation step
 #: identical across shapes, which the bit-identity contract between
-#: batch and per-event admission depends on.
+#: the default engines and the per-event referees depends on.
 ARRIVAL_DTYPE = np.int64
 
 #: Arrival shapes understood by :func:`arrival_times`.

@@ -99,6 +99,9 @@ def test_parallel_accepts_auto_and_integers():
         pytest.param(("scale", "--quick", "--shard-split", "thin"), id="scale-shard-split"),
         pytest.param(("multitenant", "--quick", "--shards", "2"), id="multitenant-shards"),
         pytest.param(("bench", "--quick", "--shards", "2"), id="bench-shards"),
+        # The guard's bounds are constants, not flags.
+        pytest.param(("bench", "--quick", "--max-regression", "0.3"), id="max-regression"),
+        pytest.param(("bench", "--quick", "--max-rss-growth", "0.2"), id="max-rss-growth"),
     ],
 )
 def test_retired_wheel_flag_rejected_at_the_cli(argv):

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core.resource_manager import ResourceManager
+from repro.experiments import control
 from repro.experiments.control import (
     ControlConfig,
     control_streams,
     run_control,
+    run_control_referee,
 )
 from repro.rdma.fabric import Fabric
 from repro.sim.core import Environment
@@ -31,8 +33,8 @@ SATURATED = {
 def fingerprints(**kwargs):
     merged = dict(TINY)
     merged.update(kwargs)
-    kernel = run_control(driver="kernel", **merged)
-    reference = run_control(driver="reference", **merged)
+    kernel = run_control(**merged)
+    reference = run_control_referee(**merged)
     return kernel, reference
 
 
@@ -57,7 +59,7 @@ class TestDriverAgreement:
     def test_saturated_configs_reach_every_rare_path(self):
         totals = dict.fromkeys(("churn_noops", "steal_denials", "steal_skipped", "restolen"), 0)
         for config in (TINY, *SATURATED.values()):
-            counts = run_control(driver="kernel", **config).counts
+            counts = run_control(**config).counts
             for key in ("churn_noops", "steal_denials", "steal_skipped"):
                 totals[key] += counts[key]
             # A stolen lease is skipped, re-acquired (granted or denied),
@@ -67,9 +69,17 @@ class TestDriverAgreement:
             )
         assert all(totals.values()), totals
 
-    def test_verify_flag_runs_referee(self):
-        result = run_control(driver="kernel", verify=True, **TINY)
-        assert result.driver == "kernel"
+    def test_verify_flag_runs_referee(self, monkeypatch):
+        replays = []
+        replay = control._ReferenceDriver.run
+        monkeypatch.setattr(
+            control._ReferenceDriver, "run", lambda self: replays.append(self) or replay(self)
+        )
+        result = run_control(verify=True, **TINY)
+        assert len(replays) == 1
+        # Verifying changes nothing about the kernel's own result.
+        assert result.fingerprint() == run_control(**TINY).fingerprint()
+        assert len(replays) == 1
 
     def test_all_capacity_returned_at_horizon(self):
         kernel, reference = fingerprints()
@@ -91,7 +101,7 @@ class TestDriverAgreement:
         )
 
     def test_table_renders(self):
-        kernel = run_control(driver="kernel", **TINY)
+        kernel = run_control(**TINY)
         text = kernel.table().render()
         assert "Control plane" in text
         assert "grants/sec" in text
@@ -99,8 +109,13 @@ class TestDriverAgreement:
 
 class TestConfigValidation:
     def test_unknown_driver(self):
-        with pytest.raises(ValueError, match="driver"):
-            run_control(driver="warp")
+        # The driver selector is retired: the reference has its own entry.
+        with pytest.raises(TypeError, match="driver"):
+            run_control(driver="reference")
+        with pytest.raises(TypeError, match="driver"):
+            run_control_referee(driver="reference")
+        with pytest.raises(TypeError, match="subbits"):
+            ControlConfig(subbits=8)
 
     def test_off_grid_period_rejected(self):
         with pytest.raises(ValueError, match="mod 16"):

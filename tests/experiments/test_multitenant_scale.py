@@ -14,7 +14,13 @@ from dataclasses import replace
 import pytest
 
 from repro import perf
-from repro.experiments.scale import _TenantWalk, _tenant_pool_plan, run_tenant_scale
+from repro.experiments.scale import (
+    MultiTenantConfig,
+    _TenantWalk,
+    _tenant_pool_plan,
+    run_tenant_scale,
+    run_tenant_scale_referee,
+)
 from repro.workloads.tenants import TenantSpec, standard_mix
 
 #: A saturated mix: pool far smaller than the in-flight demand, so
@@ -37,15 +43,8 @@ def _specs(**overrides):
 @pytest.mark.parametrize("partitioning", ["pinned", "shared", "overflow"])
 def test_engines_bit_identical_across_partitionings(partitioning):
     outputs = [
-        _outputs(
-            run_tenant_scale(
-                specs=_specs(),
-                partitioning=partitioning,
-                admission=admission,
-                **SATURATED,
-            )
-        )
-        for admission in ("per-event", "batch")
+        _outputs(run(specs=_specs(), partitioning=partitioning, **SATURATED))
+        for run in (run_tenant_scale_referee, run_tenant_scale)
     ]
     assert all(out == outputs[0] for out in outputs[1:])
     fingerprints = [fp for fp, _ in outputs]
@@ -59,15 +58,14 @@ def test_engines_bit_identical_across_partitionings(partitioning):
 def test_engines_bit_identical_across_pool_policies(pool_policy):
     specs = _specs(queue_cap=32)
     results = [
-        run_tenant_scale(
+        run(
             specs=specs,
             partitioning="overflow",
             pool_policy=pool_policy,
             hybrid_threshold=8,
-            admission=admission,
             **SATURATED,
         )
-        for admission in ("per-event", "batch")
+        for run in (run_tenant_scale_referee, run_tenant_scale)
     ]
     assert all(_outputs(r) == _outputs(results[0]) for r in results[1:])
     base = results[0].fingerprint()
@@ -106,7 +104,7 @@ def test_benchmark_cell_matches_the_referee():
     finally:
         perf.disable()
     moved = perf.delta(before, perf.snapshot())
-    referee = run_tenant_scale(admission="per-event", **kwargs)
+    referee = run_tenant_scale_referee(**kwargs)
     assert _outputs(fifo) == _outputs(referee)
     assert fifo.completed == 20_000 and fifo.queued > 5_000
     assert moved["fifo_block_arrivals"] + moved["fifo_step_arrivals"] == 20_000
@@ -153,16 +151,20 @@ def test_pool_plan_partitions_and_validation():
     assert sum(pinned) + shared == 1_001 and shared >= 501
     with pytest.raises(ValueError):
         _tenant_pool_plan(specs, 2, "pinned")  # thinner than one slot each
+    # An unknown plan never reaches the planner: its config refuses it.
     with pytest.raises(ValueError):
-        _tenant_pool_plan(specs, 1_000, "bogus")
+        MultiTenantConfig(specs=specs, workers=1_000, partitioning="bogus")
 
 
 def test_run_validation_rejects_bad_knobs():
     specs = standard_mix()
     with pytest.raises(ValueError):
         run_tenant_scale(specs=specs, partitioning="bogus")
-    with pytest.raises(ValueError):
-        run_tenant_scale(specs=specs, admission="bogus")
+    # The engine selector is retired: the referee has its own entry.
+    with pytest.raises(TypeError, match="admission"):
+        run_tenant_scale(specs=specs, admission="per-event")
+    with pytest.raises(TypeError, match="admission"):
+        run_tenant_scale_referee(specs=specs, admission="per-event")
     with pytest.raises(ValueError):
         run_tenant_scale(specs=specs, pool_policy="bogus")
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Open-loop scale harness: determinism, queueing, bounded memory."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,11 +8,15 @@ import pytest
 
 from repro.experiments.bench import _scale_once, check_regression
 from repro.experiments.scale import (
+    MAX_SERVICE_NS,
+    MIN_SERVICE_NS,
     QUICK_KWARGS,
+    MultiTenantConfig,
     ScaleConfig,
     _draw_services,
     _draw_tenant_services,
     run_scale,
+    run_scale_referee,
     run_tenant_scale,
 )
 from repro.sim.clock import us
@@ -65,8 +70,8 @@ def test_per_event_engine_matches_default_engine():
     arrival at ``_ARRIVAL_PRIO`` and keeps every lease timer a
     BatchEvent; the default engine walks no event calendar at all.
     Both must agree."""
-    result = run_scale(admission="per-event", **QUICK_KWARGS)
-    batch = run_scale(admission="batch", **QUICK_KWARGS)
+    result = run_scale_referee(**QUICK_KWARGS)
+    batch = run_scale(**QUICK_KWARGS)
     assert batch.fingerprint() == result.fingerprint()
 
 
@@ -81,6 +86,47 @@ def test_rejects_empty_run():
         run_scale(invocations=0, workers=4)
     with pytest.raises(ValueError):
         run_scale(invocations=4, workers=0)
+
+
+_POOL_MESSAGES = [
+    ({"pool_policy": "tepid"}, "pool_policy must be 'queue', 'cold' or 'hybrid', got 'tepid'"),
+    ({"start_model": "podman"}, "start_model must be one of ["),
+    ({"hybrid_threshold": 0}, "hybrid_threshold must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "config, bad, message",
+    [
+        *[(ScaleConfig, bad, message) for bad, message in _POOL_MESSAGES],
+        (ScaleConfig, {"keepalive_ns": -1}, "keepalive_ns must be >= 0, got -1"),
+        (ScaleConfig, {"invocations": 0}, "scale run needs at least one invocation, got 0"),
+        (ScaleConfig, {"workers": 0}, "scale run needs at least one warm slot, got 0"),
+        *[(MultiTenantConfig, bad, message) for bad, message in _POOL_MESSAGES],
+        (
+            MultiTenantConfig,
+            {"partitioning": "communal"},
+            "partitioning must be one of ('pinned', 'shared', 'overflow'), got 'communal'",
+        ),
+        (MultiTenantConfig, {"specs": []}, "multi-tenant run needs at least one tenant spec"),
+    ],
+)
+def test_bad_knob_fails_when_its_config_is_built(config, bad, message):
+    """Each knob is declared and checked once, in its config."""
+    base = {"specs": standard_mix()} if config is MultiTenantConfig else {}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config(**{**base, **bad})
+
+
+def test_retired_engine_selectors_are_unknown_arguments():
+    for knob in ("admission", "subbits", "min_service_ns", "max_service_ns"):
+        with pytest.raises(TypeError, match=knob):
+            ScaleConfig(**{knob: 8})
+        with pytest.raises(TypeError, match=knob):
+            run_scale(**{knob: 8}, **UNSATURATED)
+    for knob in ("admission", "subbits"):
+        with pytest.raises(TypeError, match=knob):
+            MultiTenantConfig(specs=standard_mix(), **{knob: 8})
 
 
 @pytest.mark.parametrize("shape", ["bursty", "diurnal"])
@@ -156,7 +202,7 @@ def test_service_draws_match_the_recipe(size):
     # Wide enough that both clip bounds and the tenant floor bind.
     config = ScaleConfig(service_log_mean=14.0, service_log_sigma=3.0)
     draws = np.random.default_rng(9).lognormal(14.0, 3.0, size=size)
-    want = np.clip(draws.astype(np.int64), config.min_service_ns, config.max_service_ns)
+    want = np.clip(draws.astype(np.int64), MIN_SERVICE_NS, MAX_SERVICE_NS)
     got = _draw_services(np.random.default_rng(9), size, config)
     assert got.dtype == np.int64 and np.array_equal(got, want)
 

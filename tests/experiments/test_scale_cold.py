@@ -16,7 +16,7 @@ import pytest
 from repro.experiments.__main__ import main as cli_main
 from repro.experiments.bench import check_regression
 from repro.experiments.coldstart import QUICK_KWARGS, executor_seconds, run_coldstart
-from repro.experiments.scale import run_scale
+from repro.experiments.scale import run_scale, run_scale_referee
 from repro.sim.clock import ms, us
 
 #: Small saturating scenario: the pool runs dry within the burst, so
@@ -36,8 +36,8 @@ def _fp(**kwargs):
 
 
 def _two_way(**kwargs):
-    heap = _fp(admission="per-event", **kwargs)
-    default = _fp(admission="batch", **kwargs)
+    heap = run_scale_referee(**kwargs).fingerprint()
+    default = _fp(**kwargs)
     assert heap == default
     return heap
 

@@ -1,12 +1,11 @@
 """The default scale engine against the per-event heap referee.
 
-Under the ``queue`` policy the default engine (batch admission) walks
-no events: it runs the exact c-server FIFO recurrence
+Under the ``queue`` policy the default engine walks no events: it runs the exact c-server FIFO recurrence
 and counts events in closed form.  The contract is a fingerprint
 bit-identical to the per-event heap referee -- across all three
 arrival shapes, saturated and unsaturated.  Plus the retired
-``lease_lane`` knob failing at the config and CLI boundary, and the
-``--profile`` path.
+``lease_lane`` knob and engine selectors failing at the config and CLI
+boundary, and the ``--profile`` path.
 
 The test names keep the ``lane`` wording of the lease-lane engine the
 recurrence replaced, so their history stays comparable.
@@ -15,7 +14,7 @@ recurrence replaced, so their history stays comparable.
 import pytest
 
 from repro.experiments.__main__ import main
-from repro.experiments.scale import run_scale
+from repro.experiments.scale import run_scale, run_scale_referee
 from repro.sim.clock import us
 
 #: Saturating: the FIFO backlog fills and drains.
@@ -32,7 +31,7 @@ def _fp(**kwargs):
 @pytest.mark.parametrize("load", [SATURATED, UNSATURATED], ids=["saturated", "unsaturated"])
 def test_lane_identity_across_shapes(shape, load):
     kwargs = dict(load, arrival_shape=shape)
-    heap = _fp(admission="per-event", **kwargs)
+    heap = run_scale_referee(**kwargs).fingerprint()
     default = _fp(**kwargs)
     assert default == heap
     assert (heap["queued"] > 0) == (load is SATURATED)
@@ -40,7 +39,7 @@ def test_lane_identity_across_shapes(shape, load):
 
 def test_default_engine_walks_no_events():
     result = run_scale(**SATURATED)
-    referee = run_scale(admission="per-event", **SATURATED)
+    referee = run_scale_referee(**SATURATED)
     # No environment -- yet the closed-form event count is the event
     # engine's.
     assert result.occupancy == {}
@@ -48,13 +47,22 @@ def test_default_engine_walks_no_events():
 
 
 def test_lease_lane_validation(capsys):
-    # The knob is retired: the config layer and the CLI both refuse it.
+    # Retired knobs: the config layer and the CLI both refuse them.
+    # The referees are reached through their own entries, not a knob.
     with pytest.raises(TypeError, match="lease_lane"):
         run_scale(lease_lane="on", **UNSATURATED)
-    with pytest.raises(SystemExit) as exc:
-        main(["scale", "--quick", "--lease-lane", "on"])
-    assert exc.value.code == 2
-    assert "--lease-lane" in capsys.readouterr().err
+    with pytest.raises(TypeError, match="admission"):
+        run_scale(admission="per-event", **UNSATURATED)
+    for argv in (
+        ["scale", "--quick", "--lease-lane", "on"],
+        ["scale", "--quick", "--admission", "per-event"],
+        ["multitenant", "--quick", "--admission", "per-event"],
+        ["control", "--quick", "--driver", "reference"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert argv[2] in capsys.readouterr().err
 
 
 def test_profile_prints_report(capsys):

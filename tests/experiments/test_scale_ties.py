@@ -21,7 +21,12 @@ import numpy as np
 import pytest
 
 from repro.experiments import scale
-from repro.experiments.scale import run_scale, run_tenant_scale
+from repro.experiments.scale import (
+    run_scale,
+    run_scale_referee,
+    run_tenant_scale,
+    run_tenant_scale_referee,
+)
 from repro.sim.clock import ms, us
 from repro.workloads.tenants import standard_mix
 
@@ -41,18 +46,19 @@ def _feed(monkeypatch, times, services):
 #: lease ends exactly on the second arrival.
 _HAND_BUILT = ([0, ms(1), ms(1) + ms(1) // 2], [ms(1)] * 3)
 
-_ADMISSIONS = ["per-event", "batch"]
+#: The per-event referee, then the default engine.
+_ENTRIES = [run_scale_referee, run_scale]
 
 
 @pytest.mark.parametrize("policy", ["queue", "cold", "hybrid"])
 def test_completion_at_an_arrival_instant_fires_first(monkeypatch, policy):
     _feed(monkeypatch, *_HAND_BUILT)
     fps = [
-        run_scale(
+        run(
             invocations=3, workers=1, pool_policy=policy, hybrid_threshold=1,
-            start_model="remote-fork", admission=admission,
+            start_model="remote-fork",
         ).fingerprint()
-        for admission in _ADMISSIONS
+        for run in _ENTRIES
     ]
     assert all(fp == fps[0] for fp in fps[1:])
     fp = fps[0]
@@ -112,10 +118,10 @@ def on_grid(monkeypatch):
     return install
 
 
-def _default_vs_referee(run, **kwargs):
+def _default_vs_referee(run, run_referee, **kwargs):
     """Results of the default engine and the heap referee, fingerprints equal."""
     default = run(**kwargs)
-    referee = run(admission="per-event", **kwargs)
+    referee = run_referee(**kwargs)
     assert default.fingerprint() == referee.fingerprint()
     return default, referee
 
@@ -136,6 +142,7 @@ def test_grid_ties_single_stream(on_grid, policy, keepalive, interval, step):
     keepalive_ns = {"off": 0, "le-interval": interval // 2, "gt-interval": 3 * interval}
     fp = _default_vs_referee(
         run_scale,
+        run_scale_referee,
         invocations=2_000, workers=128, mean_arrival_gap_ns=us(5),
         service_log_mean=14.7, service_log_sigma=0.5,
         lease_check_interval_ns=interval, pool_policy=policy, hybrid_threshold=4,
@@ -157,6 +164,7 @@ def test_grid_ties_tenants(on_grid, partitioning, pool_policy, queue_cap, step):
         specs = [replace(spec, queue_cap=queue_cap) for spec in specs]
     default, referee = _default_vs_referee(
         run_tenant_scale,
+        run_tenant_scale_referee,
         specs=specs, workers=24, partitioning=partitioning, pool_policy=pool_policy,
         hybrid_threshold=4, lease_check_interval_ns=ms(4), seed=13,
     )
