@@ -94,6 +94,11 @@ def sojourn_by_kind(
 #: a shorter one the next arrivals are stepped one at a time.
 _MIN_BLOCK = 32
 
+#: Fewest arrivals a stretch no queue cap can bind in must hold to be
+#: served in blocks: booking and probing a shorter one costs more than
+#: stepping it.
+_MIN_STRETCH = 8 * _MIN_BLOCK
+
 
 class FifoServers:
     """Exact ``c``-server FIFO queue, fed one arrival chunk at a time.
@@ -109,7 +114,8 @@ class FifoServers:
     arrivals waiting is rejected -- it takes no server and its start
     reads ``-1``.  Waiters of all keys are still served in index order,
     so the caller's order of equal times is the tie rule.  Without
-    *caps* every arrival has key 0 and no cap.
+    *caps* there is one key and no cap.  A chunk's keys come as one
+    grouping: per key, the ascending positions of its arrivals.
 
     **Blocks.**  While some server is untouched the next arrivals start
     at once and only their finish times are kept, so a pool larger than
@@ -120,23 +126,35 @@ class FifoServers:
     time arrival ``j`` could see is the least of ``p[j:]`` and ``f_0 ..
     f_{j-1}``, which is ``p[j]`` exactly while ``p[j] <= min(f_0 ..
     f_{j-1})``; so the block holds up to the first arrival where that
-    fails, and its finishes merge back into ``p``.  After a block of
-    fewer than ``_MIN_BLOCK`` arrivals (small pools, wide service
-    spread) a stretch of ``L`` arrivals is stepped one at a time on a
-    heap of the ``L`` earliest free times -- ``L`` arrivals can take no
-    other -- the stretch doubling while blocks stay short.
+    fails, and its finishes merge back into ``p``.  A block writes its
+    starts straight into the output and its finishes into scratch
+    arrays kept across blocks; the merge fills a spare pool buffer,
+    which then swaps with ``p``.  After a block of fewer than
+    ``_MIN_BLOCK`` arrivals (small pools, wide service spread) a
+    stretch of ``L`` arrivals is stepped one at a time on a heap of the
+    ``L`` earliest free times -- ``L`` arrivals can take no other --
+    the stretch doubling while blocks stay short.
+
+    **Queue caps.**  A key's depth at an arrival is at most its waiters
+    pending then plus its earlier arrivals since, so no cap can bind in
+    a stretch of the chunk where each key's pending waiters plus its
+    arrivals in the stretch stay within its cap; the grouping shows
+    where each key's room runs out.  Such a stretch is served in blocks
+    if it reaches the chunk's end or holds ``_MIN_STRETCH`` arrivals.
+    Elsewhere some key is near its cap, and arrivals are stepped one at
+    a time, checking the cap at every waiting arrival, in stretches of
+    ``L`` that double while caps keep binding: stepping stops once the
+    cap-free stretch ahead is at least ``max(L, _MIN_STRETCH)`` long.
 
     **Queue depths.**  Starts are non-decreasing in arrival order, so
     a waiting arrival's depth is the number of earlier same-key
     arrivals that start after it arrives: one ``searchsorted`` per key
-    and chunk over the starts of the key's waiters still pending from
-    earlier chunks and the chunk's own.  Per key, ``queued_by`` counts
-    arrivals that had to wait, ``max_backlog_by`` is the peak number
-    waiting at once and ``rejected_by`` counts arrivals turned away at
-    the cap.  A chunk in which some cap could bind is served by the
-    one-at-a-time loop, which checks the cap at every waiting arrival.
-    Memory is bounded by the pool size plus the waiters, not by the
-    stream.
+    and stretch over the starts of the key's waiters still pending from
+    earlier stretches and the stretch's own, read from the grouping.
+    Per key, ``queued_by`` counts arrivals that had to wait,
+    ``max_backlog_by`` is the peak number waiting at once and
+    ``rejected_by`` counts arrivals turned away at the cap.  Memory is
+    bounded by the pool size plus the waiters, not by the stream.
     """
 
     def __init__(self, servers: int, caps: Optional[Sequence[int]] = None) -> None:
@@ -145,6 +163,9 @@ class FifoServers:
         keys = 1 if caps is None else len(caps)
         if keys < 1:
             raise ValueError("need at least one key")
+        for key, cap in enumerate(caps or ()):
+            if cap < 0:
+                raise ValueError(f"key {key} has a negative queue cap ({cap})")
         self.untouched = servers
         self._caps = None if caps is None else list(caps)
         self.queued_by = [0] * keys
@@ -152,8 +173,13 @@ class FifoServers:
         self.rejected_by = [0] * keys
         #: Finish times of the servers run so far, while some is untouched.
         self._blocks: list[np.ndarray] = []
-        #: Sorted free times of all servers, once every server has run.
-        self._pool = np.empty(0, dtype=np.int64)
+        #: Sorted free times of all servers, once every server has run,
+        #: and the buffer the next merge fills.
+        self._pool = self._spare = np.empty(0, dtype=np.int64)
+        #: Block scratch: finishes, their running minimum, and where the
+        #: pool's next free time beats that minimum.
+        self._finish = self._low = np.empty(0, dtype=np.int64)
+        self._beaten = np.empty(0, dtype=bool)
         #: Per key, start times (non-decreasing) of the arrivals still
         #: waiting at the last arrival.
         self._pending = [np.empty(0, dtype=np.int64) for _ in range(keys)]
@@ -167,25 +193,27 @@ class FifoServers:
     def max_backlog(self) -> int:
         return max(self.max_backlog_by)
 
-    def serve(self, times: Any, services: Any, keys: Any = None) -> np.ndarray:
+    def serve(self, times: Any, services: Any, groups: Any = None) -> np.ndarray:
         """Start times of the next chunk of arrivals (``-1``: rejected).
 
         *times* must be non-decreasing and no earlier than the previous
         chunk's (``ValueError`` otherwise); *services* are the matching
-        service times and *keys* the matching keys in
-        ``range(len(caps))`` (default: all 0).
+        service times.  *groups* holds, per key in ``range(len(caps))``,
+        the ascending positions of that key's arrivals in the chunk,
+        every position in exactly one group; a pool with one key takes
+        ``None``: every arrival is key 0.
         """
         times = np.asarray(times, dtype=np.int64)
         services = np.asarray(services, dtype=np.int64)
         if times.shape != services.shape or times.ndim != 1:
             raise ValueError("times/services must be equal-length 1-D arrays")
         n = int(times.size)
-        if keys is not None:
-            keys = np.asarray(keys)
-            if keys.shape != times.shape:
-                raise ValueError("keys must match times")
-            if n and not (0 <= keys.min() and keys.max() < len(self._pending)):
-                raise ValueError(f"keys must lie in [0, {len(self._pending)})")
+        if groups is None:
+            if len(self._pending) > 1:
+                raise ValueError(f"a pool with {len(self._pending)} keys needs groups")
+        else:
+            groups = [np.asarray(group, dtype=np.intp) for group in groups]
+            _check_groups(groups, len(self._pending), n)
         if n:
             if bool((times[1:] < times[:-1]).any()):
                 raise ValueError("arrival times must be non-decreasing")
@@ -201,63 +229,82 @@ class FifoServers:
             self.untouched -= fresh
             if not self.untouched:
                 self._pool = np.sort(np.concatenate(self._blocks))
+                self._spare = np.empty_like(self._pool)
                 self._blocks = []
         stepped = 0
         if fresh == n:
             starts = times
         else:
             starts = times.copy()
-            caps = self._caps
-            if caps is not None and keys is None:
-                keys = np.zeros(n, dtype=np.intp)
-            if caps is not None and any(
-                pending.size + int(count) > cap
-                for pending, count, cap in zip(
-                    self._pending, np.bincount(keys, minlength=len(caps)), caps
-                )
-            ):
-                # A depth reaches at most pending + count - 1: only here
-                # can some cap bind.
-                self._serve_capped(times[fresh:], services[fresh:], keys[fresh:], starts[fresh:])
-                stepped = n - fresh
-            else:
-                stepped = self._serve_blocks(times[fresh:], services[fresh:], starts[fresh:])
-            waited = starts > times
-            self._book(times[waited], starts[waited], None if keys is None else keys[waited])
-            if caps is None:
-                self.queued_by[0] += int(np.count_nonzero(waited))
-            else:
-                for book, hits in ((self.queued_by, waited), (self.rejected_by, starts < 0)):
-                    for key, count in enumerate(np.bincount(keys[hits], minlength=len(book))):
-                        book[key] += int(count)
+            i = fresh
+            while i < n:
+                end = n
+                if self._caps is not None:
+                    arrival = int(times[i])
+                    waiting = [
+                        pending.size - int(np.searchsorted(pending, arrival, side="right"))
+                        for pending in self._pending
+                    ]
+                    end = self._cap_free_end(groups, i, n, waiting)
+                if end == n or end - i >= _MIN_STRETCH:
+                    stepped += self._serve_blocks(times[i:end], services[i:end], starts[i:end])
+                else:
+                    # A cap may bind soon: step, checking every cap.
+                    end = self._step_capped(times, services, groups, i, starts)
+                    stepped += end - i
+                self._book(times, starts, _spans(groups, i, end), int(times[end - 1]))
+                i = end
         if perf.enabled:
             perf.counters.fifo_block_arrivals += n - stepped
             perf.counters.fifo_step_arrivals += stepped
         return starts
+
+    def _cap_free_end(self, groups: Optional[list], i: int, n: int, waiting: list) -> int:
+        """End of the longest stretch from arrival *i* in which no cap
+        can bind: each key's *waiting* arrivals (those still waiting at
+        ``t_i``) plus its arrivals in the stretch stay within its cap."""
+        end = n
+        for key, (cap, count) in enumerate(zip(self._caps, waiting)):
+            # Never negative: a key never has more waiters than its cap.
+            room = cap - count
+            if groups is None:
+                end = min(end, i + room)
+            else:
+                group = groups[key]
+                nth = int(np.searchsorted(group, i)) + room
+                if nth < group.size:
+                    end = min(end, int(group[nth]))
+        return end
 
     def _serve_blocks(self, times: np.ndarray, services: np.ndarray, starts: np.ndarray) -> int:
         """Serve arrivals on the sorted pool in blocks, filling *starts*.
 
         Returns how many arrivals were stepped one at a time.
         """
-        pool = self._pool
+        pool, spare = self._pool, self._spare
         servers = pool.size
         n = times.size
+        largest = min(servers, n)  # no block is longer
+        if self._finish.size < largest:
+            self._finish = np.empty(largest, dtype=np.int64)
+            self._low = np.empty(largest, dtype=np.int64)
+            self._beaten = np.empty(largest, dtype=bool)
+        finishes, lows, beatens = self._finish, self._low, self._beaten
         i = stepped = 0
         probe = servers
         stretch = _MIN_BLOCK
         while i < n:
             size = min(probe, n - i)
             if size >= _MIN_BLOCK:
-                start = np.maximum(times[i : i + size], pool[:size])
-                finish = start + services[i : i + size]
+                start = np.maximum(times[i : i + size], pool[:size], out=starts[i : i + size])
+                finish = np.add(start, services[i : i + size], out=finishes[:size])
                 # The first arrival an earlier finish in the block beats
                 # to a server ends the block.
-                beaten = pool[1:size] > np.minimum.accumulate(finish[:-1])
+                low = np.minimum.accumulate(finish[:-1], out=lows[: size - 1])
+                beaten = np.greater(pool[1:size], low, out=beatens[: size - 1])
                 first = int(beaten.argmax())
                 held = first + 1 if beaten[first] else size
-                starts[i : i + held] = start[:held]
-                pool = _merge_head(pool, finish[:held])
+                pool, spare = _merge_head(pool, spare, finish[:held])
                 i += held
                 # Probe about as far as the last block reached.
                 probe = min(servers, 2 * held + _MIN_BLOCK)
@@ -265,75 +312,118 @@ class FifoServers:
                     stretch = _MIN_BLOCK
                     continue
             end = min(n, i + stretch)
-            pool = _step(pool, times[i:end], services[i:end], starts[i:end])
+            pool, spare = _step(pool, spare, times[i:end], services[i:end], starts[i:end])
             stepped += end - i
             i = end
             stretch *= 2
             probe = servers
-        self._pool = pool
+        self._pool, self._spare = pool, spare
         return stepped
 
-    def _book(self, times: np.ndarray, starts: np.ndarray, keys: Optional[np.ndarray]) -> None:
-        """Book each key's peak queue depth from the chunk's waiters."""
-        if len(self._pending) == 1:
-            self._book_key(0, times, starts)
-            return
-        for key in range(len(self._pending)):
-            mask = keys == key
-            if mask.any() or self._pending[key].size:
-                self._book_key(key, times[mask], starts[mask])
+    def _step_capped(
+        self,
+        times: np.ndarray,
+        services: np.ndarray,
+        groups: Optional[list],
+        i: int,
+        starts: np.ndarray,
+    ) -> int:
+        """Step the arrivals from *i* one at a time, checking each
+        waiting arrival's cap; returns where stepping stopped.
 
-    def _book_key(self, key: int, times: np.ndarray, starts: np.ndarray) -> None:
-        # Only arrivals that waited are ever waiting when a later one
-        # arrives.  Waiter i's earlier same-key waiters number pending
-        # + i; those that started by t_i are the carried starts <= t_i
-        # (later waiters start no earlier than i, after t_i).
-        pending = self._pending[key]
-        carried = np.concatenate((pending, starts)) if pending.size else starts
-        if times.size:
-            depth = np.arange(pending.size, carried.size) - np.searchsorted(
-                carried, times, side="right"
-            )
-            peak = int(depth.max()) + 1
-            if peak > self.max_backlog_by[key]:
-                self.max_backlog_by[key] = peak
-        self._pending[key] = carried[np.searchsorted(carried, self._last, side="right") :].copy()
-
-    def _serve_capped(
-        self, times: np.ndarray, services: np.ndarray, keys: np.ndarray, starts: np.ndarray
-    ) -> None:
-        """One arrival at a time, checking each waiting arrival's cap.
-
-        Fills *starts* (``-1``: rejected), as :func:`_step` does; the
-        depths are booked afterwards, as for blocks.
+        Arrivals are stepped in stretches that start at ``_MIN_BLOCK``
+        and double until the stretch no cap can bind in that follows
+        holds at least ``_MIN_STRETCH`` arrivals and as many as the next
+        stepped stretch would.  Fills *starts* (``-1``: rejected), as
+        :func:`_step` does; the rejected and the depths are booked
+        afterwards, as for blocks.
         """
+        n = times.size
         caps = self._caps
+        pool = self._pool
         waiting_by = [deque(pending.tolist()) for pending in self._pending]
-        heap = self._pool[: times.size].tolist()  # as in _step
-        out = []
-        for arrival, service, key in zip(times.tolist(), services.tolist(), keys.tolist()):
-            free = heap[0]
-            if free <= arrival:
-                heapreplace(heap, arrival + service)
-                out.append(arrival)
+        heap = pool[: n - i].tolist()  # as in _step
+        out: list[int] = []
+        push, start = heapreplace, out.append
+        keys = np.zeros(n, dtype=np.intp)
+        for key, group in enumerate(groups or ()):
+            keys[group] = key
+        stretch = _MIN_BLOCK
+        j = i
+        while True:
+            stop = min(n, j + stretch)
+            for arrival, service, key in zip(
+                times[j:stop].tolist(), services[j:stop].tolist(), keys[j:stop].tolist()
+            ):
+                free = heap[0]
+                if free <= arrival:
+                    push(heap, arrival + service)
+                    start(arrival)
+                    continue
+                pending = waiting_by[key]
+                while pending and pending[0] <= arrival:
+                    pending.popleft()
+                if len(pending) >= caps[key]:
+                    start(-1)
+                    continue
+                push(heap, free + service)
+                pending.append(free)
+                start(free)
+            j = stop
+            stretch *= 2
+            if j == n:
+                break
+            arrival = int(times[j])
+            for pending in waiting_by:
+                while pending and pending[0] <= arrival:
+                    pending.popleft()
+            free_end = self._cap_free_end(groups, j, n, [len(p) for p in waiting_by])
+            if free_end - j >= max(stretch, _MIN_STRETCH):
+                break
+        starts[i:j] = out
+        self._pool, self._spare = _merge_head(pool, self._spare, np.array(heap, dtype=np.int64))
+        return j
+
+    def _book(self, times: np.ndarray, starts: np.ndarray, spans: list, last: int) -> None:
+        """Book each key's rejected arrivals and waiters at *spans*, the
+        stretch's positions per key, and keep those still waiting after
+        *last*."""
+        for key, span in enumerate(spans):
+            pending = self._pending[key]
+            arrived = times[span]
+            if not (arrived.size or pending.size):
                 continue
-            pending = waiting_by[key]
-            while pending and pending[0] <= arrival:
-                pending.popleft()
-            if len(pending) >= caps[key]:
-                out.append(-1)
-                continue
-            heapreplace(heap, free + service)
-            pending.append(free)
-            out.append(free)
-        starts[:] = out
-        self._pool = _merge_head(self._pool, heap)
+            begun = starts[span]
+            self.rejected_by[key] += int(np.count_nonzero(begun < 0))
+            waited = begun > arrived
+            # Only arrivals that waited are ever waiting when a later
+            # one arrives.  Waiter i's earlier same-key waiters number
+            # pending + i; those that started by t_i are the carried
+            # starts <= t_i (later waiters start no earlier than i,
+            # after t_i).
+            arrived = arrived[waited]
+            begun = begun[waited]
+            self.queued_by[key] += int(arrived.size)
+            carried = np.concatenate((pending, begun)) if pending.size else begun
+            if arrived.size:
+                depth = np.arange(pending.size, carried.size) - np.searchsorted(
+                    carried, arrived, side="right"
+                )
+                peak = int(depth.max()) + 1
+                if peak > self.max_backlog_by[key]:
+                    self.max_backlog_by[key] = peak
+            self._pending[key] = carried[np.searchsorted(carried, last, side="right") :].copy()
 
 
 def _step(
-    pool: np.ndarray, times: np.ndarray, services: np.ndarray, starts: np.ndarray
-) -> np.ndarray:
-    """Serve arrivals one at a time, filling *starts*; returns the new pool.
+    pool: np.ndarray,
+    spare: np.ndarray,
+    times: np.ndarray,
+    services: np.ndarray,
+    starts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Serve arrivals one at a time, filling *starts*; returns the new
+    pool and spare, as :func:`_merge_head` does.
 
     ``n`` arrivals take at most ``n`` free times, each the earliest
     left, so a heap of the sorted pool's first ``n`` serves them.
@@ -347,15 +437,42 @@ def _step(
         heapreplace(heap, free + service)
         out.append(free)
     starts[:] = out
-    return _merge_head(pool, heap)
+    return _merge_head(pool, spare, np.array(heap, dtype=np.int64))
 
 
-def _merge_head(pool: np.ndarray, head: Any) -> np.ndarray:
-    """The sorted pool with its first ``len(head)`` free times replaced by *head*."""
-    head = np.sort(np.asarray(head, dtype=np.int64))
-    if head.size == pool.size:
-        return head
+def _merge_head(
+    pool: np.ndarray, spare: np.ndarray, head: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted pool with its first ``len(head)`` free times replaced
+    by *head* (sorted in place), built in *spare*; returns it and the
+    old pool, the next spare."""
+    head.sort()
+    rest = pool.size - head.size
+    spare[:rest] = pool[head.size :]
+    spare[rest:] = head
     # Two sorted runs: the stable sort merges them.
-    pool = np.concatenate((pool[head.size :], head))
-    pool.sort(kind="stable")
-    return pool
+    spare.sort(kind="stable")
+    return spare, pool
+
+
+def _spans(groups: Optional[list], i: int, end: int) -> list:
+    """Per key, the positions of its arrivals in ``[i, end)``."""
+    if groups is None:
+        return [slice(i, end)]
+    return [
+        group[np.searchsorted(group, i) : np.searchsorted(group, end)] for group in groups
+    ]
+
+
+def _check_groups(groups: list, keys: int, n: int) -> None:
+    """``ValueError`` unless *groups* holds *keys* ascending position
+    arrays in ``[0, n)`` that add up to *n* arrivals."""
+    if len(groups) != keys:
+        raise ValueError(f"groups must hold one position array per key, {keys} here")
+    if sum(group.size for group in groups) != n:
+        raise ValueError(f"groups must place each of the chunk's {n} arrivals once")
+    for group in groups:
+        if group.size and not (
+            0 <= group[0] and group[-1] < n and bool((group[1:] > group[:-1]).all())
+        ):
+            raise ValueError(f"each group must list ascending positions in [0, {n})")

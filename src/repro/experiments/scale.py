@@ -954,11 +954,11 @@ QUICK_KWARGS = {"invocations": 10_000, "workers": 2_048, "mean_arrival_gap_ns": 
 #
 # Tenancy as a dimension of the same open-loop machine: the per-tenant
 # arrival streams of a declarative TenantSpec mix are merged into ONE
-# global non-decreasing calendar (np.lexsort, tenant-id column carried
-# through every slab), services are drawn per tenant in within-tenant
-# arrival order and scattered back to merged order, and every
-# completion carries its (tenant, pool) slot for pool-partitioned
-# hand-off.  Admission outcomes follow the rFaaS/compSpot taxonomy --
+# global non-decreasing calendar (a stable sort whose inverse gives each
+# chunk's grouping: per tenant, the positions of its arrivals), services
+# are drawn per tenant in within-tenant arrival order and placed at the
+# tenant's positions, and every completion carries its (tenant, pool)
+# slot for pool-partitioned hand-off.  Admission outcomes follow the rFaaS/compSpot taxonomy --
 # SUCCESS / CONGESTION / DEADLINE_MISSED -- with the deadline
 # classification done purely at flush time against per-tenant deadline
 # masks (no per-event Python).  The per-event FSM stays the
@@ -999,6 +999,11 @@ class MultiTenantConfig:
         names = [spec.name for spec in specs]
         if len(set(names)) != len(names):
             raise ValueError(f"tenant names must be unique, got {names}")
+        for spec in specs:
+            if spec.queue_cap < 0:
+                raise ValueError(
+                    f"tenant {spec.name!r} has a negative queue_cap ({spec.queue_cap})"
+                )
         if self.partitioning not in PARTITIONINGS:
             raise ValueError(
                 f"partitioning must be one of {PARTITIONINGS}, got {self.partitioning!r}"
@@ -1040,16 +1045,18 @@ def _draw_tenant_services(rng, size: int, spec: TenantSpec):
 
 
 def _tenant_chunks(config: "MultiTenantConfig", lists: bool = True):
-    """Yield the merged calendar's ``(times, tenants, services)`` chunks.
+    """Yield the merged calendar's chunks.
 
     Services are drawn from each tenant's own RNG stream in
-    *within-tenant arrival order* and scattered back to merged order
-    through boolean masks (masks preserve order), which keeps a
-    tenant's service sequence independent of what the co-tenants do.
+    *within-tenant arrival order* and placed at the tenant's positions
+    in the chunk (the merge's grouping), which keeps a tenant's service
+    sequence independent of what the co-tenants do.
 
-    With ``lists=True`` (the walk and the per-event referee) the three
-    columns come as Python lists; with ``lists=False`` they stay arrays
-    for the FIFO recurrence.
+    With ``lists=True`` (the walk and the per-event referee) a chunk is
+    ``(times, tenants, services)``, three Python lists; with
+    ``lists=False`` it is ``(times, services, groups)`` for the FIFO
+    recurrence: two arrays and the grouping, ``groups[t]`` holding
+    tenant ``t``'s ascending positions in the chunk.
     """
     specs = config.specs
     streams = RngStreams(config.seed)
@@ -1061,17 +1068,18 @@ def _tenant_chunks(config: "MultiTenantConfig", lists: bool = True):
         ],
         chunk=_RNG_CHUNK,
     )
-    for times, tenants in merged:
+    for times, groups in merged:
         services = np.empty(times.size, dtype=np.int64)
-        for t in range(len(specs)):
-            mask = tenants == t
-            count = int(mask.sum())
-            if count:
-                services[mask] = _draw_tenant_services(service_rngs[t], count, specs[t])
+        for rng, spec, group in zip(service_rngs, specs, groups):
+            if group.size:
+                services[group] = _draw_tenant_services(rng, group.size, spec)
         if lists:
+            tenants = np.empty(times.size, dtype=np.intp)
+            for t, group in enumerate(groups):
+                tenants[group] = t
             yield times.tolist(), tenants.tolist(), services.tolist()
         else:
-            yield times, tenants, services
+            yield times, services, groups
 
 
 class _TenantBook:
@@ -1174,28 +1182,23 @@ class _TenantBook:
     def _flush(self) -> None:
         buf = self._buf_sojourn
         if buf:
-            self._classify(
-                np.asarray(buf, dtype=np.int64),
-                np.asarray(self._buf_tenant, dtype=np.int64),
-            )
+            vals = np.asarray(buf, dtype=np.int64)
+            tens = np.asarray(self._buf_tenant, dtype=np.int64)
+            for t in range(len(self.names)):
+                slab = vals[tens == t]
+                if slab.size:
+                    self._book(t, slab)
             buf.clear()
             self._buf_tenant.clear()
 
-    def _classify(self, vals: np.ndarray, tens: np.ndarray) -> None:
-        """Book dispatched sojourns *vals* with their tenant column *tens*."""
-        keyed = self.keyed
-        for t, name in enumerate(self.names):
-            mask = tens == t
-            count = int(mask.sum())
-            if not count:
-                continue
-            slab = vals[mask]
-            self.dispatched_by[t] += count
-            # The deadline mask IS the outcome classifier: a dispatched
-            # invocation either makes its sojourn budget (SUCCESS) or
-            # misses it (DEADLINE_MISSED).
-            self.missed_by[t] += int((slab > self.deadlines[t]).sum())
-            keyed.observe_many(name, slab)
+    def _book(self, t: int, sojourns: np.ndarray) -> None:
+        """Book tenant *t*'s dispatched *sojourns*."""
+        self.dispatched_by[t] += int(sojourns.size)
+        # The deadline mask IS the outcome classifier: a dispatched
+        # invocation either makes its sojourn budget (SUCCESS) or
+        # misses it (DEADLINE_MISSED).
+        self.missed_by[t] += int(np.count_nonzero(sojourns > self.deadlines[t]))
+        self.keyed.observe_many(self.names[t], sojourns)
 
 
 class _TenantFifo(_TenantBook):
@@ -1210,8 +1213,15 @@ class _TenantFifo(_TenantBook):
     keyed by tenant for the per-tenant queue caps.  A pinned completion
     serves only its own tenant, so each pinned partition is a FIFO of
     its own.  A congested arrival takes no slot; its service draw is
-    still consumed positionally.  The rest follows in closed form, as
-    in :class:`_FifoDriver`:
+    still consumed positionally.
+
+    Each chunk comes with the merge's grouping -- per tenant, the
+    ascending positions of its arrivals -- and every tenant split is
+    read from it: the shared pool's keys, each pinned pool's arrivals,
+    the arrival counts and the per-tenant sojourn books.  Only tenants
+    with a congested arrival in the chunk filter their sojourns to the
+    dispatched ones.  The rest follows in closed form, as in
+    :class:`_FifoDriver`:
 
     * ``events_processed`` is one event per arrival plus, per dispatch,
       its completion and ``(service - 1) // interval`` renewal hops;
@@ -1245,33 +1255,42 @@ class _TenantFifo(_TenantBook):
         shared = self.config.partitioning == "shared"
         arrived_by = self.arrived_by
         hops = finish = last = 0
-        for times, tenants, services in self._chunks:
+        for times, services, groups in self._chunks:
+            rejected = self._rejected()
+            arrivals = [times[group] for group in groups]
+            served = [services[group] for group in groups]
             if shared:
-                starts = pools[0].serve(times, services, tenants)
+                starts = pools[0].serve(times, services, groups)
+                begun = [starts[group] for group in groups]
             else:
-                starts = np.empty_like(times)
-                for t, pool in enumerate(pools):
-                    mask = tenants == t
-                    starts[mask] = pool.serve(times[mask], services[mask])
-            for t, count in enumerate(np.bincount(tenants, minlength=len(arrived_by))):
-                arrived_by[t] += int(count)
+                begun = [pool.serve(a, s) for pool, a, s in zip(pools, arrivals, served)]
             last = int(times[-1])
-            kept = starts >= 0  # a congested arrival starts at -1
-            served = services[kept]
-            done = starts[kept] + served
-            if done.size:
-                self._classify(done - times[kept], tenants[kept])
-                hops += int(((served - 1) // interval).sum())
+            for t, (arrived, service, start, before, after) in enumerate(
+                zip(arrivals, served, begun, rejected, self._rejected())
+            ):
+                arrived_by[t] += int(arrived.size)
+                if after > before:  # a congested arrival starts at -1
+                    kept = start >= 0
+                    arrived, service, start = arrived[kept], service[kept], start[kept]
+                if not start.size:
+                    continue
+                done = start + service
+                self._book(t, done - arrived)
+                hops += int(((service - 1) // interval).sum())
                 finish = max(finish, int(done.max()))
         # Per tenant, one list entry per key: the shared pool keys its
         # books by tenant, and each pinned pool has its tenant's only.
         self.queued_by = [q for pool in pools for q in pool.queued_by]
         self.max_backlog_by = [b for pool in pools for b in pool.max_backlog_by]
-        self.congested_by = [r for pool in pools for r in pool.rejected_by]
+        self.congested_by = self._rejected()
         self.arrived = sum(arrived_by)
         self.completed = sum(self.dispatched_by)
         self.events_processed = self.arrived + self.completed + hops
         self.final_now_ns = max(finish, last)
+
+    def _rejected(self) -> list[int]:
+        """Per tenant, the arrivals congested so far."""
+        return [r for pool in self._pools for r in pool.rejected_by]
 
 
 class _TenantWalk(_TenantBook):

@@ -30,12 +30,12 @@ Every generator yields ``numpy.int64`` arrays of **absolute** times
 entries; peak memory is one chunk regardless of ``count``.
 
 :func:`merge_tenant_streams` lifts per-tenant streams into one global
-calendar: a ``(times, tenants)`` chunk sequence, globally non-decreasing
-in time, with a tenant-id column that the multi-tenant scale engine
-carries through every slab.  Ties (equal arrival times across tenants)
-break on the lowest tenant id via a stable ``np.lexsort``, so the
-merged order is a pure function of the input streams -- the property
-the batch/per-event bit-identity contract rests on.
+calendar: a ``(times, groups)`` chunk sequence, globally non-decreasing
+in time, where ``groups[t]`` lists where tenant ``t``'s arrivals sit in
+the chunk -- the one tenant split the multi-tenant scale engine reads.
+Ties (equal arrival times across tenants) break on the lowest tenant
+id, so the merged order is a pure function of the input streams -- the
+property the batch/per-event bit-identity contract rests on.
 """
 
 from __future__ import annotations
@@ -209,21 +209,19 @@ def arrival_times(
     raise ValueError(f"unknown arrival shape {shape!r} (expected one of {SHAPES})")
 
 
-#: Dtype of the tenant-id column produced by :func:`merge_tenant_streams`.
-TENANT_DTYPE = np.int32
-
-
 def merge_tenant_streams(
     streams: Sequence[Iterator[np.ndarray]],
     chunk: int = ARRIVAL_CHUNK,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Merge per-tenant arrival streams into one tagged global calendar.
+) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+    """Merge per-tenant arrival streams into one global calendar.
 
-    Yields ``(times, tenants)`` pairs -- ``times`` an ``int64`` array of
+    Yields ``(times, groups)`` pairs -- ``times`` an ``int64`` array of
     absolute arrival times, globally non-decreasing across all yielded
-    chunks, and ``tenants`` the parallel ``int32`` column of stream
-    indices.  Equal times order by ascending tenant id (stable lexsort,
-    primary key time, secondary key tenant).
+    chunks, and ``groups[t]`` the ascending ``intp`` positions in
+    ``times`` of stream ``t``'s arrivals, in that stream's order; every
+    position is in exactly one group.  Equal times order by ascending
+    stream index: the chunk is the stable sort by time of the streams'
+    parts concatenated in stream order, and ``groups`` inverts it.
 
     The merge is barrier-based so memory stays bounded: each round tops
     up every live tenant's buffer to ~one chunk, then emits the prefix
@@ -276,18 +274,16 @@ def merge_tenant_streams(
             emit, buffers = buffers, [b[:0] for b in buffers]
         total = sum(part.size for part in emit)
         if total:
-            times = np.concatenate([part for part in emit if part.size])
-            tenants = np.concatenate(
-                [
-                    np.full(part.size, t, dtype=TENANT_DTYPE)
-                    for t, part in enumerate(emit)
-                    if part.size
-                ]
-            )
-            # Stable sort, primary key = time, secondary = tenant id
-            # (the concatenation above is already tenant-major, so the
-            # tenant key only has to break exact time ties).
-            order = np.lexsort((tenants, times))
-            yield times[order], tenants[order]
+            # The concatenation is tenant-major, so a stable sort by
+            # time alone breaks exact ties by ascending tenant id.
+            times = np.concatenate(emit)
+            order = times.argsort(kind="stable")
+            positions = np.empty(total, dtype=np.intp)
+            positions[order] = np.arange(total)
+            groups, at = [], 0
+            for part in emit:
+                groups.append(positions[at : at + part.size])
+                at += part.size
+            yield times[order], groups
         if not pending:
             return

@@ -92,6 +92,11 @@ def test_shape_validation():
 # -- FifoServers: the c-server recurrence ------------------------------
 
 
+def _groups(keys, count):
+    """Per key in ``range(count)``, the ascending positions of its arrivals."""
+    return [np.flatnonzero(keys == key) for key in range(count)]
+
+
 def _serve(servers, times, services, chunk=None, keys=None, caps=None):
     pool = FifoServers(servers, caps)
     times = np.asarray(times, dtype=np.int64)
@@ -101,7 +106,7 @@ def _serve(servers, times, services, chunk=None, keys=None, caps=None):
         pool.serve(
             times[i : i + step],
             services[i : i + step],
-            None if keys is None else keys[i : i + step],
+            None if keys is None else _groups(np.asarray(keys[i : i + step]), len(caps)),
         )
         for i in range(0, max(1, times.size), step)
     ]
@@ -296,6 +301,15 @@ def test_large_pools_match_event_walk(servers, chunk, caps):
         assert moved["fifo_step_arrivals"] > 0
 
 
+def test_fifo_servers_rejects_negative_caps():
+    with pytest.raises(ValueError, match="key 1 has a negative queue cap"):
+        FifoServers(2, caps=[4, -1])
+    # A cap of 0 is valid: every arrival that must wait is rejected.
+    starts, pool = _serve(1, [0, 1, 2, 10], [10, 1, 1, 1], caps=(0,))
+    assert starts == [0, -1, -1, 10]
+    assert (pool.rejected_by, pool.queued, pool.max_backlog) == ([2], 0, 0)
+
+
 def test_fifo_servers_validation():
     with pytest.raises(ValueError):
         FifoServers(0)
@@ -303,12 +317,18 @@ def test_fifo_servers_validation():
         FifoServers(2).serve([1, 2], [1])
     with pytest.raises(ValueError):
         FifoServers(2, caps=[])
+    # Groups: one ascending position array per key, placing every
+    # arrival once.
     with pytest.raises(ValueError):
-        FifoServers(2, caps=[4, 4]).serve([1, 2], [1, 1], keys=[0])
+        FifoServers(2, caps=[4, 4]).serve([1, 2], [1, 1], groups=[[0], []])
     with pytest.raises(ValueError):
-        FifoServers(2, caps=[4, 4]).serve([1, 2], [1, 1], keys=[0, 2])
+        FifoServers(2, caps=[4, 4]).serve([1, 2], [1, 1], groups=[[0], [2]])
     with pytest.raises(ValueError):
-        FifoServers(2).serve([1, 2], [1, 1], keys=[0, 1])
+        FifoServers(2, caps=[4, 4]).serve([1, 2, 3], [1, 1, 1], groups=[[1, 0], [2]])
+    with pytest.raises(ValueError):
+        FifoServers(2, caps=[4, 4]).serve([1, 2], [1, 1])
+    with pytest.raises(ValueError):
+        FifoServers(2).serve([1, 2], [1, 1], groups=[[0], [1]])
     # The block rule and the backlog pass need non-decreasing times,
     # within a chunk and across chunks.
     with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from dataclasses import replace
 import pytest
 
 from repro import perf
+from repro.experiments import scale
 from repro.experiments.scale import (
     MultiTenantConfig,
     _TenantWalk,
@@ -75,6 +76,30 @@ def test_engines_bit_identical_across_pool_policies(pool_policy):
         assert base["cold_starts"] > 0
     # Accounting closes: every arrival either completed or was rejected.
     assert base["completed"] + base["congested"] == 4_000
+
+
+@pytest.mark.parametrize("queue_cap", [None, 3_000], ids=["uncapped", "capped"])
+@pytest.mark.parametrize("partitioning", ["pinned", "shared"])
+def test_engines_bit_identical_across_merge_chunks(monkeypatch, partitioning, queue_cap):
+    """The tests above fit one 65,536-arrival merge chunk.  With ~1,000
+    the barrier merge splits every tenant's stream over several chunks,
+    each served from its own tenant grouping, and thousands of waiters
+    (and, capped, the cap checks) carry from one chunk to the next."""
+    monkeypatch.setattr(scale, "_RNG_CHUNK", 1_000)
+    specs = standard_mix(invocations=12_000, rate_scale=400.0, compute_scale=40.0)
+    if queue_cap is not None:
+        specs = [replace(spec, queue_cap=queue_cap) for spec in specs]
+    config = MultiTenantConfig(specs=tuple(specs), partitioning=partitioning, **SATURATED)
+    assert sum(1 for _ in scale._tenant_chunks(config, lists=False)) > 5
+    outputs = [
+        _outputs(run(specs=specs, partitioning=partitioning, **SATURATED))
+        for run in (run_tenant_scale_referee, run_tenant_scale)
+    ]
+    assert outputs[0] == outputs[1]
+    fingerprint, backlogs = outputs[0]
+    assert fingerprint["completed"] + fingerprint["congested"] == 12_000
+    assert (fingerprint["congested"] > 0) == (queue_cap is not None)
+    assert max(backlogs.values()) > 2_000
 
 
 @pytest.mark.parametrize("partitioning", ["pinned", "shared"])
@@ -154,6 +179,27 @@ def test_pool_plan_partitions_and_validation():
     # An unknown plan never reaches the planner: its config refuses it.
     with pytest.raises(ValueError):
         MultiTenantConfig(specs=specs, workers=1_000, partitioning="bogus")
+
+
+def test_negative_queue_cap_is_rejected_at_the_config():
+    specs = [
+        replace(spec, queue_cap=-3) if spec.name == "bursty-service" else spec
+        for spec in standard_mix()
+    ]
+    with pytest.raises(ValueError, match="'bursty-service' has a negative queue_cap"):
+        MultiTenantConfig(specs=specs)
+    with pytest.raises(ValueError, match="'bursty-service'"):
+        run_tenant_scale(specs=specs)
+    # A cap of 0 stays valid: every arrival that finds the pool dry is
+    # congested, on the FIFO recurrence as on the referee.
+    outputs = [
+        _outputs(run(specs=_specs(queue_cap=0), partitioning="shared", **SATURATED))
+        for run in (run_tenant_scale_referee, run_tenant_scale)
+    ]
+    assert outputs[0] == outputs[1]
+    fingerprint, backlogs = outputs[0]
+    assert fingerprint["queued"] == 0 and fingerprint["congested"] > 0
+    assert set(backlogs.values()) == {0}
 
 
 def test_run_validation_rejects_bad_knobs():

@@ -158,8 +158,19 @@ def test_merge_breaks_time_ties_by_ascending_tenant(streams, chunk):
         for blocks in _COLLIDING[streams]
     ]
     merged = list(merge_tenant_streams([iter(blocks) for blocks in streams], chunk=chunk))
+    columns = []
+    for chunk_times, groups in merged:
+        # Each group lists ascending positions; together they place
+        # every arrival of the chunk once.
+        column = np.full(chunk_times.size, -1)
+        for tenant, group in enumerate(groups):
+            assert (np.diff(group) > 0).all()
+            column[group] = tenant
+        assert sum(group.size for group in groups) == chunk_times.size
+        assert (column >= 0).all()
+        columns.append(column)
     times = np.concatenate([t for t, _ in merged])
-    tenants = np.concatenate([k for _, k in merged])
+    tenants = np.concatenate(columns)
     assert (np.diff(times) >= 0).all()
     ties = np.diff(times) == 0
     assert (np.diff(tenants)[ties] >= 0).all()
