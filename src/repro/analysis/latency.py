@@ -94,11 +94,6 @@ def sojourn_by_kind(
 #: a shorter one the next arrivals are stepped one at a time.
 _MIN_BLOCK = 32
 
-#: Fewest arrivals a stretch no queue cap can bind in must hold to be
-#: served in blocks: booking and probing a shorter one costs more than
-#: stepping it.
-_MIN_STRETCH = 8 * _MIN_BLOCK
-
 
 class FifoServers:
     """Exact ``c``-server FIFO queue, fed one arrival chunk at a time.
@@ -136,23 +131,19 @@ class FifoServers:
     the stretch doubling while blocks stay short.
 
     **Queue caps.**  A key's depth at an arrival is at most its waiters
-    pending then plus its earlier arrivals since, so no cap can bind in
-    a stretch of the chunk where each key's pending waiters plus its
-    arrivals in the stretch stay within its cap; the grouping shows
-    where each key's room runs out.  Such a stretch is served in blocks
-    if it reaches the chunk's end or holds ``_MIN_STRETCH`` arrivals.
-    Elsewhere some key is near its cap, and arrivals are stepped one at
-    a time, checking the cap at every waiting arrival, in stretches of
-    ``L`` that double while caps keep binding: stepping stops once the
-    cap-free stretch ahead is at least ``max(L, _MIN_STRETCH)`` long.
+    pending from earlier chunks plus its earlier arrivals in the chunk,
+    so no cap can bind in a chunk where each key's pending waiters plus
+    its group's size stay within its cap; such a chunk is served in
+    blocks.  Any other chunk is stepped one arrival at a time, checking
+    the cap at every waiting arrival.
 
     **Queue depths.**  Starts are non-decreasing in arrival order, so
     a waiting arrival's depth is the number of earlier same-key
     arrivals that start after it arrives: one ``searchsorted`` per key
-    and stretch over the starts of the key's waiters still pending from
-    earlier stretches and the stretch's own, read from the grouping.
-    Per key, ``queued_by`` counts arrivals that had to wait,
-    ``max_backlog_by`` is the peak number waiting at once and
+    and chunk over the starts of the key's waiters still pending from
+    earlier chunks and the chunk's own, read at the key's positions in
+    the grouping.  Per key, ``queued_by`` counts arrivals that had to
+    wait, ``max_backlog_by`` is the peak number waiting at once and
     ``rejected_by`` counts arrivals turned away at the cap.  Memory is
     bounded by the pool size plus the waiters, not by the stream.
     """
@@ -236,45 +227,26 @@ class FifoServers:
             starts = times
         else:
             starts = times.copy()
-            i = fresh
-            while i < n:
-                end = n
-                if self._caps is not None:
-                    arrival = int(times[i])
-                    waiting = [
-                        pending.size - int(np.searchsorted(pending, arrival, side="right"))
-                        for pending in self._pending
-                    ]
-                    end = self._cap_free_end(groups, i, n, waiting)
-                if end == n or end - i >= _MIN_STRETCH:
-                    stepped += self._serve_blocks(times[i:end], services[i:end], starts[i:end])
-                else:
-                    # A cap may bind soon: step, checking every cap.
-                    end = self._step_capped(times, services, groups, i, starts)
-                    stepped += end - i
-                self._book(times, starts, _spans(groups, i, end), int(times[end - 1]))
-                i = end
+            caps = self._caps
+            sizes = [n] if groups is None else [group.size for group in groups]
+            if caps is not None and any(
+                pending.size + size > cap
+                for pending, size, cap in zip(self._pending, sizes, caps)
+            ):
+                # A depth reaches at most pending + size - 1: only here
+                # can some cap bind.
+                keys = np.zeros(n, dtype=np.intp)
+                for key, group in enumerate(groups or ()):
+                    keys[group] = key
+                self._serve_capped(times[fresh:], services[fresh:], keys[fresh:], starts[fresh:])
+                stepped = n - fresh
+            else:
+                stepped = self._serve_blocks(times[fresh:], services[fresh:], starts[fresh:])
+            self._book(times, starts, [slice(fresh, n)] if groups is None else groups)
         if perf.enabled:
             perf.counters.fifo_block_arrivals += n - stepped
             perf.counters.fifo_step_arrivals += stepped
         return starts
-
-    def _cap_free_end(self, groups: Optional[list], i: int, n: int, waiting: list) -> int:
-        """End of the longest stretch from arrival *i* in which no cap
-        can bind: each key's *waiting* arrivals (those still waiting at
-        ``t_i``) plus its arrivals in the stretch stay within its cap."""
-        end = n
-        for key, (cap, count) in enumerate(zip(self._caps, waiting)):
-            # Never negative: a key never has more waiters than its cap.
-            room = cap - count
-            if groups is None:
-                end = min(end, i + room)
-            else:
-                group = groups[key]
-                nth = int(np.searchsorted(group, i)) + room
-                if nth < group.size:
-                    end = min(end, int(group[nth]))
-        return end
 
     def _serve_blocks(self, times: np.ndarray, services: np.ndarray, starts: np.ndarray) -> int:
         """Serve arrivals on the sorted pool in blocks, filling *starts*.
@@ -320,74 +292,42 @@ class FifoServers:
         self._pool, self._spare = pool, spare
         return stepped
 
-    def _step_capped(
-        self,
-        times: np.ndarray,
-        services: np.ndarray,
-        groups: Optional[list],
-        i: int,
-        starts: np.ndarray,
-    ) -> int:
-        """Step the arrivals from *i* one at a time, checking each
-        waiting arrival's cap; returns where stepping stopped.
+    def _serve_capped(
+        self, times: np.ndarray, services: np.ndarray, keys: np.ndarray, starts: np.ndarray
+    ) -> None:
+        """One arrival at a time, checking each waiting arrival's cap.
 
-        Arrivals are stepped in stretches that start at ``_MIN_BLOCK``
-        and double until the stretch no cap can bind in that follows
-        holds at least ``_MIN_STRETCH`` arrivals and as many as the next
-        stepped stretch would.  Fills *starts* (``-1``: rejected), as
-        :func:`_step` does; the rejected and the depths are booked
-        afterwards, as for blocks.
+        Fills *starts* (``-1``: rejected), as :func:`_step` does; the
+        rejected and the depths are booked afterwards, as for blocks.
         """
-        n = times.size
         caps = self._caps
-        pool = self._pool
         waiting_by = [deque(pending.tolist()) for pending in self._pending]
-        heap = pool[: n - i].tolist()  # as in _step
-        out: list[int] = []
-        push, start = heapreplace, out.append
-        keys = np.zeros(n, dtype=np.intp)
-        for key, group in enumerate(groups or ()):
-            keys[group] = key
-        stretch = _MIN_BLOCK
-        j = i
-        while True:
-            stop = min(n, j + stretch)
-            for arrival, service, key in zip(
-                times[j:stop].tolist(), services[j:stop].tolist(), keys[j:stop].tolist()
-            ):
-                free = heap[0]
-                if free <= arrival:
-                    push(heap, arrival + service)
-                    start(arrival)
-                    continue
-                pending = waiting_by[key]
-                while pending and pending[0] <= arrival:
-                    pending.popleft()
-                if len(pending) >= caps[key]:
-                    start(-1)
-                    continue
-                push(heap, free + service)
-                pending.append(free)
-                start(free)
-            j = stop
-            stretch *= 2
-            if j == n:
-                break
-            arrival = int(times[j])
-            for pending in waiting_by:
-                while pending and pending[0] <= arrival:
-                    pending.popleft()
-            free_end = self._cap_free_end(groups, j, n, [len(p) for p in waiting_by])
-            if free_end - j >= max(stretch, _MIN_STRETCH):
-                break
-        starts[i:j] = out
-        self._pool, self._spare = _merge_head(pool, self._spare, np.array(heap, dtype=np.int64))
-        return j
+        heap = self._pool[: times.size].tolist()  # as in _step
+        out = []
+        for arrival, service, key in zip(times.tolist(), services.tolist(), keys.tolist()):
+            free = heap[0]
+            if free <= arrival:
+                heapreplace(heap, arrival + service)
+                out.append(arrival)
+                continue
+            pending = waiting_by[key]
+            while pending and pending[0] <= arrival:
+                pending.popleft()
+            if len(pending) >= caps[key]:
+                out.append(-1)
+                continue
+            heapreplace(heap, free + service)
+            pending.append(free)
+            out.append(free)
+        starts[:] = out
+        self._pool, self._spare = _merge_head(
+            self._pool, self._spare, np.array(heap, dtype=np.int64)
+        )
 
-    def _book(self, times: np.ndarray, starts: np.ndarray, spans: list, last: int) -> None:
+    def _book(self, times: np.ndarray, starts: np.ndarray, spans: list) -> None:
         """Book each key's rejected arrivals and waiters at *spans*, the
-        stretch's positions per key, and keep those still waiting after
-        *last*."""
+        chunk's positions per key, and keep those still waiting at the
+        chunk's last arrival."""
         for key, span in enumerate(spans):
             pending = self._pending[key]
             arrived = times[span]
@@ -412,7 +352,9 @@ class FifoServers:
                 peak = int(depth.max()) + 1
                 if peak > self.max_backlog_by[key]:
                     self.max_backlog_by[key] = peak
-            self._pending[key] = carried[np.searchsorted(carried, last, side="right") :].copy()
+            self._pending[key] = carried[
+                np.searchsorted(carried, self._last, side="right") :
+            ].copy()
 
 
 def _step(
@@ -455,24 +397,19 @@ def _merge_head(
     return spare, pool
 
 
-def _spans(groups: Optional[list], i: int, end: int) -> list:
-    """Per key, the positions of its arrivals in ``[i, end)``."""
-    if groups is None:
-        return [slice(i, end)]
-    return [
-        group[np.searchsorted(group, i) : np.searchsorted(group, end)] for group in groups
-    ]
-
-
 def _check_groups(groups: list, keys: int, n: int) -> None:
     """``ValueError`` unless *groups* holds *keys* ascending position
-    arrays in ``[0, n)`` that add up to *n* arrivals."""
+    arrays in ``[0, n)`` that place each of the *n* arrivals once."""
     if len(groups) != keys:
         raise ValueError(f"groups must hold one position array per key, {keys} here")
-    if sum(group.size for group in groups) != n:
-        raise ValueError(f"groups must place each of the chunk's {n} arrivals once")
     for group in groups:
         if group.size and not (
             0 <= group[0] and group[-1] < n and bool((group[1:] > group[:-1]).all())
         ):
             raise ValueError(f"each group must list ascending positions in [0, {n})")
+    # n positions in all that leave none out place each exactly once.
+    placed = np.zeros(n, dtype=bool)
+    for group in groups:
+        placed[group] = True
+    if sum(group.size for group in groups) != n or not placed.all():
+        raise ValueError(f"groups must place each of the chunk's {n} arrivals once")

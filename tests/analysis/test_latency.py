@@ -325,6 +325,8 @@ def test_fifo_servers_validation():
         FifoServers(2, caps=[4, 4]).serve([1, 2], [1, 1], groups=[[0], [2]])
     with pytest.raises(ValueError):
         FifoServers(2, caps=[4, 4]).serve([1, 2, 3], [1, 1, 1], groups=[[1, 0], [2]])
+    with pytest.raises(ValueError, match="place each of the chunk's 3 arrivals once"):
+        FifoServers(2, caps=[4, 4]).serve([1, 2, 3], [1, 1, 1], groups=[[0, 1], [1]])
     with pytest.raises(ValueError):
         FifoServers(2, caps=[4, 4]).serve([1, 2], [1, 1])
     with pytest.raises(ValueError):
