@@ -7,9 +7,6 @@ Usage::
     python -m repro.experiments fig13 --quick
     python -m repro.experiments all --quick
     python -m repro.experiments all --quick --parallel auto
-    python -m repro.experiments all --quick --cache
-    python -m repro.experiments cache stats
-    python -m repro.experiments cache verify --sample 5
     python -m repro.experiments bench --json BENCH_PR1.json --label pr1
     python -m repro.experiments bench --quick --parallel 2
     python -m repro.experiments scale --arrival-shape diurnal --quick
@@ -25,21 +22,10 @@ via :mod:`repro.parallel` (``auto`` or ``0`` = one per usable CPU,
 for ``bench`` the repetitions of each hot-loop benchmark run
 concurrently (each run is wall-clock-timed inside its own process, so
 medians stay comparable) and a multi-experiment batch is timed
-serial-vs-parallel.  Simulated results are bit-identical to serial
-runs; a crashed or raising experiment is reported and the rest of the
-batch completes.
-
-``--cache`` consults the content-addressed result cache
-(:mod:`repro.cache`, default ``.repro-cache/``, override with
-``--cache-dir`` or ``$REPRO_CACHE_DIR``) before running anything:
-experiments whose code + parameters are unchanged come back from disk,
-so repeated batches cost O(changed points).  ``--no-cache`` (the
-default) touches no cache state at all.  The ``cache`` subcommand
-manages the store: ``stats``, ``clear``, and ``verify`` (re-runs a
-sample of entries and diffs them against the stored artifacts).
-``bench`` ignores ``--cache`` for its timed loops -- reusing a stored
-wall-clock measurement would defeat the point -- but measures the
-cache's own cold-vs-warm speedup as ``cache_batch``.
+serial-vs-parallel.  ``bench`` forks each engine and its referee
+through the same pool whatever ``--parallel`` says.  Simulated results
+are bit-identical to serial runs; a crashed or raising experiment is
+reported and the rest of the batch completes.
 
 ``--arrival-shape`` picks the ``scale`` arrival process (``poisson``,
 ``bursty``, ``diurnal``; see :mod:`repro.experiments.scale`).  Every
@@ -54,7 +40,6 @@ its referee.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -106,37 +91,6 @@ def _parallel_workers(value: str) -> int:
         ) from None
 
 
-def _open_cache(args: argparse.Namespace):
-    from repro.cache import ResultCache
-
-    return ResultCache(args.cache_dir)
-
-
-def _cache_command(args: argparse.Namespace) -> int:
-    """``cache stats|clear|verify`` management subcommand."""
-    cache = _open_cache(args)
-    action = args.action or "stats"
-    if action == "stats":
-        print(json.dumps(cache.stats(), indent=2, sort_keys=True))
-        return 0
-    if action == "clear":
-        removed = cache.clear()
-        print(f"cleared {removed} cached result(s) from {cache.root}")
-        return 0
-    if action == "verify":
-        from repro.cache import verify_cache
-
-        report = verify_cache(cache, sample=args.sample)
-        for name in report.mismatched:
-            print(f"MISMATCH: {name}", file=sys.stderr)
-        for detail in report.errored:
-            print(f"ERROR: {detail}", file=sys.stderr)
-        print(report.summary())
-        return 0 if report.ok else 1
-    print(f"unknown cache action {action!r} (use stats, clear, or verify)", file=sys.stderr)
-    return 2
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -144,13 +98,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "experiment",
-        help="experiment id (see 'list'), 'all', 'report', 'bench', 'cache', or 'list'",
-    )
-    parser.add_argument(
-        "action",
-        nargs="?",
-        default=None,
-        help="for 'cache': stats (default), clear, or verify",
+        help="experiment id (see 'list'), 'all', 'report', 'bench', or 'list'",
     )
     parser.add_argument(
         "--out",
@@ -249,26 +197,6 @@ def main(argv: list[str] | None = None) -> int:
         "bit-identity, and the RSS guard verdict as 'scale_10m')",
     )
     parser.add_argument(
-        "--cache",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="reuse cached results for unchanged code+parameters "
-        "(--no-cache, the default, runs everything fresh)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="result-cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    parser.add_argument(
-        "--sample",
-        type=int,
-        default=5,
-        metavar="N",
-        help="for 'cache verify': entries to re-run (default 5)",
-    )
-    parser.add_argument(
         "--json",
         metavar="DIR",
         help="also write each result as DIR/<experiment>.json "
@@ -307,9 +235,6 @@ def main(argv: list[str] | None = None) -> int:
         for key in experiment_ids():
             print(f"{key:<{width}}  {EXPERIMENTS[key].description}")
         return 0
-
-    if args.experiment == "cache":
-        return _cache_command(args)
 
     if args.experiment == "bench":
         from repro.experiments.bench import check_regression, run_bench, show, write_bench
@@ -387,7 +312,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.hybrid_threshold is not None:
         multitenant_overrides["hybrid_threshold"] = args.hybrid_threshold
 
-    cache = _open_cache(args) if args.cache else None
     batch_started = time.perf_counter()
     outcomes = run_specs(
         _batch_specs(
@@ -399,7 +323,6 @@ def main(argv: list[str] | None = None) -> int:
             multitenant_overrides,
         ),
         args.parallel,
-        cache=cache,
     )
     batch_wall = time.perf_counter() - batch_started
 
@@ -430,19 +353,6 @@ def main(argv: list[str] | None = None) -> int:
         summary.add_row("total (sum)", f"{sum(w for _, w in timings):.1f}s")
         summary.add_row(f"batch (parallel={args.parallel})", f"{batch_wall:.1f}s")
         summary.show()
-    if cache is not None:
-        stats = cache.stats()
-        session = stats["session"]
-        print(
-            "[cache {root}: {hits} hit(s), {misses} miss(es), "
-            "{entries} entr(ies), {total_bytes:,} bytes]".format(
-                root=stats["root"],
-                hits=session["hits"],
-                misses=session["misses"],
-                entries=stats["entries"],
-                total_bytes=stats["total_bytes"],
-            )
-        )
     if failures:
         print(f"{len(failures)} experiment(s) failed", file=sys.stderr)
         return 1

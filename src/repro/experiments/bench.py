@@ -749,11 +749,9 @@ def bench_scale_ten_million() -> dict[str, Any]:
     )
 
 
-def _timed_batch(
-    experiments: tuple[str, ...], workers: int, cache: Any = None
-) -> tuple[float, list[Any]]:
+def _timed_batch(experiments: tuple[str, ...], workers: int) -> float:
     """Run every quick experiment of *experiments* through ``run_specs``
-    on *workers*; return the batch's wall clock and its outcomes."""
+    on *workers*; return the batch's wall clock."""
     specs = [
         RunSpec(
             factory="repro.experiments.registry:run_experiment",
@@ -764,12 +762,12 @@ def _timed_batch(
         for index, experiment_id in enumerate(experiments)
     ]
     t0 = time.perf_counter()
-    outcomes = run_specs(specs, workers, cache=cache)
+    outcomes = run_specs(specs, workers)
     wall = time.perf_counter() - t0
     failed = [o for o in outcomes if isinstance(o, FailedPoint)]
     if failed:
         raise RuntimeError(f"batch experiment failed: {failed[0].summary()}")
-    return wall, outcomes
+    return wall
 
 
 def bench_parallel_batch(parallel: int) -> dict[str, Any]:
@@ -781,8 +779,8 @@ def bench_parallel_batch(parallel: int) -> dict[str, Any]:
     bench process, whose lifetime peak is the entry's
     ``peak_rss_bytes``.
     """
-    serial_s, _ = _timed_batch(BATCH_EXPERIMENTS, 1)
-    parallel_s, _ = _timed_batch(BATCH_EXPERIMENTS, parallel)
+    serial_s = _timed_batch(BATCH_EXPERIMENTS, 1)
+    parallel_s = _timed_batch(BATCH_EXPERIMENTS, parallel)
     cpus = available_workers()
     record = {
         "experiments": list(BATCH_EXPERIMENTS),
@@ -802,67 +800,30 @@ def bench_parallel_batch(parallel: int) -> dict[str, Any]:
     return record
 
 
-def bench_cache_batch(
-    cache_dir: Optional[str] = None, experiments: tuple[str, ...] = BATCH_EXPERIMENTS
-) -> dict[str, Any]:
-    """Cold-vs-warm wall clock for the experiment batch through the cache.
-
-    Runs the quick batch twice against one result cache: the first pass
-    misses everywhere and pays full simulation cost, the second is
-    answered from disk.  Results must be bit-identical (compared via
-    the same JSON projection the archive uses); the headline is
-    ``speedup = cold_s / warm_s``.  Both passes run in this process, so
-    the record has no peak RSS of its own (see
-    :func:`bench_parallel_batch`).  Uses a throwaway cache directory
-    unless *cache_dir* is given, so timed runs never reuse stale state.
-    """
-    import shutil
-    import tempfile
-
-    from repro.cache import ResultCache
-    from repro.experiments.io import to_jsonable
-
-    owns_dir = cache_dir is None
-    root = cache_dir or tempfile.mkdtemp(prefix="repro-cache-bench-")
-    try:
-        cache = ResultCache(root)
-        cold_s, cold = _timed_batch(experiments, 1, cache)
-        warm_s, warm = _timed_batch(experiments, 1, cache)
-        stats = cache.stats()
-        return {
-            "experiments": list(experiments),
-            "cold_s": cold_s,
-            "warm_s": warm_s,
-            "speedup": cold_s / warm_s if warm_s else 0.0,
-            "bit_identical": to_jsonable(cold) == to_jsonable(warm),
-            "hits": stats["session"]["hits"],
-            "misses": stats["session"]["misses"],
-            "bytes_read": stats["session"]["bytes_read"],
-            "bytes_written": stats["session"]["bytes_written"],
-        }
-    finally:
-        if owns_dir:
-            shutil.rmtree(root, ignore_errors=True)
-
-
 def run_bench(
     quick: bool = False, parallel: int = 1, ten_million: bool = False
 ) -> dict[str, Any]:
-    """Run all three hot-loop benchmarks; returns a JSON-ready dict.
+    """Run every engine comparison and the three hot-loop
+    micro-benches; returns a JSON-ready dict.
 
-    Every entry records its execution environment (``workers``,
-    ``cpus_available``) so trajectory comparisons know which entries
-    were measured on comparable hosts.
-    *ten_million* additionally runs the 10^7-invocation stress scenario
-    (several minutes of wall clock; meant for recorded trajectory
-    entries, not CI quick runs).  ``perf_counters`` covers every entry:
-    counting stays on for the whole bench, and forked runs ship their
-    counters back through :mod:`repro.parallel`.
+    Each engine comparison (scale, control plane, cold start,
+    multi-tenant) forks its referee and its engine through
+    :func:`repro.parallel.run_specs`, whatever *parallel* says, and all
+    of them run first.  A forked run's peak RSS counts the pages it
+    inherits, so each one forks from a bench process that no in-process
+    work (the micro-benches, the parallel batch's serial pass, the
+    cold-start spectrum, the isolation matrix) has grown.  *parallel*
+    fans out the micro-benches' repetitions and, unless it is 1, adds
+    the serial-vs-parallel ``parallel_batch``.  *ten_million*
+    additionally runs the 10^7-invocation stress scenarios (several
+    minutes of wall clock; meant for recorded trajectory entries, not
+    CI quick runs).
 
-    Every forked engine comparison runs first.  A forked run's peak RSS
-    counts the pages it inherits, so each one forks from a bench
-    process that no in-process work (the micro-benches, the cache
-    batch, the cold-start spectrum, the isolation matrix) has grown.
+    ``perf_counters`` covers every entry: counting stays on for the
+    whole bench, and forked runs ship their counters back through
+    :mod:`repro.parallel`.  Every entry records its execution
+    environment (``workers``, ``cpus_available``) so trajectory
+    comparisons know which entries were measured on comparable hosts.
     """
     repeats = 3 if quick else 9
     perf.reset()
@@ -884,7 +845,6 @@ def run_bench(
         }
         if parallel != 1:
             results["parallel_batch"] = bench_parallel_batch(parallel)
-        results["cache_batch"] = bench_cache_batch()
         forked["coldstart"].update(_coldstart_spectrum(quick))
         # The 2x2 {pinned, shared} x {calm, aggressor} isolation matrix.
         forked["multitenant"]["isolation"] = _multitenant_isolation(quick)
@@ -1107,13 +1067,6 @@ def show(results: dict[str, Any]) -> None:
         if not batch.get("speedup_representative", True):
             line += "  [NOT representative: 1 cpu]"
         print(line)
-    cached = results.get("cache_batch")
-    if cached:
-        print(
-            "cache_batch: {n} experiments  cold {cold_s:.1f}s -> warm {warm_s:.2f}s  "
-            "({speedup:.1f}x, bit_identical={bit_identical}, "
-            "{hits} hits/{misses} misses)".format(n=len(cached["experiments"]), **cached)
-        )
     for line in _two_way_lines(results):
         print(line)
     spectrum = results.get("coldstart", {}).get("spectrum")

@@ -2,10 +2,10 @@
 
 A :class:`RunSpec` names its factory by import path (``module:qualname``)
 instead of holding the callable, so the spec itself is always picklable
-even when the target interpreter has not imported the module yet.  The
-optional explicit seed implements the determinism contract: a worker
-reconstructs exactly the RNG state the serial run would have used, so
-parallel execution is bit-identical to serial execution.
+even when the target interpreter has not imported the module yet.  Its
+kwargs carry everything the run depends on, its seed included, so a
+worker reconstructs exactly the RNG state the serial run would have
+used and parallel execution is bit-identical to serial execution.
 """
 
 from __future__ import annotations
@@ -22,13 +22,10 @@ class RunSpec:
 
     #: Import path of the factory: ``package.module:qualname``.
     factory: str
-    #: Keyword arguments for the factory (must be picklable).
+    #: Keyword arguments for the factory (must be picklable), the
+    #: run's seed included.
     kwargs: dict[str, Any] = field(default_factory=dict)
-    #: Explicit RNG seed, injected as ``kwargs[seed_arg]`` when set.
-    seed: int | None = None
-    #: Name of the keyword argument that receives :attr:`seed`.
-    seed_arg: str | None = None
-    #: Position in the originating grid; used for ordered reassembly.
+    #: Position in the originating grid; named in a failure report.
     index: int = 0
     #: Human-readable tag for progress/error reporting.
     label: str = ""
@@ -47,10 +44,7 @@ class RunSpec:
 
     def call(self) -> Any:
         """Resolve the factory and run it with this spec's arguments."""
-        kwargs = dict(self.kwargs)
-        if self.seed_arg is not None and self.seed is not None:
-            kwargs[self.seed_arg] = self.seed
-        return self.resolve()(**kwargs)
+        return self.resolve()(**self.kwargs)
 
     @property
     def name(self) -> str:
@@ -59,7 +53,7 @@ class RunSpec:
 
 @dataclass
 class FailedPoint:
-    """A grid point whose run raised, crashed, or timed out.
+    """A grid point whose run raised or crashed.
 
     Failures are *data*, not control flow: one bad point must never
     hang or abort the rest of a sweep, so the engine returns this
@@ -72,8 +66,8 @@ class FailedPoint:
     error_type: str
     message: str
     #: Full ``traceback.format_exc()`` text from the failing process
-    #: (empty for timeouts and worker crashes, where no Python frame
-    #: survives to report).
+    #: (empty for worker crashes and results that failed to unpickle,
+    #: where no Python frame survives to report).
     traceback: str = ""
 
     def __bool__(self) -> bool:  # failed points are falsy in filters

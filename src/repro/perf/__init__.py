@@ -33,10 +33,6 @@ class Counters:
         "bytes_copied",
         "bytes_referenced",
         "alloc_avoided",
-        "cache_hits",
-        "cache_misses",
-        "cache_bytes_read",
-        "cache_bytes_written",
         "cold_spinups",
         "cold_reclaims",
         "lease_grants",
@@ -58,14 +54,6 @@ class Counters:
         self.bytes_referenced = 0
         #: Object allocations avoided (e.g. recycled pooled timeouts).
         self.alloc_avoided = 0
-        #: Result-cache lookups answered from disk (runs not re-simulated).
-        self.cache_hits = 0
-        #: Result-cache lookups that had to run the simulation.
-        self.cache_misses = 0
-        #: Artifact bytes loaded on cache hits.
-        self.cache_bytes_read = 0
-        #: Artifact bytes persisted on cache fills.
-        self.cache_bytes_written = 0
         #: Sandbox spin-ups fired (cold starts that reached ready).
         self.cold_spinups = 0
         #: Idle-reclaim expiries fired (successful teardowns only).

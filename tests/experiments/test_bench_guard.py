@@ -1,39 +1,21 @@
-"""Bench additions: cold/warm cache batch and the perf-regression guard."""
+"""Bench additions: the parallel batch and the perf-regression guard."""
 
 import json
 
 import pytest
 
 from repro.experiments import bench
-from repro.experiments.bench import bench_cache_batch, check_regression
-
-
-def test_cache_batch_cold_warm_bit_identical():
-    record = bench_cache_batch(experiments=("table1", "billing"))
-    assert record["bit_identical"]
-    assert record["misses"] == 2  # cold pass ran everything
-    assert record["hits"] == 2  # warm pass ran nothing
-    assert record["warm_s"] < record["cold_s"]
-    assert record["speedup"] > 1.0
-    # Both passes run in the bench process: a peak RSS of the batch's
-    # own would only repeat the entry's lifetime peak.
-    assert "peak_rss_bytes" not in record
+from repro.experiments.bench import check_regression
 
 
 def test_parallel_batch_records_no_process_peak_rss(monkeypatch):
-    """Like the cache batch, the serial pass runs in the bench process,
-    so the record carries timings only."""
+    """The serial pass runs in the bench process, so the record
+    carries timings only."""
     monkeypatch.setattr(bench, "BATCH_EXPERIMENTS", ("table1",))
     record = bench.bench_parallel_batch(2)
     assert record["experiments"] == ["table1"]
     assert record["serial_s"] > 0 and record["parallel_s"] > 0
     assert "peak_rss_bytes" not in record
-
-
-def test_cache_batch_uses_given_dir_and_keeps_it(tmp_path):
-    root = tmp_path / "bench-cache"
-    bench_cache_batch(cache_dir=str(root), experiments=("table1",))
-    assert (root / "index.json").exists()  # caller-owned dirs survive
 
 
 def _baseline_doc(tmp_path, rate):
@@ -111,7 +93,6 @@ def _with_verdict(record, verdict, value):
     [
         "scale_openloop",
         "scale_10m",
-        "cache_batch",
         "control_plane",
         "coldstart",
         "coldstart.reclaim",

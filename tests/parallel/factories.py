@@ -7,7 +7,7 @@ importable module rather than inside a test function.
 from __future__ import annotations
 
 import os
-import time
+import threading
 
 
 def double(x):
@@ -28,13 +28,16 @@ def boom_for(x, bad):
     return x * 10
 
 
-def sleepy(seconds):
-    time.sleep(seconds)
-    return seconds
-
-
 def worker_pid():
     return os.getpid()
+
+
+def unpicklable():
+    return threading.Lock()
+
+
+def die():
+    os._exit(1)  # takes the worker down without a Python traceback
 
 
 def count_pooled_timeouts():
@@ -59,8 +62,8 @@ def count_pooled_timeouts():
 def faulty_rtts(probability, seed, invocations=40):
     """Echo invocations over a flaky fabric; returns (rtts, faults).
 
-    Exercises the full RNG draw order of ``Fabric.penalty_ns``
-    -- the determinism surface the cache layer must not perturb.
+    Exercises the full RNG draw order of ``Fabric.penalty_ns``, the
+    determinism surface a repeated run must reproduce.
     """
     from repro.core import Deployment
     from repro.rdma.fabric import FaultModel

@@ -86,30 +86,6 @@ def test_transfer_path_draw_order_is_stable_across_runs():
     assert first["faults_injected"] > 0
 
 
-def test_transfer_path_draw_order_unchanged_by_cache_layer(tmp_path):
-    """Satellite: the cache must not perturb fabric RNG consumption.
-
-    Key/fingerprint computation and store I/O happen in the dispatching
-    process around the run; the run's own numpy draws must be
-    byte-identical whether the engine is uncached, filling the cache,
-    or serving from it.
-    """
-    from repro.cache import ResultCache
-    from repro.parallel import RunSpec, run_specs
-
-    spec = [
-        RunSpec(
-            "tests.parallel.factories:faulty_rtts",
-            {"probability": 0.08, "seed": 5, "invocations": 25},
-        )
-    ]
-    uncached = run_specs(spec, 1)
-    cache = ResultCache(tmp_path / "cache")
-    cold = run_specs(spec, 1, cache=cache)
-    warm = run_specs(spec, 1, cache=cache)
-    assert uncached == cold == warm
-
-
 def test_unknown_host_raises_at_the_req_before_any_fault_draw():
     """A connect to an unknown host fails in the caller at the REQ,
     before the REQ's transfer draws a fault penalty."""
