@@ -121,10 +121,16 @@ class FifoServers:
     time arrival ``j`` could see is the least of ``p[j:]`` and ``f_0 ..
     f_{j-1}``, which is ``p[j]`` exactly while ``p[j] <= min(f_0 ..
     f_{j-1})``; so the block holds up to the first arrival where that
-    fails, and its finishes merge back into ``p``.  A block writes its
-    starts straight into the output and its finishes into scratch
-    arrays kept across blocks; the merge fills a spare pool buffer,
-    which then swaps with ``p``.  After a block of fewer than
+    fails, and its finishes merge back into ``p``.  That arrival is
+    the first free time past the block's earliest finish ``m``, at
+    ``p.searchsorted(m, side="right")`` (capped at ``B``): every
+    finish is at least the free time it took (``f_k >= p[k]``, services
+    being non-negative), so the arrivals up to ``m``'s own, and any
+    whose free time does not pass ``m``, see ``p[j] <= m <= min(f_0 ..
+    f_{j-1})``, while the next free time does pass an earlier finish.
+    A block writes its starts straight into the output and its finishes
+    into a scratch array kept across blocks; the merge fills a spare
+    pool buffer, which then swaps with ``p``.  After a block of fewer than
     ``_MIN_BLOCK`` arrivals (small pools, wide service spread) a
     stretch of ``L`` arrivals is stepped one at a time on a heap of the
     ``L`` earliest free times -- ``L`` arrivals can take no other --
@@ -139,13 +145,16 @@ class FifoServers:
 
     **Queue depths.**  Starts are non-decreasing in arrival order, so
     a waiting arrival's depth is the number of earlier same-key
-    arrivals that start after it arrives: one ``searchsorted`` per key
-    and chunk over the starts of the key's waiters still pending from
-    earlier chunks and the chunk's own, read at the key's positions in
-    the grouping.  Per key, ``queued_by`` counts arrivals that had to
-    wait, ``max_backlog_by`` is the peak number waiting at once and
-    ``rejected_by`` counts arrivals turned away at the cap.  Memory is
-    bounded by the pool size plus the waiters, not by the stream.
+    arrivals that start after it arrives.  One comparison of the
+    chunk's starts with its times marks the waiters; per key, they are
+    read at the key's positions in the grouping, and one
+    ``searchsorted`` over the starts of the key's waiters still pending
+    from earlier chunks and the chunk's own gives every depth.  Per
+    key, ``queued_by`` counts arrivals that had to wait,
+    ``max_backlog_by`` is the peak number waiting at once and
+    ``rejected_by`` counts arrivals turned away at the cap, which only
+    the one-at-a-time loop does.  Memory is bounded by the pool size
+    plus the waiters, not by the stream.
     """
 
     def __init__(self, servers: int, caps: Optional[Sequence[int]] = None) -> None:
@@ -167,10 +176,8 @@ class FifoServers:
         #: Sorted free times of all servers, once every server has run,
         #: and the buffer the next merge fills.
         self._pool = self._spare = np.empty(0, dtype=np.int64)
-        #: Block scratch: finishes, their running minimum, and where the
-        #: pool's next free time beats that minimum.
-        self._finish = self._low = np.empty(0, dtype=np.int64)
-        self._beaten = np.empty(0, dtype=bool)
+        #: Block scratch: the finishes of a block's arrivals.
+        self._finish = np.empty(0, dtype=np.int64)
         #: Per key, start times (non-decreasing) of the arrivals still
         #: waiting at the last arrival.
         self._pending = [np.empty(0, dtype=np.int64) for _ in range(keys)]
@@ -188,11 +195,12 @@ class FifoServers:
         """Start times of the next chunk of arrivals (``-1``: rejected).
 
         *times* must be non-decreasing and no earlier than the previous
-        chunk's (``ValueError`` otherwise); *services* are the matching
-        service times.  *groups* holds, per key in ``range(len(caps))``,
-        the ascending positions of that key's arrivals in the chunk,
-        every position in exactly one group; a pool with one key takes
-        ``None``: every arrival is key 0.
+        chunk's, and *services*, the matching service times, must be
+        non-negative (``ValueError`` otherwise).  *groups* holds, per
+        key in ``range(len(caps))``, the ascending positions of that
+        key's arrivals in the chunk, every position in exactly one
+        group; a pool with one key takes ``None``: every arrival is key
+        0.
         """
         times = np.asarray(times, dtype=np.int64)
         services = np.asarray(services, dtype=np.int64)
@@ -208,6 +216,8 @@ class FifoServers:
         if n:
             if bool((times[1:] < times[:-1]).any()):
                 raise ValueError("arrival times must be non-decreasing")
+            if services.min() < 0:
+                raise ValueError("service times must be non-negative")
             if times[0] < self._last:
                 raise ValueError(
                     f"chunk starts at {int(times[0])}, before the previous "
@@ -242,7 +252,7 @@ class FifoServers:
                 stepped = n - fresh
             else:
                 stepped = self._serve_blocks(times[fresh:], services[fresh:], starts[fresh:])
-            self._book(times, starts, [slice(fresh, n)] if groups is None else groups)
+            self._book(times, starts, groups)
         if perf.enabled:
             perf.counters.fifo_block_arrivals += n - stepped
             perf.counters.fifo_step_arrivals += stepped
@@ -259,9 +269,7 @@ class FifoServers:
         largest = min(servers, n)  # no block is longer
         if self._finish.size < largest:
             self._finish = np.empty(largest, dtype=np.int64)
-            self._low = np.empty(largest, dtype=np.int64)
-            self._beaten = np.empty(largest, dtype=bool)
-        finishes, lows, beatens = self._finish, self._low, self._beaten
+        finishes = self._finish
         i = stepped = 0
         probe = servers
         stretch = _MIN_BLOCK
@@ -271,11 +279,9 @@ class FifoServers:
                 start = np.maximum(times[i : i + size], pool[:size], out=starts[i : i + size])
                 finish = np.add(start, services[i : i + size], out=finishes[:size])
                 # The first arrival an earlier finish in the block beats
-                # to a server ends the block.
-                low = np.minimum.accumulate(finish[:-1], out=lows[: size - 1])
-                beaten = np.greater(pool[1:size], low, out=beatens[: size - 1])
-                first = int(beaten.argmax())
-                held = first + 1 if beaten[first] else size
+                # to a server ends the block: the first free time past
+                # the block's earliest finish.
+                held = min(size, int(pool.searchsorted(finish.min(), side="right")))
                 pool, spare = _merge_head(pool, spare, finish[:held])
                 i += held
                 # Probe about as far as the last block reached.
@@ -297,10 +303,11 @@ class FifoServers:
     ) -> None:
         """One arrival at a time, checking each waiting arrival's cap.
 
-        Fills *starts* (``-1``: rejected), as :func:`_step` does; the
-        rejected and the depths are booked afterwards, as for blocks.
+        Fills *starts* (``-1``: rejected), as :func:`_step` does, and
+        counts the rejected; the depths are booked afterwards, as for
+        blocks.
         """
-        caps = self._caps
+        caps, rejected = self._caps, self.rejected_by
         waiting_by = [deque(pending.tolist()) for pending in self._pending]
         heap = self._pool[: times.size].tolist()  # as in _step
         out = []
@@ -314,6 +321,7 @@ class FifoServers:
             while pending and pending[0] <= arrival:
                 pending.popleft()
             if len(pending) >= caps[key]:
+                rejected[key] += 1
                 out.append(-1)
                 continue
             heapreplace(heap, free + service)
@@ -324,30 +332,31 @@ class FifoServers:
             self._pool, self._spare, np.array(heap, dtype=np.int64)
         )
 
-    def _book(self, times: np.ndarray, starts: np.ndarray, spans: list) -> None:
-        """Book each key's rejected arrivals and waiters at *spans*, the
-        chunk's positions per key, and keep those still waiting at the
-        chunk's last arrival."""
-        for key, span in enumerate(spans):
-            pending = self._pending[key]
-            arrived = times[span]
-            if not (arrived.size or pending.size):
+    def _book(self, times: np.ndarray, starts: np.ndarray, groups: Optional[list]) -> None:
+        """Book each key's waiters, read at its positions in *groups*
+        (``None``: every arrival is key 0), and keep those still waiting
+        at the chunk's last arrival."""
+        # Arrivals that took an untouched server, or were rejected
+        # (start -1), never waited.
+        waited = starts > times
+        for key, pending in enumerate(self._pending):
+            if groups is None:
+                at = np.flatnonzero(waited)
+            else:
+                at = groups[key][waited[groups[key]]]
+            if not (at.size or pending.size):
                 continue
-            begun = starts[span]
-            self.rejected_by[key] += int(np.count_nonzero(begun < 0))
-            waited = begun > arrived
             # Only arrivals that waited are ever waiting when a later
             # one arrives.  Waiter i's earlier same-key waiters number
             # pending + i; those that started by t_i are the carried
             # starts <= t_i (later waiters start no earlier than i,
             # after t_i).
-            arrived = arrived[waited]
-            begun = begun[waited]
-            self.queued_by[key] += int(arrived.size)
+            begun = starts[at]
+            self.queued_by[key] += int(at.size)
             carried = np.concatenate((pending, begun)) if pending.size else begun
-            if arrived.size:
+            if at.size:
                 depth = np.arange(pending.size, carried.size) - np.searchsorted(
-                    carried, arrived, side="right"
+                    carried, times[at], side="right"
                 )
                 peak = int(depth.max()) + 1
                 if peak > self.max_backlog_by[key]:

@@ -109,38 +109,42 @@ class LogHistogram:
     def add_many(self, values) -> None:
         """Bulk insert, vectorized, keyed from the bit pattern (see above)."""
         arr = np.asarray(values, dtype=np.float64).ravel()
-        if arr.size == 0:
-            return
-        positive, zeros = arr, 0
-        smallest = arr.min()  # NaN if any value is NaN
-        if not smallest > 0:  # a zero, a negative or a NaN
-            if not smallest >= 0:
-                raise ValueError("LogHistogram records finite non-negative values")
-            positive = arr[arr > 0]
-            zeros = arr.size - positive.size
-        if positive.size:
-            keys = positive.view(np.int64) >> (52 - self.subbits)
-            keys -= 1023 << self.subbits
-            low, high = int(keys.min()), int(keys.max())
-            if high >= 1024 * self._scale:  # exponent bits all ones
-                raise ValueError("LogHistogram records finite non-negative values")
-            if low < -1022 * self._scale:  # exponent bits all zeros
-                tiny = np.flatnonzero(keys < -1022 * self._scale)
-                keys[tiny] = [self._key(value) for value in positive[tiny].tolist()]
-                low = int(keys.min())
-        self.count += int(arr.size)
-        self.zero_count += zeros
+        if arr.size:
+            self._insert(arr, arr.min(), arr.max())
+
+    def _insert(self, values: np.ndarray, low: Any, high: Any) -> None:
+        """Insert the non-empty *values*, whose least and greatest are
+        *low* and *high* (NaN if any value is NaN).
+
+        Keys rise with values, so the batch's key range is the keys of
+        its least positive value and of *high*.  The batch is keyed in
+        place in a float64 copy of its positive values, viewed as int64.
+        """
+        if not 0 <= low <= high < inf:  # a negative, an infinity or a NaN
+            raise ValueError("LogHistogram records finite non-negative values")
+        values = values.ravel()
+        positive = values if low > 0 else values[values > 0]
+        self.count += int(values.size)
+        self.zero_count += int(values.size - positive.size)
         if not positive.size:
             return
-        span = high - low + 1
+        least = self._key(float(low if low > 0 else positive.min()))
+        span = self._key(float(high)) - least + 1
+        keys = positive.astype(np.float64).view(np.int64)
+        keys >>= 52 - self.subbits
+        keys -= least + (1023 << self.subbits)  # each key less the least
+        if least < -1022 * self._scale:  # exponent bits all zeros: subnormals
+            tiny = np.flatnonzero(keys < -1022 * self._scale - least)
+            keys[tiny] = [self._key(value) - least for value in positive[tiny].tolist()]
         if span <= keys.size:
             # A dense tally over the sample's own key range is no
             # larger than the sample, and much cheaper than a sort.
-            tally = np.bincount(keys - low, minlength=span)
+            tally = np.bincount(keys, minlength=span)
             occupied = np.flatnonzero(tally)
-            self._fold(occupied + low, tally[occupied])
+            self._fold(occupied + least, tally[occupied])
         else:
-            self._fold(*np.unique(keys, return_counts=True))
+            occupied, counts = np.unique(keys, return_counts=True)
+            self._fold(occupied + least, counts)
 
     def _fold(self, keys: np.ndarray, counts: np.ndarray) -> None:
         """Add *counts* to the buckets *keys* (ascending, distinct)."""
@@ -169,24 +173,38 @@ class LogHistogram:
         ``rank`` is 1-indexed (order-statistic convention, matching
         :func:`repro.analysis.stats.median_ci_ranks`).
         """
-        if not 1 <= rank <= self.count:
-            raise ValueError(f"rank {rank} outside [1, {self.count}]")
-        if rank <= self.zero_count:
-            return 0.0
+        return self._values_at_ranks([rank])[0]
+
+    def _values_at_ranks(self, ranks: list) -> list:
+        """:meth:`value_at_rank` of each of *ranks*, from one cumulative
+        sum of the bucket counts."""
+        for rank in ranks:
+            if not 1 <= rank <= self.count:
+                raise ValueError(f"rank {rank} outside [1, {self.count}]")
+        zeros = self.zero_count
         below = np.cumsum(self._counts)
-        bucket = int(np.searchsorted(below, rank - self.zero_count))
-        if bucket == below.size:
-            raise AssertionError("bucket counts inconsistent with self.count")
-        return self._edge(int(self._keys[bucket]))
+        buckets = below.searchsorted([rank - zeros for rank in ranks]).tolist()
+        values = []
+        for rank, bucket in zip(ranks, buckets):
+            if rank <= zeros:
+                values.append(0.0)
+            elif bucket == below.size:
+                raise AssertionError("bucket counts inconsistent with self.count")
+            else:
+                values.append(self._edge(int(self._keys[bucket])))
+        return values
 
     def quantile(self, q: float) -> float:
         """q-th quantile (0..1), nearest-rank, within the error bound."""
+        return self.value_at_rank(self._rank(q))
+
+    def _rank(self, q: float) -> int:
+        """The nearest rank of the q-th quantile (0..1)."""
         if not 0 <= q <= 1:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         if self.count == 0:
             raise ValueError("quantile of empty histogram")
-        rank = max(1, min(self.count, round(q * (self.count - 1)) + 1))
-        return self.value_at_rank(rank)
+        return max(1, min(self.count, round(q * (self.count - 1)) + 1))
 
 
 class StreamingSummary:
@@ -225,8 +243,8 @@ class StreamingSummary:
             arr = arr.astype(np.float64, copy=False)
         if arr.size == 0:
             return
-        self.histogram.add_many(arr)  # first: it rejects NaN, inf and negatives
         low, high = arr.min().item(), arr.max().item()
+        self.histogram._insert(arr, low, high)  # first: it rejects NaN, inf and negatives
         if isinstance(high, int) and high * arr.size >= 1 << 63:
             self.total += sum(arr.tolist())  # the int64 sum could wrap
         else:
@@ -271,17 +289,20 @@ class StreamingSummary:
             raise ValueError("summarize of empty stream")
         hist = self.histogram
         lo, hi = median_ci_ranks(n, confidence)
+        median, p95, p99, ci_low, ci_high = hist._values_at_ranks(
+            [hist._rank(0.5), hist._rank(0.95), hist._rank(0.99), lo, hi]
+        )
         return SummaryStats(
             count=n,
-            median=hist.quantile(0.5),
-            p99=hist.quantile(0.99),
+            median=median,
+            p99=p99,
             mean=self.total / n,
             minimum=float(self.minimum),
             maximum=float(self.maximum),
-            ci_low=hist.value_at_rank(lo),
-            ci_high=hist.value_at_rank(hi),
+            ci_low=ci_low,
+            ci_high=ci_high,
             confidence=confidence,
-            p95=hist.quantile(0.95),
+            p95=p95,
         )
 
 

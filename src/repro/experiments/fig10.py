@@ -8,6 +8,7 @@ One client dispatches simultaneously to N workers; payloads 1 kB and
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 
 from repro.analysis.reporting import Table, format_bytes, format_ns
@@ -94,5 +95,10 @@ def run_fig10(
                 series: dict[int, float] = {}
                 for n in workers:
                     series[n] = _measure(n, size, mode, sandbox, repetitions)
+                    # A deployment's parts sit in reference cycles (the
+                    # fabric and its NICs, among others): free them before
+                    # the next point builds its own, so peak memory follows
+                    # one point rather than the collector's timing.
+                    gc.collect()
                 result.series[(mode, sandbox, size)] = series
     return result

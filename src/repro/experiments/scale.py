@@ -1217,11 +1217,12 @@ class _TenantFifo(_TenantBook):
 
     Each chunk comes with the merge's grouping -- per tenant, the
     ascending positions of its arrivals -- and every tenant split is
-    read from it: the shared pool's keys, each pinned pool's arrivals,
-    the arrival counts and the per-tenant sojourn books.  Only tenants
-    with a congested arrival in the chunk filter their sojourns to the
-    dispatched ones.  The rest follows in closed form, as in
-    :class:`_FifoDriver`:
+    read from it: the shared pool's keys, each pinned pool's arrivals
+    and starts, the arrival counts and the per-tenant sojourn books.
+    The chunk's sojourns are one array, gathered once per tenant; only
+    tenants with a congested arrival in the chunk filter theirs to the
+    dispatched ones.  The rest follows in closed form from the chunk's
+    arrays, as in :class:`_FifoDriver`:
 
     * ``events_processed`` is one event per arrival plus, per dispatch,
       its completion and ``(service - 1) // interval`` renewal hops;
@@ -1257,27 +1258,34 @@ class _TenantFifo(_TenantBook):
         hops = finish = last = 0
         for times, services, groups in self._chunks:
             rejected = self._rejected()
-            arrivals = [times[group] for group in groups]
-            served = [services[group] for group in groups]
             if shared:
                 starts = pools[0].serve(times, services, groups)
-                begun = [starts[group] for group in groups]
             else:
-                begun = [pool.serve(a, s) for pool, a, s in zip(pools, arrivals, served)]
+                starts = np.empty_like(times)
+                for pool, group in zip(pools, groups):
+                    starts[group] = pool.serve(times[group], services[group])
+            congested = [after > before for before, after in zip(rejected, self._rejected())]
+            # A congested arrival starts at -1; without one, every
+            # arrival was dispatched.
+            kept = starts >= 0 if any(congested) else slice(None)
+            # The chunk's arrays are ours to overwrite, but *starts* may
+            # be *times* itself, so it is never written to.
+            sojourn = starts + services
+            dispatched = services[kept]
+            if dispatched.size:
+                finish = max(finish, int(sojourn[kept].max()))
+            sojourn -= times
+            dispatched -= 1
+            dispatched //= interval  # renewal hops
+            hops += int(dispatched.sum())
             last = int(times[-1])
-            for t, (arrived, service, start, before, after) in enumerate(
-                zip(arrivals, served, begun, rejected, self._rejected())
-            ):
-                arrived_by[t] += int(arrived.size)
-                if after > before:  # a congested arrival starts at -1
-                    kept = start >= 0
-                    arrived, service, start = arrived[kept], service[kept], start[kept]
-                if not start.size:
-                    continue
-                done = start + service
-                self._book(t, done - arrived)
-                hops += int(((service - 1) // interval).sum())
-                finish = max(finish, int(done.max()))
+            for t, group in enumerate(groups):
+                arrived_by[t] += int(group.size)
+                booked = sojourn[group]
+                if congested[t]:
+                    booked = booked[kept[group]]
+                if booked.size:
+                    self._book(t, booked)
         # Per tenant, one list entry per key: the shared pool keys its
         # books by tenant, and each pinned pool has its tenant's only.
         self.queued_by = [q for pool in pools for q in pool.queued_by]

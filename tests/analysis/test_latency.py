@@ -263,42 +263,73 @@ def test_fifo_servers_empty_input():
 def test_large_pools_match_event_walk(servers, chunk, caps):
     """Pools large enough for the block path, overloaded twofold with
     wide log-normal services so that blocks truncate and fall back to
-    stepping; coarse times make arrival and completion ties common."""
-    rng = np.random.default_rng(servers + (chunk or 0))
-    n = 8_000
-    services = np.maximum(1, rng.lognormal(5.0, 1.5, size=n)).astype(np.int64)
-    span = int(n * services.mean() / (servers * 2.0))
-    times = rng.integers(0, span, size=n) // 50 * 50
-    keys = None if caps is None else rng.integers(0, len(caps), size=n)
-    order = np.argsort(times, kind="stable") if keys is None else np.lexsort((keys, times))
-    times = times[order]
-    keys = None if keys is None else keys[order]
+    stepping; coarse times make arrival and completion ties common.
+    Services are drawn from 1, then from 0 with a fifth of them taking
+    no time, so that finishes tie the free times they took."""
+    for least in (1, 0):
+        rng = np.random.default_rng(servers + (chunk or 0))
+        n = 8_000
+        services = np.maximum(least, rng.lognormal(5.0, 1.5, size=n)).astype(np.int64)
+        span = int(n * services.mean() / (servers * 2.0))
+        times = rng.integers(0, span, size=n) // 50 * 50
+        keys = None if caps is None else rng.integers(0, len(caps), size=n)
+        order = np.argsort(times, kind="stable") if keys is None else np.lexsort((keys, times))
+        times = times[order]
+        keys = None if keys is None else keys[order]
+        if not least:
+            services[rng.random(n) < 0.2] = 0
+        before = perf.snapshot()
+        perf.enable()
+        try:
+            starts, pool = _serve(servers, times, services, chunk, keys, caps)
+        finally:
+            perf.disable()
+        moved = perf.delta(before, perf.snapshot())
+        ref_starts, ref_queued, ref_backlog, ref_rejected = event_walk(
+            servers,
+            times.tolist(),
+            services.tolist(),
+            None if keys is None else keys.tolist(),
+            None if caps is None else list(caps),
+        )
+        assert starts == ref_starts, f"services from {least}"
+        assert pool.queued_by == ref_queued
+        assert pool.max_backlog_by == ref_backlog
+        assert pool.rejected_by == ref_rejected
+        assert pool.queued > 0
+        assert (sum(ref_rejected) > 0) == (caps is not None and min(caps) < n)
+        # Every arrival went through exactly one path, and a chunk of
+        # 1,000 or more under no binding cap took both: blocks and
+        # stepped stretches.
+        assert moved["fifo_block_arrivals"] + moved["fifo_step_arrivals"] == n
+        if chunk != 7 and caps != (4, 40, 400):
+            assert moved["fifo_block_arrivals"] > servers
+            assert moved["fifo_step_arrivals"] > 0
+
+
+def test_block_holds_arrivals_past_a_finish_equal_to_free_times():
+    """A block whose earliest finish equals free times in the pool holds
+    every arrival that takes one of them: the block ends at the first
+    free time *past* that finish (``side="right"``)."""
+    # 40 servers: after the first 40 arrivals, 36 free at 10 and 4 at 50.
+    times = [0] * 40 + [5] * 40
+    services = [10] * 36 + [50] * 4 + [0] + [100] * 39
     before = perf.snapshot()
     perf.enable()
     try:
-        starts, pool = _serve(servers, times, services, chunk, keys, caps)
+        starts, pool = _serve(40, times, services)
     finally:
         perf.disable()
     moved = perf.delta(before, perf.snapshot())
-    ref_starts, ref_queued, ref_backlog, ref_rejected = event_walk(
-        servers,
-        times.tolist(),
-        services.tolist(),
-        None if keys is None else keys.tolist(),
-        None if caps is None else list(caps),
-    )
+    ref_starts, ref_queued, ref_backlog, _ = event_walk(40, times, services)
     assert starts == ref_starts
-    assert pool.queued_by == ref_queued
-    assert pool.max_backlog_by == ref_backlog
-    assert pool.rejected_by == ref_rejected
-    assert pool.queued > 0
-    assert (sum(ref_rejected) > 0) == (caps is not None and min(caps) < n)
-    # Every arrival went through exactly one path, and a chunk of 1,000
-    # or more under no binding cap took both: blocks and stepped stretches.
-    assert moved["fifo_block_arrivals"] + moved["fifo_step_arrivals"] == n
-    if chunk != 7 and caps != (4, 40, 400):
-        assert moved["fifo_block_arrivals"] > servers
-        assert moved["fifo_step_arrivals"] > 0
+    assert (pool.queued, pool.max_backlog) == (ref_queued[0], ref_backlog[0])
+    # The zero-service waiter finishes at 10, tying 36 free times: the 36
+    # waiters that take them form one block, and the 37th takes the
+    # zero-service waiter's server, freed again at 10.
+    assert starts[40:] == [10] * 37 + [50] * 3
+    assert moved["fifo_block_arrivals"] == 40 + 36
+    assert moved["fifo_step_arrivals"] == 4
 
 
 def test_fifo_servers_rejects_negative_caps():
@@ -315,6 +346,13 @@ def test_fifo_servers_validation():
         FifoServers(0)
     with pytest.raises(ValueError):
         FifoServers(2).serve([1, 2], [1])
+    # The block rule needs every finish at or after the free time it
+    # took: a negative service is rejected before any state moves.
+    pool = FifoServers(2)
+    with pytest.raises(ValueError, match="service times must be non-negative"):
+        pool.serve([1, 2], [3, -1])
+    assert pool.untouched == 2
+    assert pool.serve([1, 2], [3, 0]).tolist() == [1, 2]
     with pytest.raises(ValueError):
         FifoServers(2, caps=[])
     # Groups: one ascending position array per key, placing every

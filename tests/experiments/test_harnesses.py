@@ -1,9 +1,15 @@
 """Quick-mode smoke tests for every experiment harness + the CLI."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.core.deployment import Deployment
+from repro.experiments import fig10
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.experiments.__main__ import main as cli_main
+from repro.sim.clock import KB
 
 
 def test_registry_complete():
@@ -97,3 +103,34 @@ def test_multitenant_scale_quick_per_tenant_outcomes():
         assert stats.latency is not None and stats.latency.p99 >= stats.latency.p95
     rendered = result.table().render()
     assert rendered.count("\n") >= 5
+
+
+def test_fig10_frees_each_deployment_before_the_next_point(monkeypatch):
+    """A point's deployment sits in reference cycles (its fabric, managers
+    and executors); with the automatic collector off, they must still be
+    gone once the next point has run."""
+    built = []
+
+    class Recording:
+        @staticmethod
+        def build(*args, **kwargs):
+            deployment = Deployment.build(*args, **kwargs)
+            parts = [deployment, deployment.fabric, *deployment.managers, *deployment.executors]
+            built.append([weakref.ref(part) for part in parts])
+            return deployment
+
+    monkeypatch.setattr(fig10, "Deployment", Recording)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fig10.run_fig10(
+            workers=(1, 2), sizes=(KB,), repetitions=1, modes=("hot",), sandboxes=("bare-metal",)
+        )
+        # Read before the collector is back on: its first pass would
+        # free the cycles anyway.
+        alive = [[ref() is not None for ref in refs] for refs in built]
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert len(alive) == 2
+    assert not any(alive[0])
