@@ -21,8 +21,7 @@ via :mod:`repro.parallel` (``auto`` or ``0`` = one per usable CPU,
 ``1`` = serial): for ``all`` each experiment runs in its own worker;
 for ``bench`` the repetitions of each hot-loop benchmark run
 concurrently (each run is wall-clock-timed inside its own process, so
-medians stay comparable) and a multi-experiment batch is timed
-serial-vs-parallel.  ``bench`` forks each engine and its referee
+medians stay comparable).  ``bench`` forks each engine and its referee
 through the same pool whatever ``--parallel`` says.  Simulated results
 are bit-identical to serial runs; a crashed or raising experiment is
 reported and the rest of the batch completes.

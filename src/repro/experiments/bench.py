@@ -26,10 +26,7 @@ Usage::
 ``--parallel N`` runs the repetitions of each loop concurrently via
 :mod:`repro.parallel`.  Every repetition times *itself* inside its own
 process, so the per-run wall-clock numbers (and their medians) remain
-comparable with serial entries; only the batch finishes sooner.  It
-also times a multi-experiment quick batch serial-vs-parallel
-(``parallel_batch``) -- the headline fan-out speedup for
-``python -m repro.experiments all``.
+comparable with serial entries; only the batch finishes sooner.
 
 Merging semantics: ``--json`` loads the file if it exists and replaces
 only the ``--label`` entry, so a baseline recorded by an older checkout
@@ -86,20 +83,6 @@ def _engine_run(run: Callable[[], Any]) -> tuple[Any, dict[str, Any]]:
         "stream_buckets": result.stream_buckets,
         "fingerprint": result.fingerprint(),
     }
-
-#: The multi-experiment batch timed serial-vs-parallel (quick kwargs).
-#: Deliberately the *heavier* quick experiments, so worker startup and
-#: result pickling are amortized and the speedup reflects the engine.
-BATCH_EXPERIMENTS = (
-    "fig10",
-    "fig11",
-    "fig13",
-    "suite",
-    "fig8",
-    "concurrency",
-    "multitenant",
-    "billing",
-)
 
 
 def _kernel_once() -> dict[str, Any]:
@@ -749,57 +732,6 @@ def bench_scale_ten_million() -> dict[str, Any]:
     )
 
 
-def _timed_batch(experiments: tuple[str, ...], workers: int) -> float:
-    """Run every quick experiment of *experiments* through ``run_specs``
-    on *workers*; return the batch's wall clock."""
-    specs = [
-        RunSpec(
-            factory="repro.experiments.registry:run_experiment",
-            kwargs={"experiment_id": experiment_id, "quick": True},
-            index=index,
-            label=experiment_id,
-        )
-        for index, experiment_id in enumerate(experiments)
-    ]
-    t0 = time.perf_counter()
-    outcomes = run_specs(specs, workers)
-    wall = time.perf_counter() - t0
-    failed = [o for o in outcomes if isinstance(o, FailedPoint)]
-    if failed:
-        raise RuntimeError(f"batch experiment failed: {failed[0].summary()}")
-    return wall
-
-
-def bench_parallel_batch(parallel: int) -> dict[str, Any]:
-    """Time a quick multi-experiment batch serially, then fanned out.
-
-    This is the number the parallel engine exists for: the same
-    independent experiment runs, serial vs. ``parallel`` workers.  The
-    record has no peak RSS of its own: the serial pass runs in the
-    bench process, whose lifetime peak is the entry's
-    ``peak_rss_bytes``.
-    """
-    serial_s = _timed_batch(BATCH_EXPERIMENTS, 1)
-    parallel_s = _timed_batch(BATCH_EXPERIMENTS, parallel)
-    cpus = available_workers()
-    record = {
-        "experiments": list(BATCH_EXPERIMENTS),
-        "workers": parallel,
-        "cpus_available": cpus,
-        "serial_s": serial_s,
-        "parallel_s": parallel_s,
-        "speedup": serial_s / parallel_s if parallel_s else 0.0,
-        # On a single usable CPU the "parallel" run just adds worker
-        # startup + IPC on top of serialized execution, so the speedup
-        # says nothing about the engine.  Flag it so trajectory readers
-        # (and CI) know which entries are comparable.
-        "speedup_representative": cpus > 1,
-    }
-    if cpus <= 1:
-        record["note"] = "speedup measured with 1 usable CPU; not representative"
-    return record
-
-
 def run_bench(
     quick: bool = False, parallel: int = 1, ten_million: bool = False
 ) -> dict[str, Any]:
@@ -811,13 +743,11 @@ def run_bench(
     :func:`repro.parallel.run_specs`, whatever *parallel* says, and all
     of them run first.  A forked run's peak RSS counts the pages it
     inherits, so each one forks from a bench process that no in-process
-    work (the micro-benches, the parallel batch's serial pass, the
-    cold-start spectrum, the isolation matrix) has grown.  *parallel*
-    fans out the micro-benches' repetitions and, unless it is 1, adds
-    the serial-vs-parallel ``parallel_batch``.  *ten_million*
-    additionally runs the 10^7-invocation stress scenarios (several
-    minutes of wall clock; meant for recorded trajectory entries, not
-    CI quick runs).
+    work (the micro-benches, the cold-start spectrum, the isolation
+    matrix) has grown.  *parallel* fans out the micro-benches'
+    repetitions.  *ten_million* additionally runs the 10^7-invocation
+    stress scenarios (several minutes of wall clock; meant for recorded
+    trajectory entries, not CI quick runs).
 
     ``perf_counters`` covers every entry: counting stays on for the
     whole bench, and forked runs ship their counters back through
@@ -843,8 +773,6 @@ def run_bench(
             "rdma_pingpong": bench_pingpong(max(3, repeats - 2), parallel),
             "invocation": bench_invocation(max(3, repeats - 4), parallel),
         }
-        if parallel != 1:
-            results["parallel_batch"] = bench_parallel_batch(parallel)
         forked["coldstart"].update(_coldstart_spectrum(quick))
         # The 2x2 {pinned, shared} x {calm, aggressor} isolation matrix.
         forked["multitenant"]["isolation"] = _multitenant_isolation(quick)
@@ -1056,17 +984,6 @@ def show(results: dict[str, Any]) -> None:
             "fifo_block_arrivals={fifo_block_arrivals:,} "
             "fifo_step_arrivals={fifo_step_arrivals:,}".format(**counters)
         )
-    batch = results.get("parallel_batch")
-    if batch:
-        line = (
-            "parallel_batch: {n} experiments  serial {serial_s:.1f}s -> "
-            "{workers} workers {parallel_s:.1f}s  ({speedup:.2f}x, {cpus_available} cpus)".format(
-                n=len(batch["experiments"]), **batch
-            )
-        )
-        if not batch.get("speedup_representative", True):
-            line += "  [NOT representative: 1 cpu]"
-        print(line)
     for line in _two_way_lines(results):
         print(line)
     spectrum = results.get("coldstart", {}).get("spectrum")

@@ -1,4 +1,4 @@
-"""Bench additions: the parallel batch and the perf-regression guard."""
+"""Bench additions: the perf-regression guard."""
 
 import json
 
@@ -6,16 +6,6 @@ import pytest
 
 from repro.experiments import bench
 from repro.experiments.bench import check_regression
-
-
-def test_parallel_batch_records_no_process_peak_rss(monkeypatch):
-    """The serial pass runs in the bench process, so the record
-    carries timings only."""
-    monkeypatch.setattr(bench, "BATCH_EXPERIMENTS", ("table1",))
-    record = bench.bench_parallel_batch(2)
-    assert record["experiments"] == ["table1"]
-    assert record["serial_s"] > 0 and record["parallel_s"] > 0
-    assert "peak_rss_bytes" not in record
 
 
 def _baseline_doc(tmp_path, rate):

@@ -1,15 +1,15 @@
 """Event-calendar pop order under random self-extending timeout cascades.
 
 This module once held the hierarchical timer wheel to the heap's pop
-order.  The wheel is retired (docs/architecture.md, "Retired: the timer
-wheel"); its cascade fuzz keeps its test ids and now holds the heap
-``Environment`` to the contract the two shared, on its own: every
-scheduled timeout fires exactly once, in ascending ``(when, eid)``
-order, and the inlined ``run()`` loop fires the same sequence as
-``step()`` called one event at a time.  Children are scheduled from
-inside callbacks, so most timeouts come off the recycled-timeout free
-list: a timeout handed out while still pending would overwrite a serial
-and show up as a lost or doubled one.
+order.  The wheel is deleted (CHANGES.md records why); its cascade fuzz
+keeps its test ids and now holds the heap ``Environment`` to the
+contract the two shared, on its own: every scheduled timeout fires
+exactly once, in ascending ``(when, eid)`` order, and the inlined
+``run()`` loop fires the same sequence as ``step()`` called one event
+at a time.  Children are scheduled from inside callbacks, so most
+timeouts come off the recycled-timeout free list: a timeout handed out
+while still pending would overwrite a serial and show up as a lost or
+doubled one.
 """
 
 import itertools
